@@ -435,17 +435,17 @@ let discovery ~scale () =
   close_out oc;
   Printf.printf "  (wrote BENCH_discovery.json)\n%!"
 
-(* ---- Channel scaling: naive O(N) scan vs the spatial grid --------------- *)
+(* ---- Channel scaling: naive O(N) scan vs the store-backed channel ------- *)
 
 (* A fixed mobile scenario grown to N nodes at constant node density
    (the paper's 5:1 terrain aspect), with flows scaled alongside so the
-   offered load per node is constant.  Every N runs under the naive
-   linear-scan channel, the spatial grid, and the struct-of-arrays
-   layout (shared position planes + incremental cell index) — checking
-   the outcomes are byte-identical and recording the wall-clock and
-   allocation trajectories into BENCH_channel.json.  The naive scan is
-   quadratic in N, so it is skipped past [channel_naive_cap]; the
-   2000/5000-node points exist to put the SoA trajectory on one axis. *)
+   offered load per node is constant.  Every N runs on the production
+   store-backed channel (shared position planes + incremental cell
+   index) and on the naive linear-scan reference — checking the outcomes
+   are byte-identical and recording the wall-clock and allocation
+   trajectories into BENCH_channel.json.  The naive scan is quadratic in
+   N, so it is skipped past [channel_naive_cap]; the 2000/5000-node
+   points extend the production trajectory. *)
 
 let channel_node_counts = [ 50; 200; 500; 1000; 2000; 5000 ]
 let channel_naive_cap = 1000
@@ -501,44 +501,48 @@ let identical_outcomes (a : Runner.outcome) (b : Runner.outcome) =
   && a.Runner.mac_queue_drops = b.Runner.mac_queue_drops
   && a.Runner.mac_unicast_failures = b.Runner.mac_unicast_failures
 
+(* Run the naive reference channel on [sc] when it is affordable and
+   compare its outcome with the production run [o]:
+   [Some (wall_s, identical)], or [None] past [channel_naive_cap]. *)
+let naive_reference ?reps ~nodes sc o =
+  if nodes > channel_naive_cap then None
+  else begin
+    let s, on, _, _ = timed_run ?reps (Scenario.with_naive_channel true sc) in
+    let identical = identical_outcomes on o in
+    if not identical then
+      Printf.printf "  !! %d nodes: production and naive outcomes DIVERGE\n%!"
+        nodes;
+    Some (s, identical)
+  end
+
+let json_opt f = function Some v -> f v | None -> "null"
+let cell_opt f = function Some v -> f v | None -> "-"
+let yes_no b = if b then "yes" else "NO"
+
 type channel_point = {
   cp_nodes : int;
-  cp_naive_s : float option;  (* None past the quadratic-scan cap *)
-  cp_grid_s : float;
+  cp_naive : (float * bool) option;  (* wall s, identical *)
   cp_soa_s : float;
-  cp_identical : bool;
   cp_transmissions : int;
   cp_events : int;
-  cp_minor_words : float;  (* grid run *)
+  cp_minor_words : float;  (* production run *)
   cp_promoted_words : float;
-  cp_soa_minor_words : float;
-  cp_soa_promoted_words : float;
 }
 
 let channel_bench_json points =
   let point p =
-    let ev = float_of_int p.cp_events in
     Printf.sprintf
-      "    { \"nodes\": %d, \"naive_s\": %s, \"grid_s\": %.4f, \
-       \"soa_s\": %.4f, \"speedup\": %s, \"soa_speedup_vs_grid\": %.2f, \
-       \"identical\": %b, \"transmissions\": %d, \"events\": %d, \
-       \"minor_words\": %.0f, \"promoted_words\": %.0f, \
-       \"minor_words_per_event\": %.1f, \"soa_minor_words\": %.0f, \
-       \"soa_promoted_words\": %.0f, \"soa_minor_words_per_event\": %.1f }"
+      "    { \"nodes\": %d, \"naive_s\": %s, \"soa_s\": %.4f, \
+       \"speedup\": %s, \"identical\": %s, \"transmissions\": %d, \
+       \"events\": %d, \"minor_words\": %.0f, \"promoted_words\": %.0f, \
+       \"minor_words_per_event\": %.1f }"
       p.cp_nodes
-      (match p.cp_naive_s with
-      | Some s -> Printf.sprintf "%.4f" s
-      | None -> "null")
-      p.cp_grid_s p.cp_soa_s
-      (match p.cp_naive_s with
-      | Some s -> Printf.sprintf "%.2f" (s /. p.cp_grid_s)
-      | None -> "null")
-      (p.cp_grid_s /. p.cp_soa_s)
-      p.cp_identical p.cp_transmissions p.cp_events p.cp_minor_words
-      p.cp_promoted_words
-      (p.cp_minor_words /. ev)
-      p.cp_soa_minor_words p.cp_soa_promoted_words
-      (p.cp_soa_minor_words /. ev)
+      (json_opt (fun (s, _) -> Printf.sprintf "%.4f" s) p.cp_naive)
+      p.cp_soa_s
+      (json_opt (fun (s, _) -> Printf.sprintf "%.2f" (s /. p.cp_soa_s)) p.cp_naive)
+      (json_opt (fun (_, same) -> string_of_bool same) p.cp_naive)
+      p.cp_transmissions p.cp_events p.cp_minor_words p.cp_promoted_words
+      (p.cp_minor_words /. float_of_int p.cp_events)
   in
   String.concat "\n"
     [
@@ -547,9 +551,9 @@ let channel_bench_json points =
       Printf.sprintf "  \"scenario\": \"LDR random-waypoint, %g s simulated, %g m2/node, 10 flows\","
         channel_duration_s channel_area_per_node;
       Printf.sprintf
-        "  \"naive_note\": \"the O(N)-scan channel is quadratic in N and \
-         skipped past %d nodes; soa = shared position planes + incremental \
-         cell index, digest-checked against both other modes\","
+        "  \"naive_note\": \"soa = the production channel (shared position \
+         planes + incremental cell index); the O(N)-scan reference is \
+         quadratic in N and skipped past %d nodes\","
         channel_naive_cap;
       "  \"points\": [";
       String.concat ",\n" (List.map point points);
@@ -559,68 +563,39 @@ let channel_bench_json points =
 
 let channel_scaling ~scale:_ () =
   heading
-    "Channel scaling: naive O(N) scan vs spatial grid vs struct-of-arrays (byte-identical outcomes)";
+    "Channel scaling: naive O(N) scan vs store-backed channel (byte-identical outcomes)";
   let points =
     List.map
       (fun nodes ->
         let sc = channel_scenario ~nodes in
-        let naive =
-          if nodes <= channel_naive_cap then
-            let s, o, _, _ = timed_run (Scenario.with_naive_channel true sc) in
-            Some (s, o)
-          else None
-        in
-        let grid_s, og, minor, promoted = timed_run sc in
-        let soa_s, os, s_minor, s_promoted =
-          timed_run (Scenario.with_soa true sc)
-        in
-        let identical =
-          identical_outcomes og os
-          && match naive with
-             | Some (_, on) -> identical_outcomes on og
-             | None -> true
-        in
-        if not identical then
-          Printf.printf "  !! %d nodes: channel-mode outcomes DIVERGE\n%!"
-            nodes;
+        let soa_s, o, minor, promoted = timed_run sc in
         {
           cp_nodes = nodes;
-          cp_naive_s = Option.map fst naive;
-          cp_grid_s = grid_s;
+          cp_naive = naive_reference ~nodes sc o;
           cp_soa_s = soa_s;
-          cp_identical = identical;
-          cp_transmissions = og.Runner.transmissions;
-          cp_events = og.Runner.events_processed;
+          cp_transmissions = o.Runner.transmissions;
+          cp_events = o.Runner.events_processed;
           cp_minor_words = minor;
           cp_promoted_words = promoted;
-          cp_soa_minor_words = s_minor;
-          cp_soa_promoted_words = s_promoted;
         })
       channel_node_counts
   in
   let rows =
     List.map
       (fun p ->
-        let ev = float_of_int p.cp_events in
         [
           string_of_int p.cp_nodes;
-          (match p.cp_naive_s with
-          | Some s -> Printf.sprintf "%.3f" s
-          | None -> "-");
-          Printf.sprintf "%.3f" p.cp_grid_s;
+          cell_opt (fun (s, _) -> Printf.sprintf "%.3f" s) p.cp_naive;
           Printf.sprintf "%.3f" p.cp_soa_s;
-          Printf.sprintf "%.1f" (p.cp_minor_words /. ev);
-          Printf.sprintf "%.1f" (p.cp_soa_minor_words /. ev);
-          (if p.cp_identical then "yes" else "NO");
+          Printf.sprintf "%.1f" (p.cp_minor_words /. float_of_int p.cp_events);
+          cell_opt (fun (_, same) -> yes_no same) p.cp_naive;
           string_of_int p.cp_transmissions;
         ])
       points
   in
   print_endline
     (Stats.Table.render
-       ~header:
-         [ "nodes"; "naive s"; "grid s"; "soa s"; "minW/ev"; "soa minW/ev";
-           "identical"; "tx" ]
+       ~header:[ "nodes"; "naive s"; "soa s"; "minW/ev"; "identical"; "tx" ]
        rows);
   let oc = open_out "BENCH_channel.json" in
   output_string oc (channel_bench_json points);
@@ -628,39 +603,31 @@ let channel_scaling ~scale:_ () =
   close_out oc;
   Printf.printf "  (wrote BENCH_channel.json)\n%!"
 
-(* ---- City scale: struct-of-arrays node state and the new families ------- *)
+(* ---- City scale: the store-backed channel and the scenario families ----- *)
 
 (* Two parts, both on the channel-scaling density (5:1 aspect, 10
-   flows, grid channel):
+   flows):
 
-   - Layout: the scenario at growing N under both node-state layouts —
-     per-node records (boxed positions, full grid rebuilds) and
-     struct-of-arrays (shared unboxed position planes, incremental
-     cell index) — with digest equality as the gate.  The 1000-node
-     row carries the allocation before/after this PR tracks: the
-     committed pre-SoA BENCH_channel.json measured 31,109,620 minor
-     words over 438,265 events = 71.0 words/event on the record path.
-     The default run tops out at the 10k-node, 60 s point.
+   - Scaling: the scenario at growing N on the production store-backed
+     channel, with digest equality against the naive reference channel
+     as the gate wherever the quadratic reference is affordable
+     ([channel_naive_cap]).  The default run tops out at the 10k-node,
+     60 s point.
    - Families: one delivery/overhead row per scenario family —
      waypoint, Manhattan grid, RPGM groups, shadowing, churn,
-     partition-then-heal — on the SoA path with the LDR invariant
-     monitor armed throughout (churn's crash-rebooted sequence numbers
-     are the van Glabbeek loop stressor). *)
-
-let scale_alloc_before_1000n = 71.0
+     partition-then-heal — with the LDR invariant monitor armed
+     throughout (churn's crash-rebooted sequence numbers are the van
+     Glabbeek loop stressor). *)
 
 type layout_point = {
   lp_nodes : int;
-  lp_record_s : float;
+  lp_naive : (float * bool) option;  (* wall s, identical *)
   lp_soa_s : float;
-  lp_identical : bool;
   lp_events : int;
   lp_transmissions : int;
   lp_delivery : float;
-  lp_record_minor_per_ev : float;
-  lp_soa_minor_per_ev : float;
-  lp_record_promoted_per_ev : float;
-  lp_soa_promoted_per_ev : float;
+  lp_minor_per_ev : float;
+  lp_promoted_per_ev : float;
 }
 
 type family_row = {
@@ -693,7 +660,6 @@ let scale_families ~nodes ~duration =
       terrain;
       duration = Time.sec duration;
     }
-    |> Scenario.with_soa true
   in
   let manhattan = Scenario.Manhattan { spacing = 200. } in
   let rpgm =
@@ -724,20 +690,17 @@ let scale_families ~nodes ~duration =
 let scale_bench_json ~family_nodes ~family_duration layout families =
   let lp p =
     Printf.sprintf
-      "    { \"nodes\": %d, \"record_s\": %.4f, \"soa_s\": %.4f, \
-       \"speedup\": %.2f, \"identical\": %b, \"events\": %d, \
-       \"events_per_s_soa\": %.0f, \"transmissions\": %d, \
-       \"delivery_ratio\": %.4f, \"minor_words_per_event_record\": %.1f, \
-       \"minor_words_per_event_soa\": %.1f, \
-       \"promoted_words_per_event_record\": %.2f, \
-       \"promoted_words_per_event_soa\": %.2f }"
-      p.lp_nodes p.lp_record_s p.lp_soa_s
-      (p.lp_record_s /. p.lp_soa_s)
-      p.lp_identical p.lp_events
+      "    { \"nodes\": %d, \"naive_s\": %s, \"soa_s\": %.4f, \
+       \"identical\": %s, \"events\": %d, \"events_per_s\": %.0f, \
+       \"transmissions\": %d, \"delivery_ratio\": %.4f, \
+       \"minor_words_per_event\": %.1f, \"promoted_words_per_event\": %.2f }"
+      p.lp_nodes
+      (json_opt (fun (s, _) -> Printf.sprintf "%.4f" s) p.lp_naive)
+      p.lp_soa_s
+      (json_opt (fun (_, same) -> string_of_bool same) p.lp_naive)
+      p.lp_events
       (float_of_int p.lp_events /. p.lp_soa_s)
-      p.lp_transmissions p.lp_delivery p.lp_record_minor_per_ev
-      p.lp_soa_minor_per_ev p.lp_record_promoted_per_ev
-      p.lp_soa_promoted_per_ev
+      p.lp_transmissions p.lp_delivery p.lp_minor_per_ev p.lp_promoted_per_ev
   in
   let fr r =
     Printf.sprintf
@@ -747,38 +710,21 @@ let scale_bench_json ~family_nodes ~family_duration layout families =
       r.fr_name r.fr_delivery r.fr_latency_ms r.fr_network_load
       r.fr_byte_load r.fr_violations r.fr_events
   in
-  let alloc_1000n =
-    match List.find_opt (fun p -> p.lp_nodes = 1000) layout with
-    | None -> []
-    | Some p ->
-        [
-          Printf.sprintf
-            "  \"alloc_1000n\": { \"minor_words_per_event_before\": %.1f, \
-             \"minor_words_per_event_record\": %.1f, \
-             \"minor_words_per_event_soa\": %.1f, \
-             \"reduction_pct_vs_before\": %.1f },"
-            scale_alloc_before_1000n p.lp_record_minor_per_ev
-            p.lp_soa_minor_per_ev
-            (100.
-            *. (scale_alloc_before_1000n -. p.lp_soa_minor_per_ev)
-            /. scale_alloc_before_1000n);
-        ]
-  in
   String.concat "\n"
     ([
        "{";
        "  \"benchmark\": \"city-scale\",";
        Printf.sprintf
-         "  \"scenario\": \"LDR, %g m2/node (5:1 aspect), 10 flows, grid \
-          channel; soa = shared unboxed position planes + incremental \
-          cell index + flat MAC counter planes\","
-         channel_area_per_node;
+         "  \"scenario\": \"LDR, %g m2/node (5:1 aspect), 10 flows; soa = \
+          the production channel (shared unboxed position planes + \
+          incremental cell index), identical = digest equality with the \
+          naive reference, run up to %d nodes\","
+         channel_area_per_node channel_naive_cap;
        Printf.sprintf
          "  \"families_scenario\": \"%d nodes, %g s simulated, monitor \
-          armed, soa layout\","
+          armed\","
          family_nodes family_duration;
      ]
-    @ alloc_1000n
     @ [ "  \"layout_points\": [" ]
     @ [ String.concat ",\n" (List.map lp layout) ]
     @ [ "  ],"; "  \"families\": [" ]
@@ -787,7 +733,7 @@ let scale_bench_json ~family_nodes ~family_duration layout families =
 
 let scale_bench ~scale () =
   heading
-    "City scale: struct-of-arrays node state vs per-node records (identical outcomes)";
+    "City scale: store-backed channel vs naive reference (identical outcomes)";
   let quick = scale.duration <= 30. in
   let counts = if quick then [ 500 ] else [ 1000; 10_000 ] in
   let duration = if quick then 20. else 60. in
@@ -796,8 +742,7 @@ let scale_bench ~scale () =
       (fun nodes ->
         (* Flows scale with the node count (10 per 1000 nodes) so the
            10k point carries real traffic; 1000 nodes keeps the exact
-           channel-bench workload, preserving comparability with the
-           pre-PR allocation baseline. *)
+           channel-bench workload. *)
         let sc =
           {
             (channel_scenario ~nodes) with
@@ -811,62 +756,38 @@ let scale_bench ~scale () =
           }
         in
         let reps = if nodes >= 10_000 then 2 else 3 in
-        let record_s, orec, r_minor, r_promoted = timed_run ~reps sc in
-        let soa_s, osoa, s_minor, s_promoted =
-          timed_run ~reps (Scenario.with_soa true sc)
-        in
-        let identical = identical_outcomes orec osoa in
-        if not identical then
-          Printf.printf "  !! %d nodes: soa and record outcomes DIVERGE\n%!"
-            nodes;
-        let ev = float_of_int orec.Runner.events_processed in
+        let soa_s, o, minor, promoted = timed_run ~reps sc in
+        let ev = float_of_int o.Runner.events_processed in
         {
           lp_nodes = nodes;
-          lp_record_s = record_s;
+          lp_naive = naive_reference ~reps ~nodes sc o;
           lp_soa_s = soa_s;
-          lp_identical = identical;
-          lp_events = orec.Runner.events_processed;
-          lp_transmissions = orec.Runner.transmissions;
-          lp_delivery = Metrics.delivery_ratio orec.Runner.metrics;
-          lp_record_minor_per_ev = r_minor /. ev;
-          lp_soa_minor_per_ev = s_minor /. ev;
-          lp_record_promoted_per_ev = r_promoted /. ev;
-          lp_soa_promoted_per_ev = s_promoted /. ev;
+          lp_events = o.Runner.events_processed;
+          lp_transmissions = o.Runner.transmissions;
+          lp_delivery = Metrics.delivery_ratio o.Runner.metrics;
+          lp_minor_per_ev = minor /. ev;
+          lp_promoted_per_ev = promoted /. ev;
         })
       counts
   in
   print_endline
     (Stats.Table.render
        ~header:
-         [ "nodes"; "record s"; "soa s"; "speedup"; "identical";
-           "minW/ev rec"; "minW/ev soa"; "delivery" ]
+         [ "nodes"; "naive s"; "soa s"; "identical"; "minW/ev"; "delivery" ]
        (List.map
           (fun p ->
             [
               string_of_int p.lp_nodes;
-              Printf.sprintf "%.3f" p.lp_record_s;
+              cell_opt (fun (s, _) -> Printf.sprintf "%.3f" s) p.lp_naive;
               Printf.sprintf "%.3f" p.lp_soa_s;
-              Printf.sprintf "%.2fx" (p.lp_record_s /. p.lp_soa_s);
-              (if p.lp_identical then "yes" else "NO");
-              Printf.sprintf "%.1f" p.lp_record_minor_per_ev;
-              Printf.sprintf "%.1f" p.lp_soa_minor_per_ev;
+              cell_opt (fun (_, same) -> yes_no same) p.lp_naive;
+              Printf.sprintf "%.1f" p.lp_minor_per_ev;
               Printf.sprintf "%.4f" p.lp_delivery;
             ])
           layout));
-  (match List.find_opt (fun p -> p.lp_nodes = 1000) layout with
-  | Some p ->
-      Printf.printf
-        "  1000-node allocation: %.1f minor words/event before this PR, \
-         %.1f record, %.1f soa (%.1f%% below the pre-PR baseline)\n%!"
-        scale_alloc_before_1000n p.lp_record_minor_per_ev
-        p.lp_soa_minor_per_ev
-        (100.
-        *. (scale_alloc_before_1000n -. p.lp_soa_minor_per_ev)
-        /. scale_alloc_before_1000n)
-  | None -> ());
   let family_nodes = if quick then 300 else 1000 in
   let family_duration = if quick then 20. else 60. in
-  Printf.printf "\n  families: %d nodes, %g s, monitor armed, soa layout\n%!"
+  Printf.printf "\n  families: %d nodes, %g s, monitor armed\n%!"
     family_nodes family_duration;
   let families =
     List.map
@@ -926,7 +847,7 @@ let scale_bench ~scale () =
      this ratio mostly bounds how much of the wall clock the scheduler
      was to begin with.
 
-   The N-sweep reuses the channel-scaling scenarios (grid channel both
+   The N-sweep reuses the channel-scaling scenarios (same channel both
    times, so only the scheduler differs); the last point is the
    congested Fig-5 shape the tentpole targets. *)
 

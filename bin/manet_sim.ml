@@ -261,26 +261,15 @@ let partition =
           "Drop an opaque wall across the terrain's vertical midline from \
            second $(docv) T1 until it heals at T2.")
 
-let soa =
-  Arg.(
-    value & flag
-    & info [ "soa" ]
-        ~doc:
-          "Struct-of-arrays node state: positions in shared unboxed float \
-           arrays behind an incrementally-maintained spatial index.  \
-           Outcomes are byte-identical to the default layout; the win is \
-           allocation and cache behaviour at large node counts.")
-
 type world_opts = {
   w_mobility : Scenario.mobility;
   w_shadowing : Scenario.shadowing option;
   w_churn : Scenario.churn option;
   w_partition : Scenario.partition option;
-  w_soa : bool;
 }
 
 let world_term =
-  let make w_mobility sigma churn partition w_soa =
+  let make w_mobility sigma churn partition =
     {
       w_mobility;
       w_shadowing =
@@ -300,10 +289,9 @@ let world_term =
               part_x_frac = 0.5;
             })
           partition;
-      w_soa;
     }
   in
-  Term.(const make $ mobility $ shadow $ churn $ partition $ soa)
+  Term.(const make $ mobility $ shadow $ churn $ partition)
 
 let trials =
   Arg.(value & opt int 3 & info [ "trials" ] ~docv:"T" ~doc:"Trials per point (sweep).")
@@ -329,7 +317,6 @@ let default_world =
     w_shadowing = None;
     w_churn = None;
     w_partition = None;
-    w_soa = false;
   }
 
 let scenario ?(shards = 1) ?(world = default_world) protocol nodes width height
@@ -362,7 +349,6 @@ let scenario ?(shards = 1) ?(world = default_world) protocol nodes width height
     shadowing = world.w_shadowing;
     churn = world.w_churn;
     partition = world.w_partition;
-    soa = world.w_soa;
   }
 
 (* Hand-rolled JSON: the trace schema is flat and the container ships no

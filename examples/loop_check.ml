@@ -36,7 +36,6 @@ let scenario protocol seed =
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 let () =

@@ -35,7 +35,6 @@ let scenario protocol seed =
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 let run name protocol =

@@ -35,7 +35,6 @@ let scenario protocol =
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 let () =

@@ -39,7 +39,6 @@ let () =
       shadowing = None;
       churn = None;
       partition = None;
-      soa = false;
     }
   in
   let outcome = Runner.run scenario in

@@ -124,6 +124,17 @@ let make_mobs (sc : Scenario.t) ~mobility_rng ~(starts : Geom.Vec2.t array) =
       done);
   mobs
 
+(* Per-node state planes: MAC counters, churn state and the position
+   store the production channel reads. *)
+let make_nodes (sc : Scenario.t) mobs =
+  Net.Nodes.create ~width:sc.terrain.Geom.Terrain.width
+    ~height:sc.terrain.Geom.Terrain.height mobs ~at:Time.zero
+
+(* The channel's store backing: none on the naive reference channel,
+   whose radios read their record mobility processes directly. *)
+let channel_world (sc : Scenario.t) nodes =
+  if sc.naive_channel then None else Some nodes
+
 (* Fresh per call: on a sharded run every region's channel gets its own
    instance (the shadowing memo table is not shared across domains), all
    drawing identical per-pair gains from the same scenario seed. *)
@@ -213,26 +224,12 @@ let build ?on_engine ?obs (sc : Scenario.t) =
   let n = sc.num_nodes in
   let starts = Scenario.positions sc placement_rng in
   let mobs = make_mobs sc ~mobility_rng ~starts in
-  let nodes =
-    if sc.soa then
-      Some
-        (Net.Nodes.create ~width:sc.terrain.Geom.Terrain.width
-           ~height:sc.terrain.Geom.Terrain.height mobs ~at:Time.zero)
-    else None
-  in
+  let nodes = make_nodes sc mobs in
   let channel =
     Net.Channel.create ~engine
-      ~mode:
-        (if sc.soa then Net.Channel.Soa
-         else if sc.naive_channel then Net.Channel.Naive
-         else Net.Channel.Grid)
       ~max_speed:(Float.max sc.speed_max 0.)
-      ?world:
-        (Option.map
-           (fun nd ->
-             (Net.Nodes.store nd, Net.Nodes.width nd, Net.Nodes.height nd))
-           nodes)
-      ?link:(make_link sc) ~obs:bus ~params:sc.net ()
+      ?world:(channel_world sc nodes) ?link:(make_link sc) ~obs:bus
+      ~params:sc.net ()
   in
   Net.Channel.add_transmit_hook channel (fun _src frame ->
       Metrics.transmitted metrics frame);
@@ -247,7 +244,7 @@ let build ?on_engine ?obs (sc : Scenario.t) =
     let position () = Mobility.position mob (Engine.now engine) in
     let mac =
       Net.Mac.create ~engine ~channel ~rng:(Rng.split root) ~id ~position
-        ?world:(Option.map (fun nd -> (nd, i)) nodes)
+        ~world:(nodes, i)
         {
           Net.Mac.receive =
             (fun payload ~from ->
@@ -337,13 +334,13 @@ let build ?on_engine ?obs (sc : Scenario.t) =
     ~schedule:(fun _i at fn -> ignore (Engine.at engine at fn))
     ~take_down:(fun i ~crash ->
       down.(i) <- true;
-      (match nodes with Some nd -> Net.Nodes.set_up nd i false | None -> ());
+      Net.Nodes.set_up nodes i false;
       Net.Channel.set_attached channel (Net.Mac.radio mac_arr.(i)) false;
       Net.Mac.set_down mac_arr.(i) true;
       agents.(i).Routing.Agent.reset ~crash)
     ~bring_up:(fun i ->
       down.(i) <- false;
-      (match nodes with Some nd -> Net.Nodes.set_up nd i true | None -> ());
+      Net.Nodes.set_up nodes i true;
       Net.Channel.set_attached channel (Net.Mac.radio mac_arr.(i)) true;
       Net.Mac.set_down mac_arr.(i) false);
   let injected = ref 0 in
@@ -487,28 +484,12 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
      [i]'s row is only ever refreshed by events on its home shard (its
      radio is attached to that channel alone) or at quiesced window
      boundaries, so rows are touched by one domain per window. *)
-  let nodes =
-    if sc.soa then
-      Some
-        (Net.Nodes.create ~width:sc.terrain.Geom.Terrain.width
-           ~height:sc.terrain.Geom.Terrain.height mobs ~at:Time.zero)
-    else None
-  in
-  let world =
-    Option.map
-      (fun nd ->
-        (Net.Nodes.store nd, Net.Nodes.width nd, Net.Nodes.height nd))
-      nodes
-  in
+  let nodes = make_nodes sc mobs in
+  let world = channel_world sc nodes in
   let channels =
     Array.init k (fun r ->
-        Net.Channel.create ~engine:engines.(r)
-          ~mode:
-            (if sc.soa then Net.Channel.Soa
-             else if sc.naive_channel then Net.Channel.Naive
-             else Net.Channel.Grid)
-          ~max_speed ?world ?link:(make_link sc) ~obs:buses.(r)
-          ~params:sc.net ())
+        Net.Channel.create ~engine:engines.(r) ~max_speed ?world
+          ?link:(make_link sc) ~obs:buses.(r) ~params:sc.net ())
   in
   Array.iteri
     (fun r ch ->
@@ -535,7 +516,7 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
     let mac =
       Net.Mac.create ~engine ~channel:channels.(r) ~rng:(Rng.split root) ~id
         ~position
-        ?world:(Option.map (fun nd -> (nd, i)) nodes)
+        ~world:(nodes, i)
         {
           Net.Mac.receive =
             (fun payload ~from ->
@@ -632,7 +613,7 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
     ~schedule:(fun i at fn -> ignore (Engine.at engines.(home.(i)) at fn))
     ~take_down:(fun i ~crash ->
       down.(i) <- true;
-      (match nodes with Some nd -> Net.Nodes.set_up nd i false | None -> ());
+      Net.Nodes.set_up nodes i false;
       Net.Channel.set_attached
         channels.(home.(i))
         (Net.Mac.radio mac_arr.(i))
@@ -641,7 +622,7 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
       agents.(i).Routing.Agent.reset ~crash)
     ~bring_up:(fun i ->
       down.(i) <- false;
-      (match nodes with Some nd -> Net.Nodes.set_up nd i true | None -> ());
+      Net.Nodes.set_up nodes i true;
       Net.Channel.set_attached
         channels.(home.(i))
         (Net.Mac.radio mac_arr.(i))
@@ -665,11 +646,11 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
          from the coordinator is race-free; per-row queries stay
          monotone (every shard's clock is exactly [t_now]). *)
       let x =
-        match nodes with
+        match world with
         | Some nd ->
             let st = Net.Nodes.store nd in
             Mobility.Pos_store.refresh st i t_now;
-            Mobility.Pos_store.x st i
+            (Mobility.Pos_store.xs st).(i)
         | None -> (Mobility.position mobs.(i) t_now).Geom.Vec2.x
       in
       let r = home.(i) in

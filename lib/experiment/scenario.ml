@@ -99,10 +99,6 @@ type t = {
   shadowing : shadowing option;
   churn : churn option;
   partition : partition option;
-  soa : bool;
-      (* route node state through the struct-of-arrays hot path
-         (Net.Nodes + Channel Soa mode); outcomes are byte-identical
-         to the record path, so this is purely a performance axis *)
 }
 
 let paper_50 protocol =
@@ -127,7 +123,6 @@ let paper_50 protocol =
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 let paper_100 protocol =
@@ -171,5 +166,4 @@ let with_mobility mobility t = { t with mobility }
 let with_shadowing shadowing t = { t with shadowing }
 let with_churn churn t = { t with churn }
 let with_partition partition t = { t with partition }
-let with_soa soa t = { t with soa }
 let scaled ~duration t = { t with duration }

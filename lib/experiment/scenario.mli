@@ -102,9 +102,11 @@ type t = {
       (** audit the successor graph for loops at every routing-table
           change (expensive; tests and the loop-check example use it) *)
   naive_channel : bool;
-      (** use the O(nodes)-per-transmission linear-scan channel instead
-          of the spatial grid — differential tests and the scaling
-          benchmark only; outcomes are byte-identical either way *)
+      (** use the reference channel — an O(nodes)-per-transmission scan
+          of record mobility processes — instead of the production
+          store-backed channel ({!Mobility.Pos_store} positions,
+          {!Geom.Cell_index} candidates).  Differential tests only;
+          outcomes are byte-identical either way *)
   heap_scheduler : bool;
       (** drive the engine with the reference binary-heap event queue
           instead of the calendar queue — differential tests and the
@@ -122,13 +124,6 @@ type t = {
   shadowing : shadowing option;
   churn : churn option;
   partition : partition option;
-  soa : bool;
-      (** route node state through the struct-of-arrays hot path:
-          positions in a shared {!Mobility.Pos_store}, candidates from
-          the incremental {!Geom.Cell_index}, MAC counters in flat
-          {!Net.Nodes} planes.  Outcomes are byte-identical to the
-          record path (default [false]) — a pure performance axis,
-          differential-tested in [test_world.ml]. *)
 }
 
 val paper_50 : protocol -> t
@@ -151,6 +146,5 @@ val with_mobility : mobility -> t -> t
 val with_shadowing : shadowing option -> t -> t
 val with_churn : churn option -> t -> t
 val with_partition : partition option -> t -> t
-val with_soa : bool -> t -> t
 val scaled : duration:Sim.Time.t -> t -> t
 (** Shorten a paper scenario for laptop-scale reproduction. *)

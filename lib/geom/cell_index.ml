@@ -1,9 +1,8 @@
 (* Incremental uniform-cell membership index over a fixed arena.
 
-   The counting-sorted [Grid] is rebuilt wholesale and snapshots
-   positions; this sibling maintains membership incrementally — [update]
-   moves a node between cells only when its cell actually changed, which
-   on a position refresh sweep is O(changed) instead of O(n).  It stores
+   Membership is maintained incrementally — [update] moves a node
+   between cells only when its cell actually changed, which on a
+   position refresh sweep is O(changed) instead of an O(n) rebuild.  It stores
    no coordinates: a disk query visits every member of the cells
    overlapping the disk's bounding box, a superset of the true disk
    population, and the owner filters against live positions (Net.Channel

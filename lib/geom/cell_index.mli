@@ -1,18 +1,17 @@
 (** Incremental uniform-cell membership index over a fixed arena.
 
-    The counting-sorted {!Grid} snapshots a whole batch and is rebuilt
-    wholesale when positions drift; this sibling maintains cell
-    membership {e incrementally}: {!update} moves a member between cells
-    only when its containing cell actually changed, so a refresh sweep
-    over [n] members costs O(changed cells), not O(n) rebuild work.
+    Cell membership is maintained {e incrementally}: {!update} moves a
+    member between cells only when its containing cell actually changed,
+    so a refresh sweep over [n] members costs O(changed cells), not a
+    wholesale O(n) rebuild.
 
     Members are small integer ids (node indices).  No coordinates are
     stored: {!iter_disk} visits every member of the cells overlapping the
     query disk's bounding box — a superset of the true disk population —
     and the owner filters against live positions.  [Net.Channel]'s
     candidate handling is superset-invariant (exact distance filter, then
-    deterministic ordering), so swapping this index in yields
-    byte-identical outcomes. *)
+    deterministic ordering), so its outcomes are byte-identical to a
+    naive scan. *)
 
 type t
 

@@ -424,10 +424,11 @@ module Pos_store = struct
   let length s = Array.length s.mob
   let proc s i = s.mob.(i)
 
+  let max_backtrack_ns = (max_backtrack :> int)
+
   let refresh s i time =
     let tn = (time : Time.t :> int) in
     if tn <> s.last_t.(i) then begin
-      s.last_t.(i) <- tn;
       if tn > s.arrive.(i) then begin
         (* Leg exhausted: advance the underlying process (RNG draws in
            the record path's per-node order) and re-cache its leg. *)
@@ -437,6 +438,12 @@ module Pos_store = struct
         s.y.(i) <- p.Geom.Vec2.y
       end
       else if tn <= s.depart.(i) then begin
+        (* Only a backwards query can precede the current leg; the
+           record path's tolerance applies. *)
+        if tn + max_backtrack_ns < s.depart.(i) then
+          invalid_arg
+            "Mobility.Pos_store.refresh: query precedes the current leg by \
+             more than the backtrack tolerance";
         s.x.(i) <- s.fx.(i);
         s.y.(i) <- s.fy.(i)
       end
@@ -453,11 +460,12 @@ module Pos_store = struct
         let u = gone /. total in
         s.x.(i) <- s.fx.(i) +. ((s.dx.(i) -. s.fx.(i)) *. u);
         s.y.(i) <- s.fy.(i) +. ((s.dy.(i) -. s.fy.(i)) *. u)
-      end
+      end;
+      s.last_t.(i) <- tn
     end
 
-  let x s i = s.x.(i)
-  let y s i = s.y.(i)
+  let xs s = s.x
+  let ys s = s.y
 
   let position s i time =
     refresh s i time;

@@ -131,12 +131,18 @@ module Pos_store : sig
   val refresh : t -> int -> Sim.Time.t -> unit
   (** [refresh s i t] updates node [i]'s cached position to time [t]
       (allocation-free unless the query advances the node onto a new
-      leg).  Repeated refreshes at the same time are free. *)
+      leg).  Repeated refreshes at the same time are free.  Backwards
+      queries get the same tolerance as {!position}: one preceding the
+      node's current leg by more than 1 ms raises [Invalid_argument]. *)
 
-  val x : t -> int -> float
-  (** Cached x as of the last {!refresh}. *)
+  val xs : t -> float array
+  (** The cached-x plane: slot [i] holds node [i]'s x as of its last
+      {!refresh}.  The array is the store's own (never reallocated), so
+      a caller may fetch it once and read it with plain unboxed loads —
+      unlike a [t -> int -> float] accessor, whose result boxes across
+      a module boundary. *)
 
-  val y : t -> int -> float
+  val ys : t -> float array
 
   val position : t -> int -> Sim.Time.t -> Geom.Vec2.t
   (** [refresh] then box the result — for callers that want a [Vec2]. *)

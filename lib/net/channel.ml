@@ -1,12 +1,10 @@
 open Sim
 open Packets
 
-(* Per-receiver reception state.  Records are pooled inside [tx_job]s
-   and reused across transmissions — every field is mutable and reset
-   on reuse, so the steady-state delivery path allocates nothing. *)
-type rx = {
-  mutable rx_frame : Frame.t;
-  mutable tx_dist : float;
+(* Link geometry of one reception.  All-float, so OCaml stores the
+   fields flat and writing them never boxes. *)
+type geo = {
+  mutable dist : float;
       (** receiver-to-transmitter distance, for capture (transiently
           holds the squared distance between candidate collection and
           the delivery pass) *)
@@ -14,15 +12,24 @@ type rx = {
       (** shadowing range factor of this link; exactly [1.] without a
           link model, in which case the delivery pass is bit-identical
           to the plain unit disk *)
-  mutable corrupted : bool;
-  mutable locked : bool;  (** this arrival captured the receiver *)
-  mutable rx_radio : radio;
 }
 
-and radio = {
+(* Per-receiver reception state.  Records are pooled inside [tx_job]s
+   and reused across transmissions; a transmission writes only their
+   floats and flags, so touching a radio costs no write barrier and no
+   allocation.  [rx_id] is the record's index in the channel's
+   [rx_all], by which a radio names the reception it is locked to. *)
+type rx = {
+  rx_id : int;
+  geo : geo;
+  mutable corrupted : bool;
+  mutable locked : bool;  (** this arrival captured the receiver *)
+}
+
+type radio = {
   id : Node_id.t;
-  seq : int;  (** attach order; fixes query ordering across index modes *)
-  idx : int;  (** SoA slot (node id); -1 when not backed by a store *)
+  seq : int;  (** attach order: the radio's index in [t.radios] *)
+  idx : int;  (** store slot (node id); unused on a naive channel *)
   position : unit -> Geom.Vec2.t;
   mutable attached : bool;
       (** false while the node is down (churn): the radio is skipped as
@@ -31,7 +38,7 @@ and radio = {
   mutable medium : bool -> unit;
   mutable busy_count : int;  (** in-range transmissions currently in the air *)
   mutable tx_count : int;  (** own transmissions in the air (0 or 1) *)
-  mutable current_rx : rx;  (** == [no_rx] when not locked to a frame *)
+  mutable lock : int;  (** [rx_id] of the frame being decoded; -1 when none *)
   mutable crossed : bool;
       (** last transmission was forwarded cross-shard (PDES): its remote
           copies arrive one delivery latency late, so unicast senders
@@ -43,60 +50,63 @@ let dummy_frame =
 
 let dummy_pos = Geom.Vec2.v 0. 0.
 
-(* Sentinels, compared physically.  [no_rx]/[dummy_radio] are mutually
-   recursive so an idle radio and a free rx slot can point at them
-   instead of carrying options. *)
-let rec no_rx =
+let new_radio ~id ~seq ~idx ~position =
   {
-    rx_frame = dummy_frame;
-    tx_dist = 0.;
-    gain = 1.;
-    corrupted = true;
-    locked = false;
-    rx_radio = dummy_radio;
-  }
-
-and dummy_radio =
-  {
-    id = Node_id.of_int 0;
-    seq = -1;
-    idx = -1;
-    position = (fun () -> dummy_pos);
-    attached = false;
+    id;
+    seq;
+    idx;
+    position;
+    attached = true;
     receive = ignore;
     medium = ignore;
     busy_count = 0;
     tx_count = 0;
-    current_rx = no_rx;
+    lock = -1;
     crossed = false;
   }
 
-let new_rx () =
+(* Filler for unattached store slots and idle jobs, compared physically. *)
+let dummy_radio =
+  let r =
+    new_radio ~id:(Node_id.of_int 0) ~seq:(-1) ~idx:(-1)
+      ~position:(fun () -> dummy_pos)
+  in
+  r.attached <- false;
+  r
+
+let no_rx =
   {
-    rx_frame = dummy_frame;
-    tx_dist = 0.;
-    gain = 1.;
-    corrupted = false;
+    rx_id = -1;
+    geo = { dist = 0.; gain = 1. };
+    corrupted = true;
     locked = false;
-    rx_radio = dummy_radio;
   }
 
-type mode = Naive | Grid | Soa
+(* Receptions are ordered by an int permutation rather than by moving
+   records: a key packs the touched radio's attach seq above the job slot
+   holding its [rx], so keys sorted descending list receptions newest
+   radio first — the order a naive scan produces. *)
+let slot_bits = 24
+let slot_mask = (1 lsl slot_bits) - 1
 
-(* How far a radio's true position may drift from its bucketed position
-   before the grid is rebuilt.  Queries are inflated by the current drift
-   bound, so any margin is exact; smaller margins rebuild more often,
-   larger ones scan more cells. *)
+(* How far a radio's true position may drift from the cell it is indexed
+   under before the index is resynced.  Queries are inflated by the
+   current drift bound, so any margin is exact; smaller margins resync
+   more often, larger ones scan more cells. *)
 let slack_margin_m = 25.
 
-(* One in-flight transmission: the source plus the touched radios'
-   reception records, alive from [transmit] to its end-of-transmission
-   event.  Jobs are pooled on a free stack; the job itself is the
-   argument of the closure-free end-of-tx event, so a transmission
-   schedules without allocating. *)
+(* One in-flight transmission: the source, the frame and the touched
+   radios' receptions, alive from [transmit] to its end-of-transmission
+   event.  Slot k of [job_rxs] is the k-th radio collected (in index
+   order); [job_keys] over [0, job_n) is the delivery order.  Jobs are
+   pooled on a free stack; the job itself is the argument of the
+   closure-free end-of-tx event, so a transmission schedules without
+   allocating. *)
 type tx_job = {
   mutable job_src : radio;
+  mutable job_frame : Frame.t;
   mutable job_rxs : rx array;
+  mutable job_keys : int array;
   mutable job_n : int;
   job_owner : t;
 }
@@ -104,26 +114,25 @@ type tx_job = {
 and t = {
   engine : Engine.t;
   params : Params.t;
-  mode : mode;
   max_speed : float option;
-      (* [Some v]: no radio moves faster than [v] m/s, so bucketed
+      (* [Some v]: no radio moves faster than [v] m/s, so indexed
          positions age at a known rate.  [None]: unknown speeds — the
-         grid is rebuilt whenever the clock has advanced, which is exact
-         for any mobility and still no worse than a naive scan. *)
-  mutable radios : radio list;  (* newest first *)
+         index is resynced whenever the clock has advanced, which is
+         exact for any mobility. *)
+  mutable radios : radio array;  (* by seq; [0, next_seq) are live *)
   mutable next_seq : int;
-  mutable detached : int;  (* radios with [attached = false] *)
-  grid : radio Geom.Grid.t;
-  world : world option;  (* Some iff [mode = Soa] *)
+  world : world option;  (* None: naive scan of [radios] *)
   link : Link_model.t option;
       (* None on the classic unit disk — the propagate fast path then
          skips every per-candidate gain/wall lookup *)
-  mutable grid_built_at : Time.t;
-  mutable grid_fresh : bool;
+  mutable index_at : Time.t;
+  mutable index_fresh : bool;
   mutable hooks : (Node_id.t -> Frame.t -> unit) list;
   mutable tx_total : int;
   mutable job_pool : tx_job array;
   mutable job_free : int;  (* jobs [0, job_free) are free *)
+  mutable rx_all : rx array;  (* every pooled rx, by [rx_id] *)
+  mutable rx_count : int;
   obs : Obs.Bus.t;
   (* PDES hook: decides whether a transmission concerns other shards and
      posts remote copies; returns true when it did (see [radio.crossed]).
@@ -133,54 +142,58 @@ and t = {
   mutable remote_grace : Time.t;
 }
 
-(* SoA backing: positions come from the shared [Pos_store] planes and
-   cell membership is maintained incrementally (ids only; the exact
-   filter reads live store positions).  [w_radios] maps a store slot
-   back to its radio — [dummy_radio] until that slot attaches. *)
+(* Store backing: positions come from the shared [Pos_store] planes
+   (fetched once; the store never reallocates them) and cell membership
+   is maintained incrementally (ids only; the exact filter reads live
+   positions).  [w_radios] maps a store slot back to its radio —
+   [dummy_radio] until that slot attaches. *)
 and world = {
   w_store : Mobility.Pos_store.t;
+  w_xs : float array;
+  w_ys : float array;
   w_index : Geom.Cell_index.t;
   w_radios : radio array;
 }
 
-let create ~engine ?(mode = Grid) ?max_speed ?obs ?world ?link ~params () =
+let create ~engine ?max_speed ?obs ?world ?link ~params () =
   (* Cell side = half the carrier-sense range: a CS-disk query scans
      ~25 cells, but the cells hug the disk, so the candidate superset
      is ~1.7x the true disk population (a full-range cell side gives
      9 coarse cells and a ~2.9x superset — more wasted exact distance
-     checks per query, which dominate now that cells are one array
-     load each). *)
+     checks per query). *)
   let cell = params.Params.cs_range_m /. 2. in
   let world =
-    match (mode, world) with
-    | Soa, Some (store, width, height) ->
+    Option.map
+      (fun nodes ->
+        let store = Nodes.store nodes in
         let n = Mobility.Pos_store.length store in
-        Some
-          {
-            w_store = store;
-            w_index = Geom.Cell_index.create ~cell ~width ~height ~ids:n;
-            w_radios = Array.make n dummy_radio;
-          }
-    | Soa, None -> invalid_arg "Channel.create: Soa mode needs a world"
-    | (Naive | Grid), _ -> None
+        {
+          w_store = store;
+          w_xs = Mobility.Pos_store.xs store;
+          w_ys = Mobility.Pos_store.ys store;
+          w_index =
+            Geom.Cell_index.create ~cell ~width:(Nodes.width nodes)
+              ~height:(Nodes.height nodes) ~ids:n;
+          w_radios = Array.make n dummy_radio;
+        })
+      world
   in
   {
     engine;
     params;
-    mode;
     max_speed;
-    radios = [];
+    radios = [||];
     next_seq = 0;
-    detached = 0;
-    grid = Geom.Grid.create ~cell;
     world;
     link;
-    grid_built_at = Time.zero;
-    grid_fresh = false;
+    index_at = Time.zero;
+    index_fresh = false;
     hooks = [];
     tx_total = 0;
     job_pool = [||];
     job_free = 0;
+    rx_all = [||];
+    rx_count = 0;
     obs = (match obs with Some b -> b | None -> Obs.Bus.create ());
     remote = None;
     remote_grace = Time.zero;
@@ -194,35 +207,35 @@ let remote_grace t = t.remote_grace
 let crossed r = r.crossed
 
 let params t = t.params
-let mode t = t.mode
 let obs t = t.obs
 
 let frame_dst_int (f : Frame.t) =
   match f.dst with Frame.Broadcast -> -1 | Frame.Unicast d -> Node_id.to_int d
 
+(* Double [a] (at least to [min]), filling new cells with [fill]. *)
+let grow a ~min fill =
+  let bigger = Array.make (Stdlib.max min (2 * Array.length a)) fill in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
 let attach t ?(idx = -1) ~id ~position () =
-  let r =
-    {
-      id;
-      seq = t.next_seq;
-      idx;
-      position;
-      attached = true;
-      receive = ignore;
-      medium = ignore;
-      busy_count = 0;
-      tx_count = 0;
-      current_rx = no_rx;
-      crossed = false;
-    }
+  let position =
+    match t.world with
+    | None -> position
+    | Some w ->
+        if idx < 0 then
+          invalid_arg
+            "Channel.attach: a store-backed channel needs a slot (idx)";
+        fun () ->
+          Mobility.Pos_store.position w.w_store idx (Engine.now t.engine)
   in
+  let r = new_radio ~id ~seq:t.next_seq ~idx ~position in
+  if t.next_seq = Array.length t.radios then
+    t.radios <- grow t.radios ~min:8 dummy_radio;
+  t.radios.(t.next_seq) <- r;
   t.next_seq <- t.next_seq + 1;
-  t.radios <- r :: t.radios;
-  (match t.world with
-  | Some w when idx >= 0 -> w.w_radios.(idx) <- r
-  | Some _ -> invalid_arg "Channel.attach: Soa mode needs a store slot (idx)"
-  | None -> ());
-  t.grid_fresh <- false;
+  (match t.world with Some w -> w.w_radios.(idx) <- r | None -> ());
+  t.index_fresh <- false;
   r
 
 let set_receiver r f = r.receive <- f
@@ -237,10 +250,27 @@ let busy _t r = carrier_busy r
 
 (* ---- Transmission-job pool --------------------------------------------- *)
 
+let new_rx t =
+  let rx =
+    {
+      rx_id = t.rx_count;
+      geo = { dist = 0.; gain = 1. };
+      corrupted = false;
+      locked = false;
+    }
+  in
+  if t.rx_count = Array.length t.rx_all then
+    t.rx_all <- grow t.rx_all ~min:64 no_rx;
+  t.rx_all.(t.rx_count) <- rx;
+  t.rx_count <- t.rx_count + 1;
+  rx
+
 let new_job owner =
   {
     job_src = dummy_radio;
-    job_rxs = Array.init 8 (fun _ -> new_rx ());
+    job_frame = dummy_frame;
+    job_rxs = Array.init 8 (fun _ -> new_rx owner);
+    job_keys = Array.make 8 0;
     job_n = 0;
     job_owner = owner;
   }
@@ -261,171 +291,131 @@ let free_job t job =
   t.job_pool.(t.job_free) <- job;
   t.job_free <- t.job_free + 1
 
-(* Append a touched radio, keeping entries sorted by attach seq
-   descending — the set and order a naive scan of [t.radios] (newest
-   first) produces, so grid and naive modes stay byte-identical.  The
-   naive path appends in already-descending order (zero shifts); grid
-   candidates arrive in cell order and insertion-sort into place, a
-   handful of pointer rotations for the few radios a disk holds. *)
-let job_add job r d2 gain =
+let grow_job job =
+  let t = job.job_owner in
+  let n = Array.length job.job_rxs in
+  if 2 * n > slot_mask then
+    failwith "Channel: too many receivers for one frame";
+  job.job_rxs <- Array.append job.job_rxs (Array.init n (fun _ -> new_rx t));
+  job.job_keys <- grow job.job_keys ~min:0 0
+
+(* Take the next slot's [rx] for radio [r] and insert its key into the
+   delivery order; the caller fills in the returned link geometry.  The
+   naive scan collects in already-descending seq order (zero shifts);
+   index candidates arrive in cell order and insertion-sort into place —
+   plain int moves, no records shifted. *)
+let job_add job r =
   let n = job.job_n in
-  if n = Array.length job.job_rxs then
-    job.job_rxs <-
-      Array.append job.job_rxs (Array.init (Stdlib.max 8 n) (fun _ -> new_rx ()));
-  let rxs = job.job_rxs in
+  if n = Array.length job.job_rxs then grow_job job;
+  let keys = job.job_keys in
+  let key = (r.seq lsl slot_bits) lor n in
   let i = ref n in
-  while !i > 0 && rxs.(!i - 1).rx_radio.seq < r.seq do decr i done;
-  let spare = rxs.(n) in
-  for k = n downto !i + 1 do
-    rxs.(k) <- rxs.(k - 1)
+  while !i > 0 && Array.unsafe_get keys (!i - 1) < key do
+    Array.unsafe_set keys !i (Array.unsafe_get keys (!i - 1));
+    decr i
   done;
-  rxs.(!i) <- spare;
-  spare.rx_radio <- r;
-  spare.tx_dist <- d2;
-  spare.gain <- gain;
-  spare.corrupted <- false;
-  spare.locked <- false;
-  job.job_n <- n + 1
+  Array.unsafe_set keys !i key;
+  job.job_n <- n + 1;
+  let rx = Array.unsafe_get job.job_rxs n in
+  rx.corrupted <- false;
+  rx.locked <- false;
+  rx.geo
 
 (* ---- Spatial index ----------------------------------------------------- *)
 
-(* Upper bound on how far any radio may be from where the grid bucketed
-   it.  With a known speed bound this is speed x age; with an unknown one
-   [refresh] rebuilds on every clock advance, so the drift is zero. *)
-let drift_bound t =
-  match t.max_speed with
-  | None -> 0.
-  | Some v ->
-      let age = Time.diff (Engine.now t.engine) t.grid_built_at in
-      if Time.equal age Time.zero then 0. else v *. Time.to_sec age
-
-let rebuild_grid t =
-  let batch =
-    if t.detached = 0 then t.radios
-    else List.filter (fun r -> r.attached) t.radios
-  in
-  Geom.Grid.build t.grid ~pos:(fun r -> r.position ()) batch;
-  t.grid_built_at <- Engine.now t.engine;
-  t.grid_fresh <- true
-
-(* SoA resync: refresh every attached slot's store position in place
-   (a scalar lerp unless the leg advanced) and move it between cells
-   only when its cell changed — O(n) float work, no rebuild, no
-   allocation. *)
-let sweep_soa t w =
+(* Resync: refresh every attached slot's store position in place (a
+   scalar lerp unless the leg advanced) and move it between cells only
+   when its cell changed — O(n) float work, no rebuild. *)
+let sweep t w =
   let now = Engine.now t.engine in
-  let store = w.w_store and index = w.w_index in
   for i = 0 to Array.length w.w_radios - 1 do
-    let r = Array.unsafe_get w.w_radios i in
-    if r.attached then begin
-      Mobility.Pos_store.refresh store i now;
-      Geom.Cell_index.update index i ~x:(Mobility.Pos_store.x store i)
-        ~y:(Mobility.Pos_store.y store i)
+    if (Array.unsafe_get w.w_radios i).attached then begin
+      Mobility.Pos_store.refresh w.w_store i now;
+      Geom.Cell_index.update w.w_index i ~x:w.w_xs.(i) ~y:w.w_ys.(i)
     end
   done;
-  t.grid_built_at <- now;
-  t.grid_fresh <- true
+  t.index_at <- now;
+  t.index_fresh <- true
 
-let resync t =
-  match t.world with Some w -> sweep_soa t w | None -> rebuild_grid t
-
-(* Resync the index if stale; returns the post-resync drift bound so
-   queries pay for at most one clock-to-seconds conversion. *)
-let refresh t =
-  if not t.grid_fresh then resync t;
+(* Resync the index if stale; returns the post-resync drift bound (how
+   far any radio may be from its indexed cell) so queries pay for at
+   most one clock-to-seconds conversion. *)
+let refresh t w =
+  if not t.index_fresh then sweep t w;
   match t.max_speed with
   | None ->
-      if Time.(Engine.now t.engine > t.grid_built_at) then resync t;
+      if Time.(Engine.now t.engine > t.index_at) then sweep t w;
       0.
-  | Some _ ->
-      let b = drift_bound t in
+  | Some v ->
+      let age = Time.diff (Engine.now t.engine) t.index_at in
+      let b = if Time.equal age Time.zero then 0. else v *. Time.to_sec age in
       if b > slack_margin_m then begin
-        resync t;
+        sweep t w;
         0.
       end
       else b
 
-(* Churn: a detached radio stops being a reception candidate in every
-   index mode and is dropped from the incremental index immediately;
-   frames already locked on it are discarded by the down-gated MAC.
-   Reattaching re-inserts it at its current position. *)
+(* Churn: a detached radio stops being a reception candidate and is
+   dropped from the index immediately; frames already locked on it are
+   discarded by the down-gated MAC.  Reattaching re-inserts it at its
+   current position. *)
 let set_attached t r v =
   if r.attached <> v then begin
     r.attached <- v;
-    t.detached <- (if v then t.detached - 1 else t.detached + 1);
     match t.world with
-    | Some w when r.idx >= 0 ->
+    | Some w ->
         if v then begin
           Mobility.Pos_store.refresh w.w_store r.idx (Engine.now t.engine);
-          Geom.Cell_index.update w.w_index r.idx
-            ~x:(Mobility.Pos_store.x w.w_store r.idx)
-            ~y:(Mobility.Pos_store.y w.w_store r.idx)
+          Geom.Cell_index.update w.w_index r.idx ~x:w.w_xs.(r.idx)
+            ~y:w.w_ys.(r.idx)
         end
         else Geom.Cell_index.remove w.w_index r.idx
-    | Some _ | None -> t.grid_fresh <- false
+    | None -> ()
   end
 
 let attached r = r.attached
 
-(* Spatial-index health gauges (Obs.Telemetry). *)
+(* Spatial-index health gauges (Obs.Telemetry); a naive channel has no
+   index. *)
 let index_stats t =
-  match (t.mode, t.world) with
-  | Soa, Some w ->
+  match t.world with
+  | Some w ->
       let s = Geom.Cell_index.stats w.w_index in
       (s.Geom.Cell_index.cells, s.occupied, s.max_occupancy)
-  | _ ->
-      let s = Geom.Grid.stats t.grid in
-      (s.Geom.Grid.cells, s.occupied, s.max_occupancy)
+  | None -> (0, 0, 0)
 
-(* Grid queries visit each candidate exactly once, applying the exact
-   range predicate against live positions; survivors are ordered by
-   attach sequence, newest first — the exact set and order a naive scan
-   of [t.radios] produces.  The query disk is inflated by the drift
-   bound, so the candidate superset always covers the true disk
-   population; per-seed determinism therefore does not depend on the
-   index. *)
-let rec ins_radio x l =
-  match l with
-  | [] -> [ x ]
-  | (y :: tl) as full -> if x.seq > y.seq then x :: full else y :: ins_radio x tl
-
+(* Radios within decode range of [r], newest attach first — the order a
+   naive scan produces.  Index queries are inflated by the drift bound,
+   so the candidate superset covers the true disk population. *)
 let neighbors_in_range t r =
-  let center = r.position () in
   let rng2 = t.params.range_m *. t.params.range_m in
-  match (t.mode, t.world) with
-  | Naive, _ ->
-      List.filter_map
-        (fun other ->
-          if
-            other != r && other.attached
-            && Geom.Vec2.dist2 center (other.position ()) <= rng2
-          then Some other.id
-          else None)
-        t.radios
-  | (Grid | Soa), None ->
-      let radius = t.params.range_m +. refresh t in
+  match t.world with
+  | None ->
+      let center = r.position () in
       let acc = ref [] in
-      Geom.Grid.iter_disk t.grid ~center ~radius (fun other ->
-          if
-            other != r && other.attached
-            && Geom.Vec2.dist2 center (other.position ()) <= rng2
-          then acc := ins_radio other !acc);
+      for s = 0 to t.next_seq - 1 do
+        let other = t.radios.(s) in
+        if
+          other != r && other.attached
+          && Geom.Vec2.dist2 center (other.position ()) <= rng2
+        then acc := other :: !acc
+      done;
       List.map (fun o -> o.id) !acc
-  | (Grid | Soa), Some w ->
-      let radius = t.params.range_m +. refresh t in
+  | Some w ->
+      let radius = t.params.range_m +. refresh t w in
       let now = Engine.now t.engine in
+      Mobility.Pos_store.refresh w.w_store r.idx now;
+      let cx = w.w_xs.(r.idx) and cy = w.w_ys.(r.idx) in
       let acc = ref [] in
-      Geom.Cell_index.iter_disk w.w_index ~x:center.Geom.Vec2.x
-        ~y:center.Geom.Vec2.y ~radius (fun i ->
+      Geom.Cell_index.iter_disk w.w_index ~x:cx ~y:cy ~radius (fun i ->
           let other = w.w_radios.(i) in
           if other != r && other.attached then begin
             Mobility.Pos_store.refresh w.w_store i now;
-            let dx = Mobility.Pos_store.x w.w_store i -. center.Geom.Vec2.x
-            and dy = Mobility.Pos_store.y w.w_store i -. center.Geom.Vec2.y in
-            if (dx *. dx) +. (dy *. dy) <= rng2 then
-              acc := ins_radio other !acc
+            let dx = w.w_xs.(i) -. cx and dy = w.w_ys.(i) -. cy in
+            if (dx *. dx) +. (dy *. dy) <= rng2 then acc := other :: !acc
           end);
-      List.map (fun o -> o.id) !acc
+      List.sort (fun a b -> Int.compare b.seq a.seq) !acc
+      |> List.map (fun o -> o.id)
 
 let add_transmit_hook t f = t.hooks <- t.hooks @ [ f ]
 let transmissions t = t.tx_total
@@ -445,45 +435,45 @@ let mark_idle r =
   if not (carrier_busy r) then r.medium false
 
 (* End of transmission: release the medium, deliver surviving locked
-   frames, and recycle the job.  Clearing each rx's frame and radio
-   drops the job's references into live simulation state between
+   frames in delivery order, and recycle the job.  Clearing the frame
+   drops the job's reference into live simulation state between
    transmissions. *)
 let end_of_tx job =
   let t = job.job_owner in
   let src = job.job_src in
   src.tx_count <- src.tx_count - 1;
   if not (carrier_busy src) then src.medium false;
-  for k = 0 to job.job_n - 1 do
-    let rx = job.job_rxs.(k) in
-    let r = rx.rx_radio in
+  let frame = job.job_frame in
+  for j = 0 to job.job_n - 1 do
+    let key = Array.unsafe_get job.job_keys j in
+    let r = t.radios.(key lsr slot_bits) in
+    let rx = job.job_rxs.(key land slot_mask) in
     mark_idle r;
     if rx.locked then begin
       (* Only clear the lock if it is still ours (a corrupting overlap
          never replaces the lock, so it is). *)
-      if r.current_rx == rx then r.current_rx <- no_rx;
+      if r.lock = rx.rx_id then r.lock <- -1;
       (* Starting to transmit mid-reception also kills it. *)
-      if (not rx.corrupted) && r.tx_count = 0 then r.receive rx.rx_frame
+      if (not rx.corrupted) && r.tx_count = 0 then r.receive frame
       else if Obs.Bus.on t.obs then
         (* A locked frame the radio would have decoded, lost to an
            overlapping transmission (or its own). *)
         Obs.Bus.collision t.obs
           ~time:(Engine.now t.engine)
           ~node:(Node_id.to_int r.id)
-          ~cls:(Obs.Bus.intern t.obs (Frame.class_name rx.rx_frame))
-          ~from:(Node_id.to_int rx.rx_frame.Frame.src)
-    end;
-    rx.rx_frame <- dummy_frame;
-    rx.rx_radio <- dummy_radio
+          ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
+          ~from:(Node_id.to_int frame.Frame.src)
+    end
   done;
   job.job_src <- dummy_radio;
+  job.job_frame <- dummy_frame;
   free_job t job
 
 (* Shared propagation body: collect the touched radios around the
-   source position (scalars — no Vec2 box on this path), resolve
-   capture, and arm the end-of-transmission event.  [transmit] runs it
-   for a local transmission; [transmit_from] for the remote copy of a
-   cross-shard one (a phantom source radio standing in for a node homed
-   on another shard). *)
+   source position, resolve capture, and arm the end-of-transmission
+   event.  [transmit] runs it for a local transmission; [transmit_from]
+   for the remote copy of a cross-shard one (a phantom source radio
+   standing in for a node homed on another shard). *)
 let propagate t src ~sx ~sy frame ~duration =
   (* Touched radios are fixed at transmission start: node movement within
      one frame airtime (~2 ms) is a fraction of a millimetre.  Radios out
@@ -495,117 +485,112 @@ let propagate t src ~sx ~sy frame ~duration =
   let rng2 = t.params.range_m *. t.params.range_m in
   let job = alloc_job t in
   job.job_src <- src;
+  job.job_frame <- frame;
   let link = t.link in
   let now = Engine.now t.engine in
   let src_int = Node_id.to_int src.id in
-  (* Candidate query disks are inflated by the largest possible gain so
-     the superset covers every shadowed-but-decodable pair; the exact
-     per-pair predicate below then decides.  Without a link model this
-     is exactly the old unit-disk collection, same float ops, same
-     order. *)
-  let inflate =
-    match link with None -> 1. | Some l -> Link_model.f_max l
-  in
-  (* One distance computation per candidate, stashed squared in
-     [tx_dist]; the delivery pass replaces it with [sqrt d2], which
-     equals [Vec2.dist] bit-for-bit, so caching cannot change
+  (* One distance computation per candidate, stashed squared in the
+     reception's [geo]; the delivery pass replaces it with [sqrt d2],
+     which equals [Vec2.dist] bit-for-bit, so caching cannot change
      outcomes. *)
-  (match (t.mode, t.world) with
-  | Naive, _ | _, None -> (
-      match t.mode with
-      | Naive ->
-          List.iter
-            (fun r ->
-              if r != src && r.attached then begin
-                let p = r.position () in
-                let dx = p.Geom.Vec2.x -. sx and dy = p.Geom.Vec2.y -. sy in
-                let d2 = (dx *. dx) +. (dy *. dy) in
-                match link with
-                | None -> if d2 <= cs2 then job_add job r d2 1.
-                | Some l ->
-                    if not (Link_model.blocked l ~now ~x1:sx ~x2:p.Geom.Vec2.x)
-                    then begin
-                      let g = Link_model.gain l src_int (Node_id.to_int r.id) in
-                      if d2 <= cs2 *. (g *. g) then job_add job r d2 g
-                    end
-              end)
-            t.radios
-      | Grid | Soa ->
-          let radius = (t.params.cs_range_m *. inflate) +. refresh t in
-          Geom.Grid.iter_disk t.grid ~center:(Geom.Vec2.v sx sy) ~radius
-            (fun r ->
-              if r != src && r.attached then begin
-                let p = r.position () in
-                let dx = p.Geom.Vec2.x -. sx and dy = p.Geom.Vec2.y -. sy in
-                let d2 = (dx *. dx) +. (dy *. dy) in
-                match link with
-                | None -> if d2 <= cs2 then job_add job r d2 1.
-                | Some l ->
-                    if not (Link_model.blocked l ~now ~x1:sx ~x2:p.Geom.Vec2.x)
-                    then begin
-                      let g = Link_model.gain l src_int (Node_id.to_int r.id) in
-                      if d2 <= cs2 *. (g *. g) then job_add job r d2 g
-                    end
-              end))
-  | _, Some w ->
-      let radius = (t.params.cs_range_m *. inflate) +. refresh t in
-      let store = w.w_store in
+  (match t.world with
+  | None ->
+      for s = t.next_seq - 1 downto 0 do
+        let r = t.radios.(s) in
+        if r != src && r.attached then begin
+          let p = r.position () in
+          let dx = p.Geom.Vec2.x -. sx and dy = p.Geom.Vec2.y -. sy in
+          let d2 = (dx *. dx) +. (dy *. dy) in
+          match link with
+          | None ->
+              if d2 <= cs2 then begin
+                let g = job_add job r in
+                g.dist <- d2;
+                g.gain <- 1.
+              end
+          | Some l ->
+              if not (Link_model.blocked l ~now ~x1:sx ~x2:p.Geom.Vec2.x)
+              then begin
+                let gain = Link_model.gain l src_int (Node_id.to_int r.id) in
+                if d2 <= cs2 *. (gain *. gain) then begin
+                  let g = job_add job r in
+                  g.dist <- d2;
+                  g.gain <- gain
+                end
+              end
+        end
+      done
+  | Some w ->
+      (* Candidate query disks are inflated by the largest possible gain
+         so the superset covers every shadowed-but-decodable pair; the
+         exact per-pair predicate below then decides.  Positions are read
+         straight from the store's float planes: a few unboxed loads per
+         candidate. *)
+      let inflate = match link with None -> 1. | Some l -> Link_model.f_max l in
+      let radius = (t.params.cs_range_m *. inflate) +. refresh t w in
+      let store = w.w_store and xs = w.w_xs and ys = w.w_ys in
       Geom.Cell_index.iter_disk w.w_index ~x:sx ~y:sy ~radius (fun i ->
           let r = Array.unsafe_get w.w_radios i in
           if r != src && r.attached then begin
             Mobility.Pos_store.refresh store i now;
-            let ox = Mobility.Pos_store.x store i
-            and oy = Mobility.Pos_store.y store i in
-            let dx = ox -. sx and dy = oy -. sy in
+            let ox = Array.unsafe_get xs i in
+            let dx = ox -. sx and dy = Array.unsafe_get ys i -. sy in
             let d2 = (dx *. dx) +. (dy *. dy) in
             match link with
-            | None -> if d2 <= cs2 then job_add job r d2 1.
+            | None ->
+                if d2 <= cs2 then begin
+                  let g = job_add job r in
+                  g.dist <- d2;
+                  g.gain <- 1.
+                end
             | Some l ->
                 if not (Link_model.blocked l ~now ~x1:sx ~x2:ox) then begin
-                  let g = Link_model.gain l src_int (Node_id.to_int r.id) in
-                  if d2 <= cs2 *. (g *. g) then job_add job r d2 g
+                  let gain = Link_model.gain l src_int (Node_id.to_int r.id) in
+                  if d2 <= cs2 *. (gain *. gain) then begin
+                    let g = job_add job r in
+                    g.dist <- d2;
+                    g.gain <- gain
+                  end
                 end
           end));
   let was_busy_src = carrier_busy src in
   src.tx_count <- src.tx_count + 1;
   if not was_busy_src then src.medium true;
   let ratio = t.params.capture_distance_ratio in
-  for k = 0 to job.job_n - 1 do
-    let rx = job.job_rxs.(k) in
-    let r = rx.rx_radio in
+  for j = 0 to job.job_n - 1 do
+    let key = Array.unsafe_get job.job_keys j in
+    let r = t.radios.(key lsr slot_bits) in
+    let rx = job.job_rxs.(key land slot_mask) in
     mark_busy r;
-    let d2 = rx.tx_dist in
-    let g = rx.gain in
+    let geo = rx.geo in
+    let d2 = geo.dist and g = geo.gain in
     (* Effective distance folds the shadowing gain in: capture compares
        effective signal strengths.  [g = 1.] (no link model) leaves
        every float untouched. *)
     let dist = sqrt d2 in
     let dist = if g = 1. then dist else dist /. g in
-    rx.tx_dist <- dist;
-    rx.rx_frame <- frame;
+    geo.dist <- dist;
     let decodable = if g = 1. then d2 <= rng2 else d2 <= rng2 *. (g *. g) in
     (* A radio that is transmitting decodes nothing.  An overlap is
        resolved by the capture effect: the markedly closer (stronger)
        transmitter wins; comparable powers corrupt both frames. *)
     if r.tx_count > 0 then ()
-    else begin
-      let cur = r.current_rx in
-      if cur != no_rx then begin
-        if dist >= ratio *. cur.tx_dist then
-          (* New arrival too weak to disturb the locked frame. *)
-          ()
-        else if cur.tx_dist >= ratio *. dist && decodable then begin
-          (* New arrival captures the receiver. *)
-          cur.corrupted <- true;
-          rx.locked <- true;
-          r.current_rx <- rx
-        end
-        else cur.corrupted <- true
-      end
-      else if decodable then begin
+    else if r.lock >= 0 then begin
+      let cur = t.rx_all.(r.lock) in
+      if dist >= ratio *. cur.geo.dist then
+        (* New arrival too weak to disturb the locked frame. *)
+        ()
+      else if cur.geo.dist >= ratio *. dist && decodable then begin
+        (* New arrival captures the receiver. *)
+        cur.corrupted <- true;
         rx.locked <- true;
-        r.current_rx <- rx
+        r.lock <- rx.rx_id
       end
+      else cur.corrupted <- true
+    end
+    else if decodable then begin
+      rx.locked <- true;
+      r.lock <- rx.rx_id
     end
   done;
   ignore (Engine.after_fn t.engine duration end_of_tx job)
@@ -622,15 +607,11 @@ let transmit t src frame ~duration =
   src.crossed <-
     (match t.remote with None -> false | Some fn -> fn frame ~src ~duration);
   match t.world with
-  | Some w when src.idx >= 0 ->
-      (* SoA source: refresh the store row in place and read the scalar
-         planes — no Vec2 box per transmission. *)
+  | Some w ->
       Mobility.Pos_store.refresh w.w_store src.idx (Engine.now t.engine);
-      propagate t src
-        ~sx:(Mobility.Pos_store.x w.w_store src.idx)
-        ~sy:(Mobility.Pos_store.y w.w_store src.idx)
-        frame ~duration
-  | Some _ | None ->
+      propagate t src ~sx:w.w_xs.(src.idx) ~sy:w.w_ys.(src.idx) frame
+        ~duration
+  | None ->
       let p = src.position () in
       propagate t src ~sx:p.Geom.Vec2.x ~sy:p.Geom.Vec2.y frame ~duration
 
@@ -641,18 +622,6 @@ let transmit t src frame ~duration =
    [tx_total], the transmit hooks and the obs Tx event. *)
 let transmit_from t ~src_id ~pos frame ~duration =
   let phantom =
-    {
-      id = src_id;
-      seq = -2;
-      idx = -1;
-      position = (fun () -> pos);
-      attached = true;
-      receive = ignore;
-      medium = ignore;
-      busy_count = 0;
-      tx_count = 0;
-      current_rx = no_rx;
-      crossed = false;
-    }
+    new_radio ~id:src_id ~seq:(-2) ~idx:(-1) ~position:(fun () -> pos)
   in
   propagate t phantom ~sx:pos.Geom.Vec2.x ~sy:pos.Geom.Vec2.y frame ~duration

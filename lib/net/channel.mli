@@ -7,12 +7,15 @@
     hears nothing.  Carrier sense is binary — the medium is busy for a
     radio whenever at least one in-range transmission is in the air.
 
-    Two interchangeable neighbour-query paths exist: a [Naive] linear
-    scan of every radio and a [Grid] spatial hash keyed by the
-    carrier-sense range.  Both touch identical radios in identical order
-    (the grid over-approximates by a drift bound and then re-applies the
-    exact range predicate), so per-seed runs are byte-identical across
-    modes; [Naive] is retained for differential testing. *)
+    A channel created with [~world] is store-backed, the production path:
+    positions are read from the shared {!Mobility.Pos_store} planes and
+    candidates come from an incrementally maintained
+    {!Geom.Cell_index}.  Without [~world] it scans every radio's position
+    closure — the reference path for differential tests.  Both touch
+    identical radios in identical order (the index over-approximates by
+    a drift bound, then the exact range predicate is re-applied and
+    receptions are ordered newest attach first), so per-seed runs are
+    byte-identical across the two. *)
 
 open Packets
 
@@ -20,49 +23,34 @@ type t
 
 type radio
 
-type mode =
-  | Naive  (** O(radios) scan per transmission — reference path *)
-  | Grid  (** spatial-hash query of the cells overlapping the CS disk *)
-  | Soa
-      (** struct-of-arrays path: positions read from a shared
-          {!Mobility.Pos_store} and candidates from an incrementally
-          maintained {!Geom.Cell_index} — no per-query [Vec2] boxing
-          and no wholesale index rebuilds.  Candidate handling is
-          superset-invariant, so per-seed runs are byte-identical to
-          [Grid]/[Naive]. *)
-
 val create :
-  engine:Sim.Engine.t -> ?mode:mode -> ?max_speed:float -> ?obs:Obs.Bus.t ->
-  ?world:Mobility.Pos_store.t * float * float -> ?link:Link_model.t ->
-  params:Params.t -> unit -> t
-(** [create ~engine ~params] builds a channel using the [Grid] index.
-    [obs] is the observability bus ({!Obs.Bus}) the channel (and the
-    MACs attached to it) emit on; defaults to a fresh disabled bus.
-    [max_speed] is an upper bound (m/s) on any radio's speed: the index
-    is resynced only when bucketed positions may have drifted past a
-    fixed margin, and queries are inflated by the current drift bound.
-    When omitted, speeds are treated as unknown and the index is
-    resynced on every clock advance — exact for any mobility, and never
-    worse than the naive scan.
+  engine:Sim.Engine.t -> ?max_speed:float -> ?obs:Obs.Bus.t ->
+  ?world:Nodes.t -> ?link:Link_model.t -> params:Params.t -> unit -> t
+(** [create ~engine ~params] builds a channel.  [obs] is the
+    observability bus ({!Obs.Bus}) the channel (and the MACs attached to
+    it) emit on; defaults to a fresh disabled bus.
 
-    [world] is [(store, width, height)] — required by (and only by)
-    [Soa] mode: the position store shared with the runner plus the
-    arena bounds sizing the cell index.  [link] layers deterministic
+    [world] makes the channel store-backed: radio positions come from the
+    node store and its arena bounds size the cell index.  [max_speed] is
+    an upper bound (m/s) on any radio's speed: the index is resynced
+    only when indexed positions may have drifted past a fixed margin,
+    and queries are inflated by the current drift bound.  When omitted,
+    speeds are treated as unknown and the index is resynced on every
+    clock advance — exact for any mobility.  [link] layers deterministic
     shadowing and/or a partition wall on the unit disk
     ({!Link_model}); omitted, the propagation fast path is the plain
-    unit disk, bit-identical to previous behaviour. *)
+    unit disk. *)
 
 val params : t -> Params.t
-
-val mode : t -> mode
 
 val attach :
   t -> ?idx:int -> id:Node_id.t -> position:(unit -> Geom.Vec2.t) -> unit ->
   radio
-(** Register a node's radio.  [position] is queried at event times (it
-    must be safe to call with the engine's current clock).  [idx] is the
-    node's slot in the SoA store — required in [Soa] mode, ignored
-    otherwise. *)
+(** Register a node's radio.  [idx] is the node's slot in the store —
+    required on a store-backed channel, whose radios then take their
+    positions from the store, and ignored otherwise.  On a naive channel
+    [position] is queried at event times (it must be safe to call with
+    the engine's current clock); a store-backed channel ignores it. *)
 
 val set_attached : t -> radio -> bool -> unit
 (** Churn: [set_attached t r false] removes the radio from the candidate
@@ -75,7 +63,8 @@ val attached : radio -> bool
 
 val index_stats : t -> int * int * int
 (** [(cells, occupied, max_occupancy)] of the live spatial index —
-    health gauges surfaced through [Obs.Telemetry]. *)
+    health gauges surfaced through [Obs.Telemetry]; all zero on a naive
+    channel, which has no index. *)
 
 val set_receiver : radio -> (Frame.t -> unit) -> unit
 (** Called with every frame the radio decodes, including frames addressed
@@ -107,7 +96,8 @@ val crossed : radio -> bool
     cross-shard by the remote hook. *)
 
 val radio_pos : radio -> Geom.Vec2.t
-(** The radio's current position (queries the position closure). *)
+(** The radio's current position (from the store on a store-backed
+    channel, else from the position closure). *)
 
 val transmit_from :
   t -> src_id:Node_id.t -> pos:Geom.Vec2.t -> Frame.t -> duration:Sim.Time.t

@@ -4,8 +4,8 @@
    records: positions and mobility legs (via [Mobility.Pos_store]'s
    unboxed float planes) and the MAC/ifq scalar counters as int arrays
    indexed by node id.  [Net.Mac] writes its counters through these
-   cells when created with [~world]; the channel's SoA index mode reads
-   positions straight out of the store.  A metrics sweep over n nodes
+   cells when created with [~world]; a store-backed channel reads
+   positions straight out of the store's planes.  A metrics sweep over n nodes
    then walks a handful of flat arrays instead of n record spines. *)
 
 type t = {

@@ -1,7 +1,7 @@
 type scheduler = [ `Heap | `Calendar | `Controlled ]
 
 (* The heap stays as the reference scheduler behind a flag (as the
-   naive channel did for the spatial grid): differential tests drive
+   naive channel does for the store-backed one): differential tests drive
    both and demand event-for-event identical outcomes.  The controlled
    set is the model checker's: introspectable pending events the
    explorer picks from, with the default pop identical to calendar

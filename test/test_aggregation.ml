@@ -243,7 +243,6 @@ let scenario ?(seed = 7) ?(duration = 30.) () =
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 (* A healthy LDR-AGG run must keep the monitor silent: the wrapper may

@@ -38,7 +38,6 @@ let small_scenario ?(protocol = Scenario.ldr) ?(seed = 7) ?(audit = false)
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 let static_delivery ?(threshold = 0.95) protocol () =

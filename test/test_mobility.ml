@@ -93,6 +93,34 @@ let monotonicity_enforced () =
         backtrack tolerance")
     (fun () -> ignore (Mobility.position m (Time.sec 0.5)))
 
+(* The struct-of-arrays store answers with the record path's values
+   and keeps its re-query tolerance: same-leg re-queries are exact,
+   queries within 1 ms before the current leg clamp to its start, and
+   anything older raises. *)
+let store_backtrack_checked () =
+  let mk () =
+    Mobility.waypoint ~terrain ~rng:(Rng.create 11) ~speed_min:1.
+      ~speed_max:2. ~pause:(Time.sec 1.) ~start:(Geom.Vec2.v 0. 0.)
+  in
+  let m = mk () in
+  let s = Mobility.Pos_store.of_array [| mk () |] ~at:Time.zero in
+  let same t =
+    Geom.Vec2.equal (Mobility.position m t) (Mobility.Pos_store.position s 0 t)
+  in
+  checkb "store = record at 10s" true (same (Time.sec 10.));
+  checkb "same-leg re-query exact" true (same (Time.sec 5.));
+  checkb "forward again" true (same (Time.sec 12.));
+  (* The motion leg departs at 1 s (end of the first pause). *)
+  checkb "within the slack clamps" true
+    (Geom.Vec2.equal (Geom.Vec2.v 0. 0.)
+       (Mobility.Pos_store.position s 0 (Time.ms 999.5)));
+  Alcotest.check_raises "query older than the tolerance"
+    (Invalid_argument
+       "Mobility.Pos_store.refresh: query precedes the current leg by more \
+        than the backtrack tolerance")
+    (fun () -> Mobility.Pos_store.refresh s 0 (Time.sec 0.5));
+  checkb "state intact after the rejected query" true (same (Time.sec 12.))
+
 let random_walk_in_terrain () =
   let rng = Rng.create 13 in
   let m =
@@ -262,6 +290,8 @@ let () =
           Alcotest.test_case "waypoint pauses" `Quick waypoint_pauses;
           Alcotest.test_case "waypoint moves" `Quick waypoint_eventually_moves;
           Alcotest.test_case "monotone queries" `Quick monotonicity_enforced;
+          Alcotest.test_case "store re-query tolerance" `Quick
+            store_backtrack_checked;
           Alcotest.test_case "random walk inside" `Quick random_walk_in_terrain;
           Alcotest.test_case "scripted" `Quick scripted_follows_waypoints;
           Alcotest.test_case "scripted validation" `Quick scripted_validation;

@@ -13,8 +13,18 @@ let data_payload ?(bytes = 512) ~src ~dst () =
     (Data_msg.fresh ~flow_id:0 ~seq:0 ~src:(n src) ~dst:(n dst)
        ~payload_bytes:bytes ~origin_time:Time.zero)
 
-(* A small rig: static nodes at given positions, MACs with recording
-   callbacks. *)
+(* A store-backed (production) channel over the given mobility
+   processes, node [i] in store slot [i]. *)
+let store_channel ?(params = Net.Params.default) ?(max_speed = 0.) engine mobs
+    =
+  let nodes =
+    Net.Nodes.create ~width:3000. ~height:1000. (Array.of_list mobs)
+      ~at:Time.zero
+  in
+  (nodes, Net.Channel.create ~engine ~max_speed ~world:nodes ~params ())
+
+(* A small rig: static nodes at given positions on a store-backed
+   channel, MACs with recording callbacks. *)
 type node_rig = {
   mac : Net.Mac.t;
   received : (Payload.t * Node_id.t) list ref;
@@ -24,14 +34,16 @@ type node_rig = {
 
 let rig ?(params = Net.Params.default) positions =
   let engine = Engine.create ~seed:5 () in
-  let channel = Net.Channel.create ~engine ~params () in
+  let world, channel =
+    store_channel ~params engine (List.map Mobility.static positions)
+  in
   let nodes =
     List.mapi
       (fun i pos ->
         let received = ref [] and overheard = ref 0 and failures = ref [] in
         let mac =
           Net.Mac.create ~engine ~channel ~rng:(Rng.create (100 + i)) ~id:(n i)
-            ~position:(fun () -> pos)
+            ~position:(fun () -> pos) ~world:(world, i)
             {
               Net.Mac.receive =
                 (fun p ~from -> received := (p, from) :: !received);
@@ -210,16 +222,20 @@ let broadcast_no_retry () =
 
 let mobility_breaks_link () =
   (* A node walking out of range: early unicasts succeed, later ones
-     fail — the mobility-driven position function is consulted live. *)
+     fail — the store refreshes the walker's position live, and its
+     speed bound keeps the cell index exact as it crosses cells. *)
   let engine = Engine.create ~seed:9 () in
-  let channel = Net.Channel.create ~engine ~params:Net.Params.default () in
-  let delivered = ref 0 and failed = ref 0 in
   let walker =
     Mobility.scripted
       [ (Time.sec 0., v 100. 0.); (Time.sec 10., v 2000. 0.) ]
   in
+  let world, channel =
+    store_channel ~max_speed:200. engine [ Mobility.static (v 0. 0.); walker ]
+  in
+  let delivered = ref 0 and failed = ref 0 in
   let mk id position cb =
-    Net.Mac.create ~engine ~channel ~rng:(Rng.create id) ~id:(n id) ~position cb
+    Net.Mac.create ~engine ~channel ~rng:(Rng.create id) ~id:(n id) ~position
+      ~world:(world, id) cb
   in
   let cb_recv =
     {
@@ -254,12 +270,12 @@ let mobility_breaks_link () =
      the sum is at least the number of sends. *)
   checkb "every send accounted" true (!delivered + !failed >= 10)
 
-(* ---- Grid vs. naive channel: differential determinism ----------------- *)
+(* ---- Cell-grid index vs. naive channel: differential determinism ----- *)
 
-(* The spatial-grid index must be an invisible optimisation: on the same
-   seed, a run with the grid channel and one with the naive linear-scan
-   channel must touch the same radios in the same order and therefore
-   produce identical outcomes, down to every counter. *)
+(* The store-backed channel's cell index must be an invisible
+   optimisation: on the same seed, a production run and one with the
+   naive linear-scan channel must touch the same radios in the same order
+   and therefore produce identical outcomes, down to every counter. *)
 let grid_matches_naive_channel () =
   let open Experiment in
   List.iter
@@ -292,28 +308,33 @@ let grid_matches_naive_channel () =
         (Metrics.delivered grid.Runner.metrics))
     [ 1; 42 ]
 
+let no_callbacks =
+  {
+    Net.Mac.receive = (fun _ ~from:_ -> ());
+    promiscuous = (fun _ ~from:_ ~dst:_ -> ());
+    link_failure = (fun _ ~next_hop:_ -> ());
+  }
+
 let grid_neighbors_match_naive () =
-  (* Same static layout under both modes: identical neighbour queries. *)
+  (* Same static layout on both channels: identical neighbour queries. *)
   let layout = [ v 0. 0.; v 100. 0.; v 260. 0.; v 400. 50.; v 900. 0. ] in
-  let build mode =
-    let engine = Engine.create ~seed:5 () in
-    let channel =
-      Net.Channel.create ~engine ~mode ~max_speed:0. ~params:Net.Params.default ()
-    in
+  let engine = Engine.create ~seed:5 () in
+  let world, ch_g = store_channel engine (List.map Mobility.static layout) in
+  let macs_g =
     List.mapi
       (fun i pos ->
-        Net.Mac.create ~engine ~channel ~rng:(Rng.create (100 + i)) ~id:(n i)
-          ~position:(fun () -> pos)
-          {
-            Net.Mac.receive = (fun _ ~from:_ -> ());
-            promiscuous = (fun _ ~from:_ ~dst:_ -> ());
-            link_failure = (fun _ ~next_hop:_ -> ());
-          })
+        Net.Mac.create ~engine ~channel:ch_g ~rng:(Rng.create (100 + i))
+          ~id:(n i) ~position:(fun () -> pos) ~world:(world, i) no_callbacks)
       layout
-    |> fun macs -> (channel, macs)
   in
-  let ch_g, macs_g = build Net.Channel.Grid in
-  let ch_n, macs_n = build Net.Channel.Naive in
+  let ch_n = Net.Channel.create ~engine ~params:Net.Params.default () in
+  let macs_n =
+    List.mapi
+      (fun i pos ->
+        Net.Mac.create ~engine ~channel:ch_n ~rng:(Rng.create (100 + i))
+          ~id:(n i) ~position:(fun () -> pos) no_callbacks)
+      layout
+  in
   List.iteri
     (fun i mg ->
       let mn = List.nth macs_n i in
@@ -324,6 +345,108 @@ let grid_neighbors_match_naive () =
         true
         (List.map Node_id.to_int ng = List.map Node_id.to_int nn))
     macs_g
+
+(* Receivers at slots 0..5 sit left to right across three index cells
+   (cell side = cs range / 2 = 275 m), all within decode range of the
+   source in slot 6.  Attaching in slot order makes the cell scan visit
+   receivers in ascending attach order — the reverse of the delivery
+   order, so the channel must re-order every candidate. *)
+let fanout_layout =
+  List.map
+    (fun x -> v x 100.)
+    [ 120.; 200.; 260.; 400.; 480.; 560.; 340. ]
+
+let ack_frame src =
+  { Net.Frame.src = n src; dst = Net.Frame.Broadcast; body = Net.Frame.Ack }
+
+(* Transmit once from the last radio and log every callback as
+   (radio, event) in firing order. *)
+let fanout_log channel engine =
+  let log = ref [] in
+  let radios =
+    List.mapi
+      (fun i pos ->
+        let r =
+          Net.Channel.attach channel ~idx:i ~id:(n i)
+            ~position:(fun () -> pos) ()
+        in
+        Net.Channel.set_medium_listener r (fun busy ->
+            log := (i, if busy then "busy" else "idle") :: !log);
+        Net.Channel.set_receiver r (fun _ -> log := (i, "rx") :: !log);
+        r)
+      fanout_layout
+  in
+  let src = List.nth radios 6 in
+  Net.Channel.transmit channel src (ack_frame 6) ~duration:(Time.ms 1.);
+  Engine.run ~until:(Time.ms 5.) engine;
+  List.rev !log
+
+let fanout_order_matches_naive () =
+  let store_log =
+    let engine = Engine.create ~seed:5 () in
+    let _, channel =
+      store_channel engine (List.map Mobility.static fanout_layout)
+    in
+    fanout_log channel engine
+  in
+  let naive_log =
+    let engine = Engine.create ~seed:5 () in
+    fanout_log (Net.Channel.create ~engine ~params:Net.Params.default ()) engine
+  in
+  let receivers ev log =
+    List.filter_map
+      (fun (i, e) -> if e = ev && i <> 6 then Some i else None)
+      log
+  in
+  let descending = [ 5; 4; 3; 2; 1; 0 ] in
+  checkb "busy in descending attach order" true
+    (receivers "busy" store_log = descending);
+  checkb "idle in descending attach order" true
+    (receivers "idle" store_log = descending);
+  checkb "rx in descending attach order" true
+    (receivers "rx" store_log = descending);
+  checkb "callback sequence identical to naive" true (store_log = naive_log)
+
+(* Minor words per steady-state transmission (transmit + end-of-tx) from
+   radio 0 with [k] static radios within range of it. *)
+let words_per_tx k =
+  let engine = Engine.create ~seed:5 () in
+  let positions =
+    List.init (k + 1) (fun i ->
+        v (100. +. (3. *. float_of_int i)) (100. +. float_of_int (i mod 7)))
+  in
+  let _, channel =
+    store_channel engine (List.map Mobility.static positions)
+  in
+  let radios =
+    List.mapi
+      (fun i pos ->
+        Net.Channel.attach channel ~idx:i ~id:(n i)
+          ~position:(fun () -> pos) ())
+      positions
+  in
+  let src = List.hd radios in
+  let frame = ack_frame 0 in
+  let tx_count = 200 in
+  let once i =
+    Net.Channel.transmit channel src frame ~duration:(Time.us 100.);
+    Engine.run ~until:(Time.us (200. *. float_of_int (i + 1))) engine
+  in
+  (* Warm-up grows the job pool and index cell arrays to steady state. *)
+  for i = 0 to 9 do once i done;
+  let w0 = Gc.minor_words () in
+  for i = 10 to 10 + tx_count - 1 do once i done;
+  let w1 = Gc.minor_words () in
+  checki (Printf.sprintf "%d radios touched" k) k
+    (List.length (Net.Channel.neighbors_in_range channel src));
+  (w1 -. w0) /. float_of_int tx_count
+
+let allocation_flat_in_fanout () =
+  let w10 = words_per_tx 10 and w60 = words_per_tx 60 in
+  checkb
+    (Printf.sprintf "words/tx independent of fan-out (%.2f at 10, %.2f at 60)"
+       w10 w60)
+    true (w10 = w60)
 
 (* Randomized end-to-end MAC property: every unicast is either received
    at its destination or reported as a link failure to its sender —
@@ -397,5 +520,9 @@ let () =
             grid_neighbors_match_naive;
           Alcotest.test_case "grid vs naive byte-identical outcome" `Quick
             grid_matches_naive_channel;
+          Alcotest.test_case "fan-out order matches naive" `Quick
+            fanout_order_matches_naive;
+          Alcotest.test_case "allocation flat in fan-out" `Quick
+            allocation_flat_in_fanout;
         ] );
     ]

@@ -39,7 +39,6 @@ let scenario ?(seed = 7) ?(speed_max = 0.) ?(duration = 20.) ?(flows = 2)
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 (* Sequence-number packing must preserve the lexicographic (stamp,

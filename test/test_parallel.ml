@@ -60,7 +60,6 @@ let small_scenario ?(seed = 7) ?(audit = false) ?(speed_max = 10.)
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 (* ---- executor ---------------------------------------------------------- *)

@@ -69,7 +69,6 @@ let border_free ?(protocol = Scenario.ldr) ?(audit = false) ?(seed = 11)
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 (* A connected grid spanning the whole terrain: routes and carrier

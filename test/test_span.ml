@@ -52,7 +52,6 @@ let border_free ?(seed = 11) ?(shards = 1) () =
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 let with_tmp suffix f =

@@ -1,12 +1,13 @@
 (* The struct-of-arrays world (city-scale node state) is tested
    differentially, never with tolerances:
 
-   - the SoA hot path (shared Mobility.Pos_store + incremental
+   - the production SoA path (shared Mobility.Pos_store + incremental
      Geom.Cell_index + flat Net.Nodes counter planes) produces outcomes
-     exactly equal to the record path, classic and sharded, across
-     protocols, mobility families, shadowing and churn;
+     exactly equal to the reference channel (naive scan over record
+     mobility), classic and sharded, across protocols, mobility
+     families, shadowing and churn;
    - churn edge cases: traffic to a crashed node, teardown of routing
-     state, rejoin recovery, and index removal/re-insertion under Soa;
+     state, rejoin recovery, and index removal/re-insertion;
    - the LDR invariant monitor stays silent across churn and
      partition-then-heal sweeps (crash-rebooted sequence numbers are
      the van Glabbeek loop stressor this guards against). *)
@@ -18,7 +19,7 @@ open Packets
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(soa = false) ?(shards = 1)
+let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(naive = false) ?(shards = 1)
     ?(mobility = Scenario.Waypoint) ?shadowing ?churn ?partition
     ?(duration = 15.) () =
   {
@@ -42,14 +43,13 @@ let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(soa = false) ?(shards = 1)
     net = Net.Params.default;
     seed;
     audit_loops = false;
-    naive_channel = false;
+    naive_channel = naive;
     heap_scheduler = false;
     shards;
     mobility;
     shadowing;
     churn;
     partition;
-    soa;
   }
 
 let digest (o : Runner.outcome) =
@@ -76,25 +76,25 @@ let digest (o : Runner.outcome) =
 let same_digest label a b =
   checkb label true (Stdlib.compare (digest a) (digest b) = 0)
 
-(* --- SoA vs record: byte-identical outcomes ------------------------- *)
+(* --- SoA vs record reference: byte-identical outcomes --------------- *)
 
 let test_soa_identical protocol () =
-  let rec_o = Runner.run (fig5 ~protocol ()) in
-  let soa_o = Runner.run (fig5 ~protocol ~soa:true ()) in
+  let rec_o = Runner.run (fig5 ~protocol ~naive:true ()) in
+  let soa_o = Runner.run (fig5 ~protocol ()) in
   checkb "run did work" true (Metrics.delivered rec_o.Runner.metrics > 0);
   same_digest "soa digest = record digest" rec_o soa_o
 
 let test_soa_identical_sharded () =
   List.iter
     (fun k ->
-      let rec_o = Runner.run (fig5 ~shards:k ()) in
-      let soa_o = Runner.run (fig5 ~shards:k ~soa:true ()) in
+      let rec_o = Runner.run (fig5 ~shards:k ~naive:true ()) in
+      let soa_o = Runner.run (fig5 ~shards:k ()) in
       same_digest (Printf.sprintf "soa = record at K=%d" k) rec_o soa_o)
     [ 1; 4 ]
 
 let test_soa_identical_mobility mobility () =
-  let rec_o = Runner.run (fig5 ~mobility ()) in
-  let soa_o = Runner.run (fig5 ~mobility ~soa:true ()) in
+  let rec_o = Runner.run (fig5 ~mobility ~naive:true ()) in
+  let soa_o = Runner.run (fig5 ~mobility ()) in
   checkb "run did work" true (Metrics.delivered rec_o.Runner.metrics > 0);
   same_digest
     (Scenario.mobility_name mobility ^ ": soa = record")
@@ -107,8 +107,8 @@ let test_shadowing () =
   let a = Runner.run (fig5 ~shadowing:(Option.get sh) ()) in
   let b = Runner.run (fig5 ~shadowing:(Option.get sh) ()) in
   same_digest "shadowed rerun identical" a b;
-  let soa_o = Runner.run (fig5 ~shadowing:(Option.get sh) ~soa:true ()) in
-  same_digest "shadowed soa = record" a soa_o;
+  let rec_o = Runner.run (fig5 ~shadowing:(Option.get sh) ~naive:true ()) in
+  same_digest "shadowed soa = record" rec_o a;
   let plain = Runner.run (fig5 ()) in
   checkb "shadowing changes the outcome" true
     (Stdlib.compare (digest a) (digest plain) <> 0)
@@ -124,8 +124,8 @@ let test_partition_heal () =
   checki "monitor silent across partition-heal" 0
     o.Runner.invariant_violations;
   checkb "still delivered" true (Metrics.delivered o.Runner.metrics > 0);
-  let soa_o = Runner.run ~monitor:true (fig5 ~partition ~soa:true ()) in
-  same_digest "partitioned soa = record" o soa_o
+  let rec_o = Runner.run ~monitor:true (fig5 ~partition ~naive:true ()) in
+  same_digest "partitioned soa = record" rec_o o
 
 (* --- churn: monitor silent, origination parity, mode-invariant ------- *)
 
@@ -144,8 +144,10 @@ let test_churn_monitor_silent () =
   checki "monitor silent across churn" 0 o.Runner.invariant_violations;
   checkb "churned run still delivers" true
     (Metrics.delivered o.Runner.metrics > 0);
-  let soa_o = Runner.run ~monitor:true (fig5 ~churn:churn_cfg ~soa:true ()) in
-  same_digest "churned soa = record" o soa_o
+  let rec_o =
+    Runner.run ~monitor:true (fig5 ~churn:churn_cfg ~naive:true ())
+  in
+  same_digest "churned soa = record" rec_o o
 
 let test_churn_sharded_parity () =
   (* Down nodes originate nothing; the gate is an exact-virtual-time
@@ -160,16 +162,16 @@ let test_churn_sharded_parity () =
     (Metrics.originated o4.Runner.metrics);
   (* And at a fixed shard count the churned run is exactly reproducible
      across state layouts. *)
-  let o4s =
-    Runner.run ~monitor:true (fig5 ~churn:churn_cfg ~shards:4 ~soa:true ())
+  let o4r =
+    Runner.run ~monitor:true (fig5 ~churn:churn_cfg ~shards:4 ~naive:true ())
   in
-  same_digest "sharded churned soa = record" o4 o4s
+  same_digest "sharded churned soa = record" o4r o4
 
 (* --- crashed-destination edge cases --------------------------------- *)
 
 (* A five-node chain, 200 m spacing (range 250 m: only neighbours hear
    each other).  Node 4 crashes mid-run while node 0 keeps injecting. *)
-let chain_scenario ~soa =
+let chain_scenario ~naive =
   let positions =
     List.init 5 (fun i -> Geom.Vec2.v (100. +. (200. *. float_of_int i)) 150.)
   in
@@ -181,10 +183,10 @@ let chain_scenario ~soa =
     speed_min = 0.;
     speed_max = 0.;
     traffic = { (fig5 ()).Scenario.traffic with Traffic.num_flows = 0 };
-    soa;
+    naive_channel = naive;
   }
 
-let run_chain_crash ~soa =
+let run_chain_crash ~naive =
   let crashed_successor = ref (Some (Node_id.of_int 0)) in
   Runner.run ~monitor:true
     ~prepare:(fun sim ->
@@ -218,10 +220,10 @@ let run_chain_crash ~soa =
       bring_up (Time.sec 10.);
       inject (Time.sec 13.)
       (* rediscovery after the reboot *))
-    (chain_scenario ~soa)
+    (chain_scenario ~naive)
 
 let test_crashed_destination () =
-  let o = run_chain_crash ~soa:false in
+  let o = run_chain_crash ~naive:false in
   let m = o.Runner.metrics in
   checki "monitor silent across crash/rejoin" 0 o.Runner.invariant_violations;
   checki "three originations" 3 (Metrics.originated m);
@@ -244,15 +246,15 @@ let test_crash_successor_cleared () =
          ignore
            (Engine.at sim.Runner.engine (Time.sec 1.) (fun () ->
                 sim.Runner.inject ~src:0 ~dst:4)))
-       (chain_scenario ~soa:false));
+       (chain_scenario ~naive:false));
   checkb "reset cleared every successor" true (!crashed_successor = None)
 
 let test_crashed_destination_soa_identical () =
-  (* The same scripted crash/rejoin under both state layouts: exercises
-     Cell_index removal and re-insertion against grid rebuild
-     filtering, with outcome equality as the oracle. *)
-  let a = run_chain_crash ~soa:false in
-  let b = run_chain_crash ~soa:true in
+  (* The same scripted crash/rejoin on both channels: exercises
+     Cell_index removal and re-insertion against the naive scan's
+     attached filter, with outcome equality as the oracle. *)
+  let a = run_chain_crash ~naive:true in
+  let b = run_chain_crash ~naive:false in
   same_digest "chain crash soa = record" a b
 
 let () =
