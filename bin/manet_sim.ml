@@ -34,34 +34,64 @@ let protocol =
           "Routing protocol: ldr, ldr-plain, ldr-agg, aodv, aodv-agg, dsr, \
            dsr-draft7, olsr.")
 
+(* Numeric options are range-checked while parsing, so a bad value is a
+   usage error (one line naming the option, exit 124) rather than an
+   exception from deep inside the simulator. *)
+let checked conv ~what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let finite_float ~what ok =
+  checked Arg.float ~what (fun f -> Float.is_finite f && ok f)
+
+let positive = finite_float ~what:"a positive number" (fun f -> f > 0.)
+let non_negative = finite_float ~what:"a non-negative number" (fun f -> f >= 0.)
+
+(* The clock ticks in nanoseconds: above 1e9 packets/s the packet
+   interval is under one tick. *)
+let rate =
+  finite_float ~what:"a rate in (0, 1e9]" (fun f -> f > 0. && f <= 1e9)
+
+let fraction =
+  finite_float ~what:"a fraction in [0, 1]" (fun f -> f >= 0. && f <= 1.)
+
 let nodes =
-  Arg.(value & opt int 50 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
+  Arg.(
+    value
+    & opt (checked int ~what:"at least 2 nodes" (fun n -> n >= 2)) 50
+    & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes (at least 2).")
 
 let width =
-  Arg.(value & opt float 1500. & info [ "width" ] ~docv:"M" ~doc:"Terrain width (m).")
+  Arg.(value & opt positive 1500. & info [ "width" ] ~docv:"M" ~doc:"Terrain width (m).")
 
 let height =
-  Arg.(value & opt float 300. & info [ "height" ] ~docv:"M" ~doc:"Terrain height (m).")
+  Arg.(value & opt positive 300. & info [ "height" ] ~docv:"M" ~doc:"Terrain height (m).")
 
 let flows =
   Arg.(value & opt int 10 & info [ "f"; "flows" ] ~docv:"K" ~doc:"Concurrent CBR flows.")
 
 let pps =
-  Arg.(value & opt float 4. & info [ "pps" ] ~docv:"R" ~doc:"Packets per second per flow.")
+  Arg.(value & opt rate 4. & info [ "pps" ] ~docv:"R" ~doc:"Packets per second per flow.")
 
 let pause =
   Arg.(
-    value & opt float 0.
+    value & opt non_negative 0.
     & info [ "pause" ] ~docv:"S" ~doc:"Random-waypoint pause time (s).")
 
 let speed_max =
   Arg.(
-    value & opt float 20.
+    value & opt non_negative 20.
     & info [ "speed" ] ~docv:"V" ~doc:"Maximum node speed (m/s); 0 = static.")
 
 let duration =
   Arg.(
-    value & opt float 120.
+    value & opt non_negative 120.
     & info [ "d"; "duration" ] ~docv:"S" ~doc:"Simulated seconds.")
 
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"I" ~doc:"Random seed.")
@@ -113,7 +143,7 @@ let monitor =
 let sample =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive) None
     & info [ "sample" ] ~docv:"DT"
         ~doc:"Write time-series gauges (queue depths, delivery ratio, \
               control rate, route-table sizes) every $(docv) simulated \
@@ -132,8 +162,8 @@ let telemetry_out =
     & opt (some string) None
     & info [ "telemetry" ] ~docv:"FILE"
         ~doc:"Write runtime telemetry (events/s, calendar-queue occupancy, \
-              PDES window utilisation, GC counters) to $(docv) as JSONL, \
-              one sample per $(b,--telemetry-every).")
+              spatial-index health, GC counters) to $(docv) as JSONL, one \
+              sample per $(b,--telemetry-every).")
 
 let telemetry_prom =
   Arg.(
@@ -146,30 +176,18 @@ let telemetry_prom =
 
 let telemetry_every =
   Arg.(
-    value & opt float 1.
+    value & opt positive 1.
     & info [ "telemetry-every" ] ~docv:"DT"
         ~doc:"Telemetry sampling interval in simulated seconds.")
 
 let inject_stale =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some non_negative) None
     & info [ "inject-stale" ] ~docv:"T"
         ~doc:"Fault injection: at simulated second $(docv), feed one node \
               a forged RREP with an absurdly new sequence number — the \
               seeded corruption the invariant monitor is built to catch.")
-
-let shards =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"K"
-        ~doc:
-          "Run the simulation itself across $(docv) spatial regions \
-           (conservative synchronous-window PDES, see \
-           docs/PARALLELISM.md); metrics are invariant in $(docv) for \
-           runs whose traffic stays clear of region borders, and the \
-           crossing latency is documented for the rest.  0 = one shard \
-           per recommended core, capped at the node count.")
 
 (* --- world options: mobility family, link model, churn, state layout --- *)
 
@@ -233,18 +251,18 @@ let shadow =
   Arg.(
     value
     & opt ~vopt:(Some Scenario.default_shadowing.Scenario.sigma_db)
-        (some float) None
+        (some non_negative) None
     & info [ "shadow" ] ~docv:"SIGMA"
         ~doc:
           "Log-normal shadowing with $(docv) dB standard deviation \
            (default $(b,--shadow)=4): per-link fades are deterministic in \
-           the seed, so reruns and shard counts reproduce exactly.")
+           the seed, so reruns reproduce exactly.")
 
 let churn =
   Arg.(
     value
-    & opt ~vopt:(Some Scenario.default_churn.Scenario.churn_frac) (some float)
-        None
+    & opt ~vopt:(Some Scenario.default_churn.Scenario.churn_frac)
+        (some fraction) None
     & info [ "churn" ] ~docv:"FRAC"
         ~doc:
           "Take a $(docv) fraction of nodes down once mid-run (default \
@@ -255,11 +273,17 @@ let churn =
 let partition =
   Arg.(
     value
-    & opt (some (pair ~sep:',' float float)) None
+    & opt
+        (some
+           (checked
+              (pair ~sep:',' non_negative non_negative)
+              ~what:"T1,T2 with T1 <= T2"
+              (fun (t1, t2) -> t1 <= t2)))
+        None
     & info [ "partition" ] ~docv:"T1,T2"
         ~doc:
           "Drop an opaque wall across the terrain's vertical midline from \
-           second $(docv) T1 until it heals at T2.")
+           second T1 until it heals at second T2 (T1 <= T2).")
 
 type world_opts = {
   w_mobility : Scenario.mobility;
@@ -319,7 +343,7 @@ let default_world =
     w_partition = None;
   }
 
-let scenario ?(shards = 1) ?(world = default_world) protocol nodes width height
+let scenario ?(world = default_world) protocol nodes width height
     flows pps pause speed_max duration seed audit =
   {
     Scenario.label = "cli";
@@ -344,7 +368,6 @@ let scenario ?(shards = 1) ?(world = default_world) protocol nodes width height
     audit_loops = audit;
     naive_channel = false;
     heap_scheduler = false;
-    shards;
     mobility = world.w_mobility;
     shadowing = world.w_shadowing;
     churn = world.w_churn;
@@ -451,18 +474,15 @@ let print_outcome (o : Runner.outcome) =
   Format.printf "mean dest seqno   %.2f@." (Metrics.mean_dest_seqno m);
   Format.printf "loop violations   %d@." (Metrics.loop_violations m);
   Format.printf "invariant viols   %d@." o.invariant_violations;
-  Format.printf "events processed  %d@." o.events_processed;
-  if o.pdes_windows > 0 then
-    Format.printf "pdes windows      %d (%d cross-shard frames)@."
-      o.pdes_windows o.pdes_messages
+  Format.printf "events processed  %d@." o.events_processed
 
 let run_cmd =
   let action protocol nodes width height flows pps pause speed_max duration
       seed audit trace json trace_out pcap_out monitor sample sample_out
-      telemetry_out telemetry_prom telemetry_every inject_stale shards world =
+      telemetry_out telemetry_prom telemetry_every inject_stale world =
     if trace then Trace.enable ();
     let sc =
-      scenario ~shards ~world protocol nodes width height flows pps pause
+      scenario ~world protocol nodes width height flows pps pause
         speed_max duration seed audit
     in
     if not json then
@@ -470,29 +490,16 @@ let run_cmd =
         "%s: %d nodes on %.0fx%.0fm, %d flows @ %g pps, pause %gs, %gs@."
         (Scenario.protocol_name protocol)
         nodes width height flows pps pause duration;
-    (* --shards 0 (auto) may resolve either way; the fault injector has
-       a classic and a sharded form, so pick after resolution. *)
-    let sharded = Runner.resolve_shards sc >= 2 in
     let prepare =
-      if sharded then None
-      else
-        Option.map
-          (fun t sim -> ignore (Fault.stale_seqno sim ~at:(Time.sec t)))
-          inject_stale
-    in
-    let prepare_pdes =
-      if not sharded then None
-      else
-        Option.map
-          (fun t psim ->
-            ignore (Fault.stale_seqno_sharded psim ~at:(Time.sec t)))
-          inject_stale
+      Option.map
+        (fun t sim -> ignore (Fault.stale_seqno sim ~at:(Time.sec t)))
+        inject_stale
     in
     let outcome =
       Runner.run ~monitor ?trace_out ?pcap_out
         ?sample:(Option.map Time.sec sample)
         ~sample_out ?telemetry_out ?telemetry_prom
-        ~telemetry_every:(Time.sec telemetry_every) ?prepare ?prepare_pdes sc
+        ~telemetry_every:(Time.sec telemetry_every) ?prepare sc
     in
     if json then print_outcome_json outcome else print_outcome outcome
   in
@@ -501,7 +508,7 @@ let run_cmd =
       const action $ protocol $ nodes $ width $ height $ flows $ pps $ pause
       $ speed_max $ duration $ seed $ audit $ trace $ json $ trace_out
       $ pcap_out $ monitor $ sample $ sample_out $ telemetry_out
-      $ telemetry_prom $ telemetry_every $ inject_stale $ shards $ world_term)
+      $ telemetry_prom $ telemetry_every $ inject_stale $ world_term)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one scenario and print its metrics.") term
 

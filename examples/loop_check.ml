@@ -31,7 +31,6 @@ let scenario protocol seed =
     audit_loops = true;
     naive_channel = false;
     heap_scheduler = false;
-    shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

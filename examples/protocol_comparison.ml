@@ -30,7 +30,6 @@ let scenario protocol =
     audit_loops = false;
     naive_channel = false;
     heap_scheduler = false;
-    shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

@@ -34,7 +34,6 @@ let () =
       audit_loops = true;
       naive_channel = false;
       heap_scheduler = false;
-      shards = 1;
       mobility = Scenario.Waypoint;
       shadowing = None;
       churn = None;

@@ -18,9 +18,7 @@ let forged_rrep ~stamp ~dst ~origin =
     }
 
 (* Row-major scan for the first node with an active route: the
-   injection site is a deterministic function of the routing state, so
-   a classic and a sharded run in identical state pick the same
-   (node, destination, successor). *)
+   injection site is a deterministic function of the routing state. *)
 let first_route (agents : Routing.Agent.t array) =
   let n = Array.length agents in
   let found = ref None in
@@ -38,12 +36,6 @@ let first_route (agents : Routing.Agent.t array) =
    with Exit -> ());
   !found
 
-let deliver_forged ~stamp (agents : Routing.Agent.t array) (i, d, s) =
-  agents.(i).Routing.Agent.recv
-    (Payload.Ldr (forged_rrep ~stamp ~dst:(Node_id.of_int d)
-                     ~origin:(Node_id.of_int i)))
-    ~from:s
-
 type injection = {
   injected : bool ref;
   stamp : int;
@@ -52,37 +44,21 @@ type injection = {
   mutable via : int;
 }
 
-let mark inj (i, d, s) =
-  inj.injected := true;
-  inj.victim <- i;
-  inj.dst <- d;
-  inj.via <- Node_id.to_int s
-
 let stale_seqno ?(stamp = 1_000_000) (sim : Runner.sim) ~at =
   let inj = { injected = ref false; stamp; victim = -1; dst = -1; via = -1 } in
+  let agents = sim.Runner.agents in
   ignore
     (Engine.at sim.Runner.engine at (fun () ->
-         match first_route sim.Runner.agents with
-         | Some site ->
-             deliver_forged ~stamp sim.Runner.agents site;
-             mark inj site
+         match first_route agents with
+         | Some (i, d, s) ->
+             agents.(i).Routing.Agent.recv
+               (Payload.Ldr
+                  (forged_rrep ~stamp ~dst:(Node_id.of_int d)
+                     ~origin:(Node_id.of_int i)))
+               ~from:s;
+             inj.injected := true;
+             inj.victim <- i;
+             inj.dst <- d;
+             inj.via <- Node_id.to_int s
          | None -> ()));
-  inj
-
-let stale_seqno_sharded ?(stamp = 1_000_000) (p : Runner.psim) ~at =
-  let inj = { injected = ref false; stamp; victim = -1; dst = -1; via = -1 } in
-  p.Runner.p_request_injection ~at (fun () ->
-      (* Boundary callback: every shard has run all events before [at],
-         none at or after it — the same state the classic injector event
-         observes.  The delivery itself becomes one event at [at] on the
-         victim's home engine, mirroring the classic path's single
-         injector event. *)
-      match first_route p.Runner.p_agents with
-      | Some ((i, _, _) as site) ->
-          let engine = p.Runner.p_engines.(p.Runner.p_home.(i)) in
-          ignore
-            (Engine.at engine at (fun () ->
-                 deliver_forged ~stamp p.Runner.p_agents site;
-                 mark inj site))
-      | None -> ());
   inj

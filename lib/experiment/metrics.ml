@@ -6,8 +6,8 @@ type t = {
   mutable duplicates : int;
   latency : Stats.Welford.t;
   (* Percentiles come from a log-bucketed histogram over integer
-     nanoseconds: O(1) add, exactly mergeable across PDES shards
-     (bucket counts just sum), no sort-per-query reservoir. *)
+     nanoseconds: O(1) add, exactly mergeable across trials (bucket
+     counts just sum), no sort-per-query reservoir. *)
   latency_h : Stats.Hdr.t;
   hop_count : Stats.Welford.t;
   seen : (int, unit) Hashtbl.t;  (* delivered uids, packed *)
@@ -21,20 +21,9 @@ type t = {
   drops : (string, int ref) Hashtbl.t;
   mutable loop_violations : int;
   mutable mean_dest_seqno : float;
-  (* Per-delivery journal, recorded only by PDES shards: merging the
-     per-shard Welford states directly would re-associate the float
-     sums, so [merge_all] instead replays every shard's samples in
-     global delivery-time order into fresh accumulators — bit-identical
-     to the single-engine run, which adds in exactly that order.  (The
-     integer histogram needs no replay; bucket sums are exact.) *)
-  journal : bool;
-  mutable j_time : int array;  (* delivery time, ns *)
-  mutable j_lat : float array;
-  mutable j_hops : float array;
-  mutable j_n : int;
 }
 
-let create ?(journal = false) () =
+let create () =
   {
     originated = 0;
     delivered = 0;
@@ -53,31 +42,7 @@ let create ?(journal = false) () =
     drops = Hashtbl.create 8;
     loop_violations = 0;
     mean_dest_seqno = 0.;
-    journal;
-    j_time = (if journal then Array.make 1024 0 else [||]);
-    j_lat = (if journal then Array.make 1024 0. else [||]);
-    j_hops = (if journal then Array.make 1024 0. else [||]);
-    j_n = 0;
   }
-
-let journal_sample t ~now latency_ms hops =
-  let n = t.j_n in
-  if n = Array.length t.j_time then begin
-    let cap = Stdlib.max 1024 (2 * n) in
-    let time' = Array.make cap 0
-    and lat' = Array.make cap 0.
-    and hops' = Array.make cap 0. in
-    Array.blit t.j_time 0 time' 0 n;
-    Array.blit t.j_lat 0 lat' 0 n;
-    Array.blit t.j_hops 0 hops' 0 n;
-    t.j_time <- time';
-    t.j_lat <- lat';
-    t.j_hops <- hops'
-  end;
-  t.j_time.(n) <- (now : Sim.Time.t :> int);
-  t.j_lat.(n) <- latency_ms;
-  t.j_hops.(n) <- hops;
-  t.j_n <- n + 1
 
 let bump tbl key =
   match Hashtbl.find_opt tbl key with
@@ -109,8 +74,7 @@ let data_delivered t ~now msg =
     let hops = float_of_int msg.Data_msg.hops in
     Stats.Welford.add t.latency latency_ms;
     Stats.Hdr.add t.latency_h latency_ns;
-    Stats.Welford.add t.hop_count hops;
-    if t.journal then journal_sample t ~now latency_ms hops
+    Stats.Welford.add t.hop_count hops
   end
 
 let data_dropped t _msg ~reason = bump t.drops reason
@@ -133,56 +97,6 @@ let transmitted t (f : Net.Frame.t) =
         bump t.control_tx kind;
         bump_by t.control_bytes kind bytes
       end
-
-(* Merge per-shard metrics from a PDES run into one account.  Integer
-   counters and per-kind tables are exact sums; the latency/hop
-   accumulators are rebuilt by replaying every shard's journal in global
-   delivery-time order (stable across shards, so same-nanosecond ties
-   keep shard order), which reproduces the single-engine float state
-   bit-for-bit — see the journal comment on [t]. *)
-let merge_all parts =
-  let m = create () in
-  let add_tbl dst src = Hashtbl.iter (fun k r -> bump_by dst k !r) src in
-  List.iter
-    (fun p ->
-      if not p.journal then
-        invalid_arg "Metrics.merge_all: part recorded no delivery journal";
-      m.originated <- m.originated + p.originated;
-      m.delivered <- m.delivered + p.delivered;
-      m.duplicates <- m.duplicates + p.duplicates;
-      m.data_tx <- m.data_tx + p.data_tx;
-      m.ack_tx <- m.ack_tx + p.ack_tx;
-      m.data_bytes <- m.data_bytes + p.data_bytes;
-      m.ack_bytes <- m.ack_bytes + p.ack_bytes;
-      m.loop_violations <- m.loop_violations + p.loop_violations;
-      add_tbl m.control_tx p.control_tx;
-      add_tbl m.control_bytes p.control_bytes;
-      add_tbl m.events p.events;
-      add_tbl m.drops p.drops;
-      (* Histogram buckets are plain int counts: merging is exact and
-         order-independent, so no replay is needed for percentiles. *)
-      Stats.Hdr.merge_into ~into:m.latency_h p.latency_h)
-    parts;
-  let total = List.fold_left (fun acc p -> acc + p.j_n) 0 parts in
-  let time = Array.make (Stdlib.max 1 total) 0 in
-  let lat = Array.make (Stdlib.max 1 total) 0. in
-  let hops = Array.make (Stdlib.max 1 total) 0. in
-  let off = ref 0 in
-  List.iter
-    (fun p ->
-      Array.blit p.j_time 0 time !off p.j_n;
-      Array.blit p.j_lat 0 lat !off p.j_n;
-      Array.blit p.j_hops 0 hops !off p.j_n;
-      off := !off + p.j_n)
-    parts;
-  let order = Array.init total Fun.id in
-  Array.stable_sort (fun a b -> Stdlib.compare time.(a) time.(b)) order;
-  Array.iter
-    (fun i ->
-      Stats.Welford.add m.latency lat.(i);
-      Stats.Welford.add m.hop_count hops.(i))
-    order;
-  m
 
 let protocol_event t name = bump t.events name
 let loop_violation t = t.loop_violations <- t.loop_violations + 1

@@ -7,22 +7,7 @@
 
 type t
 
-val create : ?journal:bool -> unit -> t
-(** [journal] (default false) additionally records every delivery's
-    (time, latency, hop-count) sample.  PDES shards turn it on so
-    {!merge_all} can rebuild the float accumulators in global
-    delivery-time order instead of merging per-shard partial sums —
-    float addition does not re-associate, replaying does. *)
-
-val merge_all : t list -> t
-(** Combine per-shard metrics from a PDES run: integer counters and
-    per-kind tables are summed; latency/hop statistics are replayed
-    from the journals in global delivery-time order (stable, so
-    same-nanosecond ties keep shard order), making the result
-    bit-identical to a single-engine run that delivered the same
-    packets at the same times.  [mean_dest_seqno] is left for the
-    caller's finalize.  Raises [Invalid_argument] if a part was
-    created without [~journal:true]. *)
+val create : unit -> t
 
 (* Recording (called by the runner's hooks). *)
 
@@ -49,7 +34,7 @@ val median_latency_ms : t -> float
 (** Percentiles read a log-bucketed {!Stats.Hdr} histogram over integer
     nanoseconds: within-bucket resolution (~0.8% at the default
     sub-bucket width), exact at the recorded min/max, and exactly
-    mergeable across PDES shards. *)
+    mergeable across trials ({!Stats.Hdr.merge_into}). *)
 
 val p95_latency_ms : t -> float
 val p99_latency_ms : t -> float

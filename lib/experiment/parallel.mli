@@ -29,7 +29,7 @@ val effective_jobs : items:int -> int -> int
     (and at least 1): auto mode never spawns more domains than there is
     work — spare domains would only pay startup cost and skew the
     per-domain GC deltas benchmarks report.  {!map} and the CLI's
-    [--jobs 0]/[--shards 0] auto modes resolve through here. *)
+    [--jobs 0] auto mode resolve through here. *)
 
 val on_worker_domain : unit -> bool
 (** True while executing inside a {!map} worker domain (domain-local

@@ -92,9 +92,6 @@ type t = {
   audit_loops : bool;
   naive_channel : bool;
   heap_scheduler : bool;
-  shards : int;
-      (* <= 1: classic single-engine run; K >= 2: spatially-sharded
-         PDES across K regions; 0: auto (recommended domains, capped) *)
   mobility : mobility;
   shadowing : shadowing option;
   churn : churn option;
@@ -118,7 +115,6 @@ let paper_50 protocol =
     audit_loops = false;
     naive_channel = false;
     heap_scheduler = false;
-    shards = 1;
     mobility = Waypoint;
     shadowing = None;
     churn = None;
@@ -161,7 +157,6 @@ let with_duration duration t = { t with duration }
 let with_seed seed t = { t with seed }
 let with_naive_channel naive_channel t = { t with naive_channel }
 let with_heap_scheduler heap_scheduler t = { t with heap_scheduler }
-let with_shards shards t = { t with shards }
 let with_mobility mobility t = { t with mobility }
 let with_shadowing shadowing t = { t with shadowing }
 let with_churn churn t = { t with churn }

@@ -52,8 +52,8 @@ and t = {
 
 (* An RPGM group's virtual reference point: a random-waypoint process
    whose legs are memoized in index order, so members at different leg
-   indices (PDES shards refresh nodes at different times) can each fetch
-   leg [k] without querying a shared process non-monotonically. *)
+   indices (refreshed at different times) can each fetch leg [k]
+   without querying a shared process non-monotonically. *)
 and group = {
   g_terrain : Geom.Terrain.t;
   g_rng : Rng.t;
@@ -230,14 +230,9 @@ let advance t =
   t.leg <- next;
   t.leg_ix <- t.leg_ix + 1
 
-(* Re-query tolerance: PDES border mirroring and churn rejoin can ask for
-   a position slightly behind the newest query (at most one conservative
-   lookahead window).  Same-leg re-queries are answered exactly; queries
-   up to [max_backtrack] before the current leg's departure clamp to the
-   leg's start point (error bounded by speed x backtrack).  1 ms is far
-   above any MAC lookahead (difs + slot ~ 70 us). *)
-let max_backtrack = Time.ms 1.
-
+(* Queries may repeat or go back within the current leg (answered
+   exactly from the leg), but never before its departure: the legs
+   before it are gone. *)
 let position t time =
   if Time.(time >= t.last_query) then begin
     t.last_query <- time;
@@ -246,12 +241,8 @@ let position t time =
     done;
     position_on t.leg time
   end
-  else if Time.(Time.add time max_backtrack >= t.leg.depart) then
-    position_on t.leg time
-  else
-    invalid_arg
-      "Mobility.position: query precedes the current leg by more than the \
-       backtrack tolerance"
+  else if Time.(time >= t.leg.depart) then position_on t.leg time
+  else invalid_arg "Mobility.position: query precedes the current leg"
 
 let static pos =
   let leg =
@@ -424,8 +415,6 @@ module Pos_store = struct
   let length s = Array.length s.mob
   let proc s i = s.mob.(i)
 
-  let max_backtrack_ns = (max_backtrack :> int)
-
   let refresh s i time =
     let tn = (time : Time.t :> int) in
     if tn <> s.last_t.(i) then begin
@@ -438,12 +427,11 @@ module Pos_store = struct
         s.y.(i) <- p.Geom.Vec2.y
       end
       else if tn <= s.depart.(i) then begin
-        (* Only a backwards query can precede the current leg; the
-           record path's tolerance applies. *)
-        if tn + max_backtrack_ns < s.depart.(i) then
+        (* Only a backwards query can precede the current leg, and like
+           the record path the store cannot answer it. *)
+        if tn < s.depart.(i) then
           invalid_arg
-            "Mobility.Pos_store.refresh: query precedes the current leg by \
-             more than the backtrack tolerance";
+            "Mobility.Pos_store.refresh: query precedes the current leg";
         s.x.(i) <- s.fx.(i);
         s.y.(i) <- s.fy.(i)
       end

@@ -5,19 +5,10 @@
     pattern of a discrete-event simulation — which lets every model run in
     O(1) amortised time per query.
 
-    {b Re-query tolerance.}  Strict monotonicity is relaxed for the two
-    callers that legitimately look slightly backwards: PDES border
-    mirroring (a mirrored frame is propagated at the window edge while the
-    peer region has already advanced up to one lookahead) and churn rejoin
-    (a node re-attaching re-reads its position at the attach boundary).
-    Concretely, [position] accepts any query time [t] with
-    [t + max_backtrack >= depart] of the {e current} leg, where
-    [max_backtrack] is 1 ms — far above any conservative MAC lookahead
-    (difs + slot, ~70 us).  Same-leg re-queries ([t >= depart]) are
-    answered exactly; queries in the [max_backtrack] slack before the leg
-    clamp to the leg's start point, an error bounded by
-    [speed x max_backtrack] (millimetres at vehicular speeds).  Queries
-    older than that still raise [Invalid_argument].
+    Re-queries within the {e current} leg ([t >= depart]), including
+    backwards ones, are answered exactly.  A query before the current
+    leg's departure raises [Invalid_argument]: the earlier legs are
+    gone.
 
     Models:
     - {!static}: the node never moves.
@@ -35,8 +26,7 @@ type t
 
 val position : t -> Sim.Time.t -> Geom.Vec2.t
 (** Position at [t].  Raises [Invalid_argument] if [t] precedes the
-    process's current leg by more than the backtrack tolerance documented
-    above. *)
+    process's current leg. *)
 
 val model_name : t -> string
 
@@ -93,8 +83,8 @@ val scripted : (Sim.Time.t * Geom.Vec2.t) list -> t
 type group
 (** The virtual reference point of an RPGM group: a random-waypoint
     process whose legs are memoized so members can follow it at different
-    leg indices (PDES shards refresh nodes at different times) without
-    non-monotone queries on shared state. *)
+    leg indices (refreshed at different times) without non-monotone
+    queries on shared state. *)
 
 val rpgm_group :
   terrain:Geom.Terrain.t ->
@@ -131,9 +121,9 @@ module Pos_store : sig
   val refresh : t -> int -> Sim.Time.t -> unit
   (** [refresh s i t] updates node [i]'s cached position to time [t]
       (allocation-free unless the query advances the node onto a new
-      leg).  Repeated refreshes at the same time are free.  Backwards
-      queries get the same tolerance as {!position}: one preceding the
-      node's current leg by more than 1 ms raises [Invalid_argument]. *)
+      leg).  Repeated refreshes at the same time are free.  As with
+      {!position}, a query preceding the node's current leg raises
+      [Invalid_argument] (and leaves the store untouched). *)
 
   val xs : t -> float array
   (** The cached-x plane: slot [i] holds node [i]'s x as of its last

@@ -39,10 +39,6 @@ type radio = {
   mutable busy_count : int;  (** in-range transmissions currently in the air *)
   mutable tx_count : int;  (** own transmissions in the air (0 or 1) *)
   mutable lock : int;  (** [rx_id] of the frame being decoded; -1 when none *)
-  mutable crossed : bool;
-      (** last transmission was forwarded cross-shard (PDES): its remote
-          copies arrive one delivery latency late, so unicast senders
-          must extend their ACK wait by the round-trip grace *)
 }
 
 let dummy_frame =
@@ -62,7 +58,6 @@ let new_radio ~id ~seq ~idx ~position =
     busy_count = 0;
     tx_count = 0;
     lock = -1;
-    crossed = false;
   }
 
 (* Filler for unattached store slots and idle jobs, compared physically. *)
@@ -134,12 +129,6 @@ and t = {
   mutable rx_all : rx array;  (* every pooled rx, by [rx_id] *)
   mutable rx_count : int;
   obs : Obs.Bus.t;
-  (* PDES hook: decides whether a transmission concerns other shards and
-     posts remote copies; returns true when it did (see [radio.crossed]).
-     [remote_grace] is the extra unicast ACK wait a crossed transmission
-     needs (two crossings: data out, ACK back). *)
-  mutable remote : (Frame.t -> src:radio -> duration:Time.t -> bool) option;
-  mutable remote_grace : Time.t;
 }
 
 (* Store backing: positions come from the shared [Pos_store] planes
@@ -195,16 +184,7 @@ let create ~engine ?max_speed ?obs ?world ?link ~params () =
     rx_all = [||];
     rx_count = 0;
     obs = (match obs with Some b -> b | None -> Obs.Bus.create ());
-    remote = None;
-    remote_grace = Time.zero;
   }
-
-let set_remote t ~grace fn =
-  t.remote <- Some fn;
-  t.remote_grace <- grace
-
-let remote_grace t = t.remote_grace
-let crossed r = r.crossed
 
 let params t = t.params
 let obs t = t.obs
@@ -241,7 +221,6 @@ let attach t ?(idx = -1) ~id ~position () =
 let set_receiver r f = r.receive <- f
 let set_medium_listener r f = r.medium <- f
 let radio_id r = r.id
-let radio_pos r = r.position ()
 let transmitting r = r.tx_count > 0
 
 let carrier_busy r = r.busy_count > 0 || r.tx_count > 0
@@ -469,11 +448,9 @@ let end_of_tx job =
   job.job_frame <- dummy_frame;
   free_job t job
 
-(* Shared propagation body: collect the touched radios around the
+(* Propagation body of [transmit]: collect the touched radios around the
    source position, resolve capture, and arm the end-of-transmission
-   event.  [transmit] runs it for a local transmission; [transmit_from]
-   for the remote copy of a cross-shard one (a phantom source radio
-   standing in for a node homed on another shard). *)
+   event. *)
 let propagate t src ~sx ~sy frame ~duration =
   (* Touched radios are fixed at transmission start: node movement within
      one frame airtime (~2 ms) is a fraction of a millimetre.  Radios out
@@ -604,8 +581,6 @@ let transmit t src frame ~duration =
       ~node:(Node_id.to_int src.id)
       ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
       ~dst:(frame_dst_int frame) ~bytes:(Frame.encoded_length frame);
-  src.crossed <-
-    (match t.remote with None -> false | Some fn -> fn frame ~src ~duration);
   match t.world with
   | Some w ->
       Mobility.Pos_store.refresh w.w_store src.idx (Engine.now t.engine);
@@ -614,14 +589,3 @@ let transmit t src frame ~duration =
   | None ->
       let p = src.position () in
       propagate t src ~sx:p.Geom.Vec2.x ~sy:p.Geom.Vec2.y frame ~duration
-
-(* Remote copy of a transmission whose source is homed on another shard.
-   The phantom radio carries the source's id and position snapshot; it
-   is not attached, so it never appears as a reception candidate, and
-   nothing global is counted again here — the home shard already paid
-   [tx_total], the transmit hooks and the obs Tx event. *)
-let transmit_from t ~src_id ~pos frame ~duration =
-  let phantom =
-    new_radio ~id:src_id ~seq:(-2) ~idx:(-1) ~position:(fun () -> pos)
-  in
-  propagate t phantom ~sx:pos.Geom.Vec2.x ~sy:pos.Geom.Vec2.y frame ~duration

@@ -3,7 +3,7 @@
 
    Shadowing draws one gain per unordered node pair from a seeded hash —
    no run-order dependence, so the same pair sees the same gain in every
-   index mode, every shard layout and every replay.  The draw is a
+   channel mode and every replay.  The draw is a
    Box-Muller normal in dB clamped to +-3 sigma; dividing by the path
    loss exponent converts the dB offset into a range factor, so a pair's
    effective disk radius is [range * gain].  [f_max] bounds the factor,
@@ -11,10 +11,8 @@
    still covers every decodable pair.
 
    The partition wall is a stateless predicate — a vertical barrier at
-   [x] absorbing everything that would cross it inside [at, heal).
-   Evaluating it per transmission (rather than mutating topology) keeps
-   it exact under PDES, where the same transmission is re-propagated on
-   several shards. *)
+   [x] absorbing everything that would cross it inside [at, heal),
+   evaluated per transmission rather than by mutating topology. *)
 
 open Sim
 

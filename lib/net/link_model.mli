@@ -7,14 +7,13 @@
     pair, converted through the path-loss exponent [eta] into a range
     {e factor}: the pair decodes (and carrier-senses) out to
     [range * factor] instead of [range].  The draw depends only on
-    (seed, pair), never on run order, so every index mode, shard layout
-    and replay sees identical gains.
+    (seed, pair), never on run order, so every channel mode and replay
+    sees identical gains.
 
     {b Partition wall} — a vertical barrier at [x] absorbing every
     transmission that would cross it during [\[at, heal)].  It is a pure
     predicate of (time, endpoints): nothing is mutated at the partition
-    instant, which keeps PDES re-propagation of the same transmission on
-    several shards exact. *)
+    instant. *)
 
 type t
 

@@ -163,16 +163,9 @@ and tx_done t =
       | Frame.Broadcast -> finish t
       | Frame.Unicast _ ->
           t.phase <- Await_ack;
-          (* A transmission forwarded cross-shard (PDES) reaches remote
-             receivers one delivery latency late, and their ACK crosses
-             back with the same latency — wait out the round trip. *)
-          let timeout =
-            if Channel.crossed t.radio then
-              Time.add (Params.ack_timeout t.params)
-                (Channel.remote_grace t.channel)
-            else Params.ack_timeout t.params
-          in
-          t.ack_timer <- Engine.after_fn t.engine timeout ack_timeout_expired t)
+          t.ack_timer <-
+            Engine.after_fn t.engine (Params.ack_timeout t.params)
+              ack_timeout_expired t)
 
 and ack_timeout_expired t =
   t.ack_timer <- Engine.none;

@@ -19,10 +19,3 @@ val parse_line : string -> (string * value) list option
 (** Parse one flat JSON object; [None] on malformed input.  Numbers
     with a ['.'] or an exponent parse as [Float] (the time-series
     sampler's gauge lines), plain integers as [Int]. *)
-
-val merge_time_sorted : inputs:string list -> output:string -> unit
-(** k-way merge of per-shard trace files (each already sorted by its
-    ["t"] field) into one file sorted by ["t"], equal times keeping
-    input-list order — a stable, deterministic merge, used to fold a
-    sharded run's per-region traces into the single file the classic
-    path would have written.  Lines that fail to parse sort first. *)

@@ -1,6 +1,6 @@
 (* Runtime telemetry collector.  Gathering is the caller's job (the
-   runner knows its engines and PDES coordinator); this module owns
-   the two output formats and the rate bookkeeping. *)
+   runner knows its engine and channel); this module owns the two
+   output formats and the rate bookkeeping. *)
 
 type domain = {
   dom_pending : int;
@@ -17,13 +17,6 @@ let domain_of_engine e =
     dom_cal_buckets = Sim.Engine.calendar_buckets e;
     dom_cal_occupancy = Sim.Engine.calendar_occupancy e;
   }
-
-type pdes_gauges = {
-  pg_windows : int;
-  pg_utilization : float;
-  pg_mirrors : int;
-  pg_worker_minor : float array;
-}
 
 type t = {
   jsonl : out_channel option;
@@ -42,20 +35,13 @@ let create ?jsonl ?prom () =
     prev_fired = [||];
   }
 
-(* Sum of GC minor words across the coordinator domain and any live
-   PDES worker domains.  [Gc.minor_words] is per-domain in OCaml 5, so
-   the workers' gauges (refreshed each window) must be added in. *)
-let gc_words pdes =
+let gc_words () =
   let q = Gc.quick_stat () in
-  let minor = ref q.Gc.minor_words in
-  (match pdes with
-  | Some p -> Array.iter (fun w -> minor := !minor +. w) p.pg_worker_minor
-  | None -> ());
-  (!minor, q.Gc.promoted_words)
+  (q.Gc.minor_words, q.Gc.promoted_words)
 
 let rate dt prev cur = if dt <= 0. then 0. else float_of_int (cur - prev) /. dt
 
-let write_jsonl t oc ~time ~(domains : domain array) ~pdes ~grid ~wall ~dt =
+let write_jsonl t oc ~time ~(domains : domain array) ~grid ~wall ~dt =
   let buf = Buffer.create 256 in
   Buffer.add_char buf '{';
   Printf.bprintf buf "\"t\":%d,\"wall_s\":%.6f" (time : Sim.Time.t :> int)
@@ -77,19 +63,11 @@ let write_jsonl t oc ~time ~(domains : domain array) ~pdes ~grid ~wall ~dt =
   arr "fired" (fun d -> Printf.bprintf buf "%d" d.dom_fired);
   arr "cal_buckets" (fun d -> Printf.bprintf buf "%d" d.dom_cal_buckets);
   arr "cal_occupancy" (fun d -> Printf.bprintf buf "%.3f" d.dom_cal_occupancy);
-  (match pdes with
-  | Some p ->
-      Printf.bprintf buf
-        ",\"pdes_windows\":%d,\"pdes_utilization\":%.4f,\"pdes_mirrors\":%d"
-        p.pg_windows p.pg_utilization p.pg_mirrors
-  | None -> ());
-  (match grid with
-  | Some (cells, occupied, max_occ) ->
-      Printf.bprintf buf
-        ",\"grid_cells\":%d,\"grid_occupied\":%d,\"grid_max_occupancy\":%d"
-        cells occupied max_occ
-  | None -> ());
-  let minor, promoted = gc_words pdes in
+  let cells, occupied, max_occ = grid in
+  Printf.bprintf buf
+    ",\"grid_cells\":%d,\"grid_occupied\":%d,\"grid_max_occupancy\":%d"
+    cells occupied max_occ;
+  let minor, promoted = gc_words () in
   Printf.bprintf buf ",\"gc_minor_words\":%.0f,\"gc_promoted_words\":%.0f"
     minor promoted;
   Buffer.add_char buf '}';
@@ -97,7 +75,7 @@ let write_jsonl t oc ~time ~(domains : domain array) ~pdes ~grid ~wall ~dt =
   Buffer.output_buffer oc buf;
   flush oc
 
-let write_prom t path ~time ~(domains : domain array) ~pdes ~grid ~dt =
+let write_prom t path ~time ~(domains : domain array) ~grid ~dt =
   let buf = Buffer.create 1024 in
   let gauge name v =
     Printf.bprintf buf "# TYPE %s gauge\n%s %s\n" name name v
@@ -131,26 +109,14 @@ let write_prom t path ~time ~(domains : domain array) ~pdes ~grid ~dt =
       string_of_int d.dom_cal_buckets);
   gauge_dom "manet_calendar_occupancy" (fun d ->
       Printf.sprintf "%.3f" d.dom_cal_occupancy);
-  (match pdes with
-  | Some p ->
-      Printf.bprintf buf "# TYPE manet_pdes_windows_total counter\n";
-      Printf.bprintf buf "manet_pdes_windows_total %d\n" p.pg_windows;
-      Printf.bprintf buf "# TYPE manet_pdes_window_utilization gauge\n";
-      Printf.bprintf buf "manet_pdes_window_utilization %.4f\n"
-        p.pg_utilization;
-      Printf.bprintf buf "# TYPE manet_pdes_border_mirrors_total counter\n";
-      Printf.bprintf buf "manet_pdes_border_mirrors_total %d\n" p.pg_mirrors
-  | None -> ());
-  (match grid with
-  | Some (cells, occupied, max_occ) ->
-      Printf.bprintf buf "# TYPE manet_grid_cells gauge\n";
-      Printf.bprintf buf "manet_grid_cells %d\n" cells;
-      Printf.bprintf buf "# TYPE manet_grid_occupied_cells gauge\n";
-      Printf.bprintf buf "manet_grid_occupied_cells %d\n" occupied;
-      Printf.bprintf buf "# TYPE manet_grid_max_occupancy gauge\n";
-      Printf.bprintf buf "manet_grid_max_occupancy %d\n" max_occ
-  | None -> ());
-  let minor, promoted = gc_words pdes in
+  let cells, occupied, max_occ = grid in
+  Printf.bprintf buf "# TYPE manet_grid_cells gauge\n";
+  Printf.bprintf buf "manet_grid_cells %d\n" cells;
+  Printf.bprintf buf "# TYPE manet_grid_occupied_cells gauge\n";
+  Printf.bprintf buf "manet_grid_occupied_cells %d\n" occupied;
+  Printf.bprintf buf "# TYPE manet_grid_max_occupancy gauge\n";
+  Printf.bprintf buf "manet_grid_max_occupancy %d\n" max_occ;
+  let minor, promoted = gc_words () in
   Printf.bprintf buf "# TYPE manet_gc_minor_words_total counter\n";
   Printf.bprintf buf "manet_gc_minor_words_total %.0f\n" minor;
   Printf.bprintf buf "# TYPE manet_gc_promoted_words_total counter\n";
@@ -163,14 +129,14 @@ let write_prom t path ~time ~(domains : domain array) ~pdes ~grid ~dt =
   close_out oc;
   Sys.rename tmp path
 
-let record t ~time ~domains ?pdes ?grid () =
+let record t ~time ~domains ~grid =
   let wall = Unix.gettimeofday () in
   let dt = wall -. t.prev_wall in
   (match t.jsonl with
-  | Some oc -> write_jsonl t oc ~time ~domains ~pdes ~grid ~wall ~dt
+  | Some oc -> write_jsonl t oc ~time ~domains ~grid ~wall ~dt
   | None -> ());
   (match t.prom with
-  | Some path -> write_prom t path ~time ~domains ~pdes ~grid ~dt
+  | Some path -> write_prom t path ~time ~domains ~grid ~dt
   | None -> ());
   t.prev_wall <- wall;
   if Array.length t.prev_fired <> Array.length domains then

@@ -387,15 +387,6 @@ let run ?until ?max_events t =
 
 let events_processed t = t.fired
 
-let next_time_ns t =
-  match t.sched with
-  | Heap q -> (
-      match Event_queue.next_time q with
-      | Some time -> (time :> int)
-      | None -> max_int)
-  | Cal q -> Calendar_queue.next_time_ns q
-  | Ctl q -> Controlled_queue.next_time_ns q
-
 type stats = { pending : int; fired : int }
 
 let stats t =

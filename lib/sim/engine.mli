@@ -130,11 +130,6 @@ val step : t -> bool
 
 val events_processed : t -> int
 
-val next_time_ns : t -> int
-(** Earliest pending event time in nanoseconds, [max_int] when idle.
-    O(1) amortized under either scheduler; the PDES coordinator polls
-    this every window to size the next synchronous window. *)
-
 type stats = { pending : int; fired : int }
 
 val stats : t -> stats

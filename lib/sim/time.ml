@@ -7,6 +7,7 @@ let ns n =
   Int64.to_int n
 
 let of_float_ns x =
+  if not (Float.is_finite x) then invalid_arg "Time: non-finite duration";
   if x < 0. then invalid_arg "Time: negative duration";
   int_of_float (Float.round x)
 

@@ -15,14 +15,17 @@ val zero : t
 val ns : int64 -> t
 (** [ns n] is [n] nanoseconds.  Raises [Invalid_argument] if [n < 0]. *)
 
+(** The float constructors below round to the nearest nanosecond and
+    raise [Invalid_argument] on a negative or non-finite input. *)
+
 val us : float -> t
-(** [us x] is [x] microseconds, rounded to the nearest nanosecond. *)
+(** [us x] is [x] microseconds. *)
 
 val ms : float -> t
-(** [ms x] is [x] milliseconds, rounded to the nearest nanosecond. *)
+(** [ms x] is [x] milliseconds. *)
 
 val sec : float -> t
-(** [sec x] is [x] seconds, rounded to the nearest nanosecond. *)
+(** [sec x] is [x] seconds. *)
 
 val unsafe_of_ns : int -> t
 (** [unsafe_of_ns n] reinterprets an int nanosecond count as a time with

@@ -9,8 +9,8 @@
     scalar fields — no allocation, no sorting, O(1).
 
     Merging adds bucket counts elementwise, which makes [merge_into]
-    exactly associative and commutative: aggregating per-trial or
-    per-shard histograms yields bit-identical quantiles in any order.
+    exactly associative and commutative: aggregating per-trial
+    histograms yields bit-identical quantiles in any order.
     This replaces the sort-per-query reservoir ([Quantile]) for
     latency percentiles and backs the span-stage timings. *)
 

@@ -89,7 +89,14 @@ and restart s = start_flow s s.s_stop
 let setup ~engine ~rng ~num_nodes ~config ~until ~emit =
   if num_nodes < 2 then invalid_arg "Traffic.setup: need at least two nodes";
   let next_flow_id = ref 0 in
-  let interval = Time.sec (1. /. config.packets_per_sec) in
+  (* A zero tick would re-arm at the same instant forever; a zero,
+     negative or NaN rate has no interval at all. *)
+  let interval =
+    match Time.sec (1. /. config.packets_per_sec) with
+    | i when Time.(i > Time.zero) -> i
+    | _ | (exception Invalid_argument _) ->
+        invalid_arg "Traffic.setup: packet interval is not a positive time"
+  in
   for _ = 1 to config.num_flows do
     let s =
       {
@@ -111,124 +118,3 @@ let setup ~engine ~rng ~num_nodes ~config ~until ~emit =
     in
     start_flow s (Rng.uniform_time rng config.startup_window)
   done
-
-(* ---- Static flow plan (PDES) ------------------------------------------- *)
-
-(* The sharded runner cannot draw flows lazily: a slot's restart draws
-   (pair, duration) from the one shared traffic stream at its stop
-   event, and under PDES that event lives on one shard while the next
-   flow may belong to another.  [plan] replays the generator's exact
-   draw sequence at setup instead — slot starts in slot order, then
-   restart draws in stop-time order (ties in arming order, matching the
-   scheduler's FIFO tie-break; draw-bearing ties are measure-zero
-   anyway, since only stops clamped to [until] coincide and those draw
-   nothing) — producing the same flows with no engine involved.  [arm]
-   then schedules each flow on its owning shard: the first packet tick
-   (subsequent ticks re-arm lazily, as the slot machinery does) plus a
-   no-op marker at the stop time standing in for the restart event, so
-   per-engine event counts match the classic path exactly. *)
-
-type flow = {
-  f_id : int;
-  f_src : Node_id.t;
-  f_dst : Node_id.t;
-  f_start : Time.t;
-  f_stop : Time.t;
-}
-
-let plan ~rng ~num_nodes ~config ~until =
-  if num_nodes < 2 then invalid_arg "Traffic.plan: need at least two nodes";
-  let pick_pair () =
-    let src = Rng.int rng num_nodes in
-    let rec pick_dst () =
-      let d = Rng.int rng num_nodes in
-      if d = src then pick_dst () else d
-    in
-    let src = Node_id.of_int src in
-    (src, Node_id.of_int (pick_dst ()))
-  in
-  let next_flow_id = ref 0 in
-  let flows = ref [] in
-  (* Pending restarts, ordered by (stop time, arming order). *)
-  let pending = ref [] in
-  let rec insert ((t, s, _) as x) = function
-    | [] -> [ x ]
-    | ((t', s', _) as y) :: rest ->
-        if (t, s) < (t', s') then x :: y :: rest else y :: insert x rest
-  in
-  let arm_seq = ref 0 in
-  let start_flow start =
-    if Time.(start < until) then begin
-      let id = !next_flow_id in
-      incr next_flow_id;
-      let src, dst = pick_pair () in
-      let duration =
-        Time.sec (Rng.exponential rng (Time.to_sec config.mean_flow_duration))
-      in
-      let stop = Time.min until (Time.add start duration) in
-      flows :=
-        { f_id = id; f_src = src; f_dst = dst; f_start = start; f_stop = stop }
-        :: !flows;
-      pending := insert ((stop :> int), !arm_seq, ()) !pending;
-      incr arm_seq
-    end
-  in
-  for _ = 1 to config.num_flows do
-    start_flow (Rng.uniform_time rng config.startup_window)
-  done;
-  let rec drain () =
-    match !pending with
-    | [] -> ()
-    | (stop_ns, _, ()) :: rest ->
-        pending := rest;
-        start_flow (Time.unsafe_of_ns stop_ns);
-        drain ()
-  in
-  drain ();
-  List.rev !flows
-
-(* Armed-flow state: like [slot], but single-flow (no restart chain). *)
-type armed = {
-  a_engine : Engine.t;
-  a_config : config;
-  a_emit : src:Node_id.t -> Data_msg.t -> unit;
-  a_interval : Time.t;
-  a_flow : flow;
-  mutable a_seq : int;
-  mutable a_at : Time.t;
-}
-
-let stop_marker (_ : armed) = ()
-
-let rec arm_tick a at =
-  if Time.(at < a.a_flow.f_stop) then begin
-    a.a_at <- at;
-    ignore (Engine.at_fn a.a_engine at armed_tick a)
-  end
-
-and armed_tick a =
-  let at = a.a_at in
-  let msg =
-    Data_msg.fresh ~flow_id:a.a_flow.f_id ~seq:a.a_seq ~src:a.a_flow.f_src
-      ~dst:a.a_flow.f_dst ~payload_bytes:a.a_config.payload_bytes
-      ~origin_time:at
-  in
-  a.a_seq <- a.a_seq + 1;
-  a.a_emit ~src:a.a_flow.f_src msg;
-  arm_tick a (Time.add at a.a_interval)
-
-let arm ~engine ~config ~emit flow =
-  let a =
-    {
-      a_engine = engine;
-      a_config = config;
-      a_emit = emit;
-      a_interval = Time.sec (1. /. config.packets_per_sec);
-      a_flow = flow;
-      a_seq = 0;
-      a_at = Time.zero;
-    }
-  in
-  arm_tick a flow.f_start;
-  (* Stands in for the classic restart event so event counts match. *)
-  ignore (Engine.at_fn engine flow.f_stop stop_marker a)

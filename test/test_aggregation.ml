@@ -238,7 +238,6 @@ let scenario ?(seed = 7) ?(duration = 30.) () =
     audit_loops = true;
     naive_channel = false;
     heap_scheduler = false;
-    shards = 1;
     mobility = Experiment.Scenario.Waypoint;
     shadowing = None;
     churn = None;

@@ -33,7 +33,6 @@ let small_scenario ?(protocol = Scenario.ldr) ?(seed = 7) ?(audit = false)
     audit_loops = audit;
     naive_channel = false;
     heap_scheduler = false;
-    shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

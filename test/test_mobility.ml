@@ -69,9 +69,8 @@ let waypoint_eventually_moves () =
   let p = Mobility.position m (Time.sec 60.) in
   checkb "moved by 60s" false (Geom.Vec2.equal p start)
 
-(* Re-query tolerance (see the .mli): same-leg re-queries are exact,
-   queries within the 1 ms backtrack slack before the current leg clamp
-   to its start, and anything older still raises. *)
+(* Re-queries (see the .mli): same-leg re-queries are exact, and any
+   query before the current leg's departure raises, however close. *)
 let monotonicity_enforced () =
   let rng = Rng.create 11 in
   let m =
@@ -87,16 +86,18 @@ let monotonicity_enforced () =
   checkb "re-query differs mid-leg" false (Geom.Vec2.equal p5 p10);
   (* Forward progress still works after a backwards excursion. *)
   ignore (Mobility.position m (Time.sec 12.));
-  Alcotest.check_raises "query older than the tolerance"
-    (Invalid_argument
-       "Mobility.position: query precedes the current leg by more than the \
-        backtrack tolerance")
-    (fun () -> ignore (Mobility.position m (Time.sec 0.5)))
+  let before_leg =
+    Invalid_argument "Mobility.position: query precedes the current leg"
+  in
+  (* The motion leg departs at 1 s (end of the first pause). *)
+  Alcotest.check_raises "just before the leg raises" before_leg (fun () ->
+      ignore (Mobility.position m (Time.ms 999.5)));
+  Alcotest.check_raises "query before the leg raises" before_leg (fun () ->
+      ignore (Mobility.position m (Time.sec 0.5)))
 
 (* The struct-of-arrays store answers with the record path's values
-   and keeps its re-query tolerance: same-leg re-queries are exact,
-   queries within 1 ms before the current leg clamp to its start, and
-   anything older raises. *)
+   and the same re-query rule: same-leg re-queries are exact, and any
+   query before the current leg raises without touching the store. *)
 let store_backtrack_checked () =
   let mk () =
     Mobility.waypoint ~terrain ~rng:(Rng.create 11) ~speed_min:1.
@@ -110,15 +111,14 @@ let store_backtrack_checked () =
   checkb "store = record at 10s" true (same (Time.sec 10.));
   checkb "same-leg re-query exact" true (same (Time.sec 5.));
   checkb "forward again" true (same (Time.sec 12.));
+  let before_leg =
+    Invalid_argument "Mobility.Pos_store.refresh: query precedes the current leg"
+  in
   (* The motion leg departs at 1 s (end of the first pause). *)
-  checkb "within the slack clamps" true
-    (Geom.Vec2.equal (Geom.Vec2.v 0. 0.)
-       (Mobility.Pos_store.position s 0 (Time.ms 999.5)));
-  Alcotest.check_raises "query older than the tolerance"
-    (Invalid_argument
-       "Mobility.Pos_store.refresh: query precedes the current leg by more \
-        than the backtrack tolerance")
-    (fun () -> Mobility.Pos_store.refresh s 0 (Time.sec 0.5));
+  Alcotest.check_raises "just before the leg raises" before_leg (fun () ->
+      Mobility.Pos_store.refresh s 0 (Time.ms 999.5));
+  Alcotest.check_raises "query before the leg raises" before_leg (fun () ->
+      Mobility.Pos_store.refresh s 0 (Time.sec 0.5));
   checkb "state intact after the rejected query" true (same (Time.sec 12.))
 
 let random_walk_in_terrain () =
@@ -244,9 +244,8 @@ let rpgm_members_cohere () =
   done
 
 let rpgm_out_of_order_members () =
-  (* Two members of one group queried at different times (the PDES
-     access pattern): the shared centre's legs are memoized, so neither
-     query perturbs the other. *)
+  (* Two members of one group queried at different times: the shared
+     centre's legs are memoized, so neither query perturbs the other. *)
   let rng = Rng.create 32 in
   let g =
     Mobility.rpgm_group ~terrain ~rng ~speed_min:5. ~speed_max:10.

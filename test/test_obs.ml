@@ -34,7 +34,6 @@ let scenario ?(seed = 7) ?(speed_max = 0.) ?(duration = 20.) ?(flows = 2)
     audit_loops = false;
     naive_channel = false;
     heap_scheduler = false;
-    shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

@@ -55,7 +55,6 @@ let small_scenario ?(seed = 7) ?(audit = false) ?(speed_max = 10.)
     audit_loops = audit;
     naive_channel = false;
     heap_scheduler = false;
-    shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

@@ -32,7 +32,11 @@ let time_invalid () =
     (fun () -> ignore (Time.ns (-1L)));
   Alcotest.check_raises "negative diff"
     (Invalid_argument "Time.diff: negative result") (fun () ->
-      ignore (Time.diff (Time.ms 1.) (Time.ms 2.)))
+      ignore (Time.diff (Time.ms 1.) (Time.ms 2.)));
+  let non_finite = Invalid_argument "Time: non-finite duration" in
+  Alcotest.check_raises "sec infinity" non_finite (fun () ->
+      ignore (Time.sec infinity));
+  Alcotest.check_raises "sec nan" non_finite (fun () -> ignore (Time.sec nan))
 
 let time_compare () =
   checkb "lt" true Time.(Time.ms 1. < Time.ms 2.);

@@ -210,8 +210,8 @@ let hdr_equal a b =
   buckets a = buckets b
 
 (* Merge is exactly the histogram of the concatenation, whichever way
-   the parts are associated or ordered — the property Metrics relies on
-   to merge PDES shards without replay. *)
+   the parts are associated or ordered — the property that lets
+   per-trial latency histograms be pooled exactly. *)
 let hdr_merge_assoc_prop =
   QCheck.Test.make ~count:100 ~name:"hdr merge associative/commutative"
     QCheck.(

@@ -112,6 +112,21 @@ let concurrent_flow_count () =
     pkts;
   checkb "at most 5 concurrent" true (Hashtbl.length active <= 5)
 
+(* A rate whose tick interval is not a positive number of nanoseconds
+   would re-arm at one instant forever; setup rejects it up front.  At
+   pps 0 the interval is infinite; at 3e9 it rounds to 0 ns (2e9 rounds
+   half up to 1 ns, a valid interval). *)
+let bad_rate_rejected () =
+  let zero_tick =
+    Invalid_argument "Traffic.setup: packet interval is not a positive time"
+  in
+  Alcotest.check_raises "pps 0" zero_tick (fun () ->
+      ignore (collect ~config:{ base with packets_per_sec = 0. }
+                ~until:(Time.sec 1.) ()));
+  Alcotest.check_raises "pps 3e9" zero_tick (fun () ->
+      ignore (collect ~config:{ base with packets_per_sec = 3e9 }
+                ~until:(Time.sec 1.) ()))
+
 let () =
   Alcotest.run "traffic"
     [
@@ -125,5 +140,6 @@ let () =
           Alcotest.test_case "until respected" `Quick respects_until;
           Alcotest.test_case "deterministic" `Quick deterministic_per_seed;
           Alcotest.test_case "concurrency bound" `Quick concurrent_flow_count;
+          Alcotest.test_case "bad rate rejected" `Quick bad_rate_rejected;
         ] );
     ]

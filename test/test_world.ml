@@ -4,8 +4,8 @@
    - the production SoA path (shared Mobility.Pos_store + incremental
      Geom.Cell_index + flat Net.Nodes counter planes) produces outcomes
      exactly equal to the reference channel (naive scan over record
-     mobility), classic and sharded, across protocols, mobility
-     families, shadowing and churn;
+     mobility) across protocols, mobility families, shadowing and
+     churn;
    - churn edge cases: traffic to a crashed node, teardown of routing
      state, rejoin recovery, and index removal/re-insertion;
    - the LDR invariant monitor stays silent across churn and
@@ -19,7 +19,7 @@ open Packets
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(naive = false) ?(shards = 1)
+let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(naive = false)
     ?(mobility = Scenario.Waypoint) ?shadowing ?churn ?partition
     ?(duration = 15.) () =
   {
@@ -45,7 +45,6 @@ let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(naive = false) ?(shards = 1)
     audit_loops = false;
     naive_channel = naive;
     heap_scheduler = false;
-    shards;
     mobility;
     shadowing;
     churn;
@@ -84,14 +83,6 @@ let test_soa_identical protocol () =
   checkb "run did work" true (Metrics.delivered rec_o.Runner.metrics > 0);
   same_digest "soa digest = record digest" rec_o soa_o
 
-let test_soa_identical_sharded () =
-  List.iter
-    (fun k ->
-      let rec_o = Runner.run (fig5 ~shards:k ~naive:true ()) in
-      let soa_o = Runner.run (fig5 ~shards:k ()) in
-      same_digest (Printf.sprintf "soa = record at K=%d" k) rec_o soa_o)
-    [ 1; 4 ]
-
 let test_soa_identical_mobility mobility () =
   let rec_o = Runner.run (fig5 ~mobility ~naive:true ()) in
   let soa_o = Runner.run (fig5 ~mobility ()) in
@@ -127,7 +118,7 @@ let test_partition_heal () =
   let rec_o = Runner.run ~monitor:true (fig5 ~partition ~naive:true ()) in
   same_digest "partitioned soa = record" rec_o o
 
-(* --- churn: monitor silent, origination parity, mode-invariant ------- *)
+(* --- churn: monitor silent, mode-invariant ------------------------------ *)
 
 let churn_cfg =
   {
@@ -148,24 +139,6 @@ let test_churn_monitor_silent () =
     Runner.run ~monitor:true (fig5 ~churn:churn_cfg ~naive:true ())
   in
   same_digest "churned soa = record" rec_o o
-
-let test_churn_sharded_parity () =
-  (* Down nodes originate nothing; the gate is an exact-virtual-time
-     schedule, so the classic and sharded runs skip exactly the same
-     originations even though border-crossing latency perturbs the
-     rest. *)
-  let o1 = Runner.run ~monitor:true (fig5 ~churn:churn_cfg ()) in
-  let o4 = Runner.run ~monitor:true (fig5 ~churn:churn_cfg ~shards:4 ()) in
-  checki "sharded monitor silent" 0 o4.Runner.invariant_violations;
-  checki "originated parity K=1 vs K=4"
-    (Metrics.originated o1.Runner.metrics)
-    (Metrics.originated o4.Runner.metrics);
-  (* And at a fixed shard count the churned run is exactly reproducible
-     across state layouts. *)
-  let o4r =
-    Runner.run ~monitor:true (fig5 ~churn:churn_cfg ~shards:4 ~naive:true ())
-  in
-  same_digest "sharded churned soa = record" o4r o4
 
 (* --- crashed-destination edge cases --------------------------------- *)
 
@@ -265,8 +238,6 @@ let () =
           Alcotest.test_case "ldr" `Quick (test_soa_identical Scenario.ldr);
           Alcotest.test_case "aodv" `Quick (test_soa_identical Scenario.aodv);
           Alcotest.test_case "olsr" `Quick (test_soa_identical Scenario.olsr);
-          Alcotest.test_case "sharded K in {1,4}" `Quick
-            test_soa_identical_sharded;
           Alcotest.test_case "manhattan" `Quick
             (test_soa_identical_mobility
                (Scenario.Manhattan { spacing = 150. }));
@@ -283,8 +254,6 @@ let () =
       ( "churn",
         [
           Alcotest.test_case "monitor silent" `Quick test_churn_monitor_silent;
-          Alcotest.test_case "sharded origination parity" `Quick
-            test_churn_sharded_parity;
           Alcotest.test_case "crashed destination" `Quick
             test_crashed_destination;
           Alcotest.test_case "crash clears successors" `Quick
