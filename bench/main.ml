@@ -831,219 +831,11 @@ let scale_bench ~scale () =
   close_out oc;
   Printf.printf "  (wrote BENCH_scale.json)\n%!"
 
-(* ---- Engine scaling: binary-heap scheduler vs the calendar queue -------- *)
-
-(* Two measurements per scenario, both over event-for-event identical
-   outcomes:
-
-   - Scheduler replay (the headline): the scenario runs once recording
-     its exact schedule/cancel/pop op sequence ({!Engine.record_trace}),
-     and that trace replays through each scheduler with no-op callbacks.
-     This times the engine hot path alone — schedule, cancel, pop, and
-     the per-event allocation each mode pays — on the real op mix,
-     cancels and all.
-   - Full simulation: the scenario runs end-to-end under each scheduler.
-     Protocol and channel work (identical either way) dominates here, so
-     this ratio mostly bounds how much of the wall clock the scheduler
-     was to begin with.
-
-   The N-sweep reuses the channel-scaling scenarios (same channel both
-   times, so only the scheduler differs); the last point is the
-   congested Fig-5 shape the tentpole targets. *)
-
-type engine_point = {
-  ep_label : string;
-  ep_nodes : int;
-  ep_replay_heap_s : float;
-  ep_replay_cal_s : float;
-  ep_trace_ops : int;
-  ep_sim_heap_s : float;
-  ep_sim_cal_s : float;
-  ep_identical : bool;
-  ep_events : int;
-  ep_replay_heap_minor_per_ev : float;
-  ep_replay_cal_minor_per_ev : float;
-  ep_sim_heap_minor_per_ev : float;
-  ep_sim_cal_minor_per_ev : float;
-  ep_sim_heap_promoted_per_ev : float;
-  ep_sim_cal_promoted_per_ev : float;
-}
-
-(* Same protocol as [timed_run]: deterministic, min wall time of 3,
-   allocation counters from the last repetition. *)
-let timed_replay ?(reps = 3) ~scheduler trace =
-  let best = ref infinity in
-  let minor = ref 0. in
-  let fired = ref 0 in
-  for _ = 1 to reps do
-    let m0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let n = Sim.Engine.replay_trace ~scheduler trace in
-    let dt = Unix.gettimeofday () -. t0 in
-    minor := Gc.minor_words () -. m0;
-    if dt < !best then best := dt;
-    fired := n
-  done;
-  (!best, !fired, !minor)
-
-(* Minor words/event (calendar scheduler) measured on this container
-   before the hot-path allocation trims in lib/net/mac.ml and the
-   runner's metrics transmit hook, so the JSON records the before/after
-   trajectory the trims bought. *)
-let engine_alloc_baseline =
-  [
-    ("50n", 64.9);
-    ("200n", 73.2);
-    ("500n", 69.4);
-    ("1000n", 71.0);
-    ("fig5-100n-30f-p0", 269.9);
-  ]
-
-let engine_bench_json points =
-  let point p =
-    let before_fields =
-      match List.assoc_opt p.ep_label engine_alloc_baseline with
-      | None -> ""
-      | Some before ->
-          Printf.sprintf
-            " \"sim_minor_words_per_event_calendar_before\": %.1f, \
-             \"sim_minor_words_reduction_pct\": %.1f,"
-            before
-            (100. *. (before -. p.ep_sim_cal_minor_per_ev) /. before)
-    in
-    Printf.sprintf
-      "    { \"label\": %S, \"nodes\": %d, \"events\": %d, \
-       \"trace_ops\": %d, \"identical\": %b,\n\
-      \      \"replay_heap_s\": %.4f, \"replay_calendar_s\": %.4f, \
-       \"speedup\": %.2f, \"replay_events_per_sec\": %.0f, \
-       \"replay_minor_words_per_event_heap\": %.1f, \
-       \"replay_minor_words_per_event_calendar\": %.1f,\n\
-      \      \"sim_heap_s\": %.4f, \"sim_calendar_s\": %.4f, \
-       \"sim_speedup\": %.2f, \"sim_events_per_sec\": %.0f, \
-       \"sim_minor_words_per_event_heap\": %.1f, \
-       \"sim_minor_words_per_event_calendar\": %.1f,%s \
-       \"sim_promoted_words_per_event_heap\": %.2f, \
-       \"sim_promoted_words_per_event_calendar\": %.2f }"
-      p.ep_label p.ep_nodes p.ep_events p.ep_trace_ops p.ep_identical
-      p.ep_replay_heap_s p.ep_replay_cal_s
-      (p.ep_replay_heap_s /. p.ep_replay_cal_s)
-      (float_of_int p.ep_events /. p.ep_replay_cal_s)
-      p.ep_replay_heap_minor_per_ev p.ep_replay_cal_minor_per_ev
-      p.ep_sim_heap_s p.ep_sim_cal_s
-      (p.ep_sim_heap_s /. p.ep_sim_cal_s)
-      (float_of_int p.ep_events /. p.ep_sim_cal_s)
-      p.ep_sim_heap_minor_per_ev p.ep_sim_cal_minor_per_ev before_fields
-      p.ep_sim_heap_promoted_per_ev p.ep_sim_cal_promoted_per_ev
-  in
-  String.concat "\n"
-    [
-      "{";
-      "  \"benchmark\": \"engine-scaling\",";
-      Printf.sprintf
-        "  \"scenario\": \"LDR random-waypoint, %g s simulated; N-sweep at %g m2/node plus the Fig-5 shape (100 nodes, 30 flows, pause 0)\","
-        channel_duration_s channel_area_per_node;
-      "  \"method\": \"speedup = recorded scheduler-op trace replayed through each scheduler (no-op callbacks); sim_speedup = full simulation wall clock, where protocol+channel work common to both schedulers dominates\",";
-      "  \"alloc_history\": \"*_before values predate three hot-path trims: a cached immutable ACK frame per MAC (was one fresh record per unicast ACK), int division replacing Int64 arithmetic in Mac.on_medium airtime accounting, and a direct Payload.is_data match in the metrics transmit hook (was a classify allocation per frame)\",";
-      "  \"points\": [";
-      String.concat ",\n" (List.map point points);
-      "  ]";
-      "}";
-    ]
-
-let engine_scaling ~scale:_ () =
-  heading
-    "Engine scaling: binary-heap vs calendar-queue scheduler (identical outcomes)";
-  let scenarios =
-    List.map
-      (fun nodes -> (Printf.sprintf "%dn" nodes, nodes, channel_scenario ~nodes))
-      channel_node_counts
-    @ [
-        ( "fig5-100n-30f-p0",
-          100,
-          Scenario.paper_100 Scenario.ldr
-          |> Scenario.with_flows 30
-          |> Scenario.with_pause (Time.sec 0.)
-          |> Scenario.with_duration (Time.sec channel_duration_s) );
-      ]
-  in
-  let points =
-    List.map
-      (fun (label, nodes, sc) ->
-        let sim_heap_s, oh, h_minor, h_promoted =
-          timed_run (Scenario.with_heap_scheduler true sc)
-        in
-        let sim_cal_s, oc, c_minor, c_promoted = timed_run sc in
-        let identical = identical_outcomes oh oc in
-        if not identical then
-          Printf.printf "  !! %s: heap and calendar outcomes DIVERGE\n%!" label;
-        let trace = ref None in
-        ignore
-          (Runner.run
-             ~on_engine:(fun e -> trace := Some (Sim.Engine.record_trace e))
-             sc);
-        let trace = Option.get !trace in
-        let rh_s, rh_fired, rh_minor = timed_replay ~scheduler:`Heap trace in
-        let rc_s, rc_fired, rc_minor =
-          timed_replay ~scheduler:`Calendar trace
-        in
-        if
-          rh_fired <> Sim.Engine.Trace.pops trace
-          || rc_fired <> Sim.Engine.Trace.pops trace
-        then
-          Printf.printf "  !! %s: replay fired-event counts DIVERGE\n%!" label;
-        let ev = float_of_int oc.Runner.events_processed in
-        let pops = float_of_int (Sim.Engine.Trace.pops trace) in
-        {
-          ep_label = label;
-          ep_nodes = nodes;
-          ep_replay_heap_s = rh_s;
-          ep_replay_cal_s = rc_s;
-          ep_trace_ops = Sim.Engine.Trace.length trace;
-          ep_sim_heap_s = sim_heap_s;
-          ep_sim_cal_s = sim_cal_s;
-          ep_identical = identical;
-          ep_events = oc.Runner.events_processed;
-          ep_replay_heap_minor_per_ev = rh_minor /. pops;
-          ep_replay_cal_minor_per_ev = rc_minor /. pops;
-          ep_sim_heap_minor_per_ev = h_minor /. ev;
-          ep_sim_cal_minor_per_ev = c_minor /. ev;
-          ep_sim_heap_promoted_per_ev = h_promoted /. ev;
-          ep_sim_cal_promoted_per_ev = c_promoted /. ev;
-        })
-      scenarios
-  in
-  let rows =
-    List.map
-      (fun p ->
-        [
-          p.ep_label;
-          Printf.sprintf "%.3f" p.ep_replay_heap_s;
-          Printf.sprintf "%.3f" p.ep_replay_cal_s;
-          Printf.sprintf "%.2fx" (p.ep_replay_heap_s /. p.ep_replay_cal_s);
-          Printf.sprintf "%.2fx" (p.ep_sim_heap_s /. p.ep_sim_cal_s);
-          (if p.ep_identical then "yes" else "NO");
-          Printf.sprintf "%.1f" p.ep_replay_heap_minor_per_ev;
-          Printf.sprintf "%.1f" p.ep_replay_cal_minor_per_ev;
-        ])
-      points
-  in
-  print_endline
-    (Stats.Table.render
-       ~header:
-         [ "scenario"; "replay heap s"; "replay cal s"; "speedup";
-           "sim speedup"; "identical"; "minW/ev heap"; "minW/ev cal" ]
-       rows);
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc (engine_bench_json points);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "  (wrote BENCH_engine.json)\n%!"
-
 (* ---- Observability overhead: disabled bus vs null sink vs JSONL --------- *)
 
 (* The bus's contract is that a run without observers pays one branch
    per emit site and nothing else.  Three measurements over the
-   congested Fig-5 shape (the tentpole scenario of the engine bench):
+   congested Fig-5 shape (100 nodes, 30 flows, pause 0):
 
    - disabled: no sinks attached — the production configuration;
    - null sink: a do-nothing sink, so every emit site actually fills
@@ -1654,7 +1446,6 @@ let all_experiments =
     ("discovery", discovery);
     ("channel", channel_scaling);
     ("scale", scale_bench);
-    ("engine", engine_scaling);
     ("obs", obs_overhead);
     ("parallel", parallel_sweep);
     ("codec", codec_bench);
@@ -1685,7 +1476,7 @@ let () =
           selected := !selected @ [ name ]
       | other ->
           Printf.eprintf
-            "unknown argument %S (expected: table1 fig2..fig7 ablation aggregation discovery channel scale engine obs parallel codec mcheck bechamel all --full --quick --csv=DIR)\n"
+            "unknown argument %S (expected: table1 fig2..fig7 ablation aggregation discovery channel scale obs parallel codec mcheck bechamel all --full --quick --csv=DIR)\n"
             other;
           exit 2)
     args;

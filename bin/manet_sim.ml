@@ -53,6 +53,9 @@ let finite_float ~what ok =
 let positive = finite_float ~what:"a positive number" (fun f -> f > 0.)
 let non_negative = finite_float ~what:"a non-negative number" (fun f -> f >= 0.)
 
+let at_least n =
+  checked Arg.int ~what:(Printf.sprintf "at least %d" n) (fun v -> v >= n)
+
 (* The clock ticks in nanoseconds: above 1e9 packets/s the packet
    interval is under one tick. *)
 let rate =
@@ -74,7 +77,7 @@ let height =
   Arg.(value & opt positive 300. & info [ "height" ] ~docv:"M" ~doc:"Terrain height (m).")
 
 let flows =
-  Arg.(value & opt int 10 & info [ "f"; "flows" ] ~docv:"K" ~doc:"Concurrent CBR flows.")
+  Arg.(value & opt (at_least 0) 10 & info [ "f"; "flows" ] ~docv:"K" ~doc:"Concurrent CBR flows.")
 
 let pps =
   Arg.(value & opt rate 4. & info [ "pps" ] ~docv:"R" ~doc:"Packets per second per flow.")
@@ -318,11 +321,11 @@ let world_term =
   Term.(const make $ mobility $ shadow $ churn $ partition)
 
 let trials =
-  Arg.(value & opt int 3 & info [ "trials" ] ~docv:"T" ~doc:"Trials per point (sweep).")
+  Arg.(value & opt (at_least 1) 3 & info [ "trials" ] ~docv:"T" ~doc:"Trials per point (sweep).")
 
 let jobs =
   Arg.(
-    value & opt int 1
+    value & opt (at_least 0) 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Fan the sweep's (pause $(b,x) seed) trial matrix across $(docv) \
@@ -332,7 +335,7 @@ let jobs =
 let pauses =
   Arg.(
     value
-    & opt (list float) [ 0.; 120.; 900. ]
+    & opt (list non_negative) [ 0.; 120.; 900. ]
     & info [ "pauses" ] ~docv:"LIST" ~doc:"Comma-separated pause times (sweep).")
 
 let default_world =
@@ -367,7 +370,6 @@ let scenario ?(world = default_world) protocol nodes width height
     seed;
     audit_loops = audit;
     naive_channel = false;
-    heap_scheduler = false;
     mobility = world.w_mobility;
     shadowing = world.w_shadowing;
     churn = world.w_churn;
@@ -795,13 +797,13 @@ let mcheck_cmd =
   let max_steps =
     Arg.(
       value
-      & opt int 40
+      & opt (at_least 0) 40
       & info [ "max-steps" ] ~docv:"N" ~doc:"Decision-depth bound.")
   in
   let max_states =
     Arg.(
       value
-      & opt int 2_000_000
+      & opt (at_least 1) 2_000_000
       & info [ "max-states" ] ~docv:"N"
           ~doc:"Explored-state budget; exceeding it reports incomplete.")
   in
@@ -817,7 +819,7 @@ let mcheck_cmd =
   let random_walks =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (at_least 1)) None
       & info [ "random-walks" ] ~docv:"N"
           ~doc:
             "Fallback for huge spaces: N uniformly random schedules instead \

@@ -30,7 +30,6 @@ let scenario protocol seed =
     seed;
     audit_loops = true;
     naive_channel = false;
-    heap_scheduler = false;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

@@ -29,7 +29,6 @@ let scenario protocol =
     seed = 11;
     audit_loops = false;
     naive_channel = false;
-    heap_scheduler = false;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

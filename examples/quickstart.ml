@@ -33,7 +33,6 @@ let () =
       seed = 7;
       audit_loops = true;
       naive_channel = false;
-      heap_scheduler = false;
       mobility = Scenario.Waypoint;
       shadowing = None;
       churn = None;

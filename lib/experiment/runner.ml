@@ -178,14 +178,9 @@ let plan_churn (sc : Scenario.t) ~engine
       done
 
 let build ?on_engine ?obs (sc : Scenario.t) =
-  let engine =
-    Engine.create ~seed:sc.seed
-      ~scheduler:(if sc.heap_scheduler then `Heap else `Calendar)
-      ()
-  in
-  (* Instrumentation hook (e.g. [Engine.record_trace] in the engine
-     benchmark), called before anything is scheduled so setup-time
-     events are captured too. *)
+  let engine = Engine.create ~seed:sc.seed () in
+  (* Instrumentation hook (e.g. [Engine.record_trace]), called before
+     anything is scheduled so setup-time events are captured too. *)
   (match on_engine with Some f -> f engine | None -> ());
   let bus = match obs with Some b -> b | None -> Obs.Bus.create () in
   (* The pretty trace sink renders through the process-global Logs
@@ -385,8 +380,7 @@ let attach_telemetry sim ?jsonl ?prom ~every ~until () =
     invalid_arg "Runner.attach_telemetry: interval must be positive";
   let c = Obs.Telemetry.create ?jsonl ?prom () in
   let sample () =
-    Obs.Telemetry.record c ~time:(Engine.now sim.engine)
-      ~domains:[| Obs.Telemetry.domain_of_engine sim.engine |]
+    Obs.Telemetry.record c sim.engine
       ~grid:(Net.Channel.index_stats sim.channel)
   in
   Engine.every sim.engine ~start:Time.zero ~interval:every ~until sample;

@@ -91,7 +91,6 @@ type t = {
   seed : int;
   audit_loops : bool;
   naive_channel : bool;
-  heap_scheduler : bool;
   mobility : mobility;
   shadowing : shadowing option;
   churn : churn option;
@@ -114,7 +113,6 @@ let paper_50 protocol =
     seed = 1;
     audit_loops = false;
     naive_channel = false;
-    heap_scheduler = false;
     mobility = Waypoint;
     shadowing = None;
     churn = None;
@@ -156,7 +154,6 @@ let with_pause pause t = { t with pause }
 let with_duration duration t = { t with duration }
 let with_seed seed t = { t with seed }
 let with_naive_channel naive_channel t = { t with naive_channel }
-let with_heap_scheduler heap_scheduler t = { t with heap_scheduler }
 let with_mobility mobility t = { t with mobility }
 let with_shadowing shadowing t = { t with shadowing }
 let with_churn churn t = { t with churn }

@@ -107,11 +107,6 @@ type t = {
           store-backed channel ({!Mobility.Pos_store} positions,
           {!Geom.Cell_index} candidates).  Differential tests only;
           outcomes are byte-identical either way *)
-  heap_scheduler : bool;
-      (** drive the engine with the reference binary-heap event queue
-          instead of the calendar queue — differential tests and the
-          engine benchmark only; outcomes are event-for-event
-          identical either way *)
   mobility : mobility;  (** movement family (default [Waypoint]) *)
   shadowing : shadowing option;
   churn : churn option;
@@ -132,7 +127,6 @@ val with_pause : Sim.Time.t -> t -> t
 val with_duration : Sim.Time.t -> t -> t
 val with_seed : int -> t -> t
 val with_naive_channel : bool -> t -> t
-val with_heap_scheduler : bool -> t -> t
 val with_mobility : mobility -> t -> t
 val with_shadowing : shadowing option -> t -> t
 val with_churn : churn option -> t -> t

@@ -2,28 +2,12 @@
    runner knows its engine and channel); this module owns the two
    output formats and the rate bookkeeping. *)
 
-type domain = {
-  dom_pending : int;
-  dom_fired : int;
-  dom_cal_buckets : int;
-  dom_cal_occupancy : float;
-}
-
-let domain_of_engine e =
-  let s = Sim.Engine.stats e in
-  {
-    dom_pending = s.Sim.Engine.pending;
-    dom_fired = s.Sim.Engine.fired;
-    dom_cal_buckets = Sim.Engine.calendar_buckets e;
-    dom_cal_occupancy = Sim.Engine.calendar_occupancy e;
-  }
-
 type t = {
   jsonl : out_channel option;
   prom : string option;
   started : float; (* wall clock at create *)
   mutable prev_wall : float;
-  mutable prev_fired : int array; (* per domain, from the last sample *)
+  mutable prev_fired : int; (* from the last sample *)
 }
 
 let create ?jsonl ?prom () =
@@ -32,7 +16,7 @@ let create ?jsonl ?prom () =
     prom;
     started = Unix.gettimeofday ();
     prev_wall = Unix.gettimeofday ();
-    prev_fired = [||];
+    prev_fired = 0;
   }
 
 let gc_words () =
@@ -41,28 +25,19 @@ let gc_words () =
 
 let rate dt prev cur = if dt <= 0. then 0. else float_of_int (cur - prev) /. dt
 
-let write_jsonl t oc ~time ~(domains : domain array) ~grid ~wall ~dt =
+let write_jsonl t oc e ~grid ~wall ~dt =
+  let s = Sim.Engine.stats e in
   let buf = Buffer.create 256 in
   Buffer.add_char buf '{';
-  Printf.bprintf buf "\"t\":%d,\"wall_s\":%.6f" (time : Sim.Time.t :> int)
+  Printf.bprintf buf "\"t\":%d,\"wall_s\":%.6f" (Sim.Engine.now e :> int)
     (wall -. t.started);
-  let total_fired = Array.fold_left (fun a d -> a + d.dom_fired) 0 domains in
-  let prev_total = Array.fold_left ( + ) 0 t.prev_fired in
-  Printf.bprintf buf ",\"events\":%d,\"events_per_s\":%.1f" total_fired
-    (rate dt prev_total total_fired);
-  let arr name f =
-    Printf.bprintf buf ",\"%s\":[" name;
-    Array.iteri
-      (fun i d ->
-        if i > 0 then Buffer.add_char buf ',';
-        f d)
-      domains;
-    Buffer.add_char buf ']'
-  in
-  arr "pending" (fun d -> Printf.bprintf buf "%d" d.dom_pending);
-  arr "fired" (fun d -> Printf.bprintf buf "%d" d.dom_fired);
-  arr "cal_buckets" (fun d -> Printf.bprintf buf "%d" d.dom_cal_buckets);
-  arr "cal_occupancy" (fun d -> Printf.bprintf buf "%.3f" d.dom_cal_occupancy);
+  Printf.bprintf buf ",\"events\":%d,\"events_per_s\":%.1f" s.fired
+    (rate dt t.prev_fired s.fired);
+  Printf.bprintf buf
+    ",\"pending\":%d,\"fired\":%d,\"cal_buckets\":%d,\"cal_occupancy\":%.3f"
+    s.pending s.fired
+    (Sim.Engine.calendar_buckets e)
+    (Sim.Engine.calendar_occupancy e);
   let cells, occupied, max_occ = grid in
   Printf.bprintf buf
     ",\"grid_cells\":%d,\"grid_occupied\":%d,\"grid_max_occupancy\":%d"
@@ -75,52 +50,30 @@ let write_jsonl t oc ~time ~(domains : domain array) ~grid ~wall ~dt =
   Buffer.output_buffer oc buf;
   flush oc
 
-let write_prom t path ~time ~(domains : domain array) ~grid ~dt =
+let write_prom t path e ~grid ~dt =
+  let s = Sim.Engine.stats e in
   let buf = Buffer.create 1024 in
-  let gauge name v =
-    Printf.bprintf buf "# TYPE %s gauge\n%s %s\n" name name v
+  let metric kind name v =
+    Printf.bprintf buf "# TYPE %s %s\n%s %s\n" name kind name v
   in
-  let counter_dom name f =
-    Printf.bprintf buf "# TYPE %s counter\n" name;
-    Array.iteri
-      (fun i d -> Printf.bprintf buf "%s{domain=\"%d\"} %s\n" name i (f d))
-      domains
-  in
-  let gauge_dom name f =
-    Printf.bprintf buf "# TYPE %s gauge\n" name;
-    Array.iteri
-      (fun i d -> Printf.bprintf buf "%s{domain=\"%d\"} %s\n" name i (f d))
-      domains
-  in
-  gauge "manet_sim_time_seconds"
-    (Printf.sprintf "%.9f" (Sim.Time.to_sec time));
-  counter_dom "manet_events_processed_total" (fun d ->
-      string_of_int d.dom_fired);
-  Printf.bprintf buf "# TYPE manet_events_per_second gauge\n";
-  Array.iteri
-    (fun i d ->
-      let prev = if i < Array.length t.prev_fired then t.prev_fired.(i) else 0
-      in
-      Printf.bprintf buf "manet_events_per_second{domain=\"%d\"} %.1f\n" i
-        (rate dt prev d.dom_fired))
-    domains;
-  gauge_dom "manet_queue_pending" (fun d -> string_of_int d.dom_pending);
-  gauge_dom "manet_calendar_buckets" (fun d ->
-      string_of_int d.dom_cal_buckets);
-  gauge_dom "manet_calendar_occupancy" (fun d ->
-      Printf.sprintf "%.3f" d.dom_cal_occupancy);
+  metric "gauge" "manet_sim_time_seconds"
+    (Printf.sprintf "%.9f" (Sim.Time.to_sec (Sim.Engine.now e)));
+  metric "counter" "manet_events_processed_total" (string_of_int s.fired);
+  metric "gauge" "manet_events_per_second"
+    (Printf.sprintf "%.1f" (rate dt t.prev_fired s.fired));
+  metric "gauge" "manet_queue_pending" (string_of_int s.pending);
+  metric "gauge" "manet_calendar_buckets"
+    (string_of_int (Sim.Engine.calendar_buckets e));
+  metric "gauge" "manet_calendar_occupancy"
+    (Printf.sprintf "%.3f" (Sim.Engine.calendar_occupancy e));
   let cells, occupied, max_occ = grid in
-  Printf.bprintf buf "# TYPE manet_grid_cells gauge\n";
-  Printf.bprintf buf "manet_grid_cells %d\n" cells;
-  Printf.bprintf buf "# TYPE manet_grid_occupied_cells gauge\n";
-  Printf.bprintf buf "manet_grid_occupied_cells %d\n" occupied;
-  Printf.bprintf buf "# TYPE manet_grid_max_occupancy gauge\n";
-  Printf.bprintf buf "manet_grid_max_occupancy %d\n" max_occ;
+  metric "gauge" "manet_grid_cells" (string_of_int cells);
+  metric "gauge" "manet_grid_occupied_cells" (string_of_int occupied);
+  metric "gauge" "manet_grid_max_occupancy" (string_of_int max_occ);
   let minor, promoted = gc_words () in
-  Printf.bprintf buf "# TYPE manet_gc_minor_words_total counter\n";
-  Printf.bprintf buf "manet_gc_minor_words_total %.0f\n" minor;
-  Printf.bprintf buf "# TYPE manet_gc_promoted_words_total counter\n";
-  Printf.bprintf buf "manet_gc_promoted_words_total %.0f\n" promoted;
+  metric "counter" "manet_gc_minor_words_total" (Printf.sprintf "%.0f" minor);
+  metric "counter" "manet_gc_promoted_words_total"
+    (Printf.sprintf "%.0f" promoted);
   (* Atomic replace: scrapers (and the CI validator) either see the
      previous complete snapshot or this one, never a prefix. *)
   let tmp = path ^ ".tmp" in
@@ -129,19 +82,15 @@ let write_prom t path ~time ~(domains : domain array) ~grid ~dt =
   close_out oc;
   Sys.rename tmp path
 
-let record t ~time ~domains ~grid =
+let record t e ~grid =
   let wall = Unix.gettimeofday () in
   let dt = wall -. t.prev_wall in
   (match t.jsonl with
-  | Some oc -> write_jsonl t oc ~time ~domains ~grid ~wall ~dt
+  | Some oc -> write_jsonl t oc e ~grid ~wall ~dt
   | None -> ());
-  (match t.prom with
-  | Some path -> write_prom t path ~time ~domains ~grid ~dt
-  | None -> ());
+  (match t.prom with Some path -> write_prom t path e ~grid ~dt | None -> ());
   t.prev_wall <- wall;
-  if Array.length t.prev_fired <> Array.length domains then
-    t.prev_fired <- Array.make (Array.length domains) 0;
-  Array.iteri (fun i d -> t.prev_fired.(i) <- d.dom_fired) domains
+  t.prev_fired <- Sim.Engine.events_processed e
 
 let close t = match t.jsonl with Some oc -> close_out oc | None -> ()
 

@@ -8,16 +8,6 @@
     Recording never touches the simulation — no events scheduled, no
     RNG draws — so enabling telemetry cannot perturb outcomes. *)
 
-(** One engine's gauges, read with {!domain_of_engine}. *)
-type domain = {
-  dom_pending : int;
-  dom_fired : int;
-  dom_cal_buckets : int;
-  dom_cal_occupancy : float;
-}
-
-val domain_of_engine : Sim.Engine.t -> domain
-
 type t
 
 val create : ?jsonl:string -> ?prom:string -> unit -> t
@@ -25,10 +15,9 @@ val create : ?jsonl:string -> ?prom:string -> unit -> t
     path.  At least one output should be given for the collector to be
     useful; with neither it is inert. *)
 
-val record :
-  t -> time:Sim.Time.t -> domains:domain array -> grid:int * int * int ->
-  unit
-(** Take one sample at virtual time [time]: append a JSONL line and
+val record : t -> Sim.Engine.t -> grid:int * int * int -> unit
+(** Take one sample of the engine at its current virtual time (pending
+    and fired events, calendar shape): append a JSONL line and
     atomically rewrite the Prometheus snapshot (write-temp-then-rename,
     so scrapers never see a torn file).  Event rates are computed
     against the previous sample's wall clock and fired counts.

@@ -404,6 +404,7 @@ let pop_staged t limit =
   end
 
 let staged_time t = Time.unsafe_of_ns t.times.(t.staged_slot)
+let staged_slot t = t.staged_slot
 
 (* Free before invoking: the callback may reschedule and is entitled to
    reuse the slot it just vacated. *)

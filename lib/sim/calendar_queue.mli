@@ -10,7 +10,8 @@
     cancel-after-fire (or after recycling) a detected no-op.
 
     Ordering is (time, schedule sequence): same-instant events fire in
-    schedule order, matching {!Event_queue} event for event. *)
+    schedule order, matching {!Controlled_queue.pop_min} event for
+    event. *)
 
 type t
 
@@ -40,6 +41,11 @@ val pop_staged : t -> int -> bool
 
 val staged_time : t -> Time.t
 val run_staged : t -> unit
+
+val staged_slot : t -> int
+(** Pool index of the staged event — the [handle_idx_mask] bits of its
+    handle.  {!Engine.Trace} maps it back to the schedule op that filled
+    the slot. *)
 
 val next_time_ns : t -> int
 (** Time of the earliest live event, or [max_int] when empty. *)

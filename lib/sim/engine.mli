@@ -5,14 +5,15 @@
     waypoints, traffic sources — is expressed as events scheduled on
     one engine.
 
-    Two interchangeable schedulers back the event set: the default
-    {!Calendar_queue} (O(1) schedule/cancel, pooled zero-allocation
-    slots) and the reference {!Event_queue} binary heap.  Outcomes are
-    event-for-event identical; the differential tests rely on it. *)
+    Every run's event set is a {!Calendar_queue} (O(1) schedule and
+    cancel, pooled zero-allocation slots).  The model checker's
+    {!Controlled_queue} is the other backing, and the calendar's
+    reference: a recorded calendar run replays through it event for
+    event ({!replay_trace}). *)
 
 type t
 
-type scheduler = [ `Heap | `Calendar | `Controlled ]
+type scheduler = [ `Calendar | `Controlled ]
 (** [`Controlled] backs the event set with {!Controlled_queue} for
     model-checking runs: the pending set is introspectable
     ({!ready_set}) and an explorer can pick which ready event fires
@@ -20,9 +21,8 @@ type scheduler = [ `Heap | `Calendar | `Controlled ]
     (time, seq)-minimum — event-for-event identical to [`Calendar]. *)
 
 type handle
-(** Identifies a scheduled event so it can be cancelled.  Calendar
-    handles are immediate ints; heap handles are records — both hide
-    behind one abstract type so call sites are scheduler-agnostic. *)
+(** Identifies a scheduled event so it can be cancelled.  An immediate
+    int under either scheduler. *)
 
 val none : handle
 (** A handle that never names a live event — the "no timer pending"
@@ -31,10 +31,7 @@ val none : handle
 val is_none : handle -> bool
 
 val create : ?seed:int -> ?scheduler:scheduler -> unit -> t
-(** [scheduler] defaults to [`Calendar]; [`Heap] keeps the binary-heap
-    reference path for differential testing and benchmarking. *)
-
-val scheduler : t -> scheduler
+(** [scheduler] defaults to [`Calendar]. *)
 
 val controlled : t -> bool
 (** True for [`Controlled] engines — subsystems use it to route sends
@@ -70,15 +67,15 @@ val at_tagged :
 (** [at] with explorer-visible metadata: under the controlled scheduler
     the event's {!Controlled_queue.ready} entry carries [tag]/[label]
     (mcheck uses the tag for the acting node and the label for trace
-    readability).  Under other schedulers identical to {!at}. *)
+    readability).  Under the calendar identical to {!at}. *)
 
 val schedule_floating : t -> ?tag:int -> ?label:string -> (unit -> unit)
   -> handle
 (** An in-flight asynchronous message: under the controlled scheduler it
     becomes a {e floating} event the explorer may delay past timers and
     later messages; its nominal time is the current clock and firing it
-    never moves the clock backwards.  Under other schedulers it degrades
-    to [at t (now t)] — immediate delivery. *)
+    never moves the clock backwards.  Under the calendar it degrades to
+    [at t (now t)] — immediate delivery. *)
 
 val ready_set : t -> Controlled_queue.ready list
 (** The explorer's choice set (see {!Controlled_queue.ready}).  Raises
@@ -138,17 +135,18 @@ val stats : t -> stats
     the time-series sampler reads this each interval. *)
 
 val calendar_buckets : t -> int
-(** Current calendar-wheel bucket count; 0 under the heap scheduler. *)
+(** Current calendar-wheel bucket count; 0 under [`Controlled]. *)
 
 val calendar_occupancy : t -> float
 (** Pending events per calendar bucket (the wheel resizes to keep this
-    near 1); 0 under the heap scheduler.  Telemetry gauge. *)
+    near 1); 0 under [`Controlled].  Telemetry gauge. *)
 
-(** Recorded scheduler workloads, for the engine benchmark: the exact
-    schedule/cancel/pop op sequence of a run, replayable through either
-    scheduler with no-op callbacks.  This isolates the engine hot path
-    — a full simulation spends most of its time in protocol and channel
-    code that is identical under both schedulers. *)
+(** Recorded scheduler workloads: the exact schedule/cancel/pop op
+    sequence of a calendar run, each pop naming the schedule op whose
+    event fired.  A replay through either scheduler with no-op
+    callbacks times the engine hot path alone — a full simulation
+    spends most of its time in protocol and channel code — and checks
+    the replaying scheduler's firing order against the recording. *)
 module Trace : sig
   type t
 
@@ -160,12 +158,14 @@ module Trace : sig
 end
 
 val record_trace : t -> Trace.t
-(** Start recording this engine's scheduler ops.  The engine must use
-    the calendar scheduler (its int handles are what the recorder maps
-    back to schedule ops); raises [Invalid_argument] on a heap engine. *)
+(** Start recording this engine's scheduler ops.  The engine must be a
+    fresh calendar engine — nothing scheduled or fired yet — since its
+    slot handles are what the recorder maps back to schedule ops;
+    raises [Invalid_argument] otherwise. *)
 
 val replay_trace : scheduler:scheduler -> Trace.t -> int
 (** Drive a fresh engine of the given mode through the recorded op
-    sequence (schedules via the same [at]/[at_fn] split the original
-    run used) and return the number of events fired.  Deterministic;
-    both modes fire exactly {!Trace.pops} events. *)
+    sequence and return the number of events fired, which is
+    {!Trace.pops}.  Every replayed pop must fire the schedule op the
+    recorded pop fired; on the first that does not, raises [Failure]
+    naming the op index. *)

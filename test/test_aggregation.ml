@@ -237,7 +237,6 @@ let scenario ?(seed = 7) ?(duration = 30.) () =
     seed;
     audit_loops = true;
     naive_channel = false;
-    heap_scheduler = false;
     mobility = Experiment.Scenario.Waypoint;
     shadowing = None;
     churn = None;

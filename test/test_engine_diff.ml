@@ -1,15 +1,17 @@
-(* Full-stack scheduler differential: seeded mobile scenarios run under
-   the binary-heap and calendar engines must produce identical outcomes
-   — same metrics summary, same event count, same transmissions.  The
-   two schedulers share every call site, so this pins the calendar
-   queue's ordering (including same-instant FIFO ties, which MAC
-   contention resolves through) against the reference heap across the
-   whole protocol stack. *)
+(* Full-stack scheduler differential: each seeded mobile scenario runs
+   once on the calendar queue, recording its schedule/cancel/pop op
+   sequence, and the recording then replays through the calendar and
+   through the model checker's controlled queue.  Every replayed pop
+   must fire the schedule op the live run fired ([Engine.replay_trace]
+   raises on the first that does not), so this pins the calendar's
+   ordering — same-instant FIFO ties, which MAC contention resolves
+   through, and calendar resizes included — against the controlled
+   queue's plain (time, seq) minimum on the whole protocol stack's op
+   mix. *)
 
 open Experiment
 
 let checki = Alcotest.check Alcotest.int
-let checkf = Alcotest.check (Alcotest.float 1e-12)
 
 let base protocol seed =
   Scenario.paper_50 protocol
@@ -17,22 +19,21 @@ let base protocol seed =
   |> Scenario.with_flows 8
   |> Scenario.with_seed seed
 
-let compare_outcomes label (sc : Scenario.t) =
-  let cal = Runner.run sc in
-  let heap = Runner.run (Scenario.with_heap_scheduler true sc) in
-  checki (label ^ " events") heap.events_processed cal.events_processed;
-  checki (label ^ " transmissions") heap.transmissions cal.transmissions;
-  checki (label ^ " queue drops") heap.mac_queue_drops cal.mac_queue_drops;
-  checki (label ^ " unicast failures") heap.mac_unicast_failures
-    cal.mac_unicast_failures;
-  let hs = heap.summary and cs = cal.summary in
-  checkf (label ^ " delivery") hs.Metrics.s_delivery_ratio
-    cs.Metrics.s_delivery_ratio;
-  checkf (label ^ " latency") hs.Metrics.s_latency_ms cs.Metrics.s_latency_ms;
-  checkf (label ^ " load") hs.Metrics.s_network_load cs.Metrics.s_network_load;
-  checkf (label ^ " rreq load") hs.Metrics.s_rreq_load cs.Metrics.s_rreq_load;
-  checkf (label ^ " rrep init") hs.Metrics.s_rrep_init cs.Metrics.s_rrep_init;
-  checkf (label ^ " rrep recv") hs.Metrics.s_rrep_recv cs.Metrics.s_rrep_recv
+let replay_matches label (sc : Scenario.t) =
+  let trace = ref None in
+  let o =
+    Runner.run ~on_engine:(fun e -> trace := Some (Sim.Engine.record_trace e)) sc
+  in
+  let trace = Option.get !trace in
+  let pops = Sim.Engine.Trace.pops trace in
+  checki (label ^ " recorded every event") o.events_processed pops;
+  List.iter
+    (fun (name, scheduler) ->
+      checki
+        (Printf.sprintf "%s %s replay" label name)
+        pops
+        (Sim.Engine.replay_trace ~scheduler trace))
+    [ ("calendar", `Calendar); ("controlled", `Controlled) ]
 
 let protocols =
   [
@@ -45,10 +46,10 @@ let protocols =
 let diff_case (name, protocol) =
   Alcotest.test_case name `Slow (fun () ->
       List.iter
-        (fun seed -> compare_outcomes name (base protocol seed))
+        (fun seed -> replay_matches name (base protocol seed))
         [ 1; 5 ])
 
-(* The congested shape the benchmark targets: pause 0, heavy flows. *)
+(* The congested shape of the paper's Fig 5: pause 0, heavy flows. *)
 let congested () =
   let sc =
     Scenario.paper_100 Scenario.ldr
@@ -57,12 +58,12 @@ let congested () =
     |> Scenario.with_duration (Sim.Time.sec 15.)
     |> Scenario.with_seed 3
   in
-  compare_outcomes "congested" sc
+  replay_matches "congested" sc
 
 let () =
   Alcotest.run "engine-diff"
     [
-      ( "heap vs calendar",
+      ( "trace replay",
         List.map diff_case protocols
         @ [ Alcotest.test_case "congested 100-node" `Slow congested ] );
     ]

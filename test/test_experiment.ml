@@ -32,7 +32,6 @@ let small_scenario ?(protocol = Scenario.ldr) ?(seed = 7) ?(audit = false)
     seed;
     audit_loops = audit;
     naive_channel = false;
-    heap_scheduler = false;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

@@ -33,7 +33,6 @@ let scenario ?(seed = 7) ?(speed_max = 0.) ?(duration = 20.) ?(flows = 2)
     seed;
     audit_loops = false;
     naive_channel = false;
-    heap_scheduler = false;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

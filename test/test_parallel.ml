@@ -54,7 +54,6 @@ let small_scenario ?(seed = 7) ?(audit = false) ?(speed_max = 10.)
     seed;
     audit_loops = audit;
     naive_channel = false;
-    heap_scheduler = false;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

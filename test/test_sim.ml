@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: Time, Rng, Event_queue, Engine. *)
+(* Tests for the simulation substrate: Time, Rng, Calendar_queue, Engine. *)
 
 open Sim
 
@@ -152,129 +152,6 @@ let rng_invalid () =
   Alcotest.check_raises "empty range" (Invalid_argument "Rng.int_in: empty range")
     (fun () -> ignore (Rng.int_in r 3 2))
 
-(* ---- Event queue ---------------------------------------------------- *)
-
-let queue_orders_by_time () =
-  let q = Event_queue.create () in
-  let order = ref [] in
-  let note x () = order := x :: !order in
-  ignore (Event_queue.schedule q (Time.ms 3.) (note 3));
-  ignore (Event_queue.schedule q (Time.ms 1.) (note 1));
-  ignore (Event_queue.schedule q (Time.ms 2.) (note 2));
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, f) ->
-        f ();
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.int) "time order" [ 1; 2; 3 ] (List.rev !order)
-
-let queue_fifo_at_same_time () =
-  let q = Event_queue.create () in
-  let order = ref [] in
-  for i = 1 to 20 do
-    ignore (Event_queue.schedule q (Time.ms 1.) (fun () -> order := i :: !order))
-  done;
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, f) ->
-        f ();
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.int) "insertion order"
-    (List.init 20 (fun i -> i + 1))
-    (List.rev !order)
-
-let queue_cancel () =
-  let q = Event_queue.create () in
-  let fired = ref false in
-  let h = Event_queue.schedule q (Time.ms 1.) (fun () -> fired := true) in
-  Event_queue.cancel h;
-  checkb "cancelled flag" true (Event_queue.is_cancelled h);
-  checkb "empty after cancel" true (Event_queue.is_empty q);
-  checkb "never fired" false !fired
-
-let queue_cancel_among_others () =
-  let q = Event_queue.create () in
-  let seen = ref [] in
-  let note x () = seen := x :: !seen in
-  let _a = Event_queue.schedule q (Time.ms 1.) (note 1) in
-  let b = Event_queue.schedule q (Time.ms 2.) (note 2) in
-  let _c = Event_queue.schedule q (Time.ms 3.) (note 3) in
-  Event_queue.cancel b;
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, f) ->
-        f ();
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.int) "b skipped" [ 1; 3 ] (List.rev !seen)
-
-let queue_next_time () =
-  let q = Event_queue.create () in
-  checkb "empty" true (Event_queue.next_time q = None);
-  ignore (Event_queue.schedule q (Time.ms 5.) ignore);
-  (match Event_queue.next_time q with
-  | Some t -> checkb "is 5ms" true (Time.equal t (Time.ms 5.))
-  | None -> Alcotest.fail "expected an event");
-  ignore (Event_queue.schedule q (Time.ms 2.) ignore);
-  match Event_queue.next_time q with
-  | Some t -> checkb "is 2ms now" true (Time.equal t (Time.ms 2.))
-  | None -> Alcotest.fail "expected an event"
-
-let queue_grows () =
-  let q = Event_queue.create () in
-  for i = 1 to 1000 do
-    ignore (Event_queue.schedule q (Time.ms (float_of_int (1000 - i))) ignore)
-  done;
-  checki "live" 1000 (Event_queue.live_count q);
-  (* Pops come out sorted despite reverse insertion. *)
-  let rec drain last n =
-    match Event_queue.pop q with
-    | None -> n
-    | Some (t, _) ->
-        checkb "monotone" true Time.(t >= last);
-        drain t (n + 1)
-  in
-  checki "all popped" 1000 (drain Time.zero 0)
-
-(* qcheck: heap pops are sorted for arbitrary schedules. *)
-let queue_sorted_prop =
-  QCheck.Test.make ~name:"event_queue pops sorted" ~count:200
-    QCheck.(list (int_bound 1_000_000))
-    (fun times ->
-      let q = Event_queue.create () in
-      List.iter
-        (fun ms -> ignore (Event_queue.schedule q (Time.us (float_of_int ms)) ignore))
-        times;
-      let rec drain last =
-        match Event_queue.pop q with
-        | None -> true
-        | Some (t, _) -> Time.(t >= last) && drain t
-      in
-      drain Time.zero)
-
-(* ---- Event_queue shrink ---------------------------------------------- *)
-
-let queue_shrinks () =
-  let q = Event_queue.create () in
-  for i = 0 to 999 do
-    ignore (Event_queue.schedule q (Time.us (float_of_int i)) ignore)
-  done;
-  checkb "grew past 1000" true (Event_queue.capacity q >= 1024);
-  for _ = 1 to 990 do
-    ignore (Event_queue.pop q)
-  done;
-  (* Halving chases occupancy down to the floor. *)
-  checki "shrank to floor" 64 (Event_queue.capacity q);
-  checki "survivors intact" 10 (Event_queue.live_count q)
-
 (* ---- Calendar_queue --------------------------------------------------- *)
 
 let calendar_orders_and_fifo () =
@@ -390,7 +267,7 @@ let calendar_drains_sorted () =
       last_i := i)
     order
 
-(* ---- Engine: heap vs calendar differential --------------------------- *)
+(* ---- Engine: calendar vs controlled differential --------------------- *)
 
 let engine_none_handle () =
   let e = Engine.create () in
@@ -401,54 +278,15 @@ let engine_none_handle () =
 
 let fire_tag (tag, fired) = fired := tag :: !fired
 
-(* Drive both schedulers through the public Engine API with the same
-   random program of schedules (closure and closure-free paths, near
-   and far-future delays with heavy ties), cancels (including repeats
-   on the same handle) and single-event runs, then drain.  Firing
-   order — including same-time FIFO ties — clock and event count must
-   agree exactly. *)
-let engine_modes_agree_prop =
-  QCheck.Test.make ~name:"heap and calendar engines fire identically"
-    ~count:100
-    QCheck.(list (pair (int_bound 3) (int_bound 1_000_000)))
-    (fun ops ->
-      let trace scheduler =
-        let e = Engine.create ~scheduler () in
-        let fired = ref [] in
-        let handles = ref [] in
-        let tag = ref 0 in
-        List.iter
-          (fun (op, x) ->
-            match op with
-            | 0 | 1 ->
-                let t = !tag in
-                incr tag;
-                let d =
-                  if x mod 7 = 0 then Time.sec (float_of_int (x mod 5))
-                  else Time.us (float_of_int (x mod 300))
-                in
-                let h =
-                  if op = 0 then
-                    Engine.after e d (fun () -> fired := t :: !fired)
-                  else Engine.after_fn e d fire_tag (t, fired)
-                in
-                handles := h :: !handles
-            | 2 -> (
-                match !handles with
-                | [] -> ()
-                | hs -> Engine.cancel e (List.nth hs (x mod List.length hs)))
-            | _ -> Engine.run ~max_events:(Engine.events_processed e + 1) e)
-          ops;
-        Engine.run e;
-        (List.rev !fired, Engine.now e, Engine.events_processed e)
-      in
-      trace `Heap = trace `Calendar)
-
 (* The controlled scheduler left to Engine.run pops the global
    (time, seq) minimum — mcheck's claim that an unexplored simulation
-   has stock semantics.  Same random program shape as above, plus
-   floating events (which degrade to at-now under the calendar), must
-   agree event-for-event: firing order, clock, event count. *)
+   has stock semantics, and what makes it the calendar's reference.  A
+   random program of schedules (closure and closure-free paths, near
+   and far-future delays with heavy ties), floating events (which
+   degrade to at-now under the calendar), cancels (including repeats on
+   the same handle) and single-event runs, then a drain, must agree
+   event-for-event: firing order — same-time FIFO ties included —
+   clock and event count. *)
 let controlled_default_matches_calendar_prop =
   QCheck.Test.make
     ~name:"controlled scheduler default order matches calendar" ~count:100
@@ -646,6 +484,55 @@ let engine_determinism () =
   in
   check Alcotest.int64 "same totals" (run ()) (run ())
 
+(* ---- Engine: op-trace recorder ------------------------------------- *)
+
+let trace_rejects_controlled () =
+  let e = Engine.create ~scheduler:`Controlled () in
+  Alcotest.check_raises "controlled engine"
+    (Invalid_argument "Engine.record_trace: only calendar engines can record")
+    (fun () -> ignore (Engine.record_trace e))
+
+let trace_needs_fresh_engine () =
+  let e = Engine.create () in
+  ignore (Engine.at e (Time.ms 1.) ignore);
+  Alcotest.check_raises "already scheduled"
+    (Invalid_argument "Engine.record_trace: the engine has already scheduled")
+    (fun () -> ignore (Engine.record_trace e))
+
+(* Cancels of already-fired and already-cancelled handles are recorded
+   and replay as the no-ops they were; a stale handle whose slot was
+   recycled by a later schedule is not recorded at all (it must not
+   cancel the newcomer).  Both schedulers replay the run and fire every
+   recorded pop, in order. *)
+let trace_stale_cancels_replay () =
+  let e = Engine.create () in
+  let tr = Engine.record_trace e in
+  let fired = ref [] in
+  let note x () = fired := x :: !fired in
+  let a = Engine.at e (Time.ms 1.) (note "a") in
+  let b = Engine.at e (Time.ms 2.) (note "b") in
+  ignore (Engine.at e (Time.ms 2.) (note "c"));
+  ignore (Engine.at_fn e (Time.ms 3.) (fun x -> note x ()) "d");
+  Engine.run ~until:(Time.ms 1.5) e;
+  Engine.cancel e a;
+  Engine.cancel e b;
+  Engine.cancel e b;
+  (* Reuses b's slot: the next cancel of b is stale by generation. *)
+  ignore (Engine.at e (Time.ms 2.) (note "e"));
+  Engine.cancel e b;
+  Engine.run e;
+  Alcotest.(check (list string)) "live run" [ "a"; "c"; "e"; "d" ]
+    (List.rev !fired);
+  checki "pops" 4 (Engine.Trace.pops tr);
+  (* 5 schedules, 4 pops, and cancels of fired a, live b and cancelled
+     b; the recycled-slot cancel of b leaves no op. *)
+  checki "ops" 12 (Engine.Trace.length tr);
+  List.iter
+    (fun (name, scheduler) ->
+      checki (name ^ " replay fires every pop") (Engine.Trace.pops tr)
+        (Engine.replay_trace ~scheduler tr))
+    [ ("calendar", `Calendar); ("controlled", `Controlled) ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
@@ -672,17 +559,6 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick rng_shuffle_permutes;
           Alcotest.test_case "pick member" `Quick rng_pick_member;
           Alcotest.test_case "invalid args" `Quick rng_invalid;
-        ] );
-      ( "event_queue",
-        [
-          Alcotest.test_case "orders by time" `Quick queue_orders_by_time;
-          Alcotest.test_case "fifo at same time" `Quick queue_fifo_at_same_time;
-          Alcotest.test_case "cancel" `Quick queue_cancel;
-          Alcotest.test_case "cancel among others" `Quick queue_cancel_among_others;
-          Alcotest.test_case "next_time" `Quick queue_next_time;
-          Alcotest.test_case "grows" `Quick queue_grows;
-          Alcotest.test_case "shrinks" `Quick queue_shrinks;
-          qt queue_sorted_prop;
         ] );
       ( "calendar_queue",
         [
@@ -715,7 +591,15 @@ let () =
           Alcotest.test_case "cancel" `Quick engine_cancel;
           Alcotest.test_case "none handle" `Quick engine_none_handle;
           Alcotest.test_case "determinism" `Quick engine_determinism;
-          qt engine_modes_agree_prop;
           qt controlled_default_matches_calendar_prop;
+        ] );
+      ( "op trace",
+        [
+          Alcotest.test_case "controlled engine cannot record" `Quick
+            trace_rejects_controlled;
+          Alcotest.test_case "recording needs a fresh engine" `Quick
+            trace_needs_fresh_engine;
+          Alcotest.test_case "stale cancels replay as no-ops" `Quick
+            trace_stale_cancels_replay;
         ] );
     ]

@@ -42,7 +42,6 @@ let two_clusters ?(seed = 11) () =
     seed;
     audit_loops = false;
     naive_channel = false;
-    heap_scheduler = false;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
@@ -121,22 +120,27 @@ let telemetry_classic () =
                 (names = expect_names)
           | Error e -> Alcotest.failf "prom validation: %s" e);
           (* Ticks at 0,2,..,10 s (strictly before the 12 s horizon),
-             plus the horizon one-shot. *)
+             plus the horizon one-shot.  Every line is a flat object the
+             trace parser reads, with scalar engine gauges. *)
           let ic = open_in jsonl in
-          let n = ref 0 and last = ref "" in
+          let samples = ref [] in
           (try
              while true do
-               last := input_line ic;
-               incr n
+               match Obs.Jsonl.parse_line (input_line ic) with
+               | Some fields -> samples := fields :: !samples
+               | None -> Alcotest.fail "telemetry line does not parse"
              done
            with End_of_file -> close_in ic);
-          checki "one sample per tick plus horizon" 7 !n;
-          (* Telemetry lines carry per-domain arrays, which the flat
-             trace parser rejects by design — check the time prefix. *)
-          let horizon = Printf.sprintf "{\"t\":%d," (Time.sec 12. :> int) in
+          checki "one sample per tick plus horizon" 7 (List.length !samples);
+          List.iter
+            (fun fields ->
+              match List.assoc_opt "pending" fields with
+              | Some (Obs.Jsonl.Int _) -> ()
+              | _ -> Alcotest.fail "sample lacks an int pending gauge")
+            !samples;
           checkb "last sample at the horizon" true
-            (String.length !last >= String.length horizon
-            && String.sub !last 0 (String.length horizon) = horizon)))
+            (List.assoc_opt "t" (List.hd !samples)
+            = Some (Obs.Jsonl.Int (Time.sec 12. :> int)))))
 
 let telemetry_rejects_garbage () =
   with_tmp ".prom" (fun path ->

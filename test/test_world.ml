@@ -44,7 +44,6 @@ let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(naive = false)
     seed;
     audit_loops = false;
     naive_channel = naive;
-    heap_scheduler = false;
     mobility;
     shadowing;
     churn;
