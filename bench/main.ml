@@ -435,38 +435,38 @@ let discovery ~scale () =
   close_out oc;
   Printf.printf "  (wrote BENCH_discovery.json)\n%!"
 
-(* ---- Channel scaling: naive O(N) scan vs the store-backed channel ------- *)
+(* ---- City scale: the channel and the scenario families ----------------- *)
 
-(* A fixed mobile scenario grown to N nodes at constant node density
-   (the paper's 5:1 terrain aspect), with flows scaled alongside so the
-   offered load per node is constant.  Every N runs on the production
-   store-backed channel (shared position planes + incremental cell
-   index) and on the naive linear-scan reference — checking the outcomes
-   are byte-identical and recording the wall-clock and allocation
-   trajectories into BENCH_channel.json.  The naive scan is quadratic in
-   N, so it is skipped past [channel_naive_cap]; the 2000/5000-node
-   points extend the production trajectory. *)
+(* Two parts:
 
-let channel_node_counts = [ 50; 200; 500; 1000; 2000; 5000 ]
-let channel_naive_cap = 1000
-let channel_duration_s = 60.
+   - Scaling: a fixed mobile scenario grown to N nodes at constant node
+     density (the paper's 5:1 terrain aspect), with flows scaled
+     alongside, recording wall-clock and allocation trajectories.  The
+     default run tops out at the 10k-node, 60 s point.  Outcome equality
+     with a brute-force channel scan is asserted per transmission by the
+     test suite, not here.
+   - Families: one delivery/overhead row per scenario family —
+     waypoint, Manhattan grid, RPGM groups, shadowing, churn,
+     partition-then-heal — with the LDR invariant monitor armed
+     throughout (churn's crash-rebooted sequence numbers are the van
+     Glabbeek loop stressor). *)
 
 (* Sparser than the paper's boxes (the paper packs ~105 nodes inside one
    carrier-sense disk, so per-transmission contention work swamps the
    neighbour scan at any index).  200 m spacing keeps the decode-range
    degree near 6 — floods still percolate — while the scan itself is the
-   hot path, which is exactly what this benchmark tracks. *)
-let channel_area_per_node = 55_000.
+   hot path. *)
+let city_area_per_node = 55_000.
 
-let channel_scenario ~nodes =
-  let height = sqrt (float_of_int nodes *. channel_area_per_node /. 5.) in
+let city_scenario ~nodes ~duration =
+  let height = sqrt (float_of_int nodes *. city_area_per_node /. 5.) in
   let terrain = Geom.Terrain.create ~width:(5. *. height) ~height in
   {
     (Scenario.paper_50 Scenario.ldr) with
-    Scenario.label = Printf.sprintf "channel-%dn" nodes;
+    Scenario.label = Printf.sprintf "scale-%dn" nodes;
     num_nodes = nodes;
     terrain;
-    duration = Time.sec channel_duration_s;
+    duration = Time.sec duration;
     net = { Net.Params.default with Net.Params.cs_range_m = 350. };
     traffic =
       { Traffic.default_config with Traffic.num_flows = 10 };
@@ -494,135 +494,9 @@ let timed_run ?(reps = 3) sc =
   done;
   (!best, Option.get !out, !minor, !promoted)
 
-let identical_outcomes (a : Runner.outcome) (b : Runner.outcome) =
-  Stdlib.compare a.Runner.summary b.Runner.summary = 0
-  && a.Runner.events_processed = b.Runner.events_processed
-  && a.Runner.transmissions = b.Runner.transmissions
-  && a.Runner.mac_queue_drops = b.Runner.mac_queue_drops
-  && a.Runner.mac_unicast_failures = b.Runner.mac_unicast_failures
-
-(* Run the naive reference channel on [sc] when it is affordable and
-   compare its outcome with the production run [o]:
-   [Some (wall_s, identical)], or [None] past [channel_naive_cap]. *)
-let naive_reference ?reps ~nodes sc o =
-  if nodes > channel_naive_cap then None
-  else begin
-    let s, on, _, _ = timed_run ?reps (Scenario.with_naive_channel true sc) in
-    let identical = identical_outcomes on o in
-    if not identical then
-      Printf.printf "  !! %d nodes: production and naive outcomes DIVERGE\n%!"
-        nodes;
-    Some (s, identical)
-  end
-
-let json_opt f = function Some v -> f v | None -> "null"
-let cell_opt f = function Some v -> f v | None -> "-"
-let yes_no b = if b then "yes" else "NO"
-
-type channel_point = {
-  cp_nodes : int;
-  cp_naive : (float * bool) option;  (* wall s, identical *)
-  cp_soa_s : float;
-  cp_transmissions : int;
-  cp_events : int;
-  cp_minor_words : float;  (* production run *)
-  cp_promoted_words : float;
-}
-
-let channel_bench_json points =
-  let point p =
-    Printf.sprintf
-      "    { \"nodes\": %d, \"naive_s\": %s, \"soa_s\": %.4f, \
-       \"speedup\": %s, \"identical\": %s, \"transmissions\": %d, \
-       \"events\": %d, \"minor_words\": %.0f, \"promoted_words\": %.0f, \
-       \"minor_words_per_event\": %.1f }"
-      p.cp_nodes
-      (json_opt (fun (s, _) -> Printf.sprintf "%.4f" s) p.cp_naive)
-      p.cp_soa_s
-      (json_opt (fun (s, _) -> Printf.sprintf "%.2f" (s /. p.cp_soa_s)) p.cp_naive)
-      (json_opt (fun (_, same) -> string_of_bool same) p.cp_naive)
-      p.cp_transmissions p.cp_events p.cp_minor_words p.cp_promoted_words
-      (p.cp_minor_words /. float_of_int p.cp_events)
-  in
-  String.concat "\n"
-    [
-      "{";
-      "  \"benchmark\": \"channel-scaling\",";
-      Printf.sprintf "  \"scenario\": \"LDR random-waypoint, %g s simulated, %g m2/node, 10 flows\","
-        channel_duration_s channel_area_per_node;
-      Printf.sprintf
-        "  \"naive_note\": \"soa = the production channel (shared position \
-         planes + incremental cell index); the O(N)-scan reference is \
-         quadratic in N and skipped past %d nodes\","
-        channel_naive_cap;
-      "  \"points\": [";
-      String.concat ",\n" (List.map point points);
-      "  ]";
-      "}";
-    ]
-
-let channel_scaling ~scale:_ () =
-  heading
-    "Channel scaling: naive O(N) scan vs store-backed channel (byte-identical outcomes)";
-  let points =
-    List.map
-      (fun nodes ->
-        let sc = channel_scenario ~nodes in
-        let soa_s, o, minor, promoted = timed_run sc in
-        {
-          cp_nodes = nodes;
-          cp_naive = naive_reference ~nodes sc o;
-          cp_soa_s = soa_s;
-          cp_transmissions = o.Runner.transmissions;
-          cp_events = o.Runner.events_processed;
-          cp_minor_words = minor;
-          cp_promoted_words = promoted;
-        })
-      channel_node_counts
-  in
-  let rows =
-    List.map
-      (fun p ->
-        [
-          string_of_int p.cp_nodes;
-          cell_opt (fun (s, _) -> Printf.sprintf "%.3f" s) p.cp_naive;
-          Printf.sprintf "%.3f" p.cp_soa_s;
-          Printf.sprintf "%.1f" (p.cp_minor_words /. float_of_int p.cp_events);
-          cell_opt (fun (_, same) -> yes_no same) p.cp_naive;
-          string_of_int p.cp_transmissions;
-        ])
-      points
-  in
-  print_endline
-    (Stats.Table.render
-       ~header:[ "nodes"; "naive s"; "soa s"; "minW/ev"; "identical"; "tx" ]
-       rows);
-  let oc = open_out "BENCH_channel.json" in
-  output_string oc (channel_bench_json points);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "  (wrote BENCH_channel.json)\n%!"
-
-(* ---- City scale: the store-backed channel and the scenario families ----- *)
-
-(* Two parts, both on the channel-scaling density (5:1 aspect, 10
-   flows):
-
-   - Scaling: the scenario at growing N on the production store-backed
-     channel, with digest equality against the naive reference channel
-     as the gate wherever the quadratic reference is affordable
-     ([channel_naive_cap]).  The default run tops out at the 10k-node,
-     60 s point.
-   - Families: one delivery/overhead row per scenario family —
-     waypoint, Manhattan grid, RPGM groups, shadowing, churn,
-     partition-then-heal — with the LDR invariant monitor armed
-     throughout (churn's crash-rebooted sequence numbers are the van
-     Glabbeek loop stressor). *)
-
 type layout_point = {
   lp_nodes : int;
-  lp_naive : (float * bool) option;  (* wall s, identical *)
-  lp_soa_s : float;
+  lp_wall_s : float;
   lp_events : int;
   lp_transmissions : int;
   lp_delivery : float;
@@ -640,11 +514,11 @@ type family_row = {
   fr_events : int;
 }
 
-(* The family sweep uses a much denser terrain than the channel-scaling
-   one: ~15,000 m^2/node puts the mean decode-range degree around 13,
+(* The family sweep uses a much denser terrain than the scaling one:
+   ~15,000 m^2/node puts the mean decode-range degree around 13,
    comfortably above the continuum-percolation threshold, so the network
    is connected, delivery figures are meaningful, and the partition wall
-   actually severs live paths (at channel density the network is already
+   actually severs live paths (at scaling density the network is already
    fragmented and a wall through it changes nothing). *)
 let scale_family_area_per_node = 15_000.
 
@@ -653,14 +527,7 @@ let scale_families ~nodes ~duration =
     sqrt (float_of_int nodes *. scale_family_area_per_node /. 5.)
   in
   let terrain = Geom.Terrain.create ~width:(5. *. height) ~height in
-  let base =
-    {
-      (channel_scenario ~nodes) with
-      Scenario.label = Printf.sprintf "scale-%dn" nodes;
-      terrain;
-      duration = Time.sec duration;
-    }
-  in
+  let base = { (city_scenario ~nodes ~duration) with Scenario.terrain } in
   let manhattan = Scenario.Manhattan { spacing = 200. } in
   let rpgm =
     Scenario.Rpgm { groups = Stdlib.max 2 (nodes / 50); radius = 100. }
@@ -687,19 +554,15 @@ let scale_families ~nodes ~duration =
     ("partition-heal", Scenario.with_partition (Some partition) base);
   ]
 
-let scale_bench_json ~family_nodes ~family_duration layout families =
+let scale_bench_json ~duration ~family_nodes ~family_duration layout families =
   let lp p =
     Printf.sprintf
-      "    { \"nodes\": %d, \"naive_s\": %s, \"soa_s\": %.4f, \
-       \"identical\": %s, \"events\": %d, \"events_per_s\": %.0f, \
-       \"transmissions\": %d, \"delivery_ratio\": %.4f, \
-       \"minor_words_per_event\": %.1f, \"promoted_words_per_event\": %.2f }"
-      p.lp_nodes
-      (json_opt (fun (s, _) -> Printf.sprintf "%.4f" s) p.lp_naive)
-      p.lp_soa_s
-      (json_opt (fun (_, same) -> string_of_bool same) p.lp_naive)
-      p.lp_events
-      (float_of_int p.lp_events /. p.lp_soa_s)
+      "    { \"nodes\": %d, \"wall_s\": %.4f, \"events\": %d, \
+       \"events_per_s\": %.0f, \"transmissions\": %d, \
+       \"delivery_ratio\": %.4f, \"minor_words_per_event\": %.1f, \
+       \"promoted_words_per_event\": %.2f }"
+      p.lp_nodes p.lp_wall_s p.lp_events
+      (float_of_int p.lp_events /. p.lp_wall_s)
       p.lp_transmissions p.lp_delivery p.lp_minor_per_ev p.lp_promoted_per_ev
   in
   let fr r =
@@ -715,11 +578,10 @@ let scale_bench_json ~family_nodes ~family_duration layout families =
        "{";
        "  \"benchmark\": \"city-scale\",";
        Printf.sprintf
-         "  \"scenario\": \"LDR, %g m2/node (5:1 aspect), 10 flows; soa = \
-          the production channel (shared unboxed position planes + \
-          incremental cell index), identical = digest equality with the \
-          naive reference, run up to %d nodes\","
-         channel_area_per_node channel_naive_cap;
+         "  \"scenario\": \"LDR, %g m2/node (5:1 aspect), 10 flows per \
+          1000 nodes (at least 10), %g s simulated, min wall of 3 runs (2 \
+          at 10k nodes)\","
+         city_area_per_node duration;
        Printf.sprintf
          "  \"families_scenario\": \"%d nodes, %g s simulated, monitor \
           armed\","
@@ -732,8 +594,7 @@ let scale_bench_json ~family_nodes ~family_duration layout families =
     @ [ "  ]"; "}" ])
 
 let scale_bench ~scale () =
-  heading
-    "City scale: store-backed channel vs naive reference (identical outcomes)";
+  heading "City scale: growing node counts and the scenario families";
   let quick = scale.duration <= 30. in
   let counts = if quick then [ 500 ] else [ 1000; 10_000 ] in
   let duration = if quick then 20. else 60. in
@@ -741,14 +602,11 @@ let scale_bench ~scale () =
     List.map
       (fun nodes ->
         (* Flows scale with the node count (10 per 1000 nodes) so the
-           10k point carries real traffic; 1000 nodes keeps the exact
-           channel-bench workload. *)
+           10k point carries real traffic. *)
         let sc =
           {
-            (channel_scenario ~nodes) with
-            Scenario.label = Printf.sprintf "scale-%dn" nodes;
-            duration = Time.sec duration;
-            traffic =
+            (city_scenario ~nodes ~duration) with
+            Scenario.traffic =
               {
                 Traffic.default_config with
                 Traffic.num_flows = Stdlib.max 10 (nodes / 100);
@@ -756,12 +614,11 @@ let scale_bench ~scale () =
           }
         in
         let reps = if nodes >= 10_000 then 2 else 3 in
-        let soa_s, o, minor, promoted = timed_run ~reps sc in
+        let wall_s, o, minor, promoted = timed_run ~reps sc in
         let ev = float_of_int o.Runner.events_processed in
         {
           lp_nodes = nodes;
-          lp_naive = naive_reference ~reps ~nodes sc o;
-          lp_soa_s = soa_s;
+          lp_wall_s = wall_s;
           lp_events = o.Runner.events_processed;
           lp_transmissions = o.Runner.transmissions;
           lp_delivery = Metrics.delivery_ratio o.Runner.metrics;
@@ -773,14 +630,12 @@ let scale_bench ~scale () =
   print_endline
     (Stats.Table.render
        ~header:
-         [ "nodes"; "naive s"; "soa s"; "identical"; "minW/ev"; "delivery" ]
+         [ "nodes"; "wall s"; "minW/ev"; "delivery" ]
        (List.map
           (fun p ->
             [
               string_of_int p.lp_nodes;
-              cell_opt (fun (s, _) -> Printf.sprintf "%.3f" s) p.lp_naive;
-              Printf.sprintf "%.3f" p.lp_soa_s;
-              cell_opt (fun (_, same) -> yes_no same) p.lp_naive;
+              Printf.sprintf "%.3f" p.lp_wall_s;
               Printf.sprintf "%.1f" p.lp_minor_per_ev;
               Printf.sprintf "%.4f" p.lp_delivery;
             ])
@@ -826,7 +681,8 @@ let scale_bench ~scale () =
           families));
   let oc = open_out "BENCH_scale.json" in
   output_string oc
-    (scale_bench_json ~family_nodes ~family_duration layout families);
+    (scale_bench_json ~duration ~family_nodes ~family_duration layout
+       families);
   output_string oc "\n";
   close_out oc;
   Printf.printf "  (wrote BENCH_scale.json)\n%!"
@@ -876,6 +732,8 @@ let obs_baseline_wall_s = 1.303
    median of per-round paired deltas (+1.2%) agrees. *)
 let obs_ab_overhead_pct = 1.46
 
+let obs_duration_s = 60.
+
 let timed_run_f ?(reps = 3) f =
   let best = ref infinity in
   let out = ref None in
@@ -894,7 +752,7 @@ let obs_overhead ~scale:_ () =
     Scenario.paper_100 Scenario.ldr
     |> Scenario.with_flows 30
     |> Scenario.with_pause (Time.sec 0.)
-    |> Scenario.with_duration (Time.sec channel_duration_s)
+    |> Scenario.with_duration (Time.sec obs_duration_s)
   in
   let disabled_s, od = timed_run_f ~reps:5 (fun () -> Runner.run sc) in
   let bus_events = ref 0 in
@@ -965,7 +823,7 @@ let obs_overhead ~scale:_ () =
         Printf.sprintf
           "  \"scenario\": \"fig5-100n-30f-p0: LDR, 100 nodes, 2200x600 m, \
            30 flows @ 4 pps, pause 0, %g s simulated, seed 1\","
-          channel_duration_s;
+          obs_duration_s;
         Printf.sprintf
           "  \"baseline_pre_change\": { \"events\": %d, \"wall_floor_s\": \
            %.3f },"
@@ -1444,7 +1302,6 @@ let all_experiments =
     ("ablation", ablation);
     ("aggregation", aggregation);
     ("discovery", discovery);
-    ("channel", channel_scaling);
     ("scale", scale_bench);
     ("obs", obs_overhead);
     ("parallel", parallel_sweep);
@@ -1455,7 +1312,7 @@ let all_experiments =
 let () =
   (* A benchmarking-sized minor heap (32 MB): the simulator's steady
      allocation rate otherwise makes minor-collection pauses a visible
-     fraction of every measurement, for both channel modes alike. *)
+     fraction of every measurement. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   let args = List.tl (Array.to_list Sys.argv) in
   let scale = ref default_scale in
@@ -1476,7 +1333,7 @@ let () =
           selected := !selected @ [ name ]
       | other ->
           Printf.eprintf
-            "unknown argument %S (expected: table1 fig2..fig7 ablation aggregation discovery channel scale obs parallel codec mcheck bechamel all --full --quick --csv=DIR)\n"
+            "unknown argument %S (expected: table1 fig2..fig7 ablation aggregation discovery scale obs parallel codec mcheck bechamel all --full --quick --csv=DIR)\n"
             other;
           exit 2)
     args;

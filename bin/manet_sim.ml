@@ -143,28 +143,14 @@ let monitor =
               successor's stored invariants; violations print a \
               last-events window to stderr.")
 
-let sample =
-  Arg.(
-    value
-    & opt (some positive) None
-    & info [ "sample" ] ~docv:"DT"
-        ~doc:"Write time-series gauges (queue depths, delivery ratio, \
-              control rate, route-table sizes) every $(docv) simulated \
-              seconds.")
-
-let sample_out =
-  Arg.(
-    value
-    & opt string "samples.jsonl"
-    & info [ "sample-out" ] ~docv:"FILE"
-        ~doc:"Destination for $(b,--sample) output.")
-
 let telemetry_out =
   Arg.(
     value
     & opt (some string) None
     & info [ "telemetry" ] ~docv:"FILE"
-        ~doc:"Write runtime telemetry (events/s, calendar-queue occupancy, \
+        ~doc:"Write telemetry (events/s, calendar-queue occupancy, \
+              frames in flight, queue depths, delivery ratio, control \
+              rate, route-table sizes, mean feasible distance, \
               spatial-index health, GC counters) to $(docv) as JSONL, one \
               sample per $(b,--telemetry-every).")
 
@@ -369,7 +355,6 @@ let scenario ?(world = default_world) protocol nodes width height
     net = Net.Params.default;
     seed;
     audit_loops = audit;
-    naive_channel = false;
     mobility = world.w_mobility;
     shadowing = world.w_shadowing;
     churn = world.w_churn;
@@ -478,10 +463,39 @@ let print_outcome (o : Runner.outcome) =
   Format.printf "invariant viols   %d@." o.invariant_violations;
   Format.printf "events processed  %d@." o.events_processed
 
+(* Fail up front, with one line and exit 1, on an output path that
+   cannot be written: opening it (creating, never truncating) must
+   succeed before any work starts.  A probe leaves no new file behind.
+   A Prometheus snapshot is replaced through [FILE.tmp], so that must
+   be creatable too. *)
+let check_writable ?(via_tmp = false) path =
+  let probe p =
+    let existed = Sys.file_exists p in
+    match open_out_gen [ Open_wronly; Open_creat ] 0o644 p with
+    | oc ->
+        close_out oc;
+        if not existed then Sys.remove p
+    | exception Sys_error msg ->
+        let prefix = p ^ ": " in
+        let reason =
+          if String.starts_with ~prefix msg then
+            String.sub msg (String.length prefix)
+              (String.length msg - String.length prefix)
+          else msg
+        in
+        Printf.eprintf "manet_sim: cannot write %s: %s\n%!" path reason;
+        exit 1
+  in
+  probe path;
+  if via_tmp then probe (path ^ ".tmp")
+
 let run_cmd =
   let action protocol nodes width height flows pps pause speed_max duration
-      seed audit trace json trace_out pcap_out monitor sample sample_out
-      telemetry_out telemetry_prom telemetry_every inject_stale world =
+      seed audit trace json trace_out pcap_out monitor telemetry_out
+      telemetry_prom telemetry_every inject_stale world =
+    List.iter check_writable
+      (List.filter_map Fun.id [ trace_out; pcap_out; telemetry_out ]);
+    Option.iter (check_writable ~via_tmp:true) telemetry_prom;
     if trace then Trace.enable ();
     let sc =
       scenario ~world protocol nodes width height flows pps pause
@@ -498,9 +512,7 @@ let run_cmd =
         inject_stale
     in
     let outcome =
-      Runner.run ~monitor ?trace_out ?pcap_out
-        ?sample:(Option.map Time.sec sample)
-        ~sample_out ?telemetry_out ?telemetry_prom
+      Runner.run ~monitor ?trace_out ?pcap_out ?telemetry_out ?telemetry_prom
         ~telemetry_every:(Time.sec telemetry_every) ?prepare sc
     in
     if json then print_outcome_json outcome else print_outcome outcome
@@ -509,8 +521,8 @@ let run_cmd =
     Term.(
       const action $ protocol $ nodes $ width $ height $ flows $ pps $ pause
       $ speed_max $ duration $ seed $ audit $ trace $ json $ trace_out
-      $ pcap_out $ monitor $ sample $ sample_out $ telemetry_out
-      $ telemetry_prom $ telemetry_every $ inject_stale $ world_term)
+      $ pcap_out $ monitor $ telemetry_out $ telemetry_prom $ telemetry_every
+      $ inject_stale $ world_term)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one scenario and print its metrics.") term
 
@@ -882,6 +894,7 @@ let mcheck_cmd =
   in
   let action proto fixture max_steps max_states _all walks seed no_minimize
       no_dedup trace_out repro expect =
+    Option.iter check_writable trace_out;
     match load_fixture fixture with
     | Error e ->
         prerr_endline e;

@@ -32,7 +32,6 @@ let () =
       net = Net.Params.default;
       seed = 7;
       audit_loops = true;
-      naive_channel = false;
       mobility = Scenario.Waypoint;
       shadowing = None;
       churn = None;

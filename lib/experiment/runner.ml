@@ -16,6 +16,8 @@ type sim = {
   agents : Routing.Agent.t array;
   macs : Net.Mac.t array;
   channel : Net.Channel.t;
+  nodes : Net.Nodes.t;
+  link : Net.Link_model.t option;
   bus : Obs.Bus.t;
   inject : src:int -> dst:int -> unit;
   sim_metrics : Metrics.t;
@@ -200,18 +202,16 @@ let build ?on_engine ?obs (sc : Scenario.t) =
   let starts = Scenario.positions sc placement_rng in
   let mobs = make_mobs sc ~mobility_rng ~starts in
   (* Per-node state planes: MAC counters, churn state and the position
-     store the production channel reads.  The naive reference channel
-     gets no store: its radios read their record mobility directly. *)
+     store the channel reads. *)
   let nodes =
     Net.Nodes.create ~width:sc.terrain.Geom.Terrain.width
       ~height:sc.terrain.Geom.Terrain.height mobs ~at:Time.zero
   in
+  let link = make_link sc in
   let channel =
     Net.Channel.create ~engine
       ~max_speed:(Float.max sc.speed_max 0.)
-      ?world:(if sc.naive_channel then None else Some nodes)
-      ?link:(make_link sc) ~obs:bus
-      ~params:sc.net ()
+      ~nodes ?link ~obs:bus ~params:sc.net ()
   in
   Net.Channel.add_transmit_hook channel (fun _src frame ->
       Metrics.transmitted metrics frame);
@@ -222,11 +222,8 @@ let build ?on_engine ?obs (sc : Scenario.t) =
   let macs = ref [] in
   for i = 0 to n - 1 do
     let id = Node_id.of_int i in
-    let mob = mobs.(i) in
-    let position () = Mobility.position mob (Engine.now engine) in
     let mac =
-      Net.Mac.create ~engine ~channel ~rng:(Rng.split root) ~id ~position
-        ~world:(nodes, i)
+      Net.Mac.create ~engine ~channel ~rng:(Rng.split root) ~id ~slot:i
         {
           Net.Mac.receive =
             (fun payload ~from ->
@@ -348,6 +345,8 @@ let build ?on_engine ?obs (sc : Scenario.t) =
     agents;
     macs = mac_arr;
     channel;
+    nodes;
+    link;
     bus;
     inject;
     sim_metrics = metrics;
@@ -375,6 +374,31 @@ let attach_monitor ?ring ?quiet sim =
   sim.monitor <- Some m;
   m
 
+(* The simulation gauges of one telemetry sample: reads only, so
+   sampling cannot perturb the run. *)
+let gauges sim : Obs.Telemetry.gauges =
+  let entries = ref 0 and finite = ref 0 and fd_sum = ref 0 in
+  Array.iter
+    (fun (a : Routing.Agent.t) ->
+      let e, f, s = a.route_stats () in
+      entries := !entries + e;
+      finite := !finite + f;
+      fd_sum := !fd_sum + s)
+    sim.agents;
+  let n = Array.length sim.agents in
+  let m = sim.sim_metrics in
+  {
+    inflight = Net.Channel.in_flight sim.channel;
+    ifq =
+      Array.fold_left (fun acc mac -> acc + Net.Mac.queue_length mac) 0 sim.macs;
+    originated = Metrics.originated m;
+    delivered = Metrics.delivered m;
+    control_tx = Metrics.control_transmissions m;
+    rt_mean = (if n = 0 then 0. else float_of_int !entries /. float_of_int n);
+    fd_mean =
+      (if !finite = 0 then 0. else float_of_int !fd_sum /. float_of_int !finite);
+  }
+
 let attach_telemetry sim ?jsonl ?prom ~every ~until () =
   if Time.(every <= Time.zero) then
     invalid_arg "Runner.attach_telemetry: interval must be positive";
@@ -382,27 +406,23 @@ let attach_telemetry sim ?jsonl ?prom ~every ~until () =
   let sample () =
     Obs.Telemetry.record c sim.engine
       ~grid:(Net.Channel.index_stats sim.channel)
+      (gauges sim)
   in
   Engine.every sim.engine ~start:Time.zero ~interval:every ~until sample;
-  (* As with the sampler: [every] stops strictly before [until], so a
-     one-shot closes the series at the horizon without duplicating. *)
+  (* [every] stops strictly before [until], so whatever the interval
+     the series would otherwise end without a sample at the horizon —
+     the one post-processing reads last.  A one-shot at exactly [until]
+     closes it and can never duplicate a periodic firing. *)
   ignore (Engine.at sim.engine until sample);
   sim.cleanup <- (fun () -> Obs.Telemetry.close c) :: sim.cleanup
-
-let attach_sampler sim ~every ~until path =
-  let oc = open_out path in
-  Sampler.attach ~engine:sim.engine ~metrics:sim.sim_metrics
-    ~channel:sim.channel ~macs:sim.macs ~agents:sim.agents ~every ~until
-    ~oc;
-  sim.cleanup <- (fun () -> close_out oc) :: sim.cleanup
 
 let finish sim =
   sim.finalize ();
   List.iter (fun f -> f ()) sim.cleanup;
   sim.cleanup <- []
 
-let run ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?sample ?sample_out
-    ?telemetry_out ?telemetry_prom ?telemetry_every ?prepare (sc : Scenario.t) =
+let run ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?telemetry_out
+    ?telemetry_prom ?telemetry_every ?prepare (sc : Scenario.t) =
   let sim = build ?on_engine ?obs sc in
   (* Let in-flight packets (and their latency) resolve briefly after the
      last origination. *)
@@ -420,11 +440,6 @@ let run ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?sample ?sample_out
         match telemetry_every with Some e -> e | None -> Time.sec 1.
       in
       attach_telemetry sim ?jsonl ?prom ~every ~until ());
-  (match sample with
-  | Some every ->
-      let path = match sample_out with Some p -> p | None -> "samples.jsonl" in
-      attach_sampler sim ~every ~until path
-  | None -> ());
   (match prepare with Some f -> f sim | None -> ());
   Engine.run ~until sim.engine;
   finish sim;

@@ -2,7 +2,7 @@
     mobility processes, radio channel, per-node MAC + routing agent,
     CBR workload, metrics hooks, the observability bus, and
     (optionally) the loop-freedom auditor, invariant monitor, JSONL
-    trace writer and time-series sampler. *)
+    trace writer, pcap capture and runtime telemetry. *)
 
 type outcome = {
   metrics : Metrics.t;
@@ -20,8 +20,10 @@ type outcome = {
 type sim = {
   engine : Sim.Engine.t;
   agents : Routing.Agent.t array;
-  macs : Net.Mac.t array;
+  macs : Net.Mac.t array;  (** node [i]'s MAC, attached at slot [i] *)
   channel : Net.Channel.t;
+  nodes : Net.Nodes.t;  (** the per-node planes the channel reads *)
+  link : Net.Link_model.t option;  (** the channel's link model *)
   bus : Obs.Bus.t;  (** the run's observability bus *)
   inject : src:int -> dst:int -> unit;
       (** originate one data packet now (unique uid per call) *)
@@ -38,8 +40,6 @@ val run :
   ?monitor:bool ->
   ?trace_out:string ->
   ?pcap_out:string ->
-  ?sample:Sim.Time.t ->
-  ?sample_out:string ->
   ?telemetry_out:string ->
   ?telemetry_prom:string ->
   ?telemetry_every:Sim.Time.t ->
@@ -57,18 +57,16 @@ val run :
     [trace_out]: stream every bus event as JSONL to this file.
     [pcap_out]: capture every transmitted frame, byte-exact, to this
     pcap file ({!Net.Pcap}).
-    [sample]: write time-series gauges every [sample] of virtual time
-    to [sample_out] (default ["samples.jsonl"]); a final sample is
-    always taken at the horizon, whatever the interval.
     [telemetry_out] / [telemetry_prom]: runtime telemetry
     ({!Obs.Telemetry}) as JSONL samples and/or an atomically-replaced
     Prometheus text snapshot, every [telemetry_every] of virtual time
-    (default 1 s) plus once at the horizon, sampled from an engine
-    cadence that does not perturb the simulation.
+    (default 1 s) plus once at the horizon, whatever the interval,
+    sampled from an engine cadence that does not perturb the
+    simulation.
     [prepare]: runs on the built simulation just before the engine
     starts — the hook for fault injection ({!Fault}) and custom sinks.
 
-    Trace and sample files are flushed and closed before returning.
+    Trace, pcap and telemetry files are flushed and closed before returning.
     The JSONL sink is attached {e before} the monitor, so a violation
     line in the trace always follows the table write that caused
     it. *)
@@ -102,17 +100,11 @@ val attach_monitor : ?ring:int -> ?quiet:bool -> sim -> Obs.Monitor.t
 (** Attach the continuous invariant monitor, wired to the agents'
     {!Routing.Agent.invariants}.  Also stored in [sim.monitor]. *)
 
-val attach_sampler : sim -> every:Sim.Time.t -> until:Sim.Time.t ->
-  string -> unit
-(** Schedule gauge sampling to a JSONL file; closed by {!finish}.  A
-    final sample fires at exactly [until] even when [until] is not a
-    multiple of [every]. *)
-
 val attach_telemetry : sim -> ?jsonl:string -> ?prom:string ->
   every:Sim.Time.t -> until:Sim.Time.t -> unit -> unit
-(** Schedule {!Obs.Telemetry} sampling every [every] of virtual time
-    (plus a final sample at [until]); the collector is closed by
-    {!finish}. *)
+(** Schedule {!Obs.Telemetry} sampling every [every] of virtual time,
+    plus a final sample at exactly [until] even when [until] is not a
+    multiple of [every]; the collector is closed by {!finish}. *)
 
 val finish : sim -> unit
 (** Run [finalize] and every registered cleanup (idempotent on the

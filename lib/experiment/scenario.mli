@@ -101,12 +101,6 @@ type t = {
   audit_loops : bool;
       (** audit the successor graph for loops at every routing-table
           change (expensive; tests and the loop-check example use it) *)
-  naive_channel : bool;
-      (** use the reference channel — an O(nodes)-per-transmission scan
-          of record mobility processes — instead of the production
-          store-backed channel ({!Mobility.Pos_store} positions,
-          {!Geom.Cell_index} candidates).  Differential tests only;
-          outcomes are byte-identical either way *)
   mobility : mobility;  (** movement family (default [Waypoint]) *)
   shadowing : shadowing option;
   churn : churn option;
@@ -126,7 +120,6 @@ val with_flows : int -> t -> t
 val with_pause : Sim.Time.t -> t -> t
 val with_duration : Sim.Time.t -> t -> t
 val with_seed : int -> t -> t
-val with_naive_channel : bool -> t -> t
 val with_mobility : mobility -> t -> t
 val with_shadowing : shadowing option -> t -> t
 val with_churn : churn option -> t -> t

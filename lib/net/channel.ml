@@ -29,11 +29,10 @@ type rx = {
 type radio = {
   id : Node_id.t;
   seq : int;  (** attach order: the radio's index in [t.radios] *)
-  idx : int;  (** store slot (node id); unused on a naive channel *)
-  position : unit -> Geom.Vec2.t;
+  idx : int;  (** store slot *)
   mutable attached : bool;
-      (** false while the node is down (churn): the radio is skipped as
-          a reception candidate and dropped from the spatial index *)
+      (** false while the node is down (churn): the radio is out of the
+          spatial index, so no transmission touches it *)
   mutable receive : Frame.t -> unit;
   mutable medium : bool -> unit;
   mutable busy_count : int;  (** in-range transmissions currently in the air *)
@@ -44,14 +43,11 @@ type radio = {
 let dummy_frame =
   { Frame.src = Node_id.of_int 0; dst = Frame.Broadcast; body = Frame.Ack }
 
-let dummy_pos = Geom.Vec2.v 0. 0.
-
-let new_radio ~id ~seq ~idx ~position =
+let new_radio ~id ~seq ~idx =
   {
     id;
     seq;
     idx;
-    position;
     attached = true;
     receive = ignore;
     medium = ignore;
@@ -62,10 +58,7 @@ let new_radio ~id ~seq ~idx ~position =
 
 (* Filler for unattached store slots and idle jobs, compared physically. *)
 let dummy_radio =
-  let r =
-    new_radio ~id:(Node_id.of_int 0) ~seq:(-1) ~idx:(-1)
-      ~position:(fun () -> dummy_pos)
-  in
+  let r = new_radio ~id:(Node_id.of_int 0) ~seq:(-1) ~idx:(-1) in
   r.attached <- false;
   r
 
@@ -80,7 +73,7 @@ let no_rx =
 (* Receptions are ordered by an int permutation rather than by moving
    records: a key packs the touched radio's attach seq above the job slot
    holding its [rx], so keys sorted descending list receptions newest
-   radio first — the order a naive scan produces. *)
+   radio first: the order of a scan over radios newest attach first. *)
 let slot_bits = 24
 let slot_mask = (1 lsl slot_bits) - 1
 
@@ -114,11 +107,22 @@ and t = {
          positions age at a known rate.  [None]: unknown speeds — the
          index is resynced whenever the clock has advanced, which is
          exact for any mobility. *)
+  nodes : Nodes.t;
+  (* Positions come from the shared [Pos_store] planes (fetched once;
+     the store never reallocates them) and cell membership is maintained
+     incrementally (ids only; the exact filter reads live positions).
+     The index holds exactly the attached radios — candidate collection
+     relies on it and filters nothing else out.  [slots] maps a store
+     slot back to its radio — [dummy_radio] until that slot attaches. *)
+  store : Mobility.Pos_store.t;
+  xs : float array;
+  ys : float array;
+  index : Geom.Cell_index.t;
+  slots : radio array;
   mutable radios : radio array;  (* by seq; [0, next_seq) are live *)
   mutable next_seq : int;
-  world : world option;  (* None: naive scan of [radios] *)
   link : Link_model.t option;
-      (* None on the classic unit disk — the propagate fast path then
+      (* None on the classic unit disk — the collect fast path then
          skips every per-candidate gain/wall lookup *)
   mutable index_at : Time.t;
   mutable index_fresh : bool;
@@ -131,49 +135,29 @@ and t = {
   obs : Obs.Bus.t;
 }
 
-(* Store backing: positions come from the shared [Pos_store] planes
-   (fetched once; the store never reallocates them) and cell membership
-   is maintained incrementally (ids only; the exact filter reads live
-   positions).  [w_radios] maps a store slot back to its radio —
-   [dummy_radio] until that slot attaches. *)
-and world = {
-  w_store : Mobility.Pos_store.t;
-  w_xs : float array;
-  w_ys : float array;
-  w_index : Geom.Cell_index.t;
-  w_radios : radio array;
-}
-
-let create ~engine ?max_speed ?obs ?world ?link ~params () =
+let create ~engine ?max_speed ?obs ~nodes ?link ~params () =
   (* Cell side = half the carrier-sense range: a CS-disk query scans
      ~25 cells, but the cells hug the disk, so the candidate superset
      is ~1.7x the true disk population (a full-range cell side gives
      9 coarse cells and a ~2.9x superset — more wasted exact distance
      checks per query). *)
   let cell = params.Params.cs_range_m /. 2. in
-  let world =
-    Option.map
-      (fun nodes ->
-        let store = Nodes.store nodes in
-        let n = Mobility.Pos_store.length store in
-        {
-          w_store = store;
-          w_xs = Mobility.Pos_store.xs store;
-          w_ys = Mobility.Pos_store.ys store;
-          w_index =
-            Geom.Cell_index.create ~cell ~width:(Nodes.width nodes)
-              ~height:(Nodes.height nodes) ~ids:n;
-          w_radios = Array.make n dummy_radio;
-        })
-      world
-  in
+  let store = Nodes.store nodes in
+  let n = Mobility.Pos_store.length store in
   {
     engine;
     params;
     max_speed;
+    nodes;
+    store;
+    xs = Mobility.Pos_store.xs store;
+    ys = Mobility.Pos_store.ys store;
+    index =
+      Geom.Cell_index.create ~cell ~width:(Nodes.width nodes)
+        ~height:(Nodes.height nodes) ~ids:n;
+    slots = Array.make n dummy_radio;
     radios = [||];
     next_seq = 0;
-    world;
     link;
     index_at = Time.zero;
     index_fresh = false;
@@ -187,6 +171,7 @@ let create ~engine ?max_speed ?obs ?world ?link ~params () =
   }
 
 let params t = t.params
+let nodes t = t.nodes
 let obs t = t.obs
 
 let frame_dst_int (f : Frame.t) =
@@ -198,23 +183,13 @@ let grow a ~min fill =
   Array.blit a 0 bigger 0 (Array.length a);
   bigger
 
-let attach t ?(idx = -1) ~id ~position () =
-  let position =
-    match t.world with
-    | None -> position
-    | Some w ->
-        if idx < 0 then
-          invalid_arg
-            "Channel.attach: a store-backed channel needs a slot (idx)";
-        fun () ->
-          Mobility.Pos_store.position w.w_store idx (Engine.now t.engine)
-  in
-  let r = new_radio ~id ~seq:t.next_seq ~idx ~position in
+let attach t ~slot ~id =
+  let r = new_radio ~id ~seq:t.next_seq ~idx:slot in
   if t.next_seq = Array.length t.radios then
     t.radios <- grow t.radios ~min:8 dummy_radio;
   t.radios.(t.next_seq) <- r;
   t.next_seq <- t.next_seq + 1;
-  (match t.world with Some w -> w.w_radios.(idx) <- r | None -> ());
+  t.slots.(slot) <- r;
   t.index_fresh <- false;
   r
 
@@ -279,9 +254,8 @@ let grow_job job =
   job.job_keys <- grow job.job_keys ~min:0 0
 
 (* Take the next slot's [rx] for radio [r] and insert its key into the
-   delivery order; the caller fills in the returned link geometry.  The
-   naive scan collects in already-descending seq order (zero shifts);
-   index candidates arrive in cell order and insertion-sort into place —
+   delivery order; the caller fills in the returned link geometry.
+   Index candidates arrive in cell order and insertion-sort into place —
    plain int moves, no records shifted. *)
 let job_add job r =
   let n = job.job_n in
@@ -305,12 +279,12 @@ let job_add job r =
 (* Resync: refresh every attached slot's store position in place (a
    scalar lerp unless the leg advanced) and move it between cells only
    when its cell changed — O(n) float work, no rebuild. *)
-let sweep t w =
+let sweep t =
   let now = Engine.now t.engine in
-  for i = 0 to Array.length w.w_radios - 1 do
-    if (Array.unsafe_get w.w_radios i).attached then begin
-      Mobility.Pos_store.refresh w.w_store i now;
-      Geom.Cell_index.update w.w_index i ~x:w.w_xs.(i) ~y:w.w_ys.(i)
+  for i = 0 to Array.length t.slots - 1 do
+    if (Array.unsafe_get t.slots i).attached then begin
+      Mobility.Pos_store.refresh t.store i now;
+      Geom.Cell_index.update t.index i ~x:t.xs.(i) ~y:t.ys.(i)
     end
   done;
   t.index_at <- now;
@@ -319,82 +293,41 @@ let sweep t w =
 (* Resync the index if stale; returns the post-resync drift bound (how
    far any radio may be from its indexed cell) so queries pay for at
    most one clock-to-seconds conversion. *)
-let refresh t w =
-  if not t.index_fresh then sweep t w;
+let refresh t =
+  if not t.index_fresh then sweep t;
   match t.max_speed with
   | None ->
-      if Time.(Engine.now t.engine > t.index_at) then sweep t w;
+      if Time.(Engine.now t.engine > t.index_at) then sweep t;
       0.
   | Some v ->
       let age = Time.diff (Engine.now t.engine) t.index_at in
       let b = if Time.equal age Time.zero then 0. else v *. Time.to_sec age in
       if b > slack_margin_m then begin
-        sweep t w;
+        sweep t;
         0.
       end
       else b
 
-(* Churn: a detached radio stops being a reception candidate and is
-   dropped from the index immediately; frames already locked on it are
-   discarded by the down-gated MAC.  Reattaching re-inserts it at its
-   current position. *)
+(* Churn: a detached radio leaves the index immediately, so no later
+   transmission touches it; frames already locked on it are discarded
+   by the down-gated MAC.  Reattaching re-inserts it at its current
+   position. *)
 let set_attached t r v =
   if r.attached <> v then begin
     r.attached <- v;
-    match t.world with
-    | Some w ->
-        if v then begin
-          Mobility.Pos_store.refresh w.w_store r.idx (Engine.now t.engine);
-          Geom.Cell_index.update w.w_index r.idx ~x:w.w_xs.(r.idx)
-            ~y:w.w_ys.(r.idx)
-        end
-        else Geom.Cell_index.remove w.w_index r.idx
-    | None -> ()
+    if v then begin
+      Mobility.Pos_store.refresh t.store r.idx (Engine.now t.engine);
+      Geom.Cell_index.update t.index r.idx ~x:t.xs.(r.idx) ~y:t.ys.(r.idx)
+    end
+    else Geom.Cell_index.remove t.index r.idx
   end
 
 let attached r = r.attached
 
-(* Spatial-index health gauges (Obs.Telemetry); a naive channel has no
-   index. *)
+(* Spatial-index health gauges (Obs.Telemetry). *)
 let index_stats t =
-  match t.world with
-  | Some w ->
-      let s = Geom.Cell_index.stats w.w_index in
-      (s.Geom.Cell_index.cells, s.occupied, s.max_occupancy)
-  | None -> (0, 0, 0)
-
-(* Radios within decode range of [r], newest attach first — the order a
-   naive scan produces.  Index queries are inflated by the drift bound,
-   so the candidate superset covers the true disk population. *)
-let neighbors_in_range t r =
-  let rng2 = t.params.range_m *. t.params.range_m in
-  match t.world with
-  | None ->
-      let center = r.position () in
-      let acc = ref [] in
-      for s = 0 to t.next_seq - 1 do
-        let other = t.radios.(s) in
-        if
-          other != r && other.attached
-          && Geom.Vec2.dist2 center (other.position ()) <= rng2
-        then acc := other :: !acc
-      done;
-      List.map (fun o -> o.id) !acc
-  | Some w ->
-      let radius = t.params.range_m +. refresh t w in
-      let now = Engine.now t.engine in
-      Mobility.Pos_store.refresh w.w_store r.idx now;
-      let cx = w.w_xs.(r.idx) and cy = w.w_ys.(r.idx) in
-      let acc = ref [] in
-      Geom.Cell_index.iter_disk w.w_index ~x:cx ~y:cy ~radius (fun i ->
-          let other = w.w_radios.(i) in
-          if other != r && other.attached then begin
-            Mobility.Pos_store.refresh w.w_store i now;
-            let dx = w.w_xs.(i) -. cx and dy = w.w_ys.(i) -. cy in
-            if (dx *. dx) +. (dy *. dy) <= rng2 then acc := other :: !acc
-          end);
-      List.sort (fun a b -> Int.compare b.seq a.seq) !acc
-      |> List.map (fun o -> o.id)
+  let s = Geom.Cell_index.stats t.index in
+  (s.Geom.Cell_index.cells, s.occupied, s.max_occupancy)
 
 let add_transmit_hook t f = t.hooks <- t.hooks @ [ f ]
 let transmissions t = t.tx_total
@@ -448,88 +381,88 @@ let end_of_tx job =
   job.job_frame <- dummy_frame;
   free_job t job
 
-(* Propagation body of [transmit]: collect the touched radios around the
-   source position, resolve capture, and arm the end-of-transmission
-   event. *)
-let propagate t src ~sx ~sy frame ~duration =
-  (* Touched radios are fixed at transmission start: node movement within
-     one frame airtime (~2 ms) is a fraction of a millimetre.  Radios out
-     to the carrier-sense range defer and suffer interference; only those
-     within decode range can receive the frame.  A shadowed pair's
-     ranges are both scaled by its gain; the partition wall absorbs the
-     crossing frame entirely. *)
+(* Collect into the empty [job] every radio a transmission by [src]
+   starting now touches, in delivery order.  Touched radios are fixed at
+   transmission start: node movement within one frame airtime (~2 ms)
+   is a fraction of a millimetre.  Radios out to the carrier-sense range
+   defer and suffer interference; a shadowed pair's ranges are scaled by
+   its gain; the partition wall absorbs the crossing frame entirely.
+   One distance computation per candidate, stashed squared in the
+   reception's [geo]; the delivery pass replaces it with [sqrt d2],
+   which equals [Vec2.dist] bit-for-bit, so caching cannot change
+   outcomes.  The source position arrives as arguments, boxed once at
+   the call; read from the planes in here, it would be boxed once per
+   boxed use (the index query and the closure). *)
+let collect_at t job src ~sx ~sy =
   let cs2 = t.params.cs_range_m *. t.params.cs_range_m in
+  let link = t.link in
+  let now = Engine.now t.engine in
+  let src_int = Node_id.to_int src.id in
+  let store = t.store and xs = t.xs and ys = t.ys in
+  (* Candidate query disks are inflated by the largest possible gain
+     so the superset covers every shadowed-but-decodable pair, and by
+     the drift bound so it covers radios that left their indexed cell;
+     the exact per-pair predicate below then decides.  Positions are
+     read straight from the store's float planes: a few unboxed loads
+     per candidate. *)
+  let inflate = match link with None -> 1. | Some l -> Link_model.f_max l in
+  let radius = (t.params.cs_range_m *. inflate) +. refresh t in
+  Geom.Cell_index.iter_disk t.index ~x:sx ~y:sy ~radius (fun i ->
+      let r = Array.unsafe_get t.slots i in
+      if r != src then begin
+        Mobility.Pos_store.refresh store i now;
+        let ox = Array.unsafe_get xs i in
+        let dx = ox -. sx and dy = Array.unsafe_get ys i -. sy in
+        let d2 = (dx *. dx) +. (dy *. dy) in
+        match link with
+        | None ->
+            if d2 <= cs2 then begin
+              let g = job_add job r in
+              g.dist <- d2;
+              g.gain <- 1.
+            end
+        | Some l ->
+            if not (Link_model.blocked l ~now ~x1:sx ~x2:ox) then begin
+              let gain = Link_model.gain l src_int (Node_id.to_int r.id) in
+              if d2 <= cs2 *. (gain *. gain) then begin
+                let g = job_add job r in
+                g.dist <- d2;
+                g.gain <- gain
+              end
+            end
+      end)
+
+let collect t job src =
+  Mobility.Pos_store.refresh t.store src.idx (Engine.now t.engine);
+  collect_at t job src ~sx:t.xs.(src.idx) ~sy:t.ys.(src.idx)
+
+let fanout t r =
+  let job = alloc_job t in
+  collect t job r;
+  let ids =
+    List.init job.job_n (fun j ->
+        t.radios.(job.job_keys.(j) lsr slot_bits).id)
+  in
+  free_job t job;
+  ids
+
+(* Run the hooks, collect the touched radios, resolve capture, and arm
+   the end-of-transmission event.  Only radios within decode range can
+   receive the frame. *)
+let transmit t src frame ~duration =
+  t.tx_total <- t.tx_total + 1;
+  List.iter (fun hook -> hook src.id frame) t.hooks;
+  if Obs.Bus.on t.obs then
+    Obs.Bus.tx t.obs
+      ~time:(Engine.now t.engine)
+      ~node:(Node_id.to_int src.id)
+      ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
+      ~dst:(frame_dst_int frame) ~bytes:(Frame.encoded_length frame);
   let rng2 = t.params.range_m *. t.params.range_m in
   let job = alloc_job t in
   job.job_src <- src;
   job.job_frame <- frame;
-  let link = t.link in
-  let now = Engine.now t.engine in
-  let src_int = Node_id.to_int src.id in
-  (* One distance computation per candidate, stashed squared in the
-     reception's [geo]; the delivery pass replaces it with [sqrt d2],
-     which equals [Vec2.dist] bit-for-bit, so caching cannot change
-     outcomes. *)
-  (match t.world with
-  | None ->
-      for s = t.next_seq - 1 downto 0 do
-        let r = t.radios.(s) in
-        if r != src && r.attached then begin
-          let p = r.position () in
-          let dx = p.Geom.Vec2.x -. sx and dy = p.Geom.Vec2.y -. sy in
-          let d2 = (dx *. dx) +. (dy *. dy) in
-          match link with
-          | None ->
-              if d2 <= cs2 then begin
-                let g = job_add job r in
-                g.dist <- d2;
-                g.gain <- 1.
-              end
-          | Some l ->
-              if not (Link_model.blocked l ~now ~x1:sx ~x2:p.Geom.Vec2.x)
-              then begin
-                let gain = Link_model.gain l src_int (Node_id.to_int r.id) in
-                if d2 <= cs2 *. (gain *. gain) then begin
-                  let g = job_add job r in
-                  g.dist <- d2;
-                  g.gain <- gain
-                end
-              end
-        end
-      done
-  | Some w ->
-      (* Candidate query disks are inflated by the largest possible gain
-         so the superset covers every shadowed-but-decodable pair; the
-         exact per-pair predicate below then decides.  Positions are read
-         straight from the store's float planes: a few unboxed loads per
-         candidate. *)
-      let inflate = match link with None -> 1. | Some l -> Link_model.f_max l in
-      let radius = (t.params.cs_range_m *. inflate) +. refresh t w in
-      let store = w.w_store and xs = w.w_xs and ys = w.w_ys in
-      Geom.Cell_index.iter_disk w.w_index ~x:sx ~y:sy ~radius (fun i ->
-          let r = Array.unsafe_get w.w_radios i in
-          if r != src && r.attached then begin
-            Mobility.Pos_store.refresh store i now;
-            let ox = Array.unsafe_get xs i in
-            let dx = ox -. sx and dy = Array.unsafe_get ys i -. sy in
-            let d2 = (dx *. dx) +. (dy *. dy) in
-            match link with
-            | None ->
-                if d2 <= cs2 then begin
-                  let g = job_add job r in
-                  g.dist <- d2;
-                  g.gain <- 1.
-                end
-            | Some l ->
-                if not (Link_model.blocked l ~now ~x1:sx ~x2:ox) then begin
-                  let gain = Link_model.gain l src_int (Node_id.to_int r.id) in
-                  if d2 <= cs2 *. (gain *. gain) then begin
-                    let g = job_add job r in
-                    g.dist <- d2;
-                    g.gain <- gain
-                  end
-                end
-          end));
+  collect t job src;
   let was_busy_src = carrier_busy src in
   src.tx_count <- src.tx_count + 1;
   if not was_busy_src then src.medium true;
@@ -572,20 +505,3 @@ let propagate t src ~sx ~sy frame ~duration =
   done;
   ignore (Engine.after_fn t.engine duration end_of_tx job)
 
-let transmit t src frame ~duration =
-  t.tx_total <- t.tx_total + 1;
-  List.iter (fun hook -> hook src.id frame) t.hooks;
-  if Obs.Bus.on t.obs then
-    Obs.Bus.tx t.obs
-      ~time:(Engine.now t.engine)
-      ~node:(Node_id.to_int src.id)
-      ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
-      ~dst:(frame_dst_int frame) ~bytes:(Frame.encoded_length frame);
-  match t.world with
-  | Some w ->
-      Mobility.Pos_store.refresh w.w_store src.idx (Engine.now t.engine);
-      propagate t src ~sx:w.w_xs.(src.idx) ~sy:w.w_ys.(src.idx) frame
-        ~duration
-  | None ->
-      let p = src.position () in
-      propagate t src ~sx:p.Geom.Vec2.x ~sy:p.Geom.Vec2.y frame ~duration

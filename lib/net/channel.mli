@@ -7,15 +7,13 @@
     hears nothing.  Carrier sense is binary — the medium is busy for a
     radio whenever at least one in-range transmission is in the air.
 
-    A channel created with [~world] is store-backed, the production path:
-    positions are read from the shared {!Mobility.Pos_store} planes and
-    candidates come from an incrementally maintained
-    {!Geom.Cell_index}.  Without [~world] it scans every radio's position
-    closure — the reference path for differential tests.  Both touch
-    identical radios in identical order (the index over-approximates by
-    a drift bound, then the exact range predicate is re-applied and
-    receptions are ordered newest attach first), so per-seed runs are
-    byte-identical across the two. *)
+    Positions are read from the shared {!Mobility.Pos_store} planes of
+    the channel's {!Nodes.t} and candidates come from an incrementally
+    maintained {!Geom.Cell_index}: the index over-approximates by a
+    drift bound, then the exact range predicate is re-applied and
+    receptions are ordered newest attach first.  A brute-force scan
+    over every radio touches the same radios in the same order; the
+    test suite keeps one as an oracle. *)
 
 open Packets
 
@@ -25,16 +23,16 @@ type radio
 
 val create :
   engine:Sim.Engine.t -> ?max_speed:float -> ?obs:Obs.Bus.t ->
-  ?world:Nodes.t -> ?link:Link_model.t -> params:Params.t -> unit -> t
-(** [create ~engine ~params] builds a channel.  [obs] is the
+  nodes:Nodes.t -> ?link:Link_model.t -> params:Params.t -> unit -> t
+(** [create ~engine ~nodes ~params] builds a channel.  [obs] is the
     observability bus ({!Obs.Bus}) the channel (and the MACs attached to
     it) emit on; defaults to a fresh disabled bus.
 
-    [world] makes the channel store-backed: radio positions come from the
-    node store and its arena bounds size the cell index.  [max_speed] is
-    an upper bound (m/s) on any radio's speed: the index is resynced
-    only when indexed positions may have drifted past a fixed margin,
-    and queries are inflated by the current drift bound.  When omitted,
+    Radio positions come from the [nodes] store and its arena bounds
+    size the cell index.  [max_speed] is an upper bound (m/s) on any
+    radio's speed: the index is resynced only when indexed positions may
+    have drifted past a fixed margin, and queries are inflated by the
+    current drift bound.  When omitted,
     speeds are treated as unknown and the index is resynced on every
     clock advance — exact for any mobility.  [link] layers deterministic
     shadowing and/or a partition wall on the unit disk
@@ -43,19 +41,19 @@ val create :
 
 val params : t -> Params.t
 
-val attach :
-  t -> ?idx:int -> id:Node_id.t -> position:(unit -> Geom.Vec2.t) -> unit ->
-  radio
-(** Register a node's radio.  [idx] is the node's slot in the store —
-    required on a store-backed channel, whose radios then take their
-    positions from the store, and ignored otherwise.  On a naive channel
-    [position] is queried at event times (it must be safe to call with
-    the engine's current clock); a store-backed channel ignores it. *)
+val nodes : t -> Nodes.t
+(** The per-node state the channel reads positions from; MACs write
+    their counters into the same planes. *)
+
+val attach : t -> slot:int -> id:Node_id.t -> radio
+(** Register a node's radio at its [slot] in the node store, from which
+    the radio takes its position.  One radio per slot. *)
 
 val set_attached : t -> radio -> bool -> unit
-(** Churn: [set_attached t r false] removes the radio from the candidate
-    set of every subsequent transmission (and from the incremental index
-    immediately); [true] re-inserts it at its current position.
+(** Churn: [set_attached t r false] removes the radio from the
+    incremental index immediately, and so from the candidate set of
+    every subsequent transmission; [true] re-inserts it at its current
+    position.
     In-flight receptions drain normally — the down-gated MAC discards
     them. *)
 
@@ -63,8 +61,7 @@ val attached : radio -> bool
 
 val index_stats : t -> int * int * int
 (** [(cells, occupied, max_occupancy)] of the live spatial index —
-    health gauges surfaced through [Obs.Telemetry]; all zero on a naive
-    channel, which has no index. *)
+    health gauges surfaced through [Obs.Telemetry]. *)
 
 val set_receiver : radio -> (Frame.t -> unit) -> unit
 (** Called with every frame the radio decodes, including frames addressed
@@ -85,9 +82,11 @@ val transmitting : radio -> bool
 
 val radio_id : radio -> Node_id.t
 
-val neighbors_in_range : t -> radio -> Node_id.t list
-(** Radios currently within range — used by tests and topology audits,
-    not by protocols. *)
+val fanout : t -> radio -> Node_id.t list
+(** The radios a transmission by this radio starting now would touch
+    (carrier-sense range, link model applied), in delivery order —
+    computed by the same candidate walk as {!transmit}.  Used by tests
+    and topology audits, not by protocols. *)
 
 val add_transmit_hook : t -> (Node_id.t -> Frame.t -> unit) -> unit
 (** Register a tap invoked at the start of every transmission (metrics,

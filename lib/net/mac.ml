@@ -45,10 +45,8 @@ type t = {
       (** cached ACK frame for [ack_to]; rebuilt only when the
           destination changes, so the steady ACK exchange between two
           talking nodes allocates nothing *)
-  (* Per-node scalar counters live in flat arrays at slot [six]: the
-     node's cells of the shared [Nodes] planes when created with
-     [~world], private one-cell arrays otherwise.  Either way the MAC
-     code is array writes — no branch on the backing. *)
+  (* Per-node scalar counters live at slot [six] of the channel's
+     shared [Nodes] planes, so updating one is a plain array write. *)
   sent_a : int array;
   fail_a : int array;
   qlen_a : int array;
@@ -266,19 +264,9 @@ let on_medium t busy =
   end
   else maybe_arm t
 
-let create ~engine ~channel ~rng ~id ~position ?world callbacks =
-  let sent_a, fail_a, qlen_a, qdrops_a, six, idx =
-    match world with
-    | Some (nodes, i) ->
-        ( Nodes.sent_plane nodes,
-          Nodes.failures_plane nodes,
-          Nodes.qlen_plane nodes,
-          Nodes.qdrops_plane nodes,
-          i,
-          i )
-    | None -> (Array.make 1 0, Array.make 1 0, Array.make 1 0, Array.make 1 0, 0, -1)
-  in
-  let radio = Channel.attach channel ~idx ~id ~position () in
+let create ~engine ~channel ~rng ~id ~slot callbacks =
+  let nodes = Channel.nodes channel in
+  let radio = Channel.attach channel ~slot ~id in
   let t =
     {
       engine;
@@ -299,11 +287,11 @@ let create ~engine ~channel ~rng ~id ~position ?world callbacks =
       ack_timer = Engine.none;
       ack_to = id;
       ack_frame = { Frame.src = id; dst = Frame.Unicast id; body = Frame.Ack };
-      sent_a;
-      fail_a;
-      qlen_a;
-      qdrops_a;
-      six;
+      sent_a = Nodes.sent_plane nodes;
+      fail_a = Nodes.failures_plane nodes;
+      qlen_a = Nodes.qlen_plane nodes;
+      qdrops_a = Nodes.qdrops_plane nodes;
+      six = slot;
       down = false;
       obs = Channel.obs channel;
     }

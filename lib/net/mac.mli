@@ -27,14 +27,13 @@ val create :
   channel:Channel.t ->
   rng:Sim.Rng.t ->
   id:Node_id.t ->
-  position:(unit -> Geom.Vec2.t) ->
-  ?world:Nodes.t * int ->
+  slot:int ->
   callbacks ->
   t
-(** [world] is the shared SoA state and this node's slot: the MAC then
-    writes its sent/failure/queue counters through the flat [Nodes]
-    planes (and registers its radio under that store slot), instead of
-    private record fields. *)
+(** [slot] is the node's slot in the channel's {!Nodes.t}: the MAC
+    registers its radio there ({!Channel.attach}) and writes its
+    sent/failure/queue counters through that slot of the flat [Nodes]
+    planes. *)
 
 val send : t -> dst:Frame.dst -> Packets.Payload.t -> unit
 (** Enqueue a frame.  Silently dropped (counted) if the queue is full.

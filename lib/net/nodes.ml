@@ -4,9 +4,9 @@
    records: positions and mobility legs (via [Mobility.Pos_store]'s
    unboxed float planes) and the MAC/ifq scalar counters as int arrays
    indexed by node id.  [Net.Mac] writes its counters through these
-   cells when created with [~world]; a store-backed channel reads
-   positions straight out of the store's planes.  A metrics sweep over n nodes
-   then walks a handful of flat arrays instead of n record spines. *)
+   cells; the channel reads positions straight out of the store's
+   planes.  A metrics sweep over n nodes then walks a handful of flat
+   arrays instead of n record spines. *)
 
 type t = {
   store : Mobility.Pos_store.t;

@@ -5,7 +5,7 @@
     mobility legs live in a {!Mobility.Pos_store} (unboxed float
     planes), and the per-node MAC/ifq scalars (frames sent, unicast
     failures, queue length, queue drops) are int arrays that
-    {!Net.Mac} writes through when created with [~world].  The [up]
+    {!Net.Mac} writes through at its slot.  The [up]
     plane tracks churn state (false while a node is down). *)
 
 type t
@@ -30,8 +30,8 @@ val set_up : t -> int -> bool -> unit
 
 val sent_plane : t -> int array
 (** The raw counter planes ([sent_plane]/[failures_plane]/[qlen_plane]/
-    [qdrops_plane]): each {!Net.Mac} created with [~world] holds its
-    node's cells directly, so counter updates are flat array stores. *)
+    [qdrops_plane]): each {!Net.Mac} holds its node's cells directly,
+    so counter updates are flat array stores. *)
 
 val failures_plane : t -> int array
 val qlen_plane : t -> int array

@@ -59,15 +59,16 @@ type record = {
 let is_pcap_file path =
   match open_in_bin path with
   | exception Sys_error _ -> false
-  | ic ->
-      let head = really_input_string ic 4 in
-      close_in ic;
-      String.length head = 4
-      && Char.code head.[0] = 0xa1
-      && Char.code head.[1] = 0xb2
-      && Char.code head.[2] = 0x3c
-      && Char.code head.[3] = 0x4d
-  | exception End_of_file -> false
+  | ic -> (
+      (* A file shorter than the magic is not pcap. *)
+      let read () = really_input_string ic 4 in
+      match Fun.protect ~finally:(fun () -> close_in ic) read with
+      | head ->
+          Char.code head.[0] = 0xa1
+          && Char.code head.[1] = 0xb2
+          && Char.code head.[2] = 0x3c
+          && Char.code head.[3] = 0x4d
+      | exception End_of_file -> false)
 
 let ( let* ) = Result.bind
 

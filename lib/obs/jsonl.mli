@@ -17,5 +17,5 @@ type value = Int of int | Float of float | Str of string
 
 val parse_line : string -> (string * value) list option
 (** Parse one flat JSON object; [None] on malformed input.  Numbers
-    with a ['.'] or an exponent parse as [Float] (the time-series
-    sampler's gauge lines), plain integers as [Int]. *)
+    with a ['.'] or an exponent parse as [Float] (telemetry's
+    gauge lines), plain integers as [Int]. *)

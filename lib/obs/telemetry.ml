@@ -1,6 +1,16 @@
 (* Runtime telemetry collector.  Gathering is the caller's job (the
-   runner knows its engine and channel); this module owns the two
-   output formats and the rate bookkeeping. *)
+   runner knows its engine, channel, MACs and agents); this module owns
+   the two output formats and the rate bookkeeping. *)
+
+type gauges = {
+  inflight : int;
+  ifq : int;
+  originated : int;
+  delivered : int;
+  control_tx : int;
+  rt_mean : float;
+  fd_mean : float;
+}
 
 type t = {
   jsonl : out_channel option;
@@ -8,6 +18,8 @@ type t = {
   started : float; (* wall clock at create *)
   mutable prev_wall : float;
   mutable prev_fired : int; (* from the last sample *)
+  mutable prev_t : Sim.Time.t; (* virtual time of the last sample *)
+  mutable prev_ctl : int;
 }
 
 let create ?jsonl ?prom () =
@@ -17,6 +29,8 @@ let create ?jsonl ?prom () =
     started = Unix.gettimeofday ();
     prev_wall = Unix.gettimeofday ();
     prev_fired = 0;
+    prev_t = Sim.Time.zero;
+    prev_ctl = 0;
   }
 
 let gc_words () =
@@ -25,17 +39,31 @@ let gc_words () =
 
 let rate dt prev cur = if dt <= 0. then 0. else float_of_int (cur - prev) /. dt
 
-let write_jsonl t oc e ~grid ~wall ~dt =
+let write_jsonl t oc e ~grid ~wall ~dt g =
   let s = Sim.Engine.stats e in
+  let now = Sim.Engine.now e in
   let buf = Buffer.create 256 in
   Buffer.add_char buf '{';
-  Printf.bprintf buf "\"t\":%d,\"wall_s\":%.6f" (Sim.Engine.now e :> int)
+  Printf.bprintf buf "\"t\":%d,\"wall_s\":%.6f" (now :> int)
     (wall -. t.started);
   Printf.bprintf buf ",\"events\":%d,\"events_per_s\":%.1f" s.fired
     (rate dt t.prev_fired s.fired);
+  Printf.bprintf buf ",\"pending\":%d,\"fired\":%d" s.pending s.fired;
+  (* Simulation gauges: delivery so far, and the control rate over the
+     virtual time since the previous sample. *)
+  let ratio =
+    if g.originated = 0 then 1.
+    else float_of_int g.delivered /. float_of_int g.originated
+  in
+  let ctl_rate =
+    rate (Sim.Time.to_sec (Sim.Time.diff now t.prev_t)) t.prev_ctl g.control_tx
+  in
   Printf.bprintf buf
-    ",\"pending\":%d,\"fired\":%d,\"cal_buckets\":%d,\"cal_occupancy\":%.3f"
-    s.pending s.fired
+    ",\"inflight\":%d,\"ifq\":%d,\"originated\":%d,\"delivered\":%d,\
+     \"ratio\":%.4f,\"ctl_rate\":%.1f,\"rt_mean\":%.2f,\"fd_mean\":%.2f"
+    g.inflight g.ifq g.originated g.delivered ratio ctl_rate g.rt_mean
+    g.fd_mean;
+  Printf.bprintf buf ",\"cal_buckets\":%d,\"cal_occupancy\":%.3f"
     (Sim.Engine.calendar_buckets e)
     (Sim.Engine.calendar_occupancy e);
   let cells, occupied, max_occ = grid in
@@ -82,15 +110,17 @@ let write_prom t path e ~grid ~dt =
   close_out oc;
   Sys.rename tmp path
 
-let record t e ~grid =
+let record t e ~grid g =
   let wall = Unix.gettimeofday () in
   let dt = wall -. t.prev_wall in
   (match t.jsonl with
-  | Some oc -> write_jsonl t oc e ~grid ~wall ~dt
+  | Some oc -> write_jsonl t oc e ~grid ~wall ~dt g
   | None -> ());
   (match t.prom with Some path -> write_prom t path e ~grid ~dt | None -> ());
   t.prev_wall <- wall;
-  t.prev_fired <- Sim.Engine.events_processed e
+  t.prev_fired <- Sim.Engine.events_processed e;
+  t.prev_t <- Sim.Engine.now e;
+  t.prev_ctl <- g.control_tx
 
 let close t = match t.jsonl with Some oc -> close_out oc | None -> ()
 

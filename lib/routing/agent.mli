@@ -56,7 +56,7 @@ type t = {
           Protocols without seqno/FD state return [None]. *)
   route_stats : unit -> int * int * int;
       (** [(entries, finite_fd_count, fd_sum)] over the route table —
-          gauges for the time-series sampler.  Protocols without
+          gauges for telemetry ({!Obs.Telemetry}).  Protocols without
           feasible distances report zeros for the last two. *)
   reset : crash:bool -> unit;
       (** churn teardown: the node went down.  Routes are invalidated

@@ -132,7 +132,7 @@ type stats = { pending : int; fired : int }
 val stats : t -> stats
 (** Scheduler gauges: currently pending (scheduled, not yet fired or
     cancelled) and total fired events.  O(1) under either scheduler;
-    the time-series sampler reads this each interval. *)
+    telemetry reads this each interval. *)
 
 val calendar_buckets : t -> int
 (** Current calendar-wheel bucket count; 0 under [`Controlled]. *)

@@ -13,18 +13,18 @@ let data_payload ?(bytes = 512) ~src ~dst () =
     (Data_msg.fresh ~flow_id:0 ~seq:0 ~src:(n src) ~dst:(n dst)
        ~payload_bytes:bytes ~origin_time:Time.zero)
 
-(* A store-backed (production) channel over the given mobility
-   processes, node [i] in store slot [i]. *)
+(* A channel over the given mobility processes, node [i] in store
+   slot [i]. *)
 let store_channel ?(params = Net.Params.default) ?(max_speed = 0.) engine mobs
     =
   let nodes =
     Net.Nodes.create ~width:3000. ~height:1000. (Array.of_list mobs)
       ~at:Time.zero
   in
-  (nodes, Net.Channel.create ~engine ~max_speed ~world:nodes ~params ())
+  (nodes, Net.Channel.create ~engine ~max_speed ~nodes ~params ())
 
-(* A small rig: static nodes at given positions on a store-backed
-   channel, MACs with recording callbacks. *)
+(* A small rig: static nodes at given positions, MACs with recording
+   callbacks. *)
 type node_rig = {
   mac : Net.Mac.t;
   received : (Payload.t * Node_id.t) list ref;
@@ -34,16 +34,16 @@ type node_rig = {
 
 let rig ?(params = Net.Params.default) positions =
   let engine = Engine.create ~seed:5 () in
-  let world, channel =
+  let _, channel =
     store_channel ~params engine (List.map Mobility.static positions)
   in
   let nodes =
     List.mapi
-      (fun i pos ->
+      (fun i _ ->
         let received = ref [] and overheard = ref 0 and failures = ref [] in
         let mac =
           Net.Mac.create ~engine ~channel ~rng:(Rng.create (100 + i)) ~id:(n i)
-            ~position:(fun () -> pos) ~world:(world, i)
+            ~slot:i
             {
               Net.Mac.receive =
                 (fun p ~from -> received := (p, from) :: !received);
@@ -199,7 +199,7 @@ let transmit_hook_counts () =
 
 let neighbors_in_range_query () =
   let _, channel, nodes = rig [ v 0. 0.; v 100. 0.; v 1000. 0. ] in
-  let neigh = Net.Channel.neighbors_in_range channel (Net.Mac.radio nodes.(0).mac) in
+  let neigh = Net.Channel.fanout channel (Net.Mac.radio nodes.(0).mac) in
   checki "one neighbor" 1 (List.length neigh);
   checkb "it is node 1" true (List.exists (Node_id.equal (n 1)) neigh)
 
@@ -229,13 +229,12 @@ let mobility_breaks_link () =
     Mobility.scripted
       [ (Time.sec 0., v 100. 0.); (Time.sec 10., v 2000. 0.) ]
   in
-  let world, channel =
+  let _, channel =
     store_channel ~max_speed:200. engine [ Mobility.static (v 0. 0.); walker ]
   in
   let delivered = ref 0 and failed = ref 0 in
-  let mk id position cb =
-    Net.Mac.create ~engine ~channel ~rng:(Rng.create id) ~id:(n id) ~position
-      ~world:(world, id) cb
+  let mk id cb =
+    Net.Mac.create ~engine ~channel ~rng:(Rng.create id) ~id:(n id) ~slot:id cb
   in
   let cb_recv =
     {
@@ -251,10 +250,8 @@ let mobility_breaks_link () =
       link_failure = (fun _ ~next_hop:_ -> incr failed);
     }
   in
-  let sender = mk 0 (fun () -> v 0. 0.) cb_send in
-  let _receiver =
-    mk 1 (fun () -> Mobility.position walker (Engine.now engine)) cb_recv
-  in
+  let sender = mk 0 cb_send in
+  let _receiver = mk 1 cb_recv in
   (* One packet per second for 10 s; the walker passes 275 m before 1 s
      (190 m/s) — only the immediate sends can arrive. *)
   for i = 0 to 9 do
@@ -270,12 +267,13 @@ let mobility_breaks_link () =
      the sum is at least the number of sends. *)
   checkb "every send accounted" true (!delivered + !failed >= 10)
 
-(* ---- Cell-grid index vs. naive channel: differential determinism ----- *)
+(* ---- Cell-grid index vs. brute-force oracle ---------------------------- *)
 
-(* The store-backed channel's cell index must be an invisible
-   optimisation: on the same seed, a production run and one with the
-   naive linear-scan channel must touch the same radios in the same order
-   and therefore produce identical outcomes, down to every counter. *)
+(* The cell index must be an invisible optimisation: at every
+   transmission of a full run the channel touches exactly the radios a
+   brute-force scan over every radio finds, in the same order
+   ([Naive_medium]).  Arming the oracle must not perturb the run either:
+   its outcome equals the plain run's, down to every counter. *)
 let grid_matches_naive_channel () =
   let open Experiment in
   List.iter
@@ -285,27 +283,30 @@ let grid_matches_naive_channel () =
         |> Scenario.with_duration (Time.sec 12.)
         |> Scenario.with_seed seed
       in
-      let naive = Runner.run (Scenario.with_naive_channel true sc) in
-      let grid = Runner.run sc in
+      let checked = ref 0 in
+      let oracle = Runner.run ~prepare:(Naive_medium.arm_sim ~checked) sc in
+      let plain = Runner.run sc in
       let ctx = Printf.sprintf "seed %d" seed in
+      checki (ctx ^ ": oracle checked every transmission")
+        oracle.Runner.transmissions !checked;
       checkb (ctx ^ ": summary identical") true
-        (Stdlib.compare naive.Runner.summary grid.Runner.summary = 0);
-      checki (ctx ^ ": events") naive.Runner.events_processed
-        grid.Runner.events_processed;
-      checki (ctx ^ ": transmissions") naive.Runner.transmissions
-        grid.Runner.transmissions;
-      checki (ctx ^ ": queue drops") naive.Runner.mac_queue_drops
-        grid.Runner.mac_queue_drops;
-      checki (ctx ^ ": unicast failures") naive.Runner.mac_unicast_failures
-        grid.Runner.mac_unicast_failures;
+        (Stdlib.compare oracle.Runner.summary plain.Runner.summary = 0);
+      checki (ctx ^ ": events") oracle.Runner.events_processed
+        plain.Runner.events_processed;
+      checki (ctx ^ ": transmissions") oracle.Runner.transmissions
+        plain.Runner.transmissions;
+      checki (ctx ^ ": queue drops") oracle.Runner.mac_queue_drops
+        plain.Runner.mac_queue_drops;
+      checki (ctx ^ ": unicast failures") oracle.Runner.mac_unicast_failures
+        plain.Runner.mac_unicast_failures;
       checkb (ctx ^ ": control kinds identical") true
-        (Metrics.control_by_kind naive.Runner.metrics
-        = Metrics.control_by_kind grid.Runner.metrics);
+        (Metrics.control_by_kind oracle.Runner.metrics
+        = Metrics.control_by_kind plain.Runner.metrics);
       checkb (ctx ^ ": drop reasons identical") true
-        (Metrics.drops_by_reason naive.Runner.metrics
-        = Metrics.drops_by_reason grid.Runner.metrics);
-      checki (ctx ^ ": delivered") (Metrics.delivered naive.Runner.metrics)
-        (Metrics.delivered grid.Runner.metrics))
+        (Metrics.drops_by_reason oracle.Runner.metrics
+        = Metrics.drops_by_reason plain.Runner.metrics);
+      checki (ctx ^ ": delivered") (Metrics.delivered oracle.Runner.metrics)
+        (Metrics.delivered plain.Runner.metrics))
     [ 1; 42 ]
 
 let no_callbacks =
@@ -316,35 +317,37 @@ let no_callbacks =
   }
 
 let grid_neighbors_match_naive () =
-  (* Same static layout on both channels: identical neighbour queries. *)
+  (* A static layout: every radio's fan-out equals the brute-force one,
+     queried directly and again (by the armed oracle) when it
+     broadcasts. *)
   let layout = [ v 0. 0.; v 100. 0.; v 260. 0.; v 400. 50.; v 900. 0. ] in
   let engine = Engine.create ~seed:5 () in
-  let world, ch_g = store_channel engine (List.map Mobility.static layout) in
-  let macs_g =
-    List.mapi
-      (fun i pos ->
-        Net.Mac.create ~engine ~channel:ch_g ~rng:(Rng.create (100 + i))
-          ~id:(n i) ~position:(fun () -> pos) ~world:(world, i) no_callbacks)
-      layout
+  let nodes, channel = store_channel engine (List.map Mobility.static layout) in
+  let macs =
+    Array.of_list
+      (List.mapi
+         (fun i _ ->
+           Net.Mac.create ~engine ~channel ~rng:(Rng.create (100 + i))
+             ~id:(n i) ~slot:i no_callbacks)
+         layout)
   in
-  let ch_n = Net.Channel.create ~engine ~params:Net.Params.default () in
-  let macs_n =
-    List.mapi
-      (fun i pos ->
-        Net.Mac.create ~engine ~channel:ch_n ~rng:(Rng.create (100 + i))
-          ~id:(n i) ~position:(fun () -> pos) no_callbacks)
-      layout
+  let oracle =
+    Naive_medium.create ~engine ~nodes channel (Array.map Net.Mac.radio macs)
   in
-  List.iteri
-    (fun i mg ->
-      let mn = List.nth macs_n i in
-      let ng = Net.Channel.neighbors_in_range ch_g (Net.Mac.radio mg) in
-      let nn = Net.Channel.neighbors_in_range ch_n (Net.Mac.radio mn) in
+  let checked = ref 0 in
+  Naive_medium.arm ~checked oracle channel;
+  Array.iteri
+    (fun i mac ->
       checkb
-        (Printf.sprintf "node %d neighbour lists identical" i)
+        (Printf.sprintf "node %d fan-out identical" i)
         true
-        (List.map Node_id.to_int ng = List.map Node_id.to_int nn))
-    macs_g
+        (List.map Node_id.to_int
+           (Net.Channel.fanout channel (Net.Mac.radio mac))
+        = Naive_medium.fanout oracle i);
+      Net.Mac.send mac ~dst:Net.Frame.Broadcast (data_payload ~src:i ~dst:0 ()))
+    macs;
+  Engine.run ~until:(Time.ms 100.) engine;
+  checki "every broadcast checked" (Array.length macs) !checked
 
 (* Receivers at slots 0..5 sit left to right across three index cells
    (cell side = cs range / 2 = 275 m), all within decode range of the
@@ -365,11 +368,8 @@ let fanout_log channel engine =
   let log = ref [] in
   let radios =
     List.mapi
-      (fun i pos ->
-        let r =
-          Net.Channel.attach channel ~idx:i ~id:(n i)
-            ~position:(fun () -> pos) ()
-        in
+      (fun i _ ->
+        let r = Net.Channel.attach channel ~slot:i ~id:(n i) in
         Net.Channel.set_medium_listener r (fun busy ->
             log := (i, if busy then "busy" else "idle") :: !log);
         Net.Channel.set_receiver r (fun _ -> log := (i, "rx") :: !log);
@@ -377,22 +377,18 @@ let fanout_log channel engine =
       fanout_layout
   in
   let src = List.nth radios 6 in
+  let fanout = List.map Node_id.to_int (Net.Channel.fanout channel src) in
   Net.Channel.transmit channel src (ack_frame 6) ~duration:(Time.ms 1.);
   Engine.run ~until:(Time.ms 5.) engine;
-  List.rev !log
+  (fanout, Array.of_list radios, List.rev !log)
 
 let fanout_order_matches_naive () =
-  let store_log =
-    let engine = Engine.create ~seed:5 () in
-    let _, channel =
-      store_channel engine (List.map Mobility.static fanout_layout)
-    in
-    fanout_log channel engine
+  let engine = Engine.create ~seed:5 () in
+  let nodes, channel =
+    store_channel engine (List.map Mobility.static fanout_layout)
   in
-  let naive_log =
-    let engine = Engine.create ~seed:5 () in
-    fanout_log (Net.Channel.create ~engine ~params:Net.Params.default ()) engine
-  in
+  let fanout, radios, store_log = fanout_log channel engine in
+  let oracle = Naive_medium.create ~engine ~nodes channel radios in
   let receivers ev log =
     List.filter_map
       (fun (i, e) -> if e = ev && i <> 6 then Some i else None)
@@ -405,7 +401,9 @@ let fanout_order_matches_naive () =
     (receivers "idle" store_log = descending);
   checkb "rx in descending attach order" true
     (receivers "rx" store_log = descending);
-  checkb "callback sequence identical to naive" true (store_log = naive_log)
+  checkb "fan-out in descending attach order" true (fanout = descending);
+  checkb "fan-out identical to brute force" true
+    (fanout = Naive_medium.fanout oracle 6)
 
 (* Minor words per steady-state transmission (transmit + end-of-tx) from
    radio 0 with [k] static radios within range of it. *)
@@ -420,9 +418,7 @@ let words_per_tx k =
   in
   let radios =
     List.mapi
-      (fun i pos ->
-        Net.Channel.attach channel ~idx:i ~id:(n i)
-          ~position:(fun () -> pos) ())
+      (fun i _ -> Net.Channel.attach channel ~slot:i ~id:(n i))
       positions
   in
   let src = List.hd radios in
@@ -438,7 +434,7 @@ let words_per_tx k =
   for i = 10 to 10 + tx_count - 1 do once i done;
   let w1 = Gc.minor_words () in
   checki (Printf.sprintf "%d radios touched" k) k
-    (List.length (Net.Channel.neighbors_in_range channel src));
+    (List.length (Net.Channel.fanout channel src));
   (w1 -. w0) /. float_of_int tx_count
 
 let allocation_flat_in_fanout () =
@@ -457,17 +453,19 @@ let mac_accounting_prop =
     QCheck.(pair (int_bound 1000) (int_range 2 6))
     (fun (seed, k) ->
       let engine = Engine.create ~seed () in
-      let params = Net.Params.default in
-      let channel = Net.Channel.create ~engine ~params () in
       let rng = Rng.create seed in
+      (* Random positions: some pairs are in range, some not. *)
+      let positions =
+        List.init k (fun _ -> v (Rng.float rng 800.) (Rng.float rng 300.))
+      in
+      let _, channel =
+        store_channel engine (List.map Mobility.static positions)
+      in
       let received = Array.make k false and failed = Array.make k false in
       let macs =
         Array.init k (fun i ->
-            (* Random positions: some pairs are in range, some not. *)
-            let pos = v (Rng.float rng 800.) (Rng.float rng 300.) in
             Net.Mac.create ~engine ~channel ~rng:(Rng.create (seed + i))
-              ~id:(n i)
-              ~position:(fun () -> pos)
+              ~id:(n i) ~slot:i
               {
                 Net.Mac.receive =
                   (fun _ ~from -> received.(Node_id.to_int from) <- true);

@@ -32,7 +32,6 @@ let scenario ?(seed = 7) ?(speed_max = 0.) ?(duration = 20.) ?(flows = 2)
     net = Net.Params.default;
     seed;
     audit_loops = false;
-    naive_channel = false;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
@@ -149,11 +148,12 @@ let jsonl_roundtrip () =
   | Ok t -> checki "all events round-trip" !counted (Obs.Reader.length t));
   Sys.remove trace_file
 
-(* The sampler emits one line per interval with valid flat JSON. *)
-let sampler_emits () =
+(* Telemetry emits one line per interval with valid flat JSON carrying
+   the simulation gauges. *)
+let telemetry_emits () =
   let sample_file = Filename.temp_file "obs_sample" ".jsonl" in
   ignore
-    (Runner.run ~sample:(Time.sec 2.) ~sample_out:sample_file
+    (Runner.run ~telemetry_out:sample_file ~telemetry_every:(Time.sec 2.)
        (scenario ~duration:10. ()));
   let ic = open_in sample_file in
   let lines = ref [] in
@@ -172,7 +172,8 @@ let sampler_emits () =
       | None -> Alcotest.fail ("unparseable sample line: " ^ l)
       | Some fields ->
           checkb "has t" true (List.mem_assoc "t" fields);
-          checkb "has pending" true (List.mem_assoc "pending" fields))
+          checkb "has pending" true (List.mem_assoc "pending" fields);
+          checkb "has fd_mean" true (List.mem_assoc "fd_mean" fields))
     !lines
 
 let () =
@@ -191,6 +192,6 @@ let () =
           Alcotest.test_case "catches stale seqno" `Slow
             monitor_catches_stale_seqno;
         ] );
-      ( "sampler",
-        [ Alcotest.test_case "emits gauges" `Slow sampler_emits ] );
+      ( "telemetry",
+        [ Alcotest.test_case "emits gauges" `Slow telemetry_emits ] );
     ]

@@ -53,7 +53,6 @@ let small_scenario ?(seed = 7) ?(audit = false) ?(speed_max = 10.)
     net = Net.Params.default;
     seed;
     audit_loops = audit;
-    naive_channel = false;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

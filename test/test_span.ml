@@ -41,7 +41,6 @@ let two_clusters ?(seed = 11) () =
     net = Net.Params.default;
     seed;
     audit_loops = false;
-    naive_channel = false;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
@@ -108,6 +107,19 @@ let expect_names =
       "manet_grid_max_occupancy";
     ]
 
+(* Read a telemetry JSONL file, one field list per line. *)
+let telemetry_lines path =
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       match Obs.Jsonl.parse_line (input_line ic) with
+       | Some fields -> lines := fields :: !lines
+       | None -> Alcotest.fail "telemetry line does not parse"
+     done
+   with End_of_file -> close_in ic);
+  List.rev !lines
+
 let telemetry_classic () =
   with_tmp ".prom" (fun prom ->
       with_tmp ".jsonl" (fun jsonl ->
@@ -122,24 +134,16 @@ let telemetry_classic () =
           (* Ticks at 0,2,..,10 s (strictly before the 12 s horizon),
              plus the horizon one-shot.  Every line is a flat object the
              trace parser reads, with scalar engine gauges. *)
-          let ic = open_in jsonl in
-          let samples = ref [] in
-          (try
-             while true do
-               match Obs.Jsonl.parse_line (input_line ic) with
-               | Some fields -> samples := fields :: !samples
-               | None -> Alcotest.fail "telemetry line does not parse"
-             done
-           with End_of_file -> close_in ic);
-          checki "one sample per tick plus horizon" 7 (List.length !samples);
+          let samples = telemetry_lines jsonl in
+          checki "one sample per tick plus horizon" 7 (List.length samples);
           List.iter
             (fun fields ->
               match List.assoc_opt "pending" fields with
               | Some (Obs.Jsonl.Int _) -> ()
               | _ -> Alcotest.fail "sample lacks an int pending gauge")
-            !samples;
+            samples;
           checkb "last sample at the horizon" true
-            (List.assoc_opt "t" (List.hd !samples)
+            (List.assoc_opt "t" (List.nth samples 6)
             = Some (Obs.Jsonl.Int (Time.sec 12. :> int)))))
 
 let telemetry_rejects_garbage () =
@@ -160,32 +164,44 @@ let telemetry_rejects_garbage () =
       checkb "bad value rejected" true
         (Result.is_error (Obs.Telemetry.validate_prom path)))
 
-(* ---- Sampler horizon (satellite fix) ----------------------------------- *)
+let sampler_keys =
+  [
+    ("t", `Int); ("pending", `Int); ("fired", `Int); ("inflight", `Int);
+    ("ifq", `Int); ("originated", `Int); ("delivered", `Int);
+    ("ratio", `Number); ("ctl_rate", `Number); ("rt_mean", `Number);
+    ("fd_mean", `Number);
+  ]
 
-let sampler_final_sample () =
+let telemetry_horizon_sample () =
   (* 10 s duration + 2 s drain = a 12 s horizon that is NOT a multiple
-     of the 5 s interval: samples at 0, 5, 10 — and now one at 12. *)
+     of the 5 s interval: samples at 0, 5, 10 — and one at 12.  Every
+     line carries the simulation gauges with their JSON types. *)
   with_tmp ".jsonl" (fun path ->
       ignore
-        (Runner.run ~sample:(Time.sec 5.) ~sample_out:path (two_clusters ()));
-      let ic = open_in path in
-      let times = ref [] in
-      (try
-         while true do
-           match Obs.Jsonl.parse_line (input_line ic) with
-           | Some fields -> (
-               match List.assoc_opt "t" fields with
-               | Some (Obs.Jsonl.Int t) -> times := t :: !times
-               | _ -> ())
-           | None -> ()
-         done
-       with End_of_file -> close_in ic);
-      let times = List.rev !times in
+        (Runner.run ~telemetry_out:path ~telemetry_every:(Time.sec 5.)
+           (two_clusters ()));
+      let lines = telemetry_lines path in
       checkb "final sample lands on the horizon" true
-        (times
+        (List.map (fun f -> List.assoc_opt "t" f) lines
         = List.map
-            (fun s -> (Time.sec s :> int))
-            [ 0.; 5.; 10.; 12. ]))
+            (fun s -> Some (Obs.Jsonl.Int (Time.sec s :> int)))
+            [ 0.; 5.; 10.; 12. ]);
+      List.iter
+        (fun fields ->
+          List.iter
+            (fun (key, kind) ->
+              match (kind, List.assoc_opt key fields) with
+              | `Int, Some (Obs.Jsonl.Int _)
+              | `Number, Some (Obs.Jsonl.Int _ | Obs.Jsonl.Float _) ->
+                  ()
+              | _ -> Alcotest.failf "sample lacks a well-typed %S" key)
+            sampler_keys)
+        lines;
+      let last = List.nth lines 3 in
+      checkb "traffic delivered by the horizon" true
+        (match List.assoc_opt "delivered" last with
+        | Some (Obs.Jsonl.Int d) -> d > 0
+        | _ -> false))
 
 let () =
   Alcotest.run "span"
@@ -202,9 +218,6 @@ let () =
           Alcotest.test_case "classic run validates" `Quick telemetry_classic;
           Alcotest.test_case "validator rejects garbage" `Quick
             telemetry_rejects_garbage;
-        ] );
-      ( "sampler",
-        [
-          Alcotest.test_case "horizon sample" `Quick sampler_final_sample;
+          Alcotest.test_case "horizon sample" `Quick telemetry_horizon_sample;
         ] );
     ]

@@ -368,6 +368,30 @@ let pcap_rejects_corruption () =
           checkb "UNDECODABLE bucket" true
             (List.mem_assoc "UNDECODABLE" (Net.Pcap.class_counts records)))
 
+(* Files shorter than the 4-byte magic (the prefix of a real magic
+   included) are not pcap, and the trace reader takes over: an empty
+   file is an empty trace, stray bytes are a malformed line. *)
+let short_files_not_pcap () =
+  List.iter
+    (fun contents ->
+      let path = Filename.temp_file "manet" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out_bin path in
+          output_string oc contents;
+          close_out oc;
+          let n = String.length contents in
+          checkb (Printf.sprintf "%d-byte file not pcap" n) false
+            (Net.Pcap.is_pcap_file path);
+          match Obs.Reader.load path with
+          | Ok t ->
+              checki (Printf.sprintf "%d-byte file: empty trace" n) 0 n;
+              checki "no events" 0 (Obs.Reader.length t)
+          | Error _ ->
+              checkb (Printf.sprintf "%d-byte file: malformed" n) true (n > 0)))
+    [ ""; "\xa1\xb2"; "\xa1\xb2\x3c" ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "wire"
@@ -391,5 +415,6 @@ let () =
         [
           Alcotest.test_case "write/load roundtrip" `Quick pcap_roundtrip;
           Alcotest.test_case "corrupt record isolated" `Quick pcap_rejects_corruption;
+          Alcotest.test_case "short files are not pcap" `Quick short_files_not_pcap;
         ] );
     ]

@@ -1,11 +1,11 @@
 (* The struct-of-arrays world (city-scale node state) is tested
-   differentially, never with tolerances:
+   against an oracle, never with tolerances:
 
-   - the production SoA path (shared Mobility.Pos_store + incremental
-     Geom.Cell_index + flat Net.Nodes counter planes) produces outcomes
-     exactly equal to the reference channel (naive scan over record
-     mobility) across protocols, mobility families, shadowing and
-     churn;
+   - at every transmission, the channel (shared Mobility.Pos_store +
+     incremental Geom.Cell_index) touches exactly the radios a
+     brute-force scan over record mobility finds (test/naive_medium.ml),
+     across protocols, mobility families, shadowing, partition and
+     churn; arming that oracle leaves the outcome unchanged;
    - churn edge cases: traffic to a crashed node, teardown of routing
      state, rejoin recovery, and index removal/re-insertion;
    - the LDR invariant monitor stays silent across churn and
@@ -19,9 +19,8 @@ open Packets
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(naive = false)
-    ?(mobility = Scenario.Waypoint) ?shadowing ?churn ?partition
-    ?(duration = 15.) () =
+let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(mobility = Scenario.Waypoint)
+    ?shadowing ?churn ?partition ?(duration = 15.) () =
   {
     Scenario.label = "world";
     num_nodes = 24;
@@ -43,7 +42,6 @@ let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(naive = false)
     net = Net.Params.default;
     seed;
     audit_loops = false;
-    naive_channel = naive;
     mobility;
     shadowing;
     churn;
@@ -74,36 +72,50 @@ let digest (o : Runner.outcome) =
 let same_digest label a b =
   checkb label true (Stdlib.compare (digest a) (digest b) = 0)
 
-(* --- SoA vs record reference: byte-identical outcomes --------------- *)
+(* --- Channel fan-out vs brute-force oracle ------------------------------ *)
+
+(* Run [sc] with the fan-out oracle checking every transmission (it
+   raises at the first divergence); [prepare] runs after arming it. *)
+let run_checked ?monitor ?(prepare = ignore) sc =
+  let checked = ref 0 in
+  let o =
+    Runner.run ?monitor
+      ~prepare:(fun sim ->
+        Naive_medium.arm_sim ~checked sim;
+        prepare sim)
+      sc
+  in
+  checki "oracle checked every transmission" o.Runner.transmissions !checked;
+  o
 
 let test_soa_identical protocol () =
-  let rec_o = Runner.run (fig5 ~protocol ~naive:true ()) in
-  let soa_o = Runner.run (fig5 ~protocol ()) in
-  checkb "run did work" true (Metrics.delivered rec_o.Runner.metrics > 0);
-  same_digest "soa digest = record digest" rec_o soa_o
+  let checked = run_checked (fig5 ~protocol ()) in
+  let plain = Runner.run (fig5 ~protocol ()) in
+  checkb "run did work" true (Metrics.delivered plain.Runner.metrics > 0);
+  same_digest "oracle-checked digest = plain digest" checked plain
 
 let test_soa_identical_mobility mobility () =
-  let rec_o = Runner.run (fig5 ~mobility ~naive:true ()) in
-  let soa_o = Runner.run (fig5 ~mobility ()) in
-  checkb "run did work" true (Metrics.delivered rec_o.Runner.metrics > 0);
+  let checked = run_checked (fig5 ~mobility ()) in
+  let plain = Runner.run (fig5 ~mobility ()) in
+  checkb "run did work" true (Metrics.delivered plain.Runner.metrics > 0);
   same_digest
-    (Scenario.mobility_name mobility ^ ": soa = record")
-    rec_o soa_o
+    (Scenario.mobility_name mobility ^ ": oracle-checked = plain")
+    checked plain
 
-(* --- shadowing: deterministic, observable, mode-invariant ------------ *)
+(* --- shadowing: deterministic, observable, oracle-checked ------------ *)
 
 let test_shadowing () =
   let sh = Some Scenario.default_shadowing in
   let a = Runner.run (fig5 ~shadowing:(Option.get sh) ()) in
   let b = Runner.run (fig5 ~shadowing:(Option.get sh) ()) in
   same_digest "shadowed rerun identical" a b;
-  let rec_o = Runner.run (fig5 ~shadowing:(Option.get sh) ~naive:true ()) in
-  same_digest "shadowed soa = record" rec_o a;
+  let checked = run_checked (fig5 ~shadowing:(Option.get sh) ()) in
+  same_digest "shadowed oracle-checked = plain" checked a;
   let plain = Runner.run (fig5 ()) in
   checkb "shadowing changes the outcome" true
     (Stdlib.compare (digest a) (digest plain) <> 0)
 
-(* --- partition wall: heals, monitor silent, mode-invariant ----------- *)
+(* --- partition wall: heals, monitor silent, oracle-checked ----------- *)
 
 let test_partition_heal () =
   let partition =
@@ -114,10 +126,10 @@ let test_partition_heal () =
   checki "monitor silent across partition-heal" 0
     o.Runner.invariant_violations;
   checkb "still delivered" true (Metrics.delivered o.Runner.metrics > 0);
-  let rec_o = Runner.run ~monitor:true (fig5 ~partition ~naive:true ()) in
-  same_digest "partitioned soa = record" rec_o o
+  let checked = run_checked ~monitor:true (fig5 ~partition ()) in
+  same_digest "partitioned oracle-checked = plain" checked o
 
-(* --- churn: monitor silent, mode-invariant ------------------------------ *)
+(* --- churn: monitor silent, oracle-checked ------------------------------ *)
 
 let churn_cfg =
   {
@@ -134,16 +146,14 @@ let test_churn_monitor_silent () =
   checki "monitor silent across churn" 0 o.Runner.invariant_violations;
   checkb "churned run still delivers" true
     (Metrics.delivered o.Runner.metrics > 0);
-  let rec_o =
-    Runner.run ~monitor:true (fig5 ~churn:churn_cfg ~naive:true ())
-  in
-  same_digest "churned soa = record" rec_o o
+  let checked = run_checked ~monitor:true (fig5 ~churn:churn_cfg ()) in
+  same_digest "churned oracle-checked = plain" checked o
 
 (* --- crashed-destination edge cases --------------------------------- *)
 
 (* A five-node chain, 200 m spacing (range 250 m: only neighbours hear
    each other).  Node 4 crashes mid-run while node 0 keeps injecting. *)
-let chain_scenario ~naive =
+let chain_scenario () =
   let positions =
     List.init 5 (fun i -> Geom.Vec2.v (100. +. (200. *. float_of_int i)) 150.)
   in
@@ -155,13 +165,11 @@ let chain_scenario ~naive =
     speed_min = 0.;
     speed_max = 0.;
     traffic = { (fig5 ()).Scenario.traffic with Traffic.num_flows = 0 };
-    naive_channel = naive;
   }
 
-let run_chain_crash ~naive =
+let run_chain_crash ~oracle =
   let crashed_successor = ref (Some (Node_id.of_int 0)) in
-  Runner.run ~monitor:true
-    ~prepare:(fun sim ->
+  let prepare (sim : Runner.sim) =
       let eng = sim.Runner.engine in
       let take_down at =
         ignore
@@ -191,11 +199,13 @@ let run_chain_crash ~naive =
       (* traffic to a crashed node *)
       bring_up (Time.sec 10.);
       inject (Time.sec 13.)
-      (* rediscovery after the reboot *))
-    (chain_scenario ~naive)
+      (* rediscovery after the reboot *)
+  in
+  if oracle then run_checked ~monitor:true ~prepare (chain_scenario ())
+  else Runner.run ~monitor:true ~prepare (chain_scenario ())
 
 let test_crashed_destination () =
-  let o = run_chain_crash ~naive:false in
+  let o = run_chain_crash ~oracle:false in
   let m = o.Runner.metrics in
   checki "monitor silent across crash/rejoin" 0 o.Runner.invariant_violations;
   checki "three originations" 3 (Metrics.originated m);
@@ -218,16 +228,16 @@ let test_crash_successor_cleared () =
          ignore
            (Engine.at sim.Runner.engine (Time.sec 1.) (fun () ->
                 sim.Runner.inject ~src:0 ~dst:4)))
-       (chain_scenario ~naive:false));
+       (chain_scenario ()));
   checkb "reset cleared every successor" true (!crashed_successor = None)
 
 let test_crashed_destination_soa_identical () =
-  (* The same scripted crash/rejoin on both channels: exercises
-     Cell_index removal and re-insertion against the naive scan's
-     attached filter, with outcome equality as the oracle. *)
-  let a = run_chain_crash ~naive:true in
-  let b = run_chain_crash ~naive:false in
-  same_digest "chain crash soa = record" a b
+  (* The scripted crash/rejoin under the fan-out oracle: exercises
+     Cell_index removal and re-insertion against the brute-force scan's
+     attached filter at every transmission. *)
+  let a = run_chain_crash ~oracle:true in
+  let b = run_chain_crash ~oracle:false in
+  same_digest "chain crash oracle-checked = plain" a b
 
 let () =
   Alcotest.run "world"
