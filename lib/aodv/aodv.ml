@@ -10,7 +10,7 @@ type config = {
   allowed_hello_loss : int;
   active_route_timeout : Time.t;
   my_route_timeout : Time.t;
-  ring : Routing.Discovery.t;
+  ring : Routing.Discovery.ring;
   rreq_cache_ttl : Time.t;
   buffer_capacity : int;
   buffer_max_age : Time.t;
@@ -40,23 +40,17 @@ type route = {
   mutable expires : Time.t;
 }
 
-type pending = {
-  mutable p_ttl : int;
-  mutable p_diameter_tries : int;
-  mutable p_timer : Engine.handle option;
-}
-
 type state = {
   ctx : RA.ctx;
   cfg : config;
   table : route Node_id.Table.t;
   cache : Node_id.t Routing.Rreq_cache.t;  (** value: reverse hop *)
-  buffer : Routing.Packet_buffer.t;
   mutable own_sn : int;
-  mutable next_rreq_id : int;
-  pending : pending Node_id.Table.t;
+  discovery : route Routing.Discovery.t Lazy.t;
   last_hello : Time.t Node_id.Table.t;  (** neighbor liveness (hello mode) *)
 }
+
+let discovery t = Lazy.force t.discovery
 
 let now t = Engine.now t.ctx.engine
 
@@ -127,91 +121,24 @@ let forward_data t (r : route) msg =
       refresh t r;
       t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (Data_msg.hop msg))
 
-let flush_buffer t dst =
-  match valid_entry t dst with
-  | None -> ()
-  | Some r ->
-      List.iter (fun msg -> forward_data t r msg)
-        (Routing.Packet_buffer.take t.buffer dst)
-
 (* ---- Route discovery --------------------------------------------------- *)
 
-let fresh_rreq_id t =
-  t.next_rreq_id <- t.next_rreq_id + 1;
-  t.next_rreq_id
-
-let rec issue_rreq t dst pend =
+let send_rreq t ~dst ~ttl ~rreq_id =
   (* RFC 6.1: originator increments its own sequence number before every
      route discovery. *)
   t.own_sn <- t.own_sn + 1;
   let dst_sn = match entry t dst with Some r -> r.sn | None -> None in
-  let rreq =
-    {
-      Aodv_msg.dst;
-      dst_sn;
-      rreq_id = fresh_rreq_id t;
-      origin = t.ctx.id;
-      origin_sn = t.own_sn;
-      hop_count = 0;
-      ttl = pend.p_ttl;
-    }
-  in
-  t.ctx.event "rreq_init";
-  if Obs.Bus.on t.ctx.obs then
-    Obs.Bus.span t.ctx.obs
-      ~time:(Engine.now t.ctx.engine)
-      ~node:(Node_id.to_int t.ctx.id)
-      ~stage:Obs.Span.Stage.ring ~flow:(-1) ~seq:(-1)
-      ~d:(Node_id.to_int dst) ~e:rreq.Aodv_msg.ttl
-      ~f:rreq.Aodv_msg.rreq_id;
-  send_aodv t ~dst:Net.Frame.Broadcast (Aodv_msg.Rreq rreq);
-  let timeout = Routing.Discovery.attempt_timeout t.cfg.ring ~ttl:pend.p_ttl in
-  pend.p_timer <-
-    Some (Engine.after t.ctx.engine timeout (fun () -> attempt_expired t dst pend))
-
-and attempt_expired t dst pend =
-  pend.p_timer <- None;
-  if valid_entry t dst <> None then finish_discovery t dst
-  else begin
-    let ring = t.cfg.ring in
-    match Routing.Discovery.next_ttl ring ~prev:(Some pend.p_ttl) with
-    | Some ttl ->
-        pend.p_ttl <- ttl;
-        issue_rreq t dst pend
-    | None ->
-        if pend.p_diameter_tries < ring.max_retries then begin
-          pend.p_diameter_tries <- pend.p_diameter_tries + 1;
-          pend.p_ttl <- ring.net_diameter;
-          issue_rreq t dst pend
-        end
-        else begin
-          Node_id.Table.remove t.pending dst;
-          Routing.Packet_buffer.drop_all t.buffer dst
-            ~reason:"discovery-failed"
-        end
-  end
-
-and finish_discovery t dst =
-  (match Node_id.Table.find_opt t.pending dst with
-  | Some pend -> (
-      match pend.p_timer with
-      | Some h -> Engine.cancel t.ctx.engine h
-      | None -> ())
-  | None -> ());
-  Node_id.Table.remove t.pending dst;
-  flush_buffer t dst
-
-let start_discovery t dst =
-  if not (Node_id.Table.mem t.pending dst) then begin
-    let first_ttl =
-      match Routing.Discovery.next_ttl t.cfg.ring ~prev:None with
-      | Some ttl -> ttl
-      | None -> t.cfg.ring.net_diameter
-    in
-    let pend = { p_ttl = first_ttl; p_diameter_tries = 0; p_timer = None } in
-    Node_id.Table.replace t.pending dst pend;
-    issue_rreq t dst pend
-  end
+  send_aodv t ~dst:Net.Frame.Broadcast
+    (Aodv_msg.Rreq
+       {
+         Aodv_msg.dst;
+         dst_sn;
+         rreq_id;
+         origin = t.ctx.id;
+         origin_sn = t.own_sn;
+         hop_count = 0;
+         ttl;
+       })
 
 (* ---- Data plane -------------------------------------------------------- *)
 
@@ -221,9 +148,7 @@ let origin_data t msg =
     let msg = { msg with Data_msg.ttl = t.cfg.data_ttl } in
     match valid_entry t msg.Data_msg.dst with
     | Some r -> forward_data t r msg
-    | None ->
-        Routing.Packet_buffer.push t.buffer msg;
-        start_discovery t msg.Data_msg.dst
+    | None -> Routing.Discovery.hold (discovery t) msg
 
 let handle_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
@@ -320,8 +245,10 @@ let handle_rrep t (r : Aodv_msg.rrep) ~from =
       ~lifetime:r.lifetime
   in
   if accepted then t.ctx.event "rrep_usable_recv";
-  if Node_id.Table.mem t.pending r.dst && valid_entry t r.dst <> None then
-    finish_discovery t r.dst;
+  if
+    Routing.Discovery.pending (discovery t) r.dst
+    && valid_entry t r.dst <> None
+  then Routing.Discovery.settle (discovery t) r.dst;
   if not (Node_id.equal r.origin t.ctx.id) then begin
     (* Forward along the reverse route built by the RREQ. *)
     match valid_entry t r.origin with
@@ -372,10 +299,8 @@ let link_failure t payload ~next_hop =
   if affected <> [] then t.ctx.table_changed ();
   (match payload with
   | Payload.Data msg ->
-      if Node_id.equal msg.Data_msg.src t.ctx.id then begin
-        Routing.Packet_buffer.push t.buffer msg;
-        start_discovery t msg.Data_msg.dst
-      end
+      if Node_id.equal msg.Data_msg.src t.ctx.id then
+        Routing.Discovery.hold (discovery t) msg
       else t.ctx.drop_data msg ~reason:"link-failure"
   | Payload.Ldr _ | Payload.Aodv _ | Payload.Dsr _ | Payload.Olsr _ -> ());
   broadcast_rerr t affected
@@ -448,27 +373,16 @@ let recv t payload ~from =
    volatile memory, so a crash reboots it at 0 — the classic stale-seqno
    loop stressor (van Glabbeek et al.). *)
 let reset t ~crash =
-  Node_id.Table.iter
-    (fun _ (p : pending) ->
-      match p.p_timer with
-      | Some h ->
-          Engine.cancel t.ctx.engine h;
-          p.p_timer <- None
-      | None -> ())
-    t.pending;
-  Node_id.Table.reset t.pending;
-  Routing.Packet_buffer.clear t.buffer ~reason:"node-down";
+  Routing.Discovery.reset (discovery t) ~crash;
   Node_id.Table.reset t.table;
   Routing.Rreq_cache.clear t.cache;
   Node_id.Table.reset t.last_hello;
   t.ctx.table_changed ();
-  if crash then begin
-    t.own_sn <- 0;
-    t.next_rreq_id <- 0
-  end
+  if crash then t.own_sn <- 0
 
 let factory ?(config = default_config) () (ctx : RA.ctx) =
-  let t =
+  let schedule = Routing.Discovery.ring_attempts config.ring in
+  let rec t =
     {
       ctx;
       cfg = config;
@@ -476,14 +390,13 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
       cache =
         Routing.Rreq_cache.create ~engine:ctx.engine
           ~ttl:config.rreq_cache_ttl;
-      buffer =
-        Routing.Packet_buffer.create ~obs:ctx.obs
-          ~owner:(Node_id.to_int ctx.id) ~engine:ctx.engine
-          ~capacity:config.buffer_capacity ~max_age:config.buffer_max_age
-          ~on_drop:ctx.drop_data ();
       own_sn = 0;
-      next_rreq_id = 0;
-      pending = Node_id.Table.create 8;
+      discovery =
+        lazy
+          (Routing.Discovery.create ctx ~capacity:config.buffer_capacity
+             ~max_age:config.buffer_max_age ~schedule:(fun _ -> schedule)
+             ~route:(valid_entry t) ~forward:(forward_data t)
+             ~send_rreq:(send_rreq t));
       last_hello = Node_id.Table.create 16;
     }
   in

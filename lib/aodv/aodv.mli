@@ -24,7 +24,7 @@ type config = {
   allowed_hello_loss : int;
   active_route_timeout : Sim.Time.t;
   my_route_timeout : Sim.Time.t;
-  ring : Routing.Discovery.t;
+  ring : Routing.Discovery.ring;
   rreq_cache_ttl : Sim.Time.t;
   buffer_capacity : int;
   buffer_max_age : Sim.Time.t;

@@ -3,7 +3,7 @@ open Sim
 type t = {
   active_route_timeout : Time.t;
   my_route_timeout : Time.t;
-  ring : Routing.Discovery.t;
+  ring : Routing.Discovery.ring;
   rreq_cache_ttl : Time.t;
   buffer_capacity : int;
   buffer_max_age : Time.t;

@@ -7,7 +7,7 @@ type t = {
   active_route_timeout : Sim.Time.t;  (** route freshness window (3 s) *)
   my_route_timeout : Sim.Time.t;
       (** lifetime a destination advertises in its own RREPs (6 s) *)
-  ring : Routing.Discovery.t;  (** expanding-ring-search schedule *)
+  ring : Routing.Discovery.ring;  (** expanding-ring-search schedule *)
   rreq_cache_ttl : Sim.Time.t;
       (** how long engaged-state / duplicate entries persist *)
   buffer_capacity : int;

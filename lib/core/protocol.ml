@@ -11,24 +11,18 @@ type engaged = {
       (* strongest (sn, dist) advertisement relayed for this computation *)
 }
 
-(* Active-state bookkeeping at the computation origin (Procedure 1). *)
-type pending = {
-  mutable p_ttl : int;
-  mutable p_diameter_tries : int;
-  mutable p_timer : Engine.handle option;
-}
-
 type state = {
   ctx : RA.ctx;
   cfg : Config.t;
   table : Route_table.t;
   cache : engaged Routing.Rreq_cache.t;
-  buffer : Routing.Packet_buffer.t;
   mutable own_sn : Seqnum.t;
   mutable own_increments : int;
-  mutable next_rreq_id : int;
-  pending : pending Node_id.Table.t;
+  discovery : Route_table.entry Routing.Discovery.t Lazy.t;
+      (* Procedure 1 at the computation origin *)
 }
+
+let discovery t = Lazy.force t.discovery
 
 let now (t : state) = Engine.now t.ctx.engine
 let clock_stamp t = int_of_float (Time.to_sec (now t))
@@ -90,118 +84,44 @@ let forward_data t (e : Route_table.entry) msg =
       Route_table.refresh t.table e ~lifetime:t.cfg.active_route_timeout;
       t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (Data_msg.hop msg))
 
-let flush_buffer t dst =
-  match Route_table.active t.table dst with
-  | None -> ()
-  | Some e ->
-      List.iter (fun msg -> forward_data t e msg)
-        (Routing.Packet_buffer.take t.buffer dst)
-
 (* ---- Procedure 1: initiate solicitation ------------------------------ *)
 
-let fresh_rreq_id t =
-  t.next_rreq_id <- t.next_rreq_id + 1;
-  t.next_rreq_id
-
-(* Discovery-side span: one record per ring/probe attempt, keyed by the
-   sought destination and rreq id rather than a packet's (flow, seq). *)
-let emit_ring_span t ~dst ~ttl ~rreq_id =
-  if Obs.Bus.on t.ctx.RA.obs then
-    Obs.Bus.span t.ctx.RA.obs
-      ~time:(Engine.now t.ctx.RA.engine)
-      ~node:(Node_id.to_int t.ctx.RA.id)
-      ~stage:Obs.Span.Stage.ring ~flow:(-1) ~seq:(-1)
-      ~d:(Node_id.to_int dst) ~e:ttl ~f:rreq_id
-
-let request_invariants t dst =
-  match Route_table.find t.table dst with
-  | None -> (None, Conditions.infinity)
-  | Some e -> (Some e.sn, e.fd)
-
-let rec issue_rreq t dst pend =
-  let dst_sn, fd = request_invariants t dst in
-  let answer_dist = reduce t fd in
-  let rreq =
-    {
-      Ldr_msg.dst;
-      dst_sn;
-      rreq_id = fresh_rreq_id t;
-      origin = t.ctx.id;
-      origin_sn = t.own_sn;
-      fd;
-      answer_dist;
-      dist = 0;
-      ttl = pend.p_ttl;
-      reset = false;
-      no_reverse = false;
-      unicast_probe = false;
-    }
+(* The RFC 3561 ring; with the optimal-TTL optimization and a known
+   distance it starts at TTL = D - FD + LOCAL_ADD_TTL. *)
+let ring_schedule t dst =
+  let ring = t.cfg.ring in
+  let first =
+    match Route_table.find t.table dst with
+    | Some e when t.cfg.opt_optimal_ttl && e.dist < Conditions.infinity ->
+        Stdlib.min ring.net_diameter
+          (Stdlib.max ring.ttl_start
+             (e.dist - reduce t e.fd + t.cfg.local_add_ttl))
+    | Some _ | None -> ring.ttl_start
   in
-  t.ctx.event ~dst "rreq_init";
-  emit_ring_span t ~dst ~ttl:rreq.Ldr_msg.ttl ~rreq_id:rreq.Ldr_msg.rreq_id;
-  send_ldr t ~dst:Net.Frame.Broadcast (Ldr_msg.Rreq rreq);
-  let timeout =
-    Routing.Discovery.attempt_timeout t.cfg.ring ~ttl:pend.p_ttl
+  Routing.Discovery.ring_attempts ring ~first
+
+let send_rreq t ~dst ~ttl ~rreq_id =
+  let dst_sn, fd =
+    match Route_table.find t.table dst with
+    | None -> (None, Conditions.infinity)
+    | Some e -> (Some e.sn, e.fd)
   in
-  pend.p_timer <-
-    Some (Engine.after t.ctx.engine timeout (fun () -> attempt_expired t dst pend))
-
-and attempt_expired t dst pend =
-  pend.p_timer <- None;
-  if Route_table.active t.table dst <> None then finish_discovery t dst
-  else begin
-    let ring = t.cfg.ring in
-    match Routing.Discovery.next_ttl ring ~prev:(Some pend.p_ttl) with
-    | Some ttl ->
-        pend.p_ttl <- ttl;
-        issue_rreq t dst pend
-    | None ->
-        if pend.p_diameter_tries < ring.max_retries then begin
-          pend.p_diameter_tries <- pend.p_diameter_tries + 1;
-          pend.p_ttl <- ring.net_diameter;
-          issue_rreq t dst pend
-        end
-        else begin
-          (* Procedure 1: final attempt failed; report and drop. *)
-          Node_id.Table.remove t.pending dst;
-          Routing.Packet_buffer.drop_all t.buffer dst
-            ~reason:"discovery-failed"
-        end
-  end
-
-and finish_discovery t dst =
-  (match Node_id.Table.find_opt t.pending dst with
-  | Some pend -> (
-      match pend.p_timer with
-      | Some h -> Engine.cancel t.ctx.engine h
-      | None -> ())
-  | None -> ());
-  Node_id.Table.remove t.pending dst;
-  flush_buffer t dst
-
-let start_discovery t dst =
-  if not (Node_id.Table.mem t.pending dst) then begin
-    let first_ttl =
-      let ring = t.cfg.ring in
-      let default_ttl =
-        match Routing.Discovery.next_ttl ring ~prev:None with
-        | Some ttl -> ttl
-        | None -> ring.net_diameter
-      in
-      if t.cfg.opt_optimal_ttl then
-        match Route_table.find t.table dst with
-        | Some e when e.dist < Conditions.infinity ->
-            (* Optimal-TTL optimization: TTL = D - FD + LOCAL_ADD_TTL. *)
-            let fd_req = reduce t e.fd in
-            Stdlib.min ring.net_diameter
-              (Stdlib.max default_ttl (e.dist - fd_req + t.cfg.local_add_ttl))
-        | Some _ | None -> default_ttl
-      else default_ttl
-    in
-    let pend = { p_ttl = first_ttl; p_diameter_tries = 0; p_timer = None } in
-    Node_id.Table.replace t.pending dst pend;
-    issue_rreq t dst pend
-  end
+  send_ldr t ~dst:Net.Frame.Broadcast
+    (Ldr_msg.Rreq
+       {
+         Ldr_msg.dst;
+         dst_sn;
+         rreq_id;
+         origin = t.ctx.id;
+         origin_sn = t.own_sn;
+         fd;
+         answer_dist = reduce t fd;
+         dist = 0;
+         ttl;
+         reset = false;
+         no_reverse = false;
+         unicast_probe = false;
+       })
 
 (* ---- Data plane ------------------------------------------------------- *)
 
@@ -211,9 +131,7 @@ let origin_data t msg =
     let msg = { msg with Data_msg.ttl = t.cfg.data_ttl } in
     match Route_table.active t.table msg.Data_msg.dst with
     | Some e -> forward_data t e msg
-    | None ->
-        Routing.Packet_buffer.push t.buffer msg;
-        start_discovery t msg.Data_msg.dst
+    | None -> Routing.Discovery.hold (discovery t) msg
 
 let handle_data t msg ~from:_ =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
@@ -401,26 +319,26 @@ let n_bit_probe t dst =
       | None -> ()
       | Some nh ->
           increment_own t;
-          let rreq =
-            {
-              Ldr_msg.dst;
-              dst_sn = Some e.sn;
-              rreq_id = fresh_rreq_id t;
-              origin = t.ctx.id;
-              origin_sn = t.own_sn;
-              fd = e.fd;
-              answer_dist = reduce t e.fd;
-              dist = 0;
-              ttl = e.dist + t.cfg.local_add_ttl;
-              reset = false;
-              no_reverse = false;
-              unicast_probe = true;
-            }
+          let ttl = e.dist + t.cfg.local_add_ttl in
+          let rreq_id =
+            Routing.Discovery.fresh_rreq_id (discovery t) ~dst ~ttl
           in
-          t.ctx.event ~dst "rreq_init";
-          emit_ring_span t ~dst ~ttl:rreq.Ldr_msg.ttl
-            ~rreq_id:rreq.Ldr_msg.rreq_id;
-          send_ldr t ~dst:(Net.Frame.Unicast nh) (Ldr_msg.Rreq rreq))
+          send_ldr t ~dst:(Net.Frame.Unicast nh)
+            (Ldr_msg.Rreq
+               {
+                 Ldr_msg.dst;
+                 dst_sn = Some e.sn;
+                 rreq_id;
+                 origin = t.ctx.id;
+                 origin_sn = t.own_sn;
+                 fd = e.fd;
+                 answer_dist = reduce t e.fd;
+                 dist = 0;
+                 ttl;
+                 reset = false;
+                 no_reverse = false;
+                 unicast_probe = true;
+               }))
 
 let handle_rrep t (r : Ldr_msg.rrep) ~from =
   let verdict =
@@ -433,9 +351,9 @@ let handle_rrep t (r : Ldr_msg.rrep) ~from =
      terminates it — relays can be active for a destination while engaged
      in other computations for it. *)
   if
-    Node_id.Table.mem t.pending r.dst
+    Routing.Discovery.pending (discovery t) r.dst
     && Route_table.active t.table r.dst <> None
-  then finish_discovery t r.dst;
+  then Routing.Discovery.settle (discovery t) r.dst;
   if Node_id.equal r.origin t.ctx.id then begin
     if feasible && r.rrep_no_reverse then n_bit_probe t r.dst
   end
@@ -509,10 +427,8 @@ let link_failure t payload ~next_hop =
       match Route_table.active t.table msg.Data_msg.dst with
       | Some e -> forward_data t e msg
       | None ->
-          if Node_id.equal msg.Data_msg.src t.ctx.id then begin
-            Routing.Packet_buffer.push t.buffer msg;
-            start_discovery t msg.Data_msg.dst
-          end
+          if Node_id.equal msg.Data_msg.src t.ctx.id then
+            Routing.Discovery.hold (discovery t) msg
           else t.ctx.drop_data msg ~reason:"link-failure")
   | Payload.Ldr _ | Payload.Aodv _ | Payload.Dsr _ | Payload.Olsr _ -> ());
   let with_sns =
@@ -545,27 +461,17 @@ let recv t payload ~from =
    clock-stamped numbers recover because the next increment jumps to the
    wall clock (see [increment_own]). *)
 let reset t ~crash =
-  Node_id.Table.iter
-    (fun _ (p : pending) ->
-      match p.p_timer with
-      | Some h ->
-          Engine.cancel t.ctx.engine h;
-          p.p_timer <- None
-      | None -> ())
-    t.pending;
-  Node_id.Table.reset t.pending;
-  Routing.Packet_buffer.clear t.buffer ~reason:"node-down";
+  Routing.Discovery.reset (discovery t) ~crash;
   Route_table.clear t.table;
   Routing.Rreq_cache.clear t.cache;
   t.ctx.table_changed ();
   if crash then begin
     t.own_sn <- Seqnum.initial ~stamp:0;
-    t.own_increments <- 0;
-    t.next_rreq_id <- 0
+    t.own_increments <- 0
   end
 
 let make ?(config = Config.default) (ctx : RA.ctx) =
-  let t =
+  let rec t =
     {
       ctx;
       cfg = config;
@@ -575,15 +481,14 @@ let make ?(config = Config.default) (ctx : RA.ctx) =
       cache =
         Routing.Rreq_cache.create ~engine:ctx.engine
           ~ttl:config.rreq_cache_ttl;
-      buffer =
-        Routing.Packet_buffer.create ~obs:ctx.obs
-          ~owner:(Node_id.to_int ctx.id) ~engine:ctx.engine
-          ~capacity:config.buffer_capacity ~max_age:config.buffer_max_age
-          ~on_drop:ctx.drop_data ();
       own_sn = Seqnum.initial ~stamp:0;
       own_increments = 0;
-      next_rreq_id = 0;
-      pending = Node_id.Table.create 8;
+      discovery =
+        lazy
+          (Routing.Discovery.create ctx ~capacity:config.buffer_capacity
+             ~max_age:config.buffer_max_age ~schedule:(ring_schedule t)
+             ~route:(Route_table.active t.table) ~forward:(forward_data t)
+             ~send_rreq:(send_rreq t));
     }
   in
   let agent =
@@ -639,6 +544,5 @@ let factory_with_debug ?config () ctx =
       table = t.table;
       own_sn = (fun () -> t.own_sn);
       pending_discoveries =
-        (fun () ->
-          Node_id.Table.fold (fun dst _ acc -> dst :: acc) t.pending []);
+        (fun () -> Routing.Discovery.destinations (discovery t));
     } )

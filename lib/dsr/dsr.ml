@@ -34,11 +34,6 @@ let default_config =
     route_shortening = true;
   }
 
-type pending = {
-  mutable p_attempts : int;  (** flood attempts made (0 = nonprop phase) *)
-  mutable p_timer : Engine.handle option;
-}
-
 type state = {
   ctx : RA.ctx;
   cfg : config;
@@ -46,10 +41,10 @@ type state = {
   seen : unit Routing.Rreq_cache.t;  (** RREQ duplicate table *)
   shortened : unit Routing.Rreq_cache.t;
       (** gratuitous-RREP rate limiting, keyed (source, destination) *)
-  buffer : Routing.Packet_buffer.t;
-  mutable next_rreq_id : int;
-  pending : pending Node_id.Table.t;
+  discovery : Node_id.t list Routing.Discovery.t Lazy.t;
 }
+
+let discovery t = Lazy.force t.discovery
 
 let send_dsr t ~dst msg = t.ctx.send ~dst (Payload.Dsr msg)
 
@@ -69,71 +64,24 @@ let send_data_via t hops (data : Data_msg.t) ~salvage =
         (Dsr_msg.Data
            { sr_remaining = rest; full_route; data = Data_msg.hop data; salvage })
 
-let flush_buffer t dst =
-  match Route_cache.find t.cache ~dst with
-  | None -> ()
-  | Some hops ->
-      List.iter
-        (fun msg -> send_data_via t hops msg ~salvage:0)
-        (Routing.Packet_buffer.take t.buffer dst)
-
 (* ---- Route discovery --------------------------------------------------- *)
 
-let fresh_rreq_id t =
-  t.next_rreq_id <- t.next_rreq_id + 1;
-  t.next_rreq_id
-
-let net_diameter = Routing.Discovery.default.net_diameter
-
-let rec issue_rreq t dst pend =
-  let ttl, timeout =
-    if pend.p_attempts = 0 then (1, t.cfg.nonprop_timeout)
-    else
-      ( net_diameter,
-        (* Exponential request backoff. *)
-        Time.mul t.cfg.flood_timeout (1 lsl (pend.p_attempts - 1)) )
+(* One non-propagating TTL-1 request, then network-wide floods with
+   exponential request backoff. *)
+let schedule (cfg : config) =
+  let flood i =
+    {
+      Routing.Discovery.ttl = Routing.Discovery.default.net_diameter;
+      timeout = Time.mul cfg.flood_timeout (1 lsl i);
+    }
   in
-  let rreq =
-    { Dsr_msg.origin = t.ctx.id; dst; rreq_id = fresh_rreq_id t; route = []; ttl }
-  in
-  t.ctx.event "rreq_init";
-  if Obs.Bus.on t.ctx.obs then
-    Obs.Bus.span t.ctx.obs
-      ~time:(Engine.now t.ctx.engine)
-      ~node:(Node_id.to_int t.ctx.id)
-      ~stage:Obs.Span.Stage.ring ~flow:(-1) ~seq:(-1)
-      ~d:(Node_id.to_int dst) ~e:rreq.Dsr_msg.ttl ~f:rreq.Dsr_msg.rreq_id;
-  send_dsr t ~dst:Net.Frame.Broadcast (Dsr_msg.Rreq rreq);
-  pend.p_timer <-
-    Some
-      (Engine.after t.ctx.engine timeout (fun () -> attempt_expired t dst pend))
+  Seq.cons
+    { Routing.Discovery.ttl = 1; timeout = cfg.nonprop_timeout }
+    (Seq.init cfg.max_flood_attempts flood)
 
-and attempt_expired t dst pend =
-  pend.p_timer <- None;
-  if Route_cache.find t.cache ~dst <> None then finish_discovery t dst
-  else if pend.p_attempts < t.cfg.max_flood_attempts then begin
-    pend.p_attempts <- pend.p_attempts + 1;
-    issue_rreq t dst pend
-  end
-  else begin
-    Node_id.Table.remove t.pending dst;
-    Routing.Packet_buffer.drop_all t.buffer dst ~reason:"discovery-failed"
-  end
-
-and finish_discovery t dst =
-  (match Node_id.Table.find_opt t.pending dst with
-  | Some pend -> (
-      match pend.p_timer with Some h -> Engine.cancel t.ctx.engine h | None -> ())
-  | None -> ());
-  Node_id.Table.remove t.pending dst;
-  flush_buffer t dst
-
-let start_discovery t dst =
-  if not (Node_id.Table.mem t.pending dst) then begin
-    let pend = { p_attempts = 0; p_timer = None } in
-    Node_id.Table.replace t.pending dst pend;
-    issue_rreq t dst pend
-  end
+let send_rreq t ~dst ~ttl ~rreq_id =
+  send_dsr t ~dst:Net.Frame.Broadcast
+    (Dsr_msg.Rreq { Dsr_msg.origin = t.ctx.id; dst; rreq_id; route = []; ttl })
 
 (* ---- Data plane -------------------------------------------------------- *)
 
@@ -142,9 +90,7 @@ let origin_data t msg =
   else
     match Route_cache.find t.cache ~dst:msg.Data_msg.dst with
     | Some hops -> send_data_via t hops msg ~salvage:0
-    | None ->
-        Routing.Packet_buffer.push t.buffer msg;
-        start_discovery t msg.Data_msg.dst
+    | None -> Routing.Discovery.hold (discovery t) msg
 
 let handle_data t ~sr_remaining ~full_route ~data ~salvage =
   (* Forwarding is purely header-driven; caches also learn the route the
@@ -226,7 +172,7 @@ let handle_rrep t ~sr_remaining ~(rrep : Dsr_msg.rrep) =
   Route_cache.add_path t.cache rrep.full_route;
   if Node_id.equal rrep.origin t.ctx.id then begin
     t.ctx.event "rrep_usable_recv";
-    finish_discovery t rrep.dst
+    Routing.Discovery.settle (discovery t) rrep.dst
   end
   else
     match sr_remaining with
@@ -279,10 +225,8 @@ let link_failure t payload ~next_hop =
       | Some hops when salvage < t.cfg.max_salvage ->
           send_data_via t hops data ~salvage:(salvage + 1)
       | Some _ | None ->
-          if Node_id.equal data.Data_msg.src t.ctx.id then begin
-            Routing.Packet_buffer.push t.buffer data;
-            start_discovery t data.Data_msg.dst
-          end
+          if Node_id.equal data.Data_msg.src t.ctx.id then
+            Routing.Discovery.hold (discovery t) data
           else t.ctx.drop_data data ~reason:"link-failure")
   | Payload.Dsr _ | Payload.Data _ | Payload.Ldr _ | Payload.Aodv _
   | Payload.Olsr _ ->
@@ -371,24 +315,16 @@ let overheard t payload ~from ~dst:_ =
 (* Churn teardown (Agent.reset).  DSR keeps no sequence numbers, so
    crash and graceful leave tear down the same volatile state: cached
    source routes, duplicate tables, buffered data, pending
-   discoveries. *)
+   discoveries.  The RREQ-id counter survives either way. *)
 let reset t ~crash:_ =
-  Node_id.Table.iter
-    (fun _ (p : pending) ->
-      match p.p_timer with
-      | Some h ->
-          Engine.cancel t.ctx.engine h;
-          p.p_timer <- None
-      | None -> ())
-    t.pending;
-  Node_id.Table.reset t.pending;
-  Routing.Packet_buffer.clear t.buffer ~reason:"node-down";
+  Routing.Discovery.reset (discovery t) ~crash:false;
   Route_cache.clear t.cache;
   Routing.Rreq_cache.clear t.seen;
   Routing.Rreq_cache.clear t.shortened
 
 let factory ?(config = default_config) () (ctx : RA.ctx) =
-  let t =
+  let schedule = schedule config in
+  let rec t =
     {
       ctx;
       cfg = config;
@@ -397,13 +333,13 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
           ~capacity:config.cache_capacity ~ttl:config.cache_ttl;
       seen = Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:(Time.sec 30.);
       shortened = Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:(Time.sec 1.);
-      buffer =
-        Routing.Packet_buffer.create ~obs:ctx.obs
-          ~owner:(Node_id.to_int ctx.id) ~engine:ctx.engine
-          ~capacity:config.buffer_capacity ~max_age:config.buffer_max_age
-          ~on_drop:ctx.drop_data ();
-      next_rreq_id = 0;
-      pending = Node_id.Table.create 8;
+      discovery =
+        lazy
+          (Routing.Discovery.create ctx ~capacity:config.buffer_capacity
+             ~max_age:config.buffer_max_age ~schedule:(fun _ -> schedule)
+             ~route:(fun dst -> Route_cache.find t.cache ~dst)
+             ~forward:(fun hops msg -> send_data_via t hops msg ~salvage:0)
+             ~send_rreq:(send_rreq t));
     }
   in
   {

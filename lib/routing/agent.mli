@@ -60,13 +60,16 @@ type t = {
           feasible distances report zeros for the last two. *)
   reset : crash:bool -> unit;
       (** churn teardown: the node went down.  Routes are invalidated
-          through observable table writes, buffered data is dropped
-          (reported), pending discoveries are cancelled and duplicate
-          caches emptied.  [crash = true] additionally loses state a
-          real implementation keeps in volatile memory — notably the
-          node's own sequence number, the van Glabbeek et al. stressor
-          for seqno-based loop freedom.  [crash = false] models a
-          graceful leave/rejoin that remembers its number. *)
+          through observable table writes and duplicate caches emptied;
+          the on-demand protocols hand the rest to
+          {!Discovery.reset}, which cancels pending discoveries and
+          reports the held packets as ["node-down"] drops.
+          [crash = true] additionally loses state a real implementation
+          keeps in volatile memory — notably the node's own sequence
+          number, the van Glabbeek et al. stressor for seqno-based loop
+          freedom (LDR and AODV also restart their RREQ ids; DSR keeps
+          its counter).  [crash = false] models a graceful leave/rejoin
+          that remembers its number. *)
 }
 
 type factory = ctx -> t

@@ -1,6 +1,7 @@
 open Sim
+open Packets
 
-type t = {
+type ring = {
   ttl_start : int;
   ttl_increment : int;
   ttl_threshold : int;
@@ -34,12 +35,113 @@ let next_ttl t ~prev =
    TTL_THRESHOLD; the attempt after that goes straight to NET_DIAMETER.
    Clamping an overshooting ring *at* the threshold would insert an
    extra flood the schedule doesn't call for (visible whenever the
-   first TTL is unaligned, e.g. LDR's optimal-TTL starts).
-   Full-diameter retries are counted by the caller against
-   [max_retries]; [next_ttl] only shapes the ring growth. *)
+   first TTL is unaligned, e.g. LDR's optimal-TTL starts). *)
 
 let attempt_timeout t ~ttl =
   Time.mul t.node_traversal (2 * (ttl + t.timeout_buffer))
 
-let ttl_for_known_distance t ~dist =
-  Stdlib.min t.net_diameter (Stdlib.max t.ttl_start dist + 2)
+type attempt = { ttl : int; timeout : Time.t }
+
+let ring_attempts ?first t =
+  let attempt ttl = { ttl; timeout = attempt_timeout t ~ttl } in
+  let rec ring ttl () =
+    Seq.Cons
+      ( attempt ttl,
+        match next_ttl t ~prev:(Some ttl) with
+        | Some next -> ring next
+        | None -> Seq.init t.max_retries (fun _ -> attempt t.net_diameter) )
+  in
+  ring (Option.value first ~default:t.ttl_start)
+
+(* ---- The per-node machine -------------------------------------------- *)
+
+type pending = {
+  mutable rest : attempt Seq.t;  (* attempts not yet made *)
+  mutable timer : Engine.handle option;
+}
+
+type 'r t = {
+  ctx : Agent.ctx;
+  buffer : Packet_buffer.t;
+  pending : pending Node_id.Table.t;
+  mutable next_rreq_id : int;
+  schedule : Node_id.t -> attempt Seq.t;
+  route : Node_id.t -> 'r option;
+  forward : 'r -> Data_msg.t -> unit;
+  send_rreq : dst:Node_id.t -> ttl:int -> rreq_id:int -> unit;
+}
+
+let create (ctx : Agent.ctx) ~capacity ~max_age ~schedule ~route ~forward
+    ~send_rreq =
+  {
+    ctx;
+    buffer =
+      Packet_buffer.create ~obs:ctx.obs ~owner:(Node_id.to_int ctx.id)
+        ~engine:ctx.engine ~capacity ~max_age ~on_drop:ctx.drop_data ();
+    pending = Node_id.Table.create 8;
+    next_rreq_id = 0;
+    schedule;
+    route;
+    forward;
+    send_rreq;
+  }
+
+let pending d dst = Node_id.Table.mem d.pending dst
+let destinations d =
+  Node_id.Table.fold (fun dst _ acc -> dst :: acc) d.pending []
+
+(* Discovery-side span: one record per ring/probe attempt, keyed by the
+   sought destination and rreq id rather than a packet's (flow, seq). *)
+let fresh_rreq_id d ~dst ~ttl =
+  d.next_rreq_id <- d.next_rreq_id + 1;
+  let ctx = d.ctx in
+  ctx.event ~dst "rreq_init";
+  if Obs.Bus.on ctx.obs then
+    Obs.Bus.span ctx.obs ~time:(Engine.now ctx.engine)
+      ~node:(Node_id.to_int ctx.id) ~stage:Obs.Span.Stage.ring ~flow:(-1)
+      ~seq:(-1) ~d:(Node_id.to_int dst) ~e:ttl ~f:d.next_rreq_id;
+  d.next_rreq_id
+
+let settle d dst =
+  (match Node_id.Table.find_opt d.pending dst with
+  | Some { timer = Some h; _ } -> Engine.cancel d.ctx.engine h
+  | Some { timer = None; _ } | None -> ());
+  Node_id.Table.remove d.pending dst;
+  match d.route dst with
+  | None -> ()
+  | Some r -> List.iter (d.forward r) (Packet_buffer.take d.buffer dst)
+
+(* Make the next attempt of the schedule, or give up (Procedure 1: the
+   final attempt failed; report and drop). *)
+let rec advance d dst p =
+  match p.rest () with
+  | Seq.Cons ({ ttl; timeout }, rest) ->
+      p.rest <- rest;
+      let rreq_id = fresh_rreq_id d ~dst ~ttl in
+      d.send_rreq ~dst ~ttl ~rreq_id;
+      p.timer <-
+        Some (Engine.after d.ctx.engine timeout (fun () -> expired d dst p))
+  | Seq.Nil ->
+      Node_id.Table.remove d.pending dst;
+      Packet_buffer.drop_all d.buffer dst ~reason:"discovery-failed"
+
+and expired d dst p =
+  p.timer <- None;
+  if d.route dst <> None then settle d dst else advance d dst p
+
+let hold d msg =
+  Packet_buffer.push d.buffer msg;
+  let dst = msg.Data_msg.dst in
+  if not (pending d dst) then begin
+    let p = { rest = d.schedule dst; timer = None } in
+    Node_id.Table.replace d.pending dst p;
+    advance d dst p
+  end
+
+let reset d ~crash =
+  Node_id.Table.iter
+    (fun _ p -> Option.iter (Engine.cancel d.ctx.engine) p.timer)
+    d.pending;
+  Node_id.Table.reset d.pending;
+  Packet_buffer.clear d.buffer ~reason:"node-down";
+  if crash then d.next_rreq_id <- 0

@@ -1,4 +1,17 @@
-(** Expanding-ring-search schedule shared by the on-demand protocols.
+(** Origin-side route discovery shared by the on-demand protocols.
+
+    One machine per node runs the paper's Procedure 1 (initiate
+    solicitation) for LDR, AODV and DSR alike: data for a destination
+    without a route is held in a {!Packet_buffer}, an RREQ goes out per
+    attempt of a schedule, each attempt waits for its timeout, and when
+    the schedule runs out the held packets are reported as
+    ["discovery-failed"] drops.  A protocol supplies only what differs:
+    its route lookup, how a held packet is forwarded, how an RREQ is
+    built and sent, and its attempt schedule. *)
+
+open Packets
+
+(** {1 Expanding-ring schedule}
 
     Constants follow the AODV draft the paper measures against:
     TTL_START = 1, TTL_INCREMENT = 2, TTL_THRESHOLD = 7, NET_DIAMETER
@@ -6,7 +19,7 @@
     2 x node traversal time x (TTL + TIMEOUT_BUFFER) per RFC 3561
     section 10, and a bounded number of full-diameter retries. *)
 
-type t = {
+type ring = {
   ttl_start : int;
   ttl_increment : int;
   ttl_threshold : int;
@@ -18,14 +31,63 @@ type t = {
   max_retries : int;  (** network-wide attempts after the ring search *)
 }
 
-val default : t
+val default : ring
 
-val next_ttl : t -> prev:int option -> int option
+val next_ttl : ring -> prev:int option -> int option
 (** TTL of the attempt after one with TTL [prev] ([None] = first
-    attempt).  [None] when the retry budget is exhausted. *)
+    attempt).  [None] once the ring has reached [net_diameter]; the
+    full-diameter retries are added by {!ring_attempts}. *)
 
-val attempt_timeout : t -> ttl:int -> Sim.Time.t
+val attempt_timeout : ring -> ttl:int -> Sim.Time.t
 (** How long to wait for a reply to an attempt with this TTL. *)
 
-val ttl_for_known_distance : t -> dist:int -> int
-(** Initial TTL when a (stale) distance to the destination is known. *)
+type attempt = { ttl : int; timeout : Sim.Time.t }
+
+val ring_attempts : ?first:int -> ring -> attempt Seq.t
+(** The RFC 3561 ring from TTL [first] (default: the ring's first TTL),
+    then [max_retries] network-wide retries. *)
+
+(** {1 The per-node machine} *)
+
+type 'r t
+(** Discovery state of one node; ['r] is the protocol's route. *)
+
+val create :
+  Agent.ctx ->
+  capacity:int ->
+  max_age:Sim.Time.t ->
+  schedule:(Node_id.t -> attempt Seq.t) ->
+  route:(Node_id.t -> 'r option) ->
+  forward:('r -> Data_msg.t -> unit) ->
+  send_rreq:(dst:Node_id.t -> ttl:int -> rreq_id:int -> unit) ->
+  'r t
+(** [capacity]/[max_age] bound the holding buffer.  [schedule dst] is
+    read when a discovery for [dst] starts; [route dst] is a usable route
+    to [dst], if any, and [forward] carries a held packet over it;
+    [send_rreq] builds and transmits one attempt's RREQ. *)
+
+val hold : 'r t -> Data_msg.t -> unit
+(** Buffer a packet that has no route, and start a discovery for its
+    destination unless one is already pending. *)
+
+val settle : 'r t -> Node_id.t -> unit
+(** A route to the destination may now exist: end its discovery (cancel
+    the retry timer) and forward what is held for it, if the route is
+    there. *)
+
+val pending : 'r t -> Node_id.t -> bool
+(** Is a discovery for this destination running? *)
+
+val destinations : 'r t -> Node_id.t list
+(** Destinations with a discovery running. *)
+
+val fresh_rreq_id : 'r t -> dst:Node_id.t -> ttl:int -> int
+(** Allocate the id of an RREQ this node originates toward [dst] with
+    [ttl], and record it: the ["rreq_init"] protocol event and a ring
+    span.  Attempts call this themselves; a protocol calls it for the
+    requests it originates outside a discovery (LDR's N-bit probe). *)
+
+val reset : 'r t -> crash:bool -> unit
+(** Churn teardown: cancel every discovery and report the held packets
+    as ["node-down"] drops.  [crash = true] also restarts the RREQ-id
+    counter. *)

@@ -10,9 +10,9 @@
 
     Merging adds bucket counts elementwise, which makes [merge_into]
     exactly associative and commutative: aggregating per-trial
-    histograms yields bit-identical quantiles in any order.
-    This replaces the sort-per-query reservoir ([Quantile]) for
-    latency percentiles and backs the span-stage timings. *)
+    histograms yields bit-identical quantiles in any order.  It is
+    the one quantile estimator: latency percentiles and the span-stage
+    timings both use it. *)
 
 type t
 

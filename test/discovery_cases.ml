@@ -1,0 +1,53 @@
+(* Origin-side discovery behaviour every on-demand protocol must share,
+   written once over Testnet and instantiated per protocol by
+   test_ldr, test_aodv and test_dsr. *)
+
+open Sim
+module TN = Experiment.Testnet
+module M = Experiment.Metrics
+
+let make factory k =
+  let engine = Engine.create ~seed:3 () in
+  TN.create ~engine ~factory ~n:k ()
+
+let drops net reason =
+  M.drops_by_reason (TN.metrics net)
+  |> List.assoc_opt reason
+  |> Option.value ~default:0
+
+let rreqs net = M.event_count (TN.metrics net) "rreq_init"
+
+(* A graceful leave in the middle of a discovery cancels it: no further
+   attempt fires, the held packet is reported as a node-down drop (not a
+   discovery failure), and after the rejoin a new packet starts a fresh
+   discovery that delivers. *)
+let reset_mid_discovery factory () =
+  let net = make factory 3 in
+  TN.connect net 0 1;
+  TN.origin net ~src:0 ~dst:2;
+  TN.run net ~for_:(Time.ms 50.);
+  let before = rreqs net in
+  Alcotest.(check bool) "discovery running" true (before >= 1);
+  (TN.agent net 0).Routing.Agent.reset ~crash:false;
+  TN.run net ~for_:(Time.sec 60.);
+  Alcotest.(check int) "no attempt after reset" before (rreqs net);
+  Alcotest.(check int) "held packet dropped node-down" 1
+    (drops net "node-down");
+  Alcotest.(check int) "not reported as discovery-failed" 0
+    (drops net "discovery-failed");
+  TN.connect net 1 2;
+  TN.origin net ~src:0 ~dst:2;
+  TN.run net ~for_:(Time.sec 3.);
+  Alcotest.(check bool) "fresh discovery after rejoin" true
+    (rreqs net > before);
+  Alcotest.(check int) "delivered after rejoin" 1 (TN.delivered net)
+
+(* An unreachable destination exhausts the schedule: the held packet is
+   reported as a discovery-failed drop. *)
+let gives_up factory () =
+  let net = make factory 4 in
+  TN.connect net 0 1;
+  TN.origin net ~src:0 ~dst:3;
+  TN.run net ~for_:(Time.sec 60.);
+  Alcotest.(check int) "nothing delivered" 0 (TN.delivered net);
+  Alcotest.(check int) "discovery-failed drop" 1 (drops net "discovery-failed")

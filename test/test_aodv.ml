@@ -233,6 +233,8 @@ let () =
           Alcotest.test_case "expanding ring" `Quick expanding_ring_eventually_reaches;
           Alcotest.test_case "intermediate reply" `Quick intermediate_node_replies;
           Alcotest.test_case "data ttl" `Quick data_ttl_guard;
+          Alcotest.test_case "reset mid-discovery" `Quick
+            (Discovery_cases.reset_mid_discovery (Aodv.factory ()));
           Alcotest.test_case "hello detects silent break" `Quick
             hello_detects_silent_break;
           Alcotest.test_case "no hello, no detection" `Quick no_hello_no_detection;

@@ -267,6 +267,10 @@ let () =
           Alcotest.test_case "draft7 variant" `Quick draft7_variant_disables_cache_replies;
           Alcotest.test_case "route shortening" `Quick route_shortening_gratuitous_rrep;
           Alcotest.test_case "shortening disabled" `Quick shortening_disabled_keeps_route;
+          Alcotest.test_case "partitioned fails" `Quick
+            (Discovery_cases.gives_up (Dsr.factory ()));
+          Alcotest.test_case "reset mid-discovery" `Quick
+            (Discovery_cases.reset_mid_discovery (Dsr.factory ()));
           qt no_loops_in_source_routes_prop;
         ] );
     ]

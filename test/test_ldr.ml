@@ -585,6 +585,8 @@ let () =
           Alcotest.test_case "reduced distance config" `Quick reduced_distance_lowers_bound;
           Alcotest.test_case "buffer flush" `Quick buffered_packets_flushed_in_order;
           Alcotest.test_case "data ttl" `Quick data_ttl_guards;
+          Alcotest.test_case "reset mid-discovery" `Quick
+            (Discovery_cases.reset_mid_discovery (Protocol.factory ()));
           qt loop_freedom_prop;
           qt ordering_criteria_prop;
         ] );

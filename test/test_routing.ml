@@ -241,13 +241,23 @@ let ring_schedule () =
   checkb "then diameter" true
     (Routing.Discovery.next_ttl d ~prev:(Some 7) = Some d.net_diameter);
   checkb "then exhausted" true
-    (Routing.Discovery.next_ttl d ~prev:(Some d.net_diameter) = None)
+    (Routing.Discovery.next_ttl d ~prev:(Some d.net_diameter) = None);
+  let ttls ?first () =
+    List.of_seq
+      (Seq.map
+         (fun (a : Routing.Discovery.attempt) -> a.ttl)
+         (Routing.Discovery.ring_attempts ?first d))
+  in
+  (* The ring, then [max_retries] network-wide retries. *)
+  checkb "attempts" true (ttls () = [ 1; 3; 5; 7; 35; 35; 35 ]);
+  checkb "attempts from an unaligned start" true
+    (ttls ~first:4 () = [ 4; 6; 35; 35; 35 ])
 
 let ring_no_extra_threshold_attempt () =
   (* RFC 3561 s6.4: once the next ring would pass TTL_THRESHOLD the
      search goes straight to NET_DIAMETER — no clamped attempt *at* the
      threshold.  Unaligned previous TTLs arise from LDR's optimal-TTL
-     starts and from [ttl_for_known_distance]. *)
+     starts. *)
   let d = Routing.Discovery.default in
   checkb "6 jumps straight to diameter" true
     (Routing.Discovery.next_ttl d ~prev:(Some 6) = Some d.net_diameter);
@@ -271,11 +281,318 @@ let ring_timeouts_scale () =
   checkb "buffer keeps the smallest ring patient" true
     (Time.equal t1 (Time.mul d.node_traversal 6))
 
-let ring_known_distance () =
+let ring_from_diameter () =
   let d = Routing.Discovery.default in
-  checki "known distance ttl" 6 (Routing.Discovery.ttl_for_known_distance d ~dist:4);
-  checkb "capped at diameter" true
-    (Routing.Discovery.ttl_for_known_distance d ~dist:100 <= d.net_diameter)
+  let ttls =
+    List.of_seq
+      (Seq.map
+         (fun (a : Routing.Discovery.attempt) -> a.ttl)
+         (Routing.Discovery.ring_attempts ~first:d.net_diameter d))
+  in
+  checkb "one diameter flood, then the retries" true
+    (ttls = List.init (d.max_retries + 1) (fun _ -> d.net_diameter))
+
+(* From any first TTL inside the network the schedule climbs, never
+   stops between TTL_THRESHOLD and NET_DIAMETER, ends in exactly
+   [max_retries + 1] diameter floods, and times each attempt by its own
+   TTL. *)
+let ring_attempts_shape_qcheck =
+  let d = Routing.Discovery.default in
+  QCheck.Test.make ~name:"ring attempts shape" ~count:200
+    QCheck.(int_range 1 d.net_diameter)
+    (fun first ->
+      let attempts =
+        List.of_seq (Routing.Discovery.ring_attempts ~first d)
+      in
+      let ttls = List.map (fun (a : Routing.Discovery.attempt) -> a.ttl) attempts in
+      let rec climbs = function
+        | a :: (b :: _ as rest) -> a <= b && climbs rest
+        | _ -> true
+      in
+      let diameter_floods =
+        List.length (List.filter (fun t -> t = d.net_diameter) ttls)
+      in
+      List.hd ttls = first && climbs ttls
+      && diameter_floods = d.max_retries + 1
+      && List.for_all
+           (fun t -> t <= d.ttl_threshold || t = d.net_diameter || t = first)
+           ttls
+      && List.for_all
+           (fun (a : Routing.Discovery.attempt) ->
+             Time.equal a.timeout
+               (Routing.Discovery.attempt_timeout d ~ttl:a.ttl))
+           attempts)
+
+(* ---- Discovery machine ------------------------------------------------- *)
+
+(* One node's discovery machine over a recording context.  Routes are
+   next-hop ints in a table the test fills in; RREQs sent, protocol
+   events, drops and forwards are logged oldest first. *)
+type rig = {
+  engine : Engine.t;
+  disc : int Routing.Discovery.t;
+  routes : (int, int) Hashtbl.t;
+  sent : (int * int * int * Time.t) Queue.t;  (** dst, ttl, rreq id, when *)
+  events : (string * int option) Queue.t;
+  drops : (int * string * Time.t) Queue.t;  (** flow, reason, when *)
+  forwarded : (int * int) Queue.t;  (** flow, next hop *)
+  schedules : int ref;  (** discoveries started *)
+}
+
+let attempt ttl ms = { Routing.Discovery.ttl; timeout = Time.ms ms }
+let three_attempts _ = [ attempt 1 100.; attempt 3 200.; attempt 35 400. ]
+
+let rig ?(capacity = 8) ?(max_age = Time.sec 30.) ?(schedule = three_attempts)
+    () =
+  let engine = Engine.create () in
+  let events = Queue.create () and drops = Queue.create () in
+  let ctx =
+    {
+      (Routing.Agent.null_ctx ~id:0 engine) with
+      Routing.Agent.event =
+        (fun ?dst name -> Queue.push (name, Option.map Node_id.to_int dst) events);
+      drop_data =
+        (fun m ~reason ->
+          Queue.push (m.Data_msg.flow_id, reason, Engine.now engine) drops);
+    }
+  in
+  let routes = Hashtbl.create 4 and sent = Queue.create () in
+  let forwarded = Queue.create () and schedules = ref 0 in
+  let disc =
+    Routing.Discovery.create ctx ~capacity ~max_age
+      ~schedule:(fun dst ->
+        incr schedules;
+        List.to_seq (schedule (Node_id.to_int dst)))
+      ~route:(fun dst -> Hashtbl.find_opt routes (Node_id.to_int dst))
+      ~forward:(fun hop m -> Queue.push (m.Data_msg.flow_id, hop) forwarded)
+      ~send_rreq:(fun ~dst ~ttl ~rreq_id ->
+        Queue.push (Node_id.to_int dst, ttl, rreq_id, Engine.now engine) sent)
+  in
+  { engine; disc; routes; sent; events; drops; forwarded; schedules }
+
+let hold r ~flow ~dst = Routing.Discovery.hold r.disc (msg ~flow ~src:0 ~dst ())
+let sent_ttls r = List.of_seq (Seq.map (fun (_, ttl, _, _) -> ttl) (Queue.to_seq r.sent))
+let sent_ids r = List.of_seq (Seq.map (fun (_, _, id, _) -> id) (Queue.to_seq r.sent))
+let forwards r = List.of_seq (Queue.to_seq r.forwarded)
+let drop_reasons r =
+  List.of_seq (Seq.map (fun (flow, reason, _) -> (flow, reason)) (Queue.to_seq r.drops))
+let pending r dst = Routing.Discovery.pending r.disc (n dst)
+let settle r dst = Routing.Discovery.settle r.disc (n dst)
+let pairs = Alcotest.(list (pair int int))
+let reasons = Alcotest.(list (pair int string))
+
+let machine_hold_starts_discovery () =
+  let r = rig () in
+  hold r ~flow:1 ~dst:5;
+  checkb "first attempt sent at once" true
+    (List.of_seq (Queue.to_seq r.sent) = [ (5, 1, 1, Time.zero) ]);
+  checkb "pending" true (pending r 5);
+  checkb "destinations" true
+    (Routing.Discovery.destinations r.disc = [ n 5 ]);
+  checkb "rreq_init reported for the destination" true
+    (List.of_seq (Queue.to_seq r.events) = [ ("rreq_init", Some 5) ])
+
+let machine_second_hold_joins () =
+  let r = rig () in
+  hold r ~flow:1 ~dst:5;
+  hold r ~flow:2 ~dst:5;
+  checki "one RREQ for two packets" 1 (Queue.length r.sent);
+  checki "one schedule read" 1 !(r.schedules);
+  Hashtbl.replace r.routes 5 9;
+  settle r 5;
+  Alcotest.check pairs "both held packets forwarded" [ (1, 9); (2, 9) ]
+    (forwards r)
+
+let machine_destinations_independent () =
+  let r = rig () in
+  hold r ~flow:1 ~dst:5;
+  hold r ~flow:2 ~dst:6;
+  checkb "one RREQ each" true
+    (List.of_seq (Seq.map (fun (d, _, id, _) -> (d, id)) (Queue.to_seq r.sent))
+    = [ (5, 1); (6, 2) ]);
+  checkb "both pending" true
+    (List.sort compare (Routing.Discovery.destinations r.disc) = [ n 5; n 6 ])
+
+let machine_follows_schedule () =
+  let r = rig () in
+  hold r ~flow:1 ~dst:5;
+  Engine.run r.engine;
+  checkb "ttls in schedule order" true (sent_ttls r = [ 1; 3; 35 ]);
+  checkb "each attempt after the last one's timeout" true
+    (List.of_seq (Seq.map (fun (_, _, _, at) -> at) (Queue.to_seq r.sent))
+    = [ Time.zero; Time.ms 100.; Time.ms 300. ]);
+  checkb "no longer pending" false (pending r 5)
+
+let machine_exhaustion_drops () =
+  let r = rig () in
+  hold r ~flow:1 ~dst:5;
+  hold r ~flow:2 ~dst:5;
+  Engine.run r.engine;
+  Alcotest.check reasons "held packets fail"
+    [ (1, "discovery-failed"); (2, "discovery-failed") ]
+    (drop_reasons r);
+  checkb "dropped when the last attempt times out" true
+    (Queue.fold (fun ok (_, _, at) -> ok && Time.equal at (Time.ms 700.)) true
+       r.drops);
+  checki "nothing forwarded" 0 (Queue.length r.forwarded)
+
+let machine_settle_forwards () =
+  let r = rig () in
+  hold r ~flow:1 ~dst:5;
+  hold r ~flow:2 ~dst:5;
+  Hashtbl.replace r.routes 5 9;
+  settle r 5;
+  Alcotest.check pairs "forwarded oldest first" [ (1, 9); (2, 9) ] (forwards r);
+  checkb "not pending" false (pending r 5);
+  (* Losing the route afterwards must not revive the ended discovery. *)
+  Hashtbl.remove r.routes 5;
+  Engine.run r.engine;
+  checki "retry timer cancelled" 1 (Queue.length r.sent);
+  checki "no drops" 0 (Queue.length r.drops)
+
+let machine_settle_without_route () =
+  (* Settling with no usable route ends the discovery but keeps the
+     packets held; the next packet starts a fresh discovery, and the
+     route it finds carries both. *)
+  let r = rig () in
+  hold r ~flow:1 ~dst:5;
+  settle r 5;
+  checkb "not pending" false (pending r 5);
+  checki "nothing forwarded" 0 (Queue.length r.forwarded);
+  checki "nothing dropped" 0 (Queue.length r.drops);
+  Engine.run ~until:(Time.sec 1.) r.engine;
+  checki "retry timer cancelled" 1 (Queue.length r.sent);
+  hold r ~flow:2 ~dst:5;
+  checki "fresh discovery" 2 !(r.schedules);
+  checkb "restarts at the first ttl" true (sent_ttls r = [ 1; 1 ]);
+  Hashtbl.replace r.routes 5 9;
+  settle r 5;
+  Alcotest.check pairs "both carried" [ (1, 9); (2, 9) ] (forwards r)
+
+let machine_route_found_at_timeout () =
+  (* A route learnt without an explicit settle (e.g. overheard) is
+     picked up when the attempt times out: no further flood. *)
+  let r = rig () in
+  hold r ~flow:1 ~dst:5;
+  ignore (Engine.at r.engine (Time.ms 50.) (fun () -> Hashtbl.replace r.routes 5 9));
+  Engine.run r.engine;
+  checki "no second attempt" 1 (Queue.length r.sent);
+  Alcotest.check pairs "forwarded at the timeout" [ (1, 9) ] (forwards r);
+  checkb "not pending" false (pending r 5);
+  checki "no drops" 0 (Queue.length r.drops)
+
+let machine_rreq_ids_count () =
+  let r = rig () in
+  hold r ~flow:1 ~dst:5;
+  hold r ~flow:2 ~dst:6;
+  Engine.run r.engine;
+  checkb "ids 1.. in send order" true (sent_ids r = [ 1; 2; 3; 4; 5; 6 ]);
+  checkb "one rreq_init per attempt, for its destination" true
+    (List.of_seq (Queue.to_seq r.events)
+    = List.of_seq
+        (Seq.map (fun (d, _, _, _) -> ("rreq_init", Some d)) (Queue.to_seq r.sent)))
+
+let machine_fresh_id_shared () =
+  let r = rig () in
+  checki "outside a discovery" 1
+    (Routing.Discovery.fresh_rreq_id r.disc ~dst:(n 7) ~ttl:4);
+  hold r ~flow:1 ~dst:5;
+  checkb "discovery continues the count" true (sent_ids r = [ 2 ]);
+  checkb "both reported" true
+    (List.of_seq (Queue.to_seq r.events)
+    = [ ("rreq_init", Some 7); ("rreq_init", Some 5) ]);
+  checkb "no discovery for the probe" false (pending r 7)
+
+let machine_reset r ~crash =
+  hold r ~flow:1 ~dst:5;
+  hold r ~flow:2 ~dst:6;
+  Routing.Discovery.reset r.disc ~crash;
+  checkb "nothing pending" true (Routing.Discovery.destinations r.disc = []);
+  Alcotest.check reasons "held packets dropped node-down"
+    [ (1, "node-down"); (2, "node-down") ]
+    (List.sort compare (drop_reasons r));
+  Engine.run r.engine;
+  checki "no attempt after reset" 2 (Queue.length r.sent);
+  hold r ~flow:3 ~dst:5;
+  checkb "fresh discovery from the first ttl" true
+    (sent_ttls r = [ 1; 1; 1 ])
+
+let machine_graceful_reset () =
+  let r = rig () in
+  machine_reset r ~crash:false;
+  checkb "id counter kept" true (sent_ids r = [ 1; 2; 3 ])
+
+let machine_crash_reset () =
+  let r = rig () in
+  machine_reset r ~crash:true;
+  checkb "id counter restarted" true (sent_ids r = [ 1; 2; 1 ])
+
+let machine_empty_schedule () =
+  let r = rig ~schedule:(fun _ -> []) () in
+  hold r ~flow:1 ~dst:5;
+  checki "no RREQ" 0 (Queue.length r.sent);
+  Alcotest.check reasons "fails at once" [ (1, "discovery-failed") ]
+    (drop_reasons r);
+  checkb "not pending" false (pending r 5)
+
+let machine_full_buffer () =
+  let r = rig ~capacity:2 () in
+  hold r ~flow:1 ~dst:5;
+  hold r ~flow:2 ~dst:5;
+  hold r ~flow:3 ~dst:5;
+  Alcotest.check reasons "oldest evicted" [ (1, "buffer-evicted") ]
+    (drop_reasons r);
+  Hashtbl.replace r.routes 5 9;
+  settle r 5;
+  Alcotest.check pairs "the rest forwarded" [ (2, 9); (3, 9) ] (forwards r)
+
+let machine_held_packets_age () =
+  (* A packet outlives its holding time while its discovery runs on: it
+     is reported as a buffer timeout, not as a discovery failure. *)
+  let r =
+    rig ~max_age:(Time.ms 500.) ~schedule:(fun _ -> [ attempt 1 1000. ]) ()
+  in
+  hold r ~flow:1 ~dst:5;
+  ignore (Engine.at r.engine (Time.ms 800.) (fun () -> hold r ~flow:2 ~dst:5));
+  Engine.run r.engine;
+  checki "one discovery" 1 (Queue.length r.sent);
+  Alcotest.check reasons "aged, then failed"
+    [ (1, "buffer-timeout"); (2, "discovery-failed") ]
+    (drop_reasons r)
+
+let machine_settle_one_of_two () =
+  let r = rig () in
+  hold r ~flow:1 ~dst:5;
+  hold r ~flow:2 ~dst:6;
+  Hashtbl.replace r.routes 5 9;
+  settle r 5;
+  Alcotest.check pairs "only the settled destination" [ (1, 9) ] (forwards r);
+  checkb "the other still pending" true (pending r 6);
+  Engine.run r.engine;
+  Alcotest.check reasons "the other runs its schedule out"
+    [ (2, "discovery-failed") ] (drop_reasons r);
+  checki "1 + 3 attempts" 4 (Queue.length r.sent)
+
+let machine_settle_idle () =
+  let r = rig () in
+  settle r 5;
+  Hashtbl.replace r.routes 5 9;
+  settle r 5;
+  checki "nothing forwarded" 0 (Queue.length r.forwarded);
+  checki "nothing sent" 0 (Queue.length r.sent);
+  checkb "nothing pending" false (pending r 5)
+
+let machine_schedule_per_discovery () =
+  (* The schedule is read for the destination when its discovery
+     starts, so a protocol may start each search where it likes. *)
+  let r = rig ~schedule:(fun dst -> [ attempt dst 100. ]) () in
+  hold r ~flow:1 ~dst:4;
+  hold r ~flow:2 ~dst:9;
+  checkb "first ttl per destination" true (sent_ttls r = [ 4; 9 ]);
+  Engine.run r.engine;
+  hold r ~flow:3 ~dst:4;
+  checki "re-read for a new discovery" 3 !(r.schedules);
+  checkb "restarted" true (sent_ttls r = [ 4; 9; 4 ])
 
 (* ---- Agent null ctx ------------------------------------------------------- *)
 
@@ -321,7 +638,36 @@ let () =
           Alcotest.test_case "no clamped threshold attempt" `Quick
             ring_no_extra_threshold_attempt;
           Alcotest.test_case "timeouts scale" `Quick ring_timeouts_scale;
-          Alcotest.test_case "known distance" `Quick ring_known_distance;
+          Alcotest.test_case "from the diameter" `Quick ring_from_diameter;
+          QCheck_alcotest.to_alcotest ring_attempts_shape_qcheck;
+        ] );
+      ( "disc_machine",
+        [
+          Alcotest.test_case "hold starts a discovery" `Quick
+            machine_hold_starts_discovery;
+          Alcotest.test_case "second hold joins" `Quick machine_second_hold_joins;
+          Alcotest.test_case "destinations independent" `Quick
+            machine_destinations_independent;
+          Alcotest.test_case "follows the schedule" `Quick
+            machine_follows_schedule;
+          Alcotest.test_case "exhaustion drops" `Quick machine_exhaustion_drops;
+          Alcotest.test_case "settle forwards" `Quick machine_settle_forwards;
+          Alcotest.test_case "settle without a route" `Quick
+            machine_settle_without_route;
+          Alcotest.test_case "route found at timeout" `Quick
+            machine_route_found_at_timeout;
+          Alcotest.test_case "rreq ids count" `Quick machine_rreq_ids_count;
+          Alcotest.test_case "fresh id shared" `Quick machine_fresh_id_shared;
+          Alcotest.test_case "graceful reset" `Quick machine_graceful_reset;
+          Alcotest.test_case "crash reset" `Quick machine_crash_reset;
+          Alcotest.test_case "empty schedule" `Quick machine_empty_schedule;
+          Alcotest.test_case "full buffer" `Quick machine_full_buffer;
+          Alcotest.test_case "held packets age" `Quick machine_held_packets_age;
+          Alcotest.test_case "settle one of two" `Quick
+            machine_settle_one_of_two;
+          Alcotest.test_case "settle when idle" `Quick machine_settle_idle;
+          Alcotest.test_case "schedule per discovery" `Quick
+            machine_schedule_per_discovery;
         ] );
       ("agent", [ Alcotest.test_case "null ctx" `Quick null_ctx_works ]);
     ]

@@ -89,46 +89,6 @@ let welford_estimator_prop =
       let mean = List.fold_left ( +. ) 0. xs /. n in
       abs_float (Welford.mean w -. mean) < 1e-6)
 
-let quantile_exact_small () =
-  let q = Quantile.create ~rng_seed:1 () in
-  List.iter (Quantile.add q) [ 5.; 1.; 3.; 2.; 4. ];
-  checkf "median" 3. (Quantile.median q);
-  checkf "min" 1. (Quantile.quantile q 0.);
-  checkf "max" 5. (Quantile.quantile q 1.);
-  Alcotest.check Alcotest.int "count" 5 (Quantile.count q)
-
-let quantile_empty () =
-  let q = Quantile.create ~rng_seed:1 () in
-  checkf "empty median" 0. (Quantile.median q);
-  Alcotest.check_raises "bad q"
-    (Invalid_argument "Quantile.quantile: q outside [0,1]") (fun () ->
-      ignore (Quantile.quantile q 1.5))
-
-let quantile_reservoir_approximates () =
-  (* 100k uniform samples through a 4k reservoir: p95 within a few
-     percent of truth. *)
-  let q = Quantile.create ~capacity:4096 ~rng_seed:7 () in
-  let state = ref 12345 in
-  for _ = 1 to 100_000 do
-    state := (!state * 1103515245) + 12345;
-    let u = float_of_int (abs !state mod 1_000_000) /. 1_000_000. in
-    Quantile.add q u
-  done;
-  let p95 = Quantile.p95 q in
-  checkb "p95 near 0.95" true (p95 > 0.9 && p95 < 1.0);
-  Alcotest.check Alcotest.int "all offered counted" 100_000 (Quantile.count q)
-
-let quantile_interleaved_reads () =
-  (* Reading between writes must not corrupt the reservoir. *)
-  let q = Quantile.create ~rng_seed:3 () in
-  for i = 1 to 100 do
-    Quantile.add q (float_of_int i);
-    ignore (Quantile.median q)
-  done;
-  checkf "median of 1..100" 50. (Quantile.quantile q 0.4949);
-  checkf "p99ish" 99. (Quantile.quantile q 0.99)
-
-
 (* ---- Hdr: log-bucketed histogram -------------------------------------- *)
 
 let hdr_exact_small () =
@@ -284,14 +244,6 @@ let () =
           Alcotest.test_case "merge" `Quick welford_merge;
           Alcotest.test_case "merge empty" `Quick welford_merge_empty;
           qt welford_estimator_prop;
-        ] );
-      ( "quantile",
-        [
-          Alcotest.test_case "exact small" `Quick quantile_exact_small;
-          Alcotest.test_case "empty" `Quick quantile_empty;
-          Alcotest.test_case "reservoir approximates" `Quick
-            quantile_reservoir_approximates;
-          Alcotest.test_case "interleaved reads" `Quick quantile_interleaved_reads;
         ] );
       ( "hdr",
         [
