@@ -105,13 +105,6 @@ let audit =
     & info [ "audit-loops" ]
         ~doc:"Audit the successor graph for loops at every routing-table write.")
 
-let trace =
-  Arg.(
-    value & flag
-    & info [ "trace" ]
-        ~doc:"Print a per-event run trace (transmissions, deliveries, drops, \
-              table writes, link failures) to stderr.")
-
 let json =
   Arg.(
     value & flag
@@ -123,7 +116,9 @@ let trace_out =
     & opt (some string) None
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:"Stream every observability event to $(docv) as JSONL \
-              (analyse with $(b,manet_sim trace)).")
+              ($(b,/dev/stderr) for a live log; analyse with \
+              $(b,manet_sim trace), e.g. $(b,--node) $(i,N) for one \
+              node's events).")
 
 let pcap_out =
   Arg.(
@@ -491,12 +486,11 @@ let check_writable ?(via_tmp = false) path =
 
 let run_cmd =
   let action protocol nodes width height flows pps pause speed_max duration
-      seed audit trace json trace_out pcap_out monitor telemetry_out
+      seed audit json trace_out pcap_out monitor telemetry_out
       telemetry_prom telemetry_every inject_stale world =
     List.iter check_writable
       (List.filter_map Fun.id [ trace_out; pcap_out; telemetry_out ]);
     Option.iter (check_writable ~via_tmp:true) telemetry_prom;
-    if trace then Trace.enable ();
     let sc =
       scenario ~world protocol nodes width height flows pps pause
         speed_max duration seed audit
@@ -520,7 +514,7 @@ let run_cmd =
   let term =
     Term.(
       const action $ protocol $ nodes $ width $ height $ flows $ pps $ pause
-      $ speed_max $ duration $ seed $ audit $ trace $ json $ trace_out
+      $ speed_max $ duration $ seed $ audit $ json $ trace_out
       $ pcap_out $ monitor $ telemetry_out $ telemetry_prom $ telemetry_every
       $ inject_stale $ world_term)
   in
@@ -819,15 +813,6 @@ let mcheck_cmd =
       & info [ "max-states" ] ~docv:"N"
           ~doc:"Explored-state budget; exceeding it reports incomplete.")
   in
-  let all_schedules =
-    Arg.(
-      value & flag
-      & info [ "all-schedules" ]
-          ~doc:
-            "Exhaustively enumerate the bounded schedule space (DPOR-style \
-             sleep sets + state matching).  Default unless \
-             $(b,--random-walks) is given.")
-  in
   let random_walks =
     Arg.(
       value
@@ -835,7 +820,9 @@ let mcheck_cmd =
       & info [ "random-walks" ] ~docv:"N"
           ~doc:
             "Fallback for huge spaces: N uniformly random schedules instead \
-             of enumeration.")
+             of enumeration.  Without it the bounded schedule space is \
+             enumerated exhaustively (DPOR-style sleep sets + state \
+             matching).")
   in
   let seed =
     Arg.(
@@ -892,7 +879,7 @@ let mcheck_cmd =
                name
                (String.concat ", " Fixture.builtin_names))
   in
-  let action proto fixture max_steps max_states _all walks seed no_minimize
+  let action proto fixture max_steps max_states walks seed no_minimize
       no_dedup trace_out repro expect =
     Option.iter check_writable trace_out;
     match load_fixture fixture with
@@ -969,7 +956,7 @@ let mcheck_cmd =
   let term =
     Term.(
       const action $ mc_protocol $ fixture_arg $ max_steps $ max_states
-      $ all_schedules $ random_walks $ seed $ no_minimize $ no_dedup
+      $ random_walks $ seed $ no_minimize $ no_dedup
       $ trace_out $ repro $ expect)
   in
   Cmd.v

@@ -48,10 +48,6 @@ let discovery t = Lazy.force t.discovery
 
 let send_dsr t ~dst msg = t.ctx.send ~dst (Payload.Dsr msg)
 
-let rec dedup_ok = function
-  | [] -> true
-  | x :: rest -> (not (List.exists (Node_id.equal x) rest)) && dedup_ok rest
-
 (* ---- Sending data over a source route ---------------------------------- *)
 
 let send_data_via t hops (data : Data_msg.t) ~salvage =
@@ -148,7 +144,7 @@ let handle_rreq t (r : Dsr_msg.rreq) ~from =
       in
       match cached with
       | Some hops
-        when dedup_ok ((r.origin :: r.route) @ (self :: hops)) ->
+        when Route_cache.distinct ((r.origin :: r.route) @ (self :: hops)) ->
           (* Reply from cache: splice our cached suffix onto the
              accumulated prefix, provided the result is loop-free. *)
           let full_route = (r.origin :: r.route) @ (self :: hops) in

@@ -19,12 +19,12 @@ let now t = Engine.now t.engine
 
 let live t p = Time.(p.expires > now t) && List.length p.nodes >= 2
 
-let rec dedup_ok = function
+let rec distinct = function
   | [] -> true
-  | x :: rest -> (not (List.exists (Node_id.equal x) rest)) && dedup_ok rest
+  | x :: rest -> (not (List.exists (Node_id.equal x) rest)) && distinct rest
 
 let add_path t nodes =
-  if List.length nodes >= 2 && dedup_ok nodes then begin
+  if List.length nodes >= 2 && distinct nodes then begin
     let fresh = { nodes; expires = Time.add (now t) t.ttl } in
     let keep = List.filter (fun p -> live t p && p.nodes <> nodes) t.store in
     let keep =

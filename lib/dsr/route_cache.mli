@@ -12,6 +12,9 @@ type t
 
 val create : engine:Sim.Engine.t -> owner:Node_id.t -> capacity:int -> ttl:Sim.Time.t -> t
 
+val distinct : Node_id.t list -> bool
+(** No node appears twice: the route is loop-free. *)
+
 val add_path : t -> Node_id.t list -> unit
 (** Cache a route (two or more distinct nodes).  Oldest paths are evicted
     beyond capacity. *)

@@ -12,13 +12,6 @@ let resolve_jobs jobs =
 let effective_jobs ~items jobs =
   Stdlib.max 1 (Stdlib.min (resolve_jobs jobs) items)
 
-(* Domain-local worker marker.  Trial code consults this to avoid
-   touching process-global observers (the pretty trace sink's Logs
-   reporter writes through one shared formatter) from concurrent
-   domains; everything else a trial needs is built per-sim. *)
-let worker_key = Domain.DLS.new_key (fun () -> false)
-let on_worker_domain () = Domain.DLS.get worker_key
-
 (* A closeable multi-producer multi-consumer queue of work chunks.
    Workers block on [nonempty] until an item or [close] arrives; after
    close they drain what remains and exit.  All synchronisation in this
@@ -101,7 +94,6 @@ let map ?(jobs = 1) ?chunk n f =
     let queue = Work_queue.create () in
     let failure = Atomic.make None in
     let worker () =
-      Domain.DLS.set worker_key true;
       let rec loop () =
         match Work_queue.take queue with
         | None -> ()

@@ -31,13 +31,6 @@ val effective_jobs : items:int -> int -> int
     per-domain GC deltas benchmarks report.  {!map} and the CLI's
     [--jobs 0] auto mode resolve through here. *)
 
-val on_worker_domain : unit -> bool
-(** True while executing inside a {!map} worker domain (domain-local
-    flag).  Used to keep process-global observers — e.g. the pretty
-    trace sink, which renders through the global [Logs] reporter onto
-    one shared formatter — from being attached by concurrent worker
-    trials. *)
-
 val map : ?jobs:int -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 (** [map ~jobs n f] is [[| f 0; ...; f (n-1) |]].
 

@@ -16,7 +16,7 @@ type sim = {
   agents : Routing.Agent.t array;
   macs : Net.Mac.t array;
   channel : Net.Channel.t;
-  nodes : Net.Nodes.t;
+  store : Mobility.Pos_store.t;
   link : Net.Link_model.t option;
   bus : Obs.Bus.t;
   inject : src:int -> dst:int -> unit;
@@ -28,47 +28,13 @@ type sim = {
 
 (* Any loop created by a routing-table write must traverse the edge just
    written, so it suffices to walk successor chains starting at the node
-   that changed (for every destination it currently has a successor
-   for).  The visited set is a generation-stamped scratch array shared
-   across every audit in the run — no per-walk allocation. *)
-let audit_from ~scratch ~gen agents metrics n num_nodes =
-  let agent : Routing.Agent.t = agents.(n) in
+   that changed, for every destination. *)
+let audit_from walk agents metrics n num_nodes =
   for d = 0 to num_nodes - 1 do
-    if d <> n then begin
-      let dst = Node_id.of_int d in
-      match agent.Routing.Agent.successor dst with
-      | None -> ()
-      | Some _ ->
-          incr gen;
-          let g = !gen in
-          let rec walk x =
-            let xi = Node_id.to_int x in
-            if scratch.(xi) = g then Metrics.loop_violation metrics
-            else begin
-              scratch.(xi) <- g;
-              if not (Node_id.equal x dst) then
-                match agents.(xi).Routing.Agent.successor dst with
-                | Some next -> walk next
-                | None -> ()
-            end
-          in
-          walk (Node_id.of_int n)
-    end
+    if d <> n
+       && Routing.Agent.first_repeat walk agents ~dst:(Node_id.of_int d) n >= 0
+    then Metrics.loop_violation metrics
   done
-
-let null_agent : Routing.Agent.t =
-  {
-    Routing.Agent.origin_data = ignore;
-    recv = (fun _ ~from:_ -> ());
-    overheard = (fun _ ~from:_ ~dst:_ -> ());
-    link_failure = (fun _ ~next_hop:_ -> ());
-    start = ignore;
-    successor = (fun _ -> None);
-    own_seqno = (fun () -> 0.);
-    invariants = (fun _ -> None);
-    route_stats = (fun () -> (0, 0, 0));
-    reset = (fun ~crash:_ -> ());
-  }
 
 (* Every node's mobility process, drawn in one canonical order: RPGM
    group centres first (one [Rng.split mobility_rng] each), then per
@@ -185,14 +151,6 @@ let build ?on_engine ?obs (sc : Scenario.t) =
      anything is scheduled so setup-time events are captured too. *)
   (match on_engine with Some f -> f engine | None -> ());
   let bus = match obs with Some b -> b | None -> Obs.Bus.create () in
-  (* The pretty trace sink renders through the process-global Logs
-     reporter onto one shared formatter; concurrent worker trials
-     attaching it would interleave lines and race the formatter's
-     buffer.  Everything else a trial touches (engine, RNG, metrics,
-     bus + intern table, audit scratch) is built per-sim below, so
-     worker-domain trials simply skip this one global observer. *)
-  if Trace.on () && not (Parallel.on_worker_domain ()) then
-    Obs.Bus.add_sink bus (Trace.obs_sink bus);
   let root = Engine.rng engine in
   let placement_rng = Rng.split root in
   let mobility_rng = Rng.split root in
@@ -201,23 +159,17 @@ let build ?on_engine ?obs (sc : Scenario.t) =
   let n = sc.num_nodes in
   let starts = Scenario.positions sc placement_rng in
   let mobs = make_mobs sc ~mobility_rng ~starts in
-  (* Per-node state planes: MAC counters, churn state and the position
-     store the channel reads. *)
-  let nodes =
-    Net.Nodes.create ~width:sc.terrain.Geom.Terrain.width
-      ~height:sc.terrain.Geom.Terrain.height mobs ~at:Time.zero
-  in
+  let store = Mobility.Pos_store.of_array mobs ~at:Time.zero in
   let link = make_link sc in
   let channel =
     Net.Channel.create ~engine
       ~max_speed:(Float.max sc.speed_max 0.)
-      ~nodes ?link ~obs:bus ~params:sc.net ()
+      ~store ~terrain:sc.terrain ?link ~obs:bus ~params:sc.net ()
   in
   Net.Channel.add_transmit_hook channel (fun _src frame ->
       Metrics.transmitted metrics frame);
-  let agents : Routing.Agent.t array = Array.make n null_agent in
-  let audit_scratch = Array.make n (-1) in
-  let audit_gen = ref 0 in
+  let agents = Array.make n Routing.Agent.null in
+  let audit_walk = Routing.Agent.walk n in
   let factory = Scenario.factory sc.protocol in
   let macs = ref [] in
   for i = 0 to n - 1 do
@@ -276,8 +228,7 @@ let build ?on_engine ?obs (sc : Scenario.t) =
             Metrics.protocol_event metrics name);
         table_changed =
           (if sc.audit_loops then fun () ->
-             audit_from ~scratch:audit_scratch ~gen:audit_gen agents metrics
-               i n
+             audit_from audit_walk agents metrics i n
            else ignore);
         obs = bus;
       }
@@ -297,28 +248,20 @@ let build ?on_engine ?obs (sc : Scenario.t) =
         ~e:msg.Data_msg.payload_bytes ~f:(-1)
   in
   (* A down node originates nothing: the gate is checked at emission
-     time against the churn plan. *)
-  let down = Array.make n false in
+     time against its MAC's power state. *)
   Traffic.setup ~engine ~rng:traffic_rng ~num_nodes:n ~config:sc.traffic
     ~until:sc.duration
     ~emit:(fun ~src msg ->
-      if not down.(Node_id.to_int src) then begin
+      if not (Net.Mac.is_down mac_arr.(Node_id.to_int src)) then begin
         span_originate ~src msg;
         Metrics.data_originated metrics msg;
         agents.(Node_id.to_int src).Routing.Agent.origin_data msg
       end);
   plan_churn sc ~engine
     ~take_down:(fun i ~crash ->
-      down.(i) <- true;
-      Net.Nodes.set_up nodes i false;
-      Net.Channel.set_attached channel (Net.Mac.radio mac_arr.(i)) false;
       Net.Mac.set_down mac_arr.(i) true;
       agents.(i).Routing.Agent.reset ~crash)
-    ~bring_up:(fun i ->
-      down.(i) <- false;
-      Net.Nodes.set_up nodes i true;
-      Net.Channel.set_attached channel (Net.Mac.radio mac_arr.(i)) true;
-      Net.Mac.set_down mac_arr.(i) false);
+    ~bring_up:(fun i -> Net.Mac.set_down mac_arr.(i) false);
   let injected = ref 0 in
   let inject ~src ~dst =
     incr injected;
@@ -345,7 +288,7 @@ let build ?on_engine ?obs (sc : Scenario.t) =
     agents;
     macs = mac_arr;
     channel;
-    nodes;
+    store;
     link;
     bus;
     inject;

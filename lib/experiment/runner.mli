@@ -22,7 +22,9 @@ type sim = {
   agents : Routing.Agent.t array;
   macs : Net.Mac.t array;  (** node [i]'s MAC, attached at slot [i] *)
   channel : Net.Channel.t;
-  nodes : Net.Nodes.t;  (** the per-node planes the channel reads *)
+  store : Mobility.Pos_store.t;
+      (** node [i]'s mobility process and cached position at slot [i];
+          the channel reads positions from it *)
   link : Net.Link_model.t option;  (** the channel's link model *)
   bus : Obs.Bus.t;  (** the run's observability bus *)
   inject : src:int -> dst:int -> unit;
@@ -54,7 +56,9 @@ val run :
     [obs]: supply the observability bus (default: a fresh one —
     disabled unless something below attaches a sink).
     [monitor]: attach the continuous LDR invariant monitor.
-    [trace_out]: stream every bus event as JSONL to this file.
+    [trace_out]: stream every bus event as JSONL to this file — the
+    one event log (["/dev/stderr"] for a live log; [manet_sim trace
+    FILE --node N] renders one node's events).
     [pcap_out]: capture every transmitted frame, byte-exact, to this
     pcap file ({!Net.Pcap}).
     [telemetry_out] / [telemetry_prom]: runtime telemetry
@@ -74,37 +78,20 @@ val run :
 val build : ?on_engine:(Sim.Engine.t -> unit) -> ?obs:Obs.Bus.t ->
   Scenario.t -> sim
 (** Construct the simulation with its workload scheduled; the caller
-    runs the engine.  When the ["manet"] trace source is enabled
-    ({!Trace.on}), a pretty-printing sink is attached to the bus —
-    except on {!Parallel} worker domains, where the sink's global Logs
-    reporter and shared formatter would race across trials.
+    runs the engine.
 
     Every piece of mutable state a run touches is created here, per
     simulation: engine + RNG streams, metrics, the observability bus
-    (with its intern table), the loop-audit scratch array.  Nothing is
-    shared across two [build]s, which is what makes trials safe to run
-    on concurrent domains (see [docs/PARALLELISM.md]).  The one
-    exception is an explicitly shared [?obs] bus: callers fanning
-    trials in parallel must not pass one. *)
-
-val attach_trace : sim -> string -> unit
-(** Open [path] and stream every subsequent bus event to it as JSONL;
-    closed by {!finish}. *)
-
-val attach_pcap : sim -> string -> unit
-(** Open [path] and capture every transmitted frame to it as pcap
-    ({!Net.Pcap.write} from a channel transmit hook); closed by
-    {!finish}. *)
+    (with its intern table), the loop-audit walk marks.  Nothing is
+    shared across two [build]s and no trial touches process-global
+    state, which is what makes trials safe to run on concurrent
+    domains (see [docs/PARALLELISM.md]).  The one exception is an
+    explicitly shared [?obs] bus: callers fanning trials in parallel
+    must not pass one. *)
 
 val attach_monitor : ?ring:int -> ?quiet:bool -> sim -> Obs.Monitor.t
 (** Attach the continuous invariant monitor, wired to the agents'
     {!Routing.Agent.invariants}.  Also stored in [sim.monitor]. *)
-
-val attach_telemetry : sim -> ?jsonl:string -> ?prom:string ->
-  every:Sim.Time.t -> until:Sim.Time.t -> unit -> unit
-(** Schedule {!Obs.Telemetry} sampling every [every] of virtual time,
-    plus a final sample at exactly [until] even when [until] is not a
-    multiple of [every]; the collector is closed by {!finish}. *)
 
 val finish : sim -> unit
 (** Run [finalize] and every registered cleanup (idempotent on the

@@ -10,6 +10,7 @@ type t = {
   (* Under a [`Controlled] engine, sends become floating events the
      mcheck explorer orders freely instead of fixed-delay timers. *)
   ctl : bool;
+  walk : Routing.Agent.walk;
   mutable flow_counter : int;
 }
 
@@ -132,20 +133,6 @@ let make_ctx t ?obs i =
     obs = (match obs with Some b -> b | None -> Obs.Bus.create ());
   }
 
-let null_agent =
-  {
-    Routing.Agent.origin_data = ignore;
-    recv = (fun _ ~from:_ -> ());
-    overheard = (fun _ ~from:_ ~dst:_ -> ());
-    link_failure = (fun _ ~next_hop:_ -> ());
-    start = ignore;
-    successor = (fun _ -> None);
-    own_seqno = (fun () -> 0.);
-    invariants = (fun _ -> None);
-    route_stats = (fun () -> (0, 0, 0));
-    reset = (fun ~crash:_ -> ());
-  }
-
 let create_custom ?obs ~engine ~factories () =
   let n = Array.length factories in
   let t =
@@ -153,9 +140,10 @@ let create_custom ?obs ~engine ~factories () =
       engine;
       n;
       adj = Array.make_matrix n n false;
-      agents = Array.make n null_agent;
+      agents = Array.make n Routing.Agent.null;
       net_metrics = Metrics.create ();
       ctl = Engine.controlled engine;
+      walk = Routing.Agent.walk n;
       flow_counter = 0;
     }
   in
@@ -183,65 +171,20 @@ let delivered t = Metrics.delivered t.net_metrics
 let run t ~for_ =
   Engine.run ~until:(Time.add (Engine.now t.engine) for_) t.engine
 
-(* First successor-graph cycle, as (destination, cycle nodes): walk each
-   per-destination successor chain; re-visiting a node closes a cycle.
-   The mcheck explorer calls this after every fired event — this is the
-   AODV violation detector (AODV keeps no LDR invariants for the
-   monitor to check). *)
+(* First successor-graph cycle, as (destination, cycle nodes): walk
+   every per-destination successor chain.  The mcheck explorer calls
+   this after every fired event — this is the AODV violation detector
+   (AODV keeps no LDR invariants for the monitor to check). *)
 let find_cycle t =
-  let found = ref None in
-  let d = ref 0 in
-  while !found = None && !d < t.n do
-    let dst = Node_id.of_int !d in
-    let s = ref 0 in
-    while !found = None && !s < t.n do
-      if !s <> !d then begin
-        let order = Array.make t.n (-1) in
-        let rec walk x k =
-          if order.(x) >= 0 then begin
-            (* Nodes from the first visit of [x] onward form the cycle. *)
-            let cyc = ref [] in
-            Array.iteri
-              (fun node ord -> if ord >= order.(x) then cyc := (ord, node) :: !cyc)
-              order;
-            let nodes =
-              List.sort compare !cyc |> List.map snd
-            in
-            found := Some (!d, nodes)
-          end
-          else begin
-            order.(x) <- k;
-            if x <> !d then
-              match t.agents.(x).Routing.Agent.successor dst with
-              | Some next -> walk (Node_id.to_int next) (k + 1)
-              | None -> ()
-          end
-        in
-        walk !s 0
-      end;
-      incr s
-    done;
-    incr d
-  done;
-  !found
-
-let audit_loops t =
-  for d = 0 to t.n - 1 do
-    let dst = Node_id.of_int d in
-    for s = 0 to t.n - 1 do
-      if s <> d then begin
-        let visited = Array.make t.n false in
-        let rec walk x =
-          if visited.(x) then Metrics.loop_violation t.net_metrics
-          else begin
-            visited.(x) <- true;
-            if x <> d then
-              match t.agents.(x).Routing.Agent.successor dst with
-              | Some next -> walk (Node_id.to_int next)
-              | None -> ()
-          end
-        in
-        walk s
-      end
-    done
-  done
+  let rec search d s =
+    if d = t.n then None
+    else if s = t.n then search (d + 1) 0
+    else
+      let dst = Node_id.of_int d in
+      let x =
+        if s = d then -1 else Routing.Agent.first_repeat t.walk t.agents ~dst s
+      in
+      if x >= 0 then Some (d, Routing.Agent.cycle t.agents ~dst x)
+      else search d (s + 1)
+  in
+  search 0 0

@@ -43,13 +43,8 @@ val delivered : t -> int
 val run : t -> for_:Sim.Time.t -> unit
 (** Advance the engine by the given amount of virtual time. *)
 
-val audit_loops : t -> unit
-(** Walk every successor chain; any cycle increments the metric's
-    loop-violation counter. *)
-
 val find_cycle : t -> (int * int list) option
 (** First successor-graph cycle as [(destination, cycle nodes in walk
-    order)], [None] when every chain is acyclic.  Unlike {!audit_loops}
-    this returns the witness instead of counting — the mcheck explorer
-    calls it after every fired event and puts the cycle in the
-    violation trace. *)
+    order)] ({!Routing.Agent.cycle}), [None] when every chain is
+    acyclic.  The mcheck explorer calls it after every fired event and
+    puts the cycle in the violation trace. *)

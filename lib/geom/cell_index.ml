@@ -42,7 +42,6 @@ let create ~cell ~width ~height ~ids =
   }
 
 let population t = t.population
-let cell_size t = t.cell
 
 let clamp_i v lo hi = if v < lo then lo else if v > hi then hi else v
 

@@ -30,7 +30,6 @@ val remove : t -> int -> unit
 
 val mem : t -> int -> bool
 val population : t -> int
-val cell_size : t -> float
 
 val iter_disk : t -> x:float -> y:float -> radius:float -> (int -> unit) -> unit
 (** Visit every member of the cells overlapping the closed disk's

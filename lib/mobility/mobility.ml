@@ -43,7 +43,6 @@ type gen =
   | Rpgm of { group : group; ox : float; oy : float }
 
 and t = {
-  name : string;
   mutable leg : leg;
   mutable leg_ix : int; (* index of [leg] in the model's leg sequence *)
   mutable last_query : Time.t;
@@ -63,8 +62,6 @@ and group = {
   mutable g_legs : leg array;
   mutable g_len : int;
 }
-
-let model_name t = t.name
 
 let position_on leg t =
   if Time.(t <= leg.depart) then leg.from_pos
@@ -248,7 +245,7 @@ let static pos =
   let leg =
     { depart = Time.zero; arrive = forever; from_pos = pos; dest = pos }
   in
-  { name = "static"; leg; leg_ix = 0; last_query = Time.zero; gen = Static }
+  { leg; leg_ix = 0; last_query = Time.zero; gen = Static }
 
 let waypoint ~terrain ~rng ~speed_min ~speed_max ~pause ~start =
   if speed_min <= 0. || speed_min > speed_max then
@@ -258,7 +255,6 @@ let waypoint ~terrain ~rng ~speed_min ~speed_max ~pause ~start =
     { depart = Time.zero; arrive = pause; from_pos = start; dest = start }
   in
   {
-    name = "waypoint";
     leg = first;
     leg_ix = 0;
     last_query = Time.zero;
@@ -271,7 +267,6 @@ let random_walk ~terrain ~rng ~speed ~epoch ~start =
     { depart = Time.zero; arrive = Time.zero; from_pos = start; dest = start }
   in
   {
-    name = "random_walk";
     leg = first;
     leg_ix = 0;
     last_query = Time.zero;
@@ -294,7 +289,6 @@ let scripted points =
         { depart = Time.zero; arrive = t0; from_pos = p0; dest = p0 }
       in
       {
-        name = "scripted";
         leg = first;
         leg_ix = 0;
         last_query = Time.zero;
@@ -319,7 +313,6 @@ let manhattan ~terrain ~rng ~spacing ~speed_min ~speed_max ~pause ~start =
     { depart = Time.zero; arrive = pause; from_pos = start; dest = start }
   in
   {
-    name = "manhattan";
     leg = first;
     leg_ix = 0;
     last_query = Time.zero;
@@ -347,7 +340,6 @@ let rpgm_member group ~ox ~oy =
     rpgm_translate ~terrain:group.g_terrain ~ox ~oy (group_leg group 0)
   in
   {
-    name = "rpgm";
     leg = first;
     leg_ix = 0;
     last_query = Time.zero;

@@ -28,8 +28,6 @@ val position : t -> Sim.Time.t -> Geom.Vec2.t
 (** Position at [t].  Raises [Invalid_argument] if [t] precedes the
     process's current leg. *)
 
-val model_name : t -> string
-
 val static : Geom.Vec2.t -> t
 
 val waypoint :

@@ -107,7 +107,6 @@ and t = {
          positions age at a known rate.  [None]: unknown speeds — the
          index is resynced whenever the clock has advanced, which is
          exact for any mobility. *)
-  nodes : Nodes.t;
   (* Positions come from the shared [Pos_store] planes (fetched once;
      the store never reallocates them) and cell membership is maintained
      incrementally (ids only; the exact filter reads live positions).
@@ -135,26 +134,24 @@ and t = {
   obs : Obs.Bus.t;
 }
 
-let create ~engine ?max_speed ?obs ~nodes ?link ~params () =
+let create ~engine ?max_speed ?obs ~store ~terrain ?link ~params () =
   (* Cell side = half the carrier-sense range: a CS-disk query scans
      ~25 cells, but the cells hug the disk, so the candidate superset
      is ~1.7x the true disk population (a full-range cell side gives
      9 coarse cells and a ~2.9x superset — more wasted exact distance
      checks per query). *)
   let cell = params.Params.cs_range_m /. 2. in
-  let store = Nodes.store nodes in
   let n = Mobility.Pos_store.length store in
   {
     engine;
     params;
     max_speed;
-    nodes;
     store;
     xs = Mobility.Pos_store.xs store;
     ys = Mobility.Pos_store.ys store;
     index =
-      Geom.Cell_index.create ~cell ~width:(Nodes.width nodes)
-        ~height:(Nodes.height nodes) ~ids:n;
+      Geom.Cell_index.create ~cell ~width:terrain.Geom.Terrain.width
+        ~height:terrain.Geom.Terrain.height ~ids:n;
     slots = Array.make n dummy_radio;
     radios = [||];
     next_seq = 0;
@@ -171,7 +168,6 @@ let create ~engine ?max_speed ?obs ~nodes ?link ~params () =
   }
 
 let params t = t.params
-let nodes t = t.nodes
 let obs t = t.obs
 
 let frame_dst_int (f : Frame.t) =

@@ -7,8 +7,8 @@
     hears nothing.  Carrier sense is binary — the medium is busy for a
     radio whenever at least one in-range transmission is in the air.
 
-    Positions are read from the shared {!Mobility.Pos_store} planes of
-    the channel's {!Nodes.t} and candidates come from an incrementally
+    Positions are read from the shared {!Mobility.Pos_store} planes
+    and candidates come from an incrementally
     maintained {!Geom.Cell_index}: the index over-approximates by a
     drift bound, then the exact range predicate is re-applied and
     receptions are ordered newest attach first.  A brute-force scan
@@ -23,13 +23,14 @@ type radio
 
 val create :
   engine:Sim.Engine.t -> ?max_speed:float -> ?obs:Obs.Bus.t ->
-  nodes:Nodes.t -> ?link:Link_model.t -> params:Params.t -> unit -> t
-(** [create ~engine ~nodes ~params] builds a channel.  [obs] is the
-    observability bus ({!Obs.Bus}) the channel (and the MACs attached to
-    it) emit on; defaults to a fresh disabled bus.
+  store:Mobility.Pos_store.t -> terrain:Geom.Terrain.t ->
+  ?link:Link_model.t -> params:Params.t -> unit -> t
+(** [create ~engine ~store ~terrain ~params] builds a channel.  [obs] is
+    the observability bus ({!Obs.Bus}) the channel (and the MACs
+    attached to it) emit on; defaults to a fresh disabled bus.
 
-    Radio positions come from the [nodes] store and its arena bounds
-    size the cell index.  [max_speed] is an upper bound (m/s) on any
+    Radio positions come from [store], slot [i] of which is node [i]'s
+    mobility process; the [terrain] bounds size the cell index.  [max_speed] is an upper bound (m/s) on any
     radio's speed: the index is resynced only when indexed positions may
     have drifted past a fixed margin, and queries are inflated by the
     current drift bound.  When omitted,
@@ -41,21 +42,16 @@ val create :
 
 val params : t -> Params.t
 
-val nodes : t -> Nodes.t
-(** The per-node state the channel reads positions from; MACs write
-    their counters into the same planes. *)
-
 val attach : t -> slot:int -> id:Node_id.t -> radio
-(** Register a node's radio at its [slot] in the node store, from which
-    the radio takes its position.  One radio per slot. *)
+(** Register a node's radio at its [slot] in the position store, from
+    which the radio takes its position.  One radio per slot. *)
 
 val set_attached : t -> radio -> bool -> unit
 (** Churn: [set_attached t r false] removes the radio from the
     incremental index immediately, and so from the candidate set of
     every subsequent transmission; [true] re-inserts it at its current
-    position.
-    In-flight receptions drain normally — the down-gated MAC discards
-    them. *)
+    position.  {!Mac.set_down} calls it; in-flight receptions drain
+    normally and the down-gated MAC discards them. *)
 
 val attached : radio -> bool
 

@@ -9,8 +9,6 @@ type t = { src : Node_id.t; dst : dst; body : body }
 let addressed_to t id =
   match t.dst with Broadcast -> true | Unicast d -> Node_id.equal d id
 
-let is_ack t = match t.body with Ack -> true | Payload _ -> false
-
 let class_name t =
   match t.body with Ack -> "ACK" | Payload p -> Payload.class_name p
 

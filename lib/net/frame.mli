@@ -9,7 +9,6 @@ type body = Payload of Payload.t | Ack
 type t = { src : Node_id.t; dst : dst; body : body }
 
 val addressed_to : t -> Node_id.t -> bool
-val is_ack : t -> bool
 
 val class_name : t -> string
 (** "ACK", "DATA" or the control kind — the trace label. *)

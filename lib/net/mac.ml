@@ -45,13 +45,8 @@ type t = {
       (** cached ACK frame for [ack_to]; rebuilt only when the
           destination changes, so the steady ACK exchange between two
           talking nodes allocates nothing *)
-  (* Per-node scalar counters live at slot [six] of the channel's
-     shared [Nodes] planes, so updating one is a plain array write. *)
-  sent_a : int array;
-  fail_a : int array;
-  qlen_a : int array;
-  qdrops_a : int array;
-  six : int;
+  mutable sent : int;  (** payload frames put on the air *)
+  mutable failures : int;  (** unicasts that exhausted the retry limit *)
   mutable down : bool;  (** churn: node is powered off *)
   obs : Obs.Bus.t;  (* shared with the channel *)
 }
@@ -85,8 +80,8 @@ let emit_span t ~stage payload ~d ~e =
 let id t = t.my_id
 let queue_length t = Ifq.length t.queue
 let queue_drops t = Ifq.drops t.queue
-let unicast_failures t = t.fail_a.(t.six)
-let frames_sent t = t.sent_a.(t.six)
+let unicast_failures t = t.failures
+let frames_sent t = t.sent
 let radio t = t.radio
 let is_down t = t.down
 
@@ -101,7 +96,6 @@ let rec dequeue_next t =
   match Ifq.pop t.queue with
   | None -> t.phase <- Idle
   | Some p ->
-      t.qlen_a.(t.six) <- Ifq.length t.queue;
       t.current <- Some p;
       t.attempts <- 1;
       t.cw <- t.params.cw_min;
@@ -138,7 +132,7 @@ and do_transmit t =
   | None -> assert false
   | Some p ->
       t.phase <- Sending;
-      t.sent_a.(t.six) <- t.sent_a.(t.six) + 1;
+      t.sent <- t.sent + 1;
       if Obs.Bus.on t.obs then
         emit_span t ~stage:Obs.Span.Stage.mac_try p.payload ~d:(-1)
           ~e:t.attempts;
@@ -185,7 +179,7 @@ and finish t =
 
 and retry t p next_hop =
   if t.attempts >= t.params.retry_limit then begin
-    t.fail_a.(t.six) <- t.fail_a.(t.six) + 1;
+    t.failures <- t.failures + 1;
     if Obs.Bus.on t.obs then
       emit_span t ~stage:Obs.Span.Stage.mac_fail p.payload
         ~d:(Node_id.to_int next_hop) ~e:t.attempts;
@@ -265,7 +259,6 @@ let on_medium t busy =
   else maybe_arm t
 
 let create ~engine ~channel ~rng ~id ~slot callbacks =
-  let nodes = Channel.nodes channel in
   let radio = Channel.attach channel ~slot ~id in
   let t =
     {
@@ -287,11 +280,8 @@ let create ~engine ~channel ~rng ~id ~slot callbacks =
       ack_timer = Engine.none;
       ack_to = id;
       ack_frame = { Frame.src = id; dst = Frame.Unicast id; body = Frame.Ack };
-      sent_a = Nodes.sent_plane nodes;
-      fail_a = Nodes.failures_plane nodes;
-      qlen_a = Nodes.qlen_plane nodes;
-      qdrops_a = Nodes.qdrops_plane nodes;
-      six = slot;
+      sent = 0;
+      failures = 0;
       down = false;
       obs = Channel.obs channel;
     }
@@ -304,8 +294,6 @@ let send t ~dst payload =
   if t.down then ()
   else begin
     let accepted = Ifq.push t.queue { payload; dst } in
-    if accepted then t.qlen_a.(t.six) <- Ifq.length t.queue
-    else t.qdrops_a.(t.six) <- t.qdrops_a.(t.six) + 1;
     if Obs.Bus.on t.obs then
       if accepted then
         emit_span t ~stage:Obs.Span.Stage.mac_enq payload ~d:(frame_dst_int dst)
@@ -322,16 +310,15 @@ let send t ~dst payload =
     if accepted && t.phase = Idle && t.current = None then dequeue_next t
   end
 
-(* Power the node down (flush the queue, kill the armed timers, release
-   any half-sent frame) or back up (clean CSMA state).  The radio's
-   channel-side detachment is the caller's job ([Channel.set_attached])
-   so both transitions stay in one place in the runner. *)
+(* Power the node down (detach the radio, flush the queue, kill the
+   armed timers, release any half-sent frame) or back up (re-attach the
+   radio, clean CSMA state). *)
 let set_down t v =
-  if t.down <> v then
+  if t.down <> v then begin
+    Channel.set_attached t.channel t.radio (not v);
     if v then begin
       t.down <- true;
       Ifq.clear t.queue;
-      t.qlen_a.(t.six) <- 0;
       t.current <- None;
       t.phase <- Idle;
       if not (Engine.is_none t.access_timer) then begin
@@ -350,3 +337,4 @@ let set_down t v =
       t.cw <- t.params.cw_min;
       t.slots <- 0
     end
+  end

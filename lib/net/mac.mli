@@ -30,21 +30,20 @@ val create :
   slot:int ->
   callbacks ->
   t
-(** [slot] is the node's slot in the channel's {!Nodes.t}: the MAC
-    registers its radio there ({!Channel.attach}) and writes its
-    sent/failure/queue counters through that slot of the flat [Nodes]
-    planes. *)
+(** [slot] is the node's slot in the channel's position store: the MAC
+    registers its radio there ({!Channel.attach}). *)
 
 val send : t -> dst:Frame.dst -> Packets.Payload.t -> unit
 (** Enqueue a frame.  Silently dropped (counted) if the queue is full.
     Ignored while the node is down. *)
 
 val set_down : t -> bool -> unit
-(** Churn power toggle.  Going down flushes the interface queue, cancels
-    the armed CSMA/ACK timers and discards any half-sent frame (no link
-    failure is reported — the node died, the link did not).  Going up
-    restores a clean idle MAC.  Pair with [Channel.set_attached] so the
-    radio also stops receiving. *)
+(** Churn power toggle.  Going down detaches the radio from the channel
+    ({!Channel.set_attached}), so no later transmission reaches it,
+    flushes the interface queue, cancels the armed CSMA/ACK timers and
+    discards any half-sent frame (no link failure is reported — the
+    node died, the link did not).  Going up re-attaches the radio and
+    restores a clean idle MAC. *)
 
 val is_down : t -> bool
 

@@ -39,3 +39,48 @@ let null_ctx ?(id = 0) engine =
     table_changed = ignore;
     obs = Obs.Bus.create ();
   }
+
+let null =
+  {
+    origin_data = ignore;
+    recv = (fun _ ~from:_ -> ());
+    overheard = (fun _ ~from:_ ~dst:_ -> ());
+    link_failure = (fun _ ~next_hop:_ -> ());
+    start = ignore;
+    successor = (fun _ -> None);
+    own_seqno = (fun () -> 0.);
+    invariants = (fun _ -> None);
+    route_stats = (fun () -> (0, 0, 0));
+    reset = (fun ~crash:_ -> ());
+  }
+
+(* A node is visited in the current walk iff its mark equals [gen]; a
+   new walk bumps [gen] instead of clearing the marks. *)
+type walk = { marks : int array; mutable gen : int }
+
+let walk n = { marks = Array.make n 0; gen = 0 }
+
+let first_repeat w agents ~dst s =
+  w.gen <- w.gen + 1;
+  let rec go x =
+    if w.marks.(x) = w.gen then x
+    else begin
+      w.marks.(x) <- w.gen;
+      if x = Node_id.to_int dst then -1
+      else
+        match agents.(x).successor dst with
+        | Some next -> go (Node_id.to_int next)
+        | None -> -1
+    end
+  in
+  go s
+
+let cycle agents ~dst x =
+  let rec go y acc =
+    match agents.(y).successor dst with
+    | Some next when Node_id.to_int next <> x ->
+        let n = Node_id.to_int next in
+        go n (n :: acc)
+    | _ -> List.rev acc
+  in
+  go x [ x ]

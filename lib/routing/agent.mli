@@ -77,3 +77,30 @@ type factory = ctx -> t
 val null_ctx : ?id:int -> Sim.Engine.t -> ctx
 (** A context whose outputs go nowhere; for tests that poke agents
     directly. *)
+
+val null : t
+(** Does nothing and knows no route: the filler of an agent array
+    before each node's factory has run. *)
+
+(** {1 Successor-chain walk}
+
+    The one loop walk: the run's loop auditor ([--audit-loops]), the
+    idealized test network and the model checker all follow successor
+    chains through it. *)
+
+type walk
+(** Generation-stamped visited marks, one per node, reused by every
+    walk: a walk allocates nothing. *)
+
+val walk : int -> walk
+(** Marks for nodes [0 .. n-1]. *)
+
+val first_repeat : walk -> t array -> dst:Node_id.t -> int -> int
+(** [first_repeat w agents ~dst s] follows the successor chain toward
+    [dst] from node [s] and returns the first node it reaches twice —
+    a node on a cycle — or [-1] when the chain ends at [dst] or at a
+    node without a successor. *)
+
+val cycle : t array -> dst:Node_id.t -> int -> int list
+(** [cycle agents ~dst x] is the chain from [x] back to itself, [x]
+    first: the cycle witness for an [x] returned by {!first_repeat}. *)

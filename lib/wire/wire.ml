@@ -877,15 +877,6 @@ module Payload = struct
     | Dsr _ -> 4
     | Olsr _ -> 5
 
-  let family_name = function
-    | 0 -> "ACK"
-    | 1 -> "DATA"
-    | 2 -> "LDR"
-    | 3 -> "AODV"
-    | 4 -> "DSR"
-    | 5 -> "OLSR"
-    | n -> Printf.sprintf "UNKNOWN(%d)" n
-
   let encoded_length (p : Packets.Payload.t) =
     match p with
     | Data d -> Data.encoded_length d

@@ -134,10 +134,6 @@ module Payload : sig
   val family : Packets.Payload.t -> int
   (** 1 data, 2 LDR, 3 AODV, 4 DSR, 5 OLSR. *)
 
-  val family_name : int -> string
-  (** "ACK" / "DATA" / "LDR" / "AODV" / "DSR" / "OLSR"; "UNKNOWN(n)"
-      otherwise. *)
-
   val encoded_length : Packets.Payload.t -> int
   val write : Writer.t -> Packets.Payload.t -> unit
   val encode : Packets.Payload.t -> bytes

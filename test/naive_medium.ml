@@ -23,7 +23,7 @@ type t = {
   radios : Net.Channel.radio array;
 }
 
-let create ~engine ~nodes ?link channel radios =
+let create ~engine ~store ?link channel radios =
   Array.iteri
     (fun i r ->
       if Node_id.to_int (Net.Channel.radio_id r) <> i then
@@ -31,14 +31,14 @@ let create ~engine ~nodes ?link channel radios =
     radios;
   {
     engine;
-    store = Net.Nodes.store nodes;
+    store;
     link;
     params = Net.Channel.params channel;
     radios;
   }
 
 let of_sim (sim : Experiment.Runner.sim) =
-  create ~engine:sim.engine ~nodes:sim.nodes ?link:sim.link sim.channel
+  create ~engine:sim.engine ~store:sim.store ?link:sim.link sim.channel
     (Array.map Net.Mac.radio sim.macs)
 
 let position t i =

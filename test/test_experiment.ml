@@ -249,32 +249,6 @@ let placement_fixed () =
     (Invalid_argument "Scenario.positions: Fixed placement length mismatch")
     (fun () -> ignore (Scenario.positions bad (Rng.create 1)))
 
-let trace_emits_events () =
-  let lines = ref 0 in
-  let reporter =
-    {
-      Logs.report =
-        (fun _src _level ~over k msgf ->
-          incr lines;
-          msgf (fun ?header:_ ?tags:_ fmt ->
-              Format.ikfprintf
-                (fun _ ->
-                  over ();
-                  k ())
-                Format.err_formatter fmt));
-    }
-  in
-  Logs.set_reporter reporter;
-  Logs.Src.set_level Trace.src (Some Logs.Debug);
-  ignore (Runner.run (small_scenario ~duration:5. ()));
-  Logs.Src.set_level Trace.src None;
-  Logs.set_reporter Logs.nop_reporter;
-  checkb "trace produced events" true (!lines > 10);
-  (* And with the source silenced, nothing is reported. *)
-  let before = !lines in
-  ignore (Runner.run (small_scenario ~duration:5. ()));
-  checki "silent when disabled" before !lines
-
 let () =
   Alcotest.run "experiment"
     [
@@ -309,6 +283,5 @@ let () =
           Alcotest.test_case "grid placement" `Quick placement_grid;
           Alcotest.test_case "fixed placement" `Quick placement_fixed;
         ] );
-      ("trace", [ Alcotest.test_case "emits events" `Quick trace_emits_events ]);
       ("metrics", [ Alcotest.test_case "dedup" `Quick metrics_dedup ]);
     ]

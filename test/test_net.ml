@@ -17,11 +17,11 @@ let data_payload ?(bytes = 512) ~src ~dst () =
    slot [i]. *)
 let store_channel ?(params = Net.Params.default) ?(max_speed = 0.) engine mobs
     =
-  let nodes =
-    Net.Nodes.create ~width:3000. ~height:1000. (Array.of_list mobs)
-      ~at:Time.zero
-  in
-  (nodes, Net.Channel.create ~engine ~max_speed ~nodes ~params ())
+  let store = Mobility.Pos_store.of_array (Array.of_list mobs) ~at:Time.zero in
+  ( store,
+    Net.Channel.create ~engine ~max_speed ~store
+      ~terrain:(Geom.Terrain.create ~width:3000. ~height:1000.)
+      ~params () )
 
 (* A small rig: static nodes at given positions, MACs with recording
    callbacks. *)
@@ -267,6 +267,56 @@ let mobility_breaks_link () =
      the sum is at least the number of sends. *)
   checkb "every send accounted" true (!delivered + !failed >= 10)
 
+(* Churn power toggle: one [set_down] call takes the radio off the
+   channel and silences the MAC; powering up restores a working link. *)
+let mac_power_toggle () =
+  let engine, channel, nodes = rig [ v 0. 0.; v 100. 0.; v 2000. 0. ] in
+  let mac0 = nodes.(0).mac in
+  let pending () = (Engine.stats engine).Engine.pending in
+  let neighbours_of_1 () =
+    List.map Node_id.to_int
+      (Net.Channel.fanout channel (Net.Mac.radio nodes.(1).mac))
+  in
+  (* Node 2 is out of range: a unicast to it is never acknowledged. *)
+  let send dst =
+    Net.Mac.send mac0 ~dst:(Net.Frame.Unicast (n dst))
+      (data_payload ~src:0 ~dst ())
+  in
+  Alcotest.(check (list int)) "up: a neighbour" [ 0 ] (neighbours_of_1 ());
+  send 2;
+  checki "access timer armed" 1 (pending ());
+  Net.Mac.set_down mac0 true;
+  checki "access timer cancelled" 0 (pending ());
+  checkb "down" true (Net.Mac.is_down mac0);
+  Alcotest.(check (list int)) "down: not a neighbour" [] (neighbours_of_1 ());
+  for _ = 1 to Net.Params.default.ifq_capacity + 5 do
+    send 1
+  done;
+  checki "sends not queued" 0 (Net.Mac.queue_length mac0);
+  checki "sends not counted as ifq drops" 0 (Net.Mac.queue_drops mac0);
+  Engine.run ~until:(Time.ms 100.) engine;
+  checki "nothing on the air" 0 (Net.Channel.transmissions channel);
+  Net.Mac.set_down mac0 false;
+  Alcotest.(check (list int)) "up again: a neighbour" [ 0 ] (neighbours_of_1 ());
+  (* Put the unacknowledged unicast on the air; once its transmission
+     ends, the ACK timer is the only pending event. *)
+  send 2;
+  while Net.Mac.frames_sent mac0 = 0 do
+    ignore (Engine.step engine)
+  done;
+  ignore (Engine.step engine);
+  ignore (Engine.step engine);
+  checki "ack timer armed" 1 (pending ());
+  Net.Mac.set_down mac0 true;
+  checki "ack timer cancelled" 0 (pending ());
+  Net.Mac.set_down mac0 false;
+  send 1;
+  Engine.run ~until:(Time.ms 200.) engine;
+  checki "delivered after power-up" 1 (List.length !(nodes.(1).received));
+  checki "acked first time" 2 (Net.Mac.frames_sent mac0);
+  checki "no link failure" 0 (List.length !(nodes.(0).failures));
+  checki "data + ack + earlier data" 3 (Net.Channel.transmissions channel)
+
 (* ---- Cell-grid index vs. brute-force oracle ---------------------------- *)
 
 (* The cell index must be an invisible optimisation: at every
@@ -322,7 +372,7 @@ let grid_neighbors_match_naive () =
      broadcasts. *)
   let layout = [ v 0. 0.; v 100. 0.; v 260. 0.; v 400. 50.; v 900. 0. ] in
   let engine = Engine.create ~seed:5 () in
-  let nodes, channel = store_channel engine (List.map Mobility.static layout) in
+  let store, channel = store_channel engine (List.map Mobility.static layout) in
   let macs =
     Array.of_list
       (List.mapi
@@ -332,7 +382,7 @@ let grid_neighbors_match_naive () =
          layout)
   in
   let oracle =
-    Naive_medium.create ~engine ~nodes channel (Array.map Net.Mac.radio macs)
+    Naive_medium.create ~engine ~store channel (Array.map Net.Mac.radio macs)
   in
   let checked = ref 0 in
   Naive_medium.arm ~checked oracle channel;
@@ -384,11 +434,11 @@ let fanout_log channel engine =
 
 let fanout_order_matches_naive () =
   let engine = Engine.create ~seed:5 () in
-  let nodes, channel =
+  let store, channel =
     store_channel engine (List.map Mobility.static fanout_layout)
   in
   let fanout, radios, store_log = fanout_log channel engine in
-  let oracle = Naive_medium.create ~engine ~nodes channel radios in
+  let oracle = Naive_medium.create ~engine ~store channel radios in
   let receivers ev log =
     List.filter_map
       (fun (i, e) -> if e = ev && i <> 6 then Some i else None)
@@ -510,6 +560,7 @@ let () =
           Alcotest.test_case "retransmits without ack" `Quick duplicate_on_lost_ack;
           Alcotest.test_case "broadcast no retry" `Quick broadcast_no_retry;
           Alcotest.test_case "mobility breaks link" `Quick mobility_breaks_link;
+          Alcotest.test_case "power toggle" `Quick mac_power_toggle;
           qt mac_accounting_prop;
         ] );
       ( "channel-grid",

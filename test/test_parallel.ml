@@ -4,7 +4,7 @@
    nothing but the wall clock:
 
    - executor unit tests (index order, exactly-once, chunking,
-     exception propagation, the worker-domain flag);
+     exception propagation);
    - differential conformance: the same (point x seed) matrix at jobs=1
      and jobs=N yields exactly equal per-seed outcomes, aggregate
      Welford statistics, loop-audit results and fault-injection
@@ -13,8 +13,7 @@
    - regression pins for the domain-safety audit: per-trial re-run
      determinism under QCheck-random scenarios (hidden global mutable
      state would break same-process re-runs before it ever raced across
-     domains), per-bus intern-table isolation, and the pretty trace
-     sink staying off worker domains.
+     domains) and per-bus intern-table isolation.
 
    [MANET_TEST_JOBS] sets the multi-domain job count (default 4; CI
    pins it to 4 explicitly). *)
@@ -95,16 +94,6 @@ let resolve_jobs () =
   Alcotest.check_raises "negative"
     (Invalid_argument "Parallel.resolve_jobs: jobs must be >= 0") (fun () ->
       ignore (Parallel.resolve_jobs (-1)))
-
-let worker_flag () =
-  checkb "main is not a worker" false (Parallel.on_worker_domain ());
-  let inline = Parallel.map ~jobs:1 3 (fun _ -> Parallel.on_worker_domain ()) in
-  checkb "inline path stays on main" true (inline = [| false; false; false |]);
-  let fanned =
-    Parallel.map ~jobs:2 6 (fun _ -> Parallel.on_worker_domain ())
-  in
-  checkb "worker domains flagged" true (Array.for_all Fun.id fanned);
-  checkb "flag does not leak to main" false (Parallel.on_worker_domain ())
 
 (* ---- differential conformance ------------------------------------------ *)
 
@@ -280,36 +269,6 @@ let intern_isolation () =
   in
   checkb "every domain's intern table round-trips" true (Array.for_all Fun.id ok)
 
-(* The pretty trace sink renders through the global Logs reporter; the
-   runner must not attach it on worker domains (a shared formatter
-   raced by N trials), while jobs=1 keeps today's behaviour. *)
-let trace_sink_gated () =
-  let lines = ref 0 in
-  let reporter =
-    {
-      Logs.report =
-        (fun _src _level ~over k msgf ->
-          incr lines;
-          msgf (fun ?header:_ ?tags:_ fmt ->
-              Format.ikfprintf
-                (fun _ ->
-                  over ();
-                  k ())
-                Format.err_formatter fmt));
-    }
-  in
-  Logs.set_reporter reporter;
-  Logs.Src.set_level Trace.src (Some Logs.Debug);
-  let sc = small_scenario ~duration:5. () in
-  ignore (Sweep.trial_outcomes ~jobs:2 sc ~n:4);
-  let after_parallel = !lines in
-  ignore (Sweep.trial_outcomes ~jobs:1 sc ~n:1);
-  let after_inline = !lines in
-  Logs.Src.set_level Trace.src None;
-  Logs.set_reporter Logs.nop_reporter;
-  checki "worker trials bypass the global trace reporter" 0 after_parallel;
-  checkb "inline trials still trace" true (after_inline > after_parallel)
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "parallel"
@@ -320,7 +279,6 @@ let () =
           Alcotest.test_case "exactly once" `Quick map_exactly_once;
           Alcotest.test_case "exception propagation" `Quick map_exception;
           Alcotest.test_case "resolve jobs" `Quick resolve_jobs;
-          Alcotest.test_case "worker flag" `Quick worker_flag;
         ] );
       ( "conformance",
         [
@@ -334,7 +292,5 @@ let () =
       ( "audit-regressions",
         [
           Alcotest.test_case "intern-table isolation" `Quick intern_isolation;
-          Alcotest.test_case "trace sink gated off workers" `Quick
-            trace_sink_gated;
         ] );
     ]

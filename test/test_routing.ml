@@ -594,6 +594,69 @@ let machine_schedule_per_discovery () =
   checki "re-read for a new discovery" 3 !(r.schedules);
   checkb "restarted" true (sent_ttls r = [ 4; 9; 4 ])
 
+(* ---- Successor-chain walk ------------------------------------------------- *)
+
+(* Agents whose successor toward every destination is [succ.(i)]
+   ([-1]: none). *)
+let chain_agents succ =
+  Array.map
+    (fun s ->
+      {
+        Routing.Agent.null with
+        successor = (fun _ -> if s < 0 then None else Some (n s));
+      })
+    succ
+
+let ints = Alcotest.(list int)
+
+let walk_two_cycle () =
+  let agents = chain_agents [| 1; 0; -1 |] in
+  let w = Routing.Agent.walk 3 in
+  let dst = n 2 in
+  checki "repeats at the start" 0 (Routing.Agent.first_repeat w agents ~dst 0);
+  let cyc = Routing.Agent.cycle agents ~dst 0 in
+  Alcotest.check ints "witness" [ 0; 1 ] cyc;
+  Alcotest.check Alcotest.string "mcheck rendering" "cycle dst=2 via 0->1->0"
+    (Mcheck.Explorer.render_vkind (Mcheck.Explorer.Cycle (2, cyc)))
+
+let walk_reaches_destination () =
+  let agents = chain_agents [| 1; 2; 3; 0 |] in
+  checki "chain ends at the destination" (-1)
+    (Routing.Agent.first_repeat (Routing.Agent.walk 4) agents ~dst:(n 3) 0)
+
+let walk_dead_end () =
+  let agents = chain_agents [| 1; -1; -1 |] in
+  checki "chain ends without a successor" (-1)
+    (Routing.Agent.first_repeat (Routing.Agent.walk 3) agents ~dst:(n 2) 0)
+
+let walk_cycle_off_start () =
+  (* 0 -> 1 -> 2 -> 3 -> 1: the start node leads into the cycle but is
+     not on it. *)
+  let agents = chain_agents [| 1; 2; 3; 1; -1 |] in
+  let dst = n 4 in
+  let x = Routing.Agent.first_repeat (Routing.Agent.walk 5) agents ~dst 0 in
+  checki "first repeated node" 1 x;
+  Alcotest.check ints "witness starts at the repeat" [ 1; 2; 3 ]
+    (Routing.Agent.cycle agents ~dst x)
+
+let walk_scratch_reuse () =
+  (* One walk's marks serve every query; stale marks from earlier walks
+     never fake a repeat. *)
+  let looped = chain_agents [| 1; 2; 3; 1; -1 |]
+  and clean = chain_agents [| 1; 2; 3; 4; -1 |] in
+  let dst = n 4 in
+  let w = Routing.Agent.walk 5 in
+  let verdicts () =
+    List.map
+      (fun (agents, s) -> Routing.Agent.first_repeat w agents ~dst s)
+      [ (looped, 0); (clean, 0); (looped, 2); (clean, 1); (clean, 3) ]
+  in
+  let first = verdicts () in
+  Alcotest.check ints "verdicts" [ 1; -1; 2; -1; -1 ] first;
+  for _ = 1 to 3 do
+    Alcotest.check ints "same verdicts on reuse" first (verdicts ())
+  done
+
 (* ---- Agent null ctx ------------------------------------------------------- *)
 
 let null_ctx_works () =
@@ -640,6 +703,16 @@ let () =
           Alcotest.test_case "timeouts scale" `Quick ring_timeouts_scale;
           Alcotest.test_case "from the diameter" `Quick ring_from_diameter;
           QCheck_alcotest.to_alcotest ring_attempts_shape_qcheck;
+        ] );
+      ( "walk",
+        [
+          Alcotest.test_case "two-cycle witness" `Quick walk_two_cycle;
+          Alcotest.test_case "reaches the destination" `Quick
+            walk_reaches_destination;
+          Alcotest.test_case "dead end" `Quick walk_dead_end;
+          Alcotest.test_case "cycle off the start node" `Quick
+            walk_cycle_off_start;
+          Alcotest.test_case "scratch reuse" `Quick walk_scratch_reuse;
         ] );
       ( "disc_machine",
         [

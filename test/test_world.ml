@@ -174,9 +174,6 @@ let run_chain_crash ~oracle =
       let take_down at =
         ignore
           (Engine.at eng at (fun () ->
-               Net.Channel.set_attached sim.Runner.channel
-                 (Net.Mac.radio sim.Runner.macs.(4))
-                 false;
                Net.Mac.set_down sim.Runner.macs.(4) true;
                sim.Runner.agents.(4).Routing.Agent.reset ~crash:true;
                crashed_successor :=
@@ -185,9 +182,6 @@ let run_chain_crash ~oracle =
       and bring_up at =
         ignore
           (Engine.at eng at (fun () ->
-               Net.Channel.set_attached sim.Runner.channel
-                 (Net.Mac.radio sim.Runner.macs.(4))
-                 true;
                Net.Mac.set_down sim.Runner.macs.(4) false))
       and inject at =
         ignore (Engine.at eng at (fun () -> sim.Runner.inject ~src:0 ~dst:4))
