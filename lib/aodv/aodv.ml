@@ -355,13 +355,20 @@ let check_hello_timeouts t =
 
 (* ---- Wiring ------------------------------------------------------------ *)
 
+let rec handle_rreqs t rs ~from =
+  match rs with
+  | [] -> ()
+  | r :: rest ->
+      handle_rreq t r ~from;
+      handle_rreqs t rest ~from
+
 let recv t payload ~from =
   match payload with
   | Payload.Data msg -> handle_data t msg
   | Payload.Aodv (Aodv_msg.Rreq r) -> handle_rreq t r ~from
   | Payload.Aodv (Aodv_msg.Rreq_agg rs) ->
       (* Aggregated flood: each member RREQ is its own computation. *)
-      List.iter (fun r -> handle_rreq t r ~from) rs
+      handle_rreqs t rs ~from
   | Payload.Aodv (Aodv_msg.Rrep r) when t.cfg.use_hello && is_hello r ->
       handle_hello t r ~from
   | Payload.Aodv (Aodv_msg.Rrep r) -> handle_rrep t r ~from

@@ -1,38 +1,21 @@
 open Packets
 
-type info = { sn : Seqnum.t; dist : int; fd : int }
-
 let infinity = max_int / 4
 
 let sn_ge_opt a = function None -> true | Some b -> Seqnum.(a >= b)
 let sn_gt_opt a = function None -> true | Some b -> Seqnum.(a > b)
 let sn_eq_opt a = function None -> false | Some b -> Seqnum.equal a b
 
-let ndc ~own ~adv_sn ~adv_dist =
-  match own with
-  | None -> true
-  | Some i ->
-      Seqnum.(adv_sn > i.sn) || (Seqnum.equal adv_sn i.sn && adv_dist < i.fd)
+let ndc ~sn ~fd ~adv_sn ~adv_dist =
+  Seqnum.(adv_sn > sn) || (Seqnum.equal adv_sn sn && adv_dist < fd)
 
-let fdc_requires_reset ~own ~req_sn ~req_fd =
-  match own with
-  | None -> false
-  | Some i -> sn_eq_opt i.sn req_sn && i.fd >= req_fd
+let fdc_requires_reset ~sn ~fd ~req_sn ~req_fd =
+  sn_eq_opt sn req_sn && fd >= req_fd
 
-let sdc_ignoring_reset ~own ~active ~req_sn ~answer_dist =
+let sdc_ignoring_reset ~sn ~dist ~active ~req_sn ~answer_dist =
+  active && (sn_gt_opt sn req_sn || (sn_eq_opt sn req_sn && dist < answer_dist))
+
+let sdc ~sn ~dist ~active ~req_sn ~answer_dist ~reset =
   active
-  &&
-  match own with
-  | None -> false
-  | Some i ->
-      sn_gt_opt i.sn req_sn
-      || (sn_eq_opt i.sn req_sn && i.dist < answer_dist)
-
-let sdc ~own ~active ~req_sn ~answer_dist ~reset =
-  active
-  &&
-  match own with
-  | None -> false
-  | Some i ->
-      sn_gt_opt i.sn req_sn
-      || (sn_eq_opt i.sn req_sn && i.dist < answer_dist && not reset)
+  && (sn_gt_opt sn req_sn
+     || (sn_eq_opt sn req_sn && dist < answer_dist && not reset))

@@ -4,11 +4,16 @@
     A node's invariants for a destination are its stored sequence number
     [sn], measured distance [dist], and feasible distance [fd] — the
     minimum distance it has held for the current sequence number.
-    Distances are hop counts ([infinity] = no usable bound). *)
+    Distances are hop counts ([infinity] = no usable bound).
+
+    Every predicate takes a node's invariants as plain scalars, as they
+    sit in its route-table entry, so testing one allocates nothing.  The
+    conditions are stated for a node that holds invariants for the
+    destination; a node with no information may accept any
+    advertisement, never needs a reset and cannot answer — its caller
+    decides that case before asking. *)
 
 open Packets
-
-type info = { sn : Seqnum.t; dist : int; fd : int }
 
 val infinity : int
 (** Distance standing in for "no information": larger than any real path
@@ -21,30 +26,37 @@ val sn_ge_opt : Seqnum.t -> Seqnum.t option -> bool
 val sn_gt_opt : Seqnum.t -> Seqnum.t option -> bool
 val sn_eq_opt : Seqnum.t -> Seqnum.t option -> bool
 
-val ndc : own:info option -> adv_sn:Seqnum.t -> adv_dist:int -> bool
-(** Numbered Distance Condition: node may accept an advertisement
-    (sequence number [adv_sn], advertised distance [adv_dist]) and change
-    its successor with no coordination iff it has no information, or
-    [adv_sn > sn], or [adv_sn = sn && adv_dist < fd]. *)
+val ndc : sn:Seqnum.t -> fd:int -> adv_sn:Seqnum.t -> adv_dist:int -> bool
+(** Numbered Distance Condition: a node with number [sn] and feasible
+    distance [fd] may accept an advertisement (sequence number [adv_sn],
+    advertised distance [adv_dist]) and change its successor with no
+    coordination iff [adv_sn > sn], or [adv_sn = sn && adv_dist < fd]. *)
 
-val fdc_requires_reset : own:info option -> req_sn:Seqnum.t option -> req_fd:int -> bool
+val fdc_requires_reset :
+  sn:Seqnum.t -> fd:int -> req_sn:Seqnum.t option -> req_fd:int -> bool
 (** Feasible Distance Condition, contrapositive: a relay must set the
-    T bit iff [sn = req_sn && fd >= req_fd].  A relay with no information
-    or a different number never violates the ordering. *)
+    T bit iff [sn = req_sn && fd >= req_fd].  A relay with a different
+    number never violates the ordering. *)
 
 val sdc :
-  own:info option ->
+  sn:Seqnum.t ->
+  dist:int ->
   active:bool ->
   req_sn:Seqnum.t option ->
   answer_dist:int ->
   reset:bool ->
   bool
-(** Start Distance Condition: node may answer a solicitation iff it has
-    an active route and ([sn = req_sn && dist < answer_dist && not reset]
-    or [sn > req_sn]). *)
+(** Start Distance Condition: a node with number [sn] and distance
+    [dist] may answer a solicitation iff it has an active route and
+    ([sn = req_sn && dist < answer_dist && not reset] or [sn > req_sn]). *)
 
 val sdc_ignoring_reset :
-  own:info option -> active:bool -> req_sn:Seqnum.t option -> answer_dist:int -> bool
+  sn:Seqnum.t ->
+  dist:int ->
+  active:bool ->
+  req_sn:Seqnum.t option ->
+  answer_dist:int ->
+  bool
 (** SDC with the T bit disregarded — identifies the first node on the
     flood path that converts a reset-requiring RREQ into a unicast to the
     destination. *)

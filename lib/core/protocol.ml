@@ -14,6 +14,9 @@ type engaged = {
 type state = {
   ctx : RA.ctx;
   cfg : Config.t;
+  broadcast : Payload.t -> unit;
+      (* [ctx.send] to everyone, bound once: the deferred flood relay
+         schedules it with its payload, allocating no closure *)
   table : Route_table.t;
   cache : engaged Routing.Rreq_cache.t;
   mutable own_sn : Seqnum.t;
@@ -45,15 +48,16 @@ let min_lifetime t =
   Time.scale t.cfg.active_route_timeout t.cfg.min_lifetime_fraction
 
 (* Can this node's route answer, given the minimum-lifetime rule? *)
-let answerable_entry t dst =
-  match Route_table.active t.table dst with
-  | None -> None
-  | Some e ->
-      if
-        t.cfg.opt_min_lifetime
-        && Time.(Route_table.remaining_lifetime t.table e < min_lifetime t)
-      then None
-      else Some e
+let answerable t e =
+  Route_table.is_active t.table e
+  && not
+       (t.cfg.opt_min_lifetime
+       && Time.(Route_table.remaining_lifetime t.table e < min_lifetime t))
+
+let has_active_route t dst =
+  match Route_table.get t.table dst with
+  | e -> Route_table.is_active t.table e
+  | exception Not_found -> false
 
 let send_ldr t ~dst msg = t.ctx.send ~dst (Payload.Ldr msg)
 
@@ -69,7 +73,7 @@ let learn_advert t ~dst ~adv_sn ~adv_dist ~via ~lifetime =
     let lc = t.cfg.link_cost t.ctx.id via in
     let verdict =
       Route_table.apply_advert t.table ~lc ~dst ~adv_sn ~adv_dist ~via
-        ~lifetime ()
+        ~lifetime
     in
     (match verdict with
     | `Installed -> t.ctx.table_changed ()
@@ -153,19 +157,24 @@ let handle_data t msg ~from:_ =
 
 (* ---- Procedure 2: relay solicitation (Eqs. 5-8) ----------------------- *)
 
-(* Fold this node's stored invariants into a solicitation it relays;
-   [from] is the neighbor the solicitation arrived over, whose link cost
-   extends the measured distance. *)
-let update_invariants t ~from (r : Ldr_msg.rreq) =
-  let r = { r with Ldr_msg.dist = r.dist + t.cfg.link_cost t.ctx.id from } in
-  match Route_table.find t.table r.dst with
-  | None -> r
-  | Some e ->
+(* The solicitation this node relays: [r] with this node's stored
+   invariants folded in, built in one allocation.  [from] is the
+   neighbor the solicitation arrived over, whose link cost extends the
+   measured distance. *)
+let relayed t ~from (r : Ldr_msg.rreq) ~ttl ~no_reverse ~unicast_probe =
+  let dist = r.dist + t.cfg.link_cost t.ctx.id from in
+  match Route_table.get t.table r.dst with
+  | exception Not_found -> { r with dist; ttl; no_reverse; unicast_probe }
+  | e ->
       if Conditions.sn_gt_opt e.sn r.dst_sn then
         (* Eq 5 raises the number, Eq 6 takes our fd, Eq 8 clears T: any
            reply now acts as a path reset. *)
         {
           r with
+          dist;
+          ttl;
+          no_reverse;
+          unicast_probe;
           dst_sn = Some e.sn;
           fd = e.fd;
           answer_dist = reduce t e.fd;
@@ -175,12 +184,17 @@ let update_invariants t ~from (r : Ldr_msg.rreq) =
         (* Eq 6 running minimum; Eq 8: T set unless we satisfy FDC. *)
         {
           r with
+          dist;
+          ttl;
+          no_reverse;
+          unicast_probe;
           fd = Stdlib.min e.fd r.fd;
           answer_dist = Stdlib.min r.answer_dist (reduce t e.fd);
           reset = (if e.fd < r.fd then r.reset else true);
         }
-      else (* Our number is stale: no constraint on the requested one. *)
-        r
+      else
+        (* Our number is stale: no constraint on the requested one. *)
+        { r with dist; ttl; no_reverse; unicast_probe }
 
 let destination_reply t (r : Ldr_msg.rreq) ~last_hop =
   (* Only the destination may raise its own number (the reset). *)
@@ -225,39 +239,44 @@ let forward_unicast_probe t ~from (e : Route_table.entry) (r : Ldr_msg.rreq) =
   match e.next_hop with
   | None -> assert false
   | Some nh ->
-      let r = update_invariants t ~from r in
       let ttl =
         (* Must be able to reach the destination even if the ring search
            would have died out (Section 2.2). *)
         Stdlib.max (r.ttl - 1) (e.dist + t.cfg.local_add_ttl)
       in
       send_ldr t ~dst:(Net.Frame.Unicast nh)
-        (Ldr_msg.Rreq { r with ttl; unicast_probe = true })
+        (Ldr_msg.Rreq
+           (relayed t ~from r ~ttl ~no_reverse:r.no_reverse
+              ~unicast_probe:true))
 
 let relay_broadcast t ~from (r : Ldr_msg.rreq) ~reverse_ok =
   if r.ttl > 1 then begin
-    let r = update_invariants t ~from r in
-    let r =
-      { r with Ldr_msg.ttl = r.ttl - 1; no_reverse = r.no_reverse || not reverse_ok }
+    let payload =
+      Payload.Ldr
+        (Ldr_msg.Rreq
+           (relayed t ~from r ~ttl:(r.ttl - 1)
+              ~no_reverse:(r.no_reverse || not reverse_ok)
+              ~unicast_probe:r.unicast_probe))
     in
     (* Per-hop rebroadcast jitter decorrelates the flood. *)
     let delay = Rng.uniform_time t.ctx.rng t.cfg.flood_jitter in
-    ignore
-      (Engine.after t.ctx.engine delay (fun () ->
-           send_ldr t ~dst:Net.Frame.Broadcast (Ldr_msg.Rreq r)))
+    ignore (Engine.after_fn t.ctx.engine delay t.broadcast payload)
   end
 
 let request_as_error t (r : Ldr_msg.rreq) ~from =
   (* Our next hop toward D is asking for D: it must have lost its route,
      or it would have answered (its distance is ours minus one). *)
-  match Route_table.active t.table r.dst with
-  | Some e
-    when e.next_hop = Some from
+  match Route_table.get t.table r.dst with
+  | e
+    when Route_table.is_active t.table e
+         && (match e.next_hop with
+            | Some nh -> Node_id.equal nh from
+            | None -> false)
          && Conditions.sn_ge_opt e.sn r.dst_sn
          && r.answer_dist > e.dist - 1 ->
       Route_table.invalidate t.table r.dst;
       t.ctx.table_changed ()
-  | Some _ | None -> ()
+  | _ | (exception Not_found) -> ()
 
 let handle_rreq t (r : Ldr_msg.rreq) ~from =
   if Node_id.equal r.origin t.ctx.id then ()
@@ -270,39 +289,41 @@ let handle_rreq t (r : Ldr_msg.rreq) ~from =
     (* The RREQ doubles as an advertisement for its origin (unless the
        N bit says the reverse chain already broke upstream). *)
     let reverse_ok =
-      if r.no_reverse then Route_table.active t.table r.origin <> None
+      if r.no_reverse then has_active_route t r.origin
       else begin
         match
           learn_advert t ~dst:r.origin ~adv_sn:r.origin_sn ~adv_dist:r.dist
             ~via:from ~lifetime:t.cfg.active_route_timeout
         with
         | `Installed | `Refreshed -> true
-        | `Rejected -> Route_table.active t.table r.origin <> None
+        | `Rejected -> has_active_route t r.origin
       end
     in
     if t.cfg.opt_request_as_error then request_as_error t r ~from;
     if Node_id.equal r.dst t.ctx.id then destination_reply t r ~last_hop:from
     else if r.unicast_probe then begin
       (* D bit: carry the request straight to the destination. *)
-      match Route_table.active t.table r.dst with
-      | Some e when r.ttl > 1 -> forward_unicast_probe t ~from e r
-      | Some _ | None -> ()
+      match Route_table.get t.table r.dst with
+      | e when r.ttl > 1 && Route_table.is_active t.table e ->
+          forward_unicast_probe t ~from e r
+      | _ | (exception Not_found) -> ()
     end
     else begin
-      let own = Route_table.invariants t.table r.dst in
-      match answerable_entry t r.dst with
-      | Some e
-        when Conditions.sdc ~own ~active:true ~req_sn:r.dst_sn
-               ~answer_dist:r.answer_dist ~reset:r.reset ->
+      match Route_table.get t.table r.dst with
+      | e
+        when answerable t e
+             && Conditions.sdc ~sn:e.sn ~dist:e.dist ~active:true
+                  ~req_sn:r.dst_sn ~answer_dist:r.answer_dist ~reset:r.reset
+        ->
           intermediate_reply t e r ~last_hop:from
-      | Some e
-        when r.reset
-             && Conditions.sdc_ignoring_reset ~own ~active:true
-                  ~req_sn:r.dst_sn ~answer_dist:r.answer_dist ->
+      | e
+        when r.reset && answerable t e
+             && Conditions.sdc_ignoring_reset ~sn:e.sn ~dist:e.dist
+                  ~active:true ~req_sn:r.dst_sn ~answer_dist:r.answer_dist ->
           (* First node able to answer but for the T bit: unicast the
              request to the destination for a path reset (Section 2.2). *)
           forward_unicast_probe t ~from e r
-      | Some _ | None -> relay_broadcast t ~from r ~reverse_ok
+      | _ | (exception Not_found) -> relay_broadcast t ~from r ~reverse_ok
     end
   end
 
@@ -443,13 +464,20 @@ let link_failure t payload ~next_hop =
 
 (* ---- Wiring ----------------------------------------------------------- *)
 
+let rec handle_rreqs t rs ~from =
+  match rs with
+  | [] -> ()
+  | r :: rest ->
+      handle_rreq t r ~from;
+      handle_rreqs t rest ~from
+
 let recv t payload ~from =
   match payload with
   | Payload.Data msg -> handle_data t msg ~from
   | Payload.Ldr (Ldr_msg.Rreq r) -> handle_rreq t r ~from
   | Payload.Ldr (Ldr_msg.Rreq_agg rs) ->
       (* Aggregated flood: each member RREQ is its own computation. *)
-      List.iter (fun r -> handle_rreq t r ~from) rs
+      handle_rreqs t rs ~from
   | Payload.Ldr (Ldr_msg.Rrep r) -> handle_rrep t r ~from
   | Payload.Ldr (Ldr_msg.Rerr { unreachable }) ->
       handle_rerr t unreachable ~from
@@ -475,6 +503,7 @@ let make ?(config = Config.default) (ctx : RA.ctx) =
     {
       ctx;
       cfg = config;
+      broadcast = (fun p -> ctx.send ~dst:Net.Frame.Broadcast p);
       table =
         Route_table.create ~multipath:config.multipath ~obs:ctx.obs
           ~owner:(Node_id.to_int ctx.id) ~engine:ctx.engine ();
@@ -510,10 +539,15 @@ let make ?(config = Config.default) (ctx : RA.ctx) =
                number — what its neighbors' SNC/FDC compare against. *)
             Some { Obs.Event.i_sn = Seqnum.pack t.own_sn; i_dist = 0; i_fd = 0 }
           else
-            match Route_table.invariants t.table dst with
-            | None -> None
-            | Some { Conditions.sn; dist; fd } ->
-                Some { Obs.Event.i_sn = Seqnum.pack sn; i_dist = dist; i_fd = fd });
+            match Route_table.get t.table dst with
+            | e ->
+                Some
+                  {
+                    Obs.Event.i_sn = Seqnum.pack e.sn;
+                    i_dist = e.dist;
+                    i_fd = e.fd;
+                  }
+            | exception Not_found -> None);
       route_stats =
         (fun () ->
           let entries = ref 0 and finite = ref 0 and fd_sum = ref 0 in

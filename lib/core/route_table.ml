@@ -37,17 +37,20 @@ let emit_write t ~dst ~old_succ (e : entry) =
       ~dst:(Node_id.to_int dst) ~old_succ ~new_succ:(succ_int e) ~dist:e.dist
       ~fd:e.fd ~sn:(Seqnum.pack e.sn)
 
-let find t dst = Node_id.Table.find_opt t.entries dst
+let get t dst = Node_id.Table.find t.entries dst
+let find t dst = match get t dst with e -> Some e | exception Not_found -> None
 
-let is_active t e = e.next_hop <> None && Time.(e.expires > now t)
+let is_active t e =
+  match e.next_hop with Some _ -> Time.(e.expires > now t) | None -> false
 
 let active t dst =
-  match find t dst with Some e when is_active t e -> Some e | _ -> None
+  match get t dst with
+  | e -> if is_active t e then Some e else None
+  | exception Not_found -> None
 
-let invariants t dst =
-  match find t dst with
-  | None -> None
-  | Some e -> Some { Conditions.sn = e.sn; dist = e.dist; fd = e.fd }
+(* [e.next_hop = Some n], without building the [Some]. *)
+let next_is e n =
+  match e.next_hop with Some h -> Node_id.equal h n | None -> false
 
 let remaining_lifetime t e =
   if Time.(e.expires > now t) then Time.diff e.expires (now t) else Time.zero
@@ -65,7 +68,7 @@ let prune_alternates e =
   e.alternates <- List.filter (feasible_alt e) e.alternates
 
 let remember_alternate t e ~via ~adv_dist ~lc =
-  if t.multipath && adv_dist < e.fd && e.next_hop <> Some via then begin
+  if t.multipath && adv_dist < e.fd && not (next_is e via) then begin
     let others = List.filter (fun a -> not (Node_id.equal a.alt_via via)) e.alternates in
     e.alternates <-
       { alt_via = via; alt_adv = adv_dist; alt_dist = adv_dist + lc } :: others
@@ -74,12 +77,12 @@ let remember_alternate t e ~via ~adv_dist ~lc =
 let drop_alternate e via =
   e.alternates <- List.filter (fun a -> not (Node_id.equal a.alt_via via)) e.alternates
 
-let apply_advert t ?(lc = 1) ~dst ~adv_sn ~adv_dist ~via ~lifetime () =
+let apply_advert t ~lc ~dst ~adv_sn ~adv_dist ~via ~lifetime =
   if lc <= 0 then invalid_arg "Route_table.apply_advert: link cost must be positive";
   let new_dist = adv_dist + lc in
   let expires = Time.add (now t) lifetime in
-  match find t dst with
-  | None ->
+  match get t dst with
+  | exception Not_found ->
       let e =
         {
           sn = adv_sn;
@@ -93,15 +96,14 @@ let apply_advert t ?(lc = 1) ~dst ~adv_sn ~adv_dist ~via ~lifetime () =
       Node_id.Table.replace t.entries dst e;
       emit_write t ~dst ~old_succ:(-1) e;
       `Installed
-  | Some e ->
-      let own = { Conditions.sn = e.sn; dist = e.dist; fd = e.fd } in
-      if not (Conditions.ndc ~own:(Some own) ~adv_sn ~adv_dist) then begin
+  | e ->
+      if not (Conditions.ndc ~sn:e.sn ~fd:e.fd ~adv_sn ~adv_dist) then begin
         (* This neighbor can no longer serve as an alternate either. *)
         if Seqnum.equal adv_sn e.sn then drop_alternate e via;
         (* NDC failed, but the same successor repeating the same-number
            route keeps it alive. *)
         if
-          is_active t e && e.next_hop = Some via && Seqnum.equal adv_sn e.sn
+          is_active t e && next_is e via && Seqnum.equal adv_sn e.sn
           && new_dist <= e.dist
         then begin
           let old_succ = succ_int e in
@@ -122,7 +124,7 @@ let apply_advert t ?(lc = 1) ~dst ~adv_sn ~adv_dist ~via ~lifetime () =
         is_active t e
         && Seqnum.equal adv_sn e.sn
         && new_dist >= e.dist
-        && e.next_hop <> Some via
+        && not (next_is e via)
       then begin
         (* Feasible but not better: exactly the LFI alternate case. *)
         remember_alternate t e ~via ~adv_dist ~lc;
@@ -173,7 +175,7 @@ let invalidate_via t neighbor =
   Node_id.Table.fold
     (fun dst e (invalidated, promoted) ->
       drop_alternate e neighbor;
-      if e.next_hop = Some neighbor then begin
+      if next_is e neighbor then begin
         let old_succ = succ_int e in
         match if t.multipath then best_alternate e else None with
         | Some a ->
@@ -199,7 +201,7 @@ let fail_route t dst ~via =
   | None -> `Untouched
   | Some e ->
       drop_alternate e via;
-      if e.next_hop <> Some via then `Untouched
+      if not (next_is e via) then `Untouched
       else begin
         let old_succ = succ_int e in
         match if t.multipath then best_alternate e else None with

@@ -46,10 +46,15 @@ val create :
 val find : t -> Node_id.t -> entry option
 (** The entry, live or not. *)
 
+val get : t -> Node_id.t -> entry
+(** {!find} without the option, for the flood path: allocates nothing.
+    Raises [Not_found] when there is no entry. *)
+
 val active : t -> Node_id.t -> entry option
 (** The entry iff it has a successor and has not expired. *)
 
-val invariants : t -> Node_id.t -> Conditions.info option
+val is_active : t -> entry -> bool
+(** The entry has a successor and has not expired. *)
 
 val remaining_lifetime : t -> entry -> Sim.Time.t
 
@@ -58,18 +63,17 @@ val refresh : t -> entry -> lifetime:Sim.Time.t -> unit
 
 val apply_advert :
   t ->
-  ?lc:int ->
+  lc:int ->
   dst:Node_id.t ->
   adv_sn:Seqnum.t ->
   adv_dist:int ->
   via:Node_id.t ->
   lifetime:Sim.Time.t ->
-  unit ->
   [ `Installed | `Refreshed | `Rejected ]
 (** Process an advertisement for [dst] with advertised distance
     [adv_dist] heard from neighbor [via] over a link of positive cost
-    [lc] (default 1 — hop counts; the paper notes LDR works unchanged
-    with general positive symmetric costs).
+    [lc] (1 for hop counts; the paper notes LDR works unchanged with
+    general positive symmetric costs).
 
     [`Installed]: NDC held and the route was (re)written by Procedure 3.
     [`Refreshed]: the advertisement repeats the current active route

@@ -119,10 +119,15 @@ let send_rrep t ~full_route ~sr (rrep : Dsr_msg.rrep) =
       send_dsr t ~dst:(Net.Frame.Unicast next)
         (Dsr_msg.Rrep { sr_remaining = rest; rrep })
 
+(* [List.exists (Node_id.equal self)], without the partial application. *)
+let rec on_route self = function
+  | [] -> false
+  | n :: rest -> Node_id.equal n self || on_route self rest
+
 let handle_rreq t (r : Dsr_msg.rreq) ~from =
   let self = t.ctx.id in
   if Node_id.equal r.origin self then ()
-  else if List.exists (Node_id.equal self) r.route then ()
+  else if on_route self r.route then ()
   else if Routing.Rreq_cache.mem t.seen ~origin:r.origin ~rreq_id:r.rreq_id
   then ()
   else begin

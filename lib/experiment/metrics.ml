@@ -1,5 +1,7 @@
 open Packets
 
+type control = { mutable tx : int; mutable bytes : int }
+
 type t = {
   mutable originated : int;
   mutable delivered : int;
@@ -11,8 +13,7 @@ type t = {
   latency_h : Stats.Hdr.t;
   hop_count : Stats.Welford.t;
   seen : (int, unit) Hashtbl.t;  (* delivered uids, packed *)
-  control_tx : (string, int ref) Hashtbl.t;
-  control_bytes : (string, int ref) Hashtbl.t;
+  control : (string, control) Hashtbl.t;  (* by frame class *)
   mutable data_tx : int;
   mutable ack_tx : int;
   mutable data_bytes : int;
@@ -32,8 +33,7 @@ let create () =
     latency_h = Stats.Hdr.create ();
     hop_count = Stats.Welford.create ();
     seen = Hashtbl.create 4096;
-    control_tx = Hashtbl.create 8;
-    control_bytes = Hashtbl.create 8;
+    control = Hashtbl.create 8;
     data_tx = 0;
     ack_tx = 0;
     data_bytes = 0;
@@ -44,15 +44,11 @@ let create () =
     mean_dest_seqno = 0.;
   }
 
+(* [Hashtbl.find] rather than [find_opt]: a hit allocates nothing. *)
 let bump tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> incr r
-  | None -> Hashtbl.replace tbl key (ref 1)
-
-let bump_by tbl key n =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace tbl key (ref n)
+  match Hashtbl.find tbl key with
+  | r -> incr r
+  | exception Not_found -> Hashtbl.replace tbl key (ref 1)
 
 let data_originated t _msg = t.originated <- t.originated + 1
 
@@ -94,8 +90,16 @@ let transmitted t (f : Net.Frame.t) =
       end
       else begin
         let kind = Payload.class_name p in
-        bump t.control_tx kind;
-        bump_by t.control_bytes kind bytes
+        let c =
+          match Hashtbl.find t.control kind with
+          | c -> c
+          | exception Not_found ->
+              let c = { tx = 0; bytes = 0 } in
+              Hashtbl.replace t.control kind c;
+              c
+        in
+        c.tx <- c.tx + 1;
+        c.bytes <- c.bytes + bytes
       end
 
 let protocol_event t name = bump t.events name
@@ -121,20 +125,20 @@ let latency_histogram t = t.latency_h
 let mean_hops t = Stats.Welford.mean t.hop_count
 
 let control_by_kind t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.control_tx []
+  Hashtbl.fold (fun k c acc -> (k, c.tx) :: acc) t.control []
   |> List.sort compare
 
 let control_transmissions t =
-  Hashtbl.fold (fun _ r acc -> acc + !r) t.control_tx 0
+  Hashtbl.fold (fun _ c acc -> acc + c.tx) t.control 0
 
 let data_transmissions t = t.data_tx
 
 let control_bytes_by_kind t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.control_bytes []
+  Hashtbl.fold (fun k c acc -> (k, c.bytes) :: acc) t.control []
   |> List.sort compare
 
 let control_bytes t =
-  Hashtbl.fold (fun _ r acc -> acc + !r) t.control_bytes 0
+  Hashtbl.fold (fun _ c acc -> acc + c.bytes) t.control 0
 
 let data_bytes t = t.data_bytes
 let ack_bytes t = t.ack_bytes
@@ -147,7 +151,7 @@ let byte_load t = per_delivered t (control_bytes t)
 
 let rreq_load t =
   per_delivered t
-    (match Hashtbl.find_opt t.control_tx "RREQ" with Some r -> !r | None -> 0)
+    (match Hashtbl.find_opt t.control "RREQ" with Some c -> c.tx | None -> 0)
 
 let event_count t name =
   match Hashtbl.find_opt t.events name with Some r -> !r | None -> 0

@@ -3,11 +3,13 @@
    Membership is maintained incrementally — [update] moves a node
    between cells only when its cell actually changed, which on a
    position refresh sweep is O(changed) instead of an O(n) rebuild.  It stores
-   no coordinates: a disk query visits every member of the cells
-   overlapping the disk's bounding box, a superset of the true disk
-   population, and the owner filters against live positions (Net.Channel
-   does exactly that, so any candidate superset yields identical
-   outcomes).
+   no coordinates: the owner walks the cells overlapping a query disk's
+   bounding box itself, visiting a superset of the true disk population,
+   and filters against live positions (Net.Channel does exactly that, so
+   any candidate superset yields identical outcomes).  Queries are
+   int-only so that no float crosses into this module per query: under
+   the dev profile's [-opaque] every float argument of a cross-module
+   call is boxed.
 
    Per-cell member lists are growable int arrays with swap-removal;
    [cell_of]/[slot_of] back-pointers make update and removal O(1). *)
@@ -103,21 +105,10 @@ let update t i ~x ~y =
 
 let mem t i = t.cell_of.(i) >= 0
 
-let iter_disk t ~x ~y ~radius f =
-  let cx0 = clamp_i (int_of_float (Float.floor ((x -. radius) /. t.cell))) 0 (t.cols - 1)
-  and cx1 = clamp_i (int_of_float (Float.floor ((x +. radius) /. t.cell))) 0 (t.cols - 1)
-  and cy0 = clamp_i (int_of_float (Float.floor ((y -. radius) /. t.cell))) 0 (t.rows - 1)
-  and cy1 = clamp_i (int_of_float (Float.floor ((y +. radius) /. t.cell))) 0 (t.rows - 1) in
-  for cy = cy0 to cy1 do
-    let row = cy * t.cols in
-    for cx = cx0 to cx1 do
-      let c = row + cx in
-      let arr = t.items.(c) in
-      for k = 0 to t.len.(c) - 1 do
-        f (Array.unsafe_get arr k)
-      done
-    done
-  done
+let cols t = t.cols
+let rows t = t.rows
+let members t c = t.items.(c)
+let count t c = t.len.(c)
 
 type stats = { cells : int; occupied : int; max_occupancy : int }
 

@@ -6,9 +6,9 @@
     wholesale O(n) rebuild.
 
     Members are small integer ids (node indices).  No coordinates are
-    stored: {!iter_disk} visits every member of the cells overlapping the
+    stored: the owner visits every member of the cells overlapping a
     query disk's bounding box — a superset of the true disk population —
-    and the owner filters against live positions.  [Net.Channel]'s
+    and filters against live positions.  [Net.Channel]'s
     candidate handling is superset-invariant (exact distance filter, then
     deterministic ordering), so its outcomes are byte-identical to a
     naive scan. *)
@@ -31,10 +31,24 @@ val remove : t -> int -> unit
 val mem : t -> int -> bool
 val population : t -> int
 
-val iter_disk : t -> x:float -> y:float -> radius:float -> (int -> unit) -> unit
-(** Visit every member of the cells overlapping the closed disk's
-    bounding box — a superset of the members within [radius].  The caller
-    filters by live distance.  Visit order is unspecified. *)
+(** {1 Cell walk}
+
+    Cell [(cx, cy)], [0 <= cx < cols], [0 <= cy < rows], has index
+    [cy * cols + cx] and holds the members whose position [(x, y)] has
+    [cx = floor (x / cell)] and [cy = floor (y / cell)], clamped to the
+    grid.  The owner computes the cell box of a query from the [cell] it
+    passed to {!create} and walks it with the accessors below: no
+    closure and no float per query. *)
+
+val cols : t -> int
+val rows : t -> int
+
+val members : t -> int -> int array
+(** [members t c] is cell [c]'s member array; only its first
+    [count t c] entries are members, in unspecified order.  The array is
+    the index's own: it is valid until the next {!update} or {!remove}. *)
+
+val count : t -> int -> int
 
 type stats = { cells : int; occupied : int; max_occupancy : int }
 

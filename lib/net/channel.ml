@@ -16,8 +16,8 @@ type geo = {
 
 (* Per-receiver reception state.  Records are pooled inside [tx_job]s
    and reused across transmissions; a transmission writes only their
-   floats and flags, so touching a radio costs no write barrier and no
-   allocation.  [rx_id] is the record's index in the channel's
+   floats and flags, so touching a radio costs no write barrier and
+   allocates nothing.  [rx_id] is the record's index in the channel's
    [rx_all], by which a radio names the reception it is locked to. *)
 type rx = {
   rx_id : int;
@@ -117,6 +117,7 @@ and t = {
   xs : float array;
   ys : float array;
   index : Geom.Cell_index.t;
+  cell : float;  (* the index's cell side, for the query's cell box *)
   slots : radio array;
   mutable radios : radio array;  (* by seq; [0, next_seq) are live *)
   mutable next_seq : int;
@@ -152,6 +153,7 @@ let create ~engine ?max_speed ?obs ~store ~terrain ?link ~params () =
     index =
       Geom.Cell_index.create ~cell ~width:terrain.Geom.Terrain.width
         ~height:terrain.Geom.Terrain.height ~ids:n;
+    cell;
     slots = Array.make n dummy_radio;
     radios = [||];
     next_seq = 0;
@@ -286,24 +288,6 @@ let sweep t =
   t.index_at <- now;
   t.index_fresh <- true
 
-(* Resync the index if stale; returns the post-resync drift bound (how
-   far any radio may be from its indexed cell) so queries pay for at
-   most one clock-to-seconds conversion. *)
-let refresh t =
-  if not t.index_fresh then sweep t;
-  match t.max_speed with
-  | None ->
-      if Time.(Engine.now t.engine > t.index_at) then sweep t;
-      0.
-  | Some v ->
-      let age = Time.diff (Engine.now t.engine) t.index_at in
-      let b = if Time.equal age Time.zero then 0. else v *. Time.to_sec age in
-      if b > slack_margin_m then begin
-        sweep t;
-        0.
-      end
-      else b
-
 (* Churn: a detached radio leaves the index immediately, so no later
    transmission touches it; frames already locked on it are discarded
    by the down-gated MAC.  Reattaching re-inserts it at its current
@@ -377,6 +361,8 @@ let end_of_tx job =
   job.job_frame <- dummy_frame;
   free_job t job
 
+let clamp_cell v hi = if v < 0 then 0 else if v > hi then hi else v
+
 (* Collect into the empty [job] every radio a transmission by [src]
    starting now touches, in delivery order.  Touched radios are fixed at
    transmission start: node movement within one frame airtime (~2 ms)
@@ -386,15 +372,43 @@ let end_of_tx job =
    One distance computation per candidate, stashed squared in the
    reception's [geo]; the delivery pass replaces it with [sqrt d2],
    which equals [Vec2.dist] bit-for-bit, so caching cannot change
-   outcomes.  The source position arrives as arguments, boxed once at
-   the call; read from the planes in here, it would be boxed once per
-   boxed use (the index query and the closure). *)
-let collect_at t job src ~sx ~sy =
+   outcomes.
+
+   Every float here is a local of this one function body — the source
+   position, the drift bound, the query box — so none is boxed: a float
+   passed to or returned from any non-inlined call (this module's
+   included, under the dev profile's [-opaque]) would be.  The cell box
+   is walked in place, with no closure; only the link-model arm calls
+   out with floats. *)
+let collect t job src =
+  let now = Engine.now t.engine in
+  let store = t.store and xs = t.xs and ys = t.ys in
+  Mobility.Pos_store.refresh store src.idx now;
+  let sx = Array.unsafe_get xs src.idx and sy = Array.unsafe_get ys src.idx in
+  (* Resync the index if stale; [drift] bounds how far any radio may be
+     from its indexed cell. *)
+  if not t.index_fresh then sweep t;
+  let drift =
+    match t.max_speed with
+    | None ->
+        if Time.(now > t.index_at) then sweep t;
+        0.
+    | Some v ->
+        let age = Time.diff now t.index_at in
+        (* [Time.to_sec], inlined: its float return would box. *)
+        let b =
+          if Time.equal age Time.zero then 0.
+          else v *. (float_of_int (age :> int) /. 1e9)
+        in
+        if b > slack_margin_m then begin
+          sweep t;
+          0.
+        end
+        else b
+  in
   let cs2 = t.params.cs_range_m *. t.params.cs_range_m in
   let link = t.link in
-  let now = Engine.now t.engine in
   let src_int = Node_id.to_int src.id in
-  let store = t.store and xs = t.xs and ys = t.ys in
   (* Candidate query disks are inflated by the largest possible gain
      so the superset covers every shadowed-but-decodable pair, and by
      the drift bound so it covers radios that left their indexed cell;
@@ -402,35 +416,51 @@ let collect_at t job src ~sx ~sy =
      read straight from the store's float planes: a few unboxed loads
      per candidate. *)
   let inflate = match link with None -> 1. | Some l -> Link_model.f_max l in
-  let radius = (t.params.cs_range_m *. inflate) +. refresh t in
-  Geom.Cell_index.iter_disk t.index ~x:sx ~y:sy ~radius (fun i ->
-      let r = Array.unsafe_get t.slots i in
-      if r != src then begin
-        Mobility.Pos_store.refresh store i now;
-        let ox = Array.unsafe_get xs i in
-        let dx = ox -. sx and dy = Array.unsafe_get ys i -. sy in
-        let d2 = (dx *. dx) +. (dy *. dy) in
-        match link with
-        | None ->
-            if d2 <= cs2 then begin
-              let g = job_add job r in
-              g.dist <- d2;
-              g.gain <- 1.
-            end
-        | Some l ->
-            if not (Link_model.blocked l ~now ~x1:sx ~x2:ox) then begin
-              let gain = Link_model.gain l src_int (Node_id.to_int r.id) in
-              if d2 <= cs2 *. (gain *. gain) then begin
+  let radius = (t.params.cs_range_m *. inflate) +. drift in
+  let index = t.index and cell = t.cell in
+  let cols = Geom.Cell_index.cols index in
+  let rows = Geom.Cell_index.rows index in
+  let cx0 =
+    clamp_cell (int_of_float (Float.floor ((sx -. radius) /. cell))) (cols - 1)
+  and cx1 =
+    clamp_cell (int_of_float (Float.floor ((sx +. radius) /. cell))) (cols - 1)
+  and cy0 =
+    clamp_cell (int_of_float (Float.floor ((sy -. radius) /. cell))) (rows - 1)
+  and cy1 =
+    clamp_cell (int_of_float (Float.floor ((sy +. radius) /. cell))) (rows - 1)
+  in
+  for cy = cy0 to cy1 do
+    for cx = cx0 to cx1 do
+      let c = (cy * cols) + cx in
+      let members = Geom.Cell_index.members index c in
+      for k = 0 to Geom.Cell_index.count index c - 1 do
+        let i = Array.unsafe_get members k in
+        let r = Array.unsafe_get t.slots i in
+        if r != src then begin
+          Mobility.Pos_store.refresh store i now;
+          let ox = Array.unsafe_get xs i in
+          let dx = ox -. sx and dy = Array.unsafe_get ys i -. sy in
+          let d2 = (dx *. dx) +. (dy *. dy) in
+          match link with
+          | None ->
+              if d2 <= cs2 then begin
                 let g = job_add job r in
                 g.dist <- d2;
-                g.gain <- gain
+                g.gain <- 1.
               end
-            end
-      end)
-
-let collect t job src =
-  Mobility.Pos_store.refresh t.store src.idx (Engine.now t.engine);
-  collect_at t job src ~sx:t.xs.(src.idx) ~sy:t.ys.(src.idx)
+          | Some l ->
+              if not (Link_model.blocked l ~now ~x1:sx ~x2:ox) then begin
+                let gain = Link_model.gain l src_int (Node_id.to_int r.id) in
+                if d2 <= cs2 *. (gain *. gain) then begin
+                  let g = job_add job r in
+                  g.dist <- d2;
+                  g.gain <- gain
+                end
+              end
+        end
+      done
+    done
+  done
 
 let fanout t r =
   let job = alloc_job t in
@@ -442,12 +472,19 @@ let fanout t r =
   free_job t job;
   ids
 
+let rec run_hooks hooks id frame =
+  match hooks with
+  | [] -> ()
+  | hook :: rest ->
+      hook id frame;
+      run_hooks rest id frame
+
 (* Run the hooks, collect the touched radios, resolve capture, and arm
    the end-of-transmission event.  Only radios within decode range can
    receive the frame. *)
 let transmit t src frame ~duration =
   t.tx_total <- t.tx_total + 1;
-  List.iter (fun hook -> hook src.id frame) t.hooks;
+  run_hooks t.hooks src.id frame;
   if Obs.Bus.on t.obs then
     Obs.Bus.tx t.obs
       ~time:(Engine.now t.engine)

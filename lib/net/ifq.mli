@@ -2,12 +2,16 @@
 
 type 'a t
 
-val create : capacity:int -> 'a t
+val create : capacity:int -> empty:'a -> 'a t
+(** [empty] overwrites every slot an element leaves, so a dequeued or
+    cleared element is not kept alive by the queue. *)
 
 val push : 'a t -> 'a -> bool
 (** False (and the element is dropped) when the queue is full. *)
 
-val pop : 'a t -> 'a option
+val pop : 'a t -> 'a
+(** The front element, removed.  Raises [Invalid_argument] on an empty
+    queue: test {!is_empty} first. *)
 
 (** [clear t] discards every queued element (churn: a node going down
     flushes its interface queue).  The drop counter is not advanced —

@@ -7,8 +7,6 @@ type callbacks = {
   link_failure : Payload.t -> next_hop:Node_id.t -> unit;
 }
 
-type pending = { payload : Payload.t; dst : Frame.dst }
-
 type phase =
   | Idle
   | Access  (** counting down DIFS + backoff *)
@@ -18,7 +16,10 @@ type phase =
 (* Timer fields hold [Engine.none] when unarmed, and every timer
    callback is a pre-bound top-level function over [t] scheduled with
    [Engine.after_fn] — the hot path (one access timer and one ACK
-   timer per data frame) allocates neither an option nor a closure. *)
+   timer per data frame) allocates neither an option nor a closure.
+   The queue holds whole frames, built once by [send] and put on the
+   air as they are by every attempt; [current] is [no_frame] when no
+   frame is in service. *)
 type t = {
   engine : Engine.t;
   channel : Channel.t;
@@ -27,9 +28,9 @@ type t = {
   my_id : Node_id.t;
   radio : Channel.radio;
   cb : callbacks;
-  queue : pending Ifq.t;
+  queue : Frame.t Ifq.t;
   mutable phase : phase;
-  mutable current : pending option;
+  mutable current : Frame.t;
   mutable attempts : int;
   mutable cw : int;
   mutable slots : int;  (** backoff slots still to count down *)
@@ -85,23 +86,29 @@ let frames_sent t = t.sent
 let radio t = t.radio
 let is_down t = t.down
 
-let payload_frame t pending =
-  { Frame.src = t.my_id; dst = pending.dst; body = Frame.Payload pending.payload }
+(* Compared physically: "no frame in service".  A broadcast, so it never
+   matches a [Unicast] arm. *)
+let no_frame =
+  { Frame.src = Node_id.of_int 0; dst = Frame.Broadcast; body = Frame.Ack }
+
+let payload_of (f : Frame.t) =
+  match f.body with Frame.Payload p -> p | Frame.Ack -> assert false
 
 let frame_duration t frame =
   Params.frame_airtime t.params ~bytes:(Frame.encoded_length frame)
 
 let rec dequeue_next t =
-  assert (t.current = None);
-  match Ifq.pop t.queue with
-  | None -> t.phase <- Idle
-  | Some p ->
-      t.current <- Some p;
-      t.attempts <- 1;
-      t.cw <- t.params.cw_min;
-      if Obs.Bus.on t.obs then
-        emit_span t ~stage:Obs.Span.Stage.mac_deq p.payload ~d:(-1) ~e:(-1);
-      begin_access t
+  assert (t.current == no_frame);
+  if Ifq.is_empty t.queue then t.phase <- Idle
+  else begin
+    let f = Ifq.pop t.queue in
+    t.current <- f;
+    t.attempts <- 1;
+    t.cw <- t.params.cw_min;
+    if Obs.Bus.on t.obs then
+      emit_span t ~stage:Obs.Span.Stage.mac_deq (payload_of f) ~d:(-1) ~e:(-1);
+    begin_access t
+  end
 
 and begin_access t =
   t.phase <- Access;
@@ -128,68 +135,65 @@ and access_expired t =
   else do_transmit t
 
 and do_transmit t =
-  match t.current with
-  | None -> assert false
-  | Some p ->
-      t.phase <- Sending;
-      t.sent <- t.sent + 1;
-      if Obs.Bus.on t.obs then
-        emit_span t ~stage:Obs.Span.Stage.mac_try p.payload ~d:(-1)
-          ~e:t.attempts;
-      let frame = payload_frame t p in
-      let duration = frame_duration t frame in
-      Channel.transmit t.channel t.radio frame ~duration;
-      ignore (Engine.after_fn t.engine duration tx_done t)
+  let frame = t.current in
+  assert (frame != no_frame);
+  t.phase <- Sending;
+  t.sent <- t.sent + 1;
+  if Obs.Bus.on t.obs then
+    emit_span t ~stage:Obs.Span.Stage.mac_try (payload_of frame) ~d:(-1)
+      ~e:t.attempts;
+  let duration = frame_duration t frame in
+  Channel.transmit t.channel t.radio frame ~duration;
+  ignore (Engine.after_fn t.engine duration tx_done t)
 
 (* [t.current] is pinned while Sending/Await_ack — only [finish],
    [retry]'s failure arm and [set_down] clear it — so reading it when
-   the timer fires sees the frame that was in the air; [None] here
+   the timer fires sees the frame that was in the air; [no_frame] here
    means the node went down mid-transmission (the handle is discarded,
    so down-gating happens at fire time). *)
 and tx_done t =
-  match t.current with
-  | None -> ()
-  | Some _ when t.down -> ()
-  | Some p -> (
-      match p.dst with
-      | Frame.Broadcast -> finish t
-      | Frame.Unicast _ ->
-          t.phase <- Await_ack;
-          t.ack_timer <-
-            Engine.after_fn t.engine (Params.ack_timeout t.params)
-              ack_timeout_expired t)
+  let f = t.current in
+  if f == no_frame || t.down then ()
+  else
+    match f.dst with
+    | Frame.Broadcast -> finish t
+    | Frame.Unicast _ ->
+        t.phase <- Await_ack;
+        t.ack_timer <-
+          Engine.after_fn t.engine (Params.ack_timeout t.params)
+            ack_timeout_expired t
 
 and ack_timeout_expired t =
   t.ack_timer <- Engine.none;
   if t.down then ()
   else
-    match t.current with
-    | Some ({ dst = Frame.Unicast next_hop; _ } as p) -> retry t p next_hop
-    | Some { dst = Frame.Broadcast; _ } | None -> assert false
+    let f = t.current in
+    match f.dst with
+    | Frame.Unicast next_hop -> retry t f next_hop
+    | Frame.Broadcast -> assert false
 
 and finish t =
   (* Read the frame before clearing it — the span needs its id. *)
-  (match t.current with
-  | Some p when Obs.Bus.on t.obs ->
-      emit_span t ~stage:Obs.Span.Stage.mac_end p.payload ~d:(-1) ~e:t.attempts
-  | Some _ | None -> ());
-  t.current <- None;
+  if t.current != no_frame && Obs.Bus.on t.obs then
+    emit_span t ~stage:Obs.Span.Stage.mac_end (payload_of t.current) ~d:(-1)
+      ~e:t.attempts;
+  t.current <- no_frame;
   t.phase <- Idle;
   dequeue_next t
 
-and retry t p next_hop =
+and retry t f next_hop =
   if t.attempts >= t.params.retry_limit then begin
     t.failures <- t.failures + 1;
     if Obs.Bus.on t.obs then
-      emit_span t ~stage:Obs.Span.Stage.mac_fail p.payload
+      emit_span t ~stage:Obs.Span.Stage.mac_fail (payload_of f)
         ~d:(Node_id.to_int next_hop) ~e:t.attempts;
-    t.current <- None;
+    t.current <- no_frame;
     t.phase <- Idle;
-    t.cb.link_failure p.payload ~next_hop;
+    t.cb.link_failure (payload_of f) ~next_hop;
     (* The callback may have enqueued follow-up traffic (e.g. a RERR);
        only restart the service loop if it has not already done so by
        observing Idle. *)
-    if t.phase = Idle && t.current = None then dequeue_next t
+    if t.phase = Idle && t.current == no_frame then dequeue_next t
   end
   else begin
     t.attempts <- t.attempts + 1;
@@ -198,9 +202,8 @@ and retry t p next_hop =
   end
 
 let ack_received t from =
-  match (t.phase, t.current) with
-  | Await_ack, Some { dst = Frame.Unicast nh; _ } when Node_id.equal nh from
-    ->
+  match (t.phase, t.current.dst) with
+  | Await_ack, Frame.Unicast nh when Node_id.equal nh from ->
       if not (Engine.is_none t.ack_timer) then begin
         Engine.cancel t.engine t.ack_timer;
         t.ack_timer <- Engine.none
@@ -269,9 +272,11 @@ let create ~engine ~channel ~rng ~id ~slot callbacks =
       my_id = id;
       radio;
       cb = callbacks;
-      queue = Ifq.create ~capacity:(Channel.params channel).ifq_capacity;
+      queue =
+        Ifq.create ~capacity:(Channel.params channel).ifq_capacity
+          ~empty:no_frame;
       phase = Idle;
-      current = None;
+      current = no_frame;
       attempts = 0;
       cw = (Channel.params channel).cw_min;
       slots = 0;
@@ -293,7 +298,8 @@ let create ~engine ~channel ~rng ~id ~slot callbacks =
 let send t ~dst payload =
   if t.down then ()
   else begin
-    let accepted = Ifq.push t.queue { payload; dst } in
+    let frame = { Frame.src = t.my_id; dst; body = Frame.Payload payload } in
+    let accepted = Ifq.push t.queue frame in
     if Obs.Bus.on t.obs then
       if accepted then
         emit_span t ~stage:Obs.Span.Stage.mac_enq payload ~d:(frame_dst_int dst)
@@ -307,7 +313,7 @@ let send t ~dst payload =
         emit_span t ~stage:Obs.Span.Stage.mac_drop payload
           ~d:(frame_dst_int dst) ~e:(-1)
       end;
-    if accepted && t.phase = Idle && t.current = None then dequeue_next t
+    if accepted && t.phase = Idle && t.current == no_frame then dequeue_next t
   end
 
 (* Power the node down (detach the radio, flush the queue, kill the
@@ -319,7 +325,7 @@ let set_down t v =
     if v then begin
       t.down <- true;
       Ifq.clear t.queue;
-      t.current <- None;
+      t.current <- no_frame;
       t.phase <- Idle;
       if not (Engine.is_none t.access_timer) then begin
         Engine.cancel t.engine t.access_timer;

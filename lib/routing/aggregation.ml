@@ -19,21 +19,6 @@ let default =
     fanout_ttl = Time.sec 2.;
   }
 
-(* The layer is protocol-agnostic over the two on-demand families that
-   flood RREQs; one node runs one family, but keeping both arms in a
-   single item type lets the wrapper stay a single implementation. *)
-type item = L of Ldr_msg.rreq | A of Aodv_msg.rreq
-
-let item_dst = function L q -> q.Ldr_msg.dst | A q -> q.Aodv_msg.dst
-
-let item_origin = function
-  | L q -> q.Ldr_msg.origin
-  | A q -> q.Aodv_msg.origin
-
-let item_rreq_id = function
-  | L q -> q.Ldr_msg.rreq_id
-  | A q -> q.Aodv_msg.rreq_id
-
 (* A computation whose relay flood this node absorbed; it is owed a copy
    of the next RREP for the destination, sent back through [w_hop]. *)
 type waiter = {
@@ -49,10 +34,15 @@ type recent = {
   mutable r_waiters : waiter list;
 }
 
+(* The layer is protocol-agnostic over the two on-demand families that
+   flood RREQs: one node runs one family, but keeping a batch for each
+   lets the wrapper stay a single implementation. *)
 type t = {
   cfg : config;
   ctx : RA.ctx;
-  mutable batch : item list;  (* newest first; reversed on flush *)
+  mutable batch_ldr : Ldr_msg.rreq list;  (* newest first *)
+  mutable batch_aodv : Aodv_msg.rreq list;  (* newest first *)
+  mutable batched : int;  (* members of both batches *)
   mutable flush_armed : bool;
   recent : recent Node_id.Table.t;
   rev : Node_id.t Rreq_cache.t;
@@ -64,56 +54,57 @@ let prune_waiters at ws = List.filter (fun w -> Time.(w.w_expires > at)) ws
 
 (* ---- Multi-destination piggybacking ----------------------------------- *)
 
-let flush t =
-  match t.batch with
-  | [] -> ()
-  | rev_items ->
-      t.batch <- [];
-      let items = List.rev rev_items in
-      let send_group ~wrap ~single ~info = function
-        | [] -> ()
-        | [ q ] -> t.ctx.send ~dst:Net.Frame.Broadcast (single q)
-        | qs ->
-            (* n requests leave in 1 transmission: n-1 floods saved. *)
-            for _ = 2 to List.length qs do
-              t.ctx.event "rreq_aggregated"
-            done;
-            (* One discovery span per member, tagged with the batch
-               size, so the analyzer can attribute aggregation
-               membership per sought destination. *)
-            if Obs.Bus.on t.ctx.obs then begin
-              let batch = List.length qs in
-              List.iter
-                (fun q ->
-                  let dst, rreq_id = info q in
-                  Obs.Bus.span t.ctx.obs ~time:(now t)
-                    ~node:(Node_id.to_int t.ctx.id)
-                    ~stage:Obs.Span.Stage.agg ~flow:(-1) ~seq:(-1)
-                    ~d:(Node_id.to_int dst) ~e:batch ~f:rreq_id)
-                qs
-            end;
-            t.ctx.send ~dst:Net.Frame.Broadcast (wrap qs)
-      in
-      send_group
-        ~wrap:(fun qs -> Payload.Ldr (Ldr_msg.Rreq_agg qs))
-        ~single:(fun q -> Payload.Ldr (Ldr_msg.Rreq q))
-        ~info:(fun q -> (q.Ldr_msg.dst, q.Ldr_msg.rreq_id))
-        (List.filter_map (function L q -> Some q | A _ -> None) items);
-      send_group
-        ~wrap:(fun qs -> Payload.Aodv (Aodv_msg.Rreq_agg qs))
-        ~single:(fun q -> Payload.Aodv (Aodv_msg.Rreq q))
-        ~info:(fun q -> (q.Aodv_msg.dst, q.Aodv_msg.rreq_id))
-        (List.filter_map (function A q -> Some q | L _ -> None) items)
+let ldr_single q = Payload.Ldr (Ldr_msg.Rreq q)
+let ldr_wrap qs = Payload.Ldr (Ldr_msg.Rreq_agg qs)
+let ldr_info (q : Ldr_msg.rreq) = (q.dst, q.rreq_id)
+let aodv_single q = Payload.Aodv (Aodv_msg.Rreq q)
+let aodv_wrap qs = Payload.Aodv (Aodv_msg.Rreq_agg qs)
+let aodv_info (q : Aodv_msg.rreq) = (q.dst, q.rreq_id)
 
-let enqueue t item =
-  t.batch <- item :: t.batch;
-  if List.length t.batch >= t.cfg.max_batch then flush t
+(* One family's batch, newest first, leaves in one transmission. *)
+let send_group t ~single ~wrap ~info = function
+  | [] -> ()
+  | [ q ] -> t.ctx.send ~dst:Net.Frame.Broadcast (single q)
+  | rev_qs ->
+      let qs = List.rev rev_qs in
+      (* n requests leave in 1 transmission: n-1 floods saved. *)
+      let batch = List.length qs in
+      for _ = 2 to batch do
+        t.ctx.event "rreq_aggregated"
+      done;
+      (* One discovery span per member, tagged with the batch size, so
+         the analyzer can attribute aggregation membership per sought
+         destination. *)
+      if Obs.Bus.on t.ctx.obs then
+        List.iter
+          (fun q ->
+            let dst, rreq_id = info q in
+            Obs.Bus.span t.ctx.obs ~time:(now t)
+              ~node:(Node_id.to_int t.ctx.id)
+              ~stage:Obs.Span.Stage.agg ~flow:(-1) ~seq:(-1)
+              ~d:(Node_id.to_int dst) ~e:batch ~f:rreq_id)
+          qs;
+      t.ctx.send ~dst:Net.Frame.Broadcast (wrap qs)
+
+let flush t =
+  let ldr = t.batch_ldr and aodv = t.batch_aodv in
+  t.batch_ldr <- [];
+  t.batch_aodv <- [];
+  t.batched <- 0;
+  send_group t ~single:ldr_single ~wrap:ldr_wrap ~info:ldr_info ldr;
+  send_group t ~single:aodv_single ~wrap:aodv_wrap ~info:aodv_info aodv
+
+let flush_timer t =
+  t.flush_armed <- false;
+  flush t
+
+(* A member was just pushed onto a batch. *)
+let enqueued t =
+  t.batched <- t.batched + 1;
+  if t.batched >= t.cfg.max_batch then flush t
   else if not t.flush_armed then begin
     t.flush_armed <- true;
-    ignore
-      (Engine.after t.ctx.engine t.cfg.window (fun () ->
-           t.flush_armed <- false;
-           flush t))
+    ignore (Engine.after_fn t.ctx.engine t.cfg.window flush_timer t)
   end
 
 (* ---- Same-destination suppression ------------------------------------- *)
@@ -123,27 +114,24 @@ let enqueue t item =
    suppressed relay registers as a waiter so the returning RREP is
    fanned out to it; a suppressed origination relies on the reply
    passing through here (else the origin's ring timer re-attempts). *)
-let try_suppress t item at =
-  match Node_id.Table.find_opt t.recent (item_dst item) with
-  | None -> false
-  | Some r ->
+let try_suppress t ~dst ~origin ~rreq_id at =
+  match Node_id.Table.find t.recent dst with
+  | exception Not_found -> false
+  | r ->
       if
         Time.(Time.add r.r_last t.cfg.suppress_window <= at)
-        || Node_id.equal r.r_origin (item_origin item)
+        || Node_id.equal r.r_origin origin
       then false
-      else if Node_id.equal (item_origin item) t.ctx.id then true
+      else if Node_id.equal origin t.ctx.id then true
       else if not t.cfg.fanout then false
       else begin
-        match
-          Rreq_cache.find t.rev ~origin:(item_origin item)
-            ~rreq_id:(item_rreq_id item)
-        with
+        match Rreq_cache.find t.rev ~origin ~rreq_id with
         | None -> false (* reverse hop unknown: forward rather than strand *)
         | Some hop ->
             r.r_waiters <-
               {
-                w_origin = item_origin item;
-                w_rreq_id = item_rreq_id item;
+                w_origin = origin;
+                w_rreq_id = rreq_id;
                 w_hop = hop;
                 w_expires = Time.add at t.cfg.fanout_ttl;
               }
@@ -151,19 +139,23 @@ let try_suppress t item at =
             true
       end
 
-let on_outgoing_rreq t item =
+(* Whether an outgoing flood for [dst] should be batched (true) or was
+   absorbed. *)
+let admit t ~dst ~origin ~rreq_id =
   let at = now t in
-  if try_suppress t item at then
-    t.ctx.event ~dst:(item_dst item) "rreq_suppressed"
+  if try_suppress t ~dst ~origin ~rreq_id at then begin
+    t.ctx.event ~dst "rreq_suppressed";
+    false
+  end
   else begin
-    (match Node_id.Table.find_opt t.recent (item_dst item) with
-    | Some r ->
+    (match Node_id.Table.find t.recent dst with
+    | r ->
         r.r_last <- at;
-        r.r_origin <- item_origin item
-    | None ->
-        Node_id.Table.replace t.recent (item_dst item)
-          { r_last = at; r_origin = item_origin item; r_waiters = [] });
-    enqueue t item
+        r.r_origin <- origin
+    | exception Not_found ->
+        Node_id.Table.replace t.recent dst
+          { r_last = at; r_origin = origin; r_waiters = [] });
+    true
   end
 
 (* ---- RREP fan-out ------------------------------------------------------ *)
@@ -220,9 +212,15 @@ let intercept_send t ~dst payload =
   match (dst, payload) with
   | Net.Frame.Broadcast, Payload.Ldr (Ldr_msg.Rreq q)
     when not q.unicast_probe ->
-      on_outgoing_rreq t (L q)
+      if admit t ~dst:q.dst ~origin:q.origin ~rreq_id:q.rreq_id then begin
+        t.batch_ldr <- q :: t.batch_ldr;
+        enqueued t
+      end
   | Net.Frame.Broadcast, Payload.Aodv (Aodv_msg.Rreq q) ->
-      on_outgoing_rreq t (A q)
+      if admit t ~dst:q.dst ~origin:q.origin ~rreq_id:q.rreq_id then begin
+        t.batch_aodv <- q :: t.batch_aodv;
+        enqueued t
+      end
   | _, Payload.Ldr (Ldr_msg.Rrep p) ->
       t.ctx.send ~dst payload;
       if t.cfg.fanout then fanout_ldr t p ~consumed:false
@@ -231,18 +229,29 @@ let intercept_send t ~dst payload =
       if t.cfg.fanout then fanout_aodv t p ~consumed:false
   | _ -> t.ctx.send ~dst payload
 
-let note_rreq t item ~from =
-  Rreq_cache.add t.rev ~origin:(item_origin item)
-    ~rreq_id:(item_rreq_id item) from
+let note_rreq t ~origin ~rreq_id ~from =
+  Rreq_cache.add t.rev ~origin ~rreq_id from
+
+let rec note_ldr t ~from = function
+  | [] -> ()
+  | (q : Ldr_msg.rreq) :: rest ->
+      note_rreq t ~origin:q.origin ~rreq_id:q.rreq_id ~from;
+      note_ldr t ~from rest
+
+let rec note_aodv t ~from = function
+  | [] -> ()
+  | (q : Aodv_msg.rreq) :: rest ->
+      note_rreq t ~origin:q.origin ~rreq_id:q.rreq_id ~from;
+      note_aodv t ~from rest
 
 let recv t (inner : RA.t) payload ~from =
   (match payload with
-  | Payload.Ldr (Ldr_msg.Rreq q) -> note_rreq t (L q) ~from
-  | Payload.Ldr (Ldr_msg.Rreq_agg qs) ->
-      List.iter (fun q -> note_rreq t (L q) ~from) qs
-  | Payload.Aodv (Aodv_msg.Rreq q) -> note_rreq t (A q) ~from
-  | Payload.Aodv (Aodv_msg.Rreq_agg qs) ->
-      List.iter (fun q -> note_rreq t (A q) ~from) qs
+  | Payload.Ldr (Ldr_msg.Rreq q) ->
+      note_rreq t ~origin:q.origin ~rreq_id:q.rreq_id ~from
+  | Payload.Ldr (Ldr_msg.Rreq_agg qs) -> note_ldr t ~from qs
+  | Payload.Aodv (Aodv_msg.Rreq q) ->
+      note_rreq t ~origin:q.origin ~rreq_id:q.rreq_id ~from
+  | Payload.Aodv (Aodv_msg.Rreq_agg qs) -> note_aodv t ~from qs
   | _ -> ());
   inner.RA.recv payload ~from;
   (* A reply that terminates here is not re-sent by the inner agent, so
@@ -261,7 +270,9 @@ let wrap ?(config = default) (inner_factory : RA.factory) : RA.factory =
     {
       cfg = config;
       ctx;
-      batch = [];
+      batch_ldr = [];
+      batch_aodv = [];
+      batched = 0;
       flush_armed = false;
       recent = Node_id.Table.create 16;
       rev = Rreq_cache.create ~engine:ctx.engine ~ttl:config.fanout_ttl;
@@ -276,7 +287,9 @@ let wrap ?(config = default) (inner_factory : RA.factory) : RA.factory =
        armed flush finds an empty batch and does nothing. *)
     reset =
       (fun ~crash ->
-        t.batch <- [];
+        t.batch_ldr <- [];
+        t.batch_aodv <- [];
+        t.batched <- 0;
         Node_id.Table.reset t.recent;
         Rreq_cache.clear t.rev;
         inner.RA.reset ~crash);

@@ -4,7 +4,12 @@
     expire after a TTL: long enough for all copies of a flood and its
     replies to leave the network.  LDR's engaged-node state, AODV's
     duplicate suppression and DSR's request table are all instances, each
-    storing its own value type. *)
+    storing its own value type.
+
+    Every node checks every copy of every flood here, so the common
+    operations allocate nothing: {!mem}, {!add} on a present key and
+    {!update} (a hit in {!find} allocates only its [Some]).  A cache
+    holds no storage until its first {!add}. *)
 
 open Packets
 

@@ -15,67 +15,61 @@ let sn stamp counter = { Seqnum.stamp; counter }
 
 (* ---- Conditions (Section 2.1) ------------------------------------------ *)
 
-let info s d f = Some { Conditions.sn = s; dist = d; fd = f }
-
 let ndc_cases () =
-  (* No information: always acceptable. *)
-  checkb "no info" true (Conditions.ndc ~own:None ~adv_sn:(sn 0 0) ~adv_dist:99);
   (* Higher number: acceptable regardless of distance. *)
   checkb "newer sn" true
-    (Conditions.ndc ~own:(info (sn 0 0) 2 2) ~adv_sn:(sn 0 1) ~adv_dist:99);
+    (Conditions.ndc ~sn:(sn 0 0) ~fd:2 ~adv_sn:(sn 0 1) ~adv_dist:99);
   (* Equal number: distance must beat fd strictly. *)
   checkb "equal sn, shorter than fd" true
-    (Conditions.ndc ~own:(info (sn 0 0) 4 3) ~adv_sn:(sn 0 0) ~adv_dist:2);
+    (Conditions.ndc ~sn:(sn 0 0) ~fd:3 ~adv_sn:(sn 0 0) ~adv_dist:2);
   checkb "equal sn, equal to fd" false
-    (Conditions.ndc ~own:(info (sn 0 0) 4 3) ~adv_sn:(sn 0 0) ~adv_dist:3);
+    (Conditions.ndc ~sn:(sn 0 0) ~fd:3 ~adv_sn:(sn 0 0) ~adv_dist:3);
   checkb "equal sn, longer" false
-    (Conditions.ndc ~own:(info (sn 0 0) 4 3) ~adv_sn:(sn 0 0) ~adv_dist:5);
+    (Conditions.ndc ~sn:(sn 0 0) ~fd:3 ~adv_sn:(sn 0 0) ~adv_dist:5);
   (* Older number: never acceptable. *)
   checkb "older sn" false
-    (Conditions.ndc ~own:(info (sn 0 5) 4 3) ~adv_sn:(sn 0 4) ~adv_dist:0)
+    (Conditions.ndc ~sn:(sn 0 5) ~fd:3 ~adv_sn:(sn 0 4) ~adv_dist:0)
 
 let fdc_cases () =
   (* Violation requires equal numbers and fd >= requested fd. *)
-  checkb "no info never violates" false
-    (Conditions.fdc_requires_reset ~own:None ~req_sn:(Some (sn 0 0)) ~req_fd:2);
   checkb "equal sn, fd >= req" true
-    (Conditions.fdc_requires_reset ~own:(info (sn 0 0) 4 4)
-       ~req_sn:(Some (sn 0 0)) ~req_fd:2);
+    (Conditions.fdc_requires_reset ~sn:(sn 0 0) ~fd:4 ~req_sn:(Some (sn 0 0))
+       ~req_fd:2);
   checkb "equal sn, fd < req" false
-    (Conditions.fdc_requires_reset ~own:(info (sn 0 0) 4 1)
-       ~req_sn:(Some (sn 0 0)) ~req_fd:2);
+    (Conditions.fdc_requires_reset ~sn:(sn 0 0) ~fd:1 ~req_sn:(Some (sn 0 0))
+       ~req_fd:2);
   checkb "different sn no constraint" false
-    (Conditions.fdc_requires_reset ~own:(info (sn 0 1) 4 4)
-       ~req_sn:(Some (sn 0 0)) ~req_fd:2);
+    (Conditions.fdc_requires_reset ~sn:(sn 0 1) ~fd:4 ~req_sn:(Some (sn 0 0))
+       ~req_fd:2);
   checkb "unknown requested sn no constraint" false
-    (Conditions.fdc_requires_reset ~own:(info (sn 0 0) 4 4) ~req_sn:None ~req_fd:2)
+    (Conditions.fdc_requires_reset ~sn:(sn 0 0) ~fd:4 ~req_sn:None ~req_fd:2)
 
 let sdc_cases () =
   (* Equal sn: needs active route, distance strictly under the answering
      bound, and no pending reset. *)
   checkb "answerable" true
-    (Conditions.sdc ~own:(info (sn 0 0) 1 1) ~active:true
-       ~req_sn:(Some (sn 0 0)) ~answer_dist:2 ~reset:false);
+    (Conditions.sdc ~sn:(sn 0 0) ~dist:1 ~active:true ~req_sn:(Some (sn 0 0))
+       ~answer_dist:2 ~reset:false);
   checkb "distance too long" false
-    (Conditions.sdc ~own:(info (sn 0 0) 2 1) ~active:true
-       ~req_sn:(Some (sn 0 0)) ~answer_dist:2 ~reset:false);
+    (Conditions.sdc ~sn:(sn 0 0) ~dist:2 ~active:true ~req_sn:(Some (sn 0 0))
+       ~answer_dist:2 ~reset:false);
   checkb "inactive route" false
-    (Conditions.sdc ~own:(info (sn 0 0) 1 1) ~active:false
-       ~req_sn:(Some (sn 0 0)) ~answer_dist:2 ~reset:false);
+    (Conditions.sdc ~sn:(sn 0 0) ~dist:1 ~active:false ~req_sn:(Some (sn 0 0))
+       ~answer_dist:2 ~reset:false);
   checkb "reset inhibits" false
-    (Conditions.sdc ~own:(info (sn 0 0) 1 1) ~active:true
-       ~req_sn:(Some (sn 0 0)) ~answer_dist:2 ~reset:true);
+    (Conditions.sdc ~sn:(sn 0 0) ~dist:1 ~active:true ~req_sn:(Some (sn 0 0))
+       ~answer_dist:2 ~reset:true);
   (* Higher number answers even through a reset. *)
   checkb "newer sn answers through reset" true
-    (Conditions.sdc ~own:(info (sn 0 1) 9 9) ~active:true
-       ~req_sn:(Some (sn 0 0)) ~answer_dist:2 ~reset:true);
+    (Conditions.sdc ~sn:(sn 0 1) ~dist:9 ~active:true ~req_sn:(Some (sn 0 0))
+       ~answer_dist:2 ~reset:true);
   (* Requester with no info accepts any active route. *)
   checkb "unknown sn treated as lowest" true
-    (Conditions.sdc ~own:(info (sn 0 0) 9 9) ~active:true ~req_sn:None
+    (Conditions.sdc ~sn:(sn 0 0) ~dist:9 ~active:true ~req_sn:None
        ~answer_dist:Conditions.infinity ~reset:false);
   (* sdc_ignoring_reset identifies the unicast-conversion node. *)
   checkb "ignoring reset" true
-    (Conditions.sdc_ignoring_reset ~own:(info (sn 0 0) 1 1) ~active:true
+    (Conditions.sdc_ignoring_reset ~sn:(sn 0 0) ~dist:1 ~active:true
        ~req_sn:(Some (sn 0 0)) ~answer_dist:2)
 
 (* qcheck: SDC(reset=false) is implied by SDC ignoring reset; FDC and SDC
@@ -83,16 +77,16 @@ let sdc_cases () =
 let sdc_fdc_relation_prop =
   let gen = QCheck.(triple (int_bound 20) (int_bound 20) (int_bound 20)) in
   QCheck.Test.make ~name:"fdc violation implies sdc distance may fail" ~count:500 gen
-    (fun (d, f, req_fd) ->
-      let f = Stdlib.min f d in
-      (* fd <= dist invariant *)
-      let own = info (sn 0 0) d f in
+    (fun (d, _fd, req_fd) ->
+      (* SDC reads the distance, not the feasible distance. *)
       let req_sn = Some (sn 0 0) in
       let sdc_ok =
-        Conditions.sdc ~own ~active:true ~req_sn ~answer_dist:req_fd ~reset:false
+        Conditions.sdc ~sn:(sn 0 0) ~dist:d ~active:true ~req_sn
+          ~answer_dist:req_fd ~reset:false
       in
       let ignoring =
-        Conditions.sdc_ignoring_reset ~own ~active:true ~req_sn ~answer_dist:req_fd
+        Conditions.sdc_ignoring_reset ~sn:(sn 0 0) ~dist:d ~active:true ~req_sn
+          ~answer_dist:req_fd
       in
       (* Without a reset bit the two coincide. *)
       sdc_ok = ignoring)
@@ -107,8 +101,8 @@ let lifetime = Time.sec 100.
 
 let rt_install_and_invariants () =
   let _, t = table () in
-  (match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:3
-           ~via:(n 1) ~lifetime () with
+  (match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:3
+           ~via:(n 1) ~lifetime with
   | `Installed -> ()
   | _ -> Alcotest.fail "fresh install");
   match Route_table.find t (n 9) with
@@ -120,25 +114,25 @@ let rt_install_and_invariants () =
 
 let rt_fd_ratchets_down () =
   let _, t = table () in
-  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:5 ~via:(n 1) ~lifetime ());
+  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:5 ~via:(n 1) ~lifetime);
   (* Shorter same-number advert accepted; fd follows down. *)
-  (match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 2) ~lifetime () with
+  (match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 2) ~lifetime with
   | `Installed -> ()
   | _ -> Alcotest.fail "shorter accepted");
   let e = Option.get (Route_table.find t (n 9)) in
   checki "dist" 3 e.dist;
   checki "fd ratcheted" 3 e.fd;
   (* Longer same-number advert from a third node: rejected (NDC). *)
-  (match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 3) ~lifetime () with
+  (match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 3) ~lifetime with
   | `Rejected -> ()
   | _ -> Alcotest.fail "longer rejected");
   checki "fd unchanged" 3 e.fd
 
 let rt_seqnum_resets_fd () =
   let _, t = table () in
-  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1) ~lifetime ());
+  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1) ~lifetime);
   (* Newer number with longer distance: accepted, fd resets upward. *)
-  (match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 1) ~adv_dist:7 ~via:(n 2) ~lifetime () with
+  (match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 1) ~adv_dist:7 ~via:(n 2) ~lifetime with
   | `Installed -> ()
   | _ -> Alcotest.fail "newer sn accepted");
   let e = Option.get (Route_table.find t (n 9)) in
@@ -148,11 +142,11 @@ let rt_seqnum_resets_fd () =
 
 let rt_stable_path_rule () =
   let _, t = table () in
-  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 1) ~lifetime ());
+  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 1) ~lifetime);
   (* Equal-length NDC-acceptable alternative (adv_dist < fd? 4 < 5 no...).
      Use: current dist 5 fd 5; competitor advert dist 4 => new dist 5, not
      shorter => stable-path keeps successor 1. *)
-  (match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 2) ~lifetime () with
+  (match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 2) ~lifetime with
   | `Rejected -> ()
   | _ -> Alcotest.fail "same-length switch refused");
   let e = Option.get (Route_table.find t (n 9)) in
@@ -160,7 +154,7 @@ let rt_stable_path_rule () =
 
 let rt_invalidate_keeps_invariants () =
   let _, t = table () in
-  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 3) ~adv_dist:2 ~via:(n 1) ~lifetime ());
+  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 3) ~adv_dist:2 ~via:(n 1) ~lifetime);
   Route_table.invalidate t (n 9);
   checkb "no successor" true (Route_table.successor t (n 9) = None);
   let e = Option.get (Route_table.find t (n 9)) in
@@ -168,15 +162,15 @@ let rt_invalidate_keeps_invariants () =
   checki "fd kept" 3 e.fd;
   (* A same-number advert no better than fd is still rejected after
      invalidation — the invariant persists across failures. *)
-  match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 3) ~adv_dist:3 ~via:(n 2) ~lifetime () with
+  match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 3) ~adv_dist:3 ~via:(n 2) ~lifetime with
   | `Rejected -> ()
   | _ -> Alcotest.fail "post-invalidation feasibility still enforced"
 
 let rt_invalidate_via () =
   let _, t = table () in
-  ignore (Route_table.apply_advert t ~dst:(n 8) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1) ~lifetime ());
-  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 1) ~lifetime ());
-  ignore (Route_table.apply_advert t ~dst:(n 7) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 2) ~lifetime ());
+  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 8) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1) ~lifetime);
+  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 1) ~lifetime);
+  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 7) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 2) ~lifetime);
   let dead, promoted = Route_table.invalidate_via t (n 1) in
   checki "two routes died" 2 (List.length dead);
   checki "nothing promoted without multipath" 0 (List.length promoted);
@@ -184,8 +178,8 @@ let rt_invalidate_via () =
 
 let rt_expiry () =
   let engine, t = table () in
-  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1)
-            ~lifetime:(Time.sec 3.) ());
+  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1)
+            ~lifetime:(Time.sec 3.));
   ignore
     (Engine.at engine (Time.sec 2.) (fun () ->
          checkb "active at 2s" true (Route_table.active t (n 9) <> None);
@@ -213,8 +207,8 @@ let rt_fd_monotone_prop =
       List.iter
         (fun (counter, dist) ->
           ignore
-            (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 counter)
-               ~adv_dist:dist ~via:(n (1 + (dist mod 3))) ~lifetime ());
+            (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 counter)
+               ~adv_dist:dist ~via:(n (1 + (dist mod 3))) ~lifetime);
           match Route_table.find t (n 9) with
           | None -> ()
           | Some e ->

@@ -34,9 +34,9 @@ let n_bit_probe_increments_origin () =
      N bit must be set. *)
   let t1 = (dbg 1).Protocol.table in
   ignore
-    (Route_table.apply_advert t1 ~dst:(n 0)
+    (Route_table.apply_advert t1 ~lc:1 ~dst:(n 0)
        ~adv_sn:{ Seqnum.stamp = 0; counter = 5 }
-       ~adv_dist:0 ~via:(n 0) ~lifetime:(Time.sec 100.) ());
+       ~adv_dist:0 ~via:(n 0) ~lifetime:(Time.sec 100.));
   Route_table.invalidate t1 (n 0);
   let origin_sn_before = Seqnum.increments ((dbg 0).Protocol.own_sn ()) in
   TN.origin net ~src:0 ~dst:2;
@@ -214,7 +214,7 @@ let weighted_link_unit () =
   (match
      Route_table.apply_advert t ~lc:7 ~dst:(n 9)
        ~adv_sn:{ Seqnum.stamp = 0; counter = 0 }
-       ~adv_dist:2 ~via:(n 1) ~lifetime:(Time.sec 10.) ()
+       ~adv_dist:2 ~via:(n 1) ~lifetime:(Time.sec 10.)
    with
   | `Installed -> ()
   | _ -> Alcotest.fail "install");
@@ -227,7 +227,7 @@ let weighted_link_unit () =
       ignore
         (Route_table.apply_advert t ~lc:0 ~dst:(n 8)
            ~adv_sn:{ Seqnum.stamp = 0; counter = 0 }
-           ~adv_dist:0 ~via:(n 1) ~lifetime:(Time.sec 1.) ()))
+           ~adv_dist:0 ~via:(n 1) ~lifetime:(Time.sec 1.)))
 
 let weighted_links_accumulate_through_protocol () =
   (* Chain 0-1-2 where link 1-2 costs 3: distances become path costs and

@@ -16,7 +16,7 @@ let mp_table () =
 
 let advert t ?(lc = 1) ~dst ~s ~d ~via () =
   Route_table.apply_advert t ~lc ~dst:(n dst) ~adv_sn:(sn s) ~adv_dist:d
-    ~via:(n via) ~lifetime ()
+    ~via:(n via) ~lifetime
 
 (* ---- Route-table mechanics ---------------------------------------------- *)
 

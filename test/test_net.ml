@@ -62,21 +62,44 @@ let v = Geom.Vec2.v
 (* ---- Ifq ------------------------------------------------------------- *)
 
 let ifq_fifo () =
-  let q = Net.Ifq.create ~capacity:3 in
+  let q = Net.Ifq.create ~capacity:3 ~empty:0 in
   checkb "push1" true (Net.Ifq.push q 1);
   checkb "push2" true (Net.Ifq.push q 2);
   checki "len" 2 (Net.Ifq.length q);
-  checkb "pop order" true (Net.Ifq.pop q = Some 1);
-  checkb "pop order 2" true (Net.Ifq.pop q = Some 2);
-  checkb "empty" true (Net.Ifq.pop q = None)
+  checki "pop order" 1 (Net.Ifq.pop q);
+  checki "pop order 2" 2 (Net.Ifq.pop q);
+  checkb "empty" true (Net.Ifq.is_empty q);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Ifq.pop: empty queue")
+    (fun () -> ignore (Net.Ifq.pop q))
 
 let ifq_drops_when_full () =
-  let q = Net.Ifq.create ~capacity:2 in
+  let q = Net.Ifq.create ~capacity:2 ~empty:0 in
   ignore (Net.Ifq.push q 1);
   ignore (Net.Ifq.push q 2);
   checkb "rejected" false (Net.Ifq.push q 3);
   checki "drop counted" 1 (Net.Ifq.drops q);
   checki "len still 2" 2 (Net.Ifq.length q)
+
+(* Neither a popped nor a cleared element stays reachable from the
+   queue: its slot is overwritten with the [empty] sentinel. *)
+let ifq_releases () =
+  let q = Net.Ifq.create ~capacity:2 ~empty:(ref 0) in
+  let w = Weak.create 2 in
+  let fill () =
+    let a = ref 1 and b = ref 2 in
+    Weak.set w 0 (Some a);
+    Weak.set w 1 (Some b);
+    ignore (Net.Ifq.push q a);
+    ignore (Net.Ifq.push q b);
+    ignore (Sys.opaque_identity (Net.Ifq.pop q))
+  in
+  fill ();
+  Gc.full_major ();
+  checkb "popped element released" false (Weak.check w 0);
+  checkb "queued element kept" true (Weak.check w 1);
+  Net.Ifq.clear q;
+  Gc.full_major ();
+  checkb "cleared element released" false (Weak.check w 1)
 
 (* ---- Params ----------------------------------------------------------- *)
 
@@ -399,6 +422,41 @@ let grid_neighbors_match_naive () =
   Engine.run ~until:(Time.ms 100.) engine;
   checki "every broadcast checked" (Array.length macs) !checked
 
+(* Random static layouts, with coordinates often on index cell borders
+   (multiples of the 275 m cell side) or on the arena's edges: every
+   radio's fan-out, as the channel's cell walk finds it, equals the
+   brute-force scan's. *)
+let fanout_matches_naive_prop =
+  QCheck.Test.make ~name:"fan-out matches naive on random layouts" ~count:60
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let coord hi =
+        match Rng.int rng 4 with
+        | 0 -> 275. *. float_of_int (Rng.int rng (int_of_float (hi /. 275.) + 1))
+        | 1 -> if Rng.int rng 2 = 0 then 0. else hi
+        | _ -> Rng.float rng hi
+      in
+      let layout =
+        List.init 30 (fun _ -> v (coord 3000.) (coord 1000.))
+      in
+      let engine = Engine.create ~seed:5 () in
+      let store, channel =
+        store_channel engine (List.map Mobility.static layout)
+      in
+      let radios =
+        Array.of_list
+          (List.mapi
+             (fun i _ -> Net.Channel.attach channel ~slot:i ~id:(n i))
+             layout)
+      in
+      let oracle = Naive_medium.create ~engine ~store channel radios in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun i r ->
+             List.map Node_id.to_int (Net.Channel.fanout channel r)
+             = Naive_medium.fanout oracle i)
+           radios))
+
 (* Receivers at slots 0..5 sit left to right across three index cells
    (cell side = cs range / 2 = 275 m), all within decode range of the
    source in slot 6.  Attaching in slot order makes the cell scan visit
@@ -456,7 +514,9 @@ let fanout_order_matches_naive () =
     (fanout = Naive_medium.fanout oracle 6)
 
 (* Minor words per steady-state transmission (transmit + end-of-tx) from
-   radio 0 with [k] static radios within range of it. *)
+   radio 0 with [k] static radios within range of it: the words of a
+   loop of transmissions, less those of the same loop (clock advance
+   included) without the [transmit]. *)
 let words_per_tx k =
   let engine = Engine.create ~seed:5 () in
   let positions =
@@ -472,27 +532,33 @@ let words_per_tx k =
       positions
   in
   let src = List.hd radios in
-  let frame = ack_frame 0 in
+  let frame = ack_frame 0 and duration = Time.us 100. in
   let tx_count = 200 in
-  let once i =
-    Net.Channel.transmit channel src frame ~duration:(Time.us 100.);
-    Engine.run ~until:(Time.us (200. *. float_of_int (i + 1))) engine
+  let step = ref 0 in
+  let once ~tx =
+    if tx then Net.Channel.transmit channel src frame ~duration;
+    incr step;
+    Engine.run ~until:(Time.us (200. *. float_of_int !step)) engine
+  in
+  let loop ~tx =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to tx_count do once ~tx done;
+    Gc.minor_words () -. w0
   in
   (* Warm-up grows the job pool and index cell arrays to steady state. *)
-  for i = 0 to 9 do once i done;
-  let w0 = Gc.minor_words () in
-  for i = 10 to 10 + tx_count - 1 do once i done;
-  let w1 = Gc.minor_words () in
+  for _ = 1 to 10 do once ~tx:true done;
+  let with_tx = loop ~tx:true in
+  let without = loop ~tx:false in
   checki (Printf.sprintf "%d radios touched" k) k
     (List.length (Net.Channel.fanout channel src));
-  (w1 -. w0) /. float_of_int tx_count
+  (with_tx -. without) /. float_of_int tx_count
 
-let allocation_flat_in_fanout () =
+let allocation_free_fanout () =
   let w10 = words_per_tx 10 and w60 = words_per_tx 60 in
   checkb
-    (Printf.sprintf "words/tx independent of fan-out (%.2f at 10, %.2f at 60)"
-       w10 w60)
-    true (w10 = w60)
+    (Printf.sprintf "0 words/tx (%.2f at 10 radios, %.2f at 60)" w10 w60)
+    true
+    (w10 = 0. && w60 = 0.)
 
 (* Randomized end-to-end MAC property: every unicast is either received
    at its destination or reported as a link failure to its sender —
@@ -542,6 +608,7 @@ let () =
         [
           Alcotest.test_case "fifo" `Quick ifq_fifo;
           Alcotest.test_case "drops when full" `Quick ifq_drops_when_full;
+          Alcotest.test_case "releases dequeued elements" `Quick ifq_releases;
         ] );
       ("params", [ Alcotest.test_case "airtime" `Quick airtime_sanity ]);
       ( "mac",
@@ -571,7 +638,8 @@ let () =
             grid_matches_naive_channel;
           Alcotest.test_case "fan-out order matches naive" `Quick
             fanout_order_matches_naive;
+          qt fanout_matches_naive_prop;
           Alcotest.test_case "allocation flat in fan-out" `Quick
-            allocation_flat_in_fanout;
+            allocation_free_fanout;
         ] );
     ]

@@ -114,6 +114,194 @@ let cache_purges () =
          checki "all expired and purged" 0 (Routing.Rreq_cache.length c)));
   Engine.run engine
 
+(* Minor words one call of [f] allocates: a loop of calls, less the same
+   loop calling a no-op. *)
+let words_per_call f =
+  let calls = 1000 in
+  let loop g =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      g ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let with_f = loop f in
+  let without = loop ignore in
+  (with_f -. without) /. float_of_int calls
+
+let check_zero_words name f =
+  let w = words_per_call f in
+  checkb (Printf.sprintf "%s: 0 words (%.2f)" name w) true (w = 0.)
+
+let cache_allocation_free () =
+  let engine = Engine.create () in
+  let c = Routing.Rreq_cache.create ~engine ~ttl:(Time.sec 5.) in
+  let big = 1 lsl 31 in
+  Routing.Rreq_cache.add c ~origin:(n 3) ~rreq_id:big "hop";
+  check_zero_words "mem hit" (fun () ->
+      ignore (Routing.Rreq_cache.mem c ~origin:(n 3) ~rreq_id:big));
+  check_zero_words "mem miss" (fun () ->
+      ignore (Routing.Rreq_cache.mem c ~origin:(n 4) ~rreq_id:7));
+  check_zero_words "add on an existing key" (fun () ->
+      Routing.Rreq_cache.add c ~origin:(n 3) ~rreq_id:big "hop");
+  check_zero_words "update" (fun () ->
+      Routing.Rreq_cache.update c ~origin:(n 3) ~rreq_id:big Fun.id)
+
+(* Random operation sequences against an association-list model of the
+   contract: an entry is live iff its expiry is after now, [add]
+   (re)arms the expiry, [update] applies to live entries only and keeps
+   the expiry.  The clock steps across the TTL, flood counters reach
+   2^31 and beyond, and the key space is small enough for hits,
+   refreshes, growth and purges. *)
+type cache_op =
+  | Add of int * int * int
+  | Mem of int * int
+  | Find of int * int
+  | Update of int * int
+  | Clear
+  | Length
+  | Step of int  (** ms *)
+
+let cache_origins = [| 0; 1; 2; 3; 4; 5; (1 lsl 30) - 1 |]
+
+let cache_ids =
+  [| 0; 1; 2; 3; (1 lsl 31) - 1; 1 lsl 31; (1 lsl 31) + 1; (1 lsl 32) - 1 |]
+
+let cache_op_gen =
+  let open QCheck.Gen in
+  let key =
+    pair (oneofa cache_origins) (oneofa cache_ids)
+  in
+  frequency
+    [
+      (6, map2 (fun (o, r) v -> Add (o, r, v)) key small_nat);
+      (4, map (fun (o, r) -> Mem (o, r)) key);
+      (3, map (fun (o, r) -> Find (o, r)) key);
+      (2, map (fun (o, r) -> Update (o, r)) key);
+      (1, return Clear);
+      (1, return Length);
+      (3, map (fun ms -> Step ms) (int_bound 15));
+    ]
+
+let cache_op_print = function
+  | Add (o, r, v) -> Printf.sprintf "add(%d,%d)=%d" o r v
+  | Mem (o, r) -> Printf.sprintf "mem(%d,%d)" o r
+  | Find (o, r) -> Printf.sprintf "find(%d,%d)" o r
+  | Update (o, r) -> Printf.sprintf "update(%d,%d)" o r
+  | Clear -> "clear"
+  | Length -> "length"
+  | Step ms -> Printf.sprintf "step %dms" ms
+
+let cache_model_qcheck =
+  let ttl_ms = 10 in
+  QCheck.Test.make ~name:"rreq_cache matches an assoc-list model" ~count:300
+    (QCheck.make
+       ~print:(QCheck.Print.list cache_op_print)
+       QCheck.Gen.(list_size (int_range 1 300) cache_op_gen))
+    (fun ops ->
+      let engine = Engine.create () in
+      let c =
+        Routing.Rreq_cache.create ~engine ~ttl:(Time.ms (float_of_int ttl_ms))
+      in
+      let now () = (Engine.now engine :> int) in
+      (* (origin, rreq_id) -> (value, expiry ns) *)
+      let model = ref [] in
+      let live k =
+        match List.assoc_opt k !model with
+        | Some (v, exp) when exp > now () -> Some v
+        | Some _ | None -> None
+      in
+      let step = function
+        | Add (o, r, v) ->
+            Routing.Rreq_cache.add c ~origin:(n o) ~rreq_id:r v;
+            model :=
+              ((o, r), (v, now () + (ttl_ms * 1_000_000)))
+              :: List.remove_assoc (o, r) !model;
+            true
+        | Mem (o, r) ->
+            Routing.Rreq_cache.mem c ~origin:(n o) ~rreq_id:r
+            = (live (o, r) <> None)
+        | Find (o, r) ->
+            Routing.Rreq_cache.find c ~origin:(n o) ~rreq_id:r = live (o, r)
+        | Update (o, r) ->
+            Routing.Rreq_cache.update c ~origin:(n o) ~rreq_id:r (fun v ->
+                v + 1);
+            (match live (o, r) with
+            | Some v ->
+                let exp = snd (List.assoc (o, r) !model) in
+                model :=
+                  ((o, r), (v + 1, exp)) :: List.remove_assoc (o, r) !model
+            | None -> ());
+            true
+        | Clear ->
+            Routing.Rreq_cache.clear c;
+            model := [];
+            true
+        | Length ->
+            Routing.Rreq_cache.length c
+            = List.length (List.filter (fun (k, _) -> live k <> None) !model)
+        | Step ms ->
+            Engine.run
+              ~until:(Time.add (Engine.now engine) (Time.ms (float_of_int ms)))
+              engine;
+            true
+      in
+      List.for_all step ops)
+
+(* ---- Duplicate RREQs allocate nothing ---------------------------------- *)
+
+(* The flood's common case: a copy of a solicitation this node already
+   engaged in, heard again from another neighbour, must be discarded
+   without allocating — for every protocol that floods. *)
+let duplicate_rreq_allocation_free () =
+  let case name (factory : Routing.Agent.factory) payload =
+    let engine = Engine.create () in
+    let agent = factory (Routing.Agent.null_ctx ~id:5 engine) in
+    agent.recv payload ~from:(n 1);
+    check_zero_words name (fun () -> agent.recv payload ~from:(n 2))
+  in
+  let ldr_rreq =
+    Payload.Ldr
+      (Ldr_msg.Rreq
+         {
+           Ldr_msg.dst = n 9;
+           dst_sn = None;
+           rreq_id = 1 lsl 31;
+           origin = n 0;
+           origin_sn = Seqnum.initial ~stamp:0;
+           fd = Ldr.Conditions.infinity;
+           answer_dist = Ldr.Conditions.infinity;
+           dist = 1;
+           ttl = 5;
+           reset = false;
+           no_reverse = false;
+           unicast_probe = false;
+         })
+  in
+  case "LDR" (Ldr.Protocol.factory ()) ldr_rreq;
+  case "LDR-AGG" (Routing.Aggregation.wrap (Ldr.Protocol.factory ())) ldr_rreq;
+  case "AODV" (Aodv.factory ())
+    (Payload.Aodv
+       (Aodv_msg.Rreq
+          {
+            Aodv_msg.dst = n 9;
+            dst_sn = None;
+            rreq_id = 1;
+            origin = n 0;
+            origin_sn = 0;
+            hop_count = 1;
+            ttl = 5;
+          }));
+  case "OLSR" (Olsr.factory ())
+    (Payload.Olsr
+       (Olsr_msg.Tc
+          {
+            origin = n 0;
+            msg_seq = 1;
+            ttl = 255;
+            tc = { Olsr_msg.tc_origin = n 0; ansn = 0; advertised = [] };
+          }))
+
 (* ---- Packet_buffer ------------------------------------------------------ *)
 
 let buffer_push_take () =
@@ -685,6 +873,14 @@ let () =
             cache_old_packing_collision;
           QCheck_alcotest.to_alcotest cache_key_injective_qcheck;
           Alcotest.test_case "purge" `Quick cache_purges;
+          Alcotest.test_case "allocation-free hits" `Quick
+            cache_allocation_free;
+          QCheck_alcotest.to_alcotest cache_model_qcheck;
+        ] );
+      ( "flood",
+        [
+          Alcotest.test_case "duplicate rreq allocates nothing" `Quick
+            duplicate_rreq_allocation_free;
         ] );
       ( "packet_buffer",
         [
