@@ -16,12 +16,14 @@ type geo = {
 
 (* Per-receiver reception state.  Records are pooled inside [tx_job]s
    and reused across transmissions; a transmission writes only their
-   floats and flags, so touching a radio costs no write barrier and
-   allocates nothing.  [rx_id] is the record's index in the channel's
-   [rx_all], by which a radio names the reception it is locked to. *)
+   ints, floats and flags, so touching a radio costs no write barrier
+   and allocates nothing.  [rx_id] is the record's index in the
+   channel's [rx_all], by which a radio names the reception it is
+   locked to. *)
 type rx = {
   rx_id : int;
   geo : geo;
+  mutable rx_seq : int;  (** attach seq of the radio receiving it *)
   mutable corrupted : bool;
   mutable locked : bool;  (** this arrival captured the receiver *)
 }
@@ -35,9 +37,17 @@ type radio = {
           spatial index, so no transmission touches it *)
   mutable receive : Frame.t -> unit;
   mutable medium : bool -> unit;
+  mutable contending : bool;
+      (** [medium] hears carrier-sense edges only while this is set *)
   mutable busy_count : int;  (** in-range transmissions currently in the air *)
   mutable tx_count : int;  (** own transmissions in the air (0 or 1) *)
   mutable lock : int;  (** [rx_id] of the frame being decoded; -1 when none *)
+  mutable nbrs : int array;
+      (** neighbour list: attach seqs of the radios within [reach] of
+          this one when it was built, descending; [0, nbr_n) are live *)
+  mutable nbr_n : int;
+  mutable nbr_at : Time.t;  (** when the list was built *)
+  mutable nbr_epoch : int;  (** channel epoch it was built in; -1: never *)
 }
 
 let dummy_frame =
@@ -51,9 +61,14 @@ let new_radio ~id ~seq ~idx =
     attached = true;
     receive = ignore;
     medium = ignore;
+    contending = true;
     busy_count = 0;
     tx_count = 0;
     lock = -1;
+    nbrs = [||];
+    nbr_n = 0;
+    nbr_at = Time.zero;
+    nbr_epoch = -1;
   }
 
 (* Filler for unattached store slots and idle jobs, compared physically. *)
@@ -66,16 +81,10 @@ let no_rx =
   {
     rx_id = -1;
     geo = { dist = 0.; gain = 1. };
+    rx_seq = -1;
     corrupted = true;
     locked = false;
   }
-
-(* Receptions are ordered by an int permutation rather than by moving
-   records: a key packs the touched radio's attach seq above the job slot
-   holding its [rx], so keys sorted descending list receptions newest
-   radio first: the order of a scan over radios newest attach first. *)
-let slot_bits = 24
-let slot_mask = (1 lsl slot_bits) - 1
 
 (* How far a radio's true position may drift from the cell it is indexed
    under before the index is resynced.  Queries are inflated by the
@@ -83,18 +92,23 @@ let slot_mask = (1 lsl slot_bits) - 1
    more often, larger ones scan more cells. *)
 let slack_margin_m = 25.
 
+(* Verlet skin of the neighbour lists: a list holds the radios within
+   [cs_range * f_max + neighbour_margin_m] of its owner, and stays exact
+   while neither end of a pair can have closed the margin, i.e. while
+   [2 * max_speed * age <= neighbour_margin_m].  Smaller margins rebuild
+   more often, larger ones scan more entries per transmission. *)
+let neighbour_margin_m = 50.
+
 (* One in-flight transmission: the source, the frame and the touched
    radios' receptions, alive from [transmit] to its end-of-transmission
-   event.  Slot k of [job_rxs] is the k-th radio collected (in index
-   order); [job_keys] over [0, job_n) is the delivery order.  Jobs are
-   pooled on a free stack; the job itself is the argument of the
-   closure-free end-of-tx event, so a transmission schedules without
-   allocating. *)
+   event.  Slot j of [job_rxs] over [0, job_n) is the j-th reception in
+   delivery order.  Jobs are pooled on a free stack; the job itself is
+   the argument of the closure-free end-of-tx event, so a transmission
+   schedules without allocating. *)
 type tx_job = {
   mutable job_src : radio;
   mutable job_frame : Frame.t;
   mutable job_rxs : rx array;
-  mutable job_keys : int array;
   mutable job_n : int;
   job_owner : t;
 }
@@ -103,16 +117,18 @@ and t = {
   engine : Engine.t;
   params : Params.t;
   max_speed : float option;
-      (* [Some v]: no radio moves faster than [v] m/s, so indexed
-         positions age at a known rate.  [None]: unknown speeds — the
-         index is resynced whenever the clock has advanced, which is
-         exact for any mobility. *)
+      (* [Some v]: no radio moves faster than [v] m/s, so neighbour
+         lists and indexed positions age at a known rate.  [None]:
+         unknown speeds — lists are rebuilt and the index resynced
+         whenever the clock has advanced, which is exact for any
+         mobility. *)
   (* Positions come from the shared [Pos_store] planes (fetched once;
      the store never reallocates them) and cell membership is maintained
      incrementally (ids only; the exact filter reads live positions).
-     The index holds exactly the attached radios — candidate collection
-     relies on it and filters nothing else out.  [slots] maps a store
-     slot back to its radio — [dummy_radio] until that slot attaches. *)
+     The index holds exactly the attached radios and is read only to
+     rebuild a neighbour list; lists may still name radios detached
+     since, which collection skips.  [slots] maps a store slot back to
+     its radio — [dummy_radio] until that slot attaches. *)
   store : Mobility.Pos_store.t;
   xs : float array;
   ys : float array;
@@ -124,6 +140,13 @@ and t = {
   link : Link_model.t option;
       (* None on the classic unit disk — the collect fast path then
          skips every per-candidate gain/wall lookup *)
+  reach : float;
+      (* neighbour-list radius: the farthest any pair can touch
+         ([cs_range * f_max]) plus [neighbour_margin_m] *)
+  mutable epoch : int;
+      (* bumped whenever a radio attaches or re-attaches: a list built
+         in an earlier epoch may miss it *)
+  mutable build : int array;  (* buffer for the list being rebuilt *)
   mutable index_at : Time.t;
   mutable index_fresh : bool;
   mutable hooks : (Node_id.t -> Frame.t -> unit) list;
@@ -158,6 +181,12 @@ let create ~engine ?max_speed ?obs ~store ~terrain ?link ~params () =
     radios = [||];
     next_seq = 0;
     link;
+    reach =
+      (params.cs_range_m
+      *. match link with None -> 1. | Some l -> Link_model.f_max l)
+      +. neighbour_margin_m;
+    epoch = 0;
+    build = [||];
     index_at = Time.zero;
     index_fresh = false;
     hooks = [];
@@ -189,10 +218,12 @@ let attach t ~slot ~id =
   t.next_seq <- t.next_seq + 1;
   t.slots.(slot) <- r;
   t.index_fresh <- false;
+  t.epoch <- t.epoch + 1;
   r
 
 let set_receiver r f = r.receive <- f
 let set_medium_listener r f = r.medium <- f
+let set_contending r v = r.contending <- v
 let radio_id r = r.id
 let transmitting r = r.tx_count > 0
 
@@ -207,6 +238,7 @@ let new_rx t =
     {
       rx_id = t.rx_count;
       geo = { dist = 0.; gain = 1. };
+      rx_seq = -1;
       corrupted = false;
       locked = false;
     }
@@ -222,7 +254,6 @@ let new_job owner =
     job_src = dummy_radio;
     job_frame = dummy_frame;
     job_rxs = Array.init 8 (fun _ -> new_rx owner);
-    job_keys = Array.make 8 0;
     job_n = 0;
     job_owner = owner;
   }
@@ -244,30 +275,18 @@ let free_job t job =
   t.job_free <- t.job_free + 1
 
 let grow_job job =
-  let t = job.job_owner in
   let n = Array.length job.job_rxs in
-  if 2 * n > slot_mask then
-    failwith "Channel: too many receivers for one frame";
-  job.job_rxs <- Array.append job.job_rxs (Array.init n (fun _ -> new_rx t));
-  job.job_keys <- grow job.job_keys ~min:0 0
+  job.job_rxs <-
+    Array.append job.job_rxs (Array.init n (fun _ -> new_rx job.job_owner))
 
-(* Take the next slot's [rx] for radio [r] and insert its key into the
-   delivery order; the caller fills in the returned link geometry.
-   Index candidates arrive in cell order and insertion-sort into place —
-   plain int moves, no records shifted. *)
+(* Append radio [r]'s reception to the delivery order and return its
+   link geometry for the caller to fill in. *)
 let job_add job r =
   let n = job.job_n in
   if n = Array.length job.job_rxs then grow_job job;
-  let keys = job.job_keys in
-  let key = (r.seq lsl slot_bits) lor n in
-  let i = ref n in
-  while !i > 0 && Array.unsafe_get keys (!i - 1) < key do
-    Array.unsafe_set keys !i (Array.unsafe_get keys (!i - 1));
-    decr i
-  done;
-  Array.unsafe_set keys !i key;
   job.job_n <- n + 1;
   let rx = Array.unsafe_get job.job_rxs n in
+  rx.rx_seq <- r.seq;
   rx.corrupted <- false;
   rx.locked <- false;
   rx.geo
@@ -288,16 +307,19 @@ let sweep t =
   t.index_at <- now;
   t.index_fresh <- true
 
-(* Churn: a detached radio leaves the index immediately, so no later
-   transmission touches it; frames already locked on it are discarded
-   by the down-gated MAC.  Reattaching re-inserts it at its current
-   position. *)
+(* Churn: a detached radio leaves the index immediately, and the
+   neighbour lists that still name it skip it, so no later transmission
+   touches it; frames already locked on it are discarded by the
+   down-gated MAC.  Reattaching re-inserts it at its current position
+   and opens a new epoch, so every list built without it is rebuilt
+   before its next use. *)
 let set_attached t r v =
   if r.attached <> v then begin
     r.attached <- v;
     if v then begin
       Mobility.Pos_store.refresh t.store r.idx (Engine.now t.engine);
-      Geom.Cell_index.update t.index r.idx ~x:t.xs.(r.idx) ~y:t.ys.(r.idx)
+      Geom.Cell_index.update t.index r.idx ~x:t.xs.(r.idx) ~y:t.ys.(r.idx);
+      t.epoch <- t.epoch + 1
     end
     else Geom.Cell_index.remove t.index r.idx
   end
@@ -316,15 +338,18 @@ let transmissions t = t.tx_total
    transmission still in the air. *)
 let in_flight t = Array.length t.job_pool - t.job_free
 
+(* Carrier-sense edges reach the listener only while the radio
+   contends: the MAC clears [contending] outside its access phase, where
+   it would ignore them. *)
 let mark_busy r =
   let was = carrier_busy r in
   r.busy_count <- r.busy_count + 1;
-  if not was then r.medium true
+  if (not was) && r.contending then r.medium true
 
 let mark_idle r =
   r.busy_count <- r.busy_count - 1;
   assert (r.busy_count >= 0);
-  if not (carrier_busy r) then r.medium false
+  if (not (carrier_busy r)) && r.contending then r.medium false
 
 (* End of transmission: release the medium, deliver surviving locked
    frames in delivery order, and recycle the job.  Clearing the frame
@@ -334,12 +359,11 @@ let end_of_tx job =
   let t = job.job_owner in
   let src = job.job_src in
   src.tx_count <- src.tx_count - 1;
-  if not (carrier_busy src) then src.medium false;
+  if (not (carrier_busy src)) && src.contending then src.medium false;
   let frame = job.job_frame in
   for j = 0 to job.job_n - 1 do
-    let key = Array.unsafe_get job.job_keys j in
-    let r = t.radios.(key lsr slot_bits) in
-    let rx = job.job_rxs.(key land slot_mask) in
+    let rx = Array.unsafe_get job.job_rxs j in
+    let r = t.radios.(rx.rx_seq) in
     mark_idle r;
     if rx.locked then begin
       (* Only clear the lock if it is still ours (a corrupting overlap
@@ -363,30 +387,26 @@ let end_of_tx job =
 
 let clamp_cell v hi = if v < 0 then 0 else if v > hi then hi else v
 
-(* Collect into the empty [job] every radio a transmission by [src]
-   starting now touches, in delivery order.  Touched radios are fixed at
-   transmission start: node movement within one frame airtime (~2 ms)
-   is a fraction of a millimetre.  Radios out to the carrier-sense range
-   defer and suffer interference; a shadowed pair's ranges are scaled by
-   its gain; the partition wall absorbs the crossing frame entirely.
-   One distance computation per candidate, stashed squared in the
-   reception's [geo]; the delivery pass replaces it with [sqrt d2],
-   which equals [Vec2.dist] bit-for-bit, so caching cannot change
-   outcomes.
+(* Insert attach seq [seq] into the first [n] entries of the channel's
+   build buffer, keeping them descending. *)
+let build_insert t n seq =
+  if n = Array.length t.build then t.build <- grow t.build ~min:64 0;
+  let b = t.build in
+  let i = ref n in
+  while !i > 0 && Array.unsafe_get b (!i - 1) < seq do
+    Array.unsafe_set b !i (Array.unsafe_get b (!i - 1));
+    decr i
+  done;
+  Array.unsafe_set b !i seq
 
-   Every float here is a local of this one function body — the source
-   position, the drift bound, the query box — so none is boxed: a float
-   passed to or returned from any non-inlined call (this module's
-   included, under the dev profile's [-opaque]) would be.  The cell box
-   is walked in place, with no closure; only the link-model arm calls
-   out with floats. *)
-let collect t job src =
-  let now = Engine.now t.engine in
+(* Rebuild [src]'s neighbour list at [now] from the cell index: every
+   attached radio but [src] within [t.reach] of it, newest attach first.
+   [src]'s store position must already be refreshed to [now].  The index
+   is resynced first if stale; the query box is inflated by the drift
+   bound so it covers radios that left their indexed cell, and each
+   candidate is then filtered exactly against its live position. *)
+let rebuild t src now =
   let store = t.store and xs = t.xs and ys = t.ys in
-  Mobility.Pos_store.refresh store src.idx now;
-  let sx = Array.unsafe_get xs src.idx and sy = Array.unsafe_get ys src.idx in
-  (* Resync the index if stale; [drift] bounds how far any radio may be
-     from its indexed cell. *)
   if not t.index_fresh then sweep t;
   let drift =
     match t.max_speed with
@@ -395,7 +415,6 @@ let collect t job src =
         0.
     | Some v ->
         let age = Time.diff now t.index_at in
-        (* [Time.to_sec], inlined: its float return would box. *)
         let b =
           if Time.equal age Time.zero then 0.
           else v *. (float_of_int (age :> int) /. 1e9)
@@ -406,17 +425,10 @@ let collect t job src =
         end
         else b
   in
-  let cs2 = t.params.cs_range_m *. t.params.cs_range_m in
-  let link = t.link in
-  let src_int = Node_id.to_int src.id in
-  (* Candidate query disks are inflated by the largest possible gain
-     so the superset covers every shadowed-but-decodable pair, and by
-     the drift bound so it covers radios that left their indexed cell;
-     the exact per-pair predicate below then decides.  Positions are
-     read straight from the store's float planes: a few unboxed loads
-     per candidate. *)
-  let inflate = match link with None -> 1. | Some l -> Link_model.f_max l in
-  let radius = (t.params.cs_range_m *. inflate) +. drift in
+  let sx = Array.unsafe_get xs src.idx and sy = Array.unsafe_get ys src.idx in
+  let reach = t.reach in
+  let reach2 = reach *. reach in
+  let radius = reach +. drift in
   let index = t.index and cell = t.cell in
   let cols = Geom.Cell_index.cols index in
   let rows = Geom.Cell_index.rows index in
@@ -429,6 +441,7 @@ let collect t job src =
   and cy1 =
     clamp_cell (int_of_float (Float.floor ((sy +. radius) /. cell))) (rows - 1)
   in
+  let n = ref 0 in
   for cy = cy0 to cy1 do
     for cx = cx0 to cx1 do
       let c = (cy * cols) + cx in
@@ -438,36 +451,102 @@ let collect t job src =
         let r = Array.unsafe_get t.slots i in
         if r != src then begin
           Mobility.Pos_store.refresh store i now;
-          let ox = Array.unsafe_get xs i in
-          let dx = ox -. sx and dy = Array.unsafe_get ys i -. sy in
-          let d2 = (dx *. dx) +. (dy *. dy) in
-          match link with
-          | None ->
-              if d2 <= cs2 then begin
-                let g = job_add job r in
-                g.dist <- d2;
-                g.gain <- 1.
-              end
-          | Some l ->
-              if not (Link_model.blocked l ~now ~x1:sx ~x2:ox) then begin
-                let gain = Link_model.gain l src_int (Node_id.to_int r.id) in
-                if d2 <= cs2 *. (gain *. gain) then begin
-                  let g = job_add job r in
-                  g.dist <- d2;
-                  g.gain <- gain
-                end
-              end
+          let dx = Array.unsafe_get xs i -. sx
+          and dy = Array.unsafe_get ys i -. sy in
+          if (dx *. dx) +. (dy *. dy) <= reach2 then begin
+            build_insert t !n r.seq;
+            incr n
+          end
         end
       done
     done
+  done;
+  (* Lists are built in the shared buffer and copied out, so each
+     radio's array is sized to its own neighbourhood (with headroom),
+     not grown by doubling. *)
+  let n = !n in
+  if n > Array.length src.nbrs then src.nbrs <- Array.make (n + (n / 4)) 0;
+  Array.blit t.build 0 src.nbrs 0 n;
+  src.nbr_n <- n;
+  src.nbr_at <- now;
+  src.nbr_epoch <- t.epoch
+
+(* Collect into the empty [job] every radio a transmission by [src]
+   starting now touches, in delivery order.  Touched radios are fixed at
+   transmission start: node movement within one frame airtime (~2 ms)
+   is a fraction of a millimetre.  Radios out to the carrier-sense range
+   defer and suffer interference; a shadowed pair's ranges are scaled by
+   its gain; the partition wall absorbs the crossing frame entirely.
+
+   Candidates are [src]'s neighbour list, rebuilt first if it may have
+   gone stale: when a radio has (re-)attached since it was built, when
+   either end of a pair may have closed the margin
+   ([2 * max_speed * age > neighbour_margin_m]), or, with no speed
+   bound, at any later instant.  A valid list is a superset of the
+   touched radios already in delivery order, so each attached entry is
+   filtered by the exact predicate and appended: no cell walk, no sort.
+   One distance computation per candidate, stashed squared in the
+   reception's [geo]; the delivery pass replaces it with [sqrt d2],
+   which equals [Vec2.dist] bit-for-bit, so caching cannot change
+   outcomes.
+
+   Every float here is a local of this one function body — the source
+   position, the list's age — so none is boxed: a float passed to or
+   returned from any non-inlined call (this module's included, under
+   the dev profile's [-opaque]) would be.  Only the link-model arm calls
+   out with floats. *)
+let collect t job src =
+  let now = Engine.now t.engine in
+  let store = t.store and xs = t.xs and ys = t.ys in
+  Mobility.Pos_store.refresh store src.idx now;
+  let stale =
+    src.nbr_epoch <> t.epoch
+    ||
+    match t.max_speed with
+    | None -> Time.(now > src.nbr_at)
+    | Some v ->
+        (* [Time.to_sec], inlined: its float return would box. *)
+        let age = Time.diff now src.nbr_at in
+        2. *. v *. (float_of_int (age :> int) /. 1e9) > neighbour_margin_m
+  in
+  if stale then rebuild t src now;
+  let sx = Array.unsafe_get xs src.idx and sy = Array.unsafe_get ys src.idx in
+  let cs2 = t.params.cs_range_m *. t.params.cs_range_m in
+  let link = t.link in
+  let src_int = Node_id.to_int src.id in
+  let radios = t.radios and nbrs = src.nbrs in
+  for k = 0 to src.nbr_n - 1 do
+    let r = Array.unsafe_get radios (Array.unsafe_get nbrs k) in
+    if r.attached then begin
+      let i = r.idx in
+      Mobility.Pos_store.refresh store i now;
+      let ox = Array.unsafe_get xs i in
+      let dx = ox -. sx and dy = Array.unsafe_get ys i -. sy in
+      let d2 = (dx *. dx) +. (dy *. dy) in
+      match link with
+      | None ->
+          if d2 <= cs2 then begin
+            let g = job_add job r in
+            g.dist <- d2;
+            g.gain <- 1.
+          end
+      | Some l ->
+          if not (Link_model.blocked l ~now ~x1:sx ~x2:ox) then begin
+            let gain = Link_model.gain l src_int (Node_id.to_int r.id) in
+            if d2 <= cs2 *. (gain *. gain) then begin
+              let g = job_add job r in
+              g.dist <- d2;
+              g.gain <- gain
+            end
+          end
+    end
   done
 
 let fanout t r =
   let job = alloc_job t in
   collect t job r;
   let ids =
-    List.init job.job_n (fun j ->
-        t.radios.(job.job_keys.(j) lsr slot_bits).id)
+    List.init job.job_n (fun j -> t.radios.(job.job_rxs.(j).rx_seq).id)
   in
   free_job t job;
   ids
@@ -498,12 +577,11 @@ let transmit t src frame ~duration =
   collect t job src;
   let was_busy_src = carrier_busy src in
   src.tx_count <- src.tx_count + 1;
-  if not was_busy_src then src.medium true;
+  if (not was_busy_src) && src.contending then src.medium true;
   let ratio = t.params.capture_distance_ratio in
   for j = 0 to job.job_n - 1 do
-    let key = Array.unsafe_get job.job_keys j in
-    let r = t.radios.(key lsr slot_bits) in
-    let rx = job.job_rxs.(key land slot_mask) in
+    let rx = Array.unsafe_get job.job_rxs j in
+    let r = t.radios.(rx.rx_seq) in
     mark_busy r;
     let geo = rx.geo in
     let d2 = geo.dist and g = geo.gain in

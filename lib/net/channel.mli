@@ -7,13 +7,18 @@
     hears nothing.  Carrier sense is binary — the medium is busy for a
     radio whenever at least one in-range transmission is in the air.
 
-    Positions are read from the shared {!Mobility.Pos_store} planes
-    and candidates come from an incrementally
-    maintained {!Geom.Cell_index}: the index over-approximates by a
-    drift bound, then the exact range predicate is re-applied and
-    receptions are ordered newest attach first.  A brute-force scan
-    over every radio touches the same radios in the same order; the
-    test suite keeps one as an oracle. *)
+    Positions are read from the shared {!Mobility.Pos_store} planes.
+    Candidates come from the sender's neighbour list: the radios within
+    the carrier-sense range (times the link model's largest gain) plus
+    a fixed margin, newest attach first.  The exact range predicate is
+    re-applied to each, so receptions come out newest attach first with
+    no sort.  A list is rebuilt at its owner's next transmission, from an
+    incrementally maintained {!Geom.Cell_index} queried with a drift
+    bound, once it may be stale: when a radio has attached or
+    re-attached since it was built, when twice [max_speed] times its age
+    exceeds the margin, or, with no speed bound, at any later instant.
+    A brute-force scan over every radio touches the same radios in the
+    same order; the test suite keeps one as an oracle. *)
 
 open Packets
 
@@ -30,12 +35,14 @@ val create :
     attached to it) emit on; defaults to a fresh disabled bus.
 
     Radio positions come from [store], slot [i] of which is node [i]'s
-    mobility process; the [terrain] bounds size the cell index.  [max_speed] is an upper bound (m/s) on any
-    radio's speed: the index is resynced only when indexed positions may
-    have drifted past a fixed margin, and queries are inflated by the
-    current drift bound.  When omitted,
-    speeds are treated as unknown and the index is resynced on every
-    clock advance — exact for any mobility.  [link] layers deterministic
+    mobility process; the [terrain] bounds size the cell index.
+    [max_speed] is an upper bound (m/s) on any radio's speed: neighbour
+    lists live until both ends of a pair may have closed their margin,
+    and the index is resynced only when indexed positions may have
+    drifted past a fixed slack, with queries inflated by the current
+    drift bound.  When omitted, speeds are treated as unknown: lists are
+    rebuilt and the index resynced on every clock advance — exact for
+    any mobility.  [link] layers deterministic
     shadowing and/or a partition wall on the unit disk
     ({!Link_model}); omitted, the propagation fast path is the plain
     unit disk. *)
@@ -48,23 +55,34 @@ val attach : t -> slot:int -> id:Node_id.t -> radio
 
 val set_attached : t -> radio -> bool -> unit
 (** Churn: [set_attached t r false] removes the radio from the
-    incremental index immediately, and so from the candidate set of
-    every subsequent transmission; [true] re-inserts it at its current
-    position.  {!Mac.set_down} calls it; in-flight receptions drain
-    normally and the down-gated MAC discards them. *)
+    incremental index immediately, and no subsequent transmission
+    touches it; [true] re-inserts it at its current position and
+    invalidates every neighbour list built without it.  {!Mac.set_down}
+    calls it; in-flight receptions drain normally and the down-gated MAC
+    discards them. *)
 
 val attached : radio -> bool
 
 val index_stats : t -> int * int * int
-(** [(cells, occupied, max_occupancy)] of the live spatial index —
-    health gauges surfaced through [Obs.Telemetry]. *)
+(** [(cells, occupied, max_occupancy)] of the spatial index — health
+    gauges surfaced through [Obs.Telemetry].  Churn moves radios in and
+    out of it at once, but cells follow mobility only when a neighbour
+    list rebuild resyncs it. *)
 
 val set_receiver : radio -> (Frame.t -> unit) -> unit
 (** Called with every frame the radio decodes, including frames addressed
     to other nodes (promiscuous reception is the MAC's filtering job). *)
 
 val set_medium_listener : radio -> (bool -> unit) -> unit
-(** Called when carrier sense transitions busy<->idle for this radio. *)
+(** Called when carrier sense transitions busy<->idle for this radio,
+    while the radio contends ({!set_contending}). *)
+
+val set_contending : radio -> bool -> unit
+(** Whether the medium listener hears carrier-sense edges: [true] (the
+    default) reports every edge, [false] none.  Edges missed while off
+    are not replayed; a listener that turns it back on reads {!busy}.
+    {!Mac} turns it on exactly while it counts down its access backoff,
+    the only phase in which it acts on an edge. *)
 
 val transmit : t -> radio -> Frame.t -> duration:Sim.Time.t -> unit
 (** Start a transmission now.  The caller (MAC) is responsible for medium
@@ -81,8 +99,9 @@ val radio_id : radio -> Node_id.t
 val fanout : t -> radio -> Node_id.t list
 (** The radios a transmission by this radio starting now would touch
     (carrier-sense range, link model applied), in delivery order —
-    computed by the same candidate walk as {!transmit}.  Used by tests
-    and topology audits, not by protocols. *)
+    computed by the same neighbour-list scan as {!transmit}, which
+    rebuilds the list first if it may be stale.  Used by tests and
+    topology audits, not by protocols. *)
 
 val add_transmit_hook : t -> (Node_id.t -> Frame.t -> unit) -> unit
 (** Register a tap invoked at the start of every transmission (metrics,

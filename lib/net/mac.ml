@@ -97,9 +97,15 @@ let payload_of (f : Frame.t) =
 let frame_duration t frame =
   Params.frame_airtime t.params ~bytes:(Frame.encoded_length frame)
 
+(* [on_medium] acts only in [Access], counting down the backoff, so the
+   radio reports carrier-sense edges only in that phase. *)
+let set_phase t p =
+  t.phase <- p;
+  Channel.set_contending t.radio (match p with Access -> true | _ -> false)
+
 let rec dequeue_next t =
   assert (t.current == no_frame);
-  if Ifq.is_empty t.queue then t.phase <- Idle
+  if Ifq.is_empty t.queue then set_phase t Idle
   else begin
     let f = Ifq.pop t.queue in
     t.current <- f;
@@ -111,7 +117,7 @@ let rec dequeue_next t =
   end
 
 and begin_access t =
-  t.phase <- Access;
+  set_phase t Access;
   t.slots <- Rng.int t.rng (t.cw + 1);
   maybe_arm t
 
@@ -137,7 +143,7 @@ and access_expired t =
 and do_transmit t =
   let frame = t.current in
   assert (frame != no_frame);
-  t.phase <- Sending;
+  set_phase t Sending;
   t.sent <- t.sent + 1;
   if Obs.Bus.on t.obs then
     emit_span t ~stage:Obs.Span.Stage.mac_try (payload_of frame) ~d:(-1)
@@ -158,7 +164,7 @@ and tx_done t =
     match f.dst with
     | Frame.Broadcast -> finish t
     | Frame.Unicast _ ->
-        t.phase <- Await_ack;
+        set_phase t Await_ack;
         t.ack_timer <-
           Engine.after_fn t.engine (Params.ack_timeout t.params)
             ack_timeout_expired t
@@ -178,7 +184,7 @@ and finish t =
     emit_span t ~stage:Obs.Span.Stage.mac_end (payload_of t.current) ~d:(-1)
       ~e:t.attempts;
   t.current <- no_frame;
-  t.phase <- Idle;
+  set_phase t Idle;
   dequeue_next t
 
 and retry t f next_hop =
@@ -188,7 +194,7 @@ and retry t f next_hop =
       emit_span t ~stage:Obs.Span.Stage.mac_fail (payload_of f)
         ~d:(Node_id.to_int next_hop) ~e:t.attempts;
     t.current <- no_frame;
-    t.phase <- Idle;
+    set_phase t Idle;
     t.cb.link_failure (payload_of f) ~next_hop;
     (* The callback may have enqueued follow-up traffic (e.g. a RERR);
        only restart the service loop if it has not already done so by
@@ -293,6 +299,7 @@ let create ~engine ~channel ~rng ~id ~slot callbacks =
   in
   Channel.set_receiver radio (on_frame t);
   Channel.set_medium_listener radio (on_medium t);
+  Channel.set_contending radio false;
   t
 
 let send t ~dst payload =
@@ -326,7 +333,7 @@ let set_down t v =
       t.down <- true;
       Ifq.clear t.queue;
       t.current <- no_frame;
-      t.phase <- Idle;
+      set_phase t Idle;
       if not (Engine.is_none t.access_timer) then begin
         Engine.cancel t.engine t.access_timer;
         t.access_timer <- Engine.none
@@ -338,7 +345,7 @@ let set_down t v =
     end
     else begin
       t.down <- false;
-      t.phase <- Idle;
+      set_phase t Idle;
       t.attempts <- 0;
       t.cw <- t.params.cw_min;
       t.slots <- 0

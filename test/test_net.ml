@@ -424,8 +424,8 @@ let grid_neighbors_match_naive () =
 
 (* Random static layouts, with coordinates often on index cell borders
    (multiples of the 275 m cell side) or on the arena's edges: every
-   radio's fan-out, as the channel's cell walk finds it, equals the
-   brute-force scan's. *)
+   radio's fan-out, from the neighbour list the channel's cell walk
+   builds, equals the brute-force scan's. *)
 let fanout_matches_naive_prop =
   QCheck.Test.make ~name:"fan-out matches naive on random layouts" ~count:60
     QCheck.small_int (fun seed ->
@@ -459,9 +459,10 @@ let fanout_matches_naive_prop =
 
 (* Receivers at slots 0..5 sit left to right across three index cells
    (cell side = cs range / 2 = 275 m), all within decode range of the
-   source in slot 6.  Attaching in slot order makes the cell scan visit
-   receivers in ascending attach order — the reverse of the delivery
-   order, so the channel must re-order every candidate. *)
+   source in slot 6.  Attaching in slot order makes the cell walk that
+   builds the source's neighbour list visit receivers in ascending
+   attach order — the reverse of the delivery order, which the list
+   must hold. *)
 let fanout_layout =
   List.map
     (fun x -> v x 100.)
@@ -513,6 +514,124 @@ let fanout_order_matches_naive () =
   checkb "fan-out identical to brute force" true
     (fanout = Naive_medium.fanout oracle 6)
 
+(* ---- Neighbour lists and carrier-sense gating ------------------------- *)
+
+(* Re-attach: A's neighbour list is built while B is detached, so it
+   lacks B.  B's re-attach must invalidate it — a static layout never
+   expires a list by age — so A's next transmission touches B again,
+   exactly as the brute-force scan finds. *)
+let reattach_refreshes_lists () =
+  let layout = [ v 100. 100.; v 300. 100.; v 500. 100. ] in
+  let engine = Engine.create ~seed:5 () in
+  let store, channel = store_channel engine (List.map Mobility.static layout) in
+  let radios =
+    Array.of_list
+      (List.mapi (fun i _ -> Net.Channel.attach channel ~slot:i ~id:(n i)) layout)
+  in
+  let oracle = Naive_medium.create ~engine ~store channel radios in
+  let checked = ref 0 in
+  Naive_medium.arm ~checked oracle channel;
+  let a = radios.(0) and b = radios.(1) in
+  let fanout_a () = List.map Node_id.to_int (Net.Channel.fanout channel a) in
+  let tx_a () =
+    Net.Channel.transmit channel a (ack_frame 0) ~duration:(Time.ms 1.);
+    Engine.run ~until:(Time.add (Engine.now engine) (Time.ms 5.)) engine
+  in
+  Net.Channel.set_attached channel b false;
+  tx_a ();
+  Alcotest.(check (list int)) "B detached: not touched" [ 2 ] (fanout_a ());
+  Net.Channel.set_attached channel b true;
+  Alcotest.(check (list int)) "B re-attached: touched" [ 2; 1 ] (fanout_a ());
+  tx_a ();
+  Alcotest.(check (list int))
+    "brute force agrees" (Naive_medium.fanout oracle 0) (fanout_a ());
+  checki "both transmissions checked" 2 !checked
+
+(* Random mobile layouts: radios on random waypoints at up to 30 m/s,
+   dense enough that many pairs sit near the neighbour-list radius, on
+   two channels over the same store — one given the speed bound, one
+   without it.  At random instants over several seconds, every radio's
+   fan-out on both channels equals the brute-force scan's, so a list is
+   never used after it may have gone stale.  Instants come a few hundred
+   ms apart, so lists are both reused and expired. *)
+let list_expiry_prop =
+  QCheck.Test.make ~name:"fan-out matches naive as lists age" ~count:40
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let vmax = 5. +. Rng.float rng 25. in
+      let k = 24 in
+      let terrain = Geom.Terrain.create ~width:1600. ~height:700. in
+      let mobs =
+        Array.init k (fun _ ->
+            Mobility.waypoint ~terrain ~rng:(Rng.split rng)
+              ~speed_min:(vmax /. 2.) ~speed_max:vmax ~pause:Time.zero
+              ~start:(Geom.Terrain.random_point terrain rng))
+      in
+      let engine = Engine.create ~seed:5 () in
+      let store = Mobility.Pos_store.of_array mobs ~at:Time.zero in
+      let channel max_speed =
+        let c =
+          Net.Channel.create ~engine ?max_speed ~store ~terrain
+            ~params:Net.Params.default ()
+        in
+        let radios =
+          Array.init k (fun i -> Net.Channel.attach c ~slot:i ~id:(n i))
+        in
+        (c, radios, Naive_medium.create ~engine ~store c radios)
+      in
+      let channels = [ channel (Some vmax); channel None ] in
+      let ok = ref true and at = ref Time.zero in
+      for _ = 1 to 30 do
+        at := Time.add !at (Time.ms (Rng.float rng 400.));
+        Engine.run ~until:!at engine;
+        List.iter
+          (fun (c, radios, oracle) ->
+            Array.iteri
+              (fun i r ->
+                let got = List.map Node_id.to_int (Net.Channel.fanout c r) in
+                if got <> Naive_medium.fanout oracle i then ok := false)
+              radios)
+          channels
+      done;
+      !ok)
+
+(* A raw radio reports every carrier-sense edge; with contending off it
+   reports none, and switched back on mid-transmission it reports the
+   next edge. *)
+let contending_gates_edges () =
+  let engine = Engine.create ~seed:5 () in
+  let _, channel =
+    store_channel engine (List.map Mobility.static [ v 0. 0.; v 100. 0. ])
+  in
+  let a = Net.Channel.attach channel ~slot:0 ~id:(n 0) in
+  let b = Net.Channel.attach channel ~slot:1 ~id:(n 1) in
+  let edges = ref [] in
+  Net.Channel.set_medium_listener b (fun busy -> edges := busy :: !edges);
+  let tx () =
+    Net.Channel.transmit channel a (ack_frame 0) ~duration:(Time.ms 1.)
+  in
+  let finish () =
+    Engine.run ~until:(Time.add (Engine.now engine) (Time.ms 5.)) engine
+  in
+  let take () =
+    let e = List.rev !edges in
+    edges := [];
+    e
+  in
+  let edges_t = Alcotest.(list bool) in
+  tx ();
+  finish ();
+  Alcotest.check edges_t "default: busy then idle" [ true; false ] (take ());
+  Net.Channel.set_contending b false;
+  tx ();
+  finish ();
+  Alcotest.check edges_t "off: none" [] (take ());
+  tx ();
+  checkb "carrier still sensed while off" true (Net.Channel.busy channel b);
+  Net.Channel.set_contending b true;
+  finish ();
+  Alcotest.check edges_t "back on: the next edge" [ false ] (take ())
+
 (* Minor words per steady-state transmission (transmit + end-of-tx) from
    radio 0 with [k] static radios within range of it: the words of a
    loop of transmissions, less those of the same loop (clock advance
@@ -545,7 +664,8 @@ let words_per_tx k =
     for _ = 1 to tx_count do once ~tx done;
     Gc.minor_words () -. w0
   in
-  (* Warm-up grows the job pool and index cell arrays to steady state. *)
+  (* Warm-up grows the job pool, the index cell arrays and the
+     neighbour list to steady state. *)
   for _ = 1 to 10 do once ~tx:true done;
   let with_tx = loop ~tx:true in
   let without = loop ~tx:false in
@@ -641,5 +761,10 @@ let () =
           qt fanout_matches_naive_prop;
           Alcotest.test_case "allocation flat in fan-out" `Quick
             allocation_free_fanout;
+          Alcotest.test_case "re-attach refreshes neighbour lists" `Quick
+            reattach_refreshes_lists;
+          qt list_expiry_prop;
+          Alcotest.test_case "contending gates carrier-sense edges" `Quick
+            contending_gates_edges;
         ] );
     ]
