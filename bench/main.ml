@@ -1,7 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 4), plus an ablation study over LDR's
-   optimizations and a Bechamel microbenchmark suite over the simulation
-   kernels.
+   optimizations, the request-aggregation comparison, and four reports
+   that also write a BENCH_*.json file: request floods per delivered
+   packet (discovery), delivery under each scenario family with the
+   invariant monitor armed (families), wire-codec throughput (codec)
+   and model-checker exhaustiveness (mcheck).
 
      dune exec bench/main.exe                 -- reduced scale, everything
      dune exec bench/main.exe -- table1 fig7  -- selected experiments
@@ -10,7 +13,11 @@
 
    The paper's full scale is 900 s runs x 10 trials x 7 pause times; the
    default here is a calibrated reduction (shorter runs, fewer trials,
-   trend-defining pause times) whose shapes match; see EXPERIMENTS.md. *)
+   trend-defining pause times) whose shapes match; see EXPERIMENTS.md.
+
+   Simulator cost (wall time and words per event, trace overhead,
+   parallel efficiency) is measured by the repository benchmark,
+   perfbench/, layer by layer; this harness reports outcomes. *)
 
 open Experiment
 module Time = Sim.Time
@@ -388,27 +395,29 @@ let discovery ~scale () =
           scenario_for ~scale ~nodes:50 ~flows:30 protocol
           |> Scenario.with_pause (Time.sec 0.)
         in
-        let floods = ref 0 and rreq_tx = ref 0 and delivered = ref 0 in
         let delivery = Stats.Welford.create () in
         let latency = Stats.Welford.create () in
-        for i = 0 to scale.trials - 1 do
-          let o = Runner.run (Scenario.with_seed (sc.Scenario.seed + i) sc) in
-          floods := !floods + Metrics.event_count o.Runner.metrics "rreq_init";
-          rreq_tx :=
-            !rreq_tx
-            + (try List.assoc "RREQ" (Metrics.control_by_kind o.Runner.metrics)
-               with Not_found -> 0);
-          delivered := !delivered + Metrics.delivered o.Runner.metrics;
-          Stats.Welford.add delivery o.Runner.summary.Metrics.s_delivery_ratio;
-          Stats.Welford.add latency o.Runner.summary.Metrics.s_latency_ms
-        done;
+        let floods, rreq_tx, delivered =
+          Array.fold_left
+            (fun (floods, rreq_tx, delivered) (o : Runner.outcome) ->
+              let m = o.Runner.metrics in
+              Stats.Welford.add delivery o.Runner.summary.Metrics.s_delivery_ratio;
+              Stats.Welford.add latency o.Runner.summary.Metrics.s_latency_ms;
+              ( floods + Metrics.event_count m "rreq_init",
+                rreq_tx
+                + Option.value ~default:0
+                    (List.assoc_opt "RREQ" (Metrics.control_by_kind m)),
+                delivered + Metrics.delivered m ))
+            (0, 0, 0)
+            (Sweep.trial_outcomes sc ~n:scale.trials)
+        in
         let per_delivered c =
-          if !delivered = 0 then 0. else float_of_int c /. float_of_int !delivered
+          if delivered = 0 then 0. else float_of_int c /. float_of_int delivered
         in
         {
           dr_label = label;
-          dr_floods = per_delivered !floods;
-          dr_rreq_tx = per_delivered !rreq_tx;
+          dr_floods = per_delivered floods;
+          dr_rreq_tx = per_delivered rreq_tx;
           dr_delivery = Stats.Welford.mean delivery;
           dr_latency_ms = Stats.Welford.mean latency;
         })
@@ -435,74 +444,18 @@ let discovery ~scale () =
   close_out oc;
   Printf.printf "  (wrote BENCH_discovery.json)\n%!"
 
-(* ---- City scale: the channel and the scenario families ----------------- *)
+(* ---- Scenario families: delivery per mobility model, monitor armed ------ *)
 
-(* Two parts:
+(* One delivery/overhead row per scenario family — waypoint, Manhattan
+   grid, RPGM groups, shadowing, churn, partition-then-heal — with the
+   LDR invariant monitor armed throughout (churn's crash-rebooted
+   sequence numbers are the van Glabbeek loop stressor).
 
-   - Scaling: a fixed mobile scenario grown to N nodes at constant node
-     density (the paper's 5:1 terrain aspect), with flows scaled
-     alongside, recording wall-clock and allocation trajectories.  The
-     default run tops out at the 10k-node, 60 s point.  Outcome equality
-     with a brute-force channel scan is asserted per transmission by the
-     test suite, not here.
-   - Families: one delivery/overhead row per scenario family —
-     waypoint, Manhattan grid, RPGM groups, shadowing, churn,
-     partition-then-heal — with the LDR invariant monitor armed
-     throughout (churn's crash-rebooted sequence numbers are the van
-     Glabbeek loop stressor). *)
-
-(* Sparser than the paper's boxes (the paper packs ~105 nodes inside one
-   carrier-sense disk, so per-transmission contention work swamps the
-   neighbour scan at any index).  200 m spacing keeps the decode-range
-   degree near 6 — floods still percolate — while the scan itself is the
-   hot path. *)
-let city_area_per_node = 55_000.
-
-let city_scenario ~nodes ~duration =
-  let height = sqrt (float_of_int nodes *. city_area_per_node /. 5.) in
-  let terrain = Geom.Terrain.create ~width:(5. *. height) ~height in
-  {
-    (Scenario.paper_50 Scenario.ldr) with
-    Scenario.label = Printf.sprintf "scale-%dn" nodes;
-    num_nodes = nodes;
-    terrain;
-    duration = Time.sec duration;
-    net = { Net.Params.default with Net.Params.cs_range_m = 350. };
-    traffic =
-      { Traffic.default_config with Traffic.num_flows = 10 };
-  }
-
-(* Runs are deterministic, so repetitions produce identical outcomes;
-   the minimum wall time is the repetition least disturbed by the OS.
-   Allocation counters come from the last repetition — they are as
-   deterministic as the run itself. *)
-let timed_run ?(reps = 3) sc =
-  let best = ref infinity in
-  let out = ref None in
-  let minor = ref 0. in
-  let promoted = ref 0. in
-  for _ = 1 to reps do
-    let p0 = (Gc.quick_stat ()).Gc.promoted_words in
-    let m0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let o = Runner.run sc in
-    let dt = Unix.gettimeofday () -. t0 in
-    minor := Gc.minor_words () -. m0;
-    promoted := (Gc.quick_stat ()).Gc.promoted_words -. p0;
-    if dt < !best then best := dt;
-    out := Some o
-  done;
-  (!best, Option.get !out, !minor, !promoted)
-
-type layout_point = {
-  lp_nodes : int;
-  lp_wall_s : float;
-  lp_events : int;
-  lp_transmissions : int;
-  lp_delivery : float;
-  lp_minor_per_ev : float;
-  lp_promoted_per_ev : float;
-}
+   ~15,000 m^2/node on the paper's 5:1 terrain aspect, with a 350 m
+   carrier-sense range, puts the mean decode-range degree around 13,
+   comfortably above the continuum-percolation threshold: the network
+   is connected, delivery figures are meaningful, and the partition
+   wall actually severs live paths. *)
 
 type family_row = {
   fr_name : string;
@@ -514,20 +467,21 @@ type family_row = {
   fr_events : int;
 }
 
-(* The family sweep uses a much denser terrain than the scaling one:
-   ~15,000 m^2/node puts the mean decode-range degree around 13,
-   comfortably above the continuum-percolation threshold, so the network
-   is connected, delivery figures are meaningful, and the partition wall
-   actually severs live paths (at scaling density the network is already
-   fragmented and a wall through it changes nothing). *)
-let scale_family_area_per_node = 15_000.
+let family_area_per_node = 15_000.
 
-let scale_families ~nodes ~duration =
-  let height =
-    sqrt (float_of_int nodes *. scale_family_area_per_node /. 5.)
+let family_scenarios ~nodes ~duration =
+  let height = sqrt (float_of_int nodes *. family_area_per_node /. 5.) in
+  let base =
+    {
+      (Scenario.paper_50 Scenario.ldr) with
+      Scenario.label = Printf.sprintf "families-%dn" nodes;
+      num_nodes = nodes;
+      terrain = Geom.Terrain.create ~width:(5. *. height) ~height;
+      duration = Time.sec duration;
+      net = { Net.Params.default with Net.Params.cs_range_m = 350. };
+      traffic = { Traffic.default_config with Traffic.num_flows = 10 };
+    }
   in
-  let terrain = Geom.Terrain.create ~width:(5. *. height) ~height in
-  let base = { (city_scenario ~nodes ~duration) with Scenario.terrain } in
   let manhattan = Scenario.Manhattan { spacing = 200. } in
   let rpgm =
     Scenario.Rpgm { groups = Stdlib.max 2 (nodes / 50); radius = 100. }
@@ -554,18 +508,8 @@ let scale_families ~nodes ~duration =
     ("partition-heal", Scenario.with_partition (Some partition) base);
   ]
 
-let scale_bench_json ~duration ~family_nodes ~family_duration layout families =
-  let lp p =
-    Printf.sprintf
-      "    { \"nodes\": %d, \"wall_s\": %.4f, \"events\": %d, \
-       \"events_per_s\": %.0f, \"transmissions\": %d, \
-       \"delivery_ratio\": %.4f, \"minor_words_per_event\": %.1f, \
-       \"promoted_words_per_event\": %.2f }"
-      p.lp_nodes p.lp_wall_s p.lp_events
-      (float_of_int p.lp_events /. p.lp_wall_s)
-      p.lp_transmissions p.lp_delivery p.lp_minor_per_ev p.lp_promoted_per_ev
-  in
-  let fr r =
+let families_json ~nodes ~duration rows =
+  let row r =
     Printf.sprintf
       "    { \"family\": %S, \"delivery\": %.4f, \"latency_ms\": %.2f, \
        \"network_load\": %.4f, \"byte_load\": %.1f, \
@@ -574,77 +518,28 @@ let scale_bench_json ~duration ~family_nodes ~family_duration layout families =
       r.fr_byte_load r.fr_violations r.fr_events
   in
   String.concat "\n"
-    ([
-       "{";
-       "  \"benchmark\": \"city-scale\",";
-       Printf.sprintf
-         "  \"scenario\": \"LDR, %g m2/node (5:1 aspect), 10 flows per \
-          1000 nodes (at least 10), %g s simulated, min wall of 3 runs (2 \
-          at 10k nodes)\","
-         city_area_per_node duration;
-       Printf.sprintf
-         "  \"families_scenario\": \"%d nodes, %g s simulated, monitor \
-          armed\","
-         family_nodes family_duration;
-     ]
-    @ [ "  \"layout_points\": [" ]
-    @ [ String.concat ",\n" (List.map lp layout) ]
-    @ [ "  ],"; "  \"families\": [" ]
-    @ [ String.concat ",\n" (List.map fr families) ]
-    @ [ "  ]"; "}" ])
+    [
+      "{";
+      "  \"benchmark\": \"families\",";
+      Printf.sprintf
+        "  \"scenario\": \"LDR, %d nodes, %g m2/node (5:1 aspect), 10 \
+         flows, %g s simulated, seed 1, monitor armed\","
+        nodes family_area_per_node duration;
+      "  \"families\": [";
+      String.concat ",\n" (List.map row rows);
+      "  ]";
+      "}";
+    ]
 
-let scale_bench ~scale () =
-  heading "City scale: growing node counts and the scenario families";
+let families ~scale () =
   let quick = scale.duration <= 30. in
-  let counts = if quick then [ 500 ] else [ 1000; 10_000 ] in
+  let nodes = if quick then 300 else 1000 in
   let duration = if quick then 20. else 60. in
-  let layout =
-    List.map
-      (fun nodes ->
-        (* Flows scale with the node count (10 per 1000 nodes) so the
-           10k point carries real traffic. *)
-        let sc =
-          {
-            (city_scenario ~nodes ~duration) with
-            Scenario.traffic =
-              {
-                Traffic.default_config with
-                Traffic.num_flows = Stdlib.max 10 (nodes / 100);
-              };
-          }
-        in
-        let reps = if nodes >= 10_000 then 2 else 3 in
-        let wall_s, o, minor, promoted = timed_run ~reps sc in
-        let ev = float_of_int o.Runner.events_processed in
-        {
-          lp_nodes = nodes;
-          lp_wall_s = wall_s;
-          lp_events = o.Runner.events_processed;
-          lp_transmissions = o.Runner.transmissions;
-          lp_delivery = Metrics.delivery_ratio o.Runner.metrics;
-          lp_minor_per_ev = minor /. ev;
-          lp_promoted_per_ev = promoted /. ev;
-        })
-      counts
-  in
-  print_endline
-    (Stats.Table.render
-       ~header:
-         [ "nodes"; "wall s"; "minW/ev"; "delivery" ]
-       (List.map
-          (fun p ->
-            [
-              string_of_int p.lp_nodes;
-              Printf.sprintf "%.3f" p.lp_wall_s;
-              Printf.sprintf "%.1f" p.lp_minor_per_ev;
-              Printf.sprintf "%.4f" p.lp_delivery;
-            ])
-          layout));
-  let family_nodes = if quick then 300 else 1000 in
-  let family_duration = if quick then 20. else 60. in
-  Printf.printf "\n  families: %d nodes, %g s, monitor armed\n%!"
-    family_nodes family_duration;
-  let families =
+  heading
+    (Printf.sprintf
+       "Scenario families: %d nodes, %g s, LDR invariant monitor armed" nodes
+       duration);
+  let rows =
     List.map
       (fun (name, sc) ->
         let o = Runner.run ~monitor:true sc in
@@ -661,7 +556,7 @@ let scale_bench ~scale () =
           fr_violations = o.Runner.invariant_violations;
           fr_events = o.Runner.events_processed;
         })
-      (scale_families ~nodes:family_nodes ~duration:family_duration)
+      (family_scenarios ~nodes ~duration)
   in
   print_endline
     (Stats.Table.render
@@ -678,354 +573,12 @@ let scale_bench ~scale () =
               Printf.sprintf "%.1f" r.fr_byte_load;
               string_of_int r.fr_violations;
             ])
-          families));
-  let oc = open_out "BENCH_scale.json" in
-  output_string oc
-    (scale_bench_json ~duration ~family_nodes ~family_duration layout
-       families);
+          rows));
+  let oc = open_out "BENCH_families.json" in
+  output_string oc (families_json ~nodes ~duration rows);
   output_string oc "\n";
   close_out oc;
-  Printf.printf "  (wrote BENCH_scale.json)\n%!"
-
-(* ---- Observability overhead: disabled bus vs null sink vs JSONL --------- *)
-
-(* The bus's contract is that a run without observers pays one branch
-   per emit site and nothing else.  Three measurements over the
-   congested Fig-5 shape (100 nodes, 30 flows, pause 0):
-
-   - disabled: no sinks attached — the production configuration;
-   - null sink: a do-nothing sink, so every emit site actually fills
-     the scratch record and dispatches;
-   - jsonl: the trace writer streaming every event to disk.
-
-   Emission touches no RNG and no scheduling, so all three must process
-   identical event counts; the pre-change baseline (before any obs code
-   existed) is embedded for the same-seed identity check.
-
-   Wall-clock verdicts need care here: the shared container's ambient
-   load swings run time by 5-25% in minutes-long waves (it shows up in
-   user CPU time too, so it is memory-subsystem contention, not
-   scheduler steal, and no in-process calibration loop tracks it --
-   integer-mixing, allocation-heavy and sim-duration variants were all
-   tried and either stay flat or fluctuate more than the sim).  The
-   budget was therefore settled by a controlled A/B: min-of-5
-   invocations of the pre-change binary strictly alternated with the
-   instrumented one on the same machine, order reversed halfway.
-   Those results are recorded below; this bench re-reports the live wall
-   clock against the pre-change floor (expect ambient drift) and the
-   budget verdict combines the deterministic event-identity check with
-   the recorded A/B overhead. *)
-
-(* Re-baselined after the expanding-ring fixes and RREQ aggregation:
-   both change which discovery frames hit the air, so the event
-   schedule — and the deterministic count — moved with them.  (The
-   span/telemetry layer was verified against this count: disabled,
-   null-sink and jsonl configurations all process exactly this many
-   events, same as the uninstrumented parent build.) *)
-let obs_baseline_events = 317_873
-let obs_baseline_wall_s = 1.303
-
-(* +1.46%: instrumented-vs-parent floor from an alternated A/B of the
-   disabled configuration — 10 rounds of min-of-5 invocations each,
-   same machine and seed, invocation order reversed halfway to cancel
-   drift bias.  Floors 1.303 s parent vs 1.322 s instrumented; the
-   median of per-round paired deltas (+1.2%) agrees. *)
-let obs_ab_overhead_pct = 1.46
-
-let obs_duration_s = 60.
-
-let timed_run_f ?(reps = 3) f =
-  let best = ref infinity in
-  let out = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let o = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    out := Some o
-  done;
-  (!best, Option.get !out)
-
-let obs_overhead ~scale:_ () =
-  heading "Observability overhead: disabled bus vs null sink vs JSONL writer";
-  let sc =
-    Scenario.paper_100 Scenario.ldr
-    |> Scenario.with_flows 30
-    |> Scenario.with_pause (Time.sec 0.)
-    |> Scenario.with_duration (Time.sec obs_duration_s)
-  in
-  let disabled_s, od = timed_run_f ~reps:5 (fun () -> Runner.run sc) in
-  let bus_events = ref 0 in
-  let null_s, on =
-    timed_run_f (fun () ->
-        let bus = Obs.Bus.create () in
-        bus_events := 0;
-        Obs.Bus.add_sink bus (fun _ -> incr bus_events);
-        Runner.run ~obs:bus sc)
-  in
-  let trace_file = Filename.temp_file "bench_obs" ".jsonl" in
-  let jsonl_s, oj = timed_run_f (fun () -> Runner.run ~trace_out:trace_file sc) in
-  let trace_bytes = (Unix.stat trace_file).Unix.st_size in
-  Sys.remove trace_file;
-  let events_ok =
-    od.Runner.events_processed = obs_baseline_events
-    && on.Runner.events_processed = obs_baseline_events
-    && oj.Runner.events_processed = obs_baseline_events
-  in
-  if not events_ok then
-    Printf.printf
-      "  !! event counts DIVERGE from pre-change baseline %d (got %d/%d/%d)\n%!"
-      obs_baseline_events od.Runner.events_processed
-      on.Runner.events_processed oj.Runner.events_processed;
-  let pct base v = (v -. base) /. base *. 100. in
-  let disabled_pct = pct obs_baseline_wall_s disabled_s in
-  let null_pct = pct disabled_s null_s in
-  let jsonl_pct = pct disabled_s jsonl_s in
-  (* The guard: a run with no sinks must cost within 2% of the
-     pre-change build (the emit sites' bool checks are the only new
-     work). *)
-  if disabled_pct >= 2. then
-    Printf.printf
-      "  !! disabled-bus overhead %.2f%% vs pre-change floor exceeds the 2%% \
-       budget -- on a shared container this usually means an ambient \
-       slowdown; re-run in a quiet period (event counts are the \
-       deterministic check)\n\
-       %!"
-      disabled_pct;
-  print_endline
-    (Stats.Table.render
-       ~header:[ "configuration"; "wall s"; "overhead"; "bus events" ]
-       [
-         [
-           "disabled";
-           Printf.sprintf "%.3f" disabled_s;
-           Printf.sprintf "%+.2f%% vs pre-change" disabled_pct;
-           "0";
-         ];
-         [
-           "null sink";
-           Printf.sprintf "%.3f" null_s;
-           Printf.sprintf "%+.2f%%" null_pct;
-           string_of_int !bus_events;
-         ];
-         [
-           "jsonl";
-           Printf.sprintf "%.3f" jsonl_s;
-           Printf.sprintf "%+.2f%%" jsonl_pct;
-           Printf.sprintf "%d B" trace_bytes;
-         ];
-       ]);
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"benchmark\": \"obs-overhead\",";
-        Printf.sprintf
-          "  \"scenario\": \"fig5-100n-30f-p0: LDR, 100 nodes, 2200x600 m, \
-           30 flows @ 4 pps, pause 0, %g s simulated, seed 1\","
-          obs_duration_s;
-        Printf.sprintf
-          "  \"baseline_pre_change\": { \"events\": %d, \"wall_floor_s\": \
-           %.3f },"
-          obs_baseline_events obs_baseline_wall_s;
-        Printf.sprintf "  \"events_processed\": %d," od.Runner.events_processed;
-        Printf.sprintf "  \"events_match_baseline\": %b," events_ok;
-        Printf.sprintf "  \"bus_events\": %d," !bus_events;
-        Printf.sprintf "  \"disabled_s\": %.4f," disabled_s;
-        Printf.sprintf "  \"disabled_overhead_pct_vs_baseline\": %.2f,"
-          disabled_pct;
-        Printf.sprintf "  \"null_sink_s\": %.4f," null_s;
-        Printf.sprintf "  \"null_sink_overhead_pct\": %.2f," null_pct;
-        Printf.sprintf "  \"jsonl_s\": %.4f," jsonl_s;
-        Printf.sprintf "  \"jsonl_overhead_pct\": %.2f," jsonl_pct;
-        Printf.sprintf "  \"jsonl_trace_bytes\": %d," trace_bytes;
-        Printf.sprintf "  \"ab_overhead_pct\": %.2f," obs_ab_overhead_pct;
-        "  \"ab_method\": \"10 rounds of min-of-5 invocations, parent \
-         binary alternated with the instrumented one, order reversed \
-         halfway; floor vs floor\",";
-        Printf.sprintf "  \"within_2pct\": %b"
-          (events_ok && obs_ab_overhead_pct < 2.);
-        "}";
-      ]
-  in
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "  (wrote BENCH_obs.json)\n%!"
-
-(* ---- Parallel sweep: domain fan-out over the Fig-5 trial matrix --------- *)
-
-(* The tentpole scenario again (100 nodes, 30 flows — the costliest
-   figure), swept over the scale's pause times x seeds as one trial
-   matrix, at jobs = 1/2/4/8.  Every jobs value must aggregate to
-   bit-identical Welford statistics (the digest check below); the wall
-   clocks give the fan-out speedup.  Per-trial wall and GC figures are
-   measured inside the trial on its own domain — OCaml 5 GC counters
-   are per-domain, and one trial never migrates. *)
-
-let parallel_jobs = [ 1; 2; 4; 8 ]
-
-type parallel_run = {
-  pl_jobs : int;
-  pl_workers : int;  (* effective: jobs clamped to matrix size *)
-  pl_wall_s : float;
-  pl_digest : string;
-  pl_trial_mean_s : float;
-  pl_trial_min_s : float;
-  pl_trial_max_s : float;
-  pl_minor_words : float;  (* summed over trials *)
-  pl_promoted_words : float;
-}
-
-(* Full-precision rendering of every aggregate: any drift in count,
-   mean or variance of any field of any point shows up as a digest
-   mismatch. *)
-let point_digest (p : Sweep.point) =
-  let field w =
-    Printf.sprintf "%d:%.17g:%.17g" (Stats.Welford.count w)
-      (Stats.Welford.mean w) (Stats.Welford.variance w)
-  in
-  String.concat ";"
-    (List.map field
-       [
-         p.Sweep.delivery_ratio; p.Sweep.latency_ms; p.Sweep.network_load;
-         p.Sweep.rreq_load; p.Sweep.rrep_init; p.Sweep.rrep_recv;
-         p.Sweep.mean_dest_seqno;
-       ])
-
-let parallel_sweep ~scale () =
-  heading
-    "Parallel sweep: Fig-5 trial matrix fanned across domains (identical aggregates)";
-  let trials_n = Stdlib.max scale.trials 2 in
-  let base =
-    Scenario.paper_100 Scenario.ldr
-    |> Scenario.with_flows 30
-    |> Scenario.with_duration (Time.sec scale.duration)
-  in
-  let scs =
-    Array.of_list
-      (List.map
-         (fun pause -> Scenario.with_pause (Time.sec pause) base)
-         scale.pauses)
-  in
-  let npts = Array.length scs in
-  let n = npts * trials_n in
-  Printf.printf
-    "  matrix: %d pause times x %d seeds = %d trials (%g s each), %d core(s) recommended\n%!"
-    npts trials_n n scale.duration
-    (Experiment.Parallel.recommended_jobs ());
-  let trial k =
-    let sc = scs.(k / trials_n) in
-    let sc = { sc with Scenario.seed = sc.Scenario.seed + (k mod trials_n) } in
-    let m0 = Gc.minor_words () in
-    let p0 = (Gc.quick_stat ()).Gc.promoted_words in
-    let t0 = Unix.gettimeofday () in
-    let o = Runner.run sc in
-    let dt = Unix.gettimeofday () -. t0 in
-    ( o.Runner.summary,
-      dt,
-      Gc.minor_words () -. m0,
-      (Gc.quick_stat ()).Gc.promoted_words -. p0 )
-  in
-  let run_at jobs =
-    let t0 = Unix.gettimeofday () in
-    let results = Experiment.Parallel.map ~jobs n trial in
-    let wall = Unix.gettimeofday () -. t0 in
-    (* Merge in seed order exactly as Sweep.run does — completion order
-       must not matter. *)
-    let points =
-      List.init npts (fun pi ->
-          let p = Sweep.empty_point () in
-          for t = 0 to trials_n - 1 do
-            let s, _, _, _ = results.((pi * trials_n) + t) in
-            Sweep.add_summary p s
-          done;
-          p)
-    in
-    let walls = Array.map (fun (_, dt, _, _) -> dt) results in
-    let sum f = Array.fold_left (fun acc r -> acc +. f r) 0. results in
-    {
-      pl_jobs = jobs;
-      pl_workers = Stdlib.min jobs n;
-      pl_wall_s = wall;
-      pl_digest = String.concat "|" (List.map point_digest points);
-      pl_trial_mean_s =
-        Array.fold_left ( +. ) 0. walls /. float_of_int n;
-      pl_trial_min_s = Array.fold_left Stdlib.min infinity walls;
-      pl_trial_max_s = Array.fold_left Stdlib.max 0. walls;
-      pl_minor_words = sum (fun (_, _, m, _) -> m);
-      pl_promoted_words = sum (fun (_, _, _, p) -> p);
-    }
-  in
-  let runs = List.map run_at parallel_jobs in
-  let baseline = List.hd runs in
-  let rows =
-    List.map
-      (fun r ->
-        [
-          string_of_int r.pl_jobs;
-          string_of_int r.pl_workers;
-          Printf.sprintf "%.3f" r.pl_wall_s;
-          Printf.sprintf "%.2fx" (baseline.pl_wall_s /. r.pl_wall_s);
-          (if r.pl_digest = baseline.pl_digest then "yes" else "NO");
-          Printf.sprintf "%.3f" r.pl_trial_mean_s;
-          Printf.sprintf "%.3f/%.3f" r.pl_trial_min_s r.pl_trial_max_s;
-          Printf.sprintf "%.2e" r.pl_minor_words;
-        ])
-      runs
-  in
-  List.iter
-    (fun r ->
-      if r.pl_digest <> baseline.pl_digest then
-        Printf.printf "  !! jobs=%d aggregates DIVERGE from jobs=1\n%!"
-          r.pl_jobs)
-    runs;
-  print_endline
-    (Stats.Table.render
-       ~header:
-         [ "jobs"; "workers"; "wall s"; "speedup"; "identical";
-           "trial mean s"; "trial min/max s"; "minor words" ]
-       rows);
-  if Experiment.Parallel.recommended_jobs () = 1 then
-    Printf.printf
-      "  note: this machine exposes 1 core; fan-out cannot beat 1.0x here.\n\
-      \  The >=2x-at-4-jobs target applies to multi-core (CI-class) hosts.\n%!";
-  let json_run r =
-    Printf.sprintf
-      "    { \"jobs\": %d, \"workers\": %d, \"wall_s\": %.4f, \"speedup\": \
-       %.2f, \"identical\": %b, \"trial_wall_mean_s\": %.4f, \
-       \"trial_wall_min_s\": %.4f, \"trial_wall_max_s\": %.4f, \
-       \"minor_words\": %.0f, \"promoted_words\": %.0f }"
-      r.pl_jobs r.pl_workers r.pl_wall_s
-      (baseline.pl_wall_s /. r.pl_wall_s)
-      (r.pl_digest = baseline.pl_digest)
-      r.pl_trial_mean_s r.pl_trial_min_s r.pl_trial_max_s r.pl_minor_words
-      r.pl_promoted_words
-  in
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"benchmark\": \"parallel-sweep\",";
-        Printf.sprintf
-          "  \"scenario\": \"fig5 sweep: LDR, 100 nodes, 30 flows, %d pause \
-           times x %d seeds, %g s simulated per trial\","
-          npts trials_n scale.duration;
-        Printf.sprintf "  \"recommended_domains\": %d,"
-          (Experiment.Parallel.recommended_jobs ());
-        Printf.sprintf "  \"trials\": %d," n;
-        "  \"runs\": [";
-        String.concat ",\n" (List.map json_run runs);
-        "  ]";
-        "}";
-      ]
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "  (wrote BENCH_parallel.json)\n%!"
+  Printf.printf "  (wrote BENCH_families.json)\n%!"
 
 (* ---- Wire codec: encode/decode throughput over the Fig-5 mix ------------ *)
 
@@ -1073,11 +626,19 @@ let codec_bench ~scale:_ () =
   let reps = Stdlib.max 1 (2_000_000 / n) in
   let packets = reps * n in
   let decode_errors = ref 0 in
+  (* The least-disturbed wall time of three timed rounds; the
+     allocation count is per round, as deterministic as the codec. *)
+  let rounds = 3 in
   let measure pass =
     let m0 = Gc.minor_words () in
-    let wall, () = timed_run_f (fun () -> for _ = 1 to reps do pass () done) in
-    let minor = (Gc.minor_words () -. m0) /. 3. (* reps of timed_run_f *) in
-    (wall, minor /. float_of_int packets)
+    let wall = ref infinity in
+    for _ = 1 to rounds do
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to reps do pass () done;
+      wall := Float.min !wall (Unix.gettimeofday () -. t0)
+    done;
+    let minor = (Gc.minor_words () -. m0) /. float_of_int rounds in
+    (!wall, minor /. float_of_int packets)
   in
   let enc_s, enc_minor =
     measure (fun () ->
@@ -1153,57 +714,6 @@ let codec_bench ~scale:_ () =
   output_string oc "\n";
   close_out oc;
   Printf.printf "  (wrote BENCH_wire.json)\n%!"
-
-(* ---- Bechamel microbenchmarks: one Test.make per table/figure kernel ---- *)
-
-let kernel ~nodes ~flows protocol () =
-  let sc =
-    scenario_for
-      ~scale:{ duration = 5.; trials = 1; pauses = [] }
-      ~nodes ~flows protocol
-    |> Scenario.with_pause (Time.sec 0.)
-  in
-  ignore (Runner.run sc)
-
-let bechamel_suite () =
-  heading "Bechamel: per-experiment simulation kernels (5 simulated seconds each)";
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    [
-      Test.make ~name:"table1-kernel-ldr-10f"
-        (Staged.stage (kernel ~nodes:50 ~flows:10 Scenario.ldr));
-      Test.make ~name:"fig2-kernel-aodv-10f"
-        (Staged.stage (kernel ~nodes:50 ~flows:10 Scenario.aodv));
-      Test.make ~name:"fig3-kernel-ldr-30f"
-        (Staged.stage (kernel ~nodes:50 ~flows:30 Scenario.ldr));
-      Test.make ~name:"fig4-kernel-ldr-100n"
-        (Staged.stage (kernel ~nodes:100 ~flows:10 Scenario.ldr));
-      Test.make ~name:"fig5-kernel-aodv-100n-30f"
-        (Staged.stage (kernel ~nodes:100 ~flows:30 Scenario.aodv));
-      Test.make ~name:"fig6-kernel-dsr-30f"
-        (Staged.stage (kernel ~nodes:50 ~flows:30 Scenario.dsr));
-      Test.make ~name:"fig7-kernel-olsr-10f"
-        (Staged.stage (kernel ~nodes:50 ~flows:10 Scenario.olsr));
-    ]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Bechamel.Time.second 2.0) ~kde:None () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Printf.printf "  %-30s %10.2f ms/run\n%!" name (est /. 1e6)
-          | Some _ | None -> Printf.printf "  %-30s (no estimate)\n%!" name)
-        stats)
-    tests
 
 (* ---- Model-checker exhaustiveness report --------------------------------- *)
 
@@ -1302,9 +812,7 @@ let all_experiments =
     ("ablation", ablation);
     ("aggregation", aggregation);
     ("discovery", discovery);
-    ("scale", scale_bench);
-    ("obs", obs_overhead);
-    ("parallel", parallel_sweep);
+    ("families", families);
     ("codec", codec_bench);
     ("mcheck", mcheck_bench);
   ]
@@ -1317,7 +825,6 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let scale = ref default_scale in
   let selected = ref [] in
-  let run_bechamel = ref false in
   List.iter
     (fun a ->
       match a with
@@ -1325,22 +832,17 @@ let () =
       | "--quick" -> scale := quick_scale
       | a when String.length a > 6 && String.sub a 0 6 = "--csv=" ->
           csv_dir := Some (String.sub a 6 (String.length a - 6))
-      | "all" ->
-          selected := List.map fst all_experiments;
-          run_bechamel := true
-      | "bechamel" -> run_bechamel := true
+      | "all" -> selected := List.map fst all_experiments
       | name when List.mem_assoc name all_experiments ->
           selected := !selected @ [ name ]
       | other ->
           Printf.eprintf
-            "unknown argument %S (expected: table1 fig2..fig7 ablation aggregation discovery scale obs parallel codec mcheck bechamel all --full --quick --csv=DIR)\n"
+            "unknown argument %S (expected: table1 fig2..fig7 ablation aggregation discovery families codec mcheck all --full --quick --csv=DIR)\n"
             other;
           exit 2)
     args;
-  let selected, run_bechamel =
-    if !selected = [] && not !run_bechamel then
-      (List.map fst all_experiments, true)
-    else (!selected, !run_bechamel)
+  let selected =
+    if !selected = [] then List.map fst all_experiments else !selected
   in
   let scale = !scale in
   Printf.printf
@@ -1350,5 +852,4 @@ let () =
   Printf.printf "(paper scale: 900 s, 10 trials, 7 pause times -- pass --full)\n%!";
   let t0 = Unix.gettimeofday () in
   List.iter (fun name -> (List.assoc name all_experiments) ~scale ()) selected;
-  if run_bechamel then bechamel_suite ();
   Printf.printf "\nTotal wall time: %.1f s\n" (Unix.gettimeofday () -. t0)

@@ -1,7 +1,7 @@
 (** Domain-parallel trial execution.
 
-    A chunked work queue (Mutex + Condition, stdlib only) fans indexed
-    jobs across OCaml 5 domains.  The executor is generic — it knows
+    Worker domains claim indexed jobs one at a time from a shared
+    atomic counter (stdlib only).  The executor is generic — it knows
     nothing about scenarios — and {!Sweep} uses it to spread a sweep's
     (seed × parameter-point) trial matrix over cores.
 
@@ -15,31 +15,24 @@
     [jobs] value, including the inline [jobs = 1] path.  See
     [docs/PARALLELISM.md]. *)
 
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — the hardware-suggested
-    worker count, >= 1. *)
-
-val resolve_jobs : int -> int
-(** [resolve_jobs j] is [j] for [j >= 1] and {!recommended_jobs}[ ()]
-    for [0].  Raises [Invalid_argument] on negative [j].  The CLI's
-    [--jobs 0 = auto] convention funnels through here. *)
-
 val effective_jobs : items:int -> int -> int
-(** [effective_jobs ~items j] is {!resolve_jobs}[ j] capped at [items]
-    (and at least 1): auto mode never spawns more domains than there is
+(** [effective_jobs ~items j] is the worker count {!map} uses for
+    [items] jobs: [j], or one per recommended core
+    ([Domain.recommended_domain_count]) for [j = 0], capped at [items]
+    and at least 1.  Auto mode never spawns more domains than there is
     work — spare domains would only pay startup cost and skew the
-    per-domain GC deltas benchmarks report.  {!map} and the CLI's
-    [--jobs 0] auto mode resolve through here. *)
+    per-domain GC deltas benchmarks report.  Raises [Invalid_argument]
+    on negative [j]; the CLI's [--jobs 0 = auto] convention funnels
+    through here. *)
 
-val map : ?jobs:int -> ?chunk:int -> int -> (int -> 'a) -> 'a array
+val map : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [map ~jobs n f] is [[| f 0; ...; f (n-1) |]].
 
-    [jobs <= 1] (after {!resolve_jobs}) or [n <= 1] runs inline on the
-    calling domain in index order — exactly today's sequential
+    [jobs <= 1] (after {!effective_jobs}) or [n <= 1] runs inline on
+    the calling domain in index order — exactly today's sequential
     behaviour, no domain is spawned.  Otherwise [min jobs n] worker
-    domains drain a queue of [chunk]-sized index ranges (default: a
-    balanced chunk small enough to keep every worker busy, at least 1).
+    domains each repeatedly claim the next unclaimed index.
 
     If any [f i] raises, the first exception (by completion order) is
     re-raised in the caller with its backtrace after all workers have
-    stopped; remaining queued chunks are abandoned. *)
+    stopped; indices not yet claimed are abandoned. *)

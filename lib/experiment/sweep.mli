@@ -4,7 +4,7 @@
     Every entry point takes [?jobs] (default 1: run inline,
     sequentially, exactly as before).  With [jobs > 1] the trial matrix
     fans across that many domains via {!Parallel.map}; [jobs = 0] means
-    auto ({!Parallel.recommended_jobs}).  Each trial builds a fully
+    auto ({!Parallel.effective_jobs}).  Each trial builds a fully
     isolated simulation (own engine, RNG, metrics, observability bus),
     and results are folded in ascending seed order regardless of
     completion order, so per-seed outcomes and the aggregated Welford

@@ -3,8 +3,8 @@
    Three layers of evidence that fanning a sweep across domains changes
    nothing but the wall clock:
 
-   - executor unit tests (index order, exactly-once, chunking,
-     exception propagation);
+   - executor unit tests (index order, exactly-once, job-count
+     resolution, exception propagation);
    - differential conformance: the same (point x seed) matrix at jobs=1
      and jobs=N yields exactly equal per-seed outcomes, aggregate
      Welford statistics, loop-audit results and fault-injection
@@ -64,8 +64,6 @@ let map_order () =
   let expect = Array.init 23 (fun i -> i * i) in
   checkb "jobs=1" true (Parallel.map ~jobs:1 23 (fun i -> i * i) = expect);
   checkb "jobs=4" true (Parallel.map ~jobs:4 23 (fun i -> i * i) = expect);
-  checkb "jobs=4 chunk=5" true
-    (Parallel.map ~jobs:4 ~chunk:5 23 (fun i -> i * i) = expect);
   checkb "jobs > n" true (Parallel.map ~jobs:64 23 (fun i -> i * i) = expect);
   checkb "n=0" true (Parallel.map ~jobs:4 0 (fun i -> i) = [||]);
   checkb "n=1" true (Parallel.map ~jobs:4 1 (fun i -> i + 41) = [| 41 |])
@@ -73,9 +71,7 @@ let map_order () =
 let map_exactly_once () =
   let n = 57 in
   let counters = Array.init n (fun _ -> Atomic.make 0) in
-  ignore
-    (Parallel.map ~jobs:test_jobs ~chunk:3 n (fun i ->
-         Atomic.incr counters.(i)));
+  ignore (Parallel.map ~jobs:test_jobs n (fun i -> Atomic.incr counters.(i)));
   Array.iteri
     (fun i c -> checki (Printf.sprintf "index %d ran once" i) 1 (Atomic.get c))
     counters
@@ -89,11 +85,16 @@ let map_exception () =
   | exception Failure m -> Alcotest.check Alcotest.string "message" "trial 7 exploded" m
 
 let resolve_jobs () =
-  checkb "auto >= 1" true (Parallel.resolve_jobs 0 >= 1);
-  checki "explicit" 3 (Parallel.resolve_jobs 3);
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Parallel.resolve_jobs: jobs must be >= 0") (fun () ->
-      ignore (Parallel.resolve_jobs (-1)))
+  checkb "auto >= 1" true (Parallel.effective_jobs ~items:64 0 >= 1);
+  checki "auto capped at items" 1 (Parallel.effective_jobs ~items:1 0);
+  checki "explicit" 3 (Parallel.effective_jobs ~items:64 3);
+  checki "explicit capped at items" 2 (Parallel.effective_jobs ~items:2 3);
+  checki "no items" 1 (Parallel.effective_jobs ~items:0 3);
+  let negative = Invalid_argument "Parallel.effective_jobs: jobs must be >= 0" in
+  Alcotest.check_raises "negative" negative (fun () ->
+      ignore (Parallel.effective_jobs ~items:4 (-1)));
+  Alcotest.check_raises "map negative" negative (fun () ->
+      ignore (Parallel.map ~jobs:(-1) 4 (fun i -> i)))
 
 (* ---- differential conformance ------------------------------------------ *)
 
