@@ -20,6 +20,7 @@ type t = {
   mutable prev_fired : int; (* from the last sample *)
   mutable prev_t : Sim.Time.t; (* virtual time of the last sample *)
   mutable prev_ctl : int;
+  mutable prev_scan : int * int; (* calendar (entries examined, pops) *)
 }
 
 let create ?jsonl ?prom () =
@@ -31,6 +32,7 @@ let create ?jsonl ?prom () =
     prev_fired = 0;
     prev_t = Sim.Time.zero;
     prev_ctl = 0;
+    prev_scan = (0, 0);
   }
 
 let gc_words () =
@@ -63,9 +65,18 @@ let write_jsonl t oc e ~grid ~wall ~dt g =
      \"ratio\":%.4f,\"ctl_rate\":%.1f,\"rt_mean\":%.2f,\"fd_mean\":%.2f"
     g.inflight g.ifq g.originated g.delivered ratio ctl_rate g.rt_mean
     g.fd_mean;
-  Printf.bprintf buf ",\"cal_buckets\":%d,\"cal_occupancy\":%.3f"
+  let examined, pops = Sim.Engine.calendar_scan e in
+  let prev_examined, prev_pops = t.prev_scan in
+  let scan =
+    if pops = prev_pops then 0.
+    else
+      float_of_int (examined - prev_examined) /. float_of_int (pops - prev_pops)
+  in
+  Printf.bprintf buf
+    ",\"cal_buckets\":%d,\"cal_occupancy\":%.3f,\"cal_scan\":%.3f"
     (Sim.Engine.calendar_buckets e)
-    (Sim.Engine.calendar_occupancy e);
+    (Sim.Engine.calendar_occupancy e)
+    scan;
   let cells, occupied, max_occ = grid in
   Printf.bprintf buf
     ",\"grid_cells\":%d,\"grid_occupied\":%d,\"grid_max_occupancy\":%d"
@@ -120,7 +131,8 @@ let record t e ~grid g =
   t.prev_wall <- wall;
   t.prev_fired <- Sim.Engine.events_processed e;
   t.prev_t <- Sim.Engine.now e;
-  t.prev_ctl <- g.control_tx
+  t.prev_ctl <- g.control_tx;
+  t.prev_scan <- Sim.Engine.calendar_scan e
 
 let close t = match t.jsonl with Some oc -> close_out oc | None -> ()
 

@@ -1,12 +1,14 @@
-(* Calendar queue (Brown, CACM '88): pending events live in an array of
-   buckets, each covering a [width]-wide slice of time; bucket [b] holds
-   events in [base + b*width, base + (b+1)*width).  The whole calendar
-   spans one "year" [nbuckets * width]; events due beyond the current
-   year wait in an unordered overflow tier and migrate into the calendar
-   when it is rebuilt.  Schedule and cancel are O(1); pop scans forward
-   from the bucket of the last popped event, which is O(1) amortized
-   when the bucket width tracks the mean inter-event gap — the resize
-   policy below keeps it there.
+(* Calendar queue (Brown, CACM '88) with an ordered far tier.  Pending
+   events near the front live on a wheel of [nbuckets] buckets, each
+   covering a [width]-wide slice of time, [width] a power of two.  The
+   wheel rolls: bucket [s land mask] holds the events of absolute slot
+   [s = time lsr shift] for the [nbuckets] slots from [cur], the window
+   whose last instant is [horizon].  Events due after [horizon] wait in
+   a binary min-heap on time and migrate onto the wheel once, when the
+   window reaches them.  Schedule and cancel of a wheel event are O(1);
+   pop scans forward from [cur] and min-scans the first non-empty
+   bucket, which is O(1) while the width matches the spacing of the
+   events at the front — the retune below keeps it there.
 
    Event slots are pooled in parallel arrays and addressed by int
    handles packing (generation, index).  Freed slots bump their
@@ -25,10 +27,10 @@ let idx_mask = (1 lsl idx_bits) - 1
 let max_slots = 1 lsl idx_bits
 let no_slot = -1
 
-(* [wheres.(i)]: bucket index when the slot is linked into the calendar,
-   or one of these sentinels. *)
-let w_free = -2
-let w_overflow = -3
+(* [wheres.(i)]: bucket index while the slot is on the wheel, [w_free]
+   while it is free, and [-2 - p] while it sits at position [p] of the
+   far heap. *)
+let w_free = -1
 
 let dummy_fn : Obj.t -> unit = fun _ -> ()
 let unit_arg = Obj.repr 0
@@ -47,21 +49,18 @@ type t = {
   mutable prevs : int array;
   mutable wheres : int array;
   mutable free_head : int;
-  (* Calendar proper. *)
+  (* Wheel.  Buckets past [mask] stay empty, so a retune can shrink or
+     regrow the wheel within the arrays without clearing them. *)
   mutable buckets : int array;  (* head slot per bucket, or no_slot *)
   mutable btails : int array;
-  mutable width : int;  (* ns per bucket *)
-  mutable cal_base : int;  (* time at the start of bucket 0 *)
-  mutable cur_bucket : int;  (* min live event is at or after this bucket *)
-  mutable cal_count : int;
-  (* Overflow tier: unordered array of slots due beyond the current
-     year.  [ov_seqs] snapshots each slot's seq so entries whose slot
-     was cancelled (and possibly recycled) are recognised as stale when
-     the tier is collected. *)
-  mutable ov_slots : int array;
-  mutable ov_seqs : int array;
-  mutable ov_size : int;
-  mutable ov_live : int;
+  mutable mask : int;  (* nbuckets - 1 *)
+  mutable shift : int;  (* width = 1 lsl shift ns *)
+  mutable cur : int;  (* no wheel event sits in a slot below this *)
+  mutable horizon : int;  (* last instant of the window *)
+  mutable near : int;  (* events on the wheel *)
+  (* Far tier: binary min-heap of slots keyed on time. *)
+  mutable far : int array;
+  mutable far_size : int;
   mutable live : int;
   mutable next_seq : int;
   (* Staged pop: [pop_staged] unlinks the due event and parks its slot
@@ -69,11 +68,29 @@ type t = {
      a pop allocates nothing and — the slot index being an immediate
      int — writes through no GC barrier. *)
   mutable staged_slot : int;
-  mutable scratch : int array;  (* rebuild workspace *)
+  mutable examined : int;  (* bucket entries examined by every pop *)
+  mutable pops : int;
+  (* Pop cost beyond [cost_bound] per pop, summed since it last fell
+     to zero. *)
+  mutable excess : int;
+  front : int array;  (* retune workspace: the earliest live times *)
 }
 
-let init_buckets = 64
 let min_buckets = 64
+
+(* Pop cost is counted in empty buckets skipped — one load and compare
+   each in the scan loop — and an entry examined, a dependent load
+   through the bucket chain plus a (time, seq) comparison, weighs
+   [entry_cost] of them.  Pops may cost [cost_bound] each; a retune is
+   due once the cost beyond that adds up to the wheel size in entries,
+   the order of a retune's own cost. *)
+let entry_cost = 4
+let cost_bound = 6 * entry_cost
+
+(* A retune sets the width to the mean spacing of the [front_k]
+   earliest live events, rounded down to a power of two, and sizes the
+   wheel to at least twice the live count. *)
+let front_k = 8
 
 let create () =
   let cap = 256 in
@@ -88,27 +105,32 @@ let create () =
     prevs = Array.make cap no_slot;
     wheres = Array.make cap w_free;
     free_head = 0;
-    buckets = Array.make init_buckets no_slot;
-    btails = Array.make init_buckets no_slot;
-    width = 1_000_000 (* 1 ms; retuned at the first resize *);
-    cal_base = 0;
-    cur_bucket = 0;
-    cal_count = 0;
-    ov_slots = Array.make 16 no_slot;
-    ov_seqs = Array.make 16 (-1);
-    ov_size = 0;
-    ov_live = 0;
+    buckets = Array.make min_buckets no_slot;
+    btails = Array.make min_buckets no_slot;
+    mask = min_buckets - 1;
+    shift = 20 (* ~1 ms until the first retune *);
+    cur = 0;
+    horizon = (min_buckets lsl 20) - 1;
+    near = 0;
+    far = Array.make 16 no_slot;
+    far_size = 0;
     live = 0;
     next_seq = 0;
     staged_slot = no_slot;
-    scratch = [||];
+    examined = 0;
+    pops = 0;
+    excess = 0;
+    front = Array.make front_k 0;
   }
 
 let live_count t = t.live
+let near_count t = t.near
 let is_empty t = t.live = 0
 let capacity t = Array.length t.times
-let num_buckets t = Array.length t.buckets
-let bucket_width t = t.width
+let num_buckets t = t.mask + 1
+let bucket_width t = 1 lsl t.shift
+let entries_examined t = t.examined
+let pops t = t.pops
 let handle_of t i = (t.gens.(i) lsl idx_bits) lor i
 
 (* ---- Slot pool --------------------------------------------------------- *)
@@ -165,123 +187,159 @@ let free_slot t i =
    off because most scheduled events (MAC ack/access timers, protocol
    retransmits) are cancelled before they fire and never get popped at
    all. *)
-let bucket_insert t b i =
+let bucket_insert t i =
+  let b = (t.times.(i) lsr t.shift) land t.mask in
   t.wheres.(i) <- b;
   let tl = t.btails.(b) in
   t.prevs.(i) <- tl;
   t.nexts.(i) <- no_slot;
   if tl = no_slot then t.buckets.(b) <- i else t.nexts.(tl) <- i;
   t.btails.(b) <- i;
-  t.cal_count <- t.cal_count + 1
+  t.near <- t.near + 1
 
 let bucket_remove t b i =
   let p = t.prevs.(i) and n = t.nexts.(i) in
   if p = no_slot then t.buckets.(b) <- n else t.nexts.(p) <- n;
   if n = no_slot then t.btails.(b) <- p else t.prevs.(n) <- p;
-  t.cal_count <- t.cal_count - 1
+  t.near <- t.near - 1
 
-(* ---- Overflow tier ----------------------------------------------------- *)
+(* ---- Far tier ---------------------------------------------------------- *)
 
-let ov_push t i =
-  if t.ov_size = Array.length t.ov_slots then begin
-    let cap = 2 * t.ov_size in
-    let slots' = Array.make cap no_slot and seqs' = Array.make cap (-1) in
-    Array.blit t.ov_slots 0 slots' 0 t.ov_size;
-    Array.blit t.ov_seqs 0 seqs' 0 t.ov_size;
-    t.ov_slots <- slots';
-    t.ov_seqs <- seqs'
-  end;
-  t.ov_slots.(t.ov_size) <- i;
-  t.ov_seqs.(t.ov_size) <- t.seqs.(i);
-  t.ov_size <- t.ov_size + 1;
-  t.wheres.(i) <- w_overflow
+(* Keyed on time alone: the heap only decides when an event enters the
+   window, and the bucket min-scan orders ties. *)
+let far_set t p i =
+  t.far.(p) <- i;
+  t.wheres.(i) <- -2 - p
 
-(* An overflow entry is live iff its slot still holds the same event:
-   still marked overflow and the seq matches (a recycled slot gets a
-   fresh, globally unique seq). *)
-let ov_entry_live t k =
-  let s = t.ov_slots.(k) in
-  t.wheres.(s) = w_overflow && t.seqs.(s) = t.ov_seqs.(k)
+let rec sift_up t p i tm =
+  let q = (p - 1) / 2 in
+  if p > 0 && t.times.(t.far.(q)) > tm then begin
+    far_set t p t.far.(q);
+    sift_up t q i tm
+  end
+  else far_set t p i
 
-(* ---- Resize / rebase --------------------------------------------------- *)
-
-(* Cap the year below 2^60 ns so [cal_base + year] cannot overflow. *)
-let max_width nbuckets = (1 lsl 60) / nbuckets
-
-(* Pick a bucket width from the live events: sample up to 64 times,
-   take the median non-zero inter-sample gap, and cover ~3 events per
-   bucket.  The median is robust against the far-future outliers
-   (flow restarts, long protocol timers) that skew a mean gap. *)
-let choose_width t n =
-  if n < 3 then t.width
+let rec sift_down t p i tm =
+  let l = (2 * p) + 1 in
+  if l >= t.far_size then far_set t p i
   else begin
-    let k = Stdlib.min 64 n in
-    let sample = Array.init k (fun j -> t.times.(t.scratch.(j * n / k))) in
-    Array.sort (fun (a : int) b -> Stdlib.compare a b) sample;
-    let gaps = Array.init (k - 1) (fun j -> sample.(j + 1) - sample.(j)) in
-    Array.sort (fun (a : int) b -> Stdlib.compare a b) gaps;
-    let nz = ref 0 in
-    while !nz < k - 1 && gaps.(!nz) = 0 do incr nz done;
-    if !nz = k - 1 then t.width (* all samples coincide *)
-    else
-      let med = gaps.(!nz + ((k - 1 - !nz) / 2)) in
-      Stdlib.max 1 med
+    let c =
+      if l + 1 < t.far_size && t.times.(t.far.(l + 1)) < t.times.(t.far.(l))
+      then l + 1
+      else l
+    in
+    let j = t.far.(c) in
+    if t.times.(j) < tm then begin
+      far_set t p j;
+      sift_down t c i tm
+    end
+    else far_set t p i
   end
 
-(* Snapshot resize: collect every live slot (buckets and overflow,
-   skipping stale overflow entries), retune the width, and reinsert
-   against a new base.  Also serves as the rebase when the calendar
-   drains into the overflow tier, and as the below-base rescue when a
-   bounded [run] left the clock behind a later event.  O(live), and
-   rare by construction. *)
-let rebuild t ?(base = max_int) ~nbuckets () =
-  if Array.length t.scratch < t.live then
-    t.scratch <- Array.make (Stdlib.max 64 (2 * t.live)) 0;
-  let n = ref 0 in
-  let min_time = ref base in
-  let nb = Array.length t.buckets in
-  for b = 0 to nb - 1 do
-    let i = ref t.buckets.(b) in
-    while !i <> no_slot do
-      t.scratch.(!n) <- !i;
-      incr n;
-      if t.times.(!i) < !min_time then min_time := t.times.(!i);
-      i := t.nexts.(!i)
-    done
-  done;
-  for k = 0 to t.ov_size - 1 do
-    if ov_entry_live t k then begin
-      let s = t.ov_slots.(k) in
-      t.scratch.(!n) <- s;
-      incr n;
-      if t.times.(s) < !min_time then min_time := t.times.(s)
-    end
-  done;
-  t.ov_size <- 0;
-  t.ov_live <- 0;
-  t.cal_count <- 0;
-  let n = !n in
-  if nbuckets <> nb then begin
-    t.buckets <- Array.make nbuckets no_slot;
-    t.btails <- Array.make nbuckets no_slot
-  end
-  else begin
-    Array.fill t.buckets 0 nb no_slot;
-    Array.fill t.btails 0 nb no_slot
+let far_push t i =
+  let p = t.far_size in
+  if p = Array.length t.far then begin
+    let far' = Array.make (2 * p) no_slot in
+    Array.blit t.far 0 far' 0 p;
+    t.far <- far'
   end;
-  t.width <- Stdlib.min (choose_width t n) (max_width nbuckets);
-  t.cal_base <- (if n = 0 then 0 else !min_time);
-  t.cur_bucket <- 0;
-  let year = t.width * nbuckets in
-  for j = 0 to n - 1 do
-    let i = t.scratch.(j) in
-    let off = t.times.(i) - t.cal_base in
-    if off >= year then begin
-      ov_push t i;
-      t.ov_live <- t.ov_live + 1
-    end
-    else bucket_insert t (off / t.width) i
+  t.far_size <- p + 1;
+  sift_up t p i t.times.(i)
+
+let far_remove t p =
+  let n = t.far_size - 1 in
+  t.far_size <- n;
+  if p < n then begin
+    let last = t.far.(n) in
+    let tm = t.times.(last) in
+    if p > 0 && t.times.(t.far.((p - 1) / 2)) > tm then sift_up t p last tm
+    else sift_down t p last tm
+  end
+
+(* Move every far event the window now covers onto the wheel. *)
+let migrate t =
+  while t.far_size > 0 && t.times.(t.far.(0)) <= t.horizon do
+    let i = t.far.(0) in
+    far_remove t 0;
+    bucket_insert t i
   done
+
+let place t i =
+  if t.times.(i) <= t.horizon then bucket_insert t i else far_push t i
+
+(* Start the window at slot [c].  [horizon] saturates: when the window
+   would end past [max_int], every representable time lies inside it. *)
+let set_window t c =
+  t.cur <- c;
+  let nb = t.mask + 1 in
+  t.horizon <-
+    (if c + nb > max_int lsr t.shift then max_int
+     else ((c + nb) lsl t.shift) - 1)
+
+(* ---- Retune ------------------------------------------------------------ *)
+
+let rec log2_floor x = if x <= 1 then 0 else 1 + log2_floor (x lsr 1)
+
+(* Keep the [front_k] smallest times seen in [front.(0 .. nf-1)],
+   ascending; returns the new count. *)
+let note_front t nf tm =
+  let f = t.front in
+  if nf < front_k || tm < f.(front_k - 1) then begin
+    let j = ref (Stdlib.min nf (front_k - 1)) in
+    while !j > 0 && f.(!j - 1) > tm do
+      f.(!j) <- f.(!j - 1);
+      decr j
+    done;
+    f.(!j) <- tm;
+    Stdlib.min (nf + 1) front_k
+  end
+  else nf
+
+(* Re-lay the wheel from the events at the front: unlink every wheel
+   event into one chain, size the wheel to twice the live count, set the
+   width from the earliest [front_k] live events, anchor the window at
+   the earliest of them (or at [anchor], if earlier) and reinsert.  Far
+   events stay in the heap unless the new window reaches them.
+   O(nbuckets + near); allocates only when the wheel grows past every
+   earlier size. *)
+let retune t anchor =
+  let chain = ref no_slot and nf = ref 0 in
+  for b = 0 to t.mask do
+    let h = t.buckets.(b) in
+    if h <> no_slot then begin
+      let i = ref h in
+      while !i <> no_slot do
+        nf := note_front t !nf t.times.(!i);
+        i := t.nexts.(!i)
+      done;
+      t.nexts.(t.btails.(b)) <- !chain;
+      chain := h;
+      t.buckets.(b) <- no_slot;
+      t.btails.(b) <- no_slot
+    end
+  done;
+  if t.far_size > 0 then nf := note_front t !nf t.times.(t.far.(0));
+  let nf = !nf in
+  let nb = ref min_buckets in
+  while !nb < 2 * t.live do nb := 2 * !nb done;
+  let nb = !nb in
+  if nb > Array.length t.buckets then begin
+    t.buckets <- Array.make nb no_slot;
+    t.btails <- Array.make nb no_slot
+  end;
+  t.mask <- nb - 1;
+  if nf >= 2 && t.front.(nf - 1) > t.front.(0) then
+    t.shift <- log2_floor ((t.front.(nf - 1) - t.front.(0)) / (nf - 1));
+  let lo = if nf > 0 then Stdlib.min anchor t.front.(0) else anchor in
+  set_window t (lo lsr t.shift);
+  t.near <- 0;
+  let i = ref !chain in
+  while !i <> no_slot do
+    let next = t.nexts.(!i) in
+    place t !i;
+    i := next
+  done;
+  migrate t
 
 (* ---- Schedule / cancel ------------------------------------------------- *)
 
@@ -294,43 +352,24 @@ let schedule_raw t (time : Time.t) fn arg =
   t.seqs.(i) <- sq;
   t.fns.(i) <- fn;
   t.args.(i) <- arg;
-  if t.live = 0 then begin
-    (* Empty queue: re-anchor the calendar at this event.  Any stale
-       overflow entries are dead weight — drop them. *)
-    t.cal_base <- tm;
-    t.cur_bucket <- 0;
-    t.ov_size <- 0
-  end
-  else if tm < t.cal_base then
-    (* Below the calendar's base (possible after a bounded run parked
-       the queue and a caller scheduled relative to an earlier clock).
-       Re-anchor so the bucket index stays non-negative. *)
-    rebuild t ~base:tm ~nbuckets:(Array.length t.buckets) ();
   t.live <- t.live + 1;
-  let nb = Array.length t.buckets in
-  let off = tm - t.cal_base in
-  if off >= t.width * nb then begin
-    ov_push t i;
-    t.ov_live <- t.ov_live + 1
-  end
-  else begin
-    let b = off / t.width in
-    bucket_insert t b i;
-    (* Keep the pop scan's invariant — no live event below
-       [cur_bucket] — even for callers that schedule before the current
-       minimum (the engine never does, but the queue does not rely on
-       that). *)
-    if b < t.cur_bucket then t.cur_bucket <- b
-  end;
-  if t.cal_count > 2 * nb then rebuild t ~nbuckets:(2 * nb) ();
+  (* Before the window (possible after a bounded run parked the queue
+     and a caller scheduled relative to an earlier clock, never in the
+     engine's own stepping): an empty wheel just rolls back, since
+     moving [horizon] down keeps every far event beyond it; otherwise
+     re-lay the wheel from this instant. *)
+  if tm lsr t.shift < t.cur then
+    if t.near = 0 then set_window t (tm lsr t.shift) else retune t tm;
+  place t i;
   handle_of t i
 
 let schedule t time (f : unit -> unit) =
   schedule_raw t time (Obj.magic f : Obj.t -> unit) unit_arg
 
-(* O(1) physical cancellation: unlink and recycle the slot now, rather
-   than leaving a tombstone to surface at pop time.  The generation
-   check makes a handle to a fired/cancelled/recycled event a no-op. *)
+(* Physical cancellation: unlink and recycle the slot now, rather than
+   leaving a tombstone to surface at pop time — O(1) on the wheel,
+   O(log far) in the heap.  The generation check makes a handle to a
+   fired/cancelled/recycled event a no-op. *)
 let cancel t h =
   let i = h land idx_mask in
   let g = h lsr idx_bits in
@@ -340,37 +379,42 @@ let cancel t h =
       bucket_remove t w i;
       free_slot t i
     end
-    else if w = w_overflow then begin
-      (* The overflow array entry goes stale and is skipped at the next
-         rebuild; the slot itself is recycled immediately. *)
-      t.ov_live <- t.ov_live - 1;
+    else if w < w_free then begin
+      far_remove t (-2 - w);
       free_slot t i
     end
   end
 
 (* ---- Pop --------------------------------------------------------------- *)
 
-(* Earliest live slot, or [no_slot].  Every bucketed event sorts before
-   every overflow event (overflow means "beyond the current year"), and
-   buckets partition a single year in increasing time order with no
-   wrap-around — so the minimum of the first non-empty bucket is the
-   global minimum.  Buckets are unsorted, so that minimum is found by a
-   scan over the bucket's list, keyed on (time, seq).  When the
-   calendar has drained but overflow events remain, rebuild: that
-   re-anchors the year at the overflow minimum and migrates it into a
-   bucket. *)
+(* Earliest live slot, or [no_slot].  The window holds one slot per
+   bucket and every far event lies beyond it, so the minimum of the
+   first non-empty bucket from [cur] is the global minimum.  Buckets are
+   unsorted, so that minimum is found by a scan over the bucket's list,
+   keyed on (time, seq).  Each bucket the scan steps past rolls the
+   window on by one slot, which may bring far events in; an empty wheel
+   jumps the window straight to the far minimum. *)
 let rec find_min t =
-  if t.live = 0 then no_slot
-  else if t.cal_count > 0 then begin
-    let nb = Array.length t.buckets in
-    let b = ref t.cur_bucket in
-    while !b < nb && t.buckets.(!b) = no_slot do incr b done;
-    if !b = nb then b := 0;
-    while t.buckets.(!b) = no_slot do incr b done;
-    t.cur_bucket <- !b;
-    let best = ref t.buckets.(!b) in
+  if t.near = 0 then
+    if t.far_size = 0 then no_slot
+    else begin
+      set_window t (t.times.(t.far.(0)) lsr t.shift);
+      migrate t;
+      find_min t
+    end
+  else begin
+    let c = ref t.cur in
+    while t.buckets.(!c land t.mask) = no_slot do incr c done;
+    let skipped = !c - t.cur in
+    if skipped > 0 then begin
+      (* Far events brought in land beyond the old window, so after the
+         bucket just found. *)
+      set_window t !c;
+      migrate t
+    end;
+    let best = ref t.buckets.(t.cur land t.mask) in
     let bt = ref t.times.(!best) and bs = ref t.seqs.(!best) in
-    let i = ref t.nexts.(!best) in
+    let i = ref t.nexts.(!best) and n = ref 1 in
     while !i <> no_slot do
       let ti = t.times.(!i) in
       if ti < !bt || (ti = !bt && t.seqs.(!i) < !bs) then begin
@@ -378,15 +422,18 @@ let rec find_min t =
         bt := ti;
         bs := t.seqs.(!i)
       end;
+      incr n;
       i := t.nexts.(!i)
     done;
+    t.examined <- t.examined + !n;
+    t.excess <-
+      Stdlib.max 0 (t.excess + skipped + (entry_cost * !n) - cost_bound);
     !best
   end
-  else begin
-    rebuild t ~nbuckets:(Array.length t.buckets) ();
-    find_min t
-  end
 
+(* The retune check runs after the due event is unlinked, anchored at
+   its time — the clock it is about to set — so every later schedule
+   lands at or after [cur]. *)
 let pop_staged t limit =
   let i = find_min t in
   if i = no_slot then false
@@ -394,12 +441,11 @@ let pop_staged t limit =
   else begin
     bucket_remove t t.wheres.(i) i;
     t.staged_slot <- i;
-    (* The staged slot is unlinked but not yet freed, so a shrink
-       rebuild here never sees it: [rebuild] collects only linked
-       slots. *)
-    let nb = Array.length t.buckets in
-    if nb > min_buckets && t.cal_count < nb / 2 then
-      rebuild t ~nbuckets:(nb / 2) ();
+    t.pops <- t.pops + 1;
+    if t.excess > entry_cost * t.mask then begin
+      t.excess <- 0;
+      retune t t.times.(i)
+    end;
     true
   end
 

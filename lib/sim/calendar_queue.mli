@@ -1,11 +1,14 @@
-(** Pending-event set as a calendar queue (Brown, CACM '88).
+(** Pending-event set as a calendar queue (Brown, CACM '88) with an
+    ordered far tier.
 
-    Events are bucketed by time into a wheel spanning one "year";
-    far-future events wait in an overflow tier and migrate in when the
-    calendar is rebuilt.  Schedule and {b physical} cancel are O(1); pop
-    is O(1) amortized while the bucket width tracks the mean inter-event
-    gap, which the snapshot-resize policy maintains.  Event slots are
-    pooled and recycled through a free list, so steady-state operation
+    Events near the front are bucketed by time on a rolling wheel;
+    events beyond the wheel's window wait in a binary heap on time and
+    migrate onto the wheel once, when the window reaches them.
+    Schedule and {b physical} cancel are O(1) on the wheel (O(log n) in
+    the heap); pop is O(1) while the bucket width matches the spacing of
+    the earliest events, which a retune restores whenever the measured
+    pop cost exceeds a bound.  Event slots are pooled and recycled
+    through a free list, so steady-state operation — retunes included —
     allocates nothing; handles are generation-checked ints, making
     cancel-after-fire (or after recycling) a detected no-op.
 
@@ -61,6 +64,15 @@ val capacity : t -> int
 
 val num_buckets : t -> int
 val bucket_width : t -> int
+
+val near_count : t -> int
+(** Events on the wheel; the rest of {!live_count} is in the far tier. *)
+
+val entries_examined : t -> int
+val pops : t -> int
+(** Bucket entries the pops so far have examined (the popped event
+    included), and how many pops there were: their ratio is the mean
+    min-scan length per pop. *)
 
 val handle_idx_bits : int
 val handle_idx_mask : int

@@ -344,9 +344,13 @@ let calendar_occupancy t =
   match t.sched with
   | Ctl _ -> 0.
   | Cal q ->
-      let buckets = Calendar_queue.num_buckets q in
-      if buckets = 0 then 0.
-      else float_of_int (Calendar_queue.live_count q) /. float_of_int buckets
+      float_of_int (Calendar_queue.near_count q)
+      /. float_of_int (Calendar_queue.num_buckets q)
+
+let calendar_scan t =
+  match t.sched with
+  | Ctl _ -> (0, 0)
+  | Cal q -> (Calendar_queue.entries_examined q, Calendar_queue.pops q)
 
 (* Replay a recorded workload through a fresh engine with no-op
    callbacks that note which schedule op fired.  Schedule times are

@@ -138,8 +138,14 @@ val calendar_buckets : t -> int
 (** Current calendar-wheel bucket count; 0 under [`Controlled]. *)
 
 val calendar_occupancy : t -> float
-(** Pending events per calendar bucket (the wheel resizes to keep this
-    near 1); 0 under [`Controlled].  Telemetry gauge. *)
+(** Events on the calendar wheel per bucket — far-tier events, the rest
+    of [pending], are not counted; 0 under [`Controlled].  Telemetry
+    gauge. *)
+
+val calendar_scan : t -> int * int
+(** Bucket entries examined by the calendar's pops so far and the
+    number of pops; (0, 0) under [`Controlled].  The difference of two
+    readings gives the mean min-scan length per pop between them. *)
 
 (** Recorded scheduler workloads: the exact schedule/cancel/pop op
     sequence of a calendar run, each pop naming the schedule op whose

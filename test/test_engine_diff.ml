@@ -5,9 +5,9 @@
    must fire the schedule op the live run fired ([Engine.replay_trace]
    raises on the first that does not), so this pins the calendar's
    ordering — same-instant FIFO ties, which MAC contention resolves
-   through, and calendar resizes included — against the controlled
-   queue's plain (time, seq) minimum on the whole protocol stack's op
-   mix. *)
+   through, and calendar retunes and far-tier migrations included —
+   against the controlled queue's plain (time, seq) minimum on the
+   whole protocol stack's op mix. *)
 
 open Experiment
 
@@ -60,10 +60,34 @@ let congested () =
   in
   replay_matches "congested" sc
 
+(* The benchmark's churn-agg world at 200 nodes: LDR-AGG on a Manhattan
+   grid with node churn.  Its churn plans are scheduled at set-up, tens
+   of seconds out, so this is the case that runs the calendar's far
+   tier and its retunes against the dense MAC timers. *)
+let churn_agg () =
+  let nodes = 200 in
+  let height = sqrt (float_of_int nodes *. 15_000. /. 5.) in
+  let sc =
+    {
+      (Scenario.paper_50 Scenario.ldr_agg) with
+      Scenario.num_nodes = nodes;
+      terrain = Geom.Terrain.create ~width:(5. *. height) ~height;
+      net = { Net.Params.default with Net.Params.cs_range_m = 350. };
+    }
+    |> Scenario.with_mobility (Scenario.Manhattan { spacing = 200. })
+    |> Scenario.with_churn (Some Scenario.default_churn)
+    |> Scenario.with_duration (Sim.Time.sec 20.)
+    |> Scenario.with_seed 7
+  in
+  replay_matches "churn-agg" sc
+
 let () =
   Alcotest.run "engine-diff"
     [
       ( "trace replay",
         List.map diff_case protocols
-        @ [ Alcotest.test_case "congested 100-node" `Slow congested ] );
+        @ [
+            Alcotest.test_case "congested 100-node" `Slow congested;
+            Alcotest.test_case "churn-agg 200-node" `Slow churn_agg;
+          ] );
     ]

@@ -200,7 +200,7 @@ let calendar_stale_handle_safe () =
 
 let calendar_overflow_tier () =
   let q = Calendar_queue.create () in
-  (* Events far beyond any initial year land in the overflow tier and
+  (* Events far beyond the wheel's window land in the far tier and
      still drain in global order. *)
   ignore (Calendar_queue.schedule q (Time.us 1.) ignore);
   ignore (Calendar_queue.schedule q (Time.sec 3600.) ignore);
@@ -215,11 +215,26 @@ let calendar_overflow_tier () =
     "sorted across tiers"
     [ 1.; 2.; 1_800_000_000.; 3_600_000_000. ]
     (List.rev !ts);
-  (* Cancelling an overflow event also frees its slot immediately. *)
+  (* Cancelling a far event also frees its slot immediately. *)
   let _near = Calendar_queue.schedule q (Time.us 1.) ignore in
   let far = Calendar_queue.schedule q (Time.sec 7200.) ignore in
   Calendar_queue.cancel q far;
-  checki "overflow slot freed" 1 (Calendar_queue.live_count q)
+  checki "overflow slot freed" 1 (Calendar_queue.live_count q);
+  (* A window reaching past the last representable instant saturates
+     there instead of overflowing. *)
+  let q = Calendar_queue.create () in
+  List.iter
+    (fun ns -> ignore (Calendar_queue.schedule q (Time.unsafe_of_ns ns) ignore))
+    [ max_int; 5_000; max_int - 1 ];
+  let ns = ref [] in
+  while Calendar_queue.pop_staged q max_int do
+    ns := (Calendar_queue.staged_time q :> int) :: !ns;
+    Calendar_queue.run_staged q
+  done;
+  Alcotest.(check (list int))
+    "last instants drain in order"
+    [ 5_000; max_int - 1; max_int ]
+    (List.rev !ns)
 
 let calendar_below_base () =
   let q = Calendar_queue.create () in
@@ -235,8 +250,8 @@ let calendar_below_base () =
   Alcotest.(check (float 1e-9)) "anchor event second" 10.
     (Time.to_sec (Calendar_queue.staged_time q))
 
-(* Large random workload: resizes up and down, overflow migration,
-   same-time ties — the drain must come out in (time, schedule-order). *)
+(* Large random workload: retunes, far-tier migration, same-time ties —
+   the drain must come out in (time, schedule-order). *)
 let calendar_drains_sorted () =
   let q = Calendar_queue.create () in
   let rng = Rng.create 42 in
@@ -267,6 +282,63 @@ let calendar_drains_sorted () =
       last_i := i)
     order
 
+(* The simulator's timer mix: a few hundred churn-style plans 10-1000 s
+   out, scheduled first, then an engine-like loop of dense us-ms timers
+   from the running clock, 70% of them later cancelled (most before
+   they fire) and one in eight tied to the current instant.  The drain must come out in
+   (time, seq) order, and a pop must stay cheap: the earliest events
+   set the bucket width, not the far plans. *)
+let calendar_skewed_mix () =
+  let q = Calendar_queue.create () in
+  let rng = Rng.create 11 in
+  let fired = ref [] and seq = ref 0 in
+  let sched tm =
+    let key = (tm, !seq) in
+    incr seq;
+    Calendar_queue.schedule q (Time.unsafe_of_ns tm) (fun () ->
+        fired := key :: !fired)
+  in
+  for _ = 1 to 300 do
+    ignore (sched (10_000_000_000 + Rng.int rng 990_000_000_000))
+  done;
+  let ring = Array.make 64 0 and now = ref 0 and cancelled = ref 0 in
+  for step = 0 to 19_999 do
+    for k = 0 to 2 do
+      let d =
+        if Rng.int rng 8 = 0 then 0 else 1_000 + Rng.int rng 5_000_000
+      in
+      let h = sched (!now + d) in
+      let r = ((3 * step) + k) land 63 in
+      if ring.(r) <> 0 then begin
+        let live = Calendar_queue.live_count q in
+        Calendar_queue.cancel q ring.(r);
+        if Calendar_queue.live_count q < live then incr cancelled
+      end;
+      ring.(r) <- (if Rng.int rng 10 < 7 then h else 0)
+    done;
+    if Calendar_queue.pop_staged q max_int then begin
+      now := (Calendar_queue.staged_time q :> int);
+      Calendar_queue.run_staged q
+    end
+  done;
+  while Calendar_queue.pop_staged q max_int do
+    Calendar_queue.run_staged q
+  done;
+  checkb "most near timers cancelled" true (!cancelled > 30_000);
+  let order = List.rev !fired in
+  checki "every live event fired" (!seq - !cancelled) (List.length order);
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> compare a b < 0 && sorted rest
+    | _ -> true
+  in
+  checkb "drained in (time, seq) order" true (sorted order);
+  let scan =
+    float_of_int (Calendar_queue.entries_examined q)
+    /. float_of_int (Calendar_queue.pops q)
+  in
+  if scan > 4. then
+    Alcotest.failf "mean entries examined per pop %.2f exceeds 4" scan
+
 (* ---- Engine: calendar vs controlled differential --------------------- *)
 
 let engine_none_handle () =
@@ -281,15 +353,16 @@ let fire_tag (tag, fired) = fired := tag :: !fired
 (* The controlled scheduler left to Engine.run pops the global
    (time, seq) minimum — mcheck's claim that an unexplored simulation
    has stock semantics, and what makes it the calendar's reference.  A
-   random program of schedules (closure and closure-free paths, near
-   and far-future delays with heavy ties), floating events (which
-   degrade to at-now under the calendar), cancels (including repeats on
-   the same handle) and single-event runs, then a drain, must agree
-   event-for-event: firing order — same-time FIFO ties included —
-   clock and event count. *)
+   random program of schedules (closure and closure-free paths; delays
+   of a few us — heavily tied — up to 300 us, of seconds, and of
+   1-10 ks, the bimodal mix that runs the far tier), floating events
+   (which degrade to at-now under the calendar), cancels (including
+   repeats on the same handle) and single-event runs, then a drain,
+   must agree event-for-event: firing order — same-time FIFO ties
+   included — clock and event count. *)
 let controlled_default_matches_calendar_prop =
   QCheck.Test.make
-    ~name:"controlled scheduler default order matches calendar" ~count:100
+    ~name:"controlled scheduler default order matches calendar" ~count:200
     QCheck.(list (pair (int_bound 4) (int_bound 1_000_000)))
     (fun ops ->
       let trace scheduler =
@@ -304,8 +377,11 @@ let controlled_default_matches_calendar_prop =
                 let t = !tag in
                 incr tag;
                 let d =
-                  if x mod 7 = 0 then Time.sec (float_of_int (x mod 5))
-                  else Time.us (float_of_int (x mod 300))
+                  match x mod 10 with
+                  | 0 -> Time.sec (float_of_int (x mod 5))
+                  | 1 -> Time.sec (float_of_int (1_000 + (x mod 9_000)))
+                  | 2 | 3 -> Time.us (float_of_int (x mod 3))
+                  | _ -> Time.us (float_of_int (x mod 300))
                 in
                 let h =
                   if op = 0 then
@@ -570,6 +646,7 @@ let () =
           Alcotest.test_case "overflow tier" `Quick calendar_overflow_tier;
           Alcotest.test_case "below base reanchors" `Quick calendar_below_base;
           Alcotest.test_case "drains sorted" `Quick calendar_drains_sorted;
+          Alcotest.test_case "skewed mix" `Quick calendar_skewed_mix;
         ] );
       ( "engine",
         [

@@ -169,7 +169,7 @@ let sampler_keys =
     ("t", `Int); ("pending", `Int); ("fired", `Int); ("inflight", `Int);
     ("ifq", `Int); ("originated", `Int); ("delivered", `Int);
     ("ratio", `Number); ("ctl_rate", `Number); ("rt_mean", `Number);
-    ("fd_mean", `Number);
+    ("fd_mean", `Number); ("cal_scan", `Number);
   ]
 
 let telemetry_horizon_sample () =
