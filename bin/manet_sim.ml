@@ -362,24 +362,10 @@ let scenario ?(world = default_world) protocol nodes width height
 let json_float f =
   if Float.is_nan f then "null" else Printf.sprintf "%.6g" f
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_kind_counts pairs =
   String.concat ","
     (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)
+       (fun (k, v) -> Printf.sprintf "\"%s\":%d" (Obs.Jsonl.escape k) v)
        pairs)
 
 let print_outcome_json (o : Runner.outcome) =

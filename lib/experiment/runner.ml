@@ -162,9 +162,8 @@ let build ?on_engine ?obs (sc : Scenario.t) =
   let store = Mobility.Pos_store.of_array mobs ~at:Time.zero in
   let link = make_link sc in
   let channel =
-    Net.Channel.create ~engine
-      ~max_speed:(Float.max sc.speed_max 0.)
-      ~store ~terrain:sc.terrain ?link ~obs:bus ~params:sc.net ()
+    Net.Channel.create ~engine ~store ~terrain:sc.terrain ?link ~obs:bus
+      ~params:sc.net ()
   in
   Net.Channel.add_transmit_hook channel (fun _src frame ->
       Metrics.transmitted metrics frame);

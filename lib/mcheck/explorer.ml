@@ -435,20 +435,6 @@ let digest fx proto prefix =
 
 (* ---- trace files -------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render_vkind = function
   | Cycle (dst, nodes) ->
       let cyc =
@@ -464,7 +450,7 @@ let write_trace ~path (fx : Fixture.t) proto viol =
   Out_channel.with_open_text path (fun oc ->
       Printf.fprintf oc
         "{\"k\":\"mcheck\",\"fixture\":\"%s\",\"protocol\":\"%s\",\"steps\":%d}\n"
-        (json_escape fx.Fixture.name)
+        (Obs.Jsonl.escape fx.Fixture.name)
         (protocol_name proto)
         (List.length viol.v_trace);
       List.iteri
@@ -473,7 +459,7 @@ let write_trace ~path (fx : Fixture.t) proto viol =
             "{\"k\":\"step\",\"i\":%d,\"seq\":%d,\"tag\":%d,\"t\":%d,\"f\":%d,\"s\":\"%s\"}\n"
             i ch.c_seq ch.c_tag ch.c_time
             (if ch.c_float then 1 else 0)
-            (json_escape ch.c_label))
+            (Obs.Jsonl.escape ch.c_label))
         viol.v_trace;
       match viol.v_kind with
       | Cycle (dst, nodes) ->

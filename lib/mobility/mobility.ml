@@ -30,7 +30,10 @@ type gen =
       speed : float;
       epoch : Time.t;
     }
-  | Scripted of { mutable remaining : (Time.t * Geom.Vec2.t) list }
+  | Scripted of {
+      mutable remaining : (Time.t * Geom.Vec2.t) list;
+      top : float; (* fastest segment, m/s *)
+    }
   | Manhattan of {
       terrain : Geom.Terrain.t;
       rng : Rng.t;
@@ -285,6 +288,13 @@ let scripted points =
   | [] -> invalid_arg "Mobility.scripted: empty trajectory"
   | (t0, p0) :: rest ->
       check points;
+      let rec top = function
+        | (t1, p1) :: ((t2, p2) :: _ as rest) ->
+            Float.max
+              (Geom.Vec2.dist p1 p2 /. Time.to_sec (Time.diff t2 t1))
+              (top rest)
+        | _ -> 0.
+      in
       let first =
         { depart = Time.zero; arrive = t0; from_pos = p0; dest = p0 }
       in
@@ -292,7 +302,7 @@ let scripted points =
         leg = first;
         leg_ix = 0;
         last_query = Time.zero;
-        gen = Scripted { remaining = rest };
+        gen = Scripted { remaining = rest; top = top points };
       }
 
 let manhattan ~terrain ~rng ~spacing ~speed_min ~speed_max ~pause ~start =
@@ -345,6 +355,17 @@ let rpgm_member group ~ox ~oy =
     last_query = Time.zero;
     gen = Rpgm { group; ox; oy };
   }
+
+(* A member's leg is its group's leg translated and clamped to the
+   terrain; clamping is a projection onto a box, which never lengthens a
+   move, so a member is no faster than its group. *)
+let max_speed t =
+  match t.gen with
+  | Static -> 0.
+  | Waypoint { speed_max; _ } | Manhattan { speed_max; _ } -> speed_max
+  | Walk { speed; _ } -> speed
+  | Scripted { top; _ } -> top
+  | Rpgm { group; _ } -> group.g_speed_max
 
 (* Struct-of-arrays position store: the per-node hot state (cached
    position + current leg window) lives in flat unboxed float/int arrays

@@ -14,8 +14,8 @@
     - {!static}: the node never moves.
     - {!waypoint}: the random waypoint model used by the paper's scenarios
       (pause, pick a uniform destination, move at a uniform-random speed).
-    - {!random_walk}: direction/epoch random walk with boundary
-      reflection; used by tests that want denser topology churn.
+    - {!random_walk}: direction/epoch random walk clamped to the
+      terrain; used by tests that want denser topology churn.
     - {!manhattan}: city-block mobility on a street lattice — straight
       through intersections with probability 1/2, left/right 1/4 each.
     - {!rpgm_member}: reference-point group mobility — members follow a
@@ -50,8 +50,10 @@ val random_walk :
   epoch:Sim.Time.t ->
   start:Geom.Vec2.t ->
   t
-(** Fixed-speed walk choosing a fresh uniform direction every [epoch],
-    reflecting off the terrain boundary. *)
+(** Fixed-speed walk choosing a fresh uniform direction every [epoch].
+    A leg that would leave the terrain is clamped to its boundary rather
+    than reflected, so it ends early: a clamped leg lasts less than
+    [epoch] and the next direction is drawn where it stops. *)
 
 val manhattan :
   terrain:Geom.Terrain.t ->
@@ -75,6 +77,14 @@ val scripted : (Sim.Time.t * Geom.Vec2.t) list -> t
     waypoints; constant before the first and after the last.  The list
     must be non-empty and strictly increasing in time.  Used by tests to
     force exact topology changes. *)
+
+val max_speed : t -> float
+(** An upper bound (m/s) on the process's speed at any instant: 0 for
+    {!static}, [speed_max] for {!waypoint} and {!manhattan}, [speed] for
+    {!random_walk}, the fastest segment of a {!scripted} trajectory, and
+    the group's [speed_max] for an {!rpgm_member} (clamping to the
+    terrain never speeds a member up).  [Net.Channel] relies on it to
+    age its neighbour lists. *)
 
 (** {2 Group mobility (RPGM)} *)
 

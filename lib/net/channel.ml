@@ -33,8 +33,8 @@ type radio = {
   seq : int;  (** attach order: the radio's index in [t.radios] *)
   idx : int;  (** store slot *)
   mutable attached : bool;
-      (** false while the node is down (churn): the radio is out of the
-          spatial index, so no transmission touches it *)
+      (** false while the node is down (churn): no transmission touches
+          the radio, though neighbour lists still name it *)
   mutable receive : Frame.t -> unit;
   mutable medium : bool -> unit;
   mutable contending : bool;
@@ -44,10 +44,9 @@ type radio = {
   mutable lock : int;  (** [rx_id] of the frame being decoded; -1 when none *)
   mutable nbrs : int array;
       (** neighbour list: attach seqs of the radios within [reach] of
-          this one when it was built, descending; [0, nbr_n) are live *)
+          this one at the last rebuild, descending; [0, nbr_n) are live *)
   mutable nbr_n : int;
-  mutable nbr_at : Time.t;  (** when the list was built *)
-  mutable nbr_epoch : int;  (** channel epoch it was built in; -1: never *)
+  mutable cell : int;  (** the cell the last rebuild binned it in *)
 }
 
 let dummy_frame =
@@ -67,15 +66,11 @@ let new_radio ~id ~seq ~idx =
     lock = -1;
     nbrs = [||];
     nbr_n = 0;
-    nbr_at = Time.zero;
-    nbr_epoch = -1;
+    cell = 0;
   }
 
-(* Filler for unattached store slots and idle jobs, compared physically. *)
-let dummy_radio =
-  let r = new_radio ~id:(Node_id.of_int 0) ~seq:(-1) ~idx:(-1) in
-  r.attached <- false;
-  r
+(* Filler for the radio table and idle jobs. *)
+let dummy_radio = new_radio ~id:(Node_id.of_int 0) ~seq:(-1) ~idx:(-1)
 
 let no_rx =
   {
@@ -86,16 +81,10 @@ let no_rx =
     locked = false;
   }
 
-(* How far a radio's true position may drift from the cell it is indexed
-   under before the index is resynced.  Queries are inflated by the
-   current drift bound, so any margin is exact; smaller margins resync
-   more often, larger ones scan more cells. *)
-let slack_margin_m = 25.
-
 (* Verlet skin of the neighbour lists: a list holds the radios within
    [cs_range * f_max + neighbour_margin_m] of its owner, and stays exact
    while neither end of a pair can have closed the margin, i.e. while
-   [2 * max_speed * age <= neighbour_margin_m].  Smaller margins rebuild
+   [2 * v_max * age <= neighbour_margin_m].  Smaller margins rebuild
    more often, larger ones scan more entries per transmission. *)
 let neighbour_margin_m = 50.
 
@@ -116,25 +105,23 @@ type tx_job = {
 and t = {
   engine : Engine.t;
   params : Params.t;
-  max_speed : float option;
-      (* [Some v]: no radio moves faster than [v] m/s, so neighbour
-         lists and indexed positions age at a known rate.  [None]:
-         unknown speeds — lists are rebuilt and the index resynced
-         whenever the clock has advanced, which is exact for any
-         mobility. *)
+  v_max : float;
+      (* the fastest any store process moves (m/s): lists age at
+         [2 * v_max] per second at most *)
   (* Positions come from the shared [Pos_store] planes (fetched once;
-     the store never reallocates them) and cell membership is maintained
-     incrementally (ids only; the exact filter reads live positions).
-     The index holds exactly the attached radios and is read only to
-     rebuild a neighbour list; lists may still name radios detached
-     since, which collection skips.  [slots] maps a store slot back to
-     its radio — [dummy_radio] until that slot attaches. *)
+     the store never reallocates them). *)
   store : Mobility.Pos_store.t;
   xs : float array;
   ys : float array;
-  index : Geom.Cell_index.t;
-  cell : float;  (* the index's cell side, for the query's cell box *)
-  slots : radio array;
+  (* The rebuild's cell grid: square cells of side [cell] over the
+     terrain, [cols] by [rows].  After a rebuild, [cell_seqs] holds the
+     attach seqs of cell [c] over [cell_start.(c), cell_start.(c + 1)),
+     ascending. *)
+  cell : float;
+  cols : int;
+  rows : int;
+  cell_start : int array;  (* [cols * rows + 1] entries *)
+  cell_seqs : int array;  (* one entry per store slot *)
   mutable radios : radio array;  (* by seq; [0, next_seq) are live *)
   mutable next_seq : int;
   link : Link_model.t option;
@@ -143,12 +130,8 @@ and t = {
   reach : float;
       (* neighbour-list radius: the farthest any pair can touch
          ([cs_range * f_max]) plus [neighbour_margin_m] *)
-  mutable epoch : int;
-      (* bumped whenever a radio attaches or re-attaches: a list built
-         in an earlier epoch may miss it *)
-  mutable build : int array;  (* buffer for the list being rebuilt *)
-  mutable index_at : Time.t;
-  mutable index_fresh : bool;
+  mutable built_n : int;  (* radios attached at the last rebuild *)
+  mutable built_at : Time.t;  (* when the last rebuild ran *)
   mutable hooks : (Node_id.t -> Frame.t -> unit) list;
   mutable tx_total : int;
   mutable job_pool : tx_job array;
@@ -158,26 +141,34 @@ and t = {
   obs : Obs.Bus.t;
 }
 
-let create ~engine ?max_speed ?obs ~store ~terrain ?link ~params () =
-  (* Cell side = half the carrier-sense range: a CS-disk query scans
-     ~25 cells, but the cells hug the disk, so the candidate superset
-     is ~1.7x the true disk population (a full-range cell side gives
-     9 coarse cells and a ~2.9x superset — more wasted exact distance
-     checks per query). *)
+let create ~engine ?obs ~store ~terrain ?link ~params () =
+  (* Cell side = half the carrier-sense range: the cells a radio's
+     neighbourhood overlaps hug its disk, so the candidate superset is
+     ~1.7x the true population (a full-range cell side gives 9 coarse
+     cells and a ~2.9x superset — more wasted exact distance checks). *)
   let cell = params.Params.cs_range_m /. 2. in
+  let cols = int_of_float (Float.floor (terrain.Geom.Terrain.width /. cell)) + 1
+  and rows =
+    int_of_float (Float.floor (terrain.Geom.Terrain.height /. cell)) + 1
+  in
   let n = Mobility.Pos_store.length store in
+  let v_max = ref 0. in
+  for i = 0 to n - 1 do
+    v_max :=
+      Float.max !v_max (Mobility.max_speed (Mobility.Pos_store.proc store i))
+  done;
   {
     engine;
     params;
-    max_speed;
+    v_max = !v_max;
     store;
     xs = Mobility.Pos_store.xs store;
     ys = Mobility.Pos_store.ys store;
-    index =
-      Geom.Cell_index.create ~cell ~width:terrain.Geom.Terrain.width
-        ~height:terrain.Geom.Terrain.height ~ids:n;
     cell;
-    slots = Array.make n dummy_radio;
+    cols;
+    rows;
+    cell_start = Array.make ((cols * rows) + 1) 0;
+    cell_seqs = Array.make n 0;
     radios = [||];
     next_seq = 0;
     link;
@@ -185,10 +176,8 @@ let create ~engine ?max_speed ?obs ~store ~terrain ?link ~params () =
       (params.cs_range_m
       *. match link with None -> 1. | Some l -> Link_model.f_max l)
       +. neighbour_margin_m;
-    epoch = 0;
-    build = [||];
-    index_at = Time.zero;
-    index_fresh = false;
+    built_n = 0;
+    built_at = Time.zero;
     hooks = [];
     tx_total = 0;
     job_pool = [||];
@@ -211,14 +200,13 @@ let grow a ~min fill =
   bigger
 
 let attach t ~slot ~id =
+  if slot < 0 || slot >= Array.length t.xs then
+    invalid_arg "Channel.attach: no such store slot";
   let r = new_radio ~id ~seq:t.next_seq ~idx:slot in
   if t.next_seq = Array.length t.radios then
     t.radios <- grow t.radios ~min:8 dummy_radio;
   t.radios.(t.next_seq) <- r;
   t.next_seq <- t.next_seq + 1;
-  t.slots.(slot) <- r;
-  t.index_fresh <- false;
-  t.epoch <- t.epoch + 1;
   r
 
 let set_receiver r f = r.receive <- f
@@ -291,45 +279,25 @@ let job_add job r =
   rx.locked <- false;
   rx.geo
 
-(* ---- Spatial index ----------------------------------------------------- *)
-
-(* Resync: refresh every attached slot's store position in place (a
-   scalar lerp unless the leg advanced) and move it between cells only
-   when its cell changed — O(n) float work, no rebuild. *)
-let sweep t =
-  let now = Engine.now t.engine in
-  for i = 0 to Array.length t.slots - 1 do
-    if (Array.unsafe_get t.slots i).attached then begin
-      Mobility.Pos_store.refresh t.store i now;
-      Geom.Cell_index.update t.index i ~x:t.xs.(i) ~y:t.ys.(i)
-    end
-  done;
-  t.index_at <- now;
-  t.index_fresh <- true
-
-(* Churn: a detached radio leaves the index immediately, and the
-   neighbour lists that still name it skip it, so no later transmission
-   touches it; frames already locked on it are discarded by the
-   down-gated MAC.  Reattaching re-inserts it at its current position
-   and opens a new epoch, so every list built without it is rebuilt
-   before its next use. *)
-let set_attached t r v =
-  if r.attached <> v then begin
-    r.attached <- v;
-    if v then begin
-      Mobility.Pos_store.refresh t.store r.idx (Engine.now t.engine);
-      Geom.Cell_index.update t.index r.idx ~x:t.xs.(r.idx) ~y:t.ys.(r.idx);
-      t.epoch <- t.epoch + 1
-    end
-    else Geom.Cell_index.remove t.index r.idx
-  end
+(* Churn: a detached radio stays in the neighbour lists, which
+   collection filters by [attached], so no later transmission touches
+   it; frames already locked on it are discarded by the down-gated MAC.
+   Lists name every radio that has ever attached, so a re-attach
+   invalidates none of them. *)
+let set_attached _t r v = r.attached <- v
 
 let attached r = r.attached
 
-(* Spatial-index health gauges (Obs.Telemetry). *)
+(* Spatial-index health gauges (Obs.Telemetry), as of the last rebuild. *)
 let index_stats t =
-  let s = Geom.Cell_index.stats t.index in
-  (s.Geom.Cell_index.cells, s.occupied, s.max_occupancy)
+  let cells = t.cols * t.rows in
+  let occupied = ref 0 and max_occ = ref 0 in
+  for c = 0 to cells - 1 do
+    let k = t.cell_start.(c + 1) - t.cell_start.(c) in
+    if k > 0 then incr occupied;
+    if k > !max_occ then max_occ := k
+  done;
+  (cells, !occupied, !max_occ)
 
 let add_transmit_hook t f = t.hooks <- t.hooks @ [ f ]
 let transmissions t = t.tx_total
@@ -387,89 +355,82 @@ let end_of_tx job =
 
 let clamp_cell v hi = if v < 0 then 0 else if v > hi then hi else v
 
-(* Insert attach seq [seq] into the first [n] entries of the channel's
-   build buffer, keeping them descending. *)
-let build_insert t n seq =
-  if n = Array.length t.build then t.build <- grow t.build ~min:64 0;
-  let b = t.build in
-  let i = ref n in
-  while !i > 0 && Array.unsafe_get b (!i - 1) < seq do
-    Array.unsafe_set b !i (Array.unsafe_get b (!i - 1));
-    decr i
+(* Rebuild every radio's neighbour list at [now]: each radio that has
+   ever attached, detached ones included, gets the others within
+   [t.reach] of it, newest attach first.  The radios' positions are
+   refreshed and counting-sorted into cells (a position outside the
+   terrain lands in the nearest border cell).  Two walks over each
+   radio's cell box follow: the first counts its neighbours and grows
+   its list to fit, the second takes radios in descending attach seq and
+   appends each to the list of every radio within [t.reach], so every
+   list comes out sorted (distances are symmetric, so it fills each list
+   exactly).  Lists only grow, so once they are sized a rebuild
+   allocates nothing. *)
+let rebuild t now =
+  let n = t.next_seq and radios = t.radios in
+  let xs = t.xs and ys = t.ys and store = t.store in
+  let cell = t.cell and cols = t.cols and rows = t.rows in
+  let start = t.cell_start and seqs = t.cell_seqs in
+  Array.fill start 0 (Array.length start) 0;
+  for s = 0 to n - 1 do
+    let r = Array.unsafe_get radios s in
+    let i = r.idx in
+    Mobility.Pos_store.refresh store i now;
+    let cx = int_of_float (Float.floor (Array.unsafe_get xs i /. cell))
+    and cy = int_of_float (Float.floor (Array.unsafe_get ys i /. cell)) in
+    let c = (clamp_cell cy (rows - 1) * cols) + clamp_cell cx (cols - 1) in
+    r.cell <- c;
+    start.(c) <- start.(c) + 1;
+    r.nbr_n <- 0
   done;
-  Array.unsafe_set b !i seq
-
-(* Rebuild [src]'s neighbour list at [now] from the cell index: every
-   attached radio but [src] within [t.reach] of it, newest attach first.
-   [src]'s store position must already be refreshed to [now].  The index
-   is resynced first if stale; the query box is inflated by the drift
-   bound so it covers radios that left their indexed cell, and each
-   candidate is then filtered exactly against its live position. *)
-let rebuild t src now =
-  let store = t.store and xs = t.xs and ys = t.ys in
-  if not t.index_fresh then sweep t;
-  let drift =
-    match t.max_speed with
-    | None ->
-        if Time.(now > t.index_at) then sweep t;
-        0.
-    | Some v ->
-        let age = Time.diff now t.index_at in
-        let b =
-          if Time.equal age Time.zero then 0.
-          else v *. (float_of_int (age :> int) /. 1e9)
-        in
-        if b > slack_margin_m then begin
-          sweep t;
-          0.
-        end
-        else b
-  in
-  let sx = Array.unsafe_get xs src.idx and sy = Array.unsafe_get ys src.idx in
+  (* [start.(c)] counts cell [c]; running sums make it the cell's end,
+     and placing each seq, highest first, walks its cell's end back one,
+     to the cell's start once the cell is placed. *)
+  for c = 1 to Array.length start - 1 do
+    start.(c) <- start.(c) + start.(c - 1)
+  done;
+  for s = n - 1 downto 0 do
+    let c = (Array.unsafe_get radios s).cell in
+    start.(c) <- start.(c) - 1;
+    seqs.(start.(c)) <- s
+  done;
   let reach = t.reach in
   let reach2 = reach *. reach in
-  let radius = reach +. drift in
-  let index = t.index and cell = t.cell in
-  let cols = Geom.Cell_index.cols index in
-  let rows = Geom.Cell_index.rows index in
-  let cx0 =
-    clamp_cell (int_of_float (Float.floor ((sx -. radius) /. cell))) (cols - 1)
-  and cx1 =
-    clamp_cell (int_of_float (Float.floor ((sx +. radius) /. cell))) (cols - 1)
-  and cy0 =
-    clamp_cell (int_of_float (Float.floor ((sy -. radius) /. cell))) (rows - 1)
-  and cy1 =
-    clamp_cell (int_of_float (Float.floor ((sy +. radius) /. cell))) (rows - 1)
-  in
-  let n = ref 0 in
-  for cy = cy0 to cy1 do
-    for cx = cx0 to cx1 do
-      let c = (cy * cols) + cx in
-      let members = Geom.Cell_index.members index c in
-      for k = 0 to Geom.Cell_index.count index c - 1 do
-        let i = Array.unsafe_get members k in
-        let r = Array.unsafe_get t.slots i in
-        if r != src then begin
-          Mobility.Pos_store.refresh store i now;
-          let dx = Array.unsafe_get xs i -. sx
-          and dy = Array.unsafe_get ys i -. sy in
-          if (dx *. dx) +. (dy *. dy) <= reach2 then begin
-            build_insert t !n r.seq;
-            incr n
-          end
-        end
-      done
+  for pass = 0 to 1 do
+    for s = n - 1 downto 0 do
+      let r = Array.unsafe_get radios s in
+      let x = Array.unsafe_get xs r.idx and y = Array.unsafe_get ys r.idx in
+      let cx0 = int_of_float (Float.floor ((x -. reach) /. cell))
+      and cx1 = int_of_float (Float.floor ((x +. reach) /. cell))
+      and cy0 = int_of_float (Float.floor ((y -. reach) /. cell))
+      and cy1 = int_of_float (Float.floor ((y +. reach) /. cell)) in
+      let cx0 = clamp_cell cx0 (cols - 1) and cx1 = clamp_cell cx1 (cols - 1) in
+      for cy = clamp_cell cy0 (rows - 1) to clamp_cell cy1 (rows - 1) do
+        for c = (cy * cols) + cx0 to (cy * cols) + cx1 do
+          for k = start.(c) to start.(c + 1) - 1 do
+            let o = Array.unsafe_get radios (Array.unsafe_get seqs k) in
+            if o != r then begin
+              let dx = Array.unsafe_get xs o.idx -. x
+              and dy = Array.unsafe_get ys o.idx -. y in
+              if (dx *. dx) +. (dy *. dy) <= reach2 then
+                if pass = 0 then r.nbr_n <- r.nbr_n + 1
+                else begin
+                  o.nbrs.(o.nbr_n) <- s;
+                  o.nbr_n <- o.nbr_n + 1
+                end
+            end
+          done
+        done
+      done;
+      if pass = 0 then begin
+        let m = r.nbr_n in
+        if m > Array.length r.nbrs then r.nbrs <- Array.make (m + (m / 4)) 0;
+        r.nbr_n <- 0
+      end
     done
   done;
-  (* Lists are built in the shared buffer and copied out, so each
-     radio's array is sized to its own neighbourhood (with headroom),
-     not grown by doubling. *)
-  let n = !n in
-  if n > Array.length src.nbrs then src.nbrs <- Array.make (n + (n / 4)) 0;
-  Array.blit t.build 0 src.nbrs 0 n;
-  src.nbr_n <- n;
-  src.nbr_at <- now;
-  src.nbr_epoch <- t.epoch
+  t.built_n <- n;
+  t.built_at <- now
 
 (* Collect into the empty [job] every radio a transmission by [src]
    starting now touches, in delivery order.  Touched radios are fixed at
@@ -478,11 +439,10 @@ let rebuild t src now =
    defer and suffer interference; a shadowed pair's ranges are scaled by
    its gain; the partition wall absorbs the crossing frame entirely.
 
-   Candidates are [src]'s neighbour list, rebuilt first if it may have
-   gone stale: when a radio has (re-)attached since it was built, when
-   either end of a pair may have closed the margin
-   ([2 * max_speed * age > neighbour_margin_m]), or, with no speed
-   bound, at any later instant.  A valid list is a superset of the
+   Candidates are [src]'s neighbour list; every list is rebuilt first if
+   a radio has attached for the first time since the last rebuild, or if
+   either end of a pair may have closed the margin since
+   ([2 * v_max * age > neighbour_margin_m]).  A valid list is a superset of the
    touched radios already in delivery order, so each attached entry is
    filtered by the exact predicate and appended: no cell walk, no sort.
    One distance computation per candidate, stashed squared in the
@@ -491,7 +451,7 @@ let rebuild t src now =
    outcomes.
 
    Every float here is a local of this one function body — the source
-   position, the list's age — so none is boxed: a float passed to or
+   position, the lists' age — so none is boxed: a float passed to or
    returned from any non-inlined call (this module's included, under
    the dev profile's [-opaque]) would be.  Only the link-model arm calls
    out with floats. *)
@@ -499,17 +459,10 @@ let collect t job src =
   let now = Engine.now t.engine in
   let store = t.store and xs = t.xs and ys = t.ys in
   Mobility.Pos_store.refresh store src.idx now;
-  let stale =
-    src.nbr_epoch <> t.epoch
-    ||
-    match t.max_speed with
-    | None -> Time.(now > src.nbr_at)
-    | Some v ->
-        (* [Time.to_sec], inlined: its float return would box. *)
-        let age = Time.diff now src.nbr_at in
-        2. *. v *. (float_of_int (age :> int) /. 1e9) > neighbour_margin_m
-  in
-  if stale then rebuild t src now;
+  (* [Time.to_sec], inlined: its float return would box. *)
+  let age = float_of_int (Time.diff now t.built_at :> int) /. 1e9 in
+  if t.built_n < t.next_seq || 2. *. t.v_max *. age > neighbour_margin_m
+  then rebuild t now;
   let sx = Array.unsafe_get xs src.idx and sy = Array.unsafe_get ys src.idx in
   let cs2 = t.params.cs_range_m *. t.params.cs_range_m in
   let link = t.link in

@@ -11,13 +11,13 @@
     Candidates come from the sender's neighbour list: the radios within
     the carrier-sense range (times the link model's largest gain) plus
     a fixed margin, newest attach first.  The exact range predicate is
-    re-applied to each, so receptions come out newest attach first with
-    no sort.  A list is rebuilt at its owner's next transmission, from an
-    incrementally maintained {!Geom.Cell_index} queried with a drift
-    bound, once it may be stale: when a radio has attached or
-    re-attached since it was built, when twice [max_speed] times its age
-    exceeds the margin, or, with no speed bound, at any later instant.
-    A brute-force scan over every radio touches the same radios in the
+    re-applied to each attached entry, so receptions come out newest
+    attach first with no sort.  Lists name every radio that has ever
+    attached.  All of them are rebuilt together, in one pass over a
+    uniform cell grid, at the first transmission after a radio's first
+    attach or once twice the fastest store process's
+    {!Mobility.max_speed} times their age exceeds the margin.  A
+    brute-force scan over every radio touches the same radios in the
     same order; the test suite keeps one as an oracle. *)
 
 open Packets
@@ -27,7 +27,7 @@ type t
 type radio
 
 val create :
-  engine:Sim.Engine.t -> ?max_speed:float -> ?obs:Obs.Bus.t ->
+  engine:Sim.Engine.t -> ?obs:Obs.Bus.t ->
   store:Mobility.Pos_store.t -> terrain:Geom.Terrain.t ->
   ?link:Link_model.t -> params:Params.t -> unit -> t
 (** [create ~engine ~store ~terrain ~params] builds a channel.  [obs] is
@@ -35,14 +35,10 @@ val create :
     attached to it) emit on; defaults to a fresh disabled bus.
 
     Radio positions come from [store], slot [i] of which is node [i]'s
-    mobility process; the [terrain] bounds size the cell index.
-    [max_speed] is an upper bound (m/s) on any radio's speed: neighbour
-    lists live until both ends of a pair may have closed their margin,
-    and the index is resynced only when indexed positions may have
-    drifted past a fixed slack, with queries inflated by the current
-    drift bound.  When omitted, speeds are treated as unknown: lists are
-    rebuilt and the index resynced on every clock advance — exact for
-    any mobility.  [link] layers deterministic
+    mobility process; the [terrain] bounds size the rebuild's cell
+    grid.  The largest {!Mobility.max_speed} over the store's processes
+    bounds how fast neighbour lists age: they live until both ends of a
+    pair may have closed their margin.  [link] layers deterministic
     shadowing and/or a partition wall on the unit disk
     ({!Link_model}); omitted, the propagation fast path is the plain
     unit disk. *)
@@ -54,20 +50,20 @@ val attach : t -> slot:int -> id:Node_id.t -> radio
     which the radio takes its position.  One radio per slot. *)
 
 val set_attached : t -> radio -> bool -> unit
-(** Churn: [set_attached t r false] removes the radio from the
-    incremental index immediately, and no subsequent transmission
-    touches it; [true] re-inserts it at its current position and
-    invalidates every neighbour list built without it.  {!Mac.set_down}
-    calls it; in-flight receptions drain normally and the down-gated MAC
-    discards them. *)
+(** Churn: after [set_attached t r false] no transmission touches the
+    radio; [true] makes it reachable again.  Neighbour lists keep naming
+    a detached radio, so neither direction rebuilds them.
+    {!Mac.set_down} calls it; in-flight receptions drain normally and
+    the down-gated MAC discards them. *)
 
 val attached : radio -> bool
 
 val index_stats : t -> int * int * int
-(** [(cells, occupied, max_occupancy)] of the spatial index — health
-    gauges surfaced through [Obs.Telemetry].  Churn moves radios in and
-    out of it at once, but cells follow mobility only when a neighbour
-    list rebuild resyncs it. *)
+(** [(cells, occupied, max_occupancy)] of the rebuild's cell grid, as
+    binned by the last rebuild (all zero before the first) — health
+    gauges surfaced through [Obs.Telemetry].  A rebuild bins every radio
+    that has ever attached, detached ones included, at its position
+    then. *)
 
 val set_receiver : radio -> (Frame.t -> unit) -> unit
 (** Called with every frame the radio decodes, including frames addressed

@@ -1,8 +1,21 @@
 (* One flat JSON object per line; "t" is virtual time in integer
    nanoseconds (exact round trip), "s" resolves the interned label for
    kinds that carry one.  Hand-rolled — the toolchain has no JSON
-   library, and the schema is flat ints plus escape-free short
-   strings. *)
+   library, and the schema is flat ints and short strings. *)
+
+let escape s =
+  let b = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 let write bus oc (ev : Event.t) =
   Printf.fprintf oc "{\"t\":%d,\"n\":%d,\"k\":\"%s\"" (ev.time :> int) ev.node
@@ -28,6 +41,34 @@ let parse_line s : (string * value) list option =
     while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t') do incr pos done
   in
   let expect c = if peek () = c then incr pos else raise Malformed in
+  (* The value of the four hex digits after the [u] at [!pos], which
+     they move past. *)
+  let hex4 () =
+    if !pos + 4 >= n then raise Malformed;
+    let h = String.sub s (!pos + 1) 4 in
+    String.iter
+      (function
+        | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> () | _ -> raise Malformed)
+      h;
+    pos := !pos + 5;
+    int_of_string ("0x" ^ h)
+  in
+  (* A [\uXXXX] escape, as UTF-8; a high surrogate must be followed by
+     the escaped low one (a lone surrogate fails [Uchar.of_int]). *)
+  let unicode b =
+    let u = hex4 () in
+    let u =
+      if u >= 0xD800 && u < 0xDC00 && peek () = '\\' then begin
+        incr pos;
+        if peek () <> 'u' then raise Malformed;
+        let lo = hex4 () in
+        if lo < 0xDC00 || lo > 0xDFFF then raise Malformed;
+        0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+      end
+      else u
+    in
+    Buffer.add_utf_8_uchar b (Uchar.of_int u)
+  in
   let quoted () =
     expect '"';
     let b = Buffer.create 8 in
@@ -37,9 +78,20 @@ let parse_line s : (string * value) list option =
         match s.[!pos] with
         | '"' -> incr pos
         | '\\' ->
-            if !pos + 1 >= n then raise Malformed;
-            Buffer.add_char b s.[!pos + 1];
-            pos := !pos + 2;
+            incr pos;
+            (match peek () with
+            | 'u' -> unicode b
+            | c ->
+                Buffer.add_char b
+                  (match c with
+                  | '"' | '\\' | '/' -> c
+                  | 'b' -> '\b'
+                  | 'f' -> '\012'
+                  | 'n' -> '\n'
+                  | 'r' -> '\r'
+                  | 't' -> '\t'
+                  | _ -> raise Malformed);
+                incr pos);
             go ()
         | c ->
             Buffer.add_char b c;
@@ -97,4 +149,4 @@ let parse_line s : (string * value) list option =
     in
     members ();
     Some (List.rev !fields)
-  with Malformed | Failure _ -> None
+  with Malformed | Failure _ | Invalid_argument _ -> None

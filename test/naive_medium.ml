@@ -1,6 +1,6 @@
 (* Brute-force oracle for [Net.Channel.fanout]: the radios a transmission
    touches, found by scanning every radio in attach order instead of
-   walking the cell index.
+   reading neighbour lists.
 
    Positions come from the record mobility processes
    ([Mobility.position]), not from the store's cached planes the channel

@@ -89,119 +89,6 @@ let clamp_idempotent =
       let c = Terrain.clamp t p in
       Terrain.contains t c && Vec2.equal c (Terrain.clamp t c))
 
-(* ---- Cell_index -------------------------------------------------------- *)
-
-(* The cell holding member [i], found by scanning every cell's members
-   (-1 if none); [cells_holding] counts the cells that list it. *)
-let cells_holding t i =
-  let found = ref (-1) and times = ref 0 in
-  for c = 0 to (Cell_index.cols t * Cell_index.rows t) - 1 do
-    let arr = Cell_index.members t c in
-    for k = 0 to Cell_index.count t c - 1 do
-      if arr.(k) = i then begin
-        found := c;
-        incr times
-      end
-    done
-  done;
-  (!found, !times)
-
-let cell_holding t i = fst (cells_holding t i)
-
-(* The cell the interface documents for a position: floor of each
-   coordinate over the cell side, clamped to the grid. *)
-let documented_cell t ~cell ~x ~y =
-  let axis v n = Int.max 0 (Int.min (n - 1) (int_of_float (Float.floor (v /. cell)))) in
-  let cols = Cell_index.cols t in
-  (axis y (Cell_index.rows t) * cols) + axis x cols
-
-let cell_index_basic () =
-  let t = Cell_index.create ~cell:10. ~width:100. ~height:50. ~ids:8 in
-  checkb "empty" true (Cell_index.population t = 0);
-  checkb "grid" true (Cell_index.cols t = 11 && Cell_index.rows t = 6);
-  Cell_index.update t 0 ~x:5. ~y:5.;
-  Cell_index.update t 1 ~x:6. ~y:6.;
-  Cell_index.update t 2 ~x:95. ~y:45.;
-  checkb "population" true (Cell_index.population t = 3);
-  checkb "mem" true (Cell_index.mem t 1);
-  checkb "not mem" false (Cell_index.mem t 3);
-  checkb "near members share cell 0" true
-    (cell_holding t 0 = 0 && cell_holding t 1 = 0);
-  checkb "far member in its own cell" true
-    (cell_holding t 2 = (4 * 11) + 9);
-  checkb "absent member in no cell" true (cell_holding t 3 = -1)
-
-let cell_index_move_remove () =
-  let t = Cell_index.create ~cell:10. ~width:100. ~height:50. ~ids:4 in
-  Cell_index.update t 0 ~x:5. ~y:5.;
-  (* Same-cell move is a no-op; cross-cell move relocates. *)
-  Cell_index.update t 0 ~x:7. ~y:8.;
-  checkb "still one member" true (Cell_index.population t = 1);
-  checkb "same cell" true (cells_holding t 0 = (0, 1));
-  Cell_index.update t 0 ~x:95. ~y:45.;
-  checkb "left old cell, entered new cell" true
-    (cells_holding t 0 = ((4 * 11) + 9, 1));
-  Cell_index.remove t 0;
-  checkb "removed" false (Cell_index.mem t 0);
-  checkb "in no cell" true (cell_holding t 0 = -1);
-  Cell_index.remove t 0;
-  (* double remove is a no-op *)
-  checkb "empty again" true (Cell_index.population t = 0);
-  (* Positions outside the arena clamp to border cells, never crash. *)
-  Cell_index.update t 1 ~x:(-10.) ~y:500.;
-  checkb "clamped to the bottom-left border cell" true
-    (cell_holding t 1 = 5 * 11)
-
-let cell_index_contract =
-  (* Randomized inserts, moves (some outside the arena or on cell
-     borders) and removals: every present member is listed exactly once,
-     in the cell the interface documents, and stats stay coherent.  That
-     the channel's walk over these cells finds every radio in range is
-     checked against the brute-force scan in test_net. *)
-  QCheck.Test.make ~name:"members sit in their documented cell" ~count:100
-    QCheck.(small_int)
-    (fun seed ->
-      let rng = Sim.Rng.create (seed + 1) in
-      let n = 40 and cell = 25. in
-      let t = Cell_index.create ~cell ~width:200. ~height:100. ~ids:n in
-      let xs = Array.make n 0. and ys = Array.make n 0. in
-      let present = Array.make n false in
-      let coord hi =
-        match Sim.Rng.int rng 4 with
-        | 0 -> cell *. float_of_int (Sim.Rng.int rng 10)
-        | 1 -> Sim.Rng.float rng (hi +. 40.) -. 20.
-        | _ -> Sim.Rng.float rng hi
-      in
-      for _ = 1 to 120 do
-        let i = Sim.Rng.int rng n in
-        if Sim.Rng.int rng 5 = 0 then begin
-          Cell_index.remove t i;
-          present.(i) <- false
-        end
-        else begin
-          xs.(i) <- coord 200.;
-          ys.(i) <- coord 100.;
-          Cell_index.update t i ~x:xs.(i) ~y:ys.(i);
-          present.(i) <- true
-        end
-      done;
-      let ok = ref true and live = ref 0 in
-      for i = 0 to n - 1 do
-        let expected =
-          if present.(i) then begin
-            incr live;
-            (documented_cell t ~cell ~x:xs.(i) ~y:ys.(i), 1)
-          end
-          else (-1, 0)
-        in
-        ok := !ok && cells_holding t i = expected
-          && Cell_index.mem t i = present.(i)
-      done;
-      let s = Cell_index.stats t in
-      !ok && s.Cell_index.occupied <= s.Cell_index.cells
-      && s.Cell_index.max_occupancy <= n
-      && Cell_index.population t = !live)
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "geom"
@@ -222,11 +109,5 @@ let () =
           Alcotest.test_case "invalid" `Quick terrain_invalid;
           Alcotest.test_case "measures" `Quick terrain_measures;
           qt clamp_idempotent;
-        ] );
-      ( "cell-index",
-        [
-          Alcotest.test_case "basics" `Quick cell_index_basic;
-          Alcotest.test_case "move/remove/clamp" `Quick cell_index_move_remove;
-          qt cell_index_contract;
         ] );
     ]

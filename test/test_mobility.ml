@@ -277,6 +277,75 @@ let waypoint_contained_prop =
           Geom.Terrain.contains terrain (Mobility.position m !t))
         dts)
 
+(* qcheck: [max_speed] bounds every move, which the channel trusts to
+   age its neighbour lists.  A random process of each family is sampled
+   through the position store (the channel's view) at random increasing
+   times, some a few ms apart and some several legs apart; no step
+   covers more than [max_speed * dt], up to float rounding. *)
+let max_speed_bounds_moves_prop =
+  QCheck.Test.make ~name:"max_speed bounds every move" ~count:300
+    QCheck.(
+      triple small_int (int_bound 5)
+        (list_of_size (QCheck.Gen.return 200) (float_bound_inclusive 3.)))
+    (fun (seed, family, dts) ->
+      let rng = Rng.create (seed + 1) in
+      let speed () = 0.5 +. Rng.float rng 40. in
+      let point () = Geom.Terrain.random_point terrain rng in
+      let lo = speed () in
+      let hi = lo +. Rng.float rng 20. in
+      let pause = Time.sec (Rng.float rng 2.) in
+      let m =
+        match family with
+        | 0 -> Mobility.static (point ())
+        | 1 ->
+            Mobility.waypoint ~terrain ~rng ~speed_min:lo ~speed_max:hi ~pause
+              ~start:(point ())
+        | 2 ->
+            Mobility.random_walk ~terrain ~rng ~speed:hi
+              ~epoch:(Time.sec (0.1 +. Rng.float rng 5.))
+              ~start:(point ())
+        | 3 ->
+            Mobility.manhattan ~terrain ~rng
+              ~spacing:(20. +. Rng.float rng 200.)
+              ~speed_min:lo ~speed_max:hi ~pause ~start:(point ())
+        | 4 ->
+            let at = ref 0. in
+            Mobility.scripted
+              (List.init
+                 (1 + Rng.int rng 6)
+                 (fun _ ->
+                   at := !at +. 0.01 +. Rng.float rng 20.;
+                   (Time.sec !at, point ())))
+        | _ ->
+            (* Offsets up to the terrain's size, so members clamp. *)
+            let g =
+              Mobility.rpgm_group ~terrain ~rng ~speed_min:lo ~speed_max:hi
+                ~pause ~start:(point ())
+            in
+            Mobility.rpgm_member g
+              ~ox:(Rng.float rng 2000. -. 1000.)
+              ~oy:(Rng.float rng 1000. -. 500.)
+      in
+      let v = Mobility.max_speed m in
+      let s = Mobility.Pos_store.of_array [| m |] ~at:Time.zero in
+      let t = ref Time.zero in
+      let prev = ref (Mobility.Pos_store.position s 0 Time.zero) in
+      v >= 0.
+      && List.for_all
+           (fun dt ->
+             (* Half the steps are ms-scale, inside one leg. *)
+             let dt = if Rng.bool rng then dt /. 1000. else dt in
+             let t' = Time.add !t (Time.sec dt) in
+             let p = Mobility.Pos_store.position s 0 t' in
+             let span = Time.to_sec (Time.diff t' !t) in
+             let ok =
+               Geom.Vec2.dist !prev p <= (v *. span *. (1. +. 1e-9)) +. 1e-6
+             in
+             t := t';
+             prev := p;
+             ok)
+           dts)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "mobility"
@@ -296,6 +365,7 @@ let () =
           Alcotest.test_case "scripted validation" `Quick scripted_validation;
           Alcotest.test_case "waypoint validation" `Quick waypoint_validation;
           qt waypoint_contained_prop;
+          qt max_speed_bounds_moves_prop;
         ] );
       ( "manhattan",
         [

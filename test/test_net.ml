@@ -15,11 +15,10 @@ let data_payload ?(bytes = 512) ~src ~dst () =
 
 (* A channel over the given mobility processes, node [i] in store
    slot [i]. *)
-let store_channel ?(params = Net.Params.default) ?(max_speed = 0.) engine mobs
-    =
+let store_channel ?(params = Net.Params.default) engine mobs =
   let store = Mobility.Pos_store.of_array (Array.of_list mobs) ~at:Time.zero in
   ( store,
-    Net.Channel.create ~engine ~max_speed ~store
+    Net.Channel.create ~engine ~store
       ~terrain:(Geom.Terrain.create ~width:3000. ~height:1000.)
       ~params () )
 
@@ -246,15 +245,13 @@ let broadcast_no_retry () =
 let mobility_breaks_link () =
   (* A node walking out of range: early unicasts succeed, later ones
      fail — the store refreshes the walker's position live, and its
-     speed bound keeps the cell index exact as it crosses cells. *)
+     scripted speed ages the neighbour lists as it crosses cells. *)
   let engine = Engine.create ~seed:9 () in
   let walker =
     Mobility.scripted
       [ (Time.sec 0., v 100. 0.); (Time.sec 10., v 2000. 0.) ]
   in
-  let _, channel =
-    store_channel ~max_speed:200. engine [ Mobility.static (v 0. 0.); walker ]
-  in
+  let _, channel = store_channel engine [ Mobility.static (v 0. 0.); walker ] in
   let delivered = ref 0 and failed = ref 0 in
   let mk id cb =
     Net.Mac.create ~engine ~channel ~rng:(Rng.create id) ~id:(n id) ~slot:id cb
@@ -340,9 +337,9 @@ let mac_power_toggle () =
   checki "no link failure" 0 (List.length !(nodes.(0).failures));
   checki "data + ack + earlier data" 3 (Net.Channel.transmissions channel)
 
-(* ---- Cell-grid index vs. brute-force oracle ---------------------------- *)
+(* ---- Neighbour lists vs. brute-force oracle ---------------------------- *)
 
-(* The cell index must be an invisible optimisation: at every
+(* The neighbour lists must be an invisible optimisation: at every
    transmission of a full run the channel touches exactly the radios a
    brute-force scan over every radio finds, in the same order
    ([Naive_medium]).  Arming the oracle must not perturb the run either:
@@ -457,12 +454,11 @@ let fanout_matches_naive_prop =
              = Naive_medium.fanout oracle i)
            radios))
 
-(* Receivers at slots 0..5 sit left to right across three index cells
+(* Receivers at slots 0..5 sit left to right across three grid cells
    (cell side = cs range / 2 = 275 m), all within decode range of the
-   source in slot 6.  Attaching in slot order makes the cell walk that
-   builds the source's neighbour list visit receivers in ascending
-   attach order — the reverse of the delivery order, which the list
-   must hold. *)
+   source in slot 6.  Attaching in slot order makes the rebuild's cells
+   hold receivers in ascending attach order — the reverse of the
+   delivery order, which the source's neighbour list must hold. *)
 let fanout_layout =
   List.map
     (fun x -> v x 100.)
@@ -516,9 +512,9 @@ let fanout_order_matches_naive () =
 
 (* ---- Neighbour lists and carrier-sense gating ------------------------- *)
 
-(* Re-attach: A's neighbour list is built while B is detached, so it
-   lacks B.  B's re-attach must invalidate it — a static layout never
-   expires a list by age — so A's next transmission touches B again,
+(* Re-attach: A's neighbour list is built while B is detached.  A
+   static layout never expires a list by age, so the list must name B
+   anyway: after B's re-attach, A's next transmission touches B again,
    exactly as the brute-force scan finds. *)
 let reattach_refreshes_lists () =
   let layout = [ v 100. 100.; v 300. 100.; v 500. 100. ] in
@@ -548,12 +544,15 @@ let reattach_refreshes_lists () =
   checki "both transmissions checked" 2 !checked
 
 (* Random mobile layouts: radios on random waypoints at up to 30 m/s,
-   dense enough that many pairs sit near the neighbour-list radius, on
-   two channels over the same store — one given the speed bound, one
-   without it.  At random instants over several seconds, every radio's
-   fan-out on both channels equals the brute-force scan's, so a list is
-   never used after it may have gone stale.  Instants come a few hundred
-   ms apart, so lists are both reused and expired. *)
+   dense enough that many pairs sit near the neighbour-list radius.  At
+   random instants over several seconds, every radio's fan-out equals
+   the brute-force scan's, so a list is never used after it may have
+   gone stale.  Instants come a few hundred ms apart, so lists are both
+   reused and expired, and between instants a few radios detach or
+   re-attach at random, so lists built with a radio down are read after
+   it comes back up.  Only attached radios are asked, as only they
+   transmit: a detached radio's position is refreshed by nothing but a
+   rebuild. *)
 let list_expiry_prop =
   QCheck.Test.make ~name:"fan-out matches naive as lists age" ~count:40
     QCheck.small_int (fun seed ->
@@ -569,31 +568,57 @@ let list_expiry_prop =
       in
       let engine = Engine.create ~seed:5 () in
       let store = Mobility.Pos_store.of_array mobs ~at:Time.zero in
-      let channel max_speed =
-        let c =
-          Net.Channel.create ~engine ?max_speed ~store ~terrain
-            ~params:Net.Params.default ()
-        in
-        let radios =
-          Array.init k (fun i -> Net.Channel.attach c ~slot:i ~id:(n i))
-        in
-        (c, radios, Naive_medium.create ~engine ~store c radios)
+      let c =
+        Net.Channel.create ~engine ~store ~terrain ~params:Net.Params.default
+          ()
       in
-      let channels = [ channel (Some vmax); channel None ] in
+      let radios =
+        Array.init k (fun i -> Net.Channel.attach c ~slot:i ~id:(n i))
+      in
+      let oracle = Naive_medium.create ~engine ~store c radios in
       let ok = ref true and at = ref Time.zero in
       for _ = 1 to 30 do
         at := Time.add !at (Time.ms (Rng.float rng 400.));
         Engine.run ~until:!at engine;
-        List.iter
-          (fun (c, radios, oracle) ->
-            Array.iteri
-              (fun i r ->
-                let got = List.map Node_id.to_int (Net.Channel.fanout c r) in
-                if got <> Naive_medium.fanout oracle i then ok := false)
-              radios)
-          channels
+        for _ = 1 to Rng.int rng 4 do
+          let r = radios.(Rng.int rng k) in
+          Net.Channel.set_attached c r (not (Net.Channel.attached r))
+        done;
+        Array.iteri
+          (fun i r ->
+            if Net.Channel.attached r then begin
+              let got = List.map Node_id.to_int (Net.Channel.fanout c r) in
+              if got <> Naive_medium.fanout oracle i then ok := false
+            end)
+          radios
       done;
       !ok)
+
+(* A radio attaching after the lists were built joins every list at
+   once, though a static layout never expires them by age.  A slot
+   outside the store is refused: the channel reads positions by slot
+   unchecked. *)
+let late_attach_joins_lists () =
+  let layout = [ v 100. 100.; v 300. 100.; v 200. 150. ] in
+  let engine = Engine.create ~seed:5 () in
+  let store, channel = store_channel engine (List.map Mobility.static layout) in
+  let attach i = Net.Channel.attach channel ~slot:i ~id:(n i) in
+  let a = attach 0 and b = attach 1 in
+  let ids r = List.map Node_id.to_int (Net.Channel.fanout channel r) in
+  Alcotest.(check (list int)) "before: A touches B" [ 1 ] (ids a);
+  Engine.run ~until:(Time.sec 1.) engine;
+  let c = attach 2 in
+  let oracle = Naive_medium.create ~engine ~store channel [| a; b; c |] in
+  List.iteri
+    (fun i r ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "after: radio %d as brute force" i)
+        (Naive_medium.fanout oracle i) (ids r))
+    [ a; b; c ];
+  Alcotest.(check (list int)) "after: A touches C and B" [ 2; 1 ] (ids a);
+  Alcotest.check_raises "a slot outside the store"
+    (Invalid_argument "Channel.attach: no such store slot") (fun () ->
+      ignore (attach 3))
 
 (* A raw radio reports every carrier-sense edge; with contending off it
    reports none, and switched back on mid-transmission it reports the
@@ -764,6 +789,8 @@ let () =
           Alcotest.test_case "re-attach refreshes neighbour lists" `Quick
             reattach_refreshes_lists;
           qt list_expiry_prop;
+          Alcotest.test_case "late attach joins neighbour lists" `Quick
+            late_attach_joins_lists;
           Alcotest.test_case "contending gates carrier-sense edges" `Quick
             contending_gates_edges;
         ] );

@@ -171,6 +171,43 @@ let jsonl_roundtrip () =
   | Ok t -> checki "all events round-trip" !counted (Obs.Reader.length t));
   Sys.remove trace_file
 
+(* JSON string escapes: any byte string, escaped as a key and as a
+   value (the value ASCII, a quarter of it control bytes), parses back to
+   itself. *)
+let escape_roundtrip_prop =
+  QCheck.Test.make ~name:"jsonl escape round-trips" ~count:500
+    QCheck.(
+      pair string
+        (string_gen_of_size Gen.(0 -- 20) Gen.(char_range '\000' '\127')))
+    (fun (a, b) ->
+      let e = Obs.Jsonl.escape in
+      Obs.Jsonl.parse_line
+        (Printf.sprintf "{\"%s\":\"%s\",\"n\":1}" (e a) (e b))
+      = Some [ (a, Obs.Jsonl.Str b); ("n", Obs.Jsonl.Int 1) ])
+
+(* Every escape the JSON grammar allows decodes, [\uXXXX] (surrogate
+   pairs included) to UTF-8; a malformed one fails the line. *)
+let jsonl_escapes () =
+  let str l =
+    match Obs.Jsonl.parse_line l with
+    | Some [ ("s", Obs.Jsonl.Str s) ] -> Some s
+    | _ -> None
+  in
+  let check_str name want line =
+    Alcotest.(check (option string)) name want (str line)
+  in
+  check_str "short escapes" (Some "\"\\/\b\012\n\r\t")
+    {|{"s":"\"\\\/\b\f\n\r\t"}|};
+  check_str "control byte" (Some "a\tb") {|{"s":"a\u0009b"}|};
+  check_str "BMP code point" (Some "\xc3\xa9\xe2\x82\xac")
+    {|{"s":"\u00e9\u20AC"}|};
+  check_str "surrogate pair" (Some "\xf0\x9f\x98\x80")
+    {|{"s":"\ud83d\ude00"}|};
+  check_str "lone surrogate" None {|{"s":"\ud83d"}|};
+  check_str "unknown escape" None {|{"s":"\q"}|};
+  check_str "short \\u" None {|{"s":"\u12"}|};
+  check_str "bad hex" None {|{"s":"\u12g4"}|}
+
 (* Telemetry emits one line per interval with valid flat JSON carrying
    the simulation gauges. *)
 let telemetry_emits () =
@@ -208,6 +245,8 @@ let () =
           Alcotest.test_case "null-sink differential" `Slow
             null_sink_differential;
           Alcotest.test_case "jsonl roundtrip" `Slow jsonl_roundtrip;
+          Alcotest.test_case "jsonl escapes" `Quick jsonl_escapes;
+          QCheck_alcotest.to_alcotest escape_roundtrip_prop;
         ] );
       ( "monitor",
         [

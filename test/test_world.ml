@@ -2,12 +2,13 @@
    against an oracle, never with tolerances:
 
    - at every transmission, the channel (shared Mobility.Pos_store +
-     incremental Geom.Cell_index) touches exactly the radios a
+     neighbour lists) touches exactly the radios a
      brute-force scan over record mobility finds (test/naive_medium.ml),
      across protocols, mobility families, shadowing, partition and
      churn; arming that oracle leaves the outcome unchanged;
    - churn edge cases: traffic to a crashed node, teardown of routing
-     state, rejoin recovery, and index removal/re-insertion;
+     state, rejoin recovery, and detach/re-attach under the neighbour
+     lists;
    - the LDR invariant monitor stays silent across churn and
      partition-then-heal sweeps (crash-rebooted sequence numbers are
      the van Glabbeek loop stressor this guards against). *)
@@ -226,9 +227,9 @@ let test_crash_successor_cleared () =
   checkb "reset cleared every successor" true (!crashed_successor = None)
 
 let test_crashed_destination_soa_identical () =
-  (* The scripted crash/rejoin under the fan-out oracle: exercises
-     Cell_index removal and re-insertion against the brute-force scan's
-     attached filter at every transmission. *)
+  (* The scripted crash/rejoin under the fan-out oracle: exercises the
+     neighbour lists' attached filter across detach and re-attach
+     against the brute-force scan's at every transmission. *)
   let a = run_chain_crash ~oracle:true in
   let b = run_chain_crash ~oracle:false in
   same_digest "chain crash oracle-checked = plain" a b
