@@ -180,8 +180,13 @@ let build ?on_engine ?obs (sc : Scenario.t) =
             (fun payload ~from ->
               agents.(i).Routing.Agent.recv payload ~from);
           promiscuous =
-            (fun payload ~from ~dst ->
-              agents.(i).Routing.Agent.overheard payload ~from ~dst);
+            (* Only DSR's agents act on frames for other nodes. *)
+            (match sc.protocol with
+            | Scenario.Dsr _ ->
+                Some
+                  (fun p ~from ~dst ->
+                    agents.(i).Routing.Agent.overheard p ~from ~dst)
+            | Ldr _ | Aodv _ | Olsr _ | Ldr_agg _ | Aodv_agg _ -> None);
           link_failure =
             (fun payload ~next_hop ->
               if Obs.Bus.on bus then

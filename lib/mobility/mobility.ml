@@ -385,6 +385,7 @@ module Pos_store = struct
     y : float array;
     depart : int array; (* current leg window, ns *)
     arrive : int array;
+    total : float array; (* its duration, s: [Time.to_sec (arrive - depart)] *)
     fx : float array; (* leg endpoints *)
     fy : float array;
     dx : float array;
@@ -396,6 +397,7 @@ module Pos_store = struct
     let l = s.mob.(i).leg in
     s.depart.(i) <- (l.depart :> int);
     s.arrive.(i) <- (l.arrive :> int);
+    s.total.(i) <- float_of_int ((l.arrive :> int) - (l.depart :> int)) /. 1e9;
     s.fx.(i) <- l.from_pos.Geom.Vec2.x;
     s.fy.(i) <- l.from_pos.Geom.Vec2.y;
     s.dx.(i) <- l.dest.Geom.Vec2.x;
@@ -410,6 +412,7 @@ module Pos_store = struct
         y = Array.make n 0.;
         depart = Array.make n 0;
         arrive = Array.make n 0;
+        total = Array.make n 0.;
         fx = Array.make n 0.;
         fy = Array.make n 0.;
         dx = Array.make n 0.;
@@ -428,7 +431,7 @@ module Pos_store = struct
   let length s = Array.length s.mob
   let proc s i = s.mob.(i)
 
-  let refresh s i time =
+  let[@inline] refresh s i time =
     let tn = (time : Time.t :> int) in
     if tn <> s.last_t.(i) then begin
       if tn > s.arrive.(i) then begin
@@ -454,16 +457,20 @@ module Pos_store = struct
            the cross-module calls box their float results on the classic
            (non-flambda) compiler, and this is the hottest loop in the
            SoA sweep.  [to_sec] is [float_of_int ns /. 1e9], so the
-           rounding is term-for-term identical. *)
-        let dep = s.depart.(i) in
-        let total = float_of_int (s.arrive.(i) - dep) /. 1e9 in
-        let gone = float_of_int (tn - dep) /. 1e9 in
-        let u = gone /. total in
+           rounding is term-for-term identical ([total] included). *)
+        let gone = float_of_int (tn - s.depart.(i)) /. 1e9 in
+        let u = gone /. s.total.(i) in
         s.x.(i) <- s.fx.(i) +. ((s.dx.(i) -. s.fx.(i)) *. u);
         s.y.(i) <- s.fy.(i) +. ((s.dy.(i) -. s.fy.(i)) *. u)
       end;
       s.last_t.(i) <- tn
     end
+
+  (* One call per list: [refresh] inlines into the loop. *)
+  let refresh_slots s slots n time =
+    for k = 0 to n - 1 do
+      refresh s slots.(k) time
+    done
 
   let xs s = s.x
   let ys s = s.y

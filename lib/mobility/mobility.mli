@@ -133,6 +133,10 @@ module Pos_store : sig
       {!position}, a query preceding the node's current leg raises
       [Invalid_argument] (and leaves the store untouched). *)
 
+  val refresh_slots : t -> int array -> int -> Sim.Time.t -> unit
+  (** [refresh_slots s slots n t] is [refresh s slots.(k) t] for every
+      [k] in [\[0, n)], in order: one call for a whole list of slots. *)
+
   val xs : t -> float array
   (** The cached-x plane: slot [i] holds node [i]'s x as of its last
       {!refresh}.  The array is the store's own (never reallocated), so

@@ -1,50 +1,15 @@
 open Sim
 open Packets
 
-(* Link geometry of one reception.  All-float, so OCaml stores the
-   fields flat and writing them never boxes. *)
-type geo = {
-  mutable dist : float;
-      (** receiver-to-transmitter distance, for capture (transiently
-          holds the squared distance between candidate collection and
-          the delivery pass) *)
-  mutable gain : float;
-      (** shadowing range factor of this link; exactly [1.] without a
-          link model, in which case the delivery pass is bit-identical
-          to the plain unit disk *)
-}
-
-(* Per-receiver reception state.  Records are pooled inside [tx_job]s
-   and reused across transmissions; a transmission writes only their
-   ints, floats and flags, so touching a radio costs no write barrier
-   and allocates nothing.  [rx_id] is the record's index in the
-   channel's [rx_all], by which a radio names the reception it is
-   locked to. *)
-type rx = {
-  rx_id : int;
-  geo : geo;
-  mutable rx_seq : int;  (** attach seq of the radio receiving it *)
-  mutable corrupted : bool;
-  mutable locked : bool;  (** this arrival captured the receiver *)
-}
-
 type radio = {
   id : Node_id.t;
-  seq : int;  (** attach order: the radio's index in [t.radios] *)
-  idx : int;  (** store slot *)
-  mutable attached : bool;
-      (** false while the node is down (churn): no transmission touches
-          the radio, though neighbour lists still name it *)
+  slot : int;  (** store slot: the radio's index in the channel's arrays *)
   mutable receive : Frame.t -> unit;
+  mutable overhear : bool;  (** [receive] hears unicasts for others too *)
   mutable medium : bool -> unit;
-  mutable contending : bool;
-      (** [medium] hears carrier-sense edges only while this is set *)
-  mutable busy_count : int;  (** in-range transmissions currently in the air *)
-  mutable tx_count : int;  (** own transmissions in the air (0 or 1) *)
-  mutable lock : int;  (** [rx_id] of the frame being decoded; -1 when none *)
   mutable nbrs : int array;
-      (** neighbour list: attach seqs of the radios within [reach] of
-          this one at the last rebuild, descending; [0, nbr_n) are live *)
+      (** neighbour list: slots of the radios within [reach] of this one
+          at the last rebuild, newest attach first; [0, nbr_n) are live *)
   mutable nbr_n : int;
   mutable cell : int;  (** the cell the last rebuild binned it in *)
 }
@@ -52,33 +17,17 @@ type radio = {
 let dummy_frame =
   { Frame.src = Node_id.of_int 0; dst = Frame.Broadcast; body = Frame.Ack }
 
-let new_radio ~id ~seq ~idx =
+(* Filler for the by-slot radio table. *)
+let dummy_radio =
   {
-    id;
-    seq;
-    idx;
-    attached = true;
+    id = Node_id.of_int 0;
+    slot = -1;
     receive = ignore;
+    overhear = true;
     medium = ignore;
-    contending = true;
-    busy_count = 0;
-    tx_count = 0;
-    lock = -1;
     nbrs = [||];
     nbr_n = 0;
     cell = 0;
-  }
-
-(* Filler for the radio table and idle jobs. *)
-let dummy_radio = new_radio ~id:(Node_id.of_int 0) ~seq:(-1) ~idx:(-1)
-
-let no_rx =
-  {
-    rx_id = -1;
-    geo = { dist = 0.; gain = 1. };
-    rx_seq = -1;
-    corrupted = true;
-    locked = false;
   }
 
 (* Verlet skin of the neighbour lists: a list holds the radios within
@@ -88,17 +37,32 @@ let no_rx =
    more often, larger ones scan more entries per transmission. *)
 let neighbour_margin_m = 50.
 
-(* One in-flight transmission: the source, the frame and the touched
-   radios' receptions, alive from [transmit] to its end-of-transmission
-   event.  Slot j of [job_rxs] over [0, job_n) is the j-th reception in
-   delivery order.  Jobs are pooled on a free stack; the job itself is
-   the argument of the closure-free end-of-tx event, so a transmission
-   schedules without allocating. *)
+(* Bits of a reception's [job_flags] byte. *)
+let locked = 1 (* this arrival captured the receiver *)
+let corrupted = 2
+
+(* One in-flight transmission, alive from [transmit] to its
+   end-of-transmission event: the source, the frame and, over
+   [0, job_n) in delivery order, each touched radio's slot, link
+   distance and gain, and flags.  These parallel arrays hold ints,
+   unboxed floats and bytes, so touching a radio writes no pointer (no
+   [caml_modify]) and allocates nothing; a radio names the reception it
+   is locked to by (job id, index).  Jobs are pooled on a free stack;
+   the job is the argument of the closure-free end-of-tx event, so a
+   transmission schedules without allocating. *)
 type tx_job = {
-  mutable job_src : radio;
+  job_id : int;  (** index in the channel's [jobs] *)
+  mutable job_src : int;  (** slot of the transmitting radio *)
   mutable job_frame : Frame.t;
-  mutable job_rxs : rx array;
   mutable job_n : int;
+  mutable job_slots : int array;
+  mutable job_dist : float array;
+      (** receiver-to-transmitter distance, for capture (squared until
+          the delivery pass) *)
+  mutable job_gain : float array;
+      (** shadowing range factor of the link; exactly [1.] without a
+          link model, as on the plain unit disk *)
+  mutable job_flags : Bytes.t;
   job_owner : t;
 }
 
@@ -114,15 +78,27 @@ and t = {
   xs : float array;
   ys : float array;
   (* The rebuild's cell grid: square cells of side [cell] over the
-     terrain, [cols] by [rows].  After a rebuild, [cell_seqs] holds the
-     attach seqs of cell [c] over [cell_start.(c), cell_start.(c + 1)),
-     ascending. *)
+     terrain, [cols] by [rows].  After a rebuild, [cell_slots] holds the
+     slots of the radios in cell [c] over
+     [cell_start.(c), cell_start.(c + 1)]. *)
   cell : float;
   cols : int;
   rows : int;
   cell_start : int array;  (* [cols * rows + 1] entries *)
-  cell_seqs : int array;  (* one entry per store slot *)
-  mutable radios : radio array;  (* by seq; [0, next_seq) are live *)
+  cell_slots : int array;  (* one entry per store slot *)
+  (* Per-radio state by store slot, sized once: a slot holds at most
+     one radio.  A transmission loads a radio record only to call its
+     listeners. *)
+  radios : radio array;  (* [dummy_radio] where no radio attached *)
+  busy_n : int array;  (* in-range transmissions currently in the air *)
+  tx_n : int array;  (* own transmissions in the air (0 or 1) *)
+  lock_job : int array;  (* job of the frame being decoded; -1: none *)
+  lock_ix : int array;  (* its index in that job *)
+  contending : bool array;  (* the medium listener hears edges only then *)
+  attached : bool array;
+      (* false while the node is down (churn): no transmission touches
+         the radio, though neighbour lists still name it *)
+  order : int array;  (* slots in attach order; [0, next_seq) are live *)
   mutable next_seq : int;
   link : Link_model.t option;
       (* None on the classic unit disk — the collect fast path then
@@ -134,10 +110,9 @@ and t = {
   mutable built_at : Time.t;  (* when the last rebuild ran *)
   mutable hooks : (Node_id.t -> Frame.t -> unit) list;
   mutable tx_total : int;
+  mutable jobs : tx_job array;  (* every job, by [job_id] *)
   mutable job_pool : tx_job array;
-  mutable job_free : int;  (* jobs [0, job_free) are free *)
-  mutable rx_all : rx array;  (* every pooled rx, by [rx_id] *)
-  mutable rx_count : int;
+  mutable job_free : int;  (* jobs [0, job_free) of the pool are free *)
   obs : Obs.Bus.t;
 }
 
@@ -168,8 +143,15 @@ let create ~engine ?obs ~store ~terrain ?link ~params () =
     cols;
     rows;
     cell_start = Array.make ((cols * rows) + 1) 0;
-    cell_seqs = Array.make n 0;
-    radios = [||];
+    cell_slots = Array.make n 0;
+    radios = Array.make n dummy_radio;
+    busy_n = Array.make n 0;
+    tx_n = Array.make n 0;
+    lock_job = Array.make n (-1);
+    lock_ix = Array.make n 0;
+    contending = Array.make n true;
+    attached = Array.make n false;
+    order = Array.make n 0;
     next_seq = 0;
     link;
     reach =
@@ -180,77 +162,59 @@ let create ~engine ?obs ~store ~terrain ?link ~params () =
     built_at = Time.zero;
     hooks = [];
     tx_total = 0;
+    jobs = [||];
     job_pool = [||];
     job_free = 0;
-    rx_all = [||];
-    rx_count = 0;
     obs = (match obs with Some b -> b | None -> Obs.Bus.create ());
   }
 
 let params t = t.params
 let obs t = t.obs
 
-let frame_dst_int (f : Frame.t) =
-  match f.dst with Frame.Broadcast -> -1 | Frame.Unicast d -> Node_id.to_int d
-
-(* Double [a] (at least to [min]), filling new cells with [fill]. *)
-let grow a ~min fill =
-  let bigger = Array.make (Stdlib.max min (2 * Array.length a)) fill in
-  Array.blit a 0 bigger 0 (Array.length a);
-  bigger
-
 let attach t ~slot ~id =
   if slot < 0 || slot >= Array.length t.xs then
     invalid_arg "Channel.attach: no such store slot";
-  let r = new_radio ~id ~seq:t.next_seq ~idx:slot in
-  if t.next_seq = Array.length t.radios then
-    t.radios <- grow t.radios ~min:8 dummy_radio;
-  t.radios.(t.next_seq) <- r;
+  if t.radios.(slot) != dummy_radio then
+    invalid_arg "Channel.attach: store slot already has a radio";
+  let r = { dummy_radio with id; slot } in
+  t.radios.(slot) <- r;
+  t.attached.(slot) <- true;
+  t.order.(t.next_seq) <- slot;
   t.next_seq <- t.next_seq + 1;
   r
 
-let set_receiver r f = r.receive <- f
+let set_receiver r ~overhear f =
+  r.receive <- f;
+  r.overhear <- overhear
+
 let set_medium_listener r f = r.medium <- f
-let set_contending r v = r.contending <- v
+let set_contending t r v = t.contending.(r.slot) <- v
 let radio_id r = r.id
-let transmitting r = r.tx_count > 0
-
-let carrier_busy r = r.busy_count > 0 || r.tx_count > 0
-
-let busy _t r = carrier_busy r
+let transmitting t r = t.tx_n.(r.slot) > 0
+let busy t r = t.busy_n.(r.slot) > 0 || t.tx_n.(r.slot) > 0
 
 (* ---- Transmission-job pool --------------------------------------------- *)
 
-let new_rx t =
-  let rx =
-    {
-      rx_id = t.rx_count;
-      geo = { dist = 0.; gain = 1. };
-      rx_seq = -1;
-      corrupted = false;
-      locked = false;
-    }
-  in
-  if t.rx_count = Array.length t.rx_all then
-    t.rx_all <- grow t.rx_all ~min:64 no_rx;
-  t.rx_all.(t.rx_count) <- rx;
-  t.rx_count <- t.rx_count + 1;
-  rx
-
-let new_job owner =
+let new_job owner job_id =
   {
-    job_src = dummy_radio;
+    job_id;
+    job_src = -1;
     job_frame = dummy_frame;
-    job_rxs = Array.init 8 (fun _ -> new_rx owner);
     job_n = 0;
+    job_slots = Array.make 8 0;
+    job_dist = Array.make 8 0.;
+    job_gain = Array.make 8 1.;
+    job_flags = Bytes.make 8 '\000';
     job_owner = owner;
   }
 
 let alloc_job t =
   if t.job_free = 0 then begin
-    let extra = Stdlib.max 4 (Array.length t.job_pool) in
-    t.job_pool <-
-      Array.append (Array.init extra (fun _ -> new_job t)) t.job_pool;
+    let have = Array.length t.jobs in
+    let extra = Stdlib.max 4 have in
+    let fresh = Array.init extra (fun k -> new_job t (have + k)) in
+    t.jobs <- Array.append t.jobs fresh;
+    t.job_pool <- Array.append fresh t.job_pool;
     t.job_free <- extra
   end;
   t.job_free <- t.job_free - 1;
@@ -263,30 +227,32 @@ let free_job t job =
   t.job_free <- t.job_free + 1
 
 let grow_job job =
-  let n = Array.length job.job_rxs in
-  job.job_rxs <-
-    Array.append job.job_rxs (Array.init n (fun _ -> new_rx job.job_owner))
+  let n = Array.length job.job_slots in
+  let widen a = Array.append a a in
+  job.job_slots <- widen job.job_slots;
+  job.job_dist <- widen job.job_dist;
+  job.job_gain <- widen job.job_gain;
+  job.job_flags <- Bytes.extend job.job_flags 0 n
 
-(* Append radio [r]'s reception to the delivery order and return its
-   link geometry for the caller to fill in. *)
-let job_add job r =
-  let n = job.job_n in
-  if n = Array.length job.job_rxs then grow_job job;
-  job.job_n <- n + 1;
-  let rx = Array.unsafe_get job.job_rxs n in
-  rx.rx_seq <- r.seq;
-  rx.corrupted <- false;
-  rx.locked <- false;
-  rx.geo
+(* Append the radio in [slot] to the delivery order, flags clear, and
+   return its index; the caller stores its distance and gain there
+   (floats stay out of the call, which would box them). *)
+let job_push job slot =
+  let j = job.job_n in
+  if j = Array.length job.job_slots then grow_job job;
+  job.job_n <- j + 1;
+  Array.unsafe_set job.job_slots j slot;
+  Bytes.unsafe_set job.job_flags j '\000';
+  j
 
 (* Churn: a detached radio stays in the neighbour lists, which
    collection filters by [attached], so no later transmission touches
    it; frames already locked on it are discarded by the down-gated MAC.
    Lists name every radio that has ever attached, so a re-attach
    invalidates none of them. *)
-let set_attached _t r v = r.attached <- v
+let set_attached t r v = t.attached.(r.slot) <- v
 
-let attached r = r.attached
+let attached t r = t.attached.(r.slot)
 
 (* Spatial-index health gauges (Obs.Telemetry), as of the last rebuild. *)
 let index_stats t =
@@ -302,54 +268,52 @@ let index_stats t =
 let add_transmit_hook t f = t.hooks <- t.hooks @ [ f ]
 let transmissions t = t.tx_total
 
-(* Allocated jobs live in [job_pool.(job_free..)]; each is one
-   transmission still in the air. *)
+(* Every job off the free stack is a transmission still in the air. *)
 let in_flight t = Array.length t.job_pool - t.job_free
 
-(* Carrier-sense edges reach the listener only while the radio
-   contends: the MAC clears [contending] outside its access phase, where
-   it would ignore them. *)
-let mark_busy r =
-  let was = carrier_busy r in
-  r.busy_count <- r.busy_count + 1;
-  if (not was) && r.contending then r.medium true
-
-let mark_idle r =
-  r.busy_count <- r.busy_count - 1;
-  assert (r.busy_count >= 0);
-  if (not (carrier_busy r)) && r.contending then r.medium false
-
 (* End of transmission: release the medium, deliver surviving locked
-   frames in delivery order, and recycle the job.  Clearing the frame
-   drops the job's reference into live simulation state between
-   transmissions. *)
+   frames in delivery order (a unicast for another node only to a radio
+   that overhears), and recycle the job.  Medium listeners hear edges
+   only while their radio contends.  Clearing the frame drops the job's
+   reference into live simulation state between transmissions. *)
 let end_of_tx job =
   let t = job.job_owner in
+  let busy_n = t.busy_n and tx_n = t.tx_n and contending = t.contending in
+  let radios = t.radios and lock_job = t.lock_job in
   let src = job.job_src in
-  src.tx_count <- src.tx_count - 1;
-  if (not (carrier_busy src)) && src.contending then src.medium false;
+  tx_n.(src) <- tx_n.(src) - 1;
+  if tx_n.(src) = 0 && busy_n.(src) = 0 && contending.(src) then
+    radios.(src).medium false;
   let frame = job.job_frame in
+  let dst = Frame.dst_int frame.dst in
+  let slots = job.job_slots and flags = job.job_flags in
   for j = 0 to job.job_n - 1 do
-    let rx = Array.unsafe_get job.job_rxs j in
-    let r = t.radios.(rx.rx_seq) in
-    mark_idle r;
-    if rx.locked then begin
+    let s = Array.unsafe_get slots j in
+    let b = busy_n.(s) - 1 in
+    assert (b >= 0);
+    busy_n.(s) <- b;
+    if b = 0 && tx_n.(s) = 0 && contending.(s) then radios.(s).medium false;
+    let f = Char.code (Bytes.unsafe_get flags j) in
+    if f land locked <> 0 then begin
       (* Only clear the lock if it is still ours (a corrupting overlap
          never replaces the lock, so it is). *)
-      if r.lock = rx.rx_id then r.lock <- -1;
+      if lock_job.(s) = job.job_id then lock_job.(s) <- -1;
       (* Starting to transmit mid-reception also kills it. *)
-      if (not rx.corrupted) && r.tx_count = 0 then r.receive frame
+      if f land corrupted = 0 && tx_n.(s) = 0 then begin
+        let r = radios.(s) in
+        if dst < 0 || dst = Node_id.to_int r.id || r.overhear then
+          r.receive frame
+      end
       else if Obs.Bus.on t.obs then
         (* A locked frame the radio would have decoded, lost to an
            overlapping transmission (or its own). *)
         Obs.Bus.collision t.obs
           ~time:(Engine.now t.engine)
-          ~node:(Node_id.to_int r.id)
+          ~node:(Node_id.to_int radios.(s).id)
           ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
           ~from:(Node_id.to_int frame.Frame.src)
     end
   done;
-  job.job_src <- dummy_radio;
   job.job_frame <- dummy_frame;
   free_job t job
 
@@ -367,15 +331,15 @@ let clamp_cell v hi = if v < 0 then 0 else if v > hi then hi else v
    exactly).  Lists only grow, so once they are sized a rebuild
    allocates nothing. *)
 let rebuild t now =
-  let n = t.next_seq and radios = t.radios in
-  let xs = t.xs and ys = t.ys and store = t.store in
+  let n = t.next_seq and radios = t.radios and order = t.order in
+  let xs = t.xs and ys = t.ys in
   let cell = t.cell and cols = t.cols and rows = t.rows in
-  let start = t.cell_start and seqs = t.cell_seqs in
+  let start = t.cell_start and slots = t.cell_slots in
   Array.fill start 0 (Array.length start) 0;
+  Mobility.Pos_store.refresh_slots t.store order n now;
   for s = 0 to n - 1 do
-    let r = Array.unsafe_get radios s in
-    let i = r.idx in
-    Mobility.Pos_store.refresh store i now;
+    let i = Array.unsafe_get order s in
+    let r = Array.unsafe_get radios i in
     let cx = int_of_float (Float.floor (Array.unsafe_get xs i /. cell))
     and cy = int_of_float (Float.floor (Array.unsafe_get ys i /. cell)) in
     let c = (clamp_cell cy (rows - 1) * cols) + clamp_cell cx (cols - 1) in
@@ -384,22 +348,24 @@ let rebuild t now =
     r.nbr_n <- 0
   done;
   (* [start.(c)] counts cell [c]; running sums make it the cell's end,
-     and placing each seq, highest first, walks its cell's end back one,
-     to the cell's start once the cell is placed. *)
+     and placing each radio walks its cell's end back one, to the cell's
+     start once the cell is placed. *)
   for c = 1 to Array.length start - 1 do
     start.(c) <- start.(c) + start.(c - 1)
   done;
-  for s = n - 1 downto 0 do
-    let c = (Array.unsafe_get radios s).cell in
+  for s = 0 to n - 1 do
+    let i = Array.unsafe_get order s in
+    let c = (Array.unsafe_get radios i).cell in
     start.(c) <- start.(c) - 1;
-    seqs.(start.(c)) <- s
+    slots.(start.(c)) <- i
   done;
   let reach = t.reach in
   let reach2 = reach *. reach in
   for pass = 0 to 1 do
     for s = n - 1 downto 0 do
-      let r = Array.unsafe_get radios s in
-      let x = Array.unsafe_get xs r.idx and y = Array.unsafe_get ys r.idx in
+      let i = Array.unsafe_get order s in
+      let r = Array.unsafe_get radios i in
+      let x = Array.unsafe_get xs i and y = Array.unsafe_get ys i in
       let cx0 = int_of_float (Float.floor ((x -. reach) /. cell))
       and cx1 = int_of_float (Float.floor ((x +. reach) /. cell))
       and cy0 = int_of_float (Float.floor ((y -. reach) /. cell))
@@ -408,14 +374,15 @@ let rebuild t now =
       for cy = clamp_cell cy0 (rows - 1) to clamp_cell cy1 (rows - 1) do
         for c = (cy * cols) + cx0 to (cy * cols) + cx1 do
           for k = start.(c) to start.(c + 1) - 1 do
-            let o = Array.unsafe_get radios (Array.unsafe_get seqs k) in
-            if o != r then begin
-              let dx = Array.unsafe_get xs o.idx -. x
-              and dy = Array.unsafe_get ys o.idx -. y in
+            let o = Array.unsafe_get slots k in
+            if o <> i then begin
+              let dx = Array.unsafe_get xs o -. x
+              and dy = Array.unsafe_get ys o -. y in
               if (dx *. dx) +. (dy *. dy) <= reach2 then
                 if pass = 0 then r.nbr_n <- r.nbr_n + 1
                 else begin
-                  o.nbrs.(o.nbr_n) <- s;
+                  let o = Array.unsafe_get radios o in
+                  o.nbrs.(o.nbr_n) <- i;
                   o.nbr_n <- o.nbr_n + 1
                 end
             end
@@ -442,13 +409,13 @@ let rebuild t now =
    Candidates are [src]'s neighbour list; every list is rebuilt first if
    a radio has attached for the first time since the last rebuild, or if
    either end of a pair may have closed the margin since
-   ([2 * v_max * age > neighbour_margin_m]).  A valid list is a superset of the
-   touched radios already in delivery order, so each attached entry is
-   filtered by the exact predicate and appended: no cell walk, no sort.
-   One distance computation per candidate, stashed squared in the
-   reception's [geo]; the delivery pass replaces it with [sqrt d2],
-   which equals [Vec2.dist] bit-for-bit, so caching cannot change
-   outcomes.
+   ([2 * v_max * age > neighbour_margin_m]).  A valid list is a superset
+   of the touched radios already in delivery order, so each attached
+   entry is filtered by the exact predicate and appended: no cell walk,
+   no sort.  The whole list's positions are refreshed by one store call.
+   One distance computation per candidate, stashed squared in the job's
+   [job_dist]; the delivery pass replaces it with [sqrt d2], which
+   equals [Vec2.dist] bit-for-bit, so caching cannot change outcomes.
 
    Every float here is a local of this one function body — the source
    position, the lists' age — so none is boxed: a float passed to or
@@ -458,40 +425,36 @@ let rebuild t now =
 let collect t job src =
   let now = Engine.now t.engine in
   let store = t.store and xs = t.xs and ys = t.ys in
-  Mobility.Pos_store.refresh store src.idx now;
+  let si = src.slot in
+  Mobility.Pos_store.refresh store si now;
   (* [Time.to_sec], inlined: its float return would box. *)
   let age = float_of_int (Time.diff now t.built_at :> int) /. 1e9 in
   if t.built_n < t.next_seq || 2. *. t.v_max *. age > neighbour_margin_m
   then rebuild t now;
-  let sx = Array.unsafe_get xs src.idx and sy = Array.unsafe_get ys src.idx in
+  let nbrs = src.nbrs and m = src.nbr_n in
+  Mobility.Pos_store.refresh_slots store nbrs m now;
+  let sx = Array.unsafe_get xs si and sy = Array.unsafe_get ys si in
   let cs2 = t.params.cs_range_m *. t.params.cs_range_m in
-  let link = t.link in
+  let link = t.link and attached = t.attached in
   let src_int = Node_id.to_int src.id in
-  let radios = t.radios and nbrs = src.nbrs in
-  for k = 0 to src.nbr_n - 1 do
-    let r = Array.unsafe_get radios (Array.unsafe_get nbrs k) in
-    if r.attached then begin
-      let i = r.idx in
-      Mobility.Pos_store.refresh store i now;
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get nbrs k in
+    if Array.unsafe_get attached i then begin
       let ox = Array.unsafe_get xs i in
       let dx = ox -. sx and dy = Array.unsafe_get ys i -. sy in
       let d2 = (dx *. dx) +. (dy *. dy) in
-      match link with
-      | None ->
-          if d2 <= cs2 then begin
-            let g = job_add job r in
-            g.dist <- d2;
-            g.gain <- 1.
-          end
-      | Some l ->
-          if not (Link_model.blocked l ~now ~x1:sx ~x2:ox) then begin
-            let gain = Link_model.gain l src_int (Node_id.to_int r.id) in
-            if d2 <= cs2 *. (gain *. gain) then begin
-              let g = job_add job r in
-              g.dist <- d2;
-              g.gain <- gain
-            end
-          end
+      (* A pair the wall parts straddles it, so [d2 > 0] rules it out. *)
+      let gain =
+        match link with
+        | None -> 1.
+        | Some l when Link_model.blocked l ~now ~x1:sx ~x2:ox -> 0.
+        | Some l -> Link_model.gain l src_int (Node_id.to_int t.radios.(i).id)
+      in
+      if d2 <= cs2 *. (gain *. gain) then begin
+        let j = job_push job i in
+        Array.unsafe_set job.job_dist j d2;
+        Array.unsafe_set job.job_gain j gain
+      end
     end
   done
 
@@ -499,7 +462,7 @@ let fanout t r =
   let job = alloc_job t in
   collect t job r;
   let ids =
-    List.init job.job_n (fun j -> t.radios.(job.job_rxs.(j).rx_seq).id)
+    List.init job.job_n (fun j -> t.radios.(job.job_slots.(j)).id)
   in
   free_job t job;
   ids
@@ -522,50 +485,58 @@ let transmit t src frame ~duration =
       ~time:(Engine.now t.engine)
       ~node:(Node_id.to_int src.id)
       ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
-      ~dst:(frame_dst_int frame) ~bytes:(Frame.encoded_length frame);
+      ~dst:(Frame.dst_int frame.dst) ~bytes:(Frame.encoded_length frame);
   let rng2 = t.params.range_m *. t.params.range_m in
   let job = alloc_job t in
-  job.job_src <- src;
+  job.job_src <- src.slot;
   job.job_frame <- frame;
   collect t job src;
-  let was_busy_src = carrier_busy src in
-  src.tx_count <- src.tx_count + 1;
-  if (not was_busy_src) && src.contending then src.medium true;
+  let busy_n = t.busy_n and tx_n = t.tx_n and contending = t.contending in
+  let radios = t.radios and lock_job = t.lock_job and lock_ix = t.lock_ix in
+  let si = src.slot in
+  let was_busy = tx_n.(si) > 0 || busy_n.(si) > 0 in
+  tx_n.(si) <- tx_n.(si) + 1;
+  if (not was_busy) && contending.(si) then src.medium true;
   let ratio = t.params.capture_distance_ratio in
+  let slots = job.job_slots and dists = job.job_dist
+  and gains = job.job_gain and flags = job.job_flags in
   for j = 0 to job.job_n - 1 do
-    let rx = Array.unsafe_get job.job_rxs j in
-    let r = t.radios.(rx.rx_seq) in
-    mark_busy r;
-    let geo = rx.geo in
-    let d2 = geo.dist and g = geo.gain in
+    let s = Array.unsafe_get slots j in
+    let b = busy_n.(s) in
+    busy_n.(s) <- b + 1;
+    if b = 0 && tx_n.(s) = 0 && contending.(s) then radios.(s).medium true;
+    let d2 = Array.unsafe_get dists j and g = Array.unsafe_get gains j in
     (* Effective distance folds the shadowing gain in: capture compares
        effective signal strengths.  [g = 1.] (no link model) leaves
        every float untouched. *)
     let dist = sqrt d2 in
     let dist = if g = 1. then dist else dist /. g in
-    geo.dist <- dist;
+    Array.unsafe_set dists j dist;
     let decodable = if g = 1. then d2 <= rng2 else d2 <= rng2 *. (g *. g) in
     (* A radio that is transmitting decodes nothing.  An overlap is
        resolved by the capture effect: the markedly closer (stronger)
        transmitter wins; comparable powers corrupt both frames. *)
-    if r.tx_count > 0 then ()
-    else if r.lock >= 0 then begin
-      let cur = t.rx_all.(r.lock) in
-      if dist >= ratio *. cur.geo.dist then
-        (* New arrival too weak to disturb the locked frame. *)
-        ()
-      else if cur.geo.dist >= ratio *. dist && decodable then begin
-        (* New arrival captures the receiver. *)
-        cur.corrupted <- true;
-        rx.locked <- true;
-        r.lock <- rx.rx_id
+    if tx_n.(s) = 0 then begin
+      let lj = lock_job.(s) in
+      let captures =
+        if lj < 0 then decodable
+        else begin
+          let cur = t.jobs.(lj) and ci = lock_ix.(s) in
+          let cur_dist = cur.job_dist.(ci) in
+          (* An arrival this weak leaves the locked frame intact. *)
+          if dist >= ratio *. cur_dist then false
+          else begin
+            let cf = Char.code (Bytes.get cur.job_flags ci) in
+            Bytes.set cur.job_flags ci (Char.unsafe_chr (cf lor corrupted));
+            cur_dist >= ratio *. dist && decodable
+          end
+        end
+      in
+      if captures then begin
+        Bytes.unsafe_set flags j (Char.unsafe_chr locked);
+        lock_job.(s) <- job.job_id;
+        lock_ix.(s) <- j
       end
-      else cur.corrupted <- true
-    end
-    else if decodable then begin
-      rx.locked <- true;
-      r.lock <- rx.rx_id
     end
   done;
   ignore (Engine.after_fn t.engine duration end_of_tx job)
-

@@ -47,7 +47,8 @@ val params : t -> Params.t
 
 val attach : t -> slot:int -> id:Node_id.t -> radio
 (** Register a node's radio at its [slot] in the position store, from
-    which the radio takes its position.  One radio per slot. *)
+    which the radio takes its position.  One radio per slot (a second
+    raises [Invalid_argument]). *)
 
 val set_attached : t -> radio -> bool -> unit
 (** Churn: after [set_attached t r false] no transmission touches the
@@ -56,7 +57,7 @@ val set_attached : t -> radio -> bool -> unit
     {!Mac.set_down} calls it; in-flight receptions drain normally and
     the down-gated MAC discards them. *)
 
-val attached : radio -> bool
+val attached : t -> radio -> bool
 
 val index_stats : t -> int * int * int
 (** [(cells, occupied, max_occupancy)] of the rebuild's cell grid, as
@@ -65,15 +66,17 @@ val index_stats : t -> int * int * int
     that has ever attached, detached ones included, at its position
     then. *)
 
-val set_receiver : radio -> (Frame.t -> unit) -> unit
-(** Called with every frame the radio decodes, including frames addressed
-    to other nodes (promiscuous reception is the MAC's filtering job). *)
+val set_receiver : radio -> overhear:bool -> (Frame.t -> unit) -> unit
+(** Called with each frame the radio decodes that is broadcast or
+    addressed to it, and if [overhear] with the unicasts (data and
+    ACKs) it decodes for other nodes too.  A withheld frame still
+    locks, captures and corrupts as one handed over. *)
 
 val set_medium_listener : radio -> (bool -> unit) -> unit
 (** Called when carrier sense transitions busy<->idle for this radio,
     while the radio contends ({!set_contending}). *)
 
-val set_contending : radio -> bool -> unit
+val set_contending : t -> radio -> bool -> unit
 (** Whether the medium listener hears carrier-sense edges: [true] (the
     default) reports every edge, [false] none.  Edges missed while off
     are not replayed; a listener that turns it back on reads {!busy}.
@@ -88,7 +91,7 @@ val transmit : t -> radio -> Frame.t -> duration:Sim.Time.t -> unit
 val busy : t -> radio -> bool
 (** Carrier sense, including the radio's own transmission. *)
 
-val transmitting : radio -> bool
+val transmitting : t -> radio -> bool
 
 val radio_id : radio -> Node_id.t
 

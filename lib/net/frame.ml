@@ -22,6 +22,8 @@ let encoded_length t =
   | Ack -> Wire.Mac.ack_bytes
   | Payload p -> Wire.Mac.data_overhead + Wire.encoded_length p
 
+let dst_int = function Broadcast -> -1 | Unicast d -> Node_id.to_int d
+
 let dst_equal a b =
   match (a, b) with
   | Broadcast, Broadcast -> true

@@ -34,6 +34,9 @@ val decode :
     ACKs — carry only the receiver address.  Any truncation or bit flip
     fails the FCS and returns [Error _]; decoding never raises. *)
 
+val dst_int : dst -> int
+(** -1 for [Broadcast], else the addressee's {!Node_id.to_int}. *)
+
 val dst_equal : dst -> dst -> bool
 val pp_dst : Format.formatter -> dst -> unit
 val pp : Format.formatter -> t -> unit

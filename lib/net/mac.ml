@@ -3,7 +3,7 @@ open Packets
 
 type callbacks = {
   receive : Payload.t -> from:Node_id.t -> unit;
-  promiscuous : Payload.t -> from:Node_id.t -> dst:Frame.dst -> unit;
+  promiscuous : (Payload.t -> from:Node_id.t -> dst:Frame.dst -> unit) option;
   link_failure : Payload.t -> next_hop:Node_id.t -> unit;
 }
 
@@ -58,11 +58,7 @@ let emit_rx t payload ~from ~dst =
     ~node:(Node_id.to_int t.my_id)
     ~cls:(Obs.Bus.intern t.obs (Payload.class_name payload))
     ~from:(Node_id.to_int from)
-    ~dst:(match dst with Frame.Broadcast -> -1 | Frame.Unicast d -> Node_id.to_int d)
-
-let frame_dst_int = function
-  | Frame.Broadcast -> -1
-  | Frame.Unicast d -> Node_id.to_int d
+    ~dst:(Frame.dst_int dst)
 
 (* One span record per MAC lifecycle stage of a data frame, keyed by
    the packet's out-of-band (flow, seq) id.  Control frames are not
@@ -101,7 +97,8 @@ let frame_duration t frame =
    radio reports carrier-sense edges only in that phase. *)
 let set_phase t p =
   t.phase <- p;
-  Channel.set_contending t.radio (match p with Access -> true | _ -> false)
+  Channel.set_contending t.channel t.radio
+    (match p with Access -> true | _ -> false)
 
 let rec dequeue_next t =
   assert (t.current == no_frame);
@@ -218,7 +215,7 @@ let ack_received t from =
   | _ -> ()
 
 let send_ack_fire t =
-  if (not t.down) && not (Channel.transmitting t.radio) then
+  if (not t.down) && not (Channel.transmitting t.channel t.radio) then
     Channel.transmit t.channel t.radio t.ack_frame
       ~duration:(Params.ack_airtime t.params)
 
@@ -245,7 +242,10 @@ let on_frame t (f : Frame.t) =
           if Obs.Bus.on t.obs then emit_rx t payload ~from:f.src ~dst:f.dst;
           send_ack t ~to_:f.src;
           t.cb.receive payload ~from:f.src
-      | Frame.Unicast _ -> t.cb.promiscuous payload ~from:f.src ~dst:f.dst)
+      | Frame.Unicast _ -> (
+          match t.cb.promiscuous with
+          | Some overheard -> overheard payload ~from:f.src ~dst:f.dst
+          | None -> ()))
 
 let on_medium t busy =
   if t.down then ()
@@ -297,9 +297,10 @@ let create ~engine ~channel ~rng ~id ~slot callbacks =
       obs = Channel.obs channel;
     }
   in
-  Channel.set_receiver radio (on_frame t);
+  Channel.set_receiver radio ~overhear:(Option.is_some callbacks.promiscuous)
+    (on_frame t);
   Channel.set_medium_listener radio (on_medium t);
-  Channel.set_contending radio false;
+  Channel.set_contending channel radio false;
   t
 
 let send t ~dst payload =
@@ -309,16 +310,16 @@ let send t ~dst payload =
     let accepted = Ifq.push t.queue frame in
     if Obs.Bus.on t.obs then
       if accepted then
-        emit_span t ~stage:Obs.Span.Stage.mac_enq payload ~d:(frame_dst_int dst)
+        emit_span t ~stage:Obs.Span.Stage.mac_enq payload ~d:(Frame.dst_int dst)
           ~e:(-1)
       else begin
         Obs.Bus.ifq_drop t.obs
           ~time:(Engine.now t.engine)
           ~node:(Node_id.to_int t.my_id)
           ~cls:(Obs.Bus.intern t.obs (Payload.class_name payload))
-          ~dst:(frame_dst_int dst);
+          ~dst:(Frame.dst_int dst);
         emit_span t ~stage:Obs.Span.Stage.mac_drop payload
-          ~d:(frame_dst_int dst) ~e:(-1)
+          ~d:(Frame.dst_int dst) ~e:(-1)
       end;
     if accepted && t.phase = Idle && t.current == no_frame then dequeue_next t
   end

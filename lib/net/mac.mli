@@ -16,8 +16,10 @@ type t
 type callbacks = {
   receive : Payload.t -> from:Node_id.t -> unit;
       (** frames addressed to this node or broadcast *)
-  promiscuous : Payload.t -> from:Node_id.t -> dst:Frame.dst -> unit;
-      (** frames overheard but addressed elsewhere (DSR snooping) *)
+  promiscuous : (Payload.t -> from:Node_id.t -> dst:Frame.dst -> unit) option;
+      (** unicast frames overheard but addressed elsewhere (DSR
+          snooping); [None] tells the channel not to hand the MAC such
+          frames at all ({!Channel.set_receiver}) *)
   link_failure : Payload.t -> next_hop:Node_id.t -> unit;
       (** unicast gave up after the retry limit *)
 }

@@ -1,6 +1,12 @@
-(* Brute-force oracle for [Net.Channel.fanout]: the radios a transmission
-   touches, found by scanning every radio in attach order instead of
-   reading neighbour lists.
+(* Brute-force oracles for [Net.Channel]:
+
+   - its fan-out ([Net.Channel.fanout]): the radios a transmission
+     touches, found by scanning every radio in attach order instead of
+     reading neighbour lists;
+   - its carrier sense ([Net.Channel.busy]): recounted from the
+     oracle's own record of the fan-outs still in the air, each alive
+     for its frame's airtime as [Net.Params] gives it, plus the radio's
+     own transmission.
 
    Positions come from the record mobility processes
    ([Mobility.position]), not from the store's cached planes the channel
@@ -20,6 +26,7 @@ type t = {
   store : Mobility.Pos_store.t;
   link : Net.Link_model.t option;
   params : Net.Params.t;
+  channel : Net.Channel.t;
   radios : Net.Channel.radio array;
 }
 
@@ -34,6 +41,7 @@ let create ~engine ~store ?link channel radios =
     store;
     link;
     params = Net.Channel.params channel;
+    channel;
     radios;
   }
 
@@ -54,7 +62,7 @@ let fanout t src =
   let touched = ref [] in
   Array.iteri
     (fun i r ->
-      if i <> src && Net.Channel.attached r then begin
+      if i <> src && Net.Channel.attached t.channel r then begin
         let p = position t i in
         let d2 = Geom.Vec2.dist2 sp p in
         let hit =
@@ -73,14 +81,36 @@ let fanout t src =
     t.radios;
   !touched
 
-(* Check [Net.Channel.fanout] against [fanout] at the start of every
-   transmission on [channel]; raise [Failure] naming the first
-   transmission where they differ.  [checked] counts the transmissions
-   checked. *)
+(* A transmission the oracle saw start: its source, the radios it
+   touched and the instant its airtime ends. *)
+type on_air = { src : int; touched : int list; ends : Time.t }
+
+let airtime t (frame : Net.Frame.t) =
+  match frame.body with
+  | Net.Frame.Ack -> Net.Params.ack_airtime t.params
+  | Net.Frame.Payload _ ->
+      Net.Params.frame_airtime t.params ~bytes:(Net.Frame.encoded_length frame)
+
+(* Check, at the start of every transmission on [channel], that
+   [Net.Channel.fanout] equals [fanout] and that every radio's
+   [Net.Channel.busy] equals the recount from [in_air], the fan-outs
+   (and sources) of the transmissions still in the air; raise [Failure]
+   naming the first transmission where they differ.  A transmission
+   whose airtime ends exactly now may or may not have ended yet (the
+   engine orders same-instant events), so it only bounds the recount: a
+   radio it alone keeps busy may read either way.  [checked] counts the
+   transmissions checked. *)
 let arm ~checked t channel =
   let ints l = String.concat "," (List.map string_of_int l) in
-  Net.Channel.add_transmit_hook channel (fun src _frame ->
+  let n = Array.length t.radios in
+  let in_air = ref [] in
+  let count = Array.make n 0 and ending = Array.make n 0 in
+  let add tally a d =
+    List.iter (fun i -> tally.(i) <- tally.(i) + d) (a.src :: a.touched)
+  in
+  Net.Channel.add_transmit_hook channel (fun src frame ->
       let s = Node_id.to_int src in
+      let now = Engine.now t.engine in
       let want = fanout t s in
       let got =
         List.map Node_id.to_int (Net.Channel.fanout channel t.radios.(s))
@@ -91,8 +121,32 @@ let arm ~checked t channel =
              "fan-out oracle: transmission %d (t=%s, from node %d): channel \
               touched [%s], brute force [%s]"
              (Net.Channel.transmissions channel)
-             (Time.to_string (Engine.now t.engine))
-             s (ints got) (ints want));
+             (Time.to_string now) s (ints got) (ints want));
+      let ended, live =
+        List.partition (fun a -> Time.(a.ends < now)) !in_air
+      in
+      List.iter (fun a -> add count a (-1)) ended;
+      in_air := live;
+      Array.fill ending 0 n 0;
+      List.iter (fun a -> if Time.equal a.ends now then add ending a 1) live;
+      Array.iteri
+        (fun i r ->
+          let busy = Net.Channel.busy channel r in
+          let surely = count.(i) - ending.(i) > 0 and maybe = count.(i) > 0 in
+          if (surely && not busy) || (busy && not maybe) then
+            failwith
+              (Printf.sprintf
+                 "carrier-sense oracle: transmission %d (t=%s, from node %d): \
+                  radio %d reads %s, %d transmissions in the air (%d ending \
+                  now)"
+                 (Net.Channel.transmissions channel)
+                 (Time.to_string now) s i
+                 (if busy then "busy" else "idle")
+                 count.(i) ending.(i)))
+        t.radios;
+      let a = { src = s; touched = want; ends = Time.add now (airtime t frame) } in
+      add count a 1;
+      in_air := a :: !in_air;
       incr checked)
 
 let arm_sim ~checked sim =

@@ -277,6 +277,46 @@ let waypoint_contained_prop =
           Geom.Terrain.contains terrain (Mobility.position m !t))
         dts)
 
+(* A random process of mobility family [family] (0 static, 1 waypoint,
+   2 random walk, 3 Manhattan, 4 scripted, 5 RPGM member), drawn from
+   [rng] alone, so equal seeds build equal processes. *)
+let random_process rng family =
+  let speed () = 0.5 +. Rng.float rng 40. in
+  let point () = Geom.Terrain.random_point terrain rng in
+  let lo = speed () in
+  let hi = lo +. Rng.float rng 20. in
+  let pause = Time.sec (Rng.float rng 2.) in
+  match family with
+  | 0 -> Mobility.static (point ())
+  | 1 ->
+      Mobility.waypoint ~terrain ~rng ~speed_min:lo ~speed_max:hi ~pause
+        ~start:(point ())
+  | 2 ->
+      Mobility.random_walk ~terrain ~rng ~speed:hi
+        ~epoch:(Time.sec (0.1 +. Rng.float rng 5.))
+        ~start:(point ())
+  | 3 ->
+      Mobility.manhattan ~terrain ~rng
+        ~spacing:(20. +. Rng.float rng 200.)
+        ~speed_min:lo ~speed_max:hi ~pause ~start:(point ())
+  | 4 ->
+      let at = ref 0. in
+      Mobility.scripted
+        (List.init
+           (1 + Rng.int rng 6)
+           (fun _ ->
+             at := !at +. 0.01 +. Rng.float rng 20.;
+             (Time.sec !at, point ())))
+  | _ ->
+      (* Offsets up to the terrain's size, so members clamp. *)
+      let g =
+        Mobility.rpgm_group ~terrain ~rng ~speed_min:lo ~speed_max:hi ~pause
+          ~start:(point ())
+      in
+      Mobility.rpgm_member g
+        ~ox:(Rng.float rng 2000. -. 1000.)
+        ~oy:(Rng.float rng 1000. -. 500.)
+
 (* qcheck: [max_speed] bounds every move, which the channel trusts to
    age its neighbour lists.  A random process of each family is sampled
    through the position store (the channel's view) at random increasing
@@ -289,43 +329,7 @@ let max_speed_bounds_moves_prop =
         (list_of_size (QCheck.Gen.return 200) (float_bound_inclusive 3.)))
     (fun (seed, family, dts) ->
       let rng = Rng.create (seed + 1) in
-      let speed () = 0.5 +. Rng.float rng 40. in
-      let point () = Geom.Terrain.random_point terrain rng in
-      let lo = speed () in
-      let hi = lo +. Rng.float rng 20. in
-      let pause = Time.sec (Rng.float rng 2.) in
-      let m =
-        match family with
-        | 0 -> Mobility.static (point ())
-        | 1 ->
-            Mobility.waypoint ~terrain ~rng ~speed_min:lo ~speed_max:hi ~pause
-              ~start:(point ())
-        | 2 ->
-            Mobility.random_walk ~terrain ~rng ~speed:hi
-              ~epoch:(Time.sec (0.1 +. Rng.float rng 5.))
-              ~start:(point ())
-        | 3 ->
-            Mobility.manhattan ~terrain ~rng
-              ~spacing:(20. +. Rng.float rng 200.)
-              ~speed_min:lo ~speed_max:hi ~pause ~start:(point ())
-        | 4 ->
-            let at = ref 0. in
-            Mobility.scripted
-              (List.init
-                 (1 + Rng.int rng 6)
-                 (fun _ ->
-                   at := !at +. 0.01 +. Rng.float rng 20.;
-                   (Time.sec !at, point ())))
-        | _ ->
-            (* Offsets up to the terrain's size, so members clamp. *)
-            let g =
-              Mobility.rpgm_group ~terrain ~rng ~speed_min:lo ~speed_max:hi
-                ~pause ~start:(point ())
-            in
-            Mobility.rpgm_member g
-              ~ox:(Rng.float rng 2000. -. 1000.)
-              ~oy:(Rng.float rng 1000. -. 500.)
-      in
+      let m = random_process rng family in
       let v = Mobility.max_speed m in
       let s = Mobility.Pos_store.of_array [| m |] ~at:Time.zero in
       let t = ref Time.zero in
@@ -345,6 +349,59 @@ let max_speed_bounds_moves_prop =
              prev := p;
              ok)
            dts)
+
+(* qcheck: the batch refresh the channel's candidate scan makes is the
+   per-slot refresh, bit for bit.  Three copies of one random world,
+   every family present: at random increasing instants a random list of
+   slots (repeats allowed, ms- and leg-scale gaps) goes through
+   [refresh_slots] on one store and slot by slot through [refresh] on
+   another, and the record processes of the third are queried with
+   [Mobility.position] (which derives each leg's duration afresh, where
+   the store caches it per leg).  All three agree on every bit of every
+   coordinate. *)
+let refresh_slots_prop =
+  QCheck.Test.make ~name:"batch refresh = per-slot refresh" ~count:100
+    QCheck.small_int (fun seed ->
+      let k = 12 in
+      let world () =
+        let rng = Rng.create (seed + 1) in
+        Array.init k (fun i -> random_process (Rng.split rng) (i mod 6))
+      in
+      let batch = Mobility.Pos_store.of_array (world ()) ~at:Time.zero in
+      let single = Mobility.Pos_store.of_array (world ()) ~at:Time.zero in
+      let record = world () in
+      let bits a i = Int64.bits_of_float a.(i) in
+      let same s i =
+        bits (Mobility.Pos_store.xs s) i = bits (Mobility.Pos_store.xs batch) i
+        && bits (Mobility.Pos_store.ys s) i
+           = bits (Mobility.Pos_store.ys batch) i
+      in
+      let rng = Rng.create (seed + 7) in
+      let t = ref Time.zero and ok = ref true in
+      for _ = 1 to 60 do
+        let dt = Rng.float rng 3. in
+        t := Time.add !t (Time.sec (if Rng.bool rng then dt /. 1000. else dt));
+        let n = Rng.int rng (k + 4) in
+        let slots = Array.init (n + Rng.int rng 3) (fun _ -> Rng.int rng k) in
+        Mobility.Pos_store.refresh_slots batch slots n !t;
+        for j = 0 to n - 1 do
+          let i = slots.(j) in
+          Mobility.Pos_store.refresh single i !t;
+          let p = Mobility.position record.(i) !t in
+          if
+            not
+              (same single i
+              && Int64.bits_of_float p.Geom.Vec2.x
+                 = bits (Mobility.Pos_store.xs batch) i
+              && Int64.bits_of_float p.Geom.Vec2.y
+                 = bits (Mobility.Pos_store.ys batch) i)
+          then ok := false
+        done;
+        for i = 0 to k - 1 do
+          if not (same single i) then ok := false
+        done
+      done;
+      !ok)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -366,6 +423,7 @@ let () =
           Alcotest.test_case "waypoint validation" `Quick waypoint_validation;
           qt waypoint_contained_prop;
           qt max_speed_bounds_moves_prop;
+          qt refresh_slots_prop;
         ] );
       ( "manhattan",
         [

@@ -46,7 +46,7 @@ let rig ?(params = Net.Params.default) positions =
             {
               Net.Mac.receive =
                 (fun p ~from -> received := (p, from) :: !received);
-              promiscuous = (fun _ ~from:_ ~dst:_ -> incr overheard);
+              promiscuous = Some (fun _ ~from:_ ~dst:_ -> incr overheard);
               link_failure =
                 (fun p ~next_hop -> failures := (p, next_hop) :: !failures);
             }
@@ -259,14 +259,14 @@ let mobility_breaks_link () =
   let cb_recv =
     {
       Net.Mac.receive = (fun _ ~from:_ -> incr delivered);
-      promiscuous = (fun _ ~from:_ ~dst:_ -> ());
+      promiscuous = None;
       link_failure = (fun _ ~next_hop:_ -> ());
     }
   in
   let cb_send =
     {
       Net.Mac.receive = (fun _ ~from:_ -> ());
-      promiscuous = (fun _ ~from:_ ~dst:_ -> ());
+      promiscuous = None;
       link_failure = (fun _ ~next_hop:_ -> incr failed);
     }
   in
@@ -382,7 +382,7 @@ let grid_matches_naive_channel () =
 let no_callbacks =
   {
     Net.Mac.receive = (fun _ ~from:_ -> ());
-    promiscuous = (fun _ ~from:_ ~dst:_ -> ());
+    promiscuous = None;
     link_failure = (fun _ ~next_hop:_ -> ());
   }
 
@@ -477,7 +477,8 @@ let fanout_log channel engine =
         let r = Net.Channel.attach channel ~slot:i ~id:(n i) in
         Net.Channel.set_medium_listener r (fun busy ->
             log := (i, if busy then "busy" else "idle") :: !log);
-        Net.Channel.set_receiver r (fun _ -> log := (i, "rx") :: !log);
+        Net.Channel.set_receiver r ~overhear:true (fun _ ->
+            log := (i, "rx") :: !log);
         r)
       fanout_layout
   in
@@ -551,8 +552,7 @@ let reattach_refreshes_lists () =
    reused and expired, and between instants a few radios detach or
    re-attach at random, so lists built with a radio down are read after
    it comes back up.  Only attached radios are asked, as only they
-   transmit: a detached radio's position is refreshed by nothing but a
-   rebuild. *)
+   transmit. *)
 let list_expiry_prop =
   QCheck.Test.make ~name:"fan-out matches naive as lists age" ~count:40
     QCheck.small_int (fun seed ->
@@ -582,11 +582,11 @@ let list_expiry_prop =
         Engine.run ~until:!at engine;
         for _ = 1 to Rng.int rng 4 do
           let r = radios.(Rng.int rng k) in
-          Net.Channel.set_attached c r (not (Net.Channel.attached r))
+          Net.Channel.set_attached c r (not (Net.Channel.attached c r))
         done;
         Array.iteri
           (fun i r ->
-            if Net.Channel.attached r then begin
+            if Net.Channel.attached c r then begin
               let got = List.map Node_id.to_int (Net.Channel.fanout c r) in
               if got <> Naive_medium.fanout oracle i then ok := false
             end)
@@ -596,8 +596,8 @@ let list_expiry_prop =
 
 (* A radio attaching after the lists were built joins every list at
    once, though a static layout never expires them by age.  A slot
-   outside the store is refused: the channel reads positions by slot
-   unchecked. *)
+   outside the store is refused, as is a second radio in one slot: the
+   channel reads positions and per-radio state by slot unchecked. *)
 let late_attach_joins_lists () =
   let layout = [ v 100. 100.; v 300. 100.; v 200. 150. ] in
   let engine = Engine.create ~seed:5 () in
@@ -618,7 +618,10 @@ let late_attach_joins_lists () =
   Alcotest.(check (list int)) "after: A touches C and B" [ 2; 1 ] (ids a);
   Alcotest.check_raises "a slot outside the store"
     (Invalid_argument "Channel.attach: no such store slot") (fun () ->
-      ignore (attach 3))
+      ignore (attach 3));
+  Alcotest.check_raises "a slot that has a radio"
+    (Invalid_argument "Channel.attach: store slot already has a radio")
+    (fun () -> ignore (attach 0))
 
 (* A raw radio reports every carrier-sense edge; with contending off it
    reports none, and switched back on mid-transmission it reports the
@@ -647,15 +650,86 @@ let contending_gates_edges () =
   tx ();
   finish ();
   Alcotest.check edges_t "default: busy then idle" [ true; false ] (take ());
-  Net.Channel.set_contending b false;
+  Net.Channel.set_contending channel b false;
   tx ();
   finish ();
   Alcotest.check edges_t "off: none" [] (take ());
   tx ();
   checkb "carrier still sensed while off" true (Net.Channel.busy channel b);
-  Net.Channel.set_contending b true;
+  Net.Channel.set_contending channel b true;
   finish ();
   Alcotest.check edges_t "back on: the next edge" [ false ] (take ())
+
+(* Overhearing is the receiver's choice, capture is not.  Left to
+   right 100 m apart: E broadcasts, and during it A sends a data
+   unicast to B, which B acknowledges.  C (no overhearing) and D
+   (overhearing) both decode frames addressed elsewhere: D is handed
+   the unicast and the ACK, C neither.  C, locked to E's broadcast,
+   loses it to A's comparable-power unicast all the same, and the bus
+   reports that collision; without A's unicast C receives the
+   broadcast. *)
+let overhearing_is_opt_in () =
+  let data_frame ~src ~dst =
+    { Net.Frame.src = n src; dst;
+      body = Net.Frame.Payload (data_payload ~src ~dst:3 ()) }
+  in
+  let run ~unicast =
+    let engine = Engine.create ~seed:5 () in
+    let layout =
+      [ v 100. 100.; v 200. 100.; v 300. 100.; v 400. 100.; v 350. 100. ]
+    in
+    let store =
+      Mobility.Pos_store.of_array
+        (Array.of_list (List.map Mobility.static layout))
+        ~at:Time.zero
+    in
+    let obs = Obs.Bus.create () in
+    let collisions = Array.make 5 0 in
+    Obs.Bus.add_sink obs (fun e ->
+        if e.Obs.Event.kind = Obs.Event.Collision then
+          collisions.(e.node) <- collisions.(e.node) + 1);
+    let channel =
+      Net.Channel.create ~engine ~obs ~store
+        ~terrain:(Geom.Terrain.create ~width:3000. ~height:1000.)
+        ~params:Net.Params.default ()
+    in
+    let heard = Array.make 5 [] in
+    let radios =
+      Array.init 5 (fun i ->
+          let r = Net.Channel.attach channel ~slot:i ~id:(n i) in
+          Net.Channel.set_receiver r ~overhear:(i = 4) (fun f ->
+              heard.(i) <- Net.Frame.class_name f :: heard.(i));
+          r)
+    in
+    let tx at src frame =
+      ignore
+        (Engine.at engine (Time.us at) (fun () ->
+             Net.Channel.transmit channel radios.(src) frame
+               ~duration:(Time.ms 1.)))
+    in
+    tx 0. 0 (data_frame ~src:0 ~dst:Net.Frame.Broadcast);
+    if unicast then begin
+      tx 200. 2 (data_frame ~src:2 ~dst:(Net.Frame.Unicast (n 3)));
+      tx 2000. 3
+        { Net.Frame.src = n 3; dst = Net.Frame.Unicast (n 2);
+          body = Net.Frame.Ack }
+    end;
+    Engine.run ~until:(Time.ms 10.) engine;
+    (Array.map List.rev heard, collisions)
+  in
+  let frames = Alcotest.(list string) in
+  let heard, collisions = run ~unicast:true in
+  let data = Net.Frame.class_name (data_frame ~src:2 ~dst:Net.Frame.Broadcast)
+  and ack = Net.Frame.class_name (ack_frame 3) in
+  Alcotest.check frames "B: the unicast to it" [ data ] heard.(3);
+  Alcotest.check frames "A: the ACK to it" [ ack ] heard.(2);
+  Alcotest.check frames "D overhears the unicast and the ACK" [ data; ack ]
+    heard.(4);
+  Alcotest.check frames "C: handed nothing" [] heard.(1);
+  checki "C's broadcast lost to the unicast" 1 collisions.(1);
+  let heard, collisions = run ~unicast:false in
+  Alcotest.check frames "alone, C receives the broadcast" [ data ] heard.(1);
+  checki "and no collision" 0 collisions.(1)
 
 (* Minor words per steady-state transmission (transmit + end-of-tx) from
    radio 0 with [k] static radios within range of it: the words of a
@@ -730,7 +804,7 @@ let mac_accounting_prop =
               {
                 Net.Mac.receive =
                   (fun _ ~from -> received.(Node_id.to_int from) <- true);
-                promiscuous = (fun _ ~from:_ ~dst:_ -> ());
+                promiscuous = None;
                 link_failure = (fun _ ~next_hop:_ -> failed.(i) <- true);
               })
       in
@@ -793,5 +867,7 @@ let () =
             late_attach_joins_lists;
           Alcotest.test_case "contending gates carrier-sense edges" `Quick
             contending_gates_edges;
+          Alcotest.test_case "overhearing is opt-in, capture is not" `Quick
+            overhearing_is_opt_in;
         ] );
     ]

@@ -6,6 +6,7 @@
      brute-force scan over record mobility finds (test/naive_medium.ml),
      across protocols, mobility families, shadowing, partition and
      churn; arming that oracle leaves the outcome unchanged;
+   - only DSR's radios are handed frames addressed to other nodes;
    - churn edge cases: traffic to a crashed node, teardown of routing
      state, rejoin recovery, and detach/re-attach under the neighbour
      lists;
@@ -102,6 +103,36 @@ let test_soa_identical_mobility mobility () =
   same_digest
     (Scenario.mobility_name mobility ^ ": oracle-checked = plain")
     checked plain
+
+(* --- overhearing: only DSR's radios are handed frames for others ------ *)
+
+(* Run [sc] with every agent wrapped to count its [overheard] calls. *)
+let overheard_calls sc =
+  let calls = ref 0 in
+  let o =
+    Runner.run
+      ~prepare:(fun sim ->
+        Array.iteri
+          (fun i (a : Routing.Agent.t) ->
+            sim.Runner.agents.(i) <-
+              {
+                a with
+                Routing.Agent.overheard =
+                  (fun p ~from ~dst ->
+                    incr calls;
+                    a.overheard p ~from ~dst);
+              })
+          sim.Runner.agents)
+      sc
+  in
+  checkb "run did work" true (Metrics.delivered o.Runner.metrics > 0);
+  !calls
+
+let test_overhearing () =
+  checkb "DSR overhears" true
+    (overheard_calls (fig5 ~protocol:Scenario.dsr ()) > 0);
+  checki "LDR is handed nothing to overhear" 0
+    (overheard_calls (fig5 ~protocol:Scenario.ldr ()))
 
 (* --- shadowing: deterministic, observable, oracle-checked ------------ *)
 
@@ -242,6 +273,7 @@ let () =
           Alcotest.test_case "ldr" `Quick (test_soa_identical Scenario.ldr);
           Alcotest.test_case "aodv" `Quick (test_soa_identical Scenario.aodv);
           Alcotest.test_case "olsr" `Quick (test_soa_identical Scenario.olsr);
+          Alcotest.test_case "dsr" `Quick (test_soa_identical Scenario.dsr);
           Alcotest.test_case "manhattan" `Quick
             (test_soa_identical_mobility
                (Scenario.Manhattan { spacing = 150. }));
@@ -249,6 +281,8 @@ let () =
             (test_soa_identical_mobility
                (Scenario.Rpgm { groups = 4; radius = 60. }));
         ] );
+      ( "overhearing",
+        [ Alcotest.test_case "DSR only" `Quick test_overhearing ] );
       ( "link-model",
         [
           Alcotest.test_case "shadowing deterministic" `Quick test_shadowing;
