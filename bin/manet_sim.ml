@@ -149,15 +149,6 @@ let telemetry_out =
               spatial-index health, GC counters) to $(docv) as JSONL, one \
               sample per $(b,--telemetry-every).")
 
-let telemetry_prom =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "telemetry-prom" ] ~docv:"FILE"
-        ~doc:"Maintain a Prometheus text-format snapshot of the same \
-              gauges at $(docv), atomically replaced on every sample \
-              (validate with $(b,manet_sim telemetry)).")
-
 let telemetry_every =
   Arg.(
     value & opt positive 1.
@@ -446,37 +437,30 @@ let print_outcome (o : Runner.outcome) =
 
 (* Fail up front, with one line and exit 1, on an output path that
    cannot be written: opening it (creating, never truncating) must
-   succeed before any work starts.  A probe leaves no new file behind.
-   A Prometheus snapshot is replaced through [FILE.tmp], so that must
-   be creatable too. *)
-let check_writable ?(via_tmp = false) path =
-  let probe p =
-    let existed = Sys.file_exists p in
-    match open_out_gen [ Open_wronly; Open_creat ] 0o644 p with
-    | oc ->
-        close_out oc;
-        if not existed then Sys.remove p
-    | exception Sys_error msg ->
-        let prefix = p ^ ": " in
-        let reason =
-          if String.starts_with ~prefix msg then
-            String.sub msg (String.length prefix)
-              (String.length msg - String.length prefix)
-          else msg
-        in
-        Printf.eprintf "manet_sim: cannot write %s: %s\n%!" path reason;
-        exit 1
-  in
-  probe path;
-  if via_tmp then probe (path ^ ".tmp")
+   succeed before any work starts.  A probe leaves no new file behind. *)
+let check_writable path =
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+  | oc ->
+      close_out oc;
+      if not existed then Sys.remove path
+  | exception Sys_error msg ->
+      let prefix = path ^ ": " in
+      let reason =
+        if String.starts_with ~prefix msg then
+          String.sub msg (String.length prefix)
+            (String.length msg - String.length prefix)
+        else msg
+      in
+      Printf.eprintf "manet_sim: cannot write %s: %s\n%!" path reason;
+      exit 1
 
 let run_cmd =
   let action protocol nodes width height flows pps pause speed_max duration
       seed audit json trace_out pcap_out monitor telemetry_out
-      telemetry_prom telemetry_every inject_stale world =
+      telemetry_every inject_stale world =
     List.iter check_writable
       (List.filter_map Fun.id [ trace_out; pcap_out; telemetry_out ]);
-    Option.iter (check_writable ~via_tmp:true) telemetry_prom;
     let sc =
       scenario ~world protocol nodes width height flows pps pause
         speed_max duration seed audit
@@ -492,7 +476,7 @@ let run_cmd =
         inject_stale
     in
     let outcome =
-      Runner.run ~monitor ?trace_out ?pcap_out ?telemetry_out ?telemetry_prom
+      Runner.run ~monitor ?trace_out ?pcap_out ?telemetry_out
         ~telemetry_every:(Time.sec telemetry_every) ?prepare sc
     in
     if json then print_outcome_json outcome else print_outcome outcome
@@ -501,7 +485,7 @@ let run_cmd =
     Term.(
       const action $ protocol $ nodes $ width $ height $ flows $ pps $ pause
       $ speed_max $ duration $ seed $ audit $ json $ trace_out
-      $ pcap_out $ monitor $ telemetry_out $ telemetry_prom $ telemetry_every
+      $ pcap_out $ monitor $ telemetry_out $ telemetry_every
       $ inject_stale $ world_term)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one scenario and print its metrics.") term
@@ -733,31 +717,6 @@ let trace_cmd =
           flags, prints totals.")
     term
 
-let telemetry_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"Prometheus text-format snapshot written by \
-                $(b,--telemetry-prom).")
-  in
-  let action file =
-    match Obs.Telemetry.validate_prom file with
-    | Ok names -> List.iter print_endline names
-    | Error e ->
-        prerr_endline e;
-        Stdlib.exit 1
-  in
-  let term = Term.(const action $ file) in
-  Cmd.v
-    (Cmd.info "telemetry"
-       ~doc:
-         "Validate a Prometheus text-format telemetry snapshot (metric \
-          and label syntax, numeric values) and print its sorted metric \
-          names — the stability contract CI checks.")
-    term
-
 let mcheck_cmd =
   let open Mcheck in
   let mc_protocol =
@@ -961,4 +920,4 @@ let () =
     (Cmd.eval
        (Cmd.group
           (Cmd.info "manet_sim" ~doc)
-          [ run_cmd; sweep_cmd; trace_cmd; telemetry_cmd; mcheck_cmd ]))
+          [ run_cmd; sweep_cmd; trace_cmd; mcheck_cmd ]))

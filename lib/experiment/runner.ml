@@ -346,10 +346,10 @@ let gauges sim : Obs.Telemetry.gauges =
       (if !finite = 0 then 0. else float_of_int !fd_sum /. float_of_int !finite);
   }
 
-let attach_telemetry sim ?jsonl ?prom ~every ~until () =
+let attach_telemetry sim path ~every ~until =
   if Time.(every <= Time.zero) then
     invalid_arg "Runner.attach_telemetry: interval must be positive";
-  let c = Obs.Telemetry.create ?jsonl ?prom () in
+  let c = Obs.Telemetry.create path in
   let sample () =
     Obs.Telemetry.record c sim.engine
       ~grid:(Net.Channel.index_stats sim.channel)
@@ -369,7 +369,7 @@ let finish sim =
   sim.cleanup <- []
 
 let run ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?telemetry_out
-    ?telemetry_prom ?telemetry_every ?prepare (sc : Scenario.t) =
+    ?telemetry_every ?prepare (sc : Scenario.t) =
   let sim = build ?on_engine ?obs sc in
   (* Let in-flight packets (and their latency) resolve briefly after the
      last origination. *)
@@ -380,13 +380,13 @@ let run ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?telemetry_out
   (match trace_out with Some path -> attach_trace sim path | None -> ());
   (match pcap_out with Some path -> attach_pcap sim path | None -> ());
   if monitor = Some true then ignore (attach_monitor sim);
-  (match (telemetry_out, telemetry_prom) with
-  | None, None -> ()
-  | jsonl, prom ->
+  (match telemetry_out with
+  | None -> ()
+  | Some path ->
       let every =
         match telemetry_every with Some e -> e | None -> Time.sec 1.
       in
-      attach_telemetry sim ?jsonl ?prom ~every ~until ());
+      attach_telemetry sim path ~every ~until);
   (match prepare with Some f -> f sim | None -> ());
   Engine.run ~until sim.engine;
   finish sim;

@@ -43,7 +43,6 @@ val run :
   ?trace_out:string ->
   ?pcap_out:string ->
   ?telemetry_out:string ->
-  ?telemetry_prom:string ->
   ?telemetry_every:Sim.Time.t ->
   ?prepare:(sim -> unit) ->
   Scenario.t ->
@@ -61,9 +60,8 @@ val run :
     FILE --node N] renders one node's events).
     [pcap_out]: capture every transmitted frame, byte-exact, to this
     pcap file ({!Net.Pcap}).
-    [telemetry_out] / [telemetry_prom]: runtime telemetry
-    ({!Obs.Telemetry}) as JSONL samples and/or an atomically-replaced
-    Prometheus text snapshot, every [telemetry_every] of virtual time
+    [telemetry_out]: runtime telemetry ({!Obs.Telemetry}) as JSONL
+    samples to this file, every [telemetry_every] of virtual time
     (default 1 s) plus once at the horizon, whatever the interval,
     sampled from an engine cadence that does not perturb the
     simulation.

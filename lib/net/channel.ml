@@ -5,7 +5,7 @@ type radio = {
   id : Node_id.t;
   slot : int;  (** store slot: the radio's index in the channel's arrays *)
   mutable receive : Frame.t -> unit;
-  mutable overhear : bool;  (** [receive] hears unicasts for others too *)
+  mutable overhear : bool;  (** [receive] hears data unicasts for others too *)
   mutable medium : bool -> unit;
   mutable nbrs : int array;
       (** neighbour list: slots of the radios within [reach] of this one
@@ -272,10 +272,11 @@ let transmissions t = t.tx_total
 let in_flight t = Array.length t.job_pool - t.job_free
 
 (* End of transmission: release the medium, deliver surviving locked
-   frames in delivery order (a unicast for another node only to a radio
-   that overhears), and recycle the job.  Medium listeners hear edges
-   only while their radio contends.  Clearing the frame drops the job's
-   reference into live simulation state between transmissions. *)
+   frames in delivery order (a data unicast for another node only to a
+   radio that overhears, an ACK for another node to none), and recycle
+   the job.  Medium listeners hear edges only while their radio
+   contends.  Clearing the frame drops the job's reference into live
+   simulation state between transmissions. *)
 let end_of_tx job =
   let t = job.job_owner in
   let busy_n = t.busy_n and tx_n = t.tx_n and contending = t.contending in
@@ -301,8 +302,12 @@ let end_of_tx job =
       (* Starting to transmit mid-reception also kills it. *)
       if f land corrupted = 0 && tx_n.(s) = 0 then begin
         let r = radios.(s) in
-        if dst < 0 || dst = Node_id.to_int r.id || r.overhear then
-          r.receive frame
+        if
+          dst < 0
+          || dst = Node_id.to_int r.id
+          || (r.overhear
+             && match frame.body with Frame.Payload _ -> true | Ack -> false)
+        then r.receive frame
       end
       else if Obs.Bus.on t.obs then
         (* A locked frame the radio would have decoded, lost to an

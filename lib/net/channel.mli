@@ -61,16 +61,17 @@ val attached : t -> radio -> bool
 
 val index_stats : t -> int * int * int
 (** [(cells, occupied, max_occupancy)] of the rebuild's cell grid, as
-    binned by the last rebuild (all zero before the first) — health
+    binned by the last rebuild (no radio binned before the first) — health
     gauges surfaced through [Obs.Telemetry].  A rebuild bins every radio
     that has ever attached, detached ones included, at its position
     then. *)
 
 val set_receiver : radio -> overhear:bool -> (Frame.t -> unit) -> unit
 (** Called with each frame the radio decodes that is broadcast or
-    addressed to it, and if [overhear] with the unicasts (data and
-    ACKs) it decodes for other nodes too.  A withheld frame still
-    locks, captures and corrupts as one handed over. *)
+    addressed to it, and if [overhear] with the data unicasts it
+    decodes for other nodes too; an ACK for another node is never
+    handed over.  A withheld frame still locks, captures and corrupts
+    as one handed over. *)
 
 val set_medium_listener : radio -> (bool -> unit) -> unit
 (** Called when carrier sense transitions busy<->idle for this radio,

@@ -1,9 +1,7 @@
 (** Periodic runtime telemetry: engine gauges, simulation gauges
     (frames in flight, queue depth, delivery, control rate, route-table
     size and feasible distance), spatial-index and GC health, written as
-    JSONL samples and/or an atomically-replaced Prometheus text-format
-    snapshot — the exposition format the future [manet_simd] service
-    will stream.
+    one JSONL sample per line.
 
     The collector does not schedule itself: the runner drives
     {!record} from an [Engine.every] cadence.
@@ -24,29 +22,17 @@ type gauges = {
 (** Simulation gauges the caller gathers at each sample.  The JSONL line
     carries them with the derived [ratio] (delivered / originated, 1
     before anything is originated) and [ctl_rate] (control frames per
-    virtual second since the previous sample); the Prometheus snapshot
-    does not. *)
+    virtual second since the previous sample). *)
 
-val create : ?jsonl:string -> ?prom:string -> unit -> t
-(** Open the JSONL stream and/or remember the Prometheus snapshot
-    path.  At least one output should be given for the collector to be
-    useful; with neither it is inert. *)
+val create : string -> t
+(** Open (truncating) the JSONL file at this path. *)
 
 val record : t -> Sim.Engine.t -> grid:int * int * int -> gauges -> unit
 (** Take one sample at the engine's current virtual time (pending and
-    fired events, calendar shape, the given gauges): append a JSONL line and
-    atomically rewrite the Prometheus snapshot (write-temp-then-rename,
-    so scrapers never see a torn file).  Event rates are computed
-    against the previous sample's wall clock and fired counts.
-    [grid] is the channel spatial index's [(cells, occupied,
-    max_occupancy)] ({!Net.Channel.index_stats}). *)
+    fired events, calendar shape, the given gauges) and append it as a
+    JSONL line.  Event rates are computed against the previous sample's
+    wall clock and fired counts.  [grid] is the channel spatial index's
+    [(cells, occupied, max_occupancy)] ({!Net.Channel.index_stats}). *)
 
 val close : t -> unit
-(** Flush and close the JSONL stream (the snapshot file needs no
-    closing; it is complete after every {!record}). *)
-
-val validate_prom : string -> (string list, string) result
-(** Parse a Prometheus text-format file, checking metric-name syntax,
-    label syntax and numeric values; returns the sorted, deduplicated
-    metric names on success (CI greps these for stability) or a
-    line-tagged error. *)
+(** Flush and close the JSONL file. *)

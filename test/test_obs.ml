@@ -236,6 +236,95 @@ let telemetry_emits () =
           checkb "has fd_mean" true (List.mem_assoc "fd_mean" fields))
     !lines
 
+(* The [manet_sim trace --node/--dst/--drops] queries against the raw
+   events of a short mobile LDR trace: a timeline is exactly one node's
+   events in trace order, flap counts are the table writes that changed
+   a successor, and drop bins add up to the drop-class events. *)
+let trace_queries () =
+  let trace_file = Filename.temp_file "obs_queries" ".jsonl" in
+  (* A strip wider than carrier sense, so hidden terminals collide. *)
+  ignore
+    (Runner.run ~trace_out:trace_file
+       {
+         (scenario ~speed_max:20. ~duration:10. ~flows:8 ~nodes:30 ()) with
+         terrain = Geom.Terrain.create ~width:1500. ~height:300.;
+       });
+  let t =
+    match Obs.Reader.load trace_file with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  Sys.remove trace_file;
+  let events = Array.to_list (Obs.Reader.events t) in
+  let render ev =
+    Format.asprintf "%a" (Obs.Event.pp ~name:(Obs.Reader.name t)) ev
+  in
+  let node = 3 in
+  let own = List.filter (fun (ev : Obs.Event.t) -> ev.node = node) events in
+  checkb "the node has events, and others too" true
+    (own <> [] && List.length own < List.length events);
+  Alcotest.(check (list string))
+    "timeline = the node's events in trace order" (List.map render own)
+    (Obs.Reader.timeline t ~node);
+  (* Successor changes per (destination, node) from the raw events. *)
+  let changes = Hashtbl.create 16 in
+  List.iter
+    (fun (ev : Obs.Event.t) ->
+      if ev.kind = Obs.Event.Table_write && ev.b <> ev.c then
+        let key = (ev.a, ev.node) in
+        Hashtbl.replace changes key
+          (1 + Option.value ~default:0 (Hashtbl.find_opt changes key)))
+    events;
+  let per_dst dst =
+    Hashtbl.fold
+      (fun (d, node) c acc -> if d = dst then (node, c) :: acc else acc)
+      changes []
+    |> List.sort compare
+  in
+  let total dst = List.fold_left (fun acc (_, c) -> acc + c) 0 (per_dst dst) in
+  let dst =
+    Hashtbl.fold (fun (d, _) _ best -> if total d > total best then d else best)
+      changes 0
+  in
+  checkb "some route flapped" true (total dst > 1);
+  let counted, rendered =
+    List.partition_map
+      (fun l ->
+        match
+          Scanf.sscanf_opt l "n%d: %d successor change(s)%!" (fun n c ->
+              (n, c))
+        with
+        | Some nc -> Left nc
+        | None -> Right l)
+      (Obs.Reader.flaps t ~dst)
+  in
+  Alcotest.(check (list (pair int int)))
+    "per-node flap counts" (per_dst dst) counted;
+  checki "one line per change" (total dst) (List.length rendered);
+  (* Drop-class events, and the bins of the drop report. *)
+  let drops =
+    List.length
+      (List.filter
+         (fun (ev : Obs.Event.t) ->
+           match ev.kind with
+           | Obs.Event.Data_drop | Ifq_drop | Collision -> true
+           | _ -> false)
+         events)
+  in
+  checkb "the run dropped something" true (drops > 0);
+  let binned bins =
+    List.fold_left
+      (fun acc l ->
+        match String.rindex_opt l ' ' with
+        | Some i ->
+            acc + int_of_string (String.sub l (i + 1) (String.length l - i - 1))
+        | None -> Alcotest.failf "unparsable drop row %S" l)
+      0
+      (Obs.Reader.drop_report ~bins t)
+  in
+  checki "10 bins sum to the drops" drops (binned 10);
+  checki "3 bins sum to the drops" drops (binned 3)
+
 let () =
   Alcotest.run "obs"
     [
@@ -246,6 +335,7 @@ let () =
             null_sink_differential;
           Alcotest.test_case "jsonl roundtrip" `Slow jsonl_roundtrip;
           Alcotest.test_case "jsonl escapes" `Quick jsonl_escapes;
+          Alcotest.test_case "trace queries" `Quick trace_queries;
           QCheck_alcotest.to_alcotest escape_roundtrip_prop;
         ] );
       ( "monitor",

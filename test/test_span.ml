@@ -91,22 +91,6 @@ let summary_reports_bytes () =
 
 (* ---- Telemetry --------------------------------------------------------- *)
 
-let expect_names =
-  List.sort String.compare
-    [
-      "manet_calendar_buckets";
-      "manet_calendar_occupancy";
-      "manet_events_per_second";
-      "manet_events_processed_total";
-      "manet_gc_minor_words_total";
-      "manet_gc_promoted_words_total";
-      "manet_queue_pending";
-      "manet_sim_time_seconds";
-      "manet_grid_cells";
-      "manet_grid_occupied_cells";
-      "manet_grid_max_occupancy";
-    ]
-
 (* Read a telemetry JSONL file, one field list per line. *)
 let telemetry_lines path =
   let ic = open_in path in
@@ -121,55 +105,37 @@ let telemetry_lines path =
   List.rev !lines
 
 let telemetry_classic () =
-  with_tmp ".prom" (fun prom ->
-      with_tmp ".jsonl" (fun jsonl ->
-          ignore
-            (Runner.run ~telemetry_out:jsonl ~telemetry_prom:prom
-               ~telemetry_every:(Time.sec 2.) (two_clusters ()));
-          (match Obs.Telemetry.validate_prom prom with
-          | Ok names ->
-              checkb "classic metric names stable" true
-                (names = expect_names)
-          | Error e -> Alcotest.failf "prom validation: %s" e);
-          (* Ticks at 0,2,..,10 s (strictly before the 12 s horizon),
-             plus the horizon one-shot.  Every line is a flat object the
-             trace parser reads, with scalar engine gauges. *)
-          let samples = telemetry_lines jsonl in
-          checki "one sample per tick plus horizon" 7 (List.length samples);
-          List.iter
-            (fun fields ->
-              match List.assoc_opt "pending" fields with
-              | Some (Obs.Jsonl.Int _) -> ()
-              | _ -> Alcotest.fail "sample lacks an int pending gauge")
-            samples;
-          checkb "last sample at the horizon" true
-            (List.assoc_opt "t" (List.nth samples 6)
-            = Some (Obs.Jsonl.Int (Time.sec 12. :> int)))))
+  with_tmp ".jsonl" (fun jsonl ->
+      ignore
+        (Runner.run ~telemetry_out:jsonl ~telemetry_every:(Time.sec 2.)
+           (two_clusters ()));
+      (* Ticks at 0,2,..,10 s (strictly before the 12 s horizon), plus
+         the horizon one-shot.  Every line is a flat object the trace
+         parser reads, with scalar engine gauges. *)
+      let samples = telemetry_lines jsonl in
+      checki "one sample per tick plus horizon" 7 (List.length samples);
+      List.iter
+        (fun fields ->
+          match List.assoc_opt "pending" fields with
+          | Some (Obs.Jsonl.Int _) -> ()
+          | _ -> Alcotest.fail "sample lacks an int pending gauge")
+        samples;
+      checkb "last sample at the horizon" true
+        (List.assoc_opt "t" (List.nth samples 6)
+        = Some (Obs.Jsonl.Int (Time.sec 12. :> int))))
 
-let telemetry_rejects_garbage () =
-  with_tmp ".prom" (fun path ->
-      let oc = open_out path in
-      output_string oc "9bad_name 1\n";
-      close_out oc;
-      checkb "bad metric name rejected" true
-        (Result.is_error (Obs.Telemetry.validate_prom path));
-      let oc = open_out path in
-      output_string oc "ok_name{unterminated=\"x 1\n";
-      close_out oc;
-      checkb "bad label block rejected" true
-        (Result.is_error (Obs.Telemetry.validate_prom path));
-      let oc = open_out path in
-      output_string oc "ok_name not_a_number\n";
-      close_out oc;
-      checkb "bad value rejected" true
-        (Result.is_error (Obs.Telemetry.validate_prom path)))
-
+(* The whole JSONL schema, in line order: every sample carries exactly
+   these keys with these JSON types. *)
 let sampler_keys =
   [
-    ("t", `Int); ("pending", `Int); ("fired", `Int); ("inflight", `Int);
-    ("ifq", `Int); ("originated", `Int); ("delivered", `Int);
-    ("ratio", `Number); ("ctl_rate", `Number); ("rt_mean", `Number);
-    ("fd_mean", `Number); ("cal_scan", `Number);
+    ("t", `Int); ("wall_s", `Number); ("events_per_s", `Number);
+    ("pending", `Int); ("fired", `Int); ("inflight", `Int); ("ifq", `Int);
+    ("originated", `Int); ("delivered", `Int); ("ratio", `Number);
+    ("ctl_rate", `Number); ("rt_mean", `Number); ("fd_mean", `Number);
+    ("cal_buckets", `Int); ("cal_occupancy", `Number); ("cal_scan", `Number);
+    ("grid_cells", `Int); ("grid_occupied", `Int);
+    ("grid_max_occupancy", `Int); ("gc_minor_words", `Number);
+    ("gc_promoted_words", `Number);
   ]
 
 let telemetry_horizon_sample () =
@@ -188,6 +154,8 @@ let telemetry_horizon_sample () =
             [ 0.; 5.; 10.; 12. ]);
       List.iter
         (fun fields ->
+          checkb "exactly the schema's keys, in order" true
+            (List.map fst fields = List.map fst sampler_keys);
           List.iter
             (fun (key, kind) ->
               match (kind, List.assoc_opt key fields) with
@@ -203,6 +171,37 @@ let telemetry_horizon_sample () =
         | Some (Obs.Jsonl.Int d) -> d > 0
         | _ -> false))
 
+(* [gc_minor_words] must count what was allocated since the last minor
+   collection, not only what earlier collections swept. *)
+let telemetry_counts_live_minor_words () =
+  with_tmp ".jsonl" (fun path ->
+      let e = Engine.create () in
+      let g =
+        {
+          Obs.Telemetry.inflight = 0; ifq = 0; originated = 0; delivered = 0;
+          control_tx = 0; rt_mean = 0.; fd_mean = 0.;
+        }
+      in
+      let c = Obs.Telemetry.create path in
+      Gc.minor ();
+      Obs.Telemetry.record c e ~grid:(0, 0, 0) g;
+      (* 400 cons cells of 3 words each. *)
+      let rec cells n acc = if n = 0 then acc else cells (n - 1) (n :: acc) in
+      ignore (Sys.opaque_identity (cells 400 []));
+      Obs.Telemetry.record c e ~grid:(0, 0, 0) g;
+      Obs.Telemetry.close c;
+      let minor fields =
+        match List.assoc_opt "gc_minor_words" fields with
+        | Some (Obs.Jsonl.Int w) -> w
+        | Some (Obs.Jsonl.Float w) -> int_of_float w
+        | _ -> Alcotest.fail "sample lacks gc_minor_words"
+      in
+      match telemetry_lines path with
+      | [ a; b ] ->
+          checkb "minor words cover the allocation" true
+            (minor b - minor a >= 1200)
+      | _ -> Alcotest.fail "expected two samples")
+
 let () =
   Alcotest.run "span"
     [
@@ -216,8 +215,8 @@ let () =
       ( "telemetry",
         [
           Alcotest.test_case "classic run validates" `Quick telemetry_classic;
-          Alcotest.test_case "validator rejects garbage" `Quick
-            telemetry_rejects_garbage;
           Alcotest.test_case "horizon sample" `Quick telemetry_horizon_sample;
+          Alcotest.test_case "minor words between collections" `Quick
+            telemetry_counts_live_minor_words;
         ] );
     ]
