@@ -375,7 +375,7 @@ let discovery_bench_json rows =
 let discovery ~scale () =
   heading
     "Discovery: route-request floods per delivered packet (50 nodes, 30 flows, pause 0)";
-  let pre_ring = { Routing.Discovery.default with timeout_buffer = 0 } in
+  let pre_ring = { Routing.Discovery.timeout_buffer = 0 } in
   let variants =
     [
       ("LDR pre-fix timeouts",

@@ -6,14 +6,9 @@ let name = "aodv"
 
 type config = {
   use_hello : bool;
-  hello_interval : Time.t;
-  allowed_hello_loss : int;
   active_route_timeout : Time.t;
   my_route_timeout : Time.t;
   ring : Routing.Discovery.ring;
-  rreq_cache_ttl : Time.t;
-  buffer_capacity : int;
-  buffer_max_age : Time.t;
   flood_jitter : Time.t;
   data_ttl : int;
 }
@@ -21,17 +16,18 @@ type config = {
 let default_config =
   {
     use_hello = false;
-    hello_interval = Time.sec 1.;
-    allowed_hello_loss = 2;
     active_route_timeout = Time.sec 3.;
     my_route_timeout = Time.sec 6.;
     ring = Routing.Discovery.default;
-    rreq_cache_ttl = Time.sec 6.;
-    buffer_capacity = 64;
-    buffer_max_age = Time.sec 30.;
     flood_jitter = Time.ms 10.;
     data_ttl = Data_msg.default_ttl;
   }
+
+(* RFC 3561 HELLO_INTERVAL and ALLOWED_HELLO_LOSS. *)
+let hello_interval = Time.sec 1.
+let allowed_hello_loss = 2
+let rreq_cache_ttl = Time.sec 6.
+let buffer_capacity = 64
 
 type route = {
   mutable sn : int option;  (** known destination sequence number *)
@@ -309,8 +305,7 @@ let link_failure t payload ~next_hop =
 
 let is_hello (r : Aodv_msg.rrep) = Node_id.equal r.dst r.origin
 
-let hello_lifetime t =
-  Time.mul t.cfg.hello_interval t.cfg.allowed_hello_loss
+let hello_lifetime = Time.mul hello_interval allowed_hello_loss
 
 let has_active_route t =
   Node_id.Table.fold (fun _ r acc -> acc || is_valid t r) t.table false
@@ -324,7 +319,7 @@ let emit_hello t =
            dst_sn = t.own_sn;
            origin = t.ctx.id;
            hop_count = 0;
-           lifetime = hello_lifetime t;
+           lifetime = hello_lifetime;
          })
 
 let handle_hello t (r : Aodv_msg.rrep) ~from =
@@ -336,11 +331,10 @@ let handle_hello t (r : Aodv_msg.rrep) ~from =
   match valid_entry t from with Some route -> refresh t route | None -> ()
 
 let check_hello_timeouts t =
-  let deadline = hello_lifetime t in
   let stale =
     Node_id.Table.fold
       (fun nb last acc ->
-        if Time.(Time.add last deadline < now t) then nb :: acc else acc)
+        if Time.(Time.add last hello_lifetime < now t) then nb :: acc else acc)
       t.last_hello []
   in
   List.iter
@@ -395,13 +389,13 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
       cfg = config;
       table = Node_id.Table.create 32;
       cache =
-        Routing.Rreq_cache.create ~engine:ctx.engine
-          ~ttl:config.rreq_cache_ttl;
+        Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:rreq_cache_ttl;
       own_sn = 0;
       discovery =
         lazy
-          (Routing.Discovery.create ctx ~capacity:config.buffer_capacity
-             ~max_age:config.buffer_max_age ~schedule:(fun _ -> schedule)
+          (Routing.Discovery.create ctx ~capacity:buffer_capacity
+             ~max_age:Routing.Discovery.buffer_max_age
+             ~schedule:(fun _ -> schedule)
              ~route:(valid_entry t) ~forward:(forward_data t)
              ~send_rreq:(send_rreq t));
       last_hello = Node_id.Table.create 16;
@@ -417,8 +411,8 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
         if config.use_hello then
           Engine.every ctx.engine
             ~jitter:(fun () -> Rng.uniform_time ctx.rng (Time.ms 100.))
-            ~start:(Rng.uniform_time ctx.rng config.hello_interval)
-            ~interval:config.hello_interval ~until:(Time.sec 1e6)
+            ~start:(Rng.uniform_time ctx.rng hello_interval)
+            ~interval:hello_interval ~until:(Time.sec 1e6)
             (fun () ->
               emit_hello t;
               check_hello_timeouts t));

@@ -17,17 +17,12 @@
 type config = {
   use_hello : bool;
       (** RFC 3561 6.9: nodes with active routes broadcast periodic HELLOs
-          (TTL-1 RREPs for themselves); missing [allowed_hello_loss]
+          (TTL-1 RREPs for themselves) every second; missing two
           consecutive ones declares the link broken.  Off by default — the
           paper's scenarios rely on link-layer feedback instead. *)
-  hello_interval : Sim.Time.t;
-  allowed_hello_loss : int;
   active_route_timeout : Sim.Time.t;
   my_route_timeout : Sim.Time.t;
   ring : Routing.Discovery.ring;
-  rreq_cache_ttl : Sim.Time.t;
-  buffer_capacity : int;
-  buffer_max_age : Sim.Time.t;
   flood_jitter : Sim.Time.t;
   data_ttl : int;
 }

@@ -8,10 +8,7 @@ type t = {
   my_route_timeout : Sim.Time.t;
       (** lifetime a destination advertises in its own RREPs (6 s) *)
   ring : Routing.Discovery.ring;  (** expanding-ring-search schedule *)
-  rreq_cache_ttl : Sim.Time.t;
-      (** how long engaged-state / duplicate entries persist *)
   buffer_capacity : int;
-  buffer_max_age : Sim.Time.t;
   flood_jitter : Sim.Time.t;  (** max uniform delay before relaying a RREQ *)
   data_ttl : int;  (** IP TTL on originated data *)
   opt_multiple_rreps : bool;
@@ -21,13 +18,10 @@ type t = {
           lost its route *)
   opt_reduced_distance : bool;
       (** advertise a lowered answering distance in RREQs *)
-  reduced_distance_factor : float;  (** 0.8 in the paper *)
   opt_min_lifetime : bool;
       (** don't answer with a route about to expire; relay instead *)
-  min_lifetime_fraction : float;  (** 1/3 of active_route_timeout *)
   opt_optimal_ttl : bool;
       (** first-attempt TTL from known distance and requested fd *)
-  local_add_ttl : int;
   seqnum_counter_limit : int;
       (** counter wrap point (small values exercise restamping in tests) *)
   multipath : bool;

@@ -4,6 +4,13 @@ module RA = Routing.Agent
 
 let name = "ldr"
 
+(* How long engaged-state / duplicate entries persist. *)
+let rreq_cache_ttl = Time.sec 6.
+
+let reduced_distance_factor = 0.8  (* in the paper *)
+let min_lifetime_fraction = 1. /. 3.  (* of active_route_timeout *)
+let local_add_ttl = 2
+
 (* Engaged-node state cached per computation (origin, rreq_id). *)
 type engaged = {
   last_hop : Node_id.t;
@@ -41,11 +48,11 @@ let increment_own t =
    the feasible distance is sound; the paper uses floor(0.8 fd), min 1. *)
 let reduce t d =
   if t.cfg.opt_reduced_distance && d < Conditions.infinity then
-    Stdlib.max 1 (int_of_float (t.cfg.reduced_distance_factor *. float_of_int d))
+    Stdlib.max 1 (int_of_float (reduced_distance_factor *. float_of_int d))
   else d
 
 let min_lifetime t =
-  Time.scale t.cfg.active_route_timeout t.cfg.min_lifetime_fraction
+  Time.scale t.cfg.active_route_timeout min_lifetime_fraction
 
 (* Can this node's route answer, given the minimum-lifetime rule? *)
 let answerable t e =
@@ -93,16 +100,15 @@ let forward_data t (e : Route_table.entry) msg =
 (* The RFC 3561 ring; with the optimal-TTL optimization and a known
    distance it starts at TTL = D - FD + LOCAL_ADD_TTL. *)
 let ring_schedule t dst =
-  let ring = t.cfg.ring in
   let first =
     match Route_table.find t.table dst with
     | Some e when t.cfg.opt_optimal_ttl && e.dist < Conditions.infinity ->
-        Stdlib.min ring.net_diameter
-          (Stdlib.max ring.ttl_start
-             (e.dist - reduce t e.fd + t.cfg.local_add_ttl))
-    | Some _ | None -> ring.ttl_start
+        Stdlib.min Routing.Discovery.net_diameter
+          (Stdlib.max Routing.Discovery.ttl_start
+             (e.dist - reduce t e.fd + local_add_ttl))
+    | Some _ | None -> Routing.Discovery.ttl_start
   in
-  Routing.Discovery.ring_attempts ring ~first
+  Routing.Discovery.ring_attempts t.cfg.ring ~first
 
 let send_rreq t ~dst ~ttl ~rreq_id =
   let dst_sn, fd =
@@ -242,7 +248,7 @@ let forward_unicast_probe t ~from (e : Route_table.entry) (r : Ldr_msg.rreq) =
       let ttl =
         (* Must be able to reach the destination even if the ring search
            would have died out (Section 2.2). *)
-        Stdlib.max (r.ttl - 1) (e.dist + t.cfg.local_add_ttl)
+        Stdlib.max (r.ttl - 1) (e.dist + local_add_ttl)
       in
       send_ldr t ~dst:(Net.Frame.Unicast nh)
         (Ldr_msg.Rreq
@@ -340,7 +346,7 @@ let n_bit_probe t dst =
       | None -> ()
       | Some nh ->
           increment_own t;
-          let ttl = e.dist + t.cfg.local_add_ttl in
+          let ttl = e.dist + local_add_ttl in
           let rreq_id =
             Routing.Discovery.fresh_rreq_id (discovery t) ~dst ~ttl
           in
@@ -508,14 +514,14 @@ let make ?(config = Config.default) (ctx : RA.ctx) =
         Route_table.create ~multipath:config.multipath ~obs:ctx.obs
           ~owner:(Node_id.to_int ctx.id) ~engine:ctx.engine ();
       cache =
-        Routing.Rreq_cache.create ~engine:ctx.engine
-          ~ttl:config.rreq_cache_ttl;
+        Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:rreq_cache_ttl;
       own_sn = Seqnum.initial ~stamp:0;
       own_increments = 0;
       discovery =
         lazy
           (Routing.Discovery.create ctx ~capacity:config.buffer_capacity
-             ~max_age:config.buffer_max_age ~schedule:(ring_schedule t)
+             ~max_age:Routing.Discovery.buffer_max_age
+             ~schedule:(ring_schedule t)
              ~route:(Route_table.active t.table) ~forward:(forward_data t)
              ~send_rreq:(send_rreq t));
     }

@@ -5,34 +5,18 @@ module Route_cache = Route_cache
 
 let name = "dsr"
 
-type config = {
-  cache_capacity : int;
-  cache_ttl : Time.t;
-  nonprop_timeout : Time.t;
-  flood_timeout : Time.t;
-  max_flood_attempts : int;
-  buffer_capacity : int;
-  buffer_max_age : Time.t;
-  flood_jitter : Time.t;
-  max_salvage : int;
-  reply_from_cache : bool;
-  route_shortening : bool;
-}
+type config = { reply_from_cache : bool; route_shortening : bool }
 
-let default_config =
-  {
-    cache_capacity = 64;
-    cache_ttl = Time.sec 300.;
-    nonprop_timeout = Time.ms 100.;
-    flood_timeout = Time.ms 500.;
-    max_flood_attempts = 4;
-    buffer_capacity = 64;
-    buffer_max_age = Time.sec 30.;
-    flood_jitter = Time.ms 10.;
-    max_salvage = 3;
-    reply_from_cache = true;
-    route_shortening = true;
-  }
+let default_config = { reply_from_cache = true; route_shortening = true }
+
+let cache_capacity = 64
+let cache_ttl = Time.sec 300.
+let nonprop_timeout = Time.ms 100.  (* wait after the TTL-1 request *)
+let flood_timeout = Time.ms 500.  (* base timeout, doubled per retry *)
+let max_flood_attempts = 4
+let buffer_capacity = 64
+let flood_jitter = Time.ms 10.
+let max_salvage = 3
 
 type state = {
   ctx : RA.ctx;
@@ -64,16 +48,16 @@ let send_data_via t hops (data : Data_msg.t) ~salvage =
 
 (* One non-propagating TTL-1 request, then network-wide floods with
    exponential request backoff. *)
-let schedule (cfg : config) =
+let schedule =
   let flood i =
     {
-      Routing.Discovery.ttl = Routing.Discovery.default.net_diameter;
-      timeout = Time.mul cfg.flood_timeout (1 lsl i);
+      Routing.Discovery.ttl = Routing.Discovery.net_diameter;
+      timeout = Time.mul flood_timeout (1 lsl i);
     }
   in
   Seq.cons
-    { Routing.Discovery.ttl = 1; timeout = cfg.nonprop_timeout }
-    (Seq.init cfg.max_flood_attempts flood)
+    { Routing.Discovery.ttl = 1; timeout = nonprop_timeout }
+    (Seq.init max_flood_attempts flood)
 
 let send_rreq t ~dst ~ttl ~rreq_id =
   send_dsr t ~dst:Net.Frame.Broadcast
@@ -161,7 +145,7 @@ let handle_rreq t (r : Dsr_msg.rreq) ~from =
             let relayed =
               { r with Dsr_msg.route = r.route @ [ self ]; ttl = r.ttl - 1 }
             in
-            let delay = Rng.uniform_time t.ctx.rng t.cfg.flood_jitter in
+            let delay = Rng.uniform_time t.ctx.rng flood_jitter in
             ignore
               (Engine.after t.ctx.engine delay (fun () ->
                    send_dsr t ~dst:Net.Frame.Broadcast (Dsr_msg.Rreq relayed)))
@@ -223,7 +207,7 @@ let link_failure t payload ~next_hop =
       (* Salvage: an intermediate node with another cached route may
          re-source-route the packet itself. *)
       match Route_cache.find t.cache ~dst:data.Data_msg.dst with
-      | Some hops when salvage < t.cfg.max_salvage ->
+      | Some hops when salvage < max_salvage ->
           send_data_via t hops data ~salvage:(salvage + 1)
       | Some _ | None ->
           if Node_id.equal data.Data_msg.src t.ctx.id then
@@ -324,20 +308,20 @@ let reset t ~crash:_ =
   Routing.Rreq_cache.clear t.shortened
 
 let factory ?(config = default_config) () (ctx : RA.ctx) =
-  let schedule = schedule config in
   let rec t =
     {
       ctx;
       cfg = config;
       cache =
         Route_cache.create ~engine:ctx.engine ~owner:ctx.id
-          ~capacity:config.cache_capacity ~ttl:config.cache_ttl;
+          ~capacity:cache_capacity ~ttl:cache_ttl;
       seen = Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:(Time.sec 30.);
       shortened = Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:(Time.sec 1.);
       discovery =
         lazy
-          (Routing.Discovery.create ctx ~capacity:config.buffer_capacity
-             ~max_age:config.buffer_max_age ~schedule:(fun _ -> schedule)
+          (Routing.Discovery.create ctx ~capacity:buffer_capacity
+             ~max_age:Routing.Discovery.buffer_max_age
+             ~schedule:(fun _ -> schedule)
              ~route:(fun dst -> Route_cache.find t.cache ~dst)
              ~forward:(fun hops msg -> send_data_via t hops msg ~salvage:0)
              ~send_rreq:(send_rreq t));

@@ -12,15 +12,6 @@ module Route_cache = Route_cache
 (** Re-exported so library users reach the cache as [Dsr.Route_cache]. *)
 
 type config = {
-  cache_capacity : int;
-  cache_ttl : Sim.Time.t;
-  nonprop_timeout : Sim.Time.t;  (** wait after the TTL-1 request *)
-  flood_timeout : Sim.Time.t;  (** base timeout, doubled per retry *)
-  max_flood_attempts : int;
-  buffer_capacity : int;
-  buffer_max_age : Sim.Time.t;
-  flood_jitter : Sim.Time.t;
-  max_salvage : int;
   reply_from_cache : bool;
       (** intermediate nodes may answer with cached routes (on in the
           paper's draft-3 runs; the Fig-6 "QualNet / draft 7" cross-check

@@ -186,7 +186,7 @@ let build ?on_engine ?obs (sc : Scenario.t) =
                 Some
                   (fun p ~from ~dst ->
                     agents.(i).Routing.Agent.overheard p ~from ~dst)
-            | Ldr _ | Aodv _ | Olsr _ | Ldr_agg _ | Aodv_agg _ -> None);
+            | Ldr _ | Aodv _ | Olsr | Ldr_agg _ | Aodv_agg _ -> None);
           link_failure =
             (fun payload ~next_hop ->
               if Obs.Bus.on bus then

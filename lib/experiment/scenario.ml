@@ -4,7 +4,7 @@ type protocol =
   | Ldr of Ldr.Config.t
   | Aodv of Aodv.config
   | Dsr of Dsr.config
-  | Olsr of Olsr.config
+  | Olsr
   | Ldr_agg of Ldr.Config.t * Routing.Aggregation.config
   | Aodv_agg of Aodv.config * Routing.Aggregation.config
 
@@ -12,7 +12,7 @@ let protocol_name = function
   | Ldr _ -> "LDR"
   | Aodv _ -> "AODV"
   | Dsr _ -> "DSR"
-  | Olsr _ -> "OLSR"
+  | Olsr -> "OLSR"
   | Ldr_agg _ -> "LDR-AGG"
   | Aodv_agg _ -> "AODV-AGG"
 
@@ -21,7 +21,7 @@ let ldr_multipath = Ldr { Ldr.Config.default with multipath = true }
 let aodv = Aodv Aodv.default_config
 let dsr = Dsr Dsr.default_config
 let dsr_draft7 = Dsr { Dsr.default_config with reply_from_cache = false }
-let olsr = Olsr Olsr.default_config
+let olsr = Olsr
 let ldr_agg = Ldr_agg (Ldr.Config.default, Routing.Aggregation.default)
 let aodv_agg = Aodv_agg (Aodv.default_config, Routing.Aggregation.default)
 
@@ -29,7 +29,7 @@ let factory = function
   | Ldr config -> Ldr.Protocol.factory ~config ()
   | Aodv config -> Aodv.factory ~config ()
   | Dsr config -> Dsr.factory ~config ()
-  | Olsr config -> Olsr.factory ~config ()
+  | Olsr -> Olsr.factory
   | Ldr_agg (config, agg) ->
       Routing.Aggregation.wrap ~config:agg (Ldr.Protocol.factory ~config ())
   | Aodv_agg (config, agg) ->

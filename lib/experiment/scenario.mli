@@ -4,7 +4,7 @@ type protocol =
   | Ldr of Ldr.Config.t
   | Aodv of Aodv.config
   | Dsr of Dsr.config
-  | Olsr of Olsr.config
+  | Olsr
   | Ldr_agg of Ldr.Config.t * Routing.Aggregation.config
       (** LDR with the route-request aggregation layer interposed *)
   | Aodv_agg of Aodv.config * Routing.Aggregation.config

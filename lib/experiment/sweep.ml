@@ -77,9 +77,3 @@ let trials ?jobs (sc : Scenario.t) ~n =
     (fun (o : Runner.outcome) -> add_summary p o.Runner.summary)
     (trial_outcomes ?jobs sc ~n);
   p
-
-let pause_sweep ?jobs (sc : Scenario.t) ~pauses ~trials:n =
-  let points =
-    List.map (fun pause (s : Scenario.t) -> { s with pause }) pauses
-  in
-  List.combine pauses (run ?jobs sc ~points ~trials:n)

@@ -46,11 +46,3 @@ val trial_outcomes : ?jobs:int -> Scenario.t -> n:int -> Runner.outcome array
 val trials : ?jobs:int -> Scenario.t -> n:int -> point
 (** Run the scenario [n] times under seeds [seed, seed+1, ...] and
     aggregate. *)
-
-val pause_sweep :
-  ?jobs:int ->
-  Scenario.t ->
-  pauses:Sim.Time.t list ->
-  trials:int ->
-  (Sim.Time.t * point) list
-(** One aggregated point per pause time — a figure series. *)

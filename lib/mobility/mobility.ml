@@ -24,12 +24,6 @@ type gen =
       speed_max : float;
       pause : Time.t;
     }
-  | Walk of {
-      terrain : Geom.Terrain.t;
-      rng : Rng.t;
-      speed : float;
-      epoch : Time.t;
-    }
   | Scripted of {
       mutable remaining : (Time.t * Geom.Vec2.t) list;
       top : float; (* fastest segment, m/s *)
@@ -189,23 +183,6 @@ let advance t =
     | Static -> { prev with depart = prev.arrive; arrive = forever }
     | Waypoint { terrain; rng; speed_min; speed_max; pause } ->
         waypoint_next ~terrain ~rng ~speed_min ~speed_max ~pause prev
-    | Walk { terrain; rng; speed; epoch } ->
-        let theta = Rng.float rng (2. *. Float.pi) in
-        let d = Time.to_sec epoch *. speed in
-        let raw =
-          Geom.Vec2.add prev.dest
-            (Geom.Vec2.v (d *. cos theta) (d *. sin theta))
-        in
-        (* Reflection approximated by clamping to the boundary; with short
-           epochs the difference from exact reflection is negligible and
-           the walk stays uniform enough for test purposes. *)
-        let dest = Geom.Terrain.clamp terrain raw in
-        {
-          depart = prev.arrive;
-          arrive = Time.add prev.arrive (travel_time prev.dest dest speed);
-          from_pos = prev.dest;
-          dest;
-        }
     | Scripted s -> (
         match s.remaining with
         | [] ->
@@ -262,18 +239,6 @@ let waypoint ~terrain ~rng ~speed_min ~speed_max ~pause ~start =
     leg_ix = 0;
     last_query = Time.zero;
     gen = Waypoint { terrain; rng; speed_min; speed_max; pause };
-  }
-
-let random_walk ~terrain ~rng ~speed ~epoch ~start =
-  if speed <= 0. then invalid_arg "Mobility.random_walk: non-positive speed";
-  let first =
-    { depart = Time.zero; arrive = Time.zero; from_pos = start; dest = start }
-  in
-  {
-    leg = first;
-    leg_ix = 0;
-    last_query = Time.zero;
-    gen = Walk { terrain; rng; speed; epoch };
   }
 
 let scripted points =
@@ -363,7 +328,6 @@ let max_speed t =
   match t.gen with
   | Static -> 0.
   | Waypoint { speed_max; _ } | Manhattan { speed_max; _ } -> speed_max
-  | Walk { speed; _ } -> speed
   | Scripted { top; _ } -> top
   | Rpgm { group; _ } -> group.g_speed_max
 

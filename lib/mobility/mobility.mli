@@ -14,8 +14,6 @@
     - {!static}: the node never moves.
     - {!waypoint}: the random waypoint model used by the paper's scenarios
       (pause, pick a uniform destination, move at a uniform-random speed).
-    - {!random_walk}: direction/epoch random walk clamped to the
-      terrain; used by tests that want denser topology churn.
     - {!manhattan}: city-block mobility on a street lattice — straight
       through intersections with probability 1/2, left/right 1/4 each.
     - {!rpgm_member}: reference-point group mobility — members follow a
@@ -43,18 +41,6 @@ val waypoint :
     uniformly from [\[speed_min, speed_max\]], and repeats.  Speeds must
     satisfy [0 < speed_min <= speed_max]. *)
 
-val random_walk :
-  terrain:Geom.Terrain.t ->
-  rng:Sim.Rng.t ->
-  speed:float ->
-  epoch:Sim.Time.t ->
-  start:Geom.Vec2.t ->
-  t
-(** Fixed-speed walk choosing a fresh uniform direction every [epoch].
-    A leg that would leave the terrain is clamped to its boundary rather
-    than reflected, so it ends early: a clamped leg lasts less than
-    [epoch] and the next direction is drawn where it stops. *)
-
 val manhattan :
   terrain:Geom.Terrain.t ->
   rng:Sim.Rng.t ->
@@ -80,11 +66,10 @@ val scripted : (Sim.Time.t * Geom.Vec2.t) list -> t
 
 val max_speed : t -> float
 (** An upper bound (m/s) on the process's speed at any instant: 0 for
-    {!static}, [speed_max] for {!waypoint} and {!manhattan}, [speed] for
-    {!random_walk}, the fastest segment of a {!scripted} trajectory, and
-    the group's [speed_max] for an {!rpgm_member} (clamping to the
-    terrain never speeds a member up).  [Net.Channel] relies on it to
-    age its neighbour lists. *)
+    {!static}, [speed_max] for {!waypoint} and {!manhattan}, the fastest
+    segment of a {!scripted} trajectory, and the group's [speed_max] for
+    an {!rpgm_member} (clamping to the terrain never speeds a member
+    up).  [Net.Channel] relies on it to age its neighbour lists. *)
 
 (** {2 Group mobility (RPGM)} *)
 

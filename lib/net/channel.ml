@@ -30,6 +30,16 @@ let dummy_radio =
     cell = 0;
   }
 
+(* Unit-disk decode range: the paper's 275 m nominal transmission
+   range. *)
+let range_m = 275.
+
+(* Capture effect: a reception survives an interferer whose distance to
+   the receiver is at least this factor times the wanted transmitter's
+   distance (10 dB SIR under a path-loss exponent of 4 gives 1.78).  Two
+   comparable-power overlaps corrupt both frames. *)
+let capture_distance_ratio = 1.78
+
 (* Verlet skin of the neighbour lists: a list holds the radios within
    [cs_range * f_max + neighbour_margin_m] of its owner, and stays exact
    while neither end of a pair can have closed the margin, i.e. while
@@ -491,7 +501,7 @@ let transmit t src frame ~duration =
       ~node:(Node_id.to_int src.id)
       ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
       ~dst:(Frame.dst_int frame.dst) ~bytes:(Frame.encoded_length frame);
-  let rng2 = t.params.range_m *. t.params.range_m in
+  let rng2 = range_m *. range_m in
   let job = alloc_job t in
   job.job_src <- src.slot;
   job.job_frame <- frame;
@@ -502,7 +512,7 @@ let transmit t src frame ~duration =
   let was_busy = tx_n.(si) > 0 || busy_n.(si) > 0 in
   tx_n.(si) <- tx_n.(si) + 1;
   if (not was_busy) && contending.(si) then src.medium true;
-  let ratio = t.params.capture_distance_ratio in
+  let ratio = capture_distance_ratio in
   let slots = job.job_slots and dists = job.job_dist
   and gains = job.job_gain and flags = job.job_flags in
   for j = 0 to job.job_n - 1 do

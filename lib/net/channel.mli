@@ -1,7 +1,7 @@
 (** Shared radio medium.
 
     Unit-disk propagation: a transmission reaches exactly the radios
-    within [Params.range_m] of the sender at the moment it starts.
+    within 275 m of the sender at the moment it starts.
     Collision model: a radio that sees two temporally overlapping
     transmissions decodes neither, and a radio that is itself transmitting
     hears nothing.  Carrier sense is binary — the medium is busy for a

@@ -36,7 +36,7 @@ let dst_addr = function
 
 (* Frame-control octet pairs: 802.11 control/ACK, and data with both
    ToDS and FromDS set (the 4-address format behind the 30-byte header
-   counted by [Params.default.mac_overhead_bytes]). *)
+   counted by [Wire.Mac.header_bytes]). *)
 let fc_ack = 0xd4
 let fc_data0 = 0x08
 let fc_data1 = 0x03

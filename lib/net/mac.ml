@@ -1,6 +1,11 @@
 open Sim
 open Packets
 
+let difs = Time.us 50.
+let cw_min = 31  (* initial contention window (slots - 1) *)
+let cw_max = 1023
+let retry_limit = 7
+
 type callbacks = {
   receive : Payload.t -> from:Node_id.t -> unit;
   promiscuous : (Payload.t -> from:Node_id.t -> dst:Frame.dst -> unit) option;
@@ -23,7 +28,6 @@ type phase =
 type t = {
   engine : Engine.t;
   channel : Channel.t;
-  params : Params.t;
   rng : Rng.t;
   my_id : Node_id.t;
   radio : Channel.radio;
@@ -90,9 +94,6 @@ let no_frame =
 let payload_of (f : Frame.t) =
   match f.body with Frame.Payload p -> p | Frame.Ack -> assert false
 
-let frame_duration t frame =
-  Params.frame_airtime t.params ~bytes:(Frame.encoded_length frame)
-
 (* [on_medium] acts only in [Access], counting down the backoff, so the
    radio reports carrier-sense edges only in that phase. *)
 let set_phase t p =
@@ -107,7 +108,7 @@ let rec dequeue_next t =
     let f = Ifq.pop t.queue in
     t.current <- f;
     t.attempts <- 1;
-    t.cw <- t.params.cw_min;
+    t.cw <- cw_min;
     if Obs.Bus.on t.obs then
       emit_span t ~stage:Obs.Span.Stage.mac_deq (payload_of f) ~d:(-1) ~e:(-1);
     begin_access t
@@ -124,7 +125,7 @@ and maybe_arm t =
      && Engine.is_none t.access_timer
      && not (Channel.busy t.channel t.radio)
   then begin
-    let wait = Time.add t.params.difs (Time.mul t.params.slot t.slots) in
+    let wait = Time.add difs (Time.mul Params.slot t.slots) in
     t.access_started <- Engine.now t.engine;
     t.access_timer <- Engine.after_fn t.engine wait access_expired t
   end
@@ -145,7 +146,7 @@ and do_transmit t =
   if Obs.Bus.on t.obs then
     emit_span t ~stage:Obs.Span.Stage.mac_try (payload_of frame) ~d:(-1)
       ~e:t.attempts;
-  let duration = frame_duration t frame in
+  let duration = Params.frame_airtime ~bytes:(Frame.encoded_length frame) in
   Channel.transmit t.channel t.radio frame ~duration;
   ignore (Engine.after_fn t.engine duration tx_done t)
 
@@ -163,8 +164,7 @@ and tx_done t =
     | Frame.Unicast _ ->
         set_phase t Await_ack;
         t.ack_timer <-
-          Engine.after_fn t.engine (Params.ack_timeout t.params)
-            ack_timeout_expired t
+          Engine.after_fn t.engine Params.ack_timeout ack_timeout_expired t
 
 and ack_timeout_expired t =
   t.ack_timer <- Engine.none;
@@ -185,7 +185,7 @@ and finish t =
   dequeue_next t
 
 and retry t f next_hop =
-  if t.attempts >= t.params.retry_limit then begin
+  if t.attempts >= retry_limit then begin
     t.failures <- t.failures + 1;
     if Obs.Bus.on t.obs then
       emit_span t ~stage:Obs.Span.Stage.mac_fail (payload_of f)
@@ -200,7 +200,7 @@ and retry t f next_hop =
   end
   else begin
     t.attempts <- t.attempts + 1;
-    t.cw <- Stdlib.min (((t.cw + 1) * 2) - 1) t.params.cw_max;
+    t.cw <- Stdlib.min (((t.cw + 1) * 2) - 1) cw_max;
     begin_access t
   end
 
@@ -217,7 +217,7 @@ let ack_received t from =
 let send_ack_fire t =
   if (not t.down) && not (Channel.transmitting t.channel t.radio) then
     Channel.transmit t.channel t.radio t.ack_frame
-      ~duration:(Params.ack_airtime t.params)
+      ~duration:Params.ack_airtime
 
 let send_ack t ~to_ =
   (* ACKs answer after SIFS regardless of carrier sense (802.11), but a
@@ -226,7 +226,7 @@ let send_ack t ~to_ =
     t.ack_to <- to_;
     t.ack_frame <- { Frame.src = t.my_id; dst = Frame.Unicast to_; body = Frame.Ack }
   end;
-  ignore (Engine.after_fn t.engine t.params.sifs send_ack_fire t)
+  ignore (Engine.after_fn t.engine Params.sifs send_ack_fire t)
 
 let on_frame t (f : Frame.t) =
   if t.down then ()
@@ -256,12 +256,11 @@ let on_medium t busy =
       (* Slots consumed while the medium was idle. *)
       let elapsed = Time.diff (Engine.now t.engine) t.access_started in
       let after_difs =
-        if Time.(elapsed > t.params.difs) then Time.diff elapsed t.params.difs
-        else Time.zero
+        if Time.(elapsed > difs) then Time.diff elapsed difs else Time.zero
       in
       (* Time.t is an immediate int of nanoseconds; plain int division
          avoids two Int64 boxes per medium-busy transition. *)
-      let consumed = (after_difs :> int) / (t.params.slot :> int) in
+      let consumed = (after_difs :> int) / (Params.slot :> int) in
       t.slots <- Stdlib.max 0 (t.slots - consumed)
     end
   end
@@ -273,7 +272,6 @@ let create ~engine ~channel ~rng ~id ~slot callbacks =
     {
       engine;
       channel;
-      params = Channel.params channel;
       rng;
       my_id = id;
       radio;
@@ -284,7 +282,7 @@ let create ~engine ~channel ~rng ~id ~slot callbacks =
       phase = Idle;
       current = no_frame;
       attempts = 0;
-      cw = (Channel.params channel).cw_min;
+      cw = cw_min;
       slots = 0;
       access_timer = Engine.none;
       access_started = Time.zero;
@@ -348,7 +346,7 @@ let set_down t v =
       t.down <- false;
       set_phase t Idle;
       t.attempts <- 0;
-      t.cw <- t.params.cw_min;
+      t.cw <- cw_min;
       t.slots <- 0
     end
   end

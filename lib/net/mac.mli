@@ -13,6 +13,9 @@ open Packets
 
 type t
 
+val retry_limit : int
+(** Unicast attempts before declaring link failure. *)
+
 type callbacks = {
   receive : Payload.t -> from:Node_id.t -> unit;
       (** frames addressed to this node or broadcast *)

@@ -1,49 +1,23 @@
 open Sim
 
-type t = {
-  range_m : float;
-  cs_range_m : float;
-  capture_distance_ratio : float;
-  bit_rate : float;
-  preamble : Time.t;
-  slot : Time.t;
-  sifs : Time.t;
-  difs : Time.t;
-  cw_min : int;
-  cw_max : int;
-  mac_overhead_bytes : int;
-  ack_bytes : int;
-  retry_limit : int;
-  ifq_capacity : int;
-}
+type t = { cs_range_m : float; ifq_capacity : int }
 
-let default =
-  {
-    range_m = 275.;
-    cs_range_m = 550.;
-    capture_distance_ratio = 1.78;
-    bit_rate = 2e6;
-    preamble = Time.us 192.;
-    slot = Time.us 20.;
-    sifs = Time.us 10.;
-    difs = Time.us 50.;
-    cw_min = 31;
-    cw_max = 1023;
-    mac_overhead_bytes = Wire.Mac.data_overhead;
-    ack_bytes = Wire.Mac.ack_bytes;
-    retry_limit = 7;
-    ifq_capacity = 50;
-  }
+let default = { cs_range_m = 550.; ifq_capacity = 50 }
 
-let bytes_airtime t bytes = Time.sec (float_of_int (bytes * 8) /. t.bit_rate)
+let bit_rate = 2e6
+let preamble = Time.us 192.
+let sifs = Time.us 10.
 
-let frame_airtime t ~bytes = Time.add t.preamble (bytes_airtime t bytes)
+let bytes_airtime bytes = Time.sec (float_of_int (bytes * 8) /. bit_rate)
 
-let data_airtime t ~payload_bytes =
-  frame_airtime t ~bytes:(payload_bytes + t.mac_overhead_bytes)
+let frame_airtime ~bytes = Time.add preamble (bytes_airtime bytes)
 
-let ack_airtime t = Time.add t.preamble (bytes_airtime t t.ack_bytes)
+let data_airtime ~payload_bytes =
+  frame_airtime ~bytes:(payload_bytes + Wire.Mac.data_overhead)
 
-let ack_timeout t =
-  (* SIFS + ACK airtime + a two-slot scheduling margin. *)
-  Time.add t.sifs (Time.add (ack_airtime t) (Time.mul t.slot 2))
+let ack_airtime = Time.add preamble (bytes_airtime Wire.Mac.ack_bytes)
+
+let slot = Time.us 20.
+
+(* SIFS + ACK airtime + a two-slot scheduling margin. *)
+let ack_timeout = Time.add sifs (Time.add ack_airtime (Time.mul slot 2))

@@ -1,45 +1,33 @@
 (** Radio and MAC parameters.
 
-    Defaults follow the 802.11 DSSS configuration of the paper's GloMoSim
-    setup: 2 Mbps data rate and a 275 m nominal transmission range. *)
+    The constants follow the 802.11 DSSS configuration of the paper's
+    GloMoSim setup: 2 Mbps data rate (a 192 us PHY preamble+PLCP header
+    per frame) and a 275 m nominal transmission range.  MAC header, FCS
+    and ACK sizes are {!Wire.Mac}'s. *)
 
 type t = {
-  range_m : float;  (** unit-disk decode range *)
   cs_range_m : float;
       (** carrier-sense / interference range.  Real receivers detect
           carriers well below the decode threshold (ns-2 ships 550 m CS
           for a 250 m decode range); modelling it suppresses most
           hidden-terminal collisions, standing in for RTS/CTS + NAV. *)
-  capture_distance_ratio : float;
-      (** capture effect: a reception survives an interferer whose
-          distance to the receiver is at least this factor times the
-          wanted transmitter's distance (10 dB SIR under a path-loss
-          exponent of 4 gives 1.78).  Two comparable-power overlaps
-          corrupt both frames. *)
-  bit_rate : float;  (** bits per second *)
-  preamble : Sim.Time.t;  (** PHY preamble+PLCP header airtime *)
-  slot : Sim.Time.t;
-  sifs : Sim.Time.t;
-  difs : Sim.Time.t;
-  cw_min : int;  (** initial contention window (slots - 1) *)
-  cw_max : int;
-  mac_overhead_bytes : int;  (** MAC header + FCS on data frames *)
-  ack_bytes : int;
-  retry_limit : int;  (** unicast attempts before declaring link failure *)
   ifq_capacity : int;  (** interface queue length, packets *)
 }
 
 val default : t
 
-val frame_airtime : t -> bytes:int -> Sim.Time.t
+val slot : Sim.Time.t
+val sifs : Sim.Time.t
+
+val frame_airtime : bytes:int -> Sim.Time.t
 (** Airtime of [bytes] total on-air octets (preamble + serialization) —
     feed it {!Frame.encoded_length}. *)
 
-val data_airtime : t -> payload_bytes:int -> Sim.Time.t
+val data_airtime : payload_bytes:int -> Sim.Time.t
 (** Airtime of a data frame carrying [payload_bytes] of network payload;
-    [frame_airtime] on [payload_bytes + mac_overhead_bytes]. *)
+    [frame_airtime] on [payload_bytes] plus the MAC overhead. *)
 
-val ack_airtime : t -> Sim.Time.t
+val ack_airtime : Sim.Time.t
 
-val ack_timeout : t -> Sim.Time.t
+val ack_timeout : Sim.Time.t
 (** How long a sender waits for an ACK after its transmission ends. *)

@@ -60,7 +60,8 @@ let is_pcap_file path =
   match open_in_bin path with
   | exception Sys_error _ -> false
   | ic -> (
-      (* A file shorter than the magic is not pcap. *)
+      (* A file shorter than the magic, or one that cannot be read (a
+         directory), is not pcap. *)
       let read () = really_input_string ic 4 in
       match Fun.protect ~finally:(fun () -> close_in ic) read with
       | head ->
@@ -68,7 +69,7 @@ let is_pcap_file path =
           && Char.code head.[1] = 0xb2
           && Char.code head.[2] = 0x3c
           && Char.code head.[3] = 0x4d
-      | exception End_of_file -> false)
+      | exception (End_of_file | Sys_error _) -> false)
 
 let ( let* ) = Result.bind
 

@@ -41,24 +41,26 @@ let load path =
       let bus = Bus.create () in
       let events = ref [] in
       let bad = ref 0 in
-      let line_no = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr line_no;
-           if String.length line > 0 then
-             match Jsonl.parse_line line with
-             | None -> incr bad
-             | Some fields -> (
-                 match event_of_fields bus fields with
-                 | Some ev -> events := ev :: !events
-                 | None -> incr bad)
-         done
-       with End_of_file -> ());
-      close_in ic;
-      if !bad > 0 then
-        Error (Printf.sprintf "%d malformed line(s) in %s" !bad path)
-      else Ok { events = Array.of_list (List.rev !events); bus }
+      let read () =
+        try
+          while true do
+            let line = input_line ic in
+            if String.length line > 0 then
+              match Jsonl.parse_line line with
+              | None -> incr bad
+              | Some fields -> (
+                  match event_of_fields bus fields with
+                  | Some ev -> events := ev :: !events
+                  | None -> incr bad)
+          done
+        with End_of_file -> ()
+      in
+      match Fun.protect ~finally:(fun () -> close_in ic) read with
+      | exception Sys_error msg -> Error (path ^ ": " ^ msg)
+      | () ->
+          if !bad > 0 then
+            Error (Printf.sprintf "%d malformed line(s) in %s" !bad path)
+          else Ok { events = Array.of_list (List.rev !events); bus }
 
 let length t = Array.length t.events
 let events t = t.events

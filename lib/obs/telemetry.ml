@@ -26,7 +26,9 @@ let create path =
   {
     oc = open_out path;
     started = Unix.gettimeofday ();
-    prev_wall = Unix.gettimeofday ();
+    (* The first sample has nothing to rate against: an infinite
+       previous wall time makes its [dt] negative and its rate 0. *)
+    prev_wall = Float.infinity;
     prev_fired = 0;
     prev_t = Sim.Time.zero;
     prev_ctl = 0;

@@ -4,26 +4,12 @@ module RA = Routing.Agent
 
 let name = "olsr"
 
-type config = {
-  hello_interval : Time.t;
-  tc_interval : Time.t;
-  neighbor_hold : Time.t;
-  topology_hold : Time.t;
-  jitter_max : Time.t;
-  dup_hold : Time.t;
-  data_ttl : int;
-}
-
-let default_config =
-  {
-    hello_interval = Time.sec 2.;
-    tc_interval = Time.sec 5.;
-    neighbor_hold = Time.sec 6.;
-    topology_hold = Time.sec 15.;
-    jitter_max = Time.ms 15.;
-    dup_hold = Time.sec 30.;
-    data_ttl = Data_msg.default_ttl;
-  }
+let hello_interval = Time.sec 2.
+let tc_interval = Time.sec 5.
+let neighbor_hold = Time.sec 6.  (* 3 x hello *)
+let topology_hold = Time.sec 15.  (* 3 x TC *)
+let jitter_max = Time.ms 15.  (* FIFO jitter-queue gap bound *)
+let dup_hold = Time.sec 30.
 
 (* ---- MPR selection (RFC 3626 8.3.1 greedy heuristic) ------------------- *)
 
@@ -118,7 +104,6 @@ type topo = { mutable ansn : int; mutable advertised : Node_id.t list; mutable t
 
 type state = {
   ctx : RA.ctx;
-  cfg : config;
   links : link Node_id.Table.t;
   topology : topo Node_id.Table.t;  (** keyed by TC originator *)
   dups : unit Routing.Rreq_cache.t;
@@ -145,7 +130,7 @@ let rec drain t =
   match Queue.take_opt t.queue.jq with
   | None -> t.queue.draining <- false
   | Some action ->
-      let delay = Rng.uniform_time t.ctx.rng t.cfg.jitter_max in
+      let delay = Rng.uniform_time t.ctx.rng jitter_max in
       ignore
         (Engine.after t.ctx.engine delay (fun () ->
              action ();
@@ -261,7 +246,7 @@ let handle_hello t (h : Olsr_msg.hello) ~from =
         Node_id.Table.replace t.links from l;
         l
   in
-  l.l_expires <- Time.add (now t) t.cfg.neighbor_hold;
+  l.l_expires <- Time.add (now t) neighbor_hold;
   let lists_me kind =
     List.exists
       (fun (n, k) -> Node_id.equal n t.ctx.id && k = kind)
@@ -317,7 +302,7 @@ let handle_tc t ~origin ~msg_seq ~ttl ~(tc : Olsr_msg.tc) ~from =
           if tc.ansn >= entry.ansn then begin
             entry.ansn <- tc.ansn;
             entry.advertised <- tc.advertised;
-            entry.t_expires <- Time.add (now t) t.cfg.topology_hold;
+            entry.t_expires <- Time.add (now t) topology_hold;
             t.routes_dirty <- true
           end
       | None ->
@@ -325,7 +310,7 @@ let handle_tc t ~origin ~msg_seq ~ttl ~(tc : Olsr_msg.tc) ~from =
             {
               ansn = tc.ansn;
               advertised = tc.advertised;
-              t_expires = Time.add (now t) t.cfg.topology_hold;
+              t_expires = Time.add (now t) topology_hold;
             };
           t.routes_dirty <- true);
       (* MPR flooding: only the sender's chosen relays re-broadcast. *)
@@ -348,7 +333,7 @@ let rec forward_data t msg =
 
 and origin_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
-  else forward_data t { msg with Data_msg.ttl = t.cfg.data_ttl }
+  else forward_data t { msg with Data_msg.ttl = Data_msg.default_ttl }
 
 let handle_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
@@ -393,12 +378,12 @@ let start t () =
   let horizon = Time.sec 1e6 in
   (* Staggered starts decorrelate the nodes' periodic emissions. *)
   Engine.every t.ctx.engine ~jitter
-    ~start:(Rng.uniform_time t.ctx.rng t.cfg.hello_interval)
-    ~interval:t.cfg.hello_interval ~until:horizon
+    ~start:(Rng.uniform_time t.ctx.rng hello_interval)
+    ~interval:hello_interval ~until:horizon
     (fun () -> emit_hello t);
   Engine.every t.ctx.engine ~jitter
-    ~start:(Rng.uniform_time t.ctx.rng t.cfg.tc_interval)
-    ~interval:t.cfg.tc_interval ~until:horizon
+    ~start:(Rng.uniform_time t.ctx.rng tc_interval)
+    ~interval:tc_interval ~until:horizon
     (fun () -> emit_tc t)
 
 (* Churn teardown (Agent.reset): drop the whole link-state view.  The
@@ -419,14 +404,13 @@ let reset t ~crash =
     t.msg_seq <- 0
   end
 
-let factory ?(config = default_config) () (ctx : RA.ctx) =
+let factory (ctx : RA.ctx) =
   let t =
     {
       ctx;
-      cfg = config;
       links = Node_id.Table.create 32;
       topology = Node_id.Table.create 64;
-      dups = Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:config.dup_hold;
+      dups = Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:dup_hold;
       mprs = Node_id.Set.empty;
       ansn = 0;
       msg_seq = 0;

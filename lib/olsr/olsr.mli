@@ -7,19 +7,7 @@
     uniform 0-15 ms gap while preserving order.  HNA/MID are out of scope
     (single interface, no gateways). *)
 
-type config = {
-  hello_interval : Sim.Time.t;  (** 2 s *)
-  tc_interval : Sim.Time.t;  (** 5 s *)
-  neighbor_hold : Sim.Time.t;  (** 3 x hello *)
-  topology_hold : Sim.Time.t;  (** 3 x TC *)
-  jitter_max : Sim.Time.t;  (** FIFO jitter-queue gap bound, 15 ms *)
-  dup_hold : Sim.Time.t;
-  data_ttl : int;
-}
-
-val default_config : config
-
-val factory : ?config:config -> unit -> Routing.Agent.factory
+val factory : Routing.Agent.factory
 
 val name : string
 

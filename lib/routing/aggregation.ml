@@ -2,22 +2,22 @@ open Sim
 open Packets
 module RA = Agent
 
-type config = {
-  window : Time.t;
-  suppress_window : Time.t;
-  max_batch : int;
-  fanout : bool;
-  fanout_ttl : Time.t;
-}
+type config = { fanout : bool }
 
-let default =
-  {
-    window = Time.ms 20.;
-    suppress_window = Time.ms 50.;
-    max_batch = 8;
-    fanout = true;
-    fanout_ttl = Time.sec 2.;
-  }
+let default = { fanout = true }
+
+(* Batching window for multi-destination floods. *)
+let window = Time.ms 20.
+
+(* How recently another origin's flood for the same destination must have
+   left this node for a new one to be absorbed. *)
+let suppress_window = Time.ms 50.
+
+(* Members per aggregate; full batches flush early. *)
+let max_batch = 8
+
+(* How long an absorbed computation may wait for a reply. *)
+let fanout_ttl = Time.sec 2.
 
 (* A computation whose relay flood this node absorbed; it is owed a copy
    of the next RREP for the destination, sent back through [w_hop]. *)
@@ -101,10 +101,10 @@ let flush_timer t =
 (* A member was just pushed onto a batch. *)
 let enqueued t =
   t.batched <- t.batched + 1;
-  if t.batched >= t.cfg.max_batch then flush t
+  if t.batched >= max_batch then flush t
   else if not t.flush_armed then begin
     t.flush_armed <- true;
-    ignore (Engine.after_fn t.ctx.engine t.cfg.window flush_timer t)
+    ignore (Engine.after_fn t.ctx.engine window flush_timer t)
   end
 
 (* ---- Same-destination suppression ------------------------------------- *)
@@ -119,7 +119,7 @@ let try_suppress t ~dst ~origin ~rreq_id at =
   | exception Not_found -> false
   | r ->
       if
-        Time.(Time.add r.r_last t.cfg.suppress_window <= at)
+        Time.(Time.add r.r_last suppress_window <= at)
         || Node_id.equal r.r_origin origin
       then false
       else if Node_id.equal origin t.ctx.id then true
@@ -133,7 +133,7 @@ let try_suppress t ~dst ~origin ~rreq_id at =
                 w_origin = origin;
                 w_rreq_id = rreq_id;
                 w_hop = hop;
-                w_expires = Time.add at t.cfg.fanout_ttl;
+                w_expires = Time.add at fanout_ttl;
               }
               :: prune_waiters at r.r_waiters;
             true
@@ -275,7 +275,7 @@ let wrap ?(config = default) (inner_factory : RA.factory) : RA.factory =
       batched = 0;
       flush_armed = false;
       recent = Node_id.Table.create 16;
-      rev = Rreq_cache.create ~engine:ctx.engine ~ttl:config.fanout_ttl;
+      rev = Rreq_cache.create ~engine:ctx.engine ~ttl:fanout_ttl;
     }
   in
   let inner = inner_factory { ctx with send = intercept_send t } in

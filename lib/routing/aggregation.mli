@@ -24,20 +24,15 @@
     replicated) through the wrapped context's event sink. *)
 
 type config = {
-  window : Sim.Time.t;  (** batching window for multi-destination floods *)
-  suppress_window : Sim.Time.t;
-      (** how recently another origin's flood for the same destination
-          must have left this node for a new one to be absorbed *)
-  max_batch : int;  (** members per aggregate; full batches flush early *)
   fanout : bool;
       (** replicate returning RREPs to absorbed computations; with
           [false], only same-origin floods are ever suppressed *)
-  fanout_ttl : Sim.Time.t;
-      (** how long an absorbed computation may wait for a reply *)
 }
 
 val default : config
-(** 20 ms window, 50 ms suppression, 8 members, fan-out on, 2 s wait. *)
+(** Fan-out on.  The layer batches for 20 ms, up to 8 members, absorbs
+    floods for 50 ms and lets an absorbed computation wait 2 s for a
+    reply. *)
 
 val wrap : ?config:config -> Agent.factory -> Agent.factory
 (** [wrap factory] is [factory] with the aggregation layer interposed

@@ -1,36 +1,26 @@
 open Sim
 open Packets
 
-type ring = {
-  ttl_start : int;
-  ttl_increment : int;
-  ttl_threshold : int;
-  net_diameter : int;
-  node_traversal : Time.t;
-  timeout_buffer : int;
-  max_retries : int;
-}
+let ttl_start = 1
+let ttl_increment = 2
+let ttl_threshold = 7
+let net_diameter = 35
+let node_traversal = Time.ms 40.
+let max_retries = 2
 
-let default =
-  {
-    ttl_start = 1;
-    ttl_increment = 2;
-    ttl_threshold = 7;
-    net_diameter = 35;
-    node_traversal = Time.ms 40.;
-    timeout_buffer = 2;
-    max_retries = 2;
-  }
+type ring = { timeout_buffer : int }
 
-let next_ttl t ~prev =
+let default = { timeout_buffer = 2 }
+
+let next_ttl ~prev =
   match prev with
-  | None -> Some t.ttl_start
+  | None -> Some ttl_start
   | Some p ->
-      if p >= t.net_diameter then None
-      else if p >= t.ttl_threshold then Some t.net_diameter
+      if p >= net_diameter then None
+      else if p >= ttl_threshold then Some net_diameter
       else
-        let next = p + t.ttl_increment in
-        if next > t.ttl_threshold then Some t.net_diameter else Some next
+        let next = p + ttl_increment in
+        if next > ttl_threshold then Some net_diameter else Some next
 (* RFC 3561 §6.4: the ring grows by TTL_INCREMENT while it stays within
    TTL_THRESHOLD; the attempt after that goes straight to NET_DIAMETER.
    Clamping an overshooting ring *at* the threshold would insert an
@@ -38,7 +28,7 @@ let next_ttl t ~prev =
    first TTL is unaligned, e.g. LDR's optimal-TTL starts). *)
 
 let attempt_timeout t ~ttl =
-  Time.mul t.node_traversal (2 * (ttl + t.timeout_buffer))
+  Time.mul node_traversal (2 * (ttl + t.timeout_buffer))
 
 type attempt = { ttl : int; timeout : Time.t }
 
@@ -47,13 +37,15 @@ let ring_attempts ?first t =
   let rec ring ttl () =
     Seq.Cons
       ( attempt ttl,
-        match next_ttl t ~prev:(Some ttl) with
+        match next_ttl ~prev:(Some ttl) with
         | Some next -> ring next
-        | None -> Seq.init t.max_retries (fun _ -> attempt t.net_diameter) )
+        | None -> Seq.init max_retries (fun _ -> attempt net_diameter) )
   in
-  ring (Option.value first ~default:t.ttl_start)
+  ring (Option.value first ~default:ttl_start)
 
 (* ---- The per-node machine -------------------------------------------- *)
+
+let buffer_max_age = Time.sec 30.
 
 type pending = {
   mutable rest : attempt Seq.t;  (* attempts not yet made *)

@@ -13,29 +13,38 @@ open Packets
 
 (** {1 Expanding-ring schedule}
 
-    Constants follow the AODV draft the paper measures against:
-    TTL_START = 1, TTL_INCREMENT = 2, TTL_THRESHOLD = 7, NET_DIAMETER
-    = 35, with per-attempt timeouts of RING_TRAVERSAL_TIME =
-    2 x node traversal time x (TTL + TIMEOUT_BUFFER) per RFC 3561
-    section 10, and a bounded number of full-diameter retries. *)
+    Constants follow the AODV draft the paper measures against, with
+    per-attempt timeouts of RING_TRAVERSAL_TIME = 2 x
+    {!node_traversal} x (TTL + TIMEOUT_BUFFER) per RFC 3561 section 10,
+    and a bounded number of full-diameter retries. *)
+
+val ttl_start : int
+(** TTL_START = 1 *)
+
+val ttl_threshold : int
+(** TTL_THRESHOLD = 7; the ring grows by TTL_INCREMENT = 2 up to it *)
+
+val net_diameter : int
+(** NET_DIAMETER = 35 *)
+
+val node_traversal : Sim.Time.t
+(** conservative one-hop latency estimate (40 ms) *)
+
+val max_retries : int
+(** network-wide attempts after the ring search (2) *)
 
 type ring = {
-  ttl_start : int;
-  ttl_increment : int;
-  ttl_threshold : int;
-  net_diameter : int;
-  node_traversal : Sim.Time.t;  (** conservative one-hop latency estimate *)
   timeout_buffer : int;
       (** RFC 3561 TIMEOUT_BUFFER: extra TTL-equivalents of slack in the
           per-attempt timeout so a slow reply is not re-flooded over *)
-  max_retries : int;  (** network-wide attempts after the ring search *)
 }
 
 val default : ring
+(** TIMEOUT_BUFFER = 2. *)
 
-val next_ttl : ring -> prev:int option -> int option
+val next_ttl : prev:int option -> int option
 (** TTL of the attempt after one with TTL [prev] ([None] = first
-    attempt).  [None] once the ring has reached [net_diameter]; the
+    attempt).  [None] once the ring has reached {!net_diameter}; the
     full-diameter retries are added by {!ring_attempts}. *)
 
 val attempt_timeout : ring -> ttl:int -> Sim.Time.t
@@ -44,10 +53,13 @@ val attempt_timeout : ring -> ttl:int -> Sim.Time.t
 type attempt = { ttl : int; timeout : Sim.Time.t }
 
 val ring_attempts : ?first:int -> ring -> attempt Seq.t
-(** The RFC 3561 ring from TTL [first] (default: the ring's first TTL),
-    then [max_retries] network-wide retries. *)
+(** The RFC 3561 ring from TTL [first] (default {!ttl_start}), then
+    {!max_retries} network-wide retries. *)
 
 (** {1 The per-node machine} *)
+
+val buffer_max_age : Sim.Time.t
+(** How long every protocol holds a packet waiting for a route (30 s). *)
 
 type 'r t
 (** Discovery state of one node; ['r] is the protocol's route. *)

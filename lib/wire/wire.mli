@@ -147,8 +147,8 @@ val encoded_length : Packets.Payload.t -> int
 
 (** 802.11 MAC framing constants and the 6-byte address codec used by
     [Net.Frame]: 30-byte 4-address data header + 4-byte FCS (34 B of
-    overhead, matching [Net.Params.default.mac_overhead_bytes]) and the
-    14-byte ACK. *)
+    overhead) and the 14-byte ACK.  The MAC's airtimes read these
+    sizes. *)
 module Mac : sig
   val header_bytes : int
   val fcs_bytes : int

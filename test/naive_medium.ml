@@ -85,11 +85,11 @@ let fanout t src =
    touched and the instant its airtime ends. *)
 type on_air = { src : int; touched : int list; ends : Time.t }
 
-let airtime t (frame : Net.Frame.t) =
+let airtime (frame : Net.Frame.t) =
   match frame.body with
-  | Net.Frame.Ack -> Net.Params.ack_airtime t.params
+  | Net.Frame.Ack -> Net.Params.ack_airtime
   | Net.Frame.Payload _ ->
-      Net.Params.frame_airtime t.params ~bytes:(Net.Frame.encoded_length frame)
+      Net.Params.frame_airtime ~bytes:(Net.Frame.encoded_length frame)
 
 (* Check, at the start of every transmission on [channel], that
    [Net.Channel.fanout] equals [fanout] and that every radio's
@@ -144,7 +144,7 @@ let arm ~checked t channel =
                  (if busy then "busy" else "idle")
                  count.(i) ending.(i)))
         t.radios;
-      let a = { src = s; touched = want; ends = Time.add now (airtime t frame) } in
+      let a = { src = s; touched = want; ends = Time.add now (airtime frame) } in
       add count a 1;
       in_air := a :: !in_air;
       incr checked)

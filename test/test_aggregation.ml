@@ -81,7 +81,7 @@ let fanout_serves_suppressed_origin () =
    flood — only originations are deferred — and everything still
    delivers (via the inner ring retry). *)
 let no_fanout_still_delivers () =
-  let config = { Routing.Aggregation.default with fanout = false } in
+  let config = { Routing.Aggregation.fanout = false } in
   let engine = Engine.create () in
   let net =
     Experiment.Testnet.create ~engine ~factory:(ldr_agg_factory ~config ()) ~n:5 ()

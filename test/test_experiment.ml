@@ -142,10 +142,11 @@ let sweep_trials () =
 
 let sweep_pause_series () =
   let sc = small_scenario ~speed_max:10. ~duration:10. () in
-  let series = Sweep.pause_sweep sc ~pauses:[ Time.sec 0.; Time.sec 5. ] ~trials:2 in
+  let pause p (s : Scenario.t) = { s with pause = Time.sec p } in
+  let series = Sweep.run sc ~points:[ pause 0.; pause 5. ] ~trials:2 in
   checki "two points" 2 (List.length series);
   List.iter
-    (fun (_, p) -> checki "two trials each" 2 (Stats.Welford.count p.Sweep.delivery_ratio))
+    (fun p -> checki "two trials each" 2 (Stats.Welford.count p.Sweep.delivery_ratio))
     series
 
 (* merge_points against a single-pass baseline: feeding every summary

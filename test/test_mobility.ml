@@ -121,17 +121,6 @@ let store_backtrack_checked () =
       Mobility.Pos_store.refresh s 0 (Time.sec 0.5));
   checkb "state intact after the rejected query" true (same (Time.sec 12.))
 
-let random_walk_in_terrain () =
-  let rng = Rng.create 13 in
-  let m =
-    Mobility.random_walk ~terrain ~rng ~speed:10. ~epoch:(Time.sec 2.)
-      ~start:(Geom.Vec2.v 999. 499.)
-  in
-  for t = 0 to 300 do
-    let p = Mobility.position m (Time.sec (float_of_int t)) in
-    checkb "inside" true (Geom.Terrain.contains terrain p)
-  done
-
 let scripted_follows_waypoints () =
   let m =
     Mobility.scripted
@@ -278,8 +267,8 @@ let waypoint_contained_prop =
         dts)
 
 (* A random process of mobility family [family] (0 static, 1 waypoint,
-   2 random walk, 3 Manhattan, 4 scripted, 5 RPGM member), drawn from
-   [rng] alone, so equal seeds build equal processes. *)
+   2 Manhattan, 3 scripted, 4 RPGM member), drawn from [rng] alone, so
+   equal seeds build equal processes. *)
 let random_process rng family =
   let speed () = 0.5 +. Rng.float rng 40. in
   let point () = Geom.Terrain.random_point terrain rng in
@@ -292,14 +281,10 @@ let random_process rng family =
       Mobility.waypoint ~terrain ~rng ~speed_min:lo ~speed_max:hi ~pause
         ~start:(point ())
   | 2 ->
-      Mobility.random_walk ~terrain ~rng ~speed:hi
-        ~epoch:(Time.sec (0.1 +. Rng.float rng 5.))
-        ~start:(point ())
-  | 3 ->
       Mobility.manhattan ~terrain ~rng
         ~spacing:(20. +. Rng.float rng 200.)
         ~speed_min:lo ~speed_max:hi ~pause ~start:(point ())
-  | 4 ->
+  | 3 ->
       let at = ref 0. in
       Mobility.scripted
         (List.init
@@ -325,7 +310,7 @@ let random_process rng family =
 let max_speed_bounds_moves_prop =
   QCheck.Test.make ~name:"max_speed bounds every move" ~count:300
     QCheck.(
-      triple small_int (int_bound 5)
+      triple small_int (int_bound 4)
         (list_of_size (QCheck.Gen.return 200) (float_bound_inclusive 3.)))
     (fun (seed, family, dts) ->
       let rng = Rng.create (seed + 1) in
@@ -365,7 +350,7 @@ let refresh_slots_prop =
       let k = 12 in
       let world () =
         let rng = Rng.create (seed + 1) in
-        Array.init k (fun i -> random_process (Rng.split rng) (i mod 6))
+        Array.init k (fun i -> random_process (Rng.split rng) (i mod 5))
       in
       let batch = Mobility.Pos_store.of_array (world ()) ~at:Time.zero in
       let single = Mobility.Pos_store.of_array (world ()) ~at:Time.zero in
@@ -417,7 +402,6 @@ let () =
           Alcotest.test_case "monotone queries" `Quick monotonicity_enforced;
           Alcotest.test_case "store re-query tolerance" `Quick
             store_backtrack_checked;
-          Alcotest.test_case "random walk inside" `Quick random_walk_in_terrain;
           Alcotest.test_case "scripted" `Quick scripted_follows_waypoints;
           Alcotest.test_case "scripted validation" `Quick scripted_validation;
           Alcotest.test_case "waypoint validation" `Quick waypoint_validation;

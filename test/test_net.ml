@@ -103,14 +103,13 @@ let ifq_releases () =
 (* ---- Params ----------------------------------------------------------- *)
 
 let airtime_sanity () =
-  let p = Net.Params.default in
   (* 512+20 byte payload + 34B MAC overhead at 2 Mbps + 192us preamble. *)
-  let t = Net.Params.data_airtime p ~payload_bytes:532 in
+  let t = Net.Params.data_airtime ~payload_bytes:532 in
   let expect_us = 192. +. (566. *. 8. /. 2.) in
   checkb "data airtime" true (abs_float (Time.to_us t -. expect_us) < 1.);
-  checkb "ack shorter" true Time.(Net.Params.ack_airtime p < t);
+  checkb "ack shorter" true Time.(Net.Params.ack_airtime < t);
   checkb "ack timeout covers ack" true
-    Time.(Net.Params.ack_timeout p > Net.Params.ack_airtime p)
+    Time.(Net.Params.ack_timeout > Net.Params.ack_airtime)
 
 (* ---- Channel / MAC ----------------------------------------------------- *)
 
@@ -133,7 +132,7 @@ let unicast_out_of_range_fails () =
   | [ (_, nh) ] -> checkb "failure names next hop" true (Node_id.equal nh (n 1))
   | other -> Alcotest.failf "expected 1 failure, got %d" (List.length other));
   (* All retry attempts were spent. *)
-  checki "retry limit attempts" Net.Params.default.retry_limit
+  checki "retry limit attempts" Net.Mac.retry_limit
     (Net.Mac.frames_sent nodes.(0).mac);
   checki "failure gauge" 1 (Net.Mac.unicast_failures nodes.(0).mac)
 

@@ -208,34 +208,6 @@ let jsonl_escapes () =
   check_str "short \\u" None {|{"s":"\u12"}|};
   check_str "bad hex" None {|{"s":"\u12g4"}|}
 
-(* Telemetry emits one line per interval with valid flat JSON carrying
-   the simulation gauges. *)
-let telemetry_emits () =
-  let sample_file = Filename.temp_file "obs_sample" ".jsonl" in
-  ignore
-    (Runner.run ~telemetry_out:sample_file ~telemetry_every:(Time.sec 2.)
-       (scenario ~duration:10. ()));
-  let ic = open_in sample_file in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove sample_file;
-  (* 10 s run + 2 s drain sampled every 2 s from t=0. *)
-  checkb "several samples" true (List.length !lines >= 5);
-  List.iter
-    (fun l ->
-      match Obs.Jsonl.parse_line l with
-      | None -> Alcotest.fail ("unparseable sample line: " ^ l)
-      | Some fields ->
-          checkb "has t" true (List.mem_assoc "t" fields);
-          checkb "has pending" true (List.mem_assoc "pending" fields);
-          checkb "has fd_mean" true (List.mem_assoc "fd_mean" fields))
-    !lines
-
 (* The [manet_sim trace --node/--dst/--drops] queries against the raw
    events of a short mobile LDR trace: a timeline is exactly one node's
    events in trace order, flap counts are the table writes that changed
@@ -325,6 +297,13 @@ let trace_queries () =
   checki "10 bins sum to the drops" drops (binned 10);
   checki "3 bins sum to the drops" drops (binned 3)
 
+(* A path that opens but cannot be read as a trace, such as a
+   directory, is an [Error], not an exception. *)
+let load_directory () =
+  match Obs.Reader.load (Filename.get_temp_dir_name ()) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a directory loaded as a trace"
+
 let () =
   Alcotest.run "obs"
     [
@@ -336,6 +315,7 @@ let () =
           Alcotest.test_case "jsonl roundtrip" `Slow jsonl_roundtrip;
           Alcotest.test_case "jsonl escapes" `Quick jsonl_escapes;
           Alcotest.test_case "trace queries" `Quick trace_queries;
+          Alcotest.test_case "load rejects a directory" `Quick load_directory;
           QCheck_alcotest.to_alcotest escape_roundtrip_prop;
         ] );
       ( "monitor",
@@ -344,6 +324,4 @@ let () =
           Alcotest.test_case "catches stale seqno" `Slow
             monitor_catches_stale_seqno;
         ] );
-      ( "telemetry",
-        [ Alcotest.test_case "emits gauges" `Slow telemetry_emits ] );
     ]

@@ -86,9 +86,9 @@ let mpr_coverage_prop =
 
 module TN = Experiment.Testnet
 
-let make_net ?(config = Olsr.default_config) k =
+let make_net k =
   let engine = Engine.create ~seed:3 () in
-  (engine, TN.create ~engine ~factory:(Olsr.factory ~config ()) ~n:k ())
+  (engine, TN.create ~engine ~factory:Olsr.factory ~n:k ())
 
 let proactive_routes_form () =
   let _, net = make_net 5 in

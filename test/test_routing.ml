@@ -292,7 +292,7 @@ let duplicate_rreq_allocation_free () =
             hop_count = 1;
             ttl = 5;
           }));
-  case "OLSR" (Olsr.factory ())
+  case "OLSR" Olsr.factory
     (Payload.Olsr
        (Olsr_msg.Tc
           {
@@ -418,23 +418,21 @@ let buffer_table_stays_bounded () =
 
 (* ---- Discovery schedule -------------------------------------------------- *)
 
+module D = Routing.Discovery
+
 let ring_schedule () =
-  let d = Routing.Discovery.default in
-  let t1 = Routing.Discovery.next_ttl d ~prev:None in
+  let d = D.default in
+  let t1 = D.next_ttl ~prev:None in
   checkb "starts at 1" true (t1 = Some 1);
-  let t2 = Routing.Discovery.next_ttl d ~prev:(Some 1) in
+  let t2 = D.next_ttl ~prev:(Some 1) in
   checkb "grows by 2" true (t2 = Some 3);
-  checkb "5 next" true (Routing.Discovery.next_ttl d ~prev:(Some 3) = Some 5);
-  checkb "7 next" true (Routing.Discovery.next_ttl d ~prev:(Some 5) = Some 7);
-  checkb "then diameter" true
-    (Routing.Discovery.next_ttl d ~prev:(Some 7) = Some d.net_diameter);
-  checkb "then exhausted" true
-    (Routing.Discovery.next_ttl d ~prev:(Some d.net_diameter) = None);
+  checkb "5 next" true (D.next_ttl ~prev:(Some 3) = Some 5);
+  checkb "7 next" true (D.next_ttl ~prev:(Some 5) = Some 7);
+  checkb "then diameter" true (D.next_ttl ~prev:(Some 7) = Some D.net_diameter);
+  checkb "then exhausted" true (D.next_ttl ~prev:(Some D.net_diameter) = None);
   let ttls ?first () =
     List.of_seq
-      (Seq.map
-         (fun (a : Routing.Discovery.attempt) -> a.ttl)
-         (Routing.Discovery.ring_attempts ?first d))
+      (Seq.map (fun (a : D.attempt) -> a.ttl) (D.ring_attempts ?first d))
   in
   (* The ring, then [max_retries] network-wide retries. *)
   checkb "attempts" true (ttls () = [ 1; 3; 5; 7; 35; 35; 35 ]);
@@ -446,69 +444,65 @@ let ring_no_extra_threshold_attempt () =
      search goes straight to NET_DIAMETER — no clamped attempt *at* the
      threshold.  Unaligned previous TTLs arise from LDR's optimal-TTL
      starts. *)
-  let d = Routing.Discovery.default in
   checkb "6 jumps straight to diameter" true
-    (Routing.Discovery.next_ttl d ~prev:(Some 6) = Some d.net_diameter);
+    (D.next_ttl ~prev:(Some 6) = Some D.net_diameter);
   checkb "threshold jumps to diameter" true
-    (Routing.Discovery.next_ttl d ~prev:(Some 7) = Some d.net_diameter);
+    (D.next_ttl ~prev:(Some 7) = Some D.net_diameter);
   checkb "above threshold jumps to diameter" true
-    (Routing.Discovery.next_ttl d ~prev:(Some 12) = Some d.net_diameter);
+    (D.next_ttl ~prev:(Some 12) = Some D.net_diameter);
   (* An in-threshold ring that lands exactly on the threshold is still a
      legitimate attempt. *)
-  checkb "5 -> 7 kept" true (Routing.Discovery.next_ttl d ~prev:(Some 5) = Some 7)
+  checkb "5 -> 7 kept" true (D.next_ttl ~prev:(Some 5) = Some 7)
 
 let ring_timeouts_scale () =
-  let d = Routing.Discovery.default in
-  let t1 = Routing.Discovery.attempt_timeout d ~ttl:1 in
-  let t7 = Routing.Discovery.attempt_timeout d ~ttl:7 in
+  let d = D.default in
+  let t1 = D.attempt_timeout d ~ttl:1 in
+  let t7 = D.attempt_timeout d ~ttl:7 in
   checkb "longer ttl waits longer" true Time.(t7 > t1);
   (* RING_TRAVERSAL_TIME = 2 * NODE_TRAVERSAL_TIME * (TTL + TIMEOUT_BUFFER),
      RFC 3561 s10 with TIMEOUT_BUFFER = 2. *)
   checkb "2*(ttl+buffer)*traversal" true
-    (Time.equal t7 (Time.mul d.node_traversal (2 * (7 + d.timeout_buffer))));
+    (Time.equal t7 (Time.mul D.node_traversal (2 * (7 + d.timeout_buffer))));
   checkb "buffer keeps the smallest ring patient" true
-    (Time.equal t1 (Time.mul d.node_traversal 6))
+    (Time.equal t1 (Time.mul D.node_traversal 6))
 
 let ring_from_diameter () =
-  let d = Routing.Discovery.default in
+  let d = D.default in
   let ttls =
     List.of_seq
       (Seq.map
-         (fun (a : Routing.Discovery.attempt) -> a.ttl)
-         (Routing.Discovery.ring_attempts ~first:d.net_diameter d))
+         (fun (a : D.attempt) -> a.ttl)
+         (D.ring_attempts ~first:D.net_diameter d))
   in
   checkb "one diameter flood, then the retries" true
-    (ttls = List.init (d.max_retries + 1) (fun _ -> d.net_diameter))
+    (ttls = List.init (D.max_retries + 1) (fun _ -> D.net_diameter))
 
 (* From any first TTL inside the network the schedule climbs, never
    stops between TTL_THRESHOLD and NET_DIAMETER, ends in exactly
    [max_retries + 1] diameter floods, and times each attempt by its own
    TTL. *)
 let ring_attempts_shape_qcheck =
-  let d = Routing.Discovery.default in
+  let d = D.default in
   QCheck.Test.make ~name:"ring attempts shape" ~count:200
-    QCheck.(int_range 1 d.net_diameter)
+    QCheck.(int_range 1 D.net_diameter)
     (fun first ->
-      let attempts =
-        List.of_seq (Routing.Discovery.ring_attempts ~first d)
-      in
-      let ttls = List.map (fun (a : Routing.Discovery.attempt) -> a.ttl) attempts in
+      let attempts = List.of_seq (D.ring_attempts ~first d) in
+      let ttls = List.map (fun (a : D.attempt) -> a.ttl) attempts in
       let rec climbs = function
         | a :: (b :: _ as rest) -> a <= b && climbs rest
         | _ -> true
       in
       let diameter_floods =
-        List.length (List.filter (fun t -> t = d.net_diameter) ttls)
+        List.length (List.filter (fun t -> t = D.net_diameter) ttls)
       in
       List.hd ttls = first && climbs ttls
-      && diameter_floods = d.max_retries + 1
+      && diameter_floods = D.max_retries + 1
       && List.for_all
-           (fun t -> t <= d.ttl_threshold || t = d.net_diameter || t = first)
+           (fun t -> t <= D.ttl_threshold || t = D.net_diameter || t = first)
            ttls
       && List.for_all
-           (fun (a : Routing.Discovery.attempt) ->
-             Time.equal a.timeout
-               (Routing.Discovery.attempt_timeout d ~ttl:a.ttl))
+           (fun (a : D.attempt) ->
+             Time.equal a.timeout (D.attempt_timeout d ~ttl:a.ttl))
            attempts)
 
 (* ---- Discovery machine ------------------------------------------------- *)

@@ -165,6 +165,11 @@ let telemetry_horizon_sample () =
               | _ -> Alcotest.failf "sample lacks a well-typed %S" key)
             sampler_keys)
         lines;
+      checkb "first sample has no rate" true
+        (match List.assoc_opt "events_per_s" (List.hd lines) with
+        | Some (Obs.Jsonl.Int 0) -> true
+        | Some (Obs.Jsonl.Float f) -> f = 0.
+        | _ -> false);
       let last = List.nth lines 3 in
       checkb "traffic delivered by the horizon" true
         (match List.assoc_opt "delivered" last with

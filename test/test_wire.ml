@@ -224,9 +224,6 @@ let crc32_vector () =
 
 let constants_agree () =
   checki "LDR infinity" Ldr.Conditions.infinity Wire.Ldr.infinite_distance;
-  checki "MAC overhead" Net.Params.default.Net.Params.mac_overhead_bytes
-    Wire.Mac.data_overhead;
-  checki "ACK bytes" Net.Params.default.Net.Params.ack_bytes Wire.Mac.ack_bytes;
   checki "header + FCS" Wire.Mac.data_overhead
     (Wire.Mac.header_bytes + Wire.Mac.fcs_bytes)
 
@@ -392,6 +389,16 @@ let short_files_not_pcap () =
               checkb (Printf.sprintf "%d-byte file: malformed" n) true (n > 0)))
     [ ""; "\xa1\xb2"; "\xa1\xb2\x3c" ]
 
+(* A path that opens but cannot be read (a directory), or one that does
+   not open at all, is not pcap: the check answers false rather than
+   raising, so the trace reader can report the error. *)
+let unreadable_paths_not_pcap () =
+  checkb "directory not pcap" false
+    (Net.Pcap.is_pcap_file (Filename.get_temp_dir_name ()));
+  checkb "missing file not pcap" false
+    (Net.Pcap.is_pcap_file
+       (Filename.concat (Filename.get_temp_dir_name ()) "manet-no-such-file.pcap"))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "wire"
@@ -416,5 +423,7 @@ let () =
           Alcotest.test_case "write/load roundtrip" `Quick pcap_roundtrip;
           Alcotest.test_case "corrupt record isolated" `Quick pcap_rejects_corruption;
           Alcotest.test_case "short files are not pcap" `Quick short_files_not_pcap;
+          Alcotest.test_case "unreadable paths are not pcap" `Quick
+            unreadable_paths_not_pcap;
         ] );
     ]
