@@ -236,7 +236,6 @@ let ablation ~scale () =
       ("no min-lifetime", { Ldr.Config.default with opt_min_lifetime = false });
       ("no optimal-TTL", { Ldr.Config.default with opt_optimal_ttl = false });
       ("all off (plain)", Ldr.Config.plain);
-      ("multipath extension", { Ldr.Config.default with multipath = true });
     ]
   in
   let rows =

@@ -329,14 +329,7 @@ let scenario ?(world = default_world) protocol nodes width height
     speed_max;
     pause = Time.sec pause;
     duration = Time.sec duration;
-    traffic =
-      {
-        Traffic.num_flows = flows;
-        packets_per_sec = pps;
-        payload_bytes = 512;
-        mean_flow_duration = Time.sec 100.;
-        startup_window = Time.sec 10.;
-      };
+    traffic = { Traffic.num_flows = flows; packets_per_sec = pps };
     protocol;
     net = Net.Params.default;
     seed;

@@ -87,7 +87,7 @@ let () =
     let table = (dbg node).Ldr.Protocol.table in
     let tid = Node_id.of_int t_ in
     (match
-       Ldr.Route_table.apply_advert table ~lc:1 ~dst:tid ~adv_sn:sn0
+       Ldr.Route_table.apply_advert table ~dst:tid ~adv_sn:sn0
          ~adv_dist:0 ~via:(Node_id.of_int via) ~lifetime:far
      with
     | `Installed | `Refreshed | `Rejected -> ());

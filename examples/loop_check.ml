@@ -17,14 +17,7 @@ let scenario protocol seed =
     speed_max = 20.;
     pause = Sim.Time.sec 0.;
     duration = Sim.Time.sec 45.;
-    traffic =
-      {
-        Traffic.num_flows = 8;
-        packets_per_sec = 4.;
-        payload_bytes = 512;
-        mean_flow_duration = Sim.Time.sec 20.;
-        startup_window = Sim.Time.sec 3.;
-      };
+    traffic = { Traffic.num_flows = 8; packets_per_sec = 4. };
     protocol;
     net = Net.Params.default;
     seed;

@@ -16,14 +16,7 @@ let scenario protocol =
     speed_max = 15.;
     pause = Sim.Time.sec 0.;
     duration = Sim.Time.sec 60.;
-    traffic =
-      {
-        Traffic.num_flows = 5;
-        packets_per_sec = 4.;
-        payload_bytes = 512;
-        mean_flow_duration = Sim.Time.sec 40.;
-        startup_window = Sim.Time.sec 5.;
-      };
+    traffic = { Traffic.num_flows = 5; packets_per_sec = 4. };
     protocol;
     net = Net.Params.default;
     seed = 11;

@@ -20,14 +20,7 @@ let () =
       (* static *)
       pause = Sim.Time.sec 0.;
       duration = Sim.Time.sec 30.;
-      traffic =
-        {
-          Traffic.num_flows = 2;
-          packets_per_sec = 4.;
-          payload_bytes = 512;
-          mean_flow_duration = Sim.Time.sec 30.;
-          startup_window = Sim.Time.sec 1.;
-        };
+      traffic = { Traffic.num_flows = 2; packets_per_sec = 4. };
       protocol = Scenario.ldr;
       net = Net.Params.default;
       seed = 7;

@@ -4,28 +4,14 @@ module RA = Routing.Agent
 
 let name = "aodv"
 
-type config = {
-  use_hello : bool;
-  active_route_timeout : Time.t;
-  my_route_timeout : Time.t;
-  ring : Routing.Discovery.ring;
-  flood_jitter : Time.t;
-  data_ttl : int;
-}
+type config = { ring : Routing.Discovery.ring; flood_jitter : Time.t }
 
 let default_config =
-  {
-    use_hello = false;
-    active_route_timeout = Time.sec 3.;
-    my_route_timeout = Time.sec 6.;
-    ring = Routing.Discovery.default;
-    flood_jitter = Time.ms 10.;
-    data_ttl = Data_msg.default_ttl;
-  }
+  { ring = Routing.Discovery.default; flood_jitter = Time.ms 10. }
 
-(* RFC 3561 HELLO_INTERVAL and ALLOWED_HELLO_LOSS. *)
-let hello_interval = Time.sec 1.
-let allowed_hello_loss = 2
+(* RFC 3561 ACTIVE_ROUTE_TIMEOUT and MY_ROUTE_TIMEOUT. *)
+let active_route_timeout = Time.sec 3.
+let my_route_timeout = Time.sec 6.
 let rreq_cache_ttl = Time.sec 6.
 let buffer_capacity = 64
 
@@ -43,7 +29,6 @@ type state = {
   cache : Node_id.t Routing.Rreq_cache.t;  (** value: reverse hop *)
   mutable own_sn : int;
   discovery : route Routing.Discovery.t Lazy.t;
-  last_hello : Time.t Node_id.Table.t;  (** neighbor liveness (hello mode) *)
 }
 
 let discovery t = Lazy.force t.discovery
@@ -58,7 +43,7 @@ let valid_entry t dst =
   match entry t dst with Some r when is_valid t r -> Some r | _ -> None
 
 let refresh t (r : route) =
-  let candidate = Time.add (now t) t.cfg.active_route_timeout in
+  let candidate = Time.add (now t) active_route_timeout in
   if Time.(candidate > r.expires) then r.expires <- candidate
 
 let remaining t (r : route) =
@@ -102,7 +87,7 @@ let update_route t ~dst ~sn ~hops ~via ~lifetime =
 let update_reverse t ~origin ~origin_sn ~hops ~via =
   ignore
     (update_route t ~dst:origin ~sn:origin_sn ~hops ~via
-       ~lifetime:t.cfg.active_route_timeout)
+       ~lifetime:active_route_timeout)
 
 let send_aodv t ~dst msg = t.ctx.send ~dst (Payload.Aodv msg)
 
@@ -141,7 +126,6 @@ let send_rreq t ~dst ~ttl ~rreq_id =
 let origin_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
   else
-    let msg = { msg with Data_msg.ttl = t.cfg.data_ttl } in
     match valid_entry t msg.Data_msg.dst with
     | Some r -> forward_data t r msg
     | None -> Routing.Discovery.hold (discovery t) msg
@@ -189,7 +173,7 @@ let handle_rreq t (r : Aodv_msg.rreq) ~from =
           dst_sn = t.own_sn;
           origin = r.origin;
           hop_count = 0;
-          lifetime = t.cfg.my_route_timeout;
+          lifetime = my_route_timeout;
         }
     end
     else begin
@@ -301,52 +285,6 @@ let link_failure t payload ~next_hop =
   | Payload.Ldr _ | Payload.Aodv _ | Payload.Dsr _ | Payload.Olsr _ -> ());
   broadcast_rerr t affected
 
-(* ---- Hello messages (RFC 3561 6.9) -------------------------------------- *)
-
-let is_hello (r : Aodv_msg.rrep) = Node_id.equal r.dst r.origin
-
-let hello_lifetime = Time.mul hello_interval allowed_hello_loss
-
-let has_active_route t =
-  Node_id.Table.fold (fun _ r acc -> acc || is_valid t r) t.table false
-
-let emit_hello t =
-  if has_active_route t then
-    send_aodv t ~dst:Net.Frame.Broadcast
-      (Aodv_msg.Rrep
-         {
-           dst = t.ctx.id;
-           dst_sn = t.own_sn;
-           origin = t.ctx.id;
-           hop_count = 0;
-           lifetime = hello_lifetime;
-         })
-
-let handle_hello t (r : Aodv_msg.rrep) ~from =
-  Node_id.Table.replace t.last_hello from (now t);
-  ignore
-    (update_route t ~dst:r.dst ~sn:r.dst_sn ~hops:1 ~via:from
-       ~lifetime:r.lifetime);
-  (* Keep an existing 1-hop route through this neighbor alive. *)
-  match valid_entry t from with Some route -> refresh t route | None -> ()
-
-let check_hello_timeouts t =
-  let stale =
-    Node_id.Table.fold
-      (fun nb last acc ->
-        if Time.(Time.add last hello_lifetime < now t) then nb :: acc else acc)
-      t.last_hello []
-  in
-  List.iter
-    (fun nb ->
-      Node_id.Table.remove t.last_hello nb;
-      let affected = invalidate_via t nb in
-      if affected <> [] then begin
-        t.ctx.table_changed ();
-        broadcast_rerr t affected
-      end)
-    stale
-
 (* ---- Wiring ------------------------------------------------------------ *)
 
 let rec handle_rreqs t rs ~from =
@@ -363,8 +301,6 @@ let recv t payload ~from =
   | Payload.Aodv (Aodv_msg.Rreq_agg rs) ->
       (* Aggregated flood: each member RREQ is its own computation. *)
       handle_rreqs t rs ~from
-  | Payload.Aodv (Aodv_msg.Rrep r) when t.cfg.use_hello && is_hello r ->
-      handle_hello t r ~from
   | Payload.Aodv (Aodv_msg.Rrep r) -> handle_rrep t r ~from
   | Payload.Aodv (Aodv_msg.Rerr { unreachable }) ->
       handle_rerr t unreachable ~from
@@ -377,7 +313,6 @@ let reset t ~crash =
   Routing.Discovery.reset (discovery t) ~crash;
   Node_id.Table.reset t.table;
   Routing.Rreq_cache.clear t.cache;
-  Node_id.Table.reset t.last_hello;
   t.ctx.table_changed ();
   if crash then t.own_sn <- 0
 
@@ -398,7 +333,6 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
              ~schedule:(fun _ -> schedule)
              ~route:(valid_entry t) ~forward:(forward_data t)
              ~send_rreq:(send_rreq t));
-      last_hello = Node_id.Table.create 16;
     }
   in
   {
@@ -406,16 +340,7 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
     recv = (fun payload ~from -> recv t payload ~from);
     overheard = (fun _ ~from:_ ~dst:_ -> ());
     link_failure = (fun payload ~next_hop -> link_failure t payload ~next_hop);
-    start =
-      (fun () ->
-        if config.use_hello then
-          Engine.every ctx.engine
-            ~jitter:(fun () -> Rng.uniform_time ctx.rng (Time.ms 100.))
-            ~start:(Rng.uniform_time ctx.rng hello_interval)
-            ~interval:hello_interval ~until:(Time.sec 1e6)
-            (fun () ->
-              emit_hello t;
-              check_hello_timeouts t));
+    start = (fun () -> ());
     successor =
       (fun dst ->
         if Node_id.equal dst ctx.id then None

@@ -12,19 +12,14 @@
       nodes' numbers, which inhibits replies from valid downstream routes
       and makes sequence numbers grow with mobility (the paper's Fig. 7);
     - an intermediate node may answer a RREQ only with a route whose
-      stored number is at least the requested one. *)
+      stored number is at least the requested one.
+
+    Broken links are detected from MAC link-layer feedback, as in the
+    paper's scenarios; RFC 3561's HELLO messages are not implemented. *)
 
 type config = {
-  use_hello : bool;
-      (** RFC 3561 6.9: nodes with active routes broadcast periodic HELLOs
-          (TTL-1 RREPs for themselves) every second; missing two
-          consecutive ones declares the link broken.  Off by default — the
-          paper's scenarios rely on link-layer feedback instead. *)
-  active_route_timeout : Sim.Time.t;
-  my_route_timeout : Sim.Time.t;
-  ring : Routing.Discovery.ring;
-  flood_jitter : Sim.Time.t;
-  data_ttl : int;
+  ring : Routing.Discovery.ring;  (** expanding-ring-search schedule *)
+  flood_jitter : Sim.Time.t;  (** max uniform delay before relaying a RREQ *)
 }
 
 val default_config : config

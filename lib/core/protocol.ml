@@ -4,11 +4,15 @@ module RA = Routing.Agent
 
 let name = "ldr"
 
+let active_route_timeout = Time.sec 3.  (* route freshness window *)
+let my_route_timeout = Time.sec 6.  (* lifetime advertised for oneself *)
+let buffer_capacity = 64
+
 (* How long engaged-state / duplicate entries persist. *)
 let rreq_cache_ttl = Time.sec 6.
 
 let reduced_distance_factor = 0.8  (* in the paper *)
-let min_lifetime_fraction = 1. /. 3.  (* of active_route_timeout *)
+let min_lifetime = Time.scale active_route_timeout (1. /. 3.)
 let local_add_ttl = 2
 
 (* Engaged-node state cached per computation (origin, rreq_id). *)
@@ -51,15 +55,12 @@ let reduce t d =
     Stdlib.max 1 (int_of_float (reduced_distance_factor *. float_of_int d))
   else d
 
-let min_lifetime t =
-  Time.scale t.cfg.active_route_timeout min_lifetime_fraction
-
 (* Can this node's route answer, given the minimum-lifetime rule? *)
 let answerable t e =
   Route_table.is_active t.table e
   && not
        (t.cfg.opt_min_lifetime
-       && Time.(Route_table.remaining_lifetime t.table e < min_lifetime t))
+       && Time.(Route_table.remaining_lifetime t.table e < min_lifetime))
 
 let has_active_route t dst =
   match Route_table.get t.table dst with
@@ -77,10 +78,8 @@ let broadcast_rerr t unreachable =
 let learn_advert t ~dst ~adv_sn ~adv_dist ~via ~lifetime =
   if Node_id.equal dst t.ctx.id then `Refreshed
   else begin
-    let lc = t.cfg.link_cost t.ctx.id via in
     let verdict =
-      Route_table.apply_advert t.table ~lc ~dst ~adv_sn ~adv_dist ~via
-        ~lifetime
+      Route_table.apply_advert t.table ~dst ~adv_sn ~adv_dist ~via ~lifetime
     in
     (match verdict with
     | `Installed -> t.ctx.table_changed ()
@@ -92,7 +91,7 @@ let forward_data t (e : Route_table.entry) msg =
   match e.next_hop with
   | None -> assert false
   | Some nh ->
-      Route_table.refresh t.table e ~lifetime:t.cfg.active_route_timeout;
+      Route_table.refresh t.table e ~lifetime:active_route_timeout;
       t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (Data_msg.hop msg))
 
 (* ---- Procedure 1: initiate solicitation ------------------------------ *)
@@ -138,7 +137,6 @@ let send_rreq t ~dst ~ttl ~rreq_id =
 let origin_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
   else
-    let msg = { msg with Data_msg.ttl = t.cfg.data_ttl } in
     match Route_table.active t.table msg.Data_msg.dst with
     | Some e -> forward_data t e msg
     | None -> Routing.Discovery.hold (discovery t) msg
@@ -164,11 +162,10 @@ let handle_data t msg ~from:_ =
 (* ---- Procedure 2: relay solicitation (Eqs. 5-8) ----------------------- *)
 
 (* The solicitation this node relays: [r] with this node's stored
-   invariants folded in, built in one allocation.  [from] is the
-   neighbor the solicitation arrived over, whose link cost extends the
-   measured distance. *)
-let relayed t ~from (r : Ldr_msg.rreq) ~ttl ~no_reverse ~unicast_probe =
-  let dist = r.dist + t.cfg.link_cost t.ctx.id from in
+   invariants folded in and its measured distance one hop longer, built
+   in one allocation. *)
+let relayed t (r : Ldr_msg.rreq) ~ttl ~no_reverse ~unicast_probe =
+  let dist = r.dist + 1 in
   match Route_table.get t.table r.dst with
   | exception Not_found -> { r with dist; ttl; no_reverse; unicast_probe }
   | e ->
@@ -213,7 +210,7 @@ let destination_reply t (r : Ldr_msg.rreq) ~last_hop =
       origin = r.origin;
       rreq_id = r.rreq_id;
       dist = 0;
-      lifetime = t.cfg.my_route_timeout;
+      lifetime = my_route_timeout;
       rrep_no_reverse = r.no_reverse;
     }
   in
@@ -241,7 +238,7 @@ let intermediate_reply t (e : Route_table.entry) (r : Ldr_msg.rreq) ~last_hop =
 
 (* Convert the flood into a unicast RREQ that must reach the destination
    (the T-bit reset path), or continue an existing unicast probe. *)
-let forward_unicast_probe t ~from (e : Route_table.entry) (r : Ldr_msg.rreq) =
+let forward_unicast_probe t (e : Route_table.entry) (r : Ldr_msg.rreq) =
   match e.next_hop with
   | None -> assert false
   | Some nh ->
@@ -252,15 +249,14 @@ let forward_unicast_probe t ~from (e : Route_table.entry) (r : Ldr_msg.rreq) =
       in
       send_ldr t ~dst:(Net.Frame.Unicast nh)
         (Ldr_msg.Rreq
-           (relayed t ~from r ~ttl ~no_reverse:r.no_reverse
-              ~unicast_probe:true))
+           (relayed t r ~ttl ~no_reverse:r.no_reverse ~unicast_probe:true))
 
-let relay_broadcast t ~from (r : Ldr_msg.rreq) ~reverse_ok =
+let relay_broadcast t (r : Ldr_msg.rreq) ~reverse_ok =
   if r.ttl > 1 then begin
     let payload =
       Payload.Ldr
         (Ldr_msg.Rreq
-           (relayed t ~from r ~ttl:(r.ttl - 1)
+           (relayed t r ~ttl:(r.ttl - 1)
               ~no_reverse:(r.no_reverse || not reverse_ok)
               ~unicast_probe:r.unicast_probe))
     in
@@ -299,7 +295,7 @@ let handle_rreq t (r : Ldr_msg.rreq) ~from =
       else begin
         match
           learn_advert t ~dst:r.origin ~adv_sn:r.origin_sn ~adv_dist:r.dist
-            ~via:from ~lifetime:t.cfg.active_route_timeout
+            ~via:from ~lifetime:active_route_timeout
         with
         | `Installed | `Refreshed -> true
         | `Rejected -> has_active_route t r.origin
@@ -311,7 +307,7 @@ let handle_rreq t (r : Ldr_msg.rreq) ~from =
       (* D bit: carry the request straight to the destination. *)
       match Route_table.get t.table r.dst with
       | e when r.ttl > 1 && Route_table.is_active t.table e ->
-          forward_unicast_probe t ~from e r
+          forward_unicast_probe t e r
       | _ | (exception Not_found) -> ()
     end
     else begin
@@ -328,8 +324,8 @@ let handle_rreq t (r : Ldr_msg.rreq) ~from =
                   ~active:true ~req_sn:r.dst_sn ~answer_dist:r.answer_dist ->
           (* First node able to answer but for the T bit: unicast the
              request to the destination for a path reset (Section 2.2). *)
-          forward_unicast_probe t ~from e r
-      | _ | (exception Not_found) -> relay_broadcast t ~from r ~reverse_ok
+          forward_unicast_probe t e r
+      | _ | (exception Not_found) -> relay_broadcast t r ~reverse_ok
     end
   end
 
@@ -421,36 +417,28 @@ let handle_rrep t (r : Ldr_msg.rrep) ~from =
 (* ---- Route maintenance ------------------------------------------------ *)
 
 let handle_rerr t unreachable ~from =
-  let changed = ref false in
   let invalidated =
     List.filter_map
       (fun (dst, _sn) ->
         match Route_table.fail_route t.table dst ~via:from with
         | `Invalidated ->
-            changed := true;
             Some
               ( dst,
                 Option.map (fun (e : Route_table.entry) -> e.sn)
                   (Route_table.find t.table dst) )
-        | `Promoted ->
-            (* The error stops here: the alternate keeps us reachable. *)
-            changed := true;
-            t.ctx.event ~dst "alternate_promoted";
-            None
         | `Untouched -> None)
       unreachable
   in
-  if !changed then t.ctx.table_changed ();
+  if invalidated <> [] then t.ctx.table_changed ();
   broadcast_rerr t invalidated
 
 let link_failure t payload ~next_hop =
-  let invalidated, promoted = Route_table.invalidate_via t.table next_hop in
-  if invalidated <> [] || promoted <> [] then t.ctx.table_changed ();
-  List.iter (fun dst -> t.ctx.event ~dst "alternate_promoted") promoted;
+  let invalidated = Route_table.invalidate_via t.table next_hop in
+  if invalidated <> [] then t.ctx.table_changed ();
   (match payload with
   | Payload.Data msg -> (
-      (* A promoted alternate carries the packet on immediately; failing
-         that, the origin holds it and rediscovers, relays shed it. *)
+      (* Another active route carries the packet on; failing that, the
+         origin holds it and rediscovers, relays shed it. *)
       match Route_table.active t.table msg.Data_msg.dst with
       | Some e -> forward_data t e msg
       | None ->
@@ -511,7 +499,7 @@ let make ?(config = Config.default) (ctx : RA.ctx) =
       cfg = config;
       broadcast = (fun p -> ctx.send ~dst:Net.Frame.Broadcast p);
       table =
-        Route_table.create ~multipath:config.multipath ~obs:ctx.obs
+        Route_table.create ~obs:ctx.obs
           ~owner:(Node_id.to_int ctx.id) ~engine:ctx.engine ();
       cache =
         Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:rreq_cache_ttl;
@@ -519,7 +507,7 @@ let make ?(config = Config.default) (ctx : RA.ctx) =
       own_increments = 0;
       discovery =
         lazy
-          (Routing.Discovery.create ctx ~capacity:config.buffer_capacity
+          (Routing.Discovery.create ctx ~capacity:buffer_capacity
              ~max_age:Routing.Discovery.buffer_max_age
              ~schedule:(ring_schedule t)
              ~route:(Route_table.active t.table) ~forward:(forward_data t)

@@ -12,36 +12,20 @@
 
 open Packets
 
-type alternate = {
-  alt_via : Node_id.t;
-  alt_adv : int;  (** distance the alternate advertised *)
-  alt_dist : int;  (** our distance through it (advertised + link cost) *)
-}
-
 type entry = {
   mutable sn : Seqnum.t;
   mutable dist : int;
   mutable fd : int;
   mutable next_hop : Node_id.t option;  (** [None]: route invalid *)
   mutable expires : Sim.Time.t;
-  mutable alternates : alternate list;
-      (** multipath extension: neighbors whose advertised distance beat
-          [fd] under the current number — the LFI condition (PDA), every
-          one a loop-free successor.  Kept only when the table is created
-          with [multipath:true]; cleared on sequence-number change. *)
 }
 
 type t
 
-val create :
-  ?multipath:bool -> ?obs:Obs.Bus.t -> ?owner:int -> engine:Sim.Engine.t ->
-  unit -> t
-(** With [multipath] (default false), feasible non-primary
-    advertisements are retained as alternates and {!invalidate_via}
-    promotes them instead of invalidating.  When [obs] is given, every
-    structural write (install, refresh, invalidation, failover
-    promotion) emits an {!Obs.Event.Table_write} on the bus tagged with
-    [owner] (the node id as an int, default -1). *)
+val create : ?obs:Obs.Bus.t -> ?owner:int -> engine:Sim.Engine.t -> unit -> t
+(** When [obs] is given, every structural write (install, refresh,
+    invalidation) emits an {!Obs.Event.Table_write} on the bus tagged
+    with [owner] (the node id as an int, default -1). *)
 
 val find : t -> Node_id.t -> entry option
 (** The entry, live or not. *)
@@ -63,7 +47,6 @@ val refresh : t -> entry -> lifetime:Sim.Time.t -> unit
 
 val apply_advert :
   t ->
-  lc:int ->
   dst:Node_id.t ->
   adv_sn:Seqnum.t ->
   adv_dist:int ->
@@ -71,9 +54,8 @@ val apply_advert :
   lifetime:Sim.Time.t ->
   [ `Installed | `Refreshed | `Rejected ]
 (** Process an advertisement for [dst] with advertised distance
-    [adv_dist] heard from neighbor [via] over a link of positive cost
-    [lc] (1 for hop counts; the paper notes LDR works unchanged with
-    general positive symmetric costs).
+    [adv_dist] heard from neighbor [via]; distances count hops, so the
+    route through [via] is [adv_dist + 1] long.
 
     [`Installed]: NDC held and the route was (re)written by Procedure 3.
     [`Refreshed]: the advertisement repeats the current active route
@@ -85,18 +67,14 @@ val apply_advert :
 val invalidate : t -> Node_id.t -> unit
 (** Drop the successor for this destination; invariants persist. *)
 
-val invalidate_via : t -> Node_id.t -> Node_id.t list * Node_id.t list
-(** The neighbor is gone: every route using it as successor fails over to
-    its best feasible alternate when one exists (multipath mode) or is
-    invalidated.  Returns [(invalidated, promoted)] destination lists;
-    the neighbor is also purged from all alternate sets. *)
+val invalidate_via : t -> Node_id.t -> Node_id.t list
+(** The neighbor is gone: every route using it as successor is
+    invalidated.  Returns those destinations. *)
 
-val fail_route :
-  t -> Node_id.t -> via:Node_id.t -> [ `Promoted | `Invalidated | `Untouched ]
+val fail_route : t -> Node_id.t -> via:Node_id.t -> [ `Invalidated | `Untouched ]
 (** The route to this destination through [via] is dead (e.g. a RERR from
-    [via]): fail over to the best feasible alternate if multipath is on,
-    else invalidate.  [`Untouched] when the current successor is not
-    [via].  [via] is purged from the alternate set in every case. *)
+    [via]): invalidate it.  [`Untouched] when the current successor is
+    not [via]. *)
 
 val successor : t -> Node_id.t -> Node_id.t option
 (** Next hop of the active route, if any. *)

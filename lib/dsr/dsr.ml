@@ -5,9 +5,9 @@ module Route_cache = Route_cache
 
 let name = "dsr"
 
-type config = { reply_from_cache : bool; route_shortening : bool }
+type config = { reply_from_cache : bool }
 
-let default_config = { reply_from_cache = true; route_shortening = true }
+let default_config = { reply_from_cache = true }
 
 let cache_capacity = 64
 let cache_ttl = Time.sec 300.
@@ -248,8 +248,7 @@ let split_at x route =
    we just proved we hear [from] directly.  Tell the source. *)
 let maybe_shorten t ~from ~full_route ~sr_remaining (data : Data_msg.t) =
   if
-    t.cfg.route_shortening
-    && List.exists (Node_id.equal t.ctx.id) sr_remaining
+    List.exists (Node_id.equal t.ctx.id) sr_remaining
     && not
          (Routing.Rreq_cache.mem t.shortened ~origin:data.Data_msg.src
             ~rreq_id:(Node_id.to_int data.Data_msg.dst))

@@ -273,7 +273,7 @@ let build ?on_engine ?obs (sc : Scenario.t) =
       Data_msg.fresh
         ~flow_id:(1_000_000 + !injected)
         ~seq:0 ~src:(Node_id.of_int src) ~dst:(Node_id.of_int dst)
-        ~payload_bytes:sc.traffic.Traffic.payload_bytes
+        ~payload_bytes:Traffic.payload_bytes
         ~origin_time:(Engine.now engine)
     in
     span_originate ~src:(Node_id.of_int src) msg;

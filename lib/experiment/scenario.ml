@@ -17,10 +17,9 @@ let protocol_name = function
   | Aodv_agg _ -> "AODV-AGG"
 
 let ldr = Ldr Ldr.Config.default
-let ldr_multipath = Ldr { Ldr.Config.default with multipath = true }
 let aodv = Aodv Aodv.default_config
 let dsr = Dsr Dsr.default_config
-let dsr_draft7 = Dsr { Dsr.default_config with reply_from_cache = false }
+let dsr_draft7 = Dsr { Dsr.reply_from_cache = false }
 let olsr = Olsr
 let ldr_agg = Ldr_agg (Ldr.Config.default, Routing.Aggregation.default)
 let aodv_agg = Aodv_agg (Aodv.default_config, Routing.Aggregation.default)

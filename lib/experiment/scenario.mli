@@ -15,9 +15,6 @@ val protocol_name : protocol -> string
 val ldr : protocol
 (** LDR with the paper's optimizations. *)
 
-val ldr_multipath : protocol
-(** LDR extended with LFI alternate successors (instant failover). *)
-
 val aodv : protocol
 val dsr : protocol
 val dsr_draft7 : protocol

@@ -160,7 +160,7 @@ let origin t ~src ~dst =
   t.flow_counter <- t.flow_counter + 1;
   let msg =
     Data_msg.fresh ~flow_id:t.flow_counter ~seq:0 ~src:(Node_id.of_int src)
-      ~dst:(Node_id.of_int dst) ~payload_bytes:512
+      ~dst:(Node_id.of_int dst) ~payload_bytes:Traffic.payload_bytes
       ~origin_time:(Engine.now t.engine)
   in
   Metrics.data_originated t.net_metrics msg;

@@ -230,7 +230,7 @@ let static pos =
 let waypoint ~terrain ~rng ~speed_min ~speed_max ~pause ~start =
   if speed_min <= 0. || speed_min > speed_max then
     invalid_arg "Mobility.waypoint: need 0 < speed_min <= speed_max";
-  (* Legs alternate pause (from = dest) and motion. *)
+  (* Pause legs (from = dest) and motion legs take turns. *)
   let first =
     { depart = Time.zero; arrive = pause; from_pos = start; dest = start }
   in

@@ -7,7 +7,12 @@
     link failure — the signal on-demand routing protocols use for route
     maintenance.
 
-    Not modelled (see DESIGN.md): RTS/CTS and the NAV; EIFS; capture. *)
+    The capture effect is modelled in {!Channel}: a reception survives an
+    interferer at least 1.78 times as far from the receiver as the
+    wanted transmitter (10 dB SIR); comparable-power overlaps corrupt
+    both frames.
+
+    Not modelled (see DESIGN.md): RTS/CTS and the NAV; EIFS. *)
 
 open Packets
 

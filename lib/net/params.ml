@@ -12,9 +12,6 @@ let bytes_airtime bytes = Time.sec (float_of_int (bytes * 8) /. bit_rate)
 
 let frame_airtime ~bytes = Time.add preamble (bytes_airtime bytes)
 
-let data_airtime ~payload_bytes =
-  frame_airtime ~bytes:(payload_bytes + Wire.Mac.data_overhead)
-
 let ack_airtime = Time.add preamble (bytes_airtime Wire.Mac.ack_bytes)
 
 let slot = Time.us 20.

@@ -23,10 +23,6 @@ val frame_airtime : bytes:int -> Sim.Time.t
 (** Airtime of [bytes] total on-air octets (preamble + serialization) —
     feed it {!Frame.encoded_length}. *)
 
-val data_airtime : payload_bytes:int -> Sim.Time.t
-(** Airtime of a data frame carrying [payload_bytes] of network payload;
-    [frame_airtime] on [payload_bytes] plus the MAC overhead. *)
-
 val ack_airtime : Sim.Time.t
 
 val ack_timeout : Sim.Time.t

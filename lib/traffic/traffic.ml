@@ -1,22 +1,13 @@
 open Sim
 open Packets
 
-type config = {
-  num_flows : int;
-  packets_per_sec : float;
-  payload_bytes : int;
-  mean_flow_duration : Time.t;
-  startup_window : Time.t;
-}
+type config = { num_flows : int; packets_per_sec : float }
 
-let default_config =
-  {
-    num_flows = 10;
-    packets_per_sec = 4.;
-    payload_bytes = 512;
-    mean_flow_duration = Time.sec 100.;
-    startup_window = Time.sec 10.;
-  }
+let default_config = { num_flows = 10; packets_per_sec = 4. }
+
+let payload_bytes = 512
+let mean_flow_duration = 100.  (* seconds, exponentially distributed *)
+let startup_window = Time.sec 10.  (* flow starts are staggered over it *)
 
 (* One slot = an endless succession of flows.  The slot record carries
    the current flow's state and is re-armed by two pre-bound callbacks
@@ -29,7 +20,6 @@ let default_config =
 type slot = {
   engine : Engine.t;
   rng : Rng.t;
-  config : config;
   until : Time.t;
   num_nodes : int;
   emit : src:Node_id.t -> Data_msg.t -> unit;
@@ -58,9 +48,7 @@ let rec start_flow s start =
     let src, dst = pick_pair s in
     s.s_src <- src;
     s.s_dst <- dst;
-    let duration =
-      Time.sec (Rng.exponential s.rng (Time.to_sec s.config.mean_flow_duration))
-    in
+    let duration = Time.sec (Rng.exponential s.rng mean_flow_duration) in
     s.s_stop <- Time.min s.until (Time.add start duration);
     s.s_seq <- 0;
     emit_packet s start;
@@ -78,7 +66,7 @@ and packet_tick s =
   let at = s.s_at in
   let msg =
     Data_msg.fresh ~flow_id:s.s_flow_id ~seq:s.s_seq ~src:s.s_src ~dst:s.s_dst
-      ~payload_bytes:s.config.payload_bytes ~origin_time:at
+      ~payload_bytes ~origin_time:at
   in
   s.s_seq <- s.s_seq + 1;
   s.emit ~src:s.s_src msg;
@@ -102,7 +90,6 @@ let setup ~engine ~rng ~num_nodes ~config ~until ~emit =
       {
         engine;
         rng;
-        config;
         until;
         num_nodes;
         emit;
@@ -116,5 +103,5 @@ let setup ~engine ~rng ~num_nodes ~config ~until ~emit =
         s_at = Time.zero;
       }
     in
-    start_flow s (Rng.uniform_time rng config.startup_window)
+    start_flow s (Rng.uniform_time rng startup_window)
   done

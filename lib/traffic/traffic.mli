@@ -1,25 +1,22 @@
 (** CBR workload generator (paper, Section 4).
 
-    The load consists of [num_flows] concurrent flow slots.  Each slot
+    The load consists of [num_flows] concurrent flow slots.  The slots
+    start at instants drawn uniformly from the first 10 s.  Each slot
     picks a random source/destination pair and a duration drawn from an
-    exponential with mean [mean_flow_duration] (100 s in the paper), emits
-    [packets_per_sec] fixed-size packets, then immediately restarts with a
-    fresh random pair — keeping the number of concurrent flows constant,
-    as the paper's "10-flow" / "30-flow" loads require. *)
+    exponential with mean 100 s (as in the paper), emits
+    [packets_per_sec] packets of {!payload_bytes}, then immediately
+    restarts with a fresh random pair — keeping the number of concurrent
+    flows constant, as the paper's "10-flow" / "30-flow" loads require. *)
 
 open Packets
 
-type config = {
-  num_flows : int;
-  packets_per_sec : float;
-  payload_bytes : int;  (** 512 in the paper *)
-  mean_flow_duration : Sim.Time.t;  (** exp-distributed flow length *)
-  startup_window : Sim.Time.t;
-      (** flow starts are staggered uniformly over this window *)
-}
+type config = { num_flows : int; packets_per_sec : float }
 
 val default_config : config
-(** 10 flows, 4 pps, 512 B, exp(100 s), 10 s startup window. *)
+(** 10 flows, 4 pps. *)
+
+val payload_bytes : int
+(** Data payload per packet: 512 B, as in the paper. *)
 
 val setup :
   engine:Sim.Engine.t ->

@@ -51,3 +51,24 @@ let gives_up factory () =
   TN.run net ~for_:(Time.sec 60.);
   Alcotest.(check int) "nothing delivered" 0 (TN.delivered net);
   Alcotest.(check int) "discovery-failed drop" 1 (drops net "discovery-failed")
+
+(* Forwarding decrements the IP TTL and drops at zero: a packet handed
+   to the agent with TTL 2 dies two hops short of a destination four
+   hops away, while a fresh packet (full TTL) then arrives. *)
+let ttl_guard factory () =
+  let net = make factory 5 in
+  TN.connect_chain net [ 0; 1; 2; 3; 4 ];
+  let fresh =
+    Packets.Data_msg.fresh ~flow_id:1_000 ~seq:0
+      ~src:(Packets.Node_id.of_int 0) ~dst:(Packets.Node_id.of_int 4)
+      ~payload_bytes:512 ~origin_time:Time.zero
+  in
+  let msg = { fresh with Packets.Data_msg.ttl = 2 } in
+  M.data_originated (TN.metrics net) msg;
+  (TN.agent net 0).Routing.Agent.origin_data msg;
+  TN.run net ~for_:(Time.sec 10.);
+  Alcotest.(check int) "too far for ttl 2" 0 (TN.delivered net);
+  Alcotest.(check int) "ttl-expired drop" 1 (drops net "ttl-expired");
+  TN.origin net ~src:0 ~dst:4;
+  TN.run net ~for_:(Time.sec 3.);
+  Alcotest.(check int) "full ttl delivered" 1 (TN.delivered net)

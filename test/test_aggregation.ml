@@ -222,14 +222,7 @@ let scenario ?(seed = 7) ?(duration = 30.) () =
     speed_max = 10.;
     pause = Time.sec 0.;
     duration = Time.sec duration;
-    traffic =
-      {
-        Traffic.num_flows = 6;
-        packets_per_sec = 4.;
-        payload_bytes = 512;
-        mean_flow_duration = Time.sec duration;
-        startup_window = Time.sec 2.;
-      };
+    traffic = { Traffic.num_flows = 6; packets_per_sec = 4. };
     protocol = Experiment.Scenario.ldr_agg;
     net = Net.Params.default;
     seed;

@@ -6,13 +6,12 @@ open Packets
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let n = Node_id.of_int
-let _ = n
 
 module TN = Experiment.Testnet
 
-let make_net ?(config = Aodv.default_config) ?(seed = 3) k =
+let make_net ?(seed = 3) k =
   let engine = Engine.create ~seed () in
-  let net = TN.create ~engine ~factory:(Aodv.factory ~config ()) ~n:k () in
+  let net = TN.create ~engine ~factory:(Aodv.factory ()) ~n:k () in
   (engine, net)
 
 let discovery_on_chain () =
@@ -118,70 +117,69 @@ let intermediate_node_replies () =
   checkb "someone replied again" true
     (Experiment.Metrics.event_count (TN.metrics net) "rrep_init" > inits_before)
 
-let data_ttl_guard () =
-  let config = { Aodv.default_config with data_ttl = 2 } in
-  let _, net = make_net ~config 5 in
-  TN.connect_chain net [ 0; 1; 2; 3; 4 ];
-  TN.origin net ~src:0 ~dst:4;
-  TN.run net ~for_:(Time.sec 10.);
-  checki "ttl too small" 0 (TN.delivered net)
-
-let hello_detects_silent_break () =
-  let config =
-    {
-      Aodv.default_config with
-      use_hello = true;
-      active_route_timeout = Time.sec 60.;
-      my_route_timeout = Time.sec 60.;
-    }
+(* The test network keeps no transmission counts: each agent's
+   [ctx.send] is wrapped to log the kind of every AODV message sent. *)
+let make_logging_net k =
+  let engine = Engine.create ~seed:3 () in
+  let sent = ref [] in
+  let logging (ctx : Routing.Agent.ctx) =
+    let send ~dst p =
+      (match p with
+      | Payload.Aodv m -> sent := Aodv_msg.kind m :: !sent
+      | _ -> ());
+      ctx.send ~dst p
+    in
+    Aodv.factory () { ctx with send }
   in
-  let _, net = make_net ~config 3 in
+  (TN.create_custom ~engine ~factories:(Array.make k logging) (), sent)
+
+(* Breaks are found from link-layer feedback: the first packet over a
+   dead link invalidates the route at the relay, and its RERR clears the
+   origin's route. *)
+let link_feedback_detects_break () =
+  let net, sent = make_logging_net 3 in
   TN.connect_chain net [ 0; 1; 2 ];
   TN.origin net ~src:0 ~dst:2;
   TN.run net ~for_:(Time.sec 2.);
   checki "primed" 1 (TN.delivered net);
-  checkb "1 routes to 2" true
+  TN.disconnect net 1 2;
+  TN.origin net ~src:0 ~dst:2;
+  TN.run net ~for_:(Time.ms 500.);
+  checkb "relay route gone" true ((TN.agent net 1).Routing.Agent.successor (n 2) = None);
+  checkb "origin route gone" true ((TN.agent net 0).Routing.Agent.successor (n 2) = None);
+  checkb "RERR sent" true (List.mem "RERR" !sent)
+
+(* No periodic control: once a discovery is over, an idle network
+   transmits nothing. *)
+let idle_sends_no_control () =
+  let net, sent = make_logging_net 3 in
+  TN.connect_chain net [ 0; 1; 2 ];
+  TN.origin net ~src:0 ~dst:2;
+  TN.run net ~for_:(Time.sec 2.);
+  checki "delivered" 1 (TN.delivered net);
+  let before = List.length !sent in
+  checkb "discovery sent control" true (before > 0);
+  TN.run net ~for_:(Time.sec 20.);
+  checki "none while idle" before (List.length !sent)
+
+(* A break on an idle route goes unnoticed — nothing probes the link —
+   until the route times out: the destination's reply grants 6 s. *)
+let silent_break_expires () =
+  let _, net = make_net 3 in
+  TN.connect_chain net [ 0; 1; 2 ];
+  TN.origin net ~src:0 ~dst:2;
+  TN.run net ~for_:(Time.sec 2.);
+  TN.disconnect net 1 2;
+  TN.run net ~for_:(Time.sec 3.);
+  checkb "stale relay route at 5 s" true
     ((TN.agent net 1).Routing.Agent.successor (n 2) = Some (n 2));
-  (* Break 1-2 with no traffic flowing: only hellos can notice. *)
-  TN.disconnect net 1 2;
-  TN.run net ~for_:(Time.sec 6.);
-  checkb "hello timeout invalidated the route" true
-    ((TN.agent net 1).Routing.Agent.successor (n 2) = None)
-
-let no_hello_no_detection () =
-  (* Control experiment: with hellos off and a long lifetime, the silent
-     break goes unnoticed. *)
-  let config =
-    {
-      Aodv.default_config with
-      use_hello = false;
-      active_route_timeout = Time.sec 60.;
-      my_route_timeout = Time.sec 60.;
-    }
-  in
-  let _, net = make_net ~config 3 in
-  TN.connect_chain net [ 0; 1; 2 ];
-  TN.origin net ~src:0 ~dst:2;
+  checkb "stale origin route at 5 s" true
+    ((TN.agent net 0).Routing.Agent.successor (n 2) = Some (n 1));
   TN.run net ~for_:(Time.sec 2.);
-  TN.disconnect net 1 2;
-  TN.run net ~for_:(Time.sec 6.);
-  checkb "stale route survives silently" true
-    ((TN.agent net 1).Routing.Agent.successor (n 2) = Some (n 2))
-
-let hello_refreshes_neighbor_route () =
-  let config =
-    { Aodv.default_config with use_hello = true;
-      active_route_timeout = Time.sec 3.; my_route_timeout = Time.sec 3. }
-  in
-  let _, net = make_net ~config 3 in
-  TN.connect_chain net [ 0; 1; 2 ];
-  TN.origin net ~src:0 ~dst:2;
-  TN.run net ~for_:(Time.sec 2.);
-  (* Idle well past the route timeout: the 1-hop neighbor routes stay
-     alive through hellos. *)
-  TN.run net ~for_:(Time.sec 10.);
-  checkb "neighbor route kept fresh" true
-    ((TN.agent net 1).Routing.Agent.successor (n 2) <> None)
+  checkb "relay route expired at 7 s" true
+    ((TN.agent net 1).Routing.Agent.successor (n 2) = None);
+  checkb "origin route expired at 7 s" true
+    ((TN.agent net 0).Routing.Agent.successor (n 2) = None)
 
 let loop_freedom_prop =
   QCheck.Test.make ~name:"AODV loop-free under random churn" ~count:20
@@ -230,14 +228,14 @@ let () =
             reverse_route_built_by_rreq;
           Alcotest.test_case "expanding ring" `Quick expanding_ring_eventually_reaches;
           Alcotest.test_case "intermediate reply" `Quick intermediate_node_replies;
-          Alcotest.test_case "data ttl" `Quick data_ttl_guard;
+          Alcotest.test_case "data ttl" `Quick
+            (Discovery_cases.ttl_guard (Aodv.factory ()));
           Alcotest.test_case "reset mid-discovery" `Quick
             (Discovery_cases.reset_mid_discovery (Aodv.factory ()));
-          Alcotest.test_case "hello detects silent break" `Quick
-            hello_detects_silent_break;
-          Alcotest.test_case "no hello, no detection" `Quick no_hello_no_detection;
-          Alcotest.test_case "hello refreshes neighbors" `Quick
-            hello_refreshes_neighbor_route;
+          Alcotest.test_case "link feedback detects break" `Quick
+            link_feedback_detects_break;
+          Alcotest.test_case "idle sends no control" `Quick idle_sends_no_control;
+          Alcotest.test_case "silent break expires" `Quick silent_break_expires;
           qt loop_freedom_prop;
         ] );
     ]

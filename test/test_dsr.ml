@@ -161,7 +161,7 @@ let reply_from_cache () =
     (Experiment.Metrics.event_count (TN.metrics net) "rrep_init" >= 2)
 
 let draft7_variant_disables_cache_replies () =
-  let config = { Dsr.default_config with reply_from_cache = false } in
+  let config = { Dsr.reply_from_cache = false } in
   let _, net = make_net ~config 5 in
   TN.connect_chain net [ 0; 1; 2; 3 ];
   TN.origin net ~src:0 ~dst:3;
@@ -196,31 +196,6 @@ let route_shortening_gratuitous_rrep () =
   checki "delivered" 2 (TN.delivered net);
   checkb "second packet took the 1-hop shortcut" true
     (abs_float (Experiment.Metrics.mean_hops (TN.metrics net) -. 1.5) < 1e-9)
-
-let shortening_disabled_keeps_route () =
-  let config = { Dsr.default_config with route_shortening = false } in
-  let _, net = make_net ~config 3 in
-  TN.connect_chain net [ 0; 1; 2 ];
-  TN.origin net ~src:0 ~dst:2;
-  TN.run net ~for_:(Time.sec 2.);
-  TN.connect net 0 2;
-  let data =
-    Packets.Data_msg.fresh ~flow_id:999 ~seq:0 ~src:(n 0) ~dst:(n 2)
-      ~payload_bytes:512 ~origin_time:Time.zero
-  in
-  let payload =
-    Packets.Payload.Dsr
-      (Packets.Dsr_msg.Data
-         { sr_remaining = [ n 2 ]; full_route = [ n 0; n 1; n 2 ]; data;
-           salvage = 0 })
-  in
-  (TN.agent net 2).Routing.Agent.overheard payload ~from:(n 0)
-    ~dst:(Net.Frame.Unicast (n 1));
-  TN.run net ~for_:(Time.ms 100.);
-  TN.origin net ~src:0 ~dst:2;
-  TN.run net ~for_:(Time.sec 1.);
-  checkb "still two hops each" true
-    (abs_float (Experiment.Metrics.mean_hops (TN.metrics net) -. 2.) < 1e-9)
 
 let no_loops_in_source_routes_prop =
   (* Composed cache replies must never produce a route visiting a node
@@ -266,7 +241,6 @@ let () =
           Alcotest.test_case "reply from cache" `Quick reply_from_cache;
           Alcotest.test_case "draft7 variant" `Quick draft7_variant_disables_cache_replies;
           Alcotest.test_case "route shortening" `Quick route_shortening_gratuitous_rrep;
-          Alcotest.test_case "shortening disabled" `Quick shortening_disabled_keeps_route;
           Alcotest.test_case "partitioned fails" `Quick
             (Discovery_cases.gives_up (Dsr.factory ()));
           Alcotest.test_case "reset mid-discovery" `Quick

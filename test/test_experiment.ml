@@ -19,14 +19,7 @@ let small_scenario ?(protocol = Scenario.ldr) ?(seed = 7) ?(audit = false)
     speed_max;
     pause = Time.sec 0.;
     duration = Time.sec duration;
-    traffic =
-      {
-        Traffic.num_flows = flows;
-        packets_per_sec = 4.;
-        payload_bytes = 512;
-        mean_flow_duration = Time.sec duration;
-        startup_window = Time.sec 2.;
-      };
+    traffic = { Traffic.num_flows = flows; packets_per_sec = 4. };
     protocol;
     net = Net.Params.default;
     seed;

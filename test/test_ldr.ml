@@ -101,7 +101,7 @@ let lifetime = Time.sec 100.
 
 let rt_install_and_invariants () =
   let _, t = table () in
-  (match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:3
+  (match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:3
            ~via:(n 1) ~lifetime with
   | `Installed -> ()
   | _ -> Alcotest.fail "fresh install");
@@ -114,25 +114,25 @@ let rt_install_and_invariants () =
 
 let rt_fd_ratchets_down () =
   let _, t = table () in
-  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:5 ~via:(n 1) ~lifetime);
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:5 ~via:(n 1) ~lifetime);
   (* Shorter same-number advert accepted; fd follows down. *)
-  (match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 2) ~lifetime with
+  (match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 2) ~lifetime with
   | `Installed -> ()
   | _ -> Alcotest.fail "shorter accepted");
   let e = Option.get (Route_table.find t (n 9)) in
   checki "dist" 3 e.dist;
   checki "fd ratcheted" 3 e.fd;
   (* Longer same-number advert from a third node: rejected (NDC). *)
-  (match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 3) ~lifetime with
+  (match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 3) ~lifetime with
   | `Rejected -> ()
   | _ -> Alcotest.fail "longer rejected");
   checki "fd unchanged" 3 e.fd
 
 let rt_seqnum_resets_fd () =
   let _, t = table () in
-  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1) ~lifetime);
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1) ~lifetime);
   (* Newer number with longer distance: accepted, fd resets upward. *)
-  (match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 1) ~adv_dist:7 ~via:(n 2) ~lifetime with
+  (match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 1) ~adv_dist:7 ~via:(n 2) ~lifetime with
   | `Installed -> ()
   | _ -> Alcotest.fail "newer sn accepted");
   let e = Option.get (Route_table.find t (n 9)) in
@@ -142,11 +142,11 @@ let rt_seqnum_resets_fd () =
 
 let rt_stable_path_rule () =
   let _, t = table () in
-  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 1) ~lifetime);
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 1) ~lifetime);
   (* Equal-length NDC-acceptable alternative (adv_dist < fd? 4 < 5 no...).
      Use: current dist 5 fd 5; competitor advert dist 4 => new dist 5, not
      shorter => stable-path keeps successor 1. *)
-  (match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 2) ~lifetime with
+  (match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:4 ~via:(n 2) ~lifetime with
   | `Rejected -> ()
   | _ -> Alcotest.fail "same-length switch refused");
   let e = Option.get (Route_table.find t (n 9)) in
@@ -154,7 +154,7 @@ let rt_stable_path_rule () =
 
 let rt_invalidate_keeps_invariants () =
   let _, t = table () in
-  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 3) ~adv_dist:2 ~via:(n 1) ~lifetime);
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 3) ~adv_dist:2 ~via:(n 1) ~lifetime);
   Route_table.invalidate t (n 9);
   checkb "no successor" true (Route_table.successor t (n 9) = None);
   let e = Option.get (Route_table.find t (n 9)) in
@@ -162,23 +162,36 @@ let rt_invalidate_keeps_invariants () =
   checki "fd kept" 3 e.fd;
   (* A same-number advert no better than fd is still rejected after
      invalidation — the invariant persists across failures. *)
-  match Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 3) ~adv_dist:3 ~via:(n 2) ~lifetime with
+  match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 3) ~adv_dist:3 ~via:(n 2) ~lifetime with
   | `Rejected -> ()
   | _ -> Alcotest.fail "post-invalidation feasibility still enforced"
 
 let rt_invalidate_via () =
   let _, t = table () in
-  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 8) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1) ~lifetime);
-  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 1) ~lifetime);
-  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 7) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 2) ~lifetime);
-  let dead, promoted = Route_table.invalidate_via t (n 1) in
+  ignore (Route_table.apply_advert t ~dst:(n 8) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1) ~lifetime);
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 1) ~lifetime);
+  ignore (Route_table.apply_advert t ~dst:(n 7) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 2) ~lifetime);
+  let dead = Route_table.invalidate_via t (n 1) in
   checki "two routes died" 2 (List.length dead);
-  checki "nothing promoted without multipath" 0 (List.length promoted);
   checkb "7 survived" true (Route_table.successor t (n 7) <> None)
+
+(* A RERR from a neighbor kills only the route through it. *)
+let rt_fail_route () =
+  let _, t = table () in
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1) ~lifetime);
+  checkb "other neighbor: untouched" true
+    (Route_table.fail_route t (n 9) ~via:(n 2) = `Untouched);
+  checkb "unknown destination: untouched" true
+    (Route_table.fail_route t (n 8) ~via:(n 1) = `Untouched);
+  checkb "successor: invalidated" true
+    (Route_table.fail_route t (n 9) ~via:(n 1) = `Invalidated);
+  checkb "no successor left" true (Route_table.successor t (n 9) = None);
+  checkb "already invalid: untouched" true
+    (Route_table.fail_route t (n 9) ~via:(n 1) = `Untouched)
 
 let rt_expiry () =
   let engine, t = table () in
-  ignore (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1)
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1)
             ~lifetime:(Time.sec 3.));
   ignore
     (Engine.at engine (Time.sec 2.) (fun () ->
@@ -195,6 +208,104 @@ let rt_expiry () =
          checkb "successor hides expired" true (Route_table.successor t (n 9) = None)));
   Engine.run engine
 
+(* The remaining lifetime counts down with the clock; a refresh never
+   shortens it; an expired entry keeps its invariants. *)
+let rt_remaining_lifetime () =
+  let engine, t = table () in
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 2) ~adv_dist:1 ~via:(n 1)
+            ~lifetime:(Time.sec 3.));
+  let e = Option.get (Route_table.find t (n 9)) in
+  checkb "full lifetime at install" true
+    (Time.equal (Route_table.remaining_lifetime t e) (Time.sec 3.));
+  ignore
+    (Engine.at engine (Time.sec 2.) (fun () ->
+         checkb "one second left" true
+           (Time.equal (Route_table.remaining_lifetime t e) (Time.sec 1.));
+         Route_table.refresh t e ~lifetime:(Time.ms 500.);
+         checkb "shorter refresh ignored" true
+           (Time.equal (Route_table.remaining_lifetime t e) (Time.sec 1.))));
+  ignore
+    (Engine.at engine (Time.sec 5.) (fun () ->
+         checkb "none left" true
+           (Time.equal (Route_table.remaining_lifetime t e) Time.zero);
+         checkb "inactive" false (Route_table.is_active t e);
+         checkb "sn kept" true (Seqnum.equal e.sn (sn 0 2));
+         checki "fd kept" 2 e.fd));
+  Engine.run engine
+
+(* Each dead route is reported once: a second loss of the same neighbor
+   finds nothing left to invalidate. *)
+let rt_invalidate_via_once () =
+  let _, t = table () in
+  ignore (Route_table.apply_advert t ~dst:(n 8) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1) ~lifetime);
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 1) ~lifetime);
+  Route_table.invalidate t (n 8);
+  checkb "only the live route" true
+    (List.map Node_id.to_int (Route_table.invalidate_via t (n 1)) = [ 9 ]);
+  checkb "nothing twice" true (Route_table.invalidate_via t (n 1) = []);
+  checkb "unknown neighbor" true (Route_table.invalidate_via t (n 5) = [])
+
+(* The stable-path rule guards only an active route: once invalidated,
+   an equal-length feasible route through another neighbor is taken. *)
+let rt_equal_length_after_invalidation () =
+  let _, t = table () in
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 1) ~lifetime);
+  Route_table.invalidate t (n 9);
+  (match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 2) ~lifetime with
+  | `Installed -> ()
+  | _ -> Alcotest.fail "equal-length route taken");
+  checkb "new successor" true (Route_table.successor t (n 9) = Some (n 2));
+  checki "fd" 3 (Option.get (Route_table.find t (n 9))).fd
+
+(* Likewise once the route has expired. *)
+let rt_expired_route_replaced () =
+  let engine, t = table () in
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 1)
+            ~lifetime:(Time.sec 1.));
+  ignore
+    (Engine.at engine (Time.sec 2.) (fun () ->
+         match Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2
+                 ~via:(n 2) ~lifetime with
+         | `Installed ->
+             checkb "new successor" true (Route_table.successor t (n 9) = Some (n 2))
+         | _ -> Alcotest.fail "route after expiry taken"));
+  Engine.run engine
+
+(* Table writes seen on the bus, as (dst, old successor, new successor). *)
+let observed_table () =
+  let engine = Engine.create () in
+  let bus = Obs.Bus.create () in
+  let writes = ref [] in
+  Obs.Bus.add_sink bus (fun ev ->
+      if ev.Obs.Event.kind = Obs.Event.Table_write then
+        writes := (ev.a, ev.b, ev.c) :: !writes);
+  (Route_table.create ~obs:bus ~owner:5 ~engine (), writes)
+
+(* Every structural write is on the bus; a rejected advert or a repeated
+   invalidation writes nothing. *)
+let rt_writes_observed () =
+  let t, writes = observed_table () in
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 1) ~lifetime);
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:2 ~via:(n 2) ~lifetime);
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:0 ~via:(n 2) ~lifetime);
+  Route_table.invalidate t (n 9);
+  Route_table.invalidate t (n 9);
+  checkb "install, switch, invalidate" true
+    (List.rev !writes = [ (9, -1, 1); (9, 1, 2); (9, 2, -1) ])
+
+(* Churn teardown empties the table and reports every live successor
+   going away, and nothing for a route already invalid. *)
+let rt_clear_observed () =
+  let t, writes = observed_table () in
+  ignore (Route_table.apply_advert t ~dst:(n 8) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 1) ~lifetime);
+  ignore (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 0) ~adv_dist:1 ~via:(n 2) ~lifetime);
+  Route_table.invalidate t (n 8);
+  writes := [];
+  Route_table.clear t;
+  checkb "one teardown write" true (!writes = [ (9, 2, -1) ]);
+  checkb "8 gone" true (Route_table.find t (n 8) = None);
+  checkb "9 gone" true (Route_table.find t (n 9) = None)
+
 (* fd is non-increasing for a fixed sequence number under arbitrary
    NDC-accepted advertisement streams (the paper's key invariant). *)
 let rt_fd_monotone_prop =
@@ -207,7 +318,7 @@ let rt_fd_monotone_prop =
       List.iter
         (fun (counter, dist) ->
           ignore
-            (Route_table.apply_advert t ~lc:1 ~dst:(n 9) ~adv_sn:(sn 0 counter)
+            (Route_table.apply_advert t ~dst:(n 9) ~adv_sn:(sn 0 counter)
                ~adv_dist:dist ~via:(n (1 + (dist mod 3))) ~lifetime);
           match Route_table.find t (n 9) with
           | None -> ()
@@ -221,11 +332,10 @@ let rt_fd_monotone_prop =
 
 (* ---- Protocol behaviour over the test network ---------------------------- *)
 
-let make_net ?(config = Config.default) k =
+let make_net k =
   let engine = Engine.create ~seed:3 () in
   let net =
-    Experiment.Testnet.create ~engine ~factory:(Protocol.factory ~config ()) ~n:k
-      ()
+    Experiment.Testnet.create ~engine ~factory:(Protocol.factory ()) ~n:k ()
   in
   (engine, net)
 
@@ -387,11 +497,49 @@ let request_as_error_invalidates () =
   checkb "1's route via 2 invalidated" true
     (match e with Some e -> e.next_hop <> Some (n 2) | None -> true)
 
+(* The answering distance an origin asks for in a rediscovery, once its
+   feasible distance to the destination is known (fd 10 down an 11-node
+   chain): the paper's reduced-distance optimization lowers it to
+   floor(0.8 fd) = 8; without it the request carries fd itself.  Node 0's
+   [ctx.send] is wrapped to capture its own RREQs. *)
+let rediscovery_bound ~config =
+  let engine = Engine.create ~seed:3 () in
+  let sent = ref [] in
+  let capture (ctx : Routing.Agent.ctx) =
+    let send ~dst p =
+      (match p with
+      | Payload.Ldr (Ldr_msg.Rreq r) when Node_id.equal r.origin ctx.id ->
+          sent := r :: !sent
+      | _ -> ());
+      ctx.send ~dst p
+    in
+    Protocol.factory ~config () { ctx with send }
+  in
+  let factories =
+    Array.init 11 (fun i -> if i = 0 then capture else Protocol.factory ~config ())
+  in
+  let net = TN.create_custom ~engine ~factories () in
+  TN.connect_chain net (List.init 11 Fun.id);
+  TN.origin net ~src:0 ~dst:10;
+  TN.run net ~for_:(Time.sec 5.);
+  checki "first delivered" 1 (TN.delivered net);
+  (* Idle past the 3 s active-route timeout: the route expires, its fd
+     stays, and the next packet rediscovers. *)
+  TN.run net ~for_:(Time.sec 4.);
+  sent := [];
+  TN.origin net ~src:0 ~dst:10;
+  TN.run net ~for_:(Time.sec 5.);
+  checki "second delivered" 2 (TN.delivered net);
+  match List.rev !sent with
+  | [] -> Alcotest.fail "no rediscovery RREQ"
+  | r :: _ ->
+      checki "requested fd" 10 r.Ldr_msg.fd;
+      r.Ldr_msg.answer_dist
+
 let reduced_distance_lowers_bound () =
-  (* Behavioural check through a chain: with reduction on, after a break
-     the immediate upstream node (dist = fd) cannot answer, so discovery
-     reaches deeper. Covered by t_bit tests; here assert config default. *)
-  checkb "enabled by default" true Config.default.opt_reduced_distance
+  checki "floor(0.8 fd) with the optimization" 8
+    (rediscovery_bound ~config:Config.default);
+  checki "fd without it" 10 (rediscovery_bound ~config:Config.plain)
 
 let buffered_packets_flushed_in_order () =
   let _, net = make_net 3 in
@@ -403,29 +551,69 @@ let buffered_packets_flushed_in_order () =
   TN.run net ~for_:(Time.sec 3.);
   checki "all three delivered" 3 (TN.delivered net)
 
-let data_ttl_guards () =
-  (* Degenerate single-link loop cannot happen in LDR, but the TTL guard
-     must exist: forwarding decrements and eventually drops. *)
-  let config = { Config.default with data_ttl = 2 } in
-  let _, net = make_net ~config 5 in
+(* Distances count hops: after one discovery down a chain every node
+   holds the hop count to both ends, with fd equal to it. *)
+let distances_count_hops () =
+  let _, net, dbg = make_net_debug 5 in
   TN.connect_chain net [ 0; 1; 2; 3; 4 ];
   TN.origin net ~src:0 ~dst:4;
-  TN.run net ~for_:(Time.sec 10.);
-  checki "too far for ttl 2" 0 (TN.delivered net);
-  let drops = Experiment.Metrics.drops_by_reason (TN.metrics net) in
-  checkb "ttl-expired recorded" true (List.mem_assoc "ttl-expired" drops)
+  TN.run net ~for_:(Time.sec 2.);
+  checki "delivered" 1 (TN.delivered net);
+  let check_entry i ~dst hops =
+    match Route_table.find (dbg i).Protocol.table (n dst) with
+    | None -> Alcotest.failf "node %d has no entry for %d" i dst
+    | Some e ->
+        checki (Printf.sprintf "dist %d->%d" i dst) hops e.dist;
+        checki (Printf.sprintf "fd %d->%d" i dst) hops e.fd
+  in
+  for i = 0 to 3 do check_entry i ~dst:4 (4 - i) done;
+  for i = 1 to 4 do check_entry i ~dst:0 i done
+
+(* The destination advertises its own route for the 6 s my-route
+   timeout, and the origin's route, installed from that reply, lives
+   exactly that long once the traffic stops.  Node 2's [ctx.send] is
+   wrapped to capture its replies. *)
+let destination_reply_lifetime () =
+  let engine = Engine.create ~seed:3 () in
+  let replies = ref [] in
+  let capture (ctx : Routing.Agent.ctx) =
+    let send ~dst p =
+      (match p with
+      | Payload.Ldr (Ldr_msg.Rrep r) when Node_id.equal r.dst ctx.id ->
+          replies := r :: !replies
+      | _ -> ());
+      ctx.send ~dst p
+    in
+    Protocol.factory () { ctx with send }
+  in
+  let factories =
+    Array.init 3 (fun i -> if i = 2 then capture else Protocol.factory ())
+  in
+  let net = TN.create_custom ~engine ~factories () in
+  TN.connect_chain net [ 0; 1; 2 ];
+  TN.origin net ~src:0 ~dst:2;
+  TN.run net ~for_:(Time.sec 5.);
+  checki "delivered" 1 (TN.delivered net);
+  (match !replies with
+  | [ r ] ->
+      checkb "my-route timeout" true (Time.equal r.Ldr_msg.lifetime (Time.sec 6.));
+      checki "zero distance" 0 r.Ldr_msg.dist
+  | l -> Alcotest.failf "%d destination replies" (List.length l));
+  checkb "route alive at 5 s" true ((TN.agent net 0).Routing.Agent.successor (n 2) = Some (n 1));
+  TN.run net ~for_:(Time.sec 2.);
+  checkb "route expired at 7 s" true ((TN.agent net 0).Routing.Agent.successor (n 2) = None)
 
 (* The flagship property: random topologies, random churn, random traffic
    — after every event the successor graph is loop-free. *)
-let loop_freedom_prop =
-  QCheck.Test.make ~name:"LDR loop-free under random churn" ~count:25
+let loop_freedom_prop ~name ~config =
+  QCheck.Test.make ~name ~count:25
     QCheck.(int_bound 10_000)
     (fun seed ->
       let engine = Engine.create ~seed () in
       let k = 8 in
       let net =
-        Experiment.Testnet.create ~engine ~factory:(Protocol.factory ()) ~n:k
-          ()
+        Experiment.Testnet.create ~engine ~factory:(Protocol.factory ~config ())
+          ~n:k ()
       in
       let rng = Rng.create (seed * 7) in
       (* Random initial topology, reasonably dense. *)
@@ -557,7 +745,15 @@ let () =
           Alcotest.test_case "invalidation keeps invariants" `Quick
             rt_invalidate_keeps_invariants;
           Alcotest.test_case "invalidate via neighbor" `Quick rt_invalidate_via;
+          Alcotest.test_case "fail route" `Quick rt_fail_route;
           Alcotest.test_case "expiry and refresh" `Quick rt_expiry;
+          Alcotest.test_case "remaining lifetime" `Quick rt_remaining_lifetime;
+          Alcotest.test_case "invalidate via reports once" `Quick rt_invalidate_via_once;
+          Alcotest.test_case "equal length after invalidation" `Quick
+            rt_equal_length_after_invalidation;
+          Alcotest.test_case "expired route replaced" `Quick rt_expired_route_replaced;
+          Alcotest.test_case "writes observed" `Quick rt_writes_observed;
+          Alcotest.test_case "clear observed" `Quick rt_clear_observed;
           qt rt_fd_monotone_prop;
         ] );
       ( "protocol",
@@ -574,10 +770,20 @@ let () =
           Alcotest.test_case "request as error" `Quick request_as_error_invalidates;
           Alcotest.test_case "reduced distance config" `Quick reduced_distance_lowers_bound;
           Alcotest.test_case "buffer flush" `Quick buffered_packets_flushed_in_order;
-          Alcotest.test_case "data ttl" `Quick data_ttl_guards;
+          Alcotest.test_case "data ttl" `Quick
+            (Discovery_cases.ttl_guard (Protocol.factory ()));
           Alcotest.test_case "reset mid-discovery" `Quick
             (Discovery_cases.reset_mid_discovery (Protocol.factory ()));
-          qt loop_freedom_prop;
+          Alcotest.test_case "distances count hops" `Quick distances_count_hops;
+          Alcotest.test_case "destination reply lifetime" `Quick
+            destination_reply_lifetime;
+          qt
+            (loop_freedom_prop ~name:"LDR loop-free under random churn"
+               ~config:Config.default);
+          (* Loop freedom rests on the conditions, not the optimizations. *)
+          qt
+            (loop_freedom_prop ~name:"plain LDR loop-free under random churn"
+               ~config:Config.plain);
           qt ordering_criteria_prop;
         ] );
     ]

@@ -104,7 +104,7 @@ let ifq_releases () =
 
 let airtime_sanity () =
   (* 512+20 byte payload + 34B MAC overhead at 2 Mbps + 192us preamble. *)
-  let t = Net.Params.data_airtime ~payload_bytes:532 in
+  let t = Net.Params.frame_airtime ~bytes:(532 + Wire.Mac.data_overhead) in
   let expect_us = 192. +. (566. *. 8. /. 2.) in
   checkb "data airtime" true (abs_float (Time.to_us t -. expect_us) < 1.);
   checkb "ack shorter" true Time.(Net.Params.ack_airtime < t);

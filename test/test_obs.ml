@@ -20,14 +20,7 @@ let scenario ?(seed = 7) ?(speed_max = 0.) ?(duration = 20.) ?(flows = 2)
     speed_max;
     pause = Time.sec 0.;
     duration = Time.sec duration;
-    traffic =
-      {
-        Traffic.num_flows = flows;
-        packets_per_sec = 4.;
-        payload_bytes = 512;
-        mean_flow_duration = Time.sec duration;
-        startup_window = Time.sec 2.;
-      };
+    traffic = { Traffic.num_flows = flows; packets_per_sec = 4. };
     protocol = Scenario.ldr;
     net = Net.Params.default;
     seed;

@@ -40,14 +40,7 @@ let small_scenario ?(seed = 7) ?(audit = false) ?(speed_max = 10.)
     speed_max;
     pause = Time.sec pause;
     duration = Time.sec duration;
-    traffic =
-      {
-        Traffic.num_flows = flows;
-        packets_per_sec = pps;
-        payload_bytes = 512;
-        mean_flow_duration = Time.sec duration;
-        startup_window = Time.sec 2.;
-      };
+    traffic = { Traffic.num_flows = flows; packets_per_sec = pps };
     protocol = Scenario.ldr;
     net = Net.Params.default;
     seed;

@@ -29,14 +29,7 @@ let two_clusters ?(seed = 11) () =
     speed_max = 0.;
     pause = Time.sec 0.;
     duration = Time.sec 10.;
-    traffic =
-      {
-        Traffic.num_flows = 3;
-        packets_per_sec = 4.;
-        payload_bytes = 512;
-        mean_flow_duration = Time.sec 8.;
-        startup_window = Time.sec 2.;
-      };
+    traffic = { Traffic.num_flows = 3; packets_per_sec = 4. };
     protocol = Scenario.ldr;
     net = Net.Params.default;
     seed;

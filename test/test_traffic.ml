@@ -15,19 +15,13 @@ let collect ?(seed = 1) ~config ~until () =
   Engine.run engine;
   List.rev !packets
 
-let base =
-  {
-    Traffic.num_flows = 5;
-    packets_per_sec = 4.;
-    payload_bytes = 512;
-    mean_flow_duration = Time.sec 20.;
-    startup_window = Time.sec 5.;
-  }
+let base = { Traffic.num_flows = 5; packets_per_sec = 4. }
 
 let emits_packets () =
   let pkts = collect ~config:base ~until:(Time.sec 60.) () in
   checkb "many packets" true (List.length pkts > 500);
-  (* 5 slots x 4pps x ~55s in expectation: bounded above. *)
+  (* 5 slots x 4pps x ~55s in expectation (starts staggered over the
+     first 10 s): bounded above. *)
   checkb "not absurdly many" true (List.length pkts < 5 * 4 * 62)
 
 let rate_is_respected () =
@@ -73,10 +67,9 @@ let src_dst_distinct () =
     pkts
 
 let flows_restart () =
-  (* With a short mean duration, flow ids climb well past the slot
-     count. *)
-  let config = { base with Traffic.mean_flow_duration = Time.sec 3. } in
-  let pkts = collect ~config ~until:(Time.sec 60.) () in
+  (* Over six mean flow durations (100 s each), flow ids climb well past
+     the slot count. *)
+  let pkts = collect ~config:base ~until:(Time.sec 600.) () in
   let max_flow =
     List.fold_left (fun acc (_, m, _) -> Stdlib.max acc m.Data_msg.flow_id) 0 pkts
   in
@@ -112,6 +105,50 @@ let concurrent_flow_count () =
     pkts;
   checkb "at most 5 concurrent" true (Hashtbl.length active <= 5)
 
+(* Every packet carries the paper's 512-byte payload, a full TTL and no
+   hops yet. *)
+let fresh_packets () =
+  let pkts = collect ~config:base ~until:(Time.sec 30.) () in
+  List.iter
+    (fun (_, m, _) ->
+      checki "payload" 512 m.Data_msg.payload_bytes;
+      checki "ttl" Data_msg.default_ttl m.Data_msg.ttl;
+      checki "hops" 0 m.Data_msg.hops)
+    pkts
+
+(* Slot i's first flow has id i and starts at its first packet; the
+   starts spread over the first 10 s. *)
+let starts_staggered () =
+  let slots = 40 in
+  let pkts =
+    collect ~config:{ base with num_flows = slots } ~until:(Time.sec 30.) ()
+  in
+  let starts =
+    List.filter_map
+      (fun (_, m, at) ->
+        if m.Data_msg.flow_id < slots && m.Data_msg.seq = 0 then Some at else None)
+      pkts
+  in
+  checki "every slot started" slots (List.length starts);
+  List.iter
+    (fun at -> checkb "within 10 s" true Time.(at < Time.sec 10.))
+    starts;
+  checkb "some start early" true (List.exists (fun at -> Time.(at < Time.sec 2.)) starts);
+  checkb "some start late" true (List.exists (fun at -> Time.(at > Time.sec 8.)) starts)
+
+(* Flow durations are exponential with a 100 s mean: 5 slots over
+   2000 s run about 5 x 2000 / 100 = 100 flows (standard deviation
+   about 10). *)
+let mean_flow_duration () =
+  let pkts =
+    collect ~config:{ base with packets_per_sec = 1. } ~until:(Time.sec 2000.) ()
+  in
+  let flows = Hashtbl.create 128 in
+  List.iter (fun (_, m, _) -> Hashtbl.replace flows m.Data_msg.flow_id ()) pkts;
+  let count = Hashtbl.length flows in
+  checkb (Printf.sprintf "%d flows in 70..130" count) true
+    (count >= 70 && count <= 130)
+
 (* A rate whose tick interval is not a positive number of nanoseconds
    would re-arm at one instant forever; setup rejects it up front.  At
    pps 0 the interval is infinite; at 3e9 it rounds to 0 ns (2e9 rounds
@@ -141,5 +178,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick deterministic_per_seed;
           Alcotest.test_case "concurrency bound" `Quick concurrent_flow_count;
           Alcotest.test_case "bad rate rejected" `Quick bad_rate_rejected;
+          Alcotest.test_case "fresh packets" `Quick fresh_packets;
+          Alcotest.test_case "starts staggered" `Quick starts_staggered;
+          Alcotest.test_case "mean flow duration" `Quick mean_flow_duration;
         ] );
     ]

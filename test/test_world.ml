@@ -32,14 +32,7 @@ let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(mobility = Scenario.Waypoint)
     speed_max = 10.;
     pause = Time.sec 0.;
     duration = Time.sec duration;
-    traffic =
-      {
-        Traffic.num_flows = 4;
-        packets_per_sec = 4.;
-        payload_bytes = 512;
-        mean_flow_duration = Time.sec duration;
-        startup_window = Time.sec 2.;
-      };
+    traffic = { Traffic.num_flows = 4; packets_per_sec = 4. };
     protocol;
     net = Net.Params.default;
     seed;
