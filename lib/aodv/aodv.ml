@@ -13,7 +13,6 @@ let default_config =
 let active_route_timeout = Time.sec 3.
 let my_route_timeout = Time.sec 6.
 let rreq_cache_ttl = Time.sec 6.
-let buffer_capacity = 64
 
 type route = {
   mutable sn : int option;  (** known destination sequence number *)
@@ -36,6 +35,9 @@ let discovery t = Lazy.force t.discovery
 let now t = Engine.now t.ctx.engine
 
 let entry t dst = Node_id.Table.find_opt t.table dst
+
+let next_is (r : route) n =
+  match r.next_hop with Some h -> Node_id.equal h n | None -> false
 
 let is_valid t (r : route) = r.next_hop <> None && Time.(r.expires > now t)
 
@@ -74,7 +76,7 @@ let update_route t ~dst ~sn ~hops ~via ~lifetime =
         | Some stored when sn < stored -> false
         | Some stored when sn = stored ->
             if (not (is_valid t r)) || hops < r.hops then install r
-            else if r.next_hop = Some via && hops = r.hops then begin
+            else if next_is r via && hops = r.hops then begin
               refresh t r;
               true
             end
@@ -122,13 +124,6 @@ let send_rreq t ~dst ~ttl ~rreq_id =
        })
 
 (* ---- Data plane -------------------------------------------------------- *)
-
-let origin_data t msg =
-  if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
-  else
-    match valid_entry t msg.Data_msg.dst with
-    | Some r -> forward_data t r msg
-    | None -> Routing.Discovery.hold (discovery t) msg
 
 let handle_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
@@ -249,7 +244,7 @@ let handle_rrep t (r : Aodv_msg.rrep) ~from =
 let invalidate_via t neighbor =
   Node_id.Table.fold
     (fun dst (r : route) acc ->
-      if r.next_hop = Some neighbor then begin
+      if next_is r neighbor then begin
         r.next_hop <- None;
         r.sn <- Some (match r.sn with Some s -> s + 1 | None -> 1);
         (dst, Option.get r.sn) :: acc
@@ -262,7 +257,7 @@ let handle_rerr t unreachable ~from =
     List.filter_map
       (fun (dst, sn) ->
         match entry t dst with
-        | Some r when r.next_hop = Some from ->
+        | Some r when next_is r from ->
             r.next_hop <- None;
             r.sn <- Some (Stdlib.max sn (match r.sn with Some s -> s | None -> 0));
             Some (dst, Option.get r.sn)
@@ -278,10 +273,7 @@ let link_failure t payload ~next_hop =
   let affected = invalidate_via t next_hop in
   if affected <> [] then t.ctx.table_changed ();
   (match payload with
-  | Payload.Data msg ->
-      if Node_id.equal msg.Data_msg.src t.ctx.id then
-        Routing.Discovery.hold (discovery t) msg
-      else t.ctx.drop_data msg ~reason:"link-failure"
+  | Payload.Data msg -> Routing.Discovery.rescue (discovery t) msg
   | Payload.Ldr _ | Payload.Aodv _ | Payload.Dsr _ | Payload.Olsr _ -> ());
   broadcast_rerr t affected
 
@@ -328,7 +320,8 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
       own_sn = 0;
       discovery =
         lazy
-          (Routing.Discovery.create ctx ~capacity:buffer_capacity
+          (Routing.Discovery.create ctx
+             ~capacity:Routing.Discovery.buffer_capacity
              ~max_age:Routing.Discovery.buffer_max_age
              ~schedule:(fun _ -> schedule)
              ~route:(valid_entry t) ~forward:(forward_data t)
@@ -336,11 +329,10 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
     }
   in
   {
-    RA.origin_data = (fun msg -> origin_data t msg);
+    RA.null with
+    origin_data = (fun msg -> Routing.Discovery.originate (discovery t) msg);
     recv = (fun payload ~from -> recv t payload ~from);
-    overheard = (fun _ ~from:_ ~dst:_ -> ());
     link_failure = (fun payload ~next_hop -> link_failure t payload ~next_hop);
-    start = (fun () -> ());
     successor =
       (fun dst ->
         if Node_id.equal dst ctx.id then None
@@ -349,7 +341,6 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
           | Some r -> r.next_hop
           | None -> None);
     own_seqno = (fun () -> float_of_int t.own_sn);
-    invariants = (fun _ -> None);
     route_stats = (fun () -> (Node_id.Table.length t.table, 0, 0));
     reset = (fun ~crash -> reset t ~crash);
   }

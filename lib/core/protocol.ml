@@ -6,7 +6,6 @@ let name = "ldr"
 
 let active_route_timeout = Time.sec 3.  (* route freshness window *)
 let my_route_timeout = Time.sec 6.  (* lifetime advertised for oneself *)
-let buffer_capacity = 64
 
 (* How long engaged-state / duplicate entries persist. *)
 let rreq_cache_ttl = Time.sec 6.
@@ -133,13 +132,6 @@ let send_rreq t ~dst ~ttl ~rreq_id =
        })
 
 (* ---- Data plane ------------------------------------------------------- *)
-
-let origin_data t msg =
-  if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
-  else
-    match Route_table.active t.table msg.Data_msg.dst with
-    | Some e -> forward_data t e msg
-    | None -> Routing.Discovery.hold (discovery t) msg
 
 let handle_data t msg ~from:_ =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
@@ -441,10 +433,7 @@ let link_failure t payload ~next_hop =
          origin holds it and rediscovers, relays shed it. *)
       match Route_table.active t.table msg.Data_msg.dst with
       | Some e -> forward_data t e msg
-      | None ->
-          if Node_id.equal msg.Data_msg.src t.ctx.id then
-            Routing.Discovery.hold (discovery t) msg
-          else t.ctx.drop_data msg ~reason:"link-failure")
+      | None -> Routing.Discovery.rescue (discovery t) msg)
   | Payload.Ldr _ | Payload.Aodv _ | Payload.Dsr _ | Payload.Olsr _ -> ());
   let with_sns =
     List.map
@@ -507,7 +496,8 @@ let make ?(config = Config.default) (ctx : RA.ctx) =
       own_increments = 0;
       discovery =
         lazy
-          (Routing.Discovery.create ctx ~capacity:buffer_capacity
+          (Routing.Discovery.create ctx
+             ~capacity:Routing.Discovery.buffer_capacity
              ~max_age:Routing.Discovery.buffer_max_age
              ~schedule:(ring_schedule t)
              ~route:(Route_table.active t.table) ~forward:(forward_data t)
@@ -516,11 +506,10 @@ let make ?(config = Config.default) (ctx : RA.ctx) =
   in
   let agent =
     {
-      RA.origin_data = (fun msg -> origin_data t msg);
+      RA.null with
+      origin_data = (fun msg -> Routing.Discovery.originate (discovery t) msg);
       recv = (fun payload ~from -> recv t payload ~from);
-      overheard = (fun _ ~from:_ ~dst:_ -> ());
       link_failure = (fun payload ~next_hop -> link_failure t payload ~next_hop);
-      start = (fun () -> ());
       successor =
         (fun dst ->
           if Node_id.equal dst ctx.id then None

@@ -14,7 +14,6 @@ let cache_ttl = Time.sec 300.
 let nonprop_timeout = Time.ms 100.  (* wait after the TTL-1 request *)
 let flood_timeout = Time.ms 500.  (* base timeout, doubled per retry *)
 let max_flood_attempts = 4
-let buffer_capacity = 64
 let flood_jitter = Time.ms 10.
 let max_salvage = 3
 
@@ -65,13 +64,6 @@ let send_rreq t ~dst ~ttl ~rreq_id =
 
 (* ---- Data plane -------------------------------------------------------- *)
 
-let origin_data t msg =
-  if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
-  else
-    match Route_cache.find t.cache ~dst:msg.Data_msg.dst with
-    | Some hops -> send_data_via t hops msg ~salvage:0
-    | None -> Routing.Discovery.hold (discovery t) msg
-
 let handle_data t ~sr_remaining ~full_route ~data ~salvage =
   (* Forwarding is purely header-driven; caches also learn the route the
      packet is following. *)
@@ -92,23 +84,25 @@ let reverse_path_to_origin (r : Dsr_msg.rreq) =
   (* Path the reply retraces: last relay first, origin last. *)
   List.rev (r.origin :: r.route)
 
-let send_rrep t ~full_route ~sr (rrep : Dsr_msg.rrep) =
-  match sr with
-  | [] ->
-      (* Reply to a one-hop neighbor request. *)
-      ignore full_route;
-      assert false
+(* Answer [r] with [full_route], retracing the request's path. *)
+let send_rrep t (r : Dsr_msg.rreq) full_route =
+  match reverse_path_to_origin r with
+  | [] -> assert false (* the path always ends at the origin *)
   | next :: rest ->
       t.ctx.event "rrep_init";
       send_dsr t ~dst:(Net.Frame.Unicast next)
-        (Dsr_msg.Rrep { sr_remaining = rest; rrep })
+        (Dsr_msg.Rrep
+           {
+             sr_remaining = rest;
+             rrep = { Dsr_msg.origin = r.origin; dst = r.dst; full_route };
+           })
 
 (* [List.exists (Node_id.equal self)], without the partial application. *)
 let rec on_route self = function
   | [] -> false
   | n :: rest -> Node_id.equal n self || on_route self rest
 
-let handle_rreq t (r : Dsr_msg.rreq) ~from =
+let handle_rreq t (r : Dsr_msg.rreq) =
   let self = t.ctx.id in
   if Node_id.equal r.origin self then ()
   else if on_route self r.route then ()
@@ -116,16 +110,11 @@ let handle_rreq t (r : Dsr_msg.rreq) ~from =
   then ()
   else begin
     Routing.Rreq_cache.add t.seen ~origin:r.origin ~rreq_id:r.rreq_id ();
-    ignore from;
     (* Links are symmetric, so the accumulated route read backwards is a
        route to the origin. *)
     Route_cache.add_path t.cache (self :: reverse_path_to_origin r);
-    if Node_id.equal r.dst self then begin
-      let full_route = (r.origin :: r.route) @ [ self ] in
-      send_rrep t ~full_route
-        ~sr:(reverse_path_to_origin r)
-        { Dsr_msg.origin = r.origin; dst = r.dst; full_route }
-    end
+    if Node_id.equal r.dst self then
+      send_rrep t r ((r.origin :: r.route) @ [ self ])
     else begin
       let cached =
         if t.cfg.reply_from_cache then Route_cache.find t.cache ~dst:r.dst
@@ -136,10 +125,7 @@ let handle_rreq t (r : Dsr_msg.rreq) ~from =
         when Route_cache.distinct ((r.origin :: r.route) @ (self :: hops)) ->
           (* Reply from cache: splice our cached suffix onto the
              accumulated prefix, provided the result is loop-free. *)
-          let full_route = (r.origin :: r.route) @ (self :: hops) in
-          send_rrep t ~full_route
-            ~sr:(reverse_path_to_origin r)
-            { Dsr_msg.origin = r.origin; dst = r.dst; full_route }
+          send_rrep t r ((r.origin :: r.route) @ (self :: hops))
       | Some _ | None ->
           if r.ttl > 1 then begin
             let relayed =
@@ -209,30 +195,23 @@ let link_failure t payload ~next_hop =
       match Route_cache.find t.cache ~dst:data.Data_msg.dst with
       | Some hops when salvage < max_salvage ->
           send_data_via t hops data ~salvage:(salvage + 1)
-      | Some _ | None ->
-          if Node_id.equal data.Data_msg.src t.ctx.id then
-            Routing.Discovery.hold (discovery t) data
-          else t.ctx.drop_data data ~reason:"link-failure")
+      | Some _ | None -> Routing.Discovery.rescue (discovery t) data)
   | Payload.Dsr _ | Payload.Data _ | Payload.Ldr _ | Payload.Aodv _
   | Payload.Olsr _ ->
       ()
 
 (* ---- Wiring ------------------------------------------------------------ *)
 
-let recv t payload ~from =
+let recv t payload ~from:_ =
   match payload with
-  | Payload.Dsr (Dsr_msg.Rreq r) -> handle_rreq t r ~from
+  | Payload.Dsr (Dsr_msg.Rreq r) -> handle_rreq t r
   | Payload.Dsr (Dsr_msg.Rrep { sr_remaining; rrep }) ->
       handle_rrep t ~sr_remaining ~rrep
   | Payload.Dsr (Dsr_msg.Rerr { sr_remaining; rerr }) ->
       handle_rerr t ~sr_remaining ~rerr
   | Payload.Dsr (Dsr_msg.Data { sr_remaining; full_route; data; salvage }) ->
       handle_data t ~sr_remaining ~full_route ~data ~salvage
-  | Payload.Data data ->
-      (* Hop-by-hop data only reaches a DSR node in mixed-protocol unit
-         tests; treat as local delivery if ours. *)
-      if Node_id.equal data.Data_msg.dst t.ctx.id then t.ctx.deliver data
-  | Payload.Ldr _ | Payload.Aodv _ | Payload.Olsr _ -> ()
+  | Payload.Data _ | Payload.Ldr _ | Payload.Aodv _ | Payload.Olsr _ -> ()
 
 (* Split a route at the first occurrence of [x]: (prefix incl. x, rest). *)
 let split_at x route =
@@ -318,7 +297,8 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
       shortened = Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:(Time.sec 1.);
       discovery =
         lazy
-          (Routing.Discovery.create ctx ~capacity:buffer_capacity
+          (Routing.Discovery.create ctx
+             ~capacity:Routing.Discovery.buffer_capacity
              ~max_age:Routing.Discovery.buffer_max_age
              ~schedule:(fun _ -> schedule)
              ~route:(fun dst -> Route_cache.find t.cache ~dst)
@@ -327,14 +307,10 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
     }
   in
   {
-    RA.origin_data = (fun msg -> origin_data t msg);
+    RA.null with
+    origin_data = (fun msg -> Routing.Discovery.originate (discovery t) msg);
     recv = (fun payload ~from -> recv t payload ~from);
     overheard = (fun payload ~from ~dst -> overheard t payload ~from ~dst);
     link_failure = (fun payload ~next_hop -> link_failure t payload ~next_hop);
-    start = (fun () -> ());
-    successor = (fun _ -> None);
-    own_seqno = (fun () -> 0.);
-    invariants = (fun _ -> None);
-    route_stats = (fun () -> (0, 0, 0));
     reset = (fun ~crash -> reset t ~crash);
   }

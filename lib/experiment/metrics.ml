@@ -82,8 +82,7 @@ let transmitted t (f : Net.Frame.t) =
       t.ack_tx <- t.ack_tx + 1;
       t.ack_bytes <- t.ack_bytes + bytes
   | Net.Frame.Payload p ->
-      (* [is_data]/[class_name] instead of [classify]: this runs per
-         transmission and must not allocate the classify variant. *)
+      (* Runs per transmission: [is_data]/[class_name] allocate nothing. *)
       if Payload.is_data p then begin
         t.data_tx <- t.data_tx + 1;
         t.data_bytes <- t.data_bytes + bytes
@@ -132,6 +131,7 @@ let control_transmissions t =
   Hashtbl.fold (fun _ c acc -> acc + c.tx) t.control 0
 
 let data_transmissions t = t.data_tx
+let ack_transmissions t = t.ack_tx
 
 let control_bytes_by_kind t =
   Hashtbl.fold (fun k c acc -> (k, c.bytes) :: acc) t.control []

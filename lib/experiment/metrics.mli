@@ -54,6 +54,9 @@ val control_transmissions : t -> int
 val control_by_kind : t -> (string * int) list
 val data_transmissions : t -> int
 
+val ack_transmissions : t -> int
+(** MAC-level ACK frames put on the air. *)
+
 val control_bytes : t -> int
 (** Total control octets put on the air, MAC framing included —
     byte-accurate from {!Net.Frame.encoded_length}. *)

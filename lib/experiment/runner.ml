@@ -398,7 +398,10 @@ let run ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?telemetry_out
     events_processed = Engine.events_processed sim.engine;
     mac_queue_drops = sum Net.Mac.queue_drops;
     mac_unicast_failures = sum Net.Mac.unicast_failures;
-    transmissions = Net.Channel.transmissions sim.channel;
+    transmissions =
+      Metrics.data_transmissions metrics
+      + Metrics.control_transmissions metrics
+      + Metrics.ack_transmissions metrics;
     invariant_violations =
       (match sim.monitor with Some m -> Obs.Monitor.violations m | None -> 0);
   }

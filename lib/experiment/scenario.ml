@@ -154,4 +154,3 @@ let with_mobility mobility t = { t with mobility }
 let with_shadowing shadowing t = { t with shadowing }
 let with_churn churn t = { t with churn }
 let with_partition partition t = { t with partition }
-let scaled ~duration t = { t with duration }

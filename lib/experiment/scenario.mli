@@ -121,5 +121,3 @@ val with_mobility : mobility -> t -> t
 val with_shadowing : shadowing option -> t -> t
 val with_churn : churn option -> t -> t
 val with_partition : partition option -> t -> t
-val scaled : duration:Sim.Time.t -> t -> t
-(** Shorten a paper scenario for laptop-scale reproduction. *)

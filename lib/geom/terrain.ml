@@ -15,4 +15,3 @@ let random_point t rng =
 
 let diagonal t = sqrt ((t.width *. t.width) +. (t.height *. t.height))
 let area t = t.width *. t.height
-let pp fmt t = Format.fprintf fmt "%.0fm x %.0fm" t.width t.height

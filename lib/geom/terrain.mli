@@ -15,4 +15,3 @@ val random_point : t -> Sim.Rng.t -> Vec2.t
 
 val diagonal : t -> float
 val area : t -> float
-val pp : Format.formatter -> t -> unit

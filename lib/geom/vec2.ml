@@ -25,4 +25,3 @@ let normalize a =
   if n = 0. then zero else scale (1. /. n) a
 
 let equal a b = a.x = b.x && a.y = b.y
-let pp fmt a = Format.fprintf fmt "(%.1f, %.1f)" a.x a.y

@@ -20,4 +20,3 @@ val normalize : t -> t
 (** Unit vector in the same direction; [zero] maps to [zero]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

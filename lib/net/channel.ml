@@ -119,7 +119,6 @@ and t = {
   mutable built_n : int;  (* radios attached at the last rebuild *)
   mutable built_at : Time.t;  (* when the last rebuild ran *)
   mutable hooks : (Node_id.t -> Frame.t -> unit) list;
-  mutable tx_total : int;
   mutable jobs : tx_job array;  (* every job, by [job_id] *)
   mutable job_pool : tx_job array;
   mutable job_free : int;  (* jobs [0, job_free) of the pool are free *)
@@ -171,7 +170,6 @@ let create ~engine ?obs ~store ~terrain ?link ~params () =
     built_n = 0;
     built_at = Time.zero;
     hooks = [];
-    tx_total = 0;
     jobs = [||];
     job_pool = [||];
     job_free = 0;
@@ -276,7 +274,6 @@ let index_stats t =
   (cells, !occupied, !max_occ)
 
 let add_transmit_hook t f = t.hooks <- t.hooks @ [ f ]
-let transmissions t = t.tx_total
 
 (* Every job off the free stack is a transmission still in the air. *)
 let in_flight t = Array.length t.job_pool - t.job_free
@@ -493,7 +490,6 @@ let rec run_hooks hooks id frame =
    the end-of-transmission event.  Only radios within decode range can
    receive the frame. *)
 let transmit t src frame ~duration =
-  t.tx_total <- t.tx_total + 1;
   run_hooks t.hooks src.id frame;
   if Obs.Bus.on t.obs then
     Obs.Bus.tx t.obs

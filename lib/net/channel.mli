@@ -107,9 +107,6 @@ val add_transmit_hook : t -> (Node_id.t -> Frame.t -> unit) -> unit
 (** Register a tap invoked at the start of every transmission (metrics,
     pcap export, ...).  Hooks run in registration order. *)
 
-val transmissions : t -> int
-(** Total frames put on the air so far. *)
-
 val in_flight : t -> int
 (** Transmissions currently in the air. *)
 

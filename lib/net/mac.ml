@@ -50,7 +50,6 @@ type t = {
       (** cached ACK frame for [ack_to]; rebuilt only when the
           destination changes, so the steady ACK exchange between two
           talking nodes allocates nothing *)
-  mutable sent : int;  (** payload frames put on the air *)
   mutable failures : int;  (** unicasts that exhausted the retry limit *)
   mutable down : bool;  (** churn: node is powered off *)
   obs : Obs.Bus.t;  (* shared with the channel *)
@@ -82,7 +81,6 @@ let id t = t.my_id
 let queue_length t = Ifq.length t.queue
 let queue_drops t = Ifq.drops t.queue
 let unicast_failures t = t.failures
-let frames_sent t = t.sent
 let radio t = t.radio
 let is_down t = t.down
 
@@ -142,7 +140,6 @@ and do_transmit t =
   let frame = t.current in
   assert (frame != no_frame);
   set_phase t Sending;
-  t.sent <- t.sent + 1;
   if Obs.Bus.on t.obs then
     emit_span t ~stage:Obs.Span.Stage.mac_try (payload_of frame) ~d:(-1)
       ~e:t.attempts;
@@ -289,7 +286,6 @@ let create ~engine ~channel ~rng ~id ~slot callbacks =
       ack_timer = Engine.none;
       ack_to = id;
       ack_frame = { Frame.src = id; dst = Frame.Unicast id; body = Frame.Ack };
-      sent = 0;
       failures = 0;
       down = false;
       obs = Channel.obs channel;

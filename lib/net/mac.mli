@@ -61,8 +61,5 @@ val id : t -> Node_id.t
 val queue_length : t -> int
 val queue_drops : t -> int
 val unicast_failures : t -> int
-val frames_sent : t -> int
-(** Payload frames this MAC put on the air (counting retransmissions,
-    not ACKs). *)
 
 val radio : t -> Channel.radio

@@ -100,9 +100,5 @@ let table_write t ~time ~node ~dst ~old_succ ~new_succ ~dist ~fd ~sn =
   emit t ~time ~node ~kind:Event.Table_write ~a:dst ~b:old_succ ~c:new_succ
     ~d:dist ~e:fd ~f:sn
 
-let violation t ~time ~node ~dst ~succ ~own_sn ~succ_sn ~own_fd ~succ_fd =
-  emit t ~time ~node ~kind:Event.Violation ~a:dst ~b:succ ~c:own_sn ~d:succ_sn
-    ~e:own_fd ~f:succ_fd
-
 let span t ~time ~node ~stage ~flow ~seq ~d ~e ~f =
   emit t ~time ~node ~kind:Event.Span ~a:stage ~b:flow ~c:seq ~d ~e ~f

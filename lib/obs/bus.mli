@@ -60,10 +60,6 @@ val table_write :
   t -> time:Sim.Time.t -> node:int -> dst:int -> old_succ:int ->
   new_succ:int -> dist:int -> fd:int -> sn:int -> unit
 
-val violation :
-  t -> time:Sim.Time.t -> node:int -> dst:int -> succ:int -> own_sn:int ->
-  succ_sn:int -> own_fd:int -> succ_fd:int -> unit
-
 val span :
   t -> time:Sim.Time.t -> node:int -> stage:int -> flow:int -> seq:int ->
   d:int -> e:int -> f:int -> unit

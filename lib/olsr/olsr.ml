@@ -325,15 +325,15 @@ let handle_tc t ~origin ~msg_seq ~ttl ~(tc : Olsr_msg.tc) ~from =
 
 (* ---- Data plane ----------------------------------------------------------- *)
 
-let rec forward_data t msg =
+let forward_data t msg =
   match route_lookup t msg.Data_msg.dst with
   | Some (nh, _) ->
       t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (Data_msg.hop msg))
   | None -> t.ctx.drop_data msg ~reason:"no-route"
 
-and origin_data t msg =
+let origin_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
-  else forward_data t { msg with Data_msg.ttl = Data_msg.default_ttl }
+  else forward_data t msg
 
 let handle_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
@@ -420,17 +420,15 @@ let factory (ctx : RA.ctx) =
     }
   in
   {
-    RA.origin_data = (fun msg -> origin_data t msg);
+    RA.null with
+    origin_data = (fun msg -> origin_data t msg);
     recv = (fun payload ~from -> recv t payload ~from);
-    overheard = (fun _ ~from:_ ~dst:_ -> ());
     link_failure = (fun payload ~next_hop -> link_failure t payload ~next_hop);
     start = start t;
     successor =
       (fun dst ->
         if Node_id.equal dst ctx.id then None
         else Option.map fst (route_lookup t dst));
-    own_seqno = (fun () -> 0.);
-    invariants = (fun _ -> None);
     route_stats = (fun () -> (Node_id.Map.cardinal t.routes, 0, 0));
     reset = (fun ~crash -> reset t ~crash);
   }

@@ -5,16 +5,7 @@ type t =
   | Dsr of Dsr_msg.t
   | Olsr of Olsr_msg.t
 
-let classify = function
-  | Data d -> `Data d
-  | Dsr (Dsr_msg.Data { data; _ }) -> `Data data
-  | Ldr m -> `Control (Ldr_msg.kind m)
-  | Aodv m -> `Control (Aodv_msg.kind m)
-  | Dsr m -> `Control (Dsr_msg.kind m)
-  | Olsr m -> `Control (Olsr_msg.kind m)
-
-(* Direct match — [classify] allocates its polymorphic-variant result,
-   which this per-transmission predicate must not. *)
+(* Data packets, including data inside DSR source-route headers. *)
 let is_data = function
   | Data _ | Dsr (Dsr_msg.Data _) -> true
   | Ldr _ | Aodv _ | Dsr _ | Olsr _ -> false
@@ -30,7 +21,8 @@ let data_seq = function
   | Data d | Dsr (Dsr_msg.Data { data = d; _ }) -> d.Data_msg.seq
   | Ldr _ | Aodv _ | Dsr _ | Olsr _ -> -1
 
-(* [classify] without the payload: no allocation, for trace labels. *)
+(* No allocation: trace labels and metrics buckets read this per
+   transmission. *)
 let class_name = function
   | Data _ | Dsr (Dsr_msg.Data _) -> "DATA"
   | Ldr m -> Ldr_msg.kind m

@@ -7,12 +7,8 @@ type t =
   | Dsr of Dsr_msg.t  (** includes DSR's source-routed data *)
   | Olsr of Olsr_msg.t
 
-val classify : t -> [ `Data of Data_msg.t | `Control of string ]
-(** Data packets (including data inside DSR source-route headers) vs
-    control packets labelled with their metrics bucket
-    ("RREQ", "RREP", "RERR", "HELLO", "TC"). *)
-
 val is_data : t -> bool
+(** Data packets, including data inside DSR source-route headers. *)
 
 val data_flow : t -> int
 val data_seq : t -> int
@@ -21,7 +17,8 @@ val data_seq : t -> int
     these. *)
 
 val class_name : t -> string
-(** The {!classify} bucket name without the payload — "DATA" or the
-    control kind — allocation-free, for trace labels. *)
+(** The metrics bucket: "DATA" for every {!is_data} payload, else the
+    control kind ("RREQ", "RREP", "RERR", "HELLO", "TC", ...);
+    allocation-free, for trace labels. *)
 
 val pp : Format.formatter -> t -> unit

@@ -80,7 +80,8 @@ val null_ctx : ?id:int -> Sim.Engine.t -> ctx
 
 val null : t
 (** Does nothing and knows no route: the filler of an agent array
-    before each node's factory has run. *)
+    before each node's factory has run, and the defaults each factory
+    extends ([{ null with ... }]) with the entry points it implements. *)
 
 (** {1 Successor-chain walk}
 

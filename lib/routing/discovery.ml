@@ -45,6 +45,7 @@ let ring_attempts ?first t =
 
 (* ---- The per-node machine -------------------------------------------- *)
 
+let buffer_capacity = 64
 let buffer_max_age = Time.sec 30.
 
 type pending = {
@@ -129,6 +130,17 @@ let hold d msg =
     Node_id.Table.replace d.pending dst p;
     advance d dst p
   end
+
+let originate d msg =
+  if Node_id.equal msg.Data_msg.dst d.ctx.id then d.ctx.deliver msg
+  else
+    match d.route msg.Data_msg.dst with
+    | Some r -> d.forward r msg
+    | None -> hold d msg
+
+let rescue d msg =
+  if Node_id.equal msg.Data_msg.src d.ctx.id then hold d msg
+  else d.ctx.drop_data msg ~reason:"link-failure"
 
 let reset d ~crash =
   Node_id.Table.iter

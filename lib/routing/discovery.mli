@@ -58,6 +58,9 @@ val ring_attempts : ?first:int -> ring -> attempt Seq.t
 
 (** {1 The per-node machine} *)
 
+val buffer_capacity : int
+(** How many packets every protocol holds waiting for a route (64). *)
+
 val buffer_max_age : Sim.Time.t
 (** How long every protocol holds a packet waiting for a route (30 s). *)
 
@@ -81,6 +84,16 @@ val create :
 val hold : 'r t -> Data_msg.t -> unit
 (** Buffer a packet that has no route, and start a discovery for its
     destination unless one is already pending. *)
+
+val originate : 'r t -> Data_msg.t -> unit
+(** The application's packet: delivered if this node is its
+    destination, forwarded over [route] if one exists, otherwise
+    {!hold}. *)
+
+val rescue : 'r t -> Data_msg.t -> unit
+(** A packet whose next hop just failed and that the protocol could not
+    re-route: its origin {!hold}s it for a new discovery, a relay drops
+    it with reason ["link-failure"]. *)
 
 val settle : 'r t -> Node_id.t -> unit
 (** A route to the destination may now exist: end its discovery (cancel

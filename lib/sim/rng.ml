@@ -27,8 +27,6 @@ let of_state s =
 
 let create seed = of_state (mix (Int64.of_int seed))
 
-let copy t = of_state (get64 t.buf 0)
-
 (* Step the stream; the draw is then [get64 t.buf 8]. *)
 let advance t =
   let s = Int64.add (get64 t.buf 0) golden_gamma in

@@ -11,9 +11,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** An independent generator with identical current state. *)
-
 val split : t -> t
 (** [split t] draws from [t] and returns a new generator whose stream is
     statistically independent of [t]'s subsequent output. *)

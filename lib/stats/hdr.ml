@@ -37,13 +37,6 @@ let create ?(sub_bits = 7) () =
     max_v = 0;
   }
 
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.total <- 0;
-  t.sum <- 0;
-  t.min_v <- max_int;
-  t.max_v <- 0
-
 (* Position of the highest set bit of v > 0, allocation-free (no refs,
    no tuples — just shadowing). *)
 let bit_length v =

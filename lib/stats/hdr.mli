@@ -19,8 +19,6 @@ type t
 val create : ?sub_bits:int -> unit -> t
 (** [sub_bits] in [0, 14], default 7. *)
 
-val clear : t -> unit
-
 val add : t -> int -> unit
 (** Record one observation.  Negative values are clamped to 0. *)
 

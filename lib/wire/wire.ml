@@ -364,16 +364,6 @@ module Ldr = struct
         Ok (Packets.Ldr_msg.Rreq_agg members)
     | _ -> reject r 1 "ldr: unknown message type"
 
-  let encode t =
-    let w = Writer.create ~capacity:(encoded_length t) () in
-    write w t;
-    Writer.contents w
-
-  let decode b =
-    let r = Reader.of_bytes b in
-    let* t = read r in
-    let* () = Reader.expect_end r in
-    Ok t
 end
 
 module Aodv = struct
@@ -495,16 +485,6 @@ module Aodv = struct
         Ok (Packets.Aodv_msg.Rreq_agg members)
     | _ -> reject r 1 "aodv: unknown message type"
 
-  let encode t =
-    let w = Writer.create ~capacity:(encoded_length t) () in
-    write w t;
-    Writer.contents w
-
-  let decode b =
-    let r = Reader.of_bytes b in
-    let* t = read r in
-    let* () = Reader.expect_end r in
-    Ok t
 end
 
 module Data = struct
@@ -548,16 +528,6 @@ module Data = struct
         hops;
       }
 
-  let encode t =
-    let w = Writer.create ~capacity:(encoded_length t) () in
-    write w t;
-    Writer.contents w
-
-  let decode b =
-    let r = Reader.of_bytes b in
-    let* t = read r in
-    let* () = Reader.expect_end r in
-    Ok t
 end
 
 module Dsr = struct
@@ -713,16 +683,6 @@ module Dsr = struct
         else reject r 1 "dsr: unknown option after source route"
     else reject r 1 "dsr: unknown leading option"
 
-  let encode t =
-    let w = Writer.create ~capacity:(encoded_length t) () in
-    write w t;
-    Writer.contents w
-
-  let decode b =
-    let r = Reader.of_bytes b in
-    let* t = read r in
-    let* () = Reader.expect_end r in
-    Ok t
 end
 
 module Olsr = struct
@@ -854,16 +814,6 @@ module Olsr = struct
            })
     else reject r 1 "olsr: unknown message type"
 
-  let encode t =
-    let w = Writer.create ~capacity:(encoded_length t) () in
-    write w t;
-    Writer.contents w
-
-  let decode b =
-    let r = Reader.of_bytes b in
-    let* t = read r in
-    let* () = Reader.expect_end r in
-    Ok t
 end
 
 module Payload = struct

@@ -70,9 +70,7 @@ module Ldr : sig
 
   val encoded_length : Packets.Ldr_msg.t -> int
   val write : Writer.t -> Packets.Ldr_msg.t -> unit
-  val encode : Packets.Ldr_msg.t -> bytes
   val read : Reader.t -> (Packets.Ldr_msg.t, error) result
-  val decode : bytes -> (Packets.Ldr_msg.t, error) result
 end
 
 (** AODV control messages per RFC 3561 (RREQ 24 B, RREP 20 B,
@@ -81,9 +79,7 @@ end
 module Aodv : sig
   val encoded_length : Packets.Aodv_msg.t -> int
   val write : Writer.t -> Packets.Aodv_msg.t -> unit
-  val encode : Packets.Aodv_msg.t -> bytes
   val read : Reader.t -> (Packets.Aodv_msg.t, error) result
-  val decode : bytes -> (Packets.Aodv_msg.t, error) result
 end
 
 (** DSR per RFC 4728: a 4-byte fixed header followed by options; source
@@ -91,9 +87,7 @@ end
 module Dsr : sig
   val encoded_length : Packets.Dsr_msg.t -> int
   val write : Writer.t -> Packets.Dsr_msg.t -> unit
-  val encode : Packets.Dsr_msg.t -> bytes
   val read : Reader.t -> (Packets.Dsr_msg.t, error) result
-  val decode : bytes -> (Packets.Dsr_msg.t, error) result
 end
 
 (** OLSR per RFC 3626: packet header + message envelope (16 B), HELLO
@@ -106,9 +100,7 @@ end
 module Olsr : sig
   val encoded_length : Packets.Olsr_msg.t -> int
   val write : Writer.t -> Packets.Olsr_msg.t -> unit
-  val encode : Packets.Olsr_msg.t -> bytes
   val read : Reader.t -> (Packets.Olsr_msg.t, error) result
-  val decode : bytes -> (Packets.Olsr_msg.t, error) result
 end
 
 (** Application data: a 20-byte IPv4-shaped header plus the 8-byte
@@ -118,15 +110,15 @@ module Data : sig
   val header_bytes : int
   val encoded_length : Packets.Data_msg.t -> int
   val write : Writer.t -> Packets.Data_msg.t -> unit
-  val encode : Packets.Data_msg.t -> bytes
   val read : Reader.t -> (Packets.Data_msg.t, error) result
-  val decode : bytes -> (Packets.Data_msg.t, error) result
 end
 
-(** Dispatch over the payload sum.  Encodings are self-describing within
-    a family but the family itself travels out of band (the pcap
-    pseudo-header, or [Frame] context), as on a real link where a
-    demux field in a lower layer selects the parser. *)
+(** Dispatch over the payload sum, and the one encode/decode entry
+    point: the per-family modules above only write and read through a
+    cursor.  Encodings are self-describing within a family but the
+    family itself travels out of band (the pcap pseudo-header, or
+    [Frame] context), as on a real link where a demux field in a lower
+    layer selects the parser. *)
 module Payload : sig
   val family_ack : int
   (** 0 — MAC-level ACK, no network payload. *)

@@ -1,6 +1,6 @@
 (* Origin-side discovery behaviour every on-demand protocol must share,
    written once over Testnet and instantiated per protocol by
-   test_ldr, test_aodv and test_dsr. *)
+   test_ldr, test_aodv and test_dsr ([ttl_guard] by test_olsr too). *)
 
 open Sim
 module TN = Experiment.Testnet
@@ -52,12 +52,39 @@ let gives_up factory () =
   Alcotest.(check int) "nothing delivered" 0 (TN.delivered net);
   Alcotest.(check int) "discovery-failed drop" 1 (drops net "discovery-failed")
 
+(* A broken next hop: the origin holds its packet and rediscovers, so
+   the packet arrives over the alternate path; a relay whose next hop
+   breaks drops its packet as a link failure. *)
+let origin_rescue factory () =
+  let net = make factory 4 in
+  TN.connect_chain net [ 0; 1; 3 ];
+  TN.origin net ~src:0 ~dst:3;
+  TN.run net ~for_:(Time.sec 1.);
+  Alcotest.(check int) "first packet over 0-1-3" 1 (TN.delivered net);
+  (* The origin's route still leads through 1 when 0-1 breaks. *)
+  TN.disconnect net 0 1;
+  TN.connect_chain net [ 0; 2; 3 ];
+  let before = rreqs net in
+  TN.origin net ~src:0 ~dst:3;
+  TN.run net ~for_:(Time.sec 1.);
+  Alcotest.(check bool) "origin rediscovered" true (rreqs net > before);
+  Alcotest.(check int) "held packet delivered over 0-2-3" 2 (TN.delivered net);
+  Alcotest.(check int) "origin dropped nothing" 0 (drops net "link-failure");
+  (* Now the relay's next hop breaks. *)
+  TN.disconnect net 2 3;
+  TN.origin net ~src:0 ~dst:3;
+  TN.run net ~for_:(Time.sec 1.);
+  Alcotest.(check int) "nothing more delivered" 2 (TN.delivered net);
+  Alcotest.(check int) "relay dropped link-failure" 1 (drops net "link-failure")
+
 (* Forwarding decrements the IP TTL and drops at zero: a packet handed
    to the agent with TTL 2 dies two hops short of a destination four
-   hops away, while a fresh packet (full TTL) then arrives. *)
-let ttl_guard factory () =
+   hops away, while a fresh packet (full TTL) then arrives.  A proactive
+   protocol first lets its routes form for [converge]. *)
+let ttl_guard ?(converge = Time.zero) factory () =
   let net = make factory 5 in
   TN.connect_chain net [ 0; 1; 2; 3; 4 ];
+  TN.run net ~for_:converge;
   let fresh =
     Packets.Data_msg.fresh ~flow_id:1_000 ~seq:0
       ~src:(Packets.Node_id.of_int 0) ~dst:(Packets.Node_id.of_int 4)

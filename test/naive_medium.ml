@@ -120,7 +120,7 @@ let arm ~checked t channel =
           (Printf.sprintf
              "fan-out oracle: transmission %d (t=%s, from node %d): channel \
               touched [%s], brute force [%s]"
-             (Net.Channel.transmissions channel)
+             (!checked + 1)
              (Time.to_string now) s (ints got) (ints want));
       let ended, live =
         List.partition (fun a -> Time.(a.ends < now)) !in_air
@@ -139,7 +139,7 @@ let arm ~checked t channel =
                  "carrier-sense oracle: transmission %d (t=%s, from node %d): \
                   radio %d reads %s, %d transmissions in the air (%d ending \
                   now)"
-                 (Net.Channel.transmissions channel)
+                 (!checked + 1)
                  (Time.to_string now) s i
                  (if busy then "busy" else "idle")
                  count.(i) ending.(i)))

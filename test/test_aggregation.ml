@@ -158,15 +158,17 @@ let ldr_agg_roundtrip () =
         ldr_rreq ~dst:9 ~origin:6 ~rreq_id:41;
       ]
   in
-  let b = Wire.Ldr.encode msg in
+  let p = Payload.Ldr msg in
+  let family = Wire.Payload.family p in
+  let b = Wire.Payload.encode p in
   checki "length matches encoded_length" (Wire.Ldr.encoded_length msg)
     (Bytes.length b);
   checki "header + 3 nested rreqs" (4 + (3 * 44)) (Bytes.length b);
-  (match Wire.Ldr.decode b with
-  | Ok m -> checkb "round-trips" true (m = msg)
+  (match Wire.Payload.decode ~family b with
+  | Ok m -> checkb "round-trips" true (m = p)
   | Error e -> Alcotest.fail (Wire.error_to_string e));
   (* Truncated aggregates must be rejected, not mis-parsed. *)
-  match Wire.Ldr.decode (Bytes.sub b 0 (Bytes.length b - 1)) with
+  match Wire.Payload.decode ~family (Bytes.sub b 0 (Bytes.length b - 1)) with
   | Ok _ -> Alcotest.fail "truncated aggregate accepted"
   | Error _ -> ()
 
@@ -175,14 +177,19 @@ let aodv_agg_roundtrip () =
     Aodv_msg.Rreq_agg
       [ aodv_rreq ~dst:3 ~origin:0 ~rreq_id:1; aodv_rreq ~dst:4 ~origin:2 ~rreq_id:9 ]
   in
-  let b = Wire.Aodv.encode msg in
+  let p = Payload.Aodv msg in
+  let family = Wire.Payload.family p in
+  let b = Wire.Payload.encode p in
   checki "length matches encoded_length" (Wire.Aodv.encoded_length msg)
     (Bytes.length b);
   checki "header + 2 nested rreqs" (4 + (2 * 24)) (Bytes.length b);
-  (match Wire.Aodv.decode b with
-  | Ok m -> checkb "round-trips" true (m = msg)
+  (match Wire.Payload.decode ~family b with
+  | Ok m -> checkb "round-trips" true (m = p)
   | Error e -> Alcotest.fail (Wire.error_to_string e));
-  match Wire.Aodv.decode (Wire.Aodv.encode (Aodv_msg.Rreq_agg [])) with
+  match
+    Wire.Payload.decode ~family
+      (Wire.Payload.encode (Payload.Aodv (Aodv_msg.Rreq_agg [])))
+  with
   | Ok _ -> Alcotest.fail "empty aggregate accepted"
   | Error _ -> ()
 
@@ -205,9 +212,12 @@ let agg_roundtrip_qcheck =
   let gen = QCheck.Gen.(list_size (int_range 1 12) gen_member) in
   QCheck.Test.make ~name:"ldr aggregate encode/decode round-trip" ~count:200
     (QCheck.make gen) (fun members ->
-      let msg = Ldr_msg.Rreq_agg members in
-      match Wire.Ldr.decode (Wire.Ldr.encode msg) with
-      | Ok m -> m = msg
+      let p = Payload.Ldr (Ldr_msg.Rreq_agg members) in
+      match
+        Wire.Payload.decode ~family:(Wire.Payload.family p)
+          (Wire.Payload.encode p)
+      with
+      | Ok m -> m = p
       | Error _ -> false)
 
 (* ---- Loop-freedom monitor with aggregation on --------------------------- *)

@@ -232,6 +232,8 @@ let () =
             (Discovery_cases.ttl_guard (Aodv.factory ()));
           Alcotest.test_case "reset mid-discovery" `Quick
             (Discovery_cases.reset_mid_discovery (Aodv.factory ()));
+          Alcotest.test_case "origin rescue" `Quick
+            (Discovery_cases.origin_rescue (Aodv.factory ()));
           Alcotest.test_case "link feedback detects break" `Quick
             link_feedback_detects_break;
           Alcotest.test_case "idle sends no control" `Quick idle_sends_no_control;

@@ -245,6 +245,8 @@ let () =
             (Discovery_cases.gives_up (Dsr.factory ()));
           Alcotest.test_case "reset mid-discovery" `Quick
             (Discovery_cases.reset_mid_discovery (Dsr.factory ()));
+          Alcotest.test_case "origin rescue" `Quick
+            (Discovery_cases.origin_rescue (Dsr.factory ()));
           qt no_loops_in_source_routes_prop;
         ] );
     ]

@@ -64,6 +64,25 @@ let determinism () =
   let a = run () and b = run () in
   checkb "bit-identical reruns" true (a = b)
 
+(* [outcome.transmissions] counts every frame on the air, ACKs
+   included: under every protocol it equals the count of a transmit
+   hook attached before the run. *)
+let transmissions_count_every_frame () =
+  List.iter
+    (fun protocol ->
+      let name = Scenario.protocol_name protocol in
+      let seen = ref 0 in
+      let prepare (sim : Runner.sim) =
+        Net.Channel.add_transmit_hook sim.channel (fun _ _ -> incr seen)
+      in
+      let o =
+        Runner.run ~prepare
+          (small_scenario ~protocol ~speed_max:10. ~duration:10. ())
+      in
+      checkb (name ^ ": frames on the air") true (!seen > 0);
+      checki (name ^ ": transmissions") !seen o.transmissions)
+    Scenario.[ ldr; aodv; dsr; dsr_draft7; olsr; ldr_agg; aodv_agg ]
+
 let seeds_differ () =
   let run seed = (Runner.run (small_scenario ~speed_max:10. ~seed ())).events_processed in
   checkb "different seeds, different runs" true (run 1 <> run 2)
@@ -256,6 +275,8 @@ let () =
           Alcotest.test_case "ldr mobile delivery" `Slow (mobile_delivery Scenario.ldr);
           Alcotest.test_case "aodv mobile delivery" `Slow (mobile_delivery Scenario.aodv);
           Alcotest.test_case "determinism" `Slow determinism;
+          Alcotest.test_case "transmissions count every frame" `Quick
+            transmissions_count_every_frame;
           Alcotest.test_case "seed sensitivity" `Slow seeds_differ;
           Alcotest.test_case "ldr loop-free full stack" `Slow audit_ldr_loop_free;
           Alcotest.test_case "latency sane" `Quick latency_positive;

@@ -774,6 +774,8 @@ let () =
             (Discovery_cases.ttl_guard (Protocol.factory ()));
           Alcotest.test_case "reset mid-discovery" `Quick
             (Discovery_cases.reset_mid_discovery (Protocol.factory ()));
+          Alcotest.test_case "origin rescue" `Quick
+            (Discovery_cases.origin_rescue (Protocol.factory ()));
           Alcotest.test_case "distances count hops" `Quick distances_count_hops;
           Alcotest.test_case "destination reply lifetime" `Quick
             destination_reply_lifetime;

@@ -193,5 +193,7 @@ let () =
           Alcotest.test_case "shortest path" `Quick shortest_path_selected;
           Alcotest.test_case "overhead accounting" `Quick hello_and_tc_overhead_counted;
           Alcotest.test_case "link failure reroutes" `Quick link_failure_reroutes;
+          Alcotest.test_case "data ttl" `Quick
+            (Discovery_cases.ttl_guard ~converge:(Time.sec 20.) Olsr.factory);
         ] );
     ]

@@ -188,31 +188,32 @@ let olsr_sizes () =
   Alcotest.check Alcotest.string "tc kind" "TC" (Olsr_msg.kind tc)
 
 let payload_classify () =
-  let data =
-    Payload.Data
-      (Data_msg.fresh ~flow_id:0 ~seq:0 ~src:(n 0) ~dst:(n 1)
-         ~payload_bytes:64 ~origin_time:Sim.Time.zero)
+  let msg ~flow_id ~seq =
+    Data_msg.fresh ~flow_id ~seq ~src:(n 0) ~dst:(n 1) ~payload_bytes:64
+      ~origin_time:Sim.Time.zero
   in
-  checkb "data is data" true (Payload.is_data data);
+  let data = Payload.Data (msg ~flow_id:7 ~seq:3) in
   let dsr_data =
     Payload.Dsr
       (Dsr_msg.Data
          {
            sr_remaining = [];
            full_route = [ n 0; n 1 ];
-           data =
-             Data_msg.fresh ~flow_id:0 ~seq:0 ~src:(n 0) ~dst:(n 1)
-               ~payload_bytes:64 ~origin_time:Sim.Time.zero;
+           data = msg ~flow_id:9 ~seq:4;
            salvage = 0;
          })
   in
-  checkb "dsr data classifies as data" true (Payload.is_data dsr_data);
   let hello = Payload.Olsr (Olsr_msg.Hello { neighbors = [] }) in
-  (match Payload.classify hello with
-  | `Control "HELLO" -> ()
-  | `Control other -> Alcotest.failf "wrong bucket %s" other
-  | `Data _ -> Alcotest.fail "hello is not data");
-  checkb "hello not data" false (Payload.is_data hello)
+  let check name p ~data ~cls ~flow ~seq =
+    checkb (name ^ " is_data") data (Payload.is_data p);
+    Alcotest.check Alcotest.string (name ^ " class_name") cls
+      (Payload.class_name p);
+    checki (name ^ " data_flow") flow (Payload.data_flow p);
+    checki (name ^ " data_seq") seq (Payload.data_seq p)
+  in
+  check "data" data ~data:true ~cls:"DATA" ~flow:7 ~seq:3;
+  check "dsr data" dsr_data ~data:true ~cls:"DATA" ~flow:9 ~seq:4;
+  check "hello" hello ~data:false ~cls:"HELLO" ~flow:(-1) ~seq:(-1)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

@@ -223,7 +223,10 @@ let run_once sc =
   ( Metrics.originated sim.Runner.sim_metrics,
     Metrics.delivered sim.Runner.sim_metrics,
     Engine.events_processed sim.Runner.engine,
-    Net.Channel.transmissions sim.Runner.channel,
+    Metrics.(
+      data_transmissions sim.Runner.sim_metrics
+      + control_transmissions sim.Runner.sim_metrics
+      + ack_transmissions sim.Runner.sim_metrics),
     route_table sim )
 
 let rerun_deterministic =
