@@ -27,14 +27,23 @@ let scenario protocol =
     partition = None;
   }
 
+(* Every protocol faces the same offered load (the traffic generator
+   draws from its own RNG stream), and each delivers most of it on this
+   connected scenario. *)
+let min_delivery = 0.90
+
 let () =
-  let rows =
+  let results =
     List.map
       (fun protocol ->
-        let outcome = Runner.run (scenario protocol) in
-        let m = outcome.metrics in
+        (Scenario.protocol_name protocol, (Runner.run (scenario protocol)).metrics))
+      [ Scenario.ldr; Scenario.aodv; Scenario.dsr; Scenario.olsr ]
+  in
+  let rows =
+    List.map
+      (fun (name, m) ->
         [
-          Scenario.protocol_name protocol;
+          name;
           Printf.sprintf "%.3f" (Metrics.delivery_ratio m);
           Printf.sprintf "%.1f" (Metrics.mean_latency_ms m);
           Printf.sprintf "%.2f" (Metrics.network_load m);
@@ -42,7 +51,7 @@ let () =
           string_of_int (Metrics.delivered m);
           string_of_int (Metrics.originated m);
         ])
-      [ Scenario.ldr; Scenario.aodv; Scenario.dsr; Scenario.olsr ]
+      results
   in
   print_endline
     "30 mobile nodes, 5 CBR flows @ 4 pps, 60 s, same seed for all:";
@@ -51,4 +60,21 @@ let () =
        ~header:
          [ "protocol"; "delivery"; "latency ms"; "net load"; "rreq load";
            "recv"; "sent" ]
-       rows)
+       rows);
+  let sent = List.map (fun (_, m) -> Metrics.originated m) results in
+  let low =
+    List.filter (fun (_, m) -> Metrics.delivery_ratio m < min_delivery) results
+  in
+  if List.exists (( <> ) (List.hd sent)) sent then begin
+    print_endline "FAIL: the protocols originated different numbers of packets";
+    exit 1
+  end
+  else if low <> [] then begin
+    Printf.printf "FAIL: %s delivered less than %.2f\n"
+      (String.concat ", " (List.map fst low))
+      min_delivery;
+    exit 1
+  end
+  else
+    Printf.printf "OK: all four originated %d packets and delivered >= %.2f\n"
+      (List.hd sent) min_delivery

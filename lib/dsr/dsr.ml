@@ -227,7 +227,7 @@ let split_at x route =
    we just proved we hear [from] directly.  Tell the source. *)
 let maybe_shorten t ~from ~full_route ~sr_remaining (data : Data_msg.t) =
   if
-    List.exists (Node_id.equal t.ctx.id) sr_remaining
+    on_route t.ctx.id sr_remaining
     && not
          (Routing.Rreq_cache.mem t.shortened ~origin:data.Data_msg.src
             ~rreq_id:(Node_id.to_int data.Data_msg.dst))

@@ -418,10 +418,11 @@ module Pos_store = struct
       else begin
         (* Scalar replica of [position_on] + [Vec2.lerp].  Spelled as
            local float arithmetic rather than [Time.to_sec]/[Time.diff]:
-           the cross-module calls box their float results on the classic
-           (non-flambda) compiler, and this is the hottest loop in the
-           SoA sweep.  [to_sec] is [float_of_int ns /. 1e9], so the
-           rounding is term-for-term identical ([total] included). *)
+           a float returned from a call the compiler does not inline is
+           boxed, and this is the hottest loop in the SoA sweep, so it
+           allocates nothing whatever the inliner decides.  [to_sec] is
+           [float_of_int ns /. 1e9], so the rounding is term-for-term
+           identical ([total] included). *)
         let gone = float_of_int (tn - s.depart.(i)) /. 1e9 in
         let u = gone /. s.total.(i) in
         s.x.(i) <- s.fx.(i) +. ((s.dx.(i) -. s.fx.(i)) *. u);

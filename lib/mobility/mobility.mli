@@ -126,8 +126,8 @@ module Pos_store : sig
   (** The cached-x plane: slot [i] holds node [i]'s x as of its last
       {!refresh}.  The array is the store's own (never reallocated), so
       a caller may fetch it once and read it with plain unboxed loads —
-      unlike a [t -> int -> float] accessor, whose result boxes across
-      a module boundary. *)
+      unlike a [t -> int -> float] accessor, whose result boxes whenever
+      the call is not inlined. *)
 
   val ys : t -> float array
 

@@ -430,10 +430,10 @@ let rebuild t now =
    equals [Vec2.dist] bit-for-bit, so caching cannot change outcomes.
 
    Every float here is a local of this one function body — the source
-   position, the lists' age — so none is boxed: a float passed to or
-   returned from any non-inlined call (this module's included, under
-   the dev profile's [-opaque]) would be.  Only the link-model arm calls
-   out with floats. *)
+   position, the lists' age — so none is boxed, whatever the inliner
+   decides: a float passed to or returned from a call that is not
+   inlined (this module's included) would be.  Only the link-model arm
+   calls out with floats. *)
 let collect t job src =
   let now = Engine.now t.engine in
   let store = t.store and xs = t.xs and ys = t.ys in

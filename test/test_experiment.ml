@@ -83,6 +83,56 @@ let transmissions_count_every_frame () =
       checki (name ^ ": transmissions") !seen o.transmissions)
     Scenario.[ ldr; aodv; dsr; dsr_draft7; olsr; ldr_agg; aodv_agg ]
 
+(* The comparisons assume every protocol faces the same traffic:
+   [Runner.build] gives the traffic generator its own RNG stream, split
+   off before the per-node MAC and agent streams, so the packets offered
+   to the routing layer (flow, sequence number, endpoints, emission
+   time) do not depend on the protocol. *)
+let offered_load_protocol_independent () =
+  let offered protocol =
+    let log = ref [] in
+    let prepare (sim : Runner.sim) =
+      Array.iteri
+        (fun i (a : Routing.Agent.t) ->
+          sim.agents.(i) <-
+            {
+              a with
+              origin_data =
+                (fun (msg : Packets.Data_msg.t) ->
+                  log :=
+                    ( msg.flow_id,
+                      msg.seq,
+                      Packets.Node_id.to_int msg.src,
+                      Packets.Node_id.to_int msg.dst,
+                      msg.origin_time )
+                    :: !log;
+                  a.origin_data msg);
+            })
+        sim.agents
+    in
+    ignore
+      (Runner.run ~prepare
+         (small_scenario ~protocol ~seed:3 ~speed_max:10. ~duration:20. ~flows:3 ()));
+    List.rev !log
+  in
+  let reference = offered Scenario.ldr in
+  checkb "ldr originated some" true (List.length reference > 100);
+  List.iter
+    (fun (name, protocol) ->
+      let got = offered protocol in
+      checki (name ^ ": originated") (List.length reference) (List.length got);
+      checkb (name ^ ": same packets at the same times") true (got = reference))
+    Scenario.
+      [
+        ("ldr-plain", Ldr Ldr.Config.plain);
+        ("ldr-agg", ldr_agg);
+        ("aodv", aodv);
+        ("aodv-agg", aodv_agg);
+        ("dsr", dsr);
+        ("dsr-draft7", dsr_draft7);
+        ("olsr", olsr);
+      ]
+
 let seeds_differ () =
   let run seed = (Runner.run (small_scenario ~speed_max:10. ~seed ())).events_processed in
   checkb "different seeds, different runs" true (run 1 <> run 2)
@@ -277,6 +327,8 @@ let () =
           Alcotest.test_case "determinism" `Slow determinism;
           Alcotest.test_case "transmissions count every frame" `Quick
             transmissions_count_every_frame;
+          Alcotest.test_case "offered load is protocol-independent" `Quick
+            offered_load_protocol_independent;
           Alcotest.test_case "seed sensitivity" `Slow seeds_differ;
           Alcotest.test_case "ldr loop-free full stack" `Slow audit_ldr_loop_free;
           Alcotest.test_case "latency sane" `Quick latency_positive;
