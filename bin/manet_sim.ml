@@ -460,7 +460,7 @@ let run_cmd =
     in
     if not json then
       Format.printf
-        "%s: %d nodes on %.0fx%.0fm, %d flows @ %g pps, pause %gs, %gs@."
+        "%s: %d nodes on %.0fx%.0fm, %d flows @@ %g pps, pause %gs, %gs@."
         (Scenario.protocol_name protocol)
         nodes width height flows pps pause duration;
     let prepare =

@@ -84,7 +84,7 @@ let apply_advert t ~dst ~adv_sn ~adv_dist ~via ~lifetime =
           e.dist <- new_dist;
           (* Procedure 3: feasible distance only ratchets down within a
              sequence number. *)
-          e.fd <- Stdlib.min e.fd new_dist;
+          e.fd <- Int.min e.fd new_dist;
           refresh t e ~lifetime;
           emit_write t ~dst ~old_succ e;
           `Refreshed
@@ -105,7 +105,7 @@ let apply_advert t ~dst ~adv_sn ~adv_dist ~via ~lifetime =
         let sn_increased = Seqnum.(adv_sn > e.sn) in
         e.sn <- adv_sn;
         e.dist <- new_dist;
-        e.fd <- (if sn_increased then new_dist else Stdlib.min e.fd new_dist);
+        e.fd <- (if sn_increased then new_dist else Int.min e.fd new_dist);
         e.next_hop <- Some via;
         e.expires <- expires;
         emit_write t ~dst ~old_succ e;

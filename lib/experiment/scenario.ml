@@ -9,8 +9,10 @@ type protocol =
   | Aodv_agg of Aodv.config * Routing.Aggregation.config
 
 let protocol_name = function
+  | Ldr c when c = Ldr.Config.plain -> "LDR-PLAIN"
   | Ldr _ -> "LDR"
   | Aodv _ -> "AODV"
+  | Dsr { Dsr.reply_from_cache = false } -> "DSR-DRAFT7"
   | Dsr _ -> "DSR"
   | Olsr -> "OLSR"
   | Ldr_agg _ -> "LDR-AGG"

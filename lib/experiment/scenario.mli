@@ -11,6 +11,9 @@ type protocol =
       (** AODV with the route-request aggregation layer interposed *)
 
 val protocol_name : protocol -> string
+(** The protocol's display name, as the CLI spells it but in capitals:
+    [Ldr Ldr.Config.plain] is LDR-PLAIN and {!dsr_draft7} DSR-DRAFT7, so
+    run headers and bench tables tell them from {!ldr} and {!dsr}. *)
 
 val ldr : protocol
 (** LDR with the paper's optimizations. *)

@@ -331,6 +331,11 @@ let max_speed t =
   | Scripted { top; _ } -> top
   | Rpgm { group; _ } -> group.g_speed_max
 
+(* [speed * dt] widened by a relative 1e-9 for the rounding of the
+   conversion to seconds and of the products, and by an absolute
+   micrometre for the rounding of interpolated coordinates. *)
+let move_bound ~speed = (speed *. 1e-9 *. (1. +. 1e-9), 1e-6)
+
 (* Struct-of-arrays position store: the per-node hot state (cached
    position + current leg window) lives in flat unboxed float/int arrays
    indexed by node id.  The common query — interpolate inside the current
@@ -439,6 +444,7 @@ module Pos_store = struct
 
   let xs s = s.x
   let ys s = s.y
+  let last_ts s = s.last_t
 
   let position s i time =
     refresh s i time;

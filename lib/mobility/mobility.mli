@@ -71,6 +71,15 @@ val max_speed : t -> float
     an {!rpgm_member} (clamping to the terrain never speeds a member
     up).  [Net.Channel] relies on it to age its neighbour lists. *)
 
+val move_bound : speed:float -> float * float
+(** [move_bound ~speed] is [(per_ns, slack)]: a process whose
+    {!max_speed} is at most [speed] is, as {!Pos_store} computes
+    positions, within [per_ns *. float_of_int dt +. slack] metres of
+    where it was [dt] ns earlier — [speed * dt] widened for float
+    rounding.  [Net.Channel] widens a cached position by it to settle a
+    radio without refreshing it; the pair lets it do so with local
+    float arithmetic, which never boxes. *)
+
 (** {2 Group mobility (RPGM)} *)
 
 type group
@@ -130,6 +139,11 @@ module Pos_store : sig
       the call is not inlined. *)
 
   val ys : t -> float array
+
+  val last_ts : t -> int array
+  (** The refresh-time plane: slot [i] holds the time (ns) that node
+      [i]'s cached position is for.  The store's own array, to be read
+      only. *)
 
   val position : t -> int -> Sim.Time.t -> Geom.Vec2.t
   (** [refresh] then box the result — for callers that want a [Vec2]. *)

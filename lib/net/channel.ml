@@ -50,14 +50,14 @@ let neighbour_margin_m = 50.
 (* Bits of a reception's [job_flags] byte. *)
 let locked = 1 (* this arrival captured the receiver *)
 let corrupted = 2
+let decodable = 4 (* within decode range (a settled entry is certainly not) *)
 
 (* One in-flight transmission, alive from [transmit] to its
    end-of-transmission event: the source, the frame and, over
-   [0, job_n) in delivery order, each touched radio's slot, link
-   distance and gain, and flags.  These parallel arrays hold ints,
-   unboxed floats and bytes, so touching a radio writes no pointer (no
-   [caml_modify]) and allocates nothing; a radio names the reception it
-   is locked to by (job id, index).  Jobs are pooled on a free stack;
+   [0, job_n) in delivery order, each touched radio's slot and flags.
+   These parallel arrays hold ints and bytes, so touching a radio writes
+   no pointer (no [caml_modify]) and allocates nothing; a radio names
+   the reception it is locked to by (job id, index).  Jobs are pooled on a free stack;
    the job is the argument of the closure-free end-of-tx event, so a
    transmission schedules without allocating. *)
 type tx_job = {
@@ -66,12 +66,6 @@ type tx_job = {
   mutable job_frame : Frame.t;
   mutable job_n : int;
   mutable job_slots : int array;
-  mutable job_dist : float array;
-      (** receiver-to-transmitter distance, for capture (squared until
-          the delivery pass) *)
-  mutable job_gain : float array;
-      (** shadowing range factor of the link; exactly [1.] without a
-          link model, as on the plain unit disk *)
   mutable job_flags : Bytes.t;
   job_owner : t;
 }
@@ -82,11 +76,17 @@ and t = {
   v_max : float;
       (* the fastest any store process moves (m/s): lists age at
          [2 * v_max] per second at most *)
+  move_per_ns : float;
+  move_slack : float;
+      (* a cached position [dt] ns old is within
+         [move_per_ns * dt + move_slack] of the refreshed one
+         ([Mobility.move_bound] at [v_max]) *)
   (* Positions come from the shared [Pos_store] planes (fetched once;
      the store never reallocates them). *)
   store : Mobility.Pos_store.t;
   xs : float array;
   ys : float array;
+  last_ts : int array;  (* the time (ns) each cached position is for *)
   (* The rebuild's cell grid: square cells of side [cell] over the
      terrain, [cols] by [rows].  After a rebuild, [cell_slots] holds the
      slots of the radios in cell [c] over
@@ -104,6 +104,9 @@ and t = {
   tx_n : int array;  (* own transmissions in the air (0 or 1) *)
   lock_job : int array;  (* job of the frame being decoded; -1: none *)
   lock_ix : int array;  (* its index in that job *)
+  lock_dist : float array;
+      (* its transmitter's distance over the link's shadowing gain,
+         for capture *)
   contending : bool array;  (* the medium listener hears edges only then *)
   attached : bool array;
       (* false while the node is down (churn): no transmission touches
@@ -111,8 +114,8 @@ and t = {
   order : int array;  (* slots in attach order; [0, next_seq) are live *)
   mutable next_seq : int;
   link : Link_model.t option;
-      (* None on the classic unit disk — the collect fast path then
-         skips every per-candidate gain/wall lookup *)
+      (* None on the classic unit disk — the only case the scan's
+         movement bound settles entries in *)
   reach : float;
       (* neighbour-list radius: the farthest any pair can touch
          ([cs_range * f_max]) plus [neighbour_margin_m] *)
@@ -141,13 +144,17 @@ let create ~engine ?obs ~store ~terrain ?link ~params () =
     v_max :=
       Float.max !v_max (Mobility.max_speed (Mobility.Pos_store.proc store i))
   done;
+  let move_per_ns, move_slack = Mobility.move_bound ~speed:!v_max in
   {
     engine;
     params;
     v_max = !v_max;
+    move_per_ns;
+    move_slack;
     store;
     xs = Mobility.Pos_store.xs store;
     ys = Mobility.Pos_store.ys store;
+    last_ts = Mobility.Pos_store.last_ts store;
     cell;
     cols;
     rows;
@@ -158,6 +165,7 @@ let create ~engine ?obs ~store ~terrain ?link ~params () =
     tx_n = Array.make n 0;
     lock_job = Array.make n (-1);
     lock_ix = Array.make n 0;
+    lock_dist = Array.make n 0.;
     contending = Array.make n true;
     attached = Array.make n false;
     order = Array.make n 0;
@@ -210,8 +218,6 @@ let new_job owner job_id =
     job_frame = dummy_frame;
     job_n = 0;
     job_slots = Array.make 8 0;
-    job_dist = Array.make 8 0.;
-    job_gain = Array.make 8 1.;
     job_flags = Bytes.make 8 '\000';
     job_owner = owner;
   }
@@ -238,13 +244,10 @@ let grow_job job =
   let n = Array.length job.job_slots in
   let widen a = Array.append a a in
   job.job_slots <- widen job.job_slots;
-  job.job_dist <- widen job.job_dist;
-  job.job_gain <- widen job.job_gain;
   job.job_flags <- Bytes.extend job.job_flags 0 n
 
 (* Append the radio in [slot] to the delivery order, flags clear, and
-   return its index; the caller stores its distance and gain there
-   (floats stay out of the call, which would box them). *)
+   return its index. *)
 let job_push job slot =
   let j = job.job_n in
   if j = Array.length job.job_slots then grow_job job;
@@ -254,7 +257,7 @@ let job_push job slot =
   j
 
 (* Churn: a detached radio stays in the neighbour lists, which
-   collection filters by [attached], so no later transmission touches
+   the scan filters by [attached], so no later transmission touches
    it; frames already locked on it are discarded by the down-gated MAC.
    Lists name every radio that has ever attached, so a re-attach
    invalidates none of them. *)
@@ -411,32 +414,67 @@ let rebuild t now =
   t.built_n <- n;
   t.built_at <- now
 
-(* Collect into the empty [job] every radio a transmission by [src]
-   starting now touches, in delivery order.  Touched radios are fixed at
-   transmission start: node movement within one frame airtime (~2 ms)
-   is a fraction of a millimetre.  Radios out to the carrier-sense range
-   defer and suffer interference; a shadowed pair's ranges are scaled by
-   its gain; the partition wall absorbs the crossing frame entirely.
+(* Count the radio in [slot] busy under one more transmission, telling
+   a contending listener when that makes the medium busy. *)
+let touch t slot =
+  let b = t.busy_n.(slot) in
+  t.busy_n.(slot) <- b + 1;
+  if b = 0 && t.tx_n.(slot) = 0 && t.contending.(slot) then
+    t.radios.(slot).medium true
+
+(* [x^2] for a positive radius [x]; a negative radius, an empty disk,
+   gives a squared distance no entry is within. *)
+let[@inline] square_pos x = if x > 0. then x *. x else -1.
+
+(* Whether a touched radio at cached squared distance [d2], under
+   movement bound [w], certainly cannot lock onto or corrupt an arrival
+   it cannot decode: it is transmitting, holds no lock, or is certainly
+   weak against its lock. *)
+let[@inline] quiet t i d2 w =
+  t.tx_n.(i) > 0
+  || t.lock_job.(i) < 0
+  ||
+  let weak = (capture_distance_ratio *. t.lock_dist.(i)) +. w in
+  d2 >= weak *. weak
+
+(* Classify every radio a transmission by [src] starting now touches,
+   appending each to the empty [job] in delivery order; when [live],
+   also count it busy, fire its carrier-sense edge and resolve capture
+   (its [medium] listener runs before the next entry is classified).
+   Touched radios are fixed at transmission start: node movement within
+   one frame airtime (~2 ms) is a fraction of a millimetre.  Radios out
+   to the carrier-sense range defer and suffer interference; only those
+   within decode range can receive; a shadowed pair's ranges are scaled
+   by its gain; the partition wall absorbs the crossing frame entirely.
 
    Candidates are [src]'s neighbour list; every list is rebuilt first if
    a radio has attached for the first time since the last rebuild, or if
    either end of a pair may have closed the margin since
    ([2 * v_max * age > neighbour_margin_m]).  A valid list is a superset
    of the touched radios already in delivery order, so each attached
-   entry is filtered by the exact predicate and appended: no cell walk,
-   no sort.  The whole list's positions are refreshed by one store call.
-   One distance computation per candidate, stashed squared in the job's
-   [job_dist]; the delivery pass replaces it with [sqrt d2], which
-   equals [Vec2.dist] bit-for-bit, so caching cannot change outcomes.
+   entry is classified and appended: no cell walk, no sort.
 
-   Every float here is a local of this one function body — the source
-   position, the lists' age — so none is boxed, whatever the inliner
-   decides: a float passed to or returned from a call that is not
-   inlined (this module's included) would be.  Only the link-model arm
-   calls out with floats. *)
-let collect t job src =
+   An entry's cached position is at most [w = move_per_ns * (now -
+   last_t) + move_slack] from where a refresh would put it, so on the unit
+   disk its cached squared distance [d2] alone settles it when
+   - [d2 > (cs + w)^2]: certainly beyond carrier sense, skipped; or
+   - [d2 <= (cs - w)^2] and [d2 > (range + w)^2]: certainly touched and
+     certainly not decodable, and it cannot lock or corrupt — it is
+     transmitting, holds no lock, or is certainly weak against its lock
+     ([d2 >= (ratio * lock_dist + w)^2]): only counted busy.
+   Every other entry, and every entry under a link model, takes the
+   exact path: refresh, exact [d2], and capture on [sqrt d2], which
+   equals [Vec2.dist] bit-for-bit.  Both paths decide as the exact
+   predicate would, so outcomes cannot depend on the bound.
+
+   Every float here is a local of this one function body or an
+   argument of an [@inline] helper above, so none is boxed whatever the
+   inliner decides: a float passed to or returned from a call that is
+   not inlined (this module's included) would be.  Only the link-model
+   arm calls out with floats. *)
+let scan t job src ~live =
   let now = Engine.now t.engine in
-  let store = t.store and xs = t.xs and ys = t.ys in
+  let store = t.store and xs = t.xs and ys = t.ys and last_ts = t.last_ts in
   let si = src.slot in
   Mobility.Pos_store.refresh store si now;
   (* [Time.to_sec], inlined: its float return would box. *)
@@ -444,40 +482,151 @@ let collect t job src =
   if t.built_n < t.next_seq || 2. *. t.v_max *. age > neighbour_margin_m
   then rebuild t now;
   let nbrs = src.nbrs and m = src.nbr_n in
-  Mobility.Pos_store.refresh_slots store nbrs m now;
   let sx = Array.unsafe_get xs si and sy = Array.unsafe_get ys si in
-  let cs2 = t.params.cs_range_m *. t.params.cs_range_m in
+  let cs = t.params.cs_range_m in
+  let move_per_ns = t.move_per_ns and move_slack = t.move_slack in
+  let cs2 = cs *. cs and rng2 = range_m *. range_m in
   let link = t.link and attached = t.attached in
+  let tx_n = t.tx_n and lock_job = t.lock_job and lock_ix = t.lock_ix in
+  let lock_dist = t.lock_dist in
+  let ratio = capture_distance_ratio and now_ns = (now :> int) in
+  (* Every list entry was refreshed at the last rebuild or since, so
+     [w_all] bounds every entry's [w]; squared thresholds under it
+     settle most entries without reading their refresh times.  Every
+     [w] is at least [move_slack], so no entry within [deaf2_min] can be
+     certainly out of decode range. *)
+  let w_all =
+    (move_per_ns *. float_of_int (now_ns - (t.built_at :> int))) +. move_slack
+  in
+  let far2_all = square_pos (cs +. w_all)
+  and near2_all = square_pos (cs -. w_all)
+  and deaf2_all = square_pos (range_m +. w_all)
+  and deaf2_min = square_pos (range_m +. move_slack) in
   let src_int = Node_id.to_int src.id in
   for k = 0 to m - 1 do
     let i = Array.unsafe_get nbrs k in
     if Array.unsafe_get attached i then begin
-      let ox = Array.unsafe_get xs i in
-      let dx = ox -. sx and dy = Array.unsafe_get ys i -. sy in
-      let d2 = (dx *. dx) +. (dy *. dy) in
-      (* A pair the wall parts straddles it, so [d2 > 0] rules it out. *)
-      let gain =
+      (* 0: beyond carrier sense; 1: touched, nothing to resolve;
+         2: not settled by the bound. *)
+      let verdict =
         match link with
-        | None -> 1.
-        | Some l when Link_model.blocked l ~now ~x1:sx ~x2:ox -> 0.
-        | Some l -> Link_model.gain l src_int (Node_id.to_int t.radios.(i).id)
+        | Some _ -> 2
+        | None ->
+            let dx = Array.unsafe_get xs i -. sx
+            and dy = Array.unsafe_get ys i -. sy in
+            let d2 = (dx *. dx) +. (dy *. dy) in
+            if d2 > far2_all then 0
+            else if d2 <= deaf2_min then 2
+            else if d2 <= near2_all && d2 > deaf2_all && quiet t i d2 w_all
+            then 1
+            else begin
+              (* Near a threshold: the entry's own, tighter bound. *)
+              let age = now_ns - Array.unsafe_get last_ts i in
+              let w = (move_per_ns *. float_of_int age) +. move_slack in
+              let far = cs +. w and near = cs -. w and deaf = range_m +. w in
+              if d2 > far *. far then 0
+              else if
+                near > 0.
+                && d2 <= near *. near
+                && d2 > deaf *. deaf
+                && quiet t i d2 w
+              then 1
+              else 2
+            end
       in
-      if d2 <= cs2 *. (gain *. gain) then begin
-        let j = job_push job i in
-        Array.unsafe_set job.job_dist j d2;
-        Array.unsafe_set job.job_gain j gain
+      if verdict = 1 then begin
+        ignore (job_push job i);
+        if live then touch t i
+      end
+      else if verdict = 2 then begin
+        Mobility.Pos_store.refresh store i now;
+        let ox = Array.unsafe_get xs i in
+        let dx = ox -. sx and dy = Array.unsafe_get ys i -. sy in
+        let d2 = (dx *. dx) +. (dy *. dy) in
+        (* A pair the wall parts straddles it, so [d2 > 0] rules it out. *)
+        let g =
+          match link with
+          | None -> 1.
+          | Some l when Link_model.blocked l ~now ~x1:sx ~x2:ox -> 0.
+          | Some l ->
+              Link_model.gain l src_int (Node_id.to_int t.radios.(i).id)
+        in
+        if d2 <= cs2 *. (g *. g) then begin
+          let j = job_push job i in
+          if live then begin
+            touch t i;
+            (* Effective distance folds the shadowing gain in: capture
+               compares effective signal strengths.  [g = 1.] (no link
+               model) leaves every float untouched. *)
+            let dist = sqrt d2 in
+            let dist = if g = 1. then dist else dist /. g in
+            let dec = if g = 1. then d2 <= rng2 else d2 <= rng2 *. (g *. g) in
+            (* A radio that is transmitting decodes nothing.  An overlap
+               is resolved by the capture effect: the markedly closer
+               (stronger) transmitter wins; comparable powers corrupt
+               both frames. *)
+            let captures =
+              tx_n.(i) = 0
+              &&
+              let lj = lock_job.(i) in
+              if lj < 0 then dec
+              else begin
+                let cur_dist = lock_dist.(i) in
+                (* An arrival this weak leaves the locked frame intact. *)
+                dist < ratio *. cur_dist
+                && begin
+                     let cur = t.jobs.(lj) and ci = lock_ix.(i) in
+                     let cf = Char.code (Bytes.get cur.job_flags ci) in
+                     Bytes.set cur.job_flags ci
+                       (Char.unsafe_chr (cf lor corrupted));
+                     cur_dist >= ratio *. dist && dec
+                   end
+              end
+            in
+            if captures then begin
+              lock_job.(i) <- job.job_id;
+              lock_ix.(i) <- j;
+              lock_dist.(i) <- dist
+            end;
+            Bytes.unsafe_set job.job_flags j
+              (Char.unsafe_chr
+                 ((if dec then decodable else 0)
+                 lor if captures then locked else 0))
+          end
+        end
       end
     end
   done
 
 let fanout t r =
   let job = alloc_job t in
-  collect t job r;
+  scan t job r ~live:false;
   let ids =
     List.init job.job_n (fun j -> t.radios.(job.job_slots.(j)).id)
   in
   free_job t job;
   ids
+
+type reception = {
+  rx : Node_id.t;
+  decodable : bool;
+  locked : bool;
+  corrupted : bool;
+}
+
+let receptions t r =
+  let live job = job.job_src = r.slot && job.job_frame != dummy_frame in
+  match Array.find_opt live t.jobs with
+  | None -> []
+  | Some job ->
+      List.init job.job_n (fun j ->
+          let f = Char.code (Bytes.get job.job_flags j) in
+          {
+            rx = t.radios.(job.job_slots.(j)).id;
+            decodable = f land decodable <> 0;
+            locked = f land locked <> 0;
+            corrupted = f land corrupted <> 0;
+          })
 
 let rec run_hooks hooks id frame =
   match hooks with
@@ -486,9 +635,8 @@ let rec run_hooks hooks id frame =
       hook id frame;
       run_hooks rest id frame
 
-(* Run the hooks, collect the touched radios, resolve capture, and arm
-   the end-of-transmission event.  Only radios within decode range can
-   receive the frame. *)
+(* Run the hooks, mark the source transmitting, classify the touched
+   radios in one pass, and arm the end-of-transmission event. *)
 let transmit t src frame ~duration =
   run_hooks t.hooks src.id frame;
   if Obs.Bus.on t.obs then
@@ -497,57 +645,12 @@ let transmit t src frame ~duration =
       ~node:(Node_id.to_int src.id)
       ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
       ~dst:(Frame.dst_int frame.dst) ~bytes:(Frame.encoded_length frame);
-  let rng2 = range_m *. range_m in
   let job = alloc_job t in
   job.job_src <- src.slot;
   job.job_frame <- frame;
-  collect t job src;
-  let busy_n = t.busy_n and tx_n = t.tx_n and contending = t.contending in
-  let radios = t.radios and lock_job = t.lock_job and lock_ix = t.lock_ix in
   let si = src.slot in
-  let was_busy = tx_n.(si) > 0 || busy_n.(si) > 0 in
-  tx_n.(si) <- tx_n.(si) + 1;
-  if (not was_busy) && contending.(si) then src.medium true;
-  let ratio = capture_distance_ratio in
-  let slots = job.job_slots and dists = job.job_dist
-  and gains = job.job_gain and flags = job.job_flags in
-  for j = 0 to job.job_n - 1 do
-    let s = Array.unsafe_get slots j in
-    let b = busy_n.(s) in
-    busy_n.(s) <- b + 1;
-    if b = 0 && tx_n.(s) = 0 && contending.(s) then radios.(s).medium true;
-    let d2 = Array.unsafe_get dists j and g = Array.unsafe_get gains j in
-    (* Effective distance folds the shadowing gain in: capture compares
-       effective signal strengths.  [g = 1.] (no link model) leaves
-       every float untouched. *)
-    let dist = sqrt d2 in
-    let dist = if g = 1. then dist else dist /. g in
-    Array.unsafe_set dists j dist;
-    let decodable = if g = 1. then d2 <= rng2 else d2 <= rng2 *. (g *. g) in
-    (* A radio that is transmitting decodes nothing.  An overlap is
-       resolved by the capture effect: the markedly closer (stronger)
-       transmitter wins; comparable powers corrupt both frames. *)
-    if tx_n.(s) = 0 then begin
-      let lj = lock_job.(s) in
-      let captures =
-        if lj < 0 then decodable
-        else begin
-          let cur = t.jobs.(lj) and ci = lock_ix.(s) in
-          let cur_dist = cur.job_dist.(ci) in
-          (* An arrival this weak leaves the locked frame intact. *)
-          if dist >= ratio *. cur_dist then false
-          else begin
-            let cf = Char.code (Bytes.get cur.job_flags ci) in
-            Bytes.set cur.job_flags ci (Char.unsafe_chr (cf lor corrupted));
-            cur_dist >= ratio *. dist && decodable
-          end
-        end
-      in
-      if captures then begin
-        Bytes.unsafe_set flags j (Char.unsafe_chr locked);
-        lock_job.(s) <- job.job_id;
-        lock_ix.(s) <- j
-      end
-    end
-  done;
+  let was_busy = t.tx_n.(si) > 0 || t.busy_n.(si) > 0 in
+  t.tx_n.(si) <- t.tx_n.(si) + 1;
+  if (not was_busy) && t.contending.(si) then src.medium true;
+  scan t job src ~live:true;
   ignore (Engine.after_fn t.engine duration end_of_tx job)

@@ -10,9 +10,14 @@
     Positions are read from the shared {!Mobility.Pos_store} planes.
     Candidates come from the sender's neighbour list: the radios within
     the carrier-sense range (times the link model's largest gain) plus
-    a fixed margin, newest attach first.  The exact range predicate is
-    re-applied to each attached entry, so receptions come out newest
-    attach first with no sort.  Lists name every radio that has ever
+    a fixed margin, newest attach first.  One pass over the list
+    classifies each attached entry, so receptions come out newest
+    attach first with no sort.  On the plain unit disk an entry whose
+    cached position, widened by {!Mobility.max_move}, settles its
+    fate — certainly beyond carrier sense, or certainly touched without
+    being able to decode, lock or corrupt — is not refreshed; every
+    other entry is refreshed and decided by the exact predicate, so the
+    outcome is the exact one.  Lists name every radio that has ever
     attached.  All of them are rebuilt together, in one pass over a
     uniform cell grid, at the first transmission after a radio's first
     attach or once twice the fastest store process's
@@ -99,9 +104,22 @@ val radio_id : radio -> Node_id.t
 val fanout : t -> radio -> Node_id.t list
 (** The radios a transmission by this radio starting now would touch
     (carrier-sense range, link model applied), in delivery order —
-    computed by the same neighbour-list scan as {!transmit}, which
+    classified by the same neighbour-list scan as {!transmit}, which
     rebuilds the list first if it may be stale.  Used by tests and
     topology audits, not by protocols. *)
+
+type reception = {
+  rx : Node_id.t;
+  decodable : bool;  (** within decode range of the transmitter *)
+  locked : bool;  (** the receiver locked onto the frame *)
+  corrupted : bool;  (** an overlap has since corrupted the locked frame *)
+}
+
+val receptions : t -> radio -> reception list
+(** The transmission this radio has in the air, as the channel
+    classified it: every radio it touches, in delivery order.  Empty
+    when the radio is not transmitting.  Used by tests, not by
+    protocols. *)
 
 val add_transmit_hook : t -> (Node_id.t -> Frame.t -> unit) -> unit
 (** Register a tap invoked at the start of every transmission (metrics,

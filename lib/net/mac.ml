@@ -197,7 +197,7 @@ and retry t f next_hop =
   end
   else begin
     t.attempts <- t.attempts + 1;
-    t.cw <- Stdlib.min (((t.cw + 1) * 2) - 1) cw_max;
+    t.cw <- Int.min (((t.cw + 1) * 2) - 1) cw_max;
     begin_access t
   end
 
@@ -258,7 +258,7 @@ let on_medium t busy =
       (* Time.t is an immediate int of nanoseconds; plain int division
          avoids two Int64 boxes per medium-busy transition. *)
       let consumed = (after_difs :> int) / (Params.slot :> int) in
-      t.slots <- Stdlib.max 0 (t.slots - consumed)
+      t.slots <- Int.max 0 (t.slots - consumed)
     end
   end
   else maybe_arm t

@@ -285,13 +285,13 @@ let rec log2_floor x = if x <= 1 then 0 else 1 + log2_floor (x lsr 1)
 let note_front t nf tm =
   let f = t.front in
   if nf < front_k || tm < f.(front_k - 1) then begin
-    let j = ref (Stdlib.min nf (front_k - 1)) in
+    let j = ref (Int.min nf (front_k - 1)) in
     while !j > 0 && f.(!j - 1) > tm do
       f.(!j) <- f.(!j - 1);
       decr j
     done;
     f.(!j) <- tm;
-    Stdlib.min (nf + 1) front_k
+    Int.min (nf + 1) front_k
   end
   else nf
 
@@ -330,7 +330,7 @@ let retune t anchor =
   t.mask <- nb - 1;
   if nf >= 2 && t.front.(nf - 1) > t.front.(0) then
     t.shift <- log2_floor ((t.front.(nf - 1) - t.front.(0)) / (nf - 1));
-  let lo = if nf > 0 then Stdlib.min anchor t.front.(0) else anchor in
+  let lo = if nf > 0 then Int.min anchor t.front.(0) else anchor in
   set_window t (lo lsr t.shift);
   t.near <- 0;
   let i = ref !chain in
@@ -427,7 +427,7 @@ let rec find_min t =
     done;
     t.examined <- t.examined + !n;
     t.excess <-
-      Stdlib.max 0 (t.excess + skipped + (entry_cost * !n) - cost_bound);
+      Int.max 0 (t.excess + skipped + (entry_cost * !n) - cost_bound);
     !best
   end
 

@@ -45,8 +45,8 @@ let ( < ) (a : t) (b : t) = Stdlib.( < ) a b
 let ( <= ) (a : t) (b : t) = Stdlib.( <= ) a b
 let ( > ) (a : t) (b : t) = Stdlib.( > ) a b
 let ( >= ) (a : t) (b : t) = Stdlib.( >= ) a b
-let min (a : t) (b : t) = Stdlib.min a b
-let max (a : t) (b : t) = Stdlib.max a b
+let min = Int.min
+let max = Int.max
 
 let pp fmt t =
   let x = float_of_int t in

@@ -6,7 +6,10 @@
    - its carrier sense ([Net.Channel.busy]): recounted from the
      oracle's own record of the fan-outs still in the air, each alive
      for its frame's airtime as [Net.Params] gives it, plus the radio's
-     own transmission.
+     own transmission;
+   - its classification of every reception ([Net.Channel.receptions]):
+     decode range, lock and corruption, replayed over exact positions
+     by a reference that refreshes every radio at every transmission.
 
    Positions come from the record mobility processes
    ([Mobility.position]), not from the store's cached planes the channel
@@ -151,3 +154,137 @@ let arm ~checked t channel =
 
 let arm_sim ~checked sim =
   arm ~checked (of_sim sim) sim.Experiment.Runner.channel
+
+(* ---- Capture: an all-exact reference classification ------------------ *)
+
+(* The channel's reception model, restated: a touched radio can decode
+   within the 275 m nominal range (both ranges scaled by the pair's
+   shadowing gain), and an overlap is resolved at its start against the
+   frame the radio is locked to — the arrival captures it when the
+   locked transmitter is at least 1.78 times farther (10 dB SIR at
+   path-loss exponent 4), leaves it intact when itself that much
+   farther, and otherwise corrupts it.  A transmitting radio decodes
+   nothing.  Distances are effective: over the gain. *)
+let decode_range_m = 275.
+let capture_ratio = 1.78
+
+type rx = {
+  slot : int;
+  dist : float;
+  decodable : bool;
+  mutable locked : bool;
+  mutable corrupted : bool;
+}
+
+(* A transmission the reference classified: its source, its receptions
+   in delivery order and the instant its airtime ends. *)
+type job = { from : int; rxs : rx list; until : Time.t }
+
+type capture = {
+  medium : t;
+  mutable air : job list;
+  tx : int array;  (* own transmissions in the air *)
+  lock : rx option array;  (* the reception each radio is locked to *)
+}
+
+let capture medium =
+  let n = Array.length medium.radios in
+  { medium; air = []; tx = Array.make n 0; lock = Array.make n None }
+
+(* Retire the transmissions whose airtime ended before now, then
+   classify one by [src] starting now, refreshing every position. *)
+let classify c src ~duration =
+  let t = c.medium in
+  let now = Engine.now t.engine in
+  let ended, live = List.partition (fun j -> Time.(j.until < now)) c.air in
+  List.iter
+    (fun j ->
+      c.tx.(j.from) <- c.tx.(j.from) - 1;
+      List.iter
+        (fun rx ->
+          match c.lock.(rx.slot) with
+          | Some l when l == rx -> c.lock.(rx.slot) <- None
+          | _ -> ())
+        j.rxs)
+    ended;
+  c.tx.(src) <- c.tx.(src) + 1;
+  let sp = position t src in
+  let r2 = decode_range_m *. decode_range_m in
+  let classify_one i =
+    let d2 = Geom.Vec2.dist2 sp (position t i) in
+    let g =
+      match t.link with None -> 1. | Some l -> Net.Link_model.gain l src i
+    in
+    let dist = sqrt d2 /. g in
+    let rx =
+      { slot = i; dist; decodable = d2 <= r2 *. (g *. g); locked = false;
+        corrupted = false }
+    in
+    if c.tx.(i) = 0 then begin
+      let captures =
+        match c.lock.(i) with
+        | None -> rx.decodable
+        | Some cur ->
+            dist < capture_ratio *. cur.dist
+            && begin
+                 cur.corrupted <- true;
+                 cur.dist >= capture_ratio *. dist && rx.decodable
+               end
+      in
+      if captures then begin
+        rx.locked <- true;
+        c.lock.(i) <- Some rx
+      end
+    end;
+    rx
+  in
+  let rxs = List.fold_left (fun acc i -> classify_one i :: acc) [] (fanout t src) in
+  c.air <- { from = src; rxs = List.rev rxs; until = Time.add now duration } :: live
+
+(* Start a transmission from radio [src] on the channel and in the
+   reference, then compare the two radio by radio: whether it transmits,
+   its carrier sense, and the receptions of its transmission in the air
+   (touched set and order, decodable set, lock and corruption flags).
+   Raise [Failure] naming the first radio that differs.  No
+   transmission may start at the instant another one ends. *)
+let transmit_checked c src frame ~duration =
+  let t = c.medium in
+  classify c src ~duration;
+  Net.Channel.transmit t.channel t.radios.(src) frame ~duration;
+  let flags rx =
+    Printf.sprintf "%d%s%s%s"
+      (Node_id.to_int rx.Net.Channel.rx)
+      (if rx.decodable then "d" else "")
+      (if rx.locked then "l" else "")
+      (if rx.corrupted then "c" else "")
+  in
+  let show l = String.concat "," (List.map flags l) in
+  Array.iteri
+    (fun i r ->
+      let mine = List.find_opt (fun j -> j.from = i) c.air in
+      let want =
+        match mine with
+        | None -> []
+        | Some j ->
+            List.map
+              (fun rx ->
+                { Net.Channel.rx = Node_id.of_int rx.slot;
+                  decodable = rx.decodable; locked = rx.locked;
+                  corrupted = rx.corrupted })
+              j.rxs
+      in
+      let got = Net.Channel.receptions t.channel r in
+      let busy =
+        c.tx.(i) > 0
+        || List.exists (fun j -> List.exists (fun rx -> rx.slot = i) j.rxs) c.air
+      in
+      if
+        got <> want
+        || Net.Channel.transmitting t.channel r <> Option.is_some mine
+        || Net.Channel.busy t.channel r <> busy
+      then
+        failwith
+          (Printf.sprintf
+             "capture reference: transmission from node %d at t=%s: radio               %d has [%s] in the air, reference [%s]"
+             src (Time.to_string (Engine.now t.engine)) i (show got) (show want)))
+    t.radios

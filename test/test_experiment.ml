@@ -259,8 +259,34 @@ let scenario_builders () =
   checki "flows set" 30 sc'.Scenario.traffic.Traffic.num_flows;
   let sc'' = Scenario.with_pause (Time.sec 60.) sc in
   checkb "pause set" true (Time.equal sc''.Scenario.pause (Time.sec 60.));
-  Alcotest.check Alcotest.string "ldr name" "LDR" (Scenario.protocol_name Scenario.ldr);
-  Alcotest.check Alcotest.string "dsr7" "DSR" (Scenario.protocol_name Scenario.dsr_draft7)
+  let name what want p =
+    Alcotest.check Alcotest.string what want (Scenario.protocol_name p)
+  in
+  name "ldr name" "LDR" Scenario.ldr;
+  name "ldr-plain name" "LDR-PLAIN" (Scenario.Ldr Ldr.Config.plain);
+  name "dsr name" "DSR" Scenario.dsr;
+  name "dsr7" "DSR-DRAFT7" Scenario.dsr_draft7
+
+(* The CLI's run header is one line, whatever the protocol: the
+   pps separator is a literal [@], not a Format break hint. *)
+let run_header_one_line () =
+  List.iter
+    (fun (p, name) ->
+      let out = Filename.temp_file "manet_sim_header" ".txt" in
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/manet_sim.exe run -p %s -n 10 -d 1 > %s" p
+             (Filename.quote out))
+      in
+      let ic = open_in out in
+      let first = input_line ic in
+      close_in ic;
+      Sys.remove out;
+      checki (p ^ ": exit code") 0 code;
+      Alcotest.check Alcotest.string (p ^ ": header")
+        (name ^ ": 10 nodes on 1500x300m, 10 flows @ 4 pps, pause 0s, 1s")
+        first)
+    [ ("ldr", "LDR"); ("ldr-plain", "LDR-PLAIN"); ("dsr-draft7", "DSR-DRAFT7") ]
 
 let metrics_dedup () =
   let m = Metrics.create () in
@@ -347,6 +373,7 @@ let () =
       ( "scenario",
         [
           Alcotest.test_case "builders" `Quick scenario_builders;
+          Alcotest.test_case "run header is one line" `Quick run_header_one_line;
           Alcotest.test_case "grid placement" `Quick placement_grid;
           Alcotest.test_case "fixed placement" `Quick placement_fixed;
         ] );

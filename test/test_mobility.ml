@@ -303,10 +303,11 @@ let random_process rng family =
         ~oy:(Rng.float rng 1000. -. 500.)
 
 (* qcheck: [max_speed] bounds every move, which the channel trusts to
-   age its neighbour lists.  A random process of each family is sampled
-   through the position store (the channel's view) at random increasing
-   times, some a few ms apart and some several legs apart; no step
-   covers more than [max_speed * dt], up to float rounding. *)
+   age its neighbour lists and to settle radios from cached positions.
+   A random process of each family is sampled through the position
+   store (the channel's view) at random increasing times, some a few ms
+   apart and some several legs apart; no step covers more than
+   [move_bound ~speed:(max_speed m)] allows, the channel's own bound. *)
 let max_speed_bounds_moves_prop =
   QCheck.Test.make ~name:"max_speed bounds every move" ~count:300
     QCheck.(
@@ -316,6 +317,7 @@ let max_speed_bounds_moves_prop =
       let rng = Rng.create (seed + 1) in
       let m = random_process rng family in
       let v = Mobility.max_speed m in
+      let per_ns, slack = Mobility.move_bound ~speed:v in
       let s = Mobility.Pos_store.of_array [| m |] ~at:Time.zero in
       let t = ref Time.zero in
       let prev = ref (Mobility.Pos_store.position s 0 Time.zero) in
@@ -326,16 +328,16 @@ let max_speed_bounds_moves_prop =
              let dt = if Rng.bool rng then dt /. 1000. else dt in
              let t' = Time.add !t (Time.sec dt) in
              let p = Mobility.Pos_store.position s 0 t' in
-             let span = Time.to_sec (Time.diff t' !t) in
              let ok =
-               Geom.Vec2.dist !prev p <= (v *. span *. (1. +. 1e-9)) +. 1e-6
+               Geom.Vec2.dist !prev p
+               <= (per_ns *. float_of_int (Time.diff t' !t :> int)) +. slack
              in
              t := t';
              prev := p;
              ok)
            dts)
 
-(* qcheck: the batch refresh the channel's candidate scan makes is the
+(* qcheck: the batch refresh the channel's list rebuild makes is the
    per-slot refresh, bit for bit.  Three copies of one random world,
    every family present: at random increasing instants a random list of
    slots (repeats allowed, ms- and leg-scale gaps) goes through

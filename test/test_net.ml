@@ -605,6 +605,161 @@ let list_expiry_prop =
       done;
       !ok)
 
+(* The one-pass classification against an all-exact reference
+   ([Naive_medium.transmit_checked]): 40 radios on the Fig-5 field
+   (1500 x 300 m, so carrier sense spans most of it and decode range
+   does not), moving by random waypoint at pause 0, on a Manhattan
+   lattice, in RPGM groups, or by random waypoint with radios detaching
+   and re-attaching between transmissions.  Transmissions start from
+   random idle attached radios, often overlapping, sometimes after a
+   long silence so cached positions are seconds old; after each one,
+   every radio's receptions in the air (touched set and order, decode
+   range, lock and corruption), transmitting and busy equal the
+   reference's.  Starts fall on even and airtime ends on odd
+   nanoseconds, so no start coincides with an end.  The run must also
+   leave touched radios unrefreshed, or the bound was never used. *)
+let classification_matches_exact () =
+  let terrain = Geom.Terrain.create ~width:1500. ~height:300. in
+  let families = [ "waypoint"; "manhattan"; "rpgm"; "churn" ] in
+  List.iter
+    (fun family ->
+      List.iter
+        (fun seed ->
+          let rng = Rng.create (seed + 1) in
+          let k = 40 in
+          let point () = Geom.Terrain.random_point terrain rng in
+          let groups =
+            Array.init (k / 4) (fun _ ->
+                Mobility.rpgm_group ~terrain ~rng:(Rng.split rng)
+                  ~speed_min:1. ~speed_max:20. ~pause:Time.zero
+                  ~start:(point ()))
+          in
+          let mobs =
+            Array.init k (fun i ->
+                match family with
+                | "manhattan" ->
+                    Mobility.manhattan ~terrain ~rng:(Rng.split rng)
+                      ~spacing:150. ~speed_min:1. ~speed_max:20.
+                      ~pause:Time.zero ~start:(point ())
+                | "rpgm" ->
+                    Mobility.rpgm_member groups.(i / 4)
+                      ~ox:(Rng.float rng 200. -. 100.)
+                      ~oy:(Rng.float rng 200. -. 100.)
+                | _ ->
+                    Mobility.waypoint ~terrain ~rng:(Rng.split rng)
+                      ~speed_min:1. ~speed_max:20. ~pause:Time.zero
+                      ~start:(point ()))
+          in
+          let engine = Engine.create ~seed:5 () in
+          let store = Mobility.Pos_store.of_array mobs ~at:Time.zero in
+          let channel =
+            Net.Channel.create ~engine ~store ~terrain
+              ~params:Net.Params.default ()
+          in
+          let radios =
+            Array.init k (fun i -> Net.Channel.attach channel ~slot:i ~id:(n i))
+          in
+          let reference =
+            Naive_medium.capture
+              (Naive_medium.create ~engine ~store channel radios)
+          in
+          let last_ts = Mobility.Pos_store.last_ts store in
+          let at = ref 0 and unrefreshed = ref 0 in
+          for _ = 1 to 1500 do
+            let gap_ms =
+              if Rng.int rng 20 = 0 then Rng.float rng 400.
+              else Rng.float rng 1.
+            in
+            at := !at + (2 * int_of_float (gap_ms *. 5e5)) + 2;
+            let now = Time.unsafe_of_ns !at in
+            Engine.run ~until:now engine;
+            if family = "churn" && Rng.int rng 10 = 0 then begin
+              let r = radios.(Rng.int rng k) in
+              Net.Channel.set_attached channel r
+                (not (Net.Channel.attached channel r))
+            end;
+            let src = Rng.int rng k in
+            let r = radios.(src) in
+            if
+              Net.Channel.attached channel r
+              && not (Net.Channel.transmitting channel r)
+            then begin
+              let duration =
+                Time.unsafe_of_ns ((2 * (100_000 + Rng.int rng 1_400_000)) + 1)
+              in
+              Naive_medium.transmit_checked reference src (ack_frame src)
+                ~duration;
+              List.iter
+                (fun rx ->
+                  if last_ts.(Node_id.to_int rx.Net.Channel.rx) < !at then
+                    incr unrefreshed)
+                (Net.Channel.receptions channel r)
+            end
+          done;
+          checkb
+            (Printf.sprintf "%s seed %d: some touched radios settled unrefreshed"
+               family seed)
+            true (!unrefreshed > 0))
+        [ 1; 2; 3 ])
+    families
+
+(* The bound's four edges, each where the cached position and the true
+   one fall on opposite sides of a threshold.  At t = 0 the first
+   transmission (A's, 5 s long) builds the lists and refreshes every
+   radio; radios R, D, S and F then move along the x axis at 10 m/s, and
+   B transmits at t = 2.4 s, before the lists expire (2 * 10 * 2.4 <=
+   50 m), so each cached position is 24 m stale.  Cached and true
+   distances to B:
+   - R, locked to A at 200 m: 378 m cached, 354 m true — no longer weak
+     against its lock (1.78 * 200 = 356 m), so B corrupts A's frame;
+   - D, out of A's decode range: 290 m cached, 266 m true — decodable,
+     so it locks onto B;
+   - S, locked to A: 540 m cached, 564 m true — beyond carrier sense;
+   - F, out of A's reach: 560 m cached, 536 m true — touched.
+   The reference agrees after both transmissions, and the receptions
+   show each edge taken the exact way. *)
+let bound_edges_resolve_exactly () =
+  let at x = v (100. +. x) 100. in
+  let moving x dx =
+    Mobility.scripted [ (Time.zero, at x); (Time.sec 100., at (x +. (100. *. dx))) ]
+  in
+  let mobs =
+    [ Mobility.static (at 0.); moving 200. 10.; Mobility.static (at 578.);
+      moving 288. 10.; moving 38. (-10.); moving 1138. (-10.) ]
+  in
+  let engine = Engine.create ~seed:5 () in
+  let store, channel = store_channel engine mobs in
+  let radios =
+    Array.of_list
+      (List.mapi (fun i _ -> Net.Channel.attach channel ~slot:i ~id:(n i)) mobs)
+  in
+  let reference =
+    Naive_medium.capture (Naive_medium.create ~engine ~store channel radios)
+  in
+  let a = 0 and r = 1 and b = 2 and d = 3 and s = 4 and f = 5 in
+  Naive_medium.transmit_checked reference a (ack_frame a)
+    ~duration:(Time.sec 5.);
+  Engine.run ~until:(Time.sec 2.4) engine;
+  Naive_medium.transmit_checked reference b (ack_frame b)
+    ~duration:(Time.ms 1.);
+  let flags src i =
+    List.find_map
+      (fun rx ->
+        if Node_id.to_int rx.Net.Channel.rx = i then
+          Some (rx.Net.Channel.decodable, rx.locked, rx.corrupted)
+        else None)
+      (Net.Channel.receptions channel radios.(src))
+  in
+  let check what want got =
+    Alcotest.(check (option (triple bool bool bool))) what want got
+  in
+  check "R: A's frame corrupted" (Some (true, true, true)) (flags a r);
+  check "S: A's frame intact" (Some (true, true, false)) (flags a s);
+  check "R: B not decodable" (Some (false, false, false)) (flags b r);
+  check "D: locked onto B" (Some (true, true, false)) (flags b d);
+  check "S: beyond B's carrier sense" None (flags b s);
+  check "F: touched by B" (Some (false, false, false)) (flags b f)
+
 (* A radio attaching after the lists were built joins every list at
    once, though a static layout never expires them by age.  A slot
    outside the store is refused, as is a second radio in one slot: the
@@ -874,6 +1029,10 @@ let () =
           Alcotest.test_case "re-attach refreshes neighbour lists" `Quick
             reattach_refreshes_lists;
           qt list_expiry_prop;
+          Alcotest.test_case "classification matches exact reference" `Quick
+            classification_matches_exact;
+          Alcotest.test_case "bound edges resolve exactly" `Quick
+            bound_edges_resolve_exactly;
           Alcotest.test_case "late attach joins neighbour lists" `Quick
             late_attach_joins_lists;
           Alcotest.test_case "contending gates carrier-sense edges" `Quick
