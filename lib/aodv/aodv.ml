@@ -194,7 +194,7 @@ let handle_rreq t (r : Aodv_msg.rreq) ~from =
             let dst_sn =
               match (entry t r.dst, r.dst_sn) with
               | Some { sn = Some stored; _ }, Some want ->
-                  Some (Stdlib.max stored want)
+                  Some (Int.max stored want)
               | Some { sn = Some stored; _ }, None -> Some stored
               | _, want -> want
             in
@@ -259,7 +259,7 @@ let handle_rerr t unreachable ~from =
         match entry t dst with
         | Some r when next_is r from ->
             r.next_hop <- None;
-            r.sn <- Some (Stdlib.max sn (match r.sn with Some s -> s | None -> 0));
+            r.sn <- Some (Int.max sn (match r.sn with Some s -> s | None -> 0));
             Some (dst, Option.get r.sn)
         | Some _ | None -> None)
       unreachable

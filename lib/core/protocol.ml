@@ -41,7 +41,7 @@ let now (t : state) = Engine.now t.ctx.engine
 let clock_stamp t = int_of_float (Time.to_sec (now t))
 
 let increment_own t =
-  let now_stamp = Stdlib.max (clock_stamp t) (t.own_sn.Seqnum.stamp + 1) in
+  let now_stamp = Int.max (clock_stamp t) (t.own_sn.Seqnum.stamp + 1) in
   t.own_sn <-
     Seqnum.increment ~counter_limit:t.cfg.seqnum_counter_limit ~now_stamp
       t.own_sn;
@@ -51,7 +51,7 @@ let increment_own t =
    the feasible distance is sound; the paper uses floor(0.8 fd), min 1. *)
 let reduce t d =
   if t.cfg.opt_reduced_distance && d < Conditions.infinity then
-    Stdlib.max 1 (int_of_float (reduced_distance_factor *. float_of_int d))
+    Int.max 1 (int_of_float (reduced_distance_factor *. float_of_int d))
   else d
 
 (* Can this node's route answer, given the minimum-lifetime rule? *)
@@ -101,8 +101,8 @@ let ring_schedule t dst =
   let first =
     match Route_table.find t.table dst with
     | Some e when t.cfg.opt_optimal_ttl && e.dist < Conditions.infinity ->
-        Stdlib.min Routing.Discovery.net_diameter
-          (Stdlib.max Routing.Discovery.ttl_start
+        Int.min Routing.Discovery.net_diameter
+          (Int.max Routing.Discovery.ttl_start
              (e.dist - reduce t e.fd + local_add_ttl))
     | Some _ | None -> Routing.Discovery.ttl_start
   in
@@ -183,8 +183,8 @@ let relayed t (r : Ldr_msg.rreq) ~ttl ~no_reverse ~unicast_probe =
           ttl;
           no_reverse;
           unicast_probe;
-          fd = Stdlib.min e.fd r.fd;
-          answer_dist = Stdlib.min r.answer_dist (reduce t e.fd);
+          fd = Int.min e.fd r.fd;
+          answer_dist = Int.min r.answer_dist (reduce t e.fd);
           reset = (if e.fd < r.fd then r.reset else true);
         }
       else
@@ -237,7 +237,7 @@ let forward_unicast_probe t (e : Route_table.entry) (r : Ldr_msg.rreq) =
       let ttl =
         (* Must be able to reach the destination even if the ring search
            would have died out (Section 2.2). *)
-        Stdlib.max (r.ttl - 1) (e.dist + local_add_ttl)
+        Int.max (r.ttl - 1) (e.dist + local_add_ttl)
       in
       send_ldr t ~dst:(Net.Frame.Unicast nh)
         (Ldr_msg.Rreq

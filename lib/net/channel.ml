@@ -225,7 +225,7 @@ let new_job owner job_id =
 let alloc_job t =
   if t.job_free = 0 then begin
     let have = Array.length t.jobs in
-    let extra = Stdlib.max 4 have in
+    let extra = Int.max 4 have in
     let fresh = Array.init extra (fun k -> new_job t (have + k)) in
     t.jobs <- Array.append t.jobs fresh;
     t.job_pool <- Array.append fresh t.job_pool;
@@ -285,8 +285,19 @@ let in_flight t = Array.length t.job_pool - t.job_free
    frames in delivery order (a data unicast for another node only to a
    radio that overhears, an ACK for another node to none), and recycle
    the job.  Medium listeners hear edges only while their radio
-   contends.  Clearing the frame drops the job's reference into live
-   simulation state between transmissions. *)
+   contends.  Clearing the frame first drops the job's reference into
+   live simulation state between transmissions, and leaves no
+   [receptions] reading the job while the first pass rewrites it.
+
+   Two passes.  The first counts every touched radio one transmission
+   less busy without branching on the radio, and compacts the entries
+   that act — a contending radio the medium goes idle for, or a locked
+   reception — to the front of the job's own arrays, keeping their
+   order.  The
+   second runs the edge, then the lock release and the delivery or
+   collision, for each of those.  Callbacks see the order of a single
+   interleaved pass: a listener or receiver changes only its own
+   radio's state, and none starts a transmission. *)
 let end_of_tx job =
   let t = job.job_owner in
   let busy_n = t.busy_n and tx_n = t.tx_n and contending = t.contending in
@@ -296,14 +307,30 @@ let end_of_tx job =
   if tx_n.(src) = 0 && busy_n.(src) = 0 && contending.(src) then
     radios.(src).medium false;
   let frame = job.job_frame in
+  job.job_frame <- dummy_frame;
   let dst = Frame.dst_int frame.dst in
   let slots = job.job_slots and flags = job.job_flags in
+  let acting = ref 0 in
   for j = 0 to job.job_n - 1 do
     let s = Array.unsafe_get slots j in
-    let b = busy_n.(s) - 1 in
+    let b = Array.unsafe_get busy_n s - 1 in
     assert (b >= 0);
-    busy_n.(s) <- b;
-    if b = 0 && tx_n.(s) = 0 && contending.(s) then radios.(s).medium false;
+    Array.unsafe_set busy_n s b;
+    let f = Bytes.unsafe_get flags j in
+    let a = !acting in
+    Array.unsafe_set slots a s;
+    Bytes.unsafe_set flags a f;
+    acting :=
+      a
+      + (Bool.to_int (b = 0)
+         land Bool.to_int (Array.unsafe_get tx_n s = 0)
+         land Bool.to_int (Array.unsafe_get contending s)
+        lor (Char.code f land locked))
+  done;
+  for j = 0 to !acting - 1 do
+    let s = Array.unsafe_get slots j in
+    if busy_n.(s) = 0 && tx_n.(s) = 0 && contending.(s) then
+      radios.(s).medium false;
     let f = Char.code (Bytes.unsafe_get flags j) in
     if f land locked <> 0 then begin
       (* Only clear the lock if it is still ours (a corrupting overlap
@@ -329,7 +356,6 @@ let end_of_tx job =
           ~from:(Node_id.to_int frame.Frame.src)
     end
   done;
-  job.job_frame <- dummy_frame;
   free_job t job
 
 let clamp_cell v hi = if v < 0 then 0 else if v > hi then hi else v
@@ -414,13 +440,18 @@ let rebuild t now =
   t.built_n <- n;
   t.built_at <- now
 
-(* Count the radio in [slot] busy under one more transmission, telling
-   a contending listener when that makes the medium busy. *)
-let touch t slot =
-  let b = t.busy_n.(slot) in
-  t.busy_n.(slot) <- b + 1;
-  if b = 0 && t.tx_n.(slot) = 0 && t.contending.(slot) then
-    t.radios.(slot).medium true
+(* Count the radio in [slot] busy under one more transmission and write
+   it at [edges.(e)]; return [e + 1] when that makes the medium busy for
+   a contending listener, else [e], so only the radios that get an edge
+   stay in [edges.(0 .. e - 1)].  No branch depends on the radio. *)
+let[@inline] count_busy t edges e slot =
+  let b = Array.unsafe_get t.busy_n slot in
+  Array.unsafe_set t.busy_n slot (b + 1);
+  edges.(e) <- slot;
+  e
+  + (Bool.to_int (b = 0)
+    land Bool.to_int (Array.unsafe_get t.tx_n slot = 0)
+    land Bool.to_int (Array.unsafe_get t.contending slot))
 
 (* [x^2] for a positive radius [x]; a negative radius, an empty disk,
    gives a squared distance no entry is within. *)
@@ -439,8 +470,10 @@ let[@inline] quiet t i d2 w =
 
 (* Classify every radio a transmission by [src] starting now touches,
    appending each to the empty [job] in delivery order; when [live],
-   also count it busy, fire its carrier-sense edge and resolve capture
-   (its [medium] listener runs before the next entry is classified).
+   also count it busy and resolve capture, then, once every entry is
+   classified, fire the busy edges in delivery order.  The listeners
+   see what an edge fired mid-pass would: a busy edge only cancels the
+   radio's own timer, and classification reads no state it changes.
    Touched radios are fixed at transmission start: node movement within
    one frame airtime (~2 ms) is a fraction of a millimetre.  Radios out
    to the carrier-sense range defer and suffer interference; only those
@@ -503,6 +536,12 @@ let scan t job src ~live =
   and deaf2_all = square_pos (range_m +. w_all)
   and deaf2_min = square_pos (range_m +. move_slack) in
   let src_int = Node_id.to_int src.id in
+  (* The busy-edge list borrows [cell_slots]: only [rebuild] reads it,
+     after rewriting every entry it reads, and a rebuild runs only at
+     the start of a scan, as above.  No scan starts while the list is
+     live, since no listener starts a transmission.  A scan touches at
+     most every other radio, so the list fits. *)
+  let edges = t.cell_slots and edge_n = ref 0 in
   for k = 0 to m - 1 do
     let i = Array.unsafe_get nbrs k in
     if Array.unsafe_get attached i then begin
@@ -536,7 +575,7 @@ let scan t job src ~live =
       in
       if verdict = 1 then begin
         ignore (job_push job i);
-        if live then touch t i
+        if live then edge_n := count_busy t edges !edge_n i
       end
       else if verdict = 2 then begin
         Mobility.Pos_store.refresh store i now;
@@ -554,7 +593,7 @@ let scan t job src ~live =
         if d2 <= cs2 *. (g *. g) then begin
           let j = job_push job i in
           if live then begin
-            touch t i;
+            edge_n := count_busy t edges !edge_n i;
             (* Effective distance folds the shadowing gain in: capture
                compares effective signal strengths.  [g = 1.] (no link
                model) leaves every float untouched. *)
@@ -596,6 +635,9 @@ let scan t job src ~live =
         end
       end
     end
+  done;
+  for e = 0 to !edge_n - 1 do
+    t.radios.(edges.(e)).medium true
   done
 
 let fanout t r =

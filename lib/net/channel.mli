@@ -80,7 +80,11 @@ val set_receiver : radio -> overhear:bool -> (Frame.t -> unit) -> unit
 
 val set_medium_listener : radio -> (bool -> unit) -> unit
 (** Called when carrier sense transitions busy<->idle for this radio,
-    while the radio contends ({!set_contending}). *)
+    while the radio contends ({!set_contending}).  The sender's own edge
+    comes first.  The busy edges of a transmission fire after every
+    touched radio has been classified and counted busy, in delivery
+    order.  At its end each touched radio's idle edge fires just before
+    its frame is handed over or lost, in delivery order. *)
 
 val set_contending : t -> radio -> bool -> unit
 (** Whether the medium listener hears carrier-sense edges: [true] (the

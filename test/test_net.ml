@@ -897,6 +897,55 @@ let overhearing_is_opt_in () =
   Alcotest.check frames "alone, C receives the broadcast" [ data ] heard.(1);
   checki "and no collision" 0 collisions.(1)
 
+(* Listener and receiver calls of one transmission, in firing order.
+   S broadcasts and touches, newest attach first, D (200 m away: decodes
+   and contends), C (100 m: decodes, does not contend) and B (400 m:
+   contends, beyond decode range).  At the start the busy edges of D
+   and B fire in that order, each once every touched radio is counted
+   busy.  At the end each radio's idle edge comes right before its own
+   frame, in delivery order, so B's edge follows the other frames. *)
+let listeners_in_delivery_order () =
+  let engine = Engine.create ~seed:5 () in
+  let names = [| "B"; "C"; "D"; "S" |] in
+  let _, channel =
+    store_channel engine
+      (List.map Mobility.static
+         [ v 200. 100.; v 500. 100.; v 400. 100.; v 600. 100. ])
+  in
+  let log = ref [] and b_sensed = ref [] in
+  let radios =
+    Array.mapi
+      (fun i name ->
+        let r = Net.Channel.attach channel ~slot:i ~id:(n i) in
+        Net.Channel.set_receiver r ~overhear:false (fun _ ->
+            log := (name ^ " rx") :: !log);
+        r)
+      names
+  in
+  Array.iteri
+    (fun i r ->
+      Net.Channel.set_medium_listener r (fun busy ->
+          if busy then
+            b_sensed := Net.Channel.busy channel radios.(0) :: !b_sensed;
+          log := (names.(i) ^ if busy then " busy" else " idle") :: !log))
+    radios;
+  Net.Channel.set_contending channel radios.(1) false;
+  Net.Channel.set_contending channel radios.(3) false;
+  let take () =
+    let l = List.rev !log in
+    log := [];
+    l
+  in
+  let calls = Alcotest.(list string) in
+  Net.Channel.transmit channel radios.(3) (ack_frame 3) ~duration:(Time.ms 1.);
+  Alcotest.check calls "start: busy edges in delivery order"
+    [ "D busy"; "B busy" ] (take ());
+  Alcotest.(check (list bool))
+    "B counted busy before the first edge" [ true; true ] !b_sensed;
+  Engine.run ~until:(Time.ms 5.) engine;
+  Alcotest.check calls "end: each idle edge right before its own frame"
+    [ "D idle"; "D rx"; "C rx"; "B idle" ] (take ())
+
 (* Minor words per steady-state transmission (transmit + end-of-tx) from
    radio 0 with [k] static radios within range of it: the words of a
    loop of transmissions, less those of the same loop (clock advance
@@ -1039,5 +1088,7 @@ let () =
             contending_gates_edges;
           Alcotest.test_case "overhearing is opt-in, capture is not" `Quick
             overhearing_is_opt_in;
+          Alcotest.test_case "listeners run in delivery order" `Quick
+            listeners_in_delivery_order;
         ] );
     ]
