@@ -53,8 +53,10 @@ let scenario_for ~scale ~nodes ~flows protocol =
   |> Scenario.with_flows flows
   |> Scenario.with_duration (Time.sec scale.duration)
 
+(* The trials of a point run on one domain per recommended core; the
+   aggregate is bit-identical at any job count. *)
 let point ~scale ~nodes ~flows ~pause protocol =
-  Sweep.trials
+  Sweep.trials ~jobs:0
     (scenario_for ~scale ~nodes ~flows protocol
     |> Scenario.with_pause (Time.sec pause))
     ~n:scale.trials

@@ -97,12 +97,16 @@ let broadcast_rerr t unreachable =
   if unreachable <> [] then
     send_aodv t ~dst:Net.Frame.Broadcast (Aodv_msg.Rerr { unreachable })
 
-let forward_data t (r : route) msg =
+(* Send [msg], already accounted for this hop, along the valid route
+   [r]. *)
+let send_data t (r : route) msg =
   match r.next_hop with
   | None -> assert false
   | Some nh ->
       refresh t r;
-      t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (Data_msg.hop msg))
+      t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data msg)
+
+let forward_data t r msg = send_data t r (Data_msg.hop msg)
 
 (* ---- Route discovery --------------------------------------------------- *)
 
@@ -127,20 +131,18 @@ let send_rreq t ~dst ~ttl ~rreq_id =
 
 let handle_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
+  else if msg.Data_msg.ttl <= 1 then t.ctx.drop_data msg ~reason:"ttl-expired"
   else
-    match Data_msg.decr_ttl msg with
-    | None -> t.ctx.drop_data msg ~reason:"ttl-expired"
-    | Some msg -> (
-        match valid_entry t msg.Data_msg.dst with
-        | Some r -> forward_data t r msg
-        | None ->
-            t.ctx.drop_data msg ~reason:"no-route";
-            let sn =
-              match entry t msg.Data_msg.dst with
-              | Some { sn = Some s; _ } -> s + 1
-              | Some { sn = None; _ } | None -> 1
-            in
-            broadcast_rerr t [ (msg.Data_msg.dst, sn) ])
+    match valid_entry t msg.Data_msg.dst with
+    | Some r -> send_data t r (Data_msg.relay msg)
+    | None ->
+        t.ctx.drop_data msg ~reason:"no-route";
+        let sn =
+          match entry t msg.Data_msg.dst with
+          | Some { sn = Some s; _ } -> s + 1
+          | Some { sn = None; _ } | None -> 1
+        in
+        broadcast_rerr t [ (msg.Data_msg.dst, sn) ]
 
 (* ---- RREQ / RREP ------------------------------------------------------- *)
 

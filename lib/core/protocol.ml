@@ -14,13 +14,6 @@ let reduced_distance_factor = 0.8  (* in the paper *)
 let min_lifetime = Time.scale active_route_timeout (1. /. 3.)
 let local_add_ttl = 2
 
-(* Engaged-node state cached per computation (origin, rreq_id). *)
-type engaged = {
-  last_hop : Node_id.t;
-  mutable best_forwarded : (Seqnum.t * int) option;
-      (* strongest (sn, dist) advertisement relayed for this computation *)
-}
-
 type state = {
   ctx : RA.ctx;
   cfg : Config.t;
@@ -28,7 +21,13 @@ type state = {
       (* [ctx.send] to everyone, bound once: the deferred flood relay
          schedules it with its payload, allocating no closure *)
   table : Route_table.t;
-  cache : engaged Routing.Rreq_cache.t;
+  engaged : Node_id.t Routing.Rreq_cache.t;
+      (* per computation (origin, rreq_id) this node is engaged in: the
+         reverse hop for its replies *)
+  mutable forwarded : (Seqnum.t * int) Routing.Rreq_cache.t option;
+      (* per engaged computation: the strongest (sn, dist) advertisement
+         relayed for it.  Built at the first reply this node relays or
+         sends: a node set up allocates nothing for it. *)
   mutable own_sn : Seqnum.t;
   mutable own_increments : int;
   discovery : Route_table.entry Routing.Discovery.t Lazy.t;
@@ -36,6 +35,16 @@ type state = {
 }
 
 let discovery t = Lazy.force t.discovery
+
+let forwarded t =
+  match t.forwarded with
+  | Some c -> c
+  | None ->
+      let c =
+        Routing.Rreq_cache.create ~engine:t.ctx.engine ~ttl:rreq_cache_ttl
+      in
+      t.forwarded <- Some c;
+      c
 
 let now (t : state) = Engine.now t.ctx.engine
 let clock_stamp t = int_of_float (Time.to_sec (now t))
@@ -86,12 +95,17 @@ let learn_advert t ~dst ~adv_sn ~adv_dist ~via ~lifetime =
     verdict
   end
 
-let forward_data t (e : Route_table.entry) msg =
+(* Send [msg], already accounted for this hop, along the active route
+   [e]. *)
+let send_data t (e : Route_table.entry) msg =
   match e.next_hop with
   | None -> assert false
   | Some nh ->
       Route_table.refresh t.table e ~lifetime:active_route_timeout;
-      t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (Data_msg.hop msg))
+      t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data msg)
+
+(* Origination and rescue: the hop budget is not spent here. *)
+let forward_data t e msg = send_data t e (Data_msg.hop msg)
 
 (* ---- Procedure 1: initiate solicitation ------------------------------ *)
 
@@ -135,21 +149,18 @@ let send_rreq t ~dst ~ttl ~rreq_id =
 
 let handle_data t msg ~from:_ =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
+  else if msg.Data_msg.ttl <= 1 then t.ctx.drop_data msg ~reason:"ttl-expired"
   else
-    match Data_msg.decr_ttl msg with
-    | None -> t.ctx.drop_data msg ~reason:"ttl-expired"
-    | Some msg -> (
-        match Route_table.active t.table msg.Data_msg.dst with
-        | Some e -> forward_data t e msg
-        | None ->
-            (* Mid-path with no route: shed the packet and warn
-               upstream. *)
-            t.ctx.drop_data msg ~reason:"no-route";
-            let sn =
-              Option.map (fun (e : Route_table.entry) -> e.sn)
-                (Route_table.find t.table msg.Data_msg.dst)
-            in
-            broadcast_rerr t [ (msg.Data_msg.dst, sn) ])
+    match Route_table.active t.table msg.Data_msg.dst with
+    | Some e -> send_data t e (Data_msg.relay msg)
+    | None ->
+        (* Mid-path with no route: shed the packet and warn upstream. *)
+        t.ctx.drop_data msg ~reason:"no-route";
+        let sn =
+          Option.map (fun (e : Route_table.entry) -> e.sn)
+            (Route_table.find t.table msg.Data_msg.dst)
+        in
+        broadcast_rerr t [ (msg.Data_msg.dst, sn) ]
 
 (* ---- Procedure 2: relay solicitation (Eqs. 5-8) ----------------------- *)
 
@@ -222,10 +233,8 @@ let intermediate_reply t (e : Route_table.entry) (r : Ldr_msg.rreq) ~last_hop =
     }
   in
   t.ctx.event ~dst:r.dst "rrep_init";
-  Routing.Rreq_cache.update t.cache ~origin:r.origin ~rreq_id:r.rreq_id
-    (fun eng ->
-      eng.best_forwarded <- Some (e.sn, e.dist);
-      eng);
+  Routing.Rreq_cache.add (forwarded t) ~origin:r.origin ~rreq_id:r.rreq_id
+    (e.sn, e.dist);
   send_ldr t ~dst:(Net.Frame.Unicast last_hop) (Ldr_msg.Rrep rrep)
 
 (* Convert the flood into a unicast RREQ that must reach the destination
@@ -274,12 +283,16 @@ let request_as_error t (r : Ldr_msg.rreq) ~from =
 
 let handle_rreq t (r : Ldr_msg.rreq) ~from =
   if Node_id.equal r.origin t.ctx.id then ()
-  else if Routing.Rreq_cache.mem t.cache ~origin:r.origin ~rreq_id:r.rreq_id
+  else if Routing.Rreq_cache.mem t.engaged ~origin:r.origin ~rreq_id:r.rreq_id
   then () (* not passive for this computation: silently ignore *)
   else begin
-    (* Become engaged; remember the reverse hop for the reply path. *)
-    Routing.Rreq_cache.add t.cache ~origin:r.origin ~rreq_id:r.rreq_id
-      { last_hop = from; best_forwarded = None };
+    (* Become engaged; remember the reverse hop for the reply path, and
+       forget any reply relayed while engaged in it before. *)
+    Routing.Rreq_cache.add t.engaged ~origin:r.origin ~rreq_id:r.rreq_id from;
+    (match t.forwarded with
+    | Some c ->
+        Routing.Rreq_cache.remove c ~origin:r.origin ~rreq_id:r.rreq_id
+    | None -> ());
     (* The RREQ doubles as an advertisement for its origin (unless the
        N bit says the reverse chain already broke upstream). *)
     let reverse_ok =
@@ -376,15 +389,19 @@ let handle_rrep t (r : Ldr_msg.rrep) ~from =
     (* Procedure 4: relay along the computation's reverse path, always
        re-advertising from our own (possibly stronger) invariants. *)
     match
-      Routing.Rreq_cache.find t.cache ~origin:r.origin ~rreq_id:r.rreq_id
+      Routing.Rreq_cache.find t.engaged ~origin:r.origin ~rreq_id:r.rreq_id
     with
     | None -> () (* never engaged, or engagement expired *)
-    | Some eng -> (
+    | Some last_hop -> (
         match Route_table.active t.table r.dst with
         | None -> () (* stronger invariants but no valid route: discard *)
         | Some e ->
+            let forwarded = forwarded t in
             let stronger =
-              match eng.best_forwarded with
+              match
+                Routing.Rreq_cache.find forwarded ~origin:r.origin
+                  ~rreq_id:r.rreq_id
+              with
               | None -> true
               | Some (bsn, bdist) ->
                   t.cfg.opt_multiple_rreps
@@ -392,7 +409,8 @@ let handle_rrep t (r : Ldr_msg.rrep) ~from =
                      || (Seqnum.equal e.sn bsn && e.dist < bdist))
             in
             if stronger then begin
-              eng.best_forwarded <- Some (e.sn, e.dist);
+              Routing.Rreq_cache.add forwarded ~origin:r.origin
+                ~rreq_id:r.rreq_id (e.sn, e.dist);
               let r' =
                 {
                   r with
@@ -401,7 +419,7 @@ let handle_rrep t (r : Ldr_msg.rrep) ~from =
                   lifetime = Route_table.remaining_lifetime t.table e;
                 }
               in
-              send_ldr t ~dst:(Net.Frame.Unicast eng.last_hop)
+              send_ldr t ~dst:(Net.Frame.Unicast last_hop)
                 (Ldr_msg.Rrep r')
             end)
   end
@@ -474,7 +492,8 @@ let recv t payload ~from =
 let reset t ~crash =
   Routing.Discovery.reset (discovery t) ~crash;
   Route_table.clear t.table;
-  Routing.Rreq_cache.clear t.cache;
+  Routing.Rreq_cache.clear t.engaged;
+  t.forwarded <- None;
   t.ctx.table_changed ();
   if crash then begin
     t.own_sn <- Seqnum.initial ~stamp:0;
@@ -490,8 +509,9 @@ let make ?(config = Config.default) (ctx : RA.ctx) =
       table =
         Route_table.create ~obs:ctx.obs
           ~owner:(Node_id.to_int ctx.id) ~engine:ctx.engine ();
-      cache =
+      engaged =
         Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:rreq_cache_ttl;
+      forwarded = None;
       own_sn = Seqnum.initial ~stamp:0;
       own_increments = 0;
       discovery =

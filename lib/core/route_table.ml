@@ -106,7 +106,7 @@ let apply_advert t ~dst ~adv_sn ~adv_dist ~via ~lifetime =
         e.sn <- adv_sn;
         e.dist <- new_dist;
         e.fd <- (if sn_increased then new_dist else Int.min e.fd new_dist);
-        e.next_hop <- Some via;
+        if not (next_is e via) then e.next_hop <- Some via;
         e.expires <- expires;
         emit_write t ~dst ~old_succ e;
         `Installed

@@ -325,22 +325,22 @@ let handle_tc t ~origin ~msg_seq ~ttl ~(tc : Olsr_msg.tc) ~from =
 
 (* ---- Data plane ----------------------------------------------------------- *)
 
-let forward_data t msg =
+(* Send the copy [account msg] toward [msg]'s destination: [Data_msg.hop]
+   at the origin, [Data_msg.relay] at a relay. *)
+let forward_data t msg ~account =
   match route_lookup t msg.Data_msg.dst with
   | Some (nh, _) ->
-      t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (Data_msg.hop msg))
+      t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (account msg))
   | None -> t.ctx.drop_data msg ~reason:"no-route"
 
 let origin_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
-  else forward_data t msg
+  else forward_data t msg ~account:Data_msg.hop
 
 let handle_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
-  else
-    match Data_msg.decr_ttl msg with
-    | None -> t.ctx.drop_data msg ~reason:"ttl-expired"
-    | Some msg -> forward_data t msg
+  else if msg.Data_msg.ttl <= 1 then t.ctx.drop_data msg ~reason:"ttl-expired"
+  else forward_data t msg ~account:Data_msg.relay
 
 let link_failure t payload ~next_hop =
   (* Link-layer feedback accelerates what missed HELLOs would conclude. *)

@@ -16,7 +16,7 @@ let fresh ~flow_id ~seq ~src ~dst ~payload_bytes ~origin_time =
 
 let hop t = { t with hops = t.hops + 1 }
 let uid t = (t.flow_id, t.seq)
-let decr_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1 }
+let relay t = { t with ttl = t.ttl - 1; hops = t.hops + 1 }
 
 let pp fmt t =
   Format.fprintf fmt "data[f%d#%d %a->%a]" t.flow_id t.seq Node_id.pp t.src

@@ -29,7 +29,9 @@ val hop : t -> t
 val uid : t -> int * int
 (** (flow_id, seq): unique across a run; keys end-to-end accounting. *)
 
-val decr_ttl : t -> t option
-(** [None] when the hop budget is exhausted. *)
+val relay : t -> t
+(** The copy a relay forwards: one hop of budget spent ([ttl - 1]) and
+    one transmission accounted ([hops + 1]), in one allocation.  The
+    caller drops the packet instead when [ttl <= 1]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -3,9 +3,9 @@ open Packets
 
 (* A flat open-addressing table over parallel arrays: linear probing,
    keys packed into one immediate int, expiry instants stored as
-   immediate nanoseconds.  A lookup, an [add] on a present key and an
-   [update] allocate nothing (a hit in [find] allocates only its
-   [Some]).
+   immediate nanoseconds.  A lookup, an [add] on a present key, an
+   [update] and a [remove] allocate nothing (a hit in [find] allocates
+   only its [Some]).
 
    Keys pack (origin, rreq_id) with the flood counter in the full 32
    bits it occupies on the wire and the node id in the 30 bits above
@@ -14,12 +14,13 @@ open Packets
    immediate.  Every key is non-negative, so [-1] marks an empty slot.
 
    An entry is live iff its expiry is after the current instant.  Dead
-   entries stay in place until a lookup meets one (it is deleted then)
-   or a purge deletes them all: a new key triggers one when a
-   quarter-table of new keys has gone in since the last, or when the
-   table would pass three-quarters full, and the arrays double if the
-   survivors still fill half of them.  Deletion shifts the following
-   probe run back (no tombstones), so purging allocates nothing either.
+   entries stay in place until a lookup meets one (it is deleted then),
+   a [remove] names one, or a purge deletes them all: a new key
+   triggers one when a quarter-table of new keys has gone in since the
+   last, or when the table would pass three-quarters full, and the
+   arrays double if the survivors still fill half of them.  Deletion
+   shifts the following probe run back (no tombstones), so purging
+   allocates nothing either.
 
    The arrays are created at the first [add], and dropped by [clear]: a
    node that never sees a flood holds none.  [values] has one slot more
@@ -199,6 +200,10 @@ let add t ~origin ~rreq_id value =
 let update t ~origin ~rreq_id f =
   let i = live_slot t ~origin ~rreq_id in
   if i >= 0 then t.values.(i) <- f t.values.(i)
+
+let remove t ~origin ~rreq_id =
+  let i = slot t (key ~origin ~rreq_id) in
+  if i >= 0 then delete t i
 
 let clear t =
   t.keys <- [||];

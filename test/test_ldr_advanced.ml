@@ -131,6 +131,72 @@ let relay_own_flood_ignored () =
   checki "origin has no pending discovery left" 0
     (List.length ((dbg 0).Protocol.pending_discoveries ()))
 
+let reengagement_forgets_relayed_reply () =
+  (* Relay 5 engages in computation (0, 1) from hop 1 and relays a reply
+     for it.  Once the engagement has expired, the same computation
+     reaches it again from hop 2: the same reply must now be relayed to
+     hop 2, as if nothing had been relayed before.  The request asks for
+     the reply's own number at answer distance 0, so the relay cannot
+     answer it itself. *)
+  let engine = Engine.create () in
+  let sent = ref [] in
+  let ctx =
+    {
+      (Routing.Agent.null_ctx ~id:5 engine) with
+      Routing.Agent.send = (fun ~dst p -> sent := (dst, p) :: !sent);
+    }
+  in
+  let agent = Protocol.factory () ctx in
+  let sn = Seqnum.initial ~stamp:0 in
+  let rreq =
+    Payload.Ldr
+      (Ldr_msg.Rreq
+         {
+           Ldr_msg.dst = n 9;
+           dst_sn = Some sn;
+           rreq_id = 1;
+           origin = n 0;
+           origin_sn = Seqnum.initial ~stamp:0;
+           fd = Conditions.infinity;
+           answer_dist = 0;
+           dist = 1;
+           ttl = 5;
+           reset = false;
+           no_reverse = false;
+           unicast_probe = false;
+         })
+  in
+  let rrep =
+    Payload.Ldr
+      (Ldr_msg.Rrep
+         {
+           Ldr_msg.dst = n 9;
+           dst_sn = sn;
+           origin = n 0;
+           rreq_id = 1;
+           dist = 2;
+           lifetime = Time.sec 10.;
+           rrep_no_reverse = false;
+         })
+  in
+  let replies_to hop =
+    List.length
+      (List.filter
+         (function
+           | Net.Frame.Unicast h, Payload.Ldr (Ldr_msg.Rrep _) ->
+               Node_id.equal h (n hop)
+           | _ -> false)
+         !sent)
+  in
+  let at s f = ignore (Engine.at engine (Time.sec s) f) in
+  at 0. (fun () -> agent.recv rreq ~from:(n 1));
+  at 5. (fun () -> agent.recv rrep ~from:(n 7));
+  at 6.5 (fun () -> agent.recv rreq ~from:(n 2));
+  at 6.6 (fun () -> agent.recv rrep ~from:(n 7));
+  Engine.run ~until:(Time.sec 7.) engine;
+  checki "first engagement: reply relayed to hop 1" 1 (replies_to 1);
+  checki "re-engagement: the same reply relayed to hop 2" 1 (replies_to 2)
+
 (* ---- Sequence number restamping ------------------------------------------ *)
 
 let seqnum_restamp_through_agent () =
@@ -224,6 +290,8 @@ let () =
         [
           Alcotest.test_case "duplicate rreq ignored" `Quick duplicate_rreq_ignored;
           Alcotest.test_case "own flood ignored" `Quick relay_own_flood_ignored;
+          Alcotest.test_case "re-engagement forgets relayed replies" `Quick
+            reengagement_forgets_relayed_reply;
           Alcotest.test_case "self-addressed data" `Quick
             self_addressed_data_delivers_locally;
           Alcotest.test_case "buffer capacity" `Quick burst_respects_buffer_capacity;

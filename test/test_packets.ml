@@ -97,10 +97,10 @@ let data_sizes () =
   checki "fresh has full ttl" Data_msg.default_ttl msg.Data_msg.ttl;
   checki "fresh has zero hops" 0 msg.Data_msg.hops;
   checki "hop counts up" 1 (Data_msg.hop msg).Data_msg.hops;
-  (match Data_msg.decr_ttl msg with
-  | Some m -> checki "ttl decremented" 63 m.Data_msg.ttl
-  | None -> Alcotest.fail "ttl should not expire");
-  checkb "ttl 1 expires" true (Data_msg.decr_ttl { msg with ttl = 1 } = None)
+  let relayed = Data_msg.relay { msg with hops = 3 } in
+  checki "relay spends one ttl" 63 relayed.Data_msg.ttl;
+  checkb "relay counts one hop, other fields equal" true
+    (relayed = { msg with ttl = 63; hops = 4 })
 
 let ldr_sizes () =
   let rreq =

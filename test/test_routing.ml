@@ -147,10 +147,45 @@ let cache_allocation_free () =
   check_zero_words "update" (fun () ->
       Routing.Rreq_cache.update c ~origin:(n 3) ~rreq_id:big Fun.id)
 
+let cache_remove () =
+  let engine = Engine.create () in
+  let c = Routing.Rreq_cache.create ~engine ~ttl:(Time.sec 5.) in
+  let mem o r = Routing.Rreq_cache.mem c ~origin:(n o) ~rreq_id:r in
+  Routing.Rreq_cache.remove c ~origin:(n 1) ~rreq_id:1;
+  checki "absent key, no storage: no-op" 0 (Routing.Rreq_cache.length c);
+  Routing.Rreq_cache.add c ~origin:(n 1) ~rreq_id:1 "a";
+  Routing.Rreq_cache.remove c ~origin:(n 2) ~rreq_id:1;
+  checkb "absent key: others stay" true (mem 1 1);
+  checki "absent key: no-op" 1 (Routing.Rreq_cache.length c);
+  Routing.Rreq_cache.remove c ~origin:(n 1) ~rreq_id:1;
+  checkb "removed" false (mem 1 1);
+  (* At this load linear probing forms runs several slots long, so some
+     of these removals fall in the middle of a run: removing any one key
+     must leave every other key findable under its own value. *)
+  let keys = 48 in
+  for victim = 0 to keys - 1 do
+    Routing.Rreq_cache.clear c;
+    for i = 0 to keys - 1 do
+      Routing.Rreq_cache.add c ~origin:(n (i mod 5)) ~rreq_id:i (string_of_int i)
+    done;
+    Routing.Rreq_cache.remove c ~origin:(n (victim mod 5)) ~rreq_id:victim;
+    for i = 0 to keys - 1 do
+      let want = if i = victim then None else Some (string_of_int i) in
+      if Routing.Rreq_cache.find c ~origin:(n (i mod 5)) ~rreq_id:i <> want
+      then Alcotest.failf "after removing %d, key %d is wrong" victim i
+    done;
+    checki "one fewer" (keys - 1) (Routing.Rreq_cache.length c)
+  done;
+  check_zero_words "add then remove" (fun () ->
+      Routing.Rreq_cache.add c ~origin:(n 7) ~rreq_id:7 "x";
+      Routing.Rreq_cache.remove c ~origin:(n 7) ~rreq_id:7);
+  check_zero_words "remove absent" (fun () ->
+      Routing.Rreq_cache.remove c ~origin:(n 7) ~rreq_id:7)
+
 (* Random operation sequences against an association-list model of the
    contract: an entry is live iff its expiry is after now, [add]
    (re)arms the expiry, [update] applies to live entries only and keeps
-   the expiry.  The clock steps across the TTL, flood counters reach
+   the expiry, [remove] deletes live and dead entries alike.  The clock steps across the TTL, flood counters reach
    2^31 and beyond, and the key space is small enough for hits,
    refreshes, growth and purges. *)
 type cache_op =
@@ -158,6 +193,7 @@ type cache_op =
   | Mem of int * int
   | Find of int * int
   | Update of int * int
+  | Remove of int * int
   | Clear
   | Length
   | Step of int  (** ms *)
@@ -178,6 +214,7 @@ let cache_op_gen =
       (4, map (fun (o, r) -> Mem (o, r)) key);
       (3, map (fun (o, r) -> Find (o, r)) key);
       (2, map (fun (o, r) -> Update (o, r)) key);
+      (2, map (fun (o, r) -> Remove (o, r)) key);
       (1, return Clear);
       (1, return Length);
       (3, map (fun ms -> Step ms) (int_bound 15));
@@ -188,6 +225,7 @@ let cache_op_print = function
   | Mem (o, r) -> Printf.sprintf "mem(%d,%d)" o r
   | Find (o, r) -> Printf.sprintf "find(%d,%d)" o r
   | Update (o, r) -> Printf.sprintf "update(%d,%d)" o r
+  | Remove (o, r) -> Printf.sprintf "remove(%d,%d)" o r
   | Clear -> "clear"
   | Length -> "length"
   | Step ms -> Printf.sprintf "step %dms" ms
@@ -232,6 +270,10 @@ let cache_model_qcheck =
                 model :=
                   ((o, r), (v + 1, exp)) :: List.remove_assoc (o, r) !model
             | None -> ());
+            true
+        | Remove (o, r) ->
+            Routing.Rreq_cache.remove c ~origin:(n o) ~rreq_id:r;
+            model := List.remove_assoc (o, r) !model;
             true
         | Clear ->
             Routing.Rreq_cache.clear c;
@@ -301,6 +343,23 @@ let duplicate_rreq_allocation_free () =
             ttl = 255;
             tc = { Olsr_msg.tc_origin = n 0; ansn = 0; advertised = [] };
           }))
+
+(* A relayed data packet allocates one copy of itself: the relay spends
+   a hop of TTL and counts the hop in the same record. *)
+let data_relay_one_copy () =
+  let engine = Engine.create () in
+  let agent, dbg =
+    Ldr.Protocol.factory_with_debug () (Routing.Agent.null_ctx ~id:5 engine)
+  in
+  ignore
+    (Ldr.Route_table.apply_advert dbg.Ldr.Protocol.table ~dst:(n 9)
+       ~adv_sn:(Seqnum.initial ~stamp:0) ~adv_dist:0 ~via:(n 6)
+       ~lifetime:(Time.sec 100.));
+  let payload = Payload.Data (msg ~src:0 ~dst:9 ()) in
+  let w = words_per_call (fun () -> agent.recv payload ~from:(n 4)) in
+  (* The copy (8 fields + header), its [Payload.Data], the [Unicast]
+     destination and the route lookup's [Some]. *)
+  checkb (Printf.sprintf "relay: 15 words (%.2f)" w) true (w = 15.)
 
 (* ---- Packet_buffer ------------------------------------------------------ *)
 
@@ -869,12 +928,18 @@ let () =
           Alcotest.test_case "purge" `Quick cache_purges;
           Alcotest.test_case "allocation-free hits" `Quick
             cache_allocation_free;
+          Alcotest.test_case "remove" `Quick cache_remove;
           QCheck_alcotest.to_alcotest cache_model_qcheck;
         ] );
       ( "flood",
         [
           Alcotest.test_case "duplicate rreq allocates nothing" `Quick
             duplicate_rreq_allocation_free;
+        ] );
+      ( "data",
+        [
+          Alcotest.test_case "relayed data is one copy" `Quick
+            data_relay_one_copy;
         ] );
       ( "packet_buffer",
         [
