@@ -338,6 +338,7 @@ let scenario ?(world = default_world) protocol nodes width height
     shadowing = world.w_shadowing;
     churn = world.w_churn;
     partition = world.w_partition;
+    medium = Scenario.Radio;
   }
 
 (* Hand-rolled JSON: the trace schema is flat and the container ships no

@@ -1,5 +1,6 @@
 (* The paper's Figure 1 / Section 2.3 walkthrough, executed against the
-   real LDR implementation over an idealized link layer.
+   real LDR implementation over an idealized link layer (the runner's
+   explicit-link medium, [Scenario.graph]).
 
    Six nodes; destination T.  Initial successor graph (dist/fd):
 
@@ -21,10 +22,11 @@
    Run with: dune exec examples/figure1.exe *)
 
 open Packets
+open Experiment
 module Time = Sim.Time
 
 (* Node ids chosen so that broadcast copies (delivered in id order by the
-   test network) make C answer first, as the paper stipulates. *)
+   link medium) make C answer first, as the paper stipulates. *)
 let e = 0
 let c = 1
 let b = 2
@@ -59,25 +61,30 @@ let show_entry dbg node =
         | None -> "-")
 
 let () =
-  let engine = Sim.Engine.create ~seed:1 () in
   (* The plain configuration: the walkthrough predates the Section-4
      optimizations (reduced distance would lower the answering bound and
      change who may reply). *)
   let config = Ldr.Config.plain in
+  (* Every node's agent, keeping its debug handle. *)
   let debugs = Array.make 5 None in
-  let factories =
-    Array.init 5 (fun i ctx ->
-        let agent, dbg = Ldr.Protocol.factory_with_debug ~config () ctx in
-        debugs.(i) <- Some dbg;
-        agent)
+  let factory (ctx : Routing.Agent.ctx) =
+    let agent, dbg = Ldr.Protocol.factory_with_debug ~config () ctx in
+    debugs.(Node_id.to_int ctx.id) <- Some dbg;
+    agent
   in
-  let net = Experiment.Testnet.create_custom ~engine ~factories () in
+  let sim =
+    Runner.build ~factory
+      (Scenario.graph (Scenario.Ldr config) ~nodes:5
+         ~links:[ (e, b); (e, c); (e, d); (b, c); (c, d); (d, t_) ])
+  in
   let dbg i = Option.get debugs.(i) in
-  let module TN = Experiment.Testnet in
-  (* Radio links. *)
-  List.iter
-    (fun (x, y) -> TN.connect net x y)
-    [ (e, b); (e, c); (e, d); (b, c); (c, d); (d, t_) ];
+  let links = Option.get sim.Runner.links in
+  let run ~for_ =
+    Sim.Engine.run
+      ~until:(Time.add (Sim.Engine.now sim.Runner.engine) for_)
+      sim.Runner.engine
+  in
+  let delivered () = Metrics.delivered sim.Runner.sim_metrics in
 
   (* Stage the figure's initial tables (the paper: "These numbers may
      occur due to mobility and changing successors"). *)
@@ -108,31 +115,31 @@ let () =
 
   (* --- Step 1: E discovers T. --------------------------------------- *)
   Format.printf "@.Step 1: E floods a RREQ for T.@.";
-  TN.origin net ~src:e ~dst:t_;
+  sim.Runner.inject ~src:e ~dst:t_;
   (* C's reply arrives first; inspect E before B's and D's replies land.
      With 1 ms hop delay and 100 us stagger, C's RREP is back at ~2.0 ms,
      B's at ~2.1 ms, D's at ~2.2 ms. *)
-  TN.run net ~for_:(Time.us 2050.);
+  run ~for_:(Time.us 2050.);
   (match Ldr.Route_table.find (dbg e).Ldr.Protocol.table (Node_id.of_int t_) with
   | Some en ->
       check "after C's reply E has dist 4, fd 4" (en.dist = 4 && en.fd = 4)
   | None -> check "after C's reply E has an entry" false);
-  TN.run net ~for_:(Time.ms 50.);
+  run ~for_:(Time.ms 50.);
   show_entry (dbg e) e;
   (match Ldr.Route_table.find (dbg e).Ldr.Protocol.table (Node_id.of_int t_) with
   | Some en ->
       check "B's reply (start distance 4) was ignored, D's accepted"
         (en.dist = 2 && en.fd = 2 && en.next_hop = Some (Node_id.of_int d))
   | None -> check "E has an entry" false);
-  check "data reached T" (TN.delivered net = 1);
+  check "data reached T" (delivered () = 1);
 
   (* --- Step 2: links fail; reset through the destination. ------------ *)
   Format.printf "@.Step 2: links E-C and E-D fail; E re-floods with fd 2.@.";
-  TN.disconnect net e c;
-  TN.disconnect net e d;
+  Net.Links.disconnect links e c;
+  Net.Links.disconnect links e d;
   let t_sn_before = (dbg t_).Ldr.Protocol.own_sn () in
-  TN.origin net ~src:e ~dst:t_;
-  TN.run net ~for_:(Time.sec 5.);
+  sim.Runner.inject ~src:e ~dst:t_;
+  run ~for_:(Time.sec 5.);
   List.iter (fun n -> show_entry (dbg n) n) [ e; b; c; d ];
   let t_sn_after = (dbg t_).Ldr.Protocol.own_sn () in
   check "T incremented its sequence number (path reset)"
@@ -150,9 +157,9 @@ let () =
   check "E: dist 4, fd reset to 4"
     (en_e.dist = 4 && en_e.fd = 4
     && en_e.next_hop = Some (Node_id.of_int b));
-  check "second packet reached T over the reset path" (TN.delivered net = 2);
+  check "second packet reached T over the reset path" (delivered () = 2);
   check "no routing loop in the final successor graph"
-    (TN.find_cycle net = None);
+    (Routing.Agent.find_cycle (Routing.Agent.walk 5) sim.Runner.agents = None);
 
   if !failures = 0 then Format.printf "@.Figure 1 walkthrough: OK@."
   else begin

@@ -26,6 +26,7 @@ let scenario protocol seed =
     shadowing = None;
     churn = None;
     partition = None;
+    medium = Scenario.Radio;
   }
 
 let () =

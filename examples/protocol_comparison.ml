@@ -25,6 +25,7 @@ let scenario protocol =
     shadowing = None;
     churn = None;
     partition = None;
+    medium = Scenario.Radio;
   }
 
 (* Every protocol faces the same offered load (the traffic generator

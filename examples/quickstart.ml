@@ -29,6 +29,7 @@ let () =
       shadowing = None;
       churn = None;
       partition = None;
+      medium = Scenario.Radio;
     }
   in
   let outcome = Runner.run scenario in

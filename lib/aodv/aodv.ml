@@ -2,8 +2,6 @@ open Sim
 open Packets
 module RA = Routing.Agent
 
-let name = "aodv"
-
 type config = { ring : Routing.Discovery.ring; flood_jitter : Time.t }
 
 let default_config =

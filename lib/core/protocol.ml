@@ -2,8 +2,6 @@ open Sim
 open Packets
 module RA = Routing.Agent
 
-let name = "ldr"
-
 let active_route_timeout = Time.sec 3.  (* route freshness window *)
 let my_route_timeout = Time.sec 6.  (* lifetime advertised for oneself *)
 

@@ -18,8 +18,6 @@
 
 val factory : ?config:Config.t -> unit -> Routing.Agent.factory
 
-val name : string
-
 type debug = {
   table : Route_table.t;
   own_sn : unit -> Packets.Seqnum.t;

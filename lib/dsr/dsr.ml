@@ -3,8 +3,6 @@ open Packets
 module RA = Routing.Agent
 module Route_cache = Route_cache
 
-let name = "dsr"
-
 type config = { reply_from_cache : bool }
 
 let default_config = { reply_from_cache = true }

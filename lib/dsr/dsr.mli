@@ -23,5 +23,3 @@ type config = {
 val default_config : config
 
 val factory : ?config:config -> unit -> Routing.Agent.factory
-
-val name : string

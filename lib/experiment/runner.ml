@@ -18,6 +18,7 @@ type sim = {
   channel : Net.Channel.t;
   store : Mobility.Pos_store.t;
   link : Net.Link_model.t option;
+  links : Net.Links.t option;
   bus : Obs.Bus.t;
   inject : src:int -> dst:int -> unit;
   sim_metrics : Metrics.t;
@@ -145,8 +146,8 @@ let plan_churn (sc : Scenario.t) ~engine
         end
       done
 
-let build ?on_engine ?obs (sc : Scenario.t) =
-  let engine = Engine.create ~seed:sc.seed () in
+let build ?on_engine ?obs ?scheduler ?factory (sc : Scenario.t) =
+  let engine = Engine.create ~seed:sc.seed ?scheduler () in
   (* Instrumentation hook (e.g. [Engine.record_trace]), called before
      anything is scheduled so setup-time events are captured too. *)
   (match on_engine with Some f -> f engine | None -> ());
@@ -169,39 +170,57 @@ let build ?on_engine ?obs (sc : Scenario.t) =
       Metrics.transmitted metrics frame);
   let agents = Array.make n Routing.Agent.null in
   let audit_walk = Routing.Agent.walk n in
-  let factory = Scenario.factory sc.protocol in
+  let factory =
+    match factory with Some f -> f | None -> Scenario.factory sc.protocol
+  in
+  let links =
+    match sc.medium with
+    | Scenario.Radio -> None
+    | Scenario.Links l ->
+        let t = Net.Links.create ~engine n in
+        List.iter (fun (a, b) -> Net.Links.connect t a b) l;
+        Some t
+  in
   let macs = ref [] in
   for i = 0 to n - 1 do
     let id = Node_id.of_int i in
+    let callbacks =
+      {
+        Net.Mac.receive =
+          (fun payload ~from -> agents.(i).Routing.Agent.recv payload ~from);
+        promiscuous =
+          (* Only DSR's agents act on frames for other nodes. *)
+          (match sc.protocol with
+          | Scenario.Dsr _ ->
+              Some
+                (fun p ~from ~dst ->
+                  agents.(i).Routing.Agent.overheard p ~from ~dst)
+          | Ldr _ | Aodv _ | Olsr | Ldr_agg _ | Aodv_agg _ -> None);
+        link_failure =
+          (fun payload ~next_hop ->
+            if Obs.Bus.on bus then
+              Obs.Bus.link_failure bus ~time:(Engine.now engine) ~node:i
+                ~next_hop:(Node_id.to_int next_hop);
+            agents.(i).Routing.Agent.link_failure payload ~next_hop);
+      }
+    in
     let mac =
       Net.Mac.create ~engine ~channel ~rng:(Rng.split root) ~id ~slot:i
-        {
-          Net.Mac.receive =
-            (fun payload ~from ->
-              agents.(i).Routing.Agent.recv payload ~from);
-          promiscuous =
-            (* Only DSR's agents act on frames for other nodes. *)
-            (match sc.protocol with
-            | Scenario.Dsr _ ->
-                Some
-                  (fun p ~from ~dst ->
-                    agents.(i).Routing.Agent.overheard p ~from ~dst)
-            | Ldr _ | Aodv _ | Olsr | Ldr_agg _ | Aodv_agg _ -> None);
-          link_failure =
-            (fun payload ~next_hop ->
-              if Obs.Bus.on bus then
-                Obs.Bus.link_failure bus ~time:(Engine.now engine) ~node:i
-                  ~next_hop:(Node_id.to_int next_hop);
-              agents.(i).Routing.Agent.link_failure payload ~next_hop);
-        }
+        callbacks
     in
     macs := mac :: !macs;
+    (match links with
+    | Some l -> Net.Links.attach l mac callbacks
+    | None -> ());
     let ctx =
       {
         Routing.Agent.id;
         engine;
         rng = Rng.split root;
-        send = (fun ~dst payload -> Net.Mac.send mac ~dst payload);
+        send =
+          (match links with
+          | None -> fun ~dst payload -> Net.Mac.send mac ~dst payload
+          | Some l -> fun ~dst payload -> Net.Links.send l i ~dst payload);
         deliver =
           (fun msg ->
             let now = Engine.now engine in
@@ -294,6 +313,7 @@ let build ?on_engine ?obs (sc : Scenario.t) =
     channel;
     store;
     link;
+    links;
     bus;
     inject;
     sim_metrics = metrics;

@@ -1,5 +1,6 @@
 (** Builds and runs one complete simulation from a {!Scenario.t}:
-    mobility processes, radio channel, per-node MAC + routing agent,
+    mobility processes, radio channel (or explicit links), per-node
+    MAC + routing agent,
     CBR workload, metrics hooks, the observability bus, and
     (optionally) the loop-freedom auditor, invariant monitor, JSONL
     trace writer, pcap capture and runtime telemetry. *)
@@ -26,6 +27,7 @@ type sim = {
       (** node [i]'s mobility process and cached position at slot [i];
           the channel reads positions from it *)
   link : Net.Link_model.t option;  (** the channel's link model *)
+  links : Net.Links.t option;  (** a {!Scenario.Links} run's medium *)
   bus : Obs.Bus.t;  (** the run's observability bus *)
   inject : src:int -> dst:int -> unit;
       (** originate one data packet now (unique uid per call) *)
@@ -73,10 +75,21 @@ val run :
     line in the trace always follows the table write that caused
     it. *)
 
-val build : ?on_engine:(Sim.Engine.t -> unit) -> ?obs:Obs.Bus.t ->
-  Scenario.t -> sim
+val build :
+  ?on_engine:(Sim.Engine.t -> unit) ->
+  ?obs:Obs.Bus.t ->
+  ?scheduler:Sim.Engine.scheduler ->
+  ?factory:Routing.Agent.factory ->
+  Scenario.t ->
+  sim
 (** Construct the simulation with its workload scheduled; the caller
     runs the engine.
+
+    [scheduler] is passed to {!Sim.Engine.create} (the model checker
+    builds on [`Controlled]); [factory] replaces the scenario
+    protocol's agents.  Either medium gives every node the same MAC
+    (its power state), context, metrics, bus events and churn; only
+    [ctx.send] differs ({!Net.Mac.send} or {!Net.Links.send}).
 
     Every piece of mutable state a run touches is created here, per
     simulation: engine + RNG streams, metrics, the observability bus

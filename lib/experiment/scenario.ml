@@ -77,6 +77,8 @@ type partition = {
   part_x_frac : float;
 }
 
+type medium = Radio | Links of (int * int) list
+
 type t = {
   label : string;
   num_nodes : int;
@@ -95,6 +97,7 @@ type t = {
   shadowing : shadowing option;
   churn : churn option;
   partition : partition option;
+  medium : medium;
 }
 
 let paper_50 protocol =
@@ -116,6 +119,7 @@ let paper_50 protocol =
     shadowing = None;
     churn = None;
     partition = None;
+    medium = Radio;
   }
 
 let paper_100 protocol =
@@ -124,6 +128,17 @@ let paper_100 protocol =
     label = "100-node";
     num_nodes = 100;
     terrain = Geom.Terrain.create ~width:2200. ~height:600.;
+  }
+
+let graph protocol ~nodes ~links =
+  {
+    (paper_50 protocol) with
+    label = "graph";
+    num_nodes = nodes;
+    placement = Grid;
+    speed_max = 0.;
+    traffic = { Traffic.default_config with Traffic.num_flows = 0 };
+    medium = Links links;
   }
 
 let positions t rng =

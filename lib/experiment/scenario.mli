@@ -85,6 +85,11 @@ type partition = {
     [part_x_frac * terrain.width] absorbs every crossing transmission
     during [\[part_at, part_heal)] ({!Net.Link_model}). *)
 
+(** What carries the nodes' frames. *)
+type medium =
+  | Radio  (** the radio channel (every simulation run) *)
+  | Links of (int * int) list  (** {!Net.Links} over these links *)
+
 type t = {
   label : string;
   num_nodes : int;
@@ -105,6 +110,7 @@ type t = {
   shadowing : shadowing option;
   churn : churn option;
   partition : partition option;
+  medium : medium;
 }
 
 val paper_50 : protocol -> t
@@ -112,6 +118,10 @@ val paper_50 : protocol -> t
 
 val paper_100 : protocol -> t
 (** 100 nodes on 2200 x 600 m. *)
+
+val graph : protocol -> nodes:int -> links:(int * int) list -> t
+(** [nodes] static nodes over explicit [links] and no flows, for
+    protocol tests, walkthroughs and the model checker. *)
 
 val positions : t -> Sim.Rng.t -> Geom.Vec2.t array
 (** Initial node positions per the scenario's placement. *)

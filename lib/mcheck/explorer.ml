@@ -1,5 +1,6 @@
 open Sim
 open Packets
+open Experiment
 
 type protocol = Aodv | Ldr
 
@@ -61,9 +62,10 @@ let ldr_config =
   { Ldr.Config.default with Ldr.Config.flood_jitter = Time.zero }
 
 type sys = {
-  net : Experiment.Testnet.t;
+  sim : Runner.sim;
   engine : Engine.t;
   monitor : Obs.Monitor.t;
+  walk : Routing.Agent.walk;
   n : int;
 }
 
@@ -129,42 +131,36 @@ let run_prelude engine (fx : Fixture.t) =
   done
 
 let build (fx : Fixture.t) proto =
-  let engine = Engine.create ~seed:1 ~scheduler:`Controlled () in
-  let bus = Obs.Bus.create () in
-  let factory =
+  let protocol =
     match proto with
-    | Aodv -> Aodv.factory ~config:aodv_config ()
-    | Ldr -> Ldr.Protocol.factory ~config:ldr_config ()
+    | Aodv -> Scenario.Aodv aodv_config
+    | Ldr -> Scenario.Ldr ldr_config
   in
-  let net =
-    Experiment.Testnet.create ~obs:bus ~engine ~factory ~n:fx.Fixture.nodes ()
+  let n = fx.Fixture.nodes in
+  let sim =
+    Runner.build ~scheduler:`Controlled
+      (Scenario.graph protocol ~nodes:n ~links:fx.Fixture.links)
   in
-  List.iter (fun (a, b) -> Experiment.Testnet.connect net a b) fx.Fixture.links;
-  let monitor =
-    Obs.Monitor.create ~quiet:true
-      ~lookup:(fun ~node ~dst ->
-        (Experiment.Testnet.agent net node).Routing.Agent.invariants
-          (Node_id.of_int dst))
-      bus
-  in
+  let monitor = Runner.attach_monitor ~quiet:true sim in
+  let engine = sim.Runner.engine and links = Option.get sim.Runner.links in
   List.iter
     (fun { Fixture.at; act } ->
       let label, run =
         match act with
         | Fixture.Origin (s, d) ->
             ( Printf.sprintf "SCRIPT origin %d->%d" s d,
-              fun () -> Experiment.Testnet.origin net ~src:s ~dst:d )
+              fun () -> sim.Runner.inject ~src:s ~dst:d )
         | Fixture.Link_down (a, b) ->
             ( Printf.sprintf "SCRIPT down %d-%d" a b,
-              fun () -> Experiment.Testnet.disconnect net a b )
+              fun () -> Net.Links.disconnect links a b )
         | Fixture.Link_up (a, b) ->
             ( Printf.sprintf "SCRIPT up %d-%d" a b,
-              fun () -> Experiment.Testnet.connect net a b )
+              fun () -> Net.Links.connect links a b )
       in
       ignore (Engine.at_tagged engine (Time.sec at) ~tag:(-1) ~label run))
     fx.Fixture.script;
   run_prelude engine fx;
-  { net; engine; monitor; n = fx.Fixture.nodes }
+  { sim; engine; monitor; walk = Routing.Agent.walk n; n }
 
 let choice_of (r : Controlled_queue.ready) =
   {
@@ -183,7 +179,7 @@ let fire sys (ch : choice) =
          ch.c_label)
 
 let violation_of sys =
-  match Experiment.Testnet.find_cycle sys.net with
+  match Routing.Agent.find_cycle sys.walk sys.sim.Runner.agents with
   | Some (dst, nodes) -> Some (Cycle (dst, nodes))
   | None ->
       let v = Obs.Monitor.violations sys.monitor in
@@ -215,7 +211,7 @@ let event_key (r : Controlled_queue.ready) =
 let digest_sys sys =
   let tables = ref [] in
   for i = sys.n - 1 downto 0 do
-    let ag = Experiment.Testnet.agent sys.net i in
+    let ag = sys.sim.Runner.agents.(i) in
     let succs = ref [] in
     for d = sys.n - 1 downto 0 do
       if d <> i then

@@ -19,7 +19,7 @@
       schedule; docs/MODEL_CHECKING.md spells the caveat out.
 
     Violations checked after every fired event: a successor-graph
-    cycle ({!Experiment.Testnet.find_cycle} — the AODV detector) and
+    cycle ({!Routing.Agent.find_cycle} — the AODV detector) and
     the LDR invariant monitor's violation count. *)
 
 type protocol = Aodv | Ldr

@@ -71,7 +71,7 @@ val aodv_loop_3 : t
 
 val line_4 : t
 (** Four nodes in a line with a mid-script partition and heal — the
-    Testnet link edge-case fixture. *)
+    explicit-link edge-case fixture. *)
 
 val builtin : string -> t option
 (** Look up a built-in fixture by name. *)

@@ -64,8 +64,6 @@ let create ?shadowing ?partition () =
   }
 
 let f_max t = t.f_max
-let shadowed t = t.has_shadow
-let partitioned t = t.has_wall
 
 (* Gain for the unordered pair {a, b}: memoized so the steady state is a
    hash probe, computed from a pair-keyed splitmix stream on a miss.

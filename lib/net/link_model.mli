@@ -37,6 +37,3 @@ val f_max : t -> float
 val blocked : t -> now:Sim.Time.t -> x1:float -> x2:float -> bool
 (** Whether the segment between abscissae [x1] and [x2] crosses the
     partition wall while it is up. *)
-
-val shadowed : t -> bool
-val partitioned : t -> bool

@@ -7,8 +7,6 @@
     is all the trace, telemetry and model-checker files hold — the
     toolchain ships no JSON library. *)
 
-val write : Bus.t -> out_channel -> Event.t -> unit
-
 val sink : Bus.t -> out_channel -> Bus.sink
 (** A bus sink writing one line per event to [oc].  The caller owns
     [oc] (flush/close when the run ends). *)

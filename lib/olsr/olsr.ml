@@ -2,8 +2,6 @@ open Sim
 open Packets
 module RA = Routing.Agent
 
-let name = "olsr"
-
 let hello_interval = Time.sec 2.
 let tc_interval = Time.sec 5.
 let neighbor_hold = Time.sec 6.  (* 3 x hello *)

@@ -9,8 +9,6 @@
 
 val factory : Routing.Agent.factory
 
-val name : string
-
 (** MPR selection in isolation, for unit tests: given the symmetric
     neighbors and each one's own symmetric neighborhood, return a minimal
     (greedy) relay set covering every strict two-hop neighbor. *)

@@ -27,19 +27,6 @@ type t = {
 
 type factory = ctx -> t
 
-let null_ctx ?(id = 0) engine =
-  {
-    id = Node_id.of_int id;
-    engine;
-    rng = Sim.Rng.create 42;
-    send = (fun ~dst:_ _ -> ());
-    deliver = ignore;
-    drop_data = (fun _ ~reason:_ -> ());
-    event = (fun ?dst:_ _ -> ());
-    table_changed = ignore;
-    obs = Obs.Bus.create ();
-  }
-
 let null =
   {
     origin_data = ignore;
@@ -84,3 +71,15 @@ let cycle agents ~dst x =
     | _ -> List.rev acc
   in
   go x [ x ]
+
+let find_cycle w agents =
+  let n = Array.length agents in
+  let rec search d s =
+    if d = n then None
+    else if s = n then search (d + 1) 0
+    else
+      let dst = Node_id.of_int d in
+      let x = if s = d then -1 else first_repeat w agents ~dst s in
+      if x >= 0 then Some (d, cycle agents ~dst x) else search d (s + 1)
+  in
+  search 0 0

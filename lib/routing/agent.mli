@@ -74,10 +74,6 @@ type t = {
 
 type factory = ctx -> t
 
-val null_ctx : ?id:int -> Sim.Engine.t -> ctx
-(** A context whose outputs go nowhere; for tests that poke agents
-    directly. *)
-
 val null : t
 (** Does nothing and knows no route: the filler of an agent array
     before each node's factory has run, and the defaults each factory
@@ -86,8 +82,8 @@ val null : t
 (** {1 Successor-chain walk}
 
     The one loop walk: the run's loop auditor ([--audit-loops]), the
-    idealized test network and the model checker all follow successor
-    chains through it. *)
+    protocol tests and the model checker all follow successor chains
+    through it. *)
 
 type walk
 (** Generation-stamped visited marks, one per node, reused by every
@@ -105,3 +101,8 @@ val first_repeat : walk -> t array -> dst:Node_id.t -> int -> int
 val cycle : t array -> dst:Node_id.t -> int -> int list
 (** [cycle agents ~dst x] is the chain from [x] back to itself, [x]
     first: the cycle witness for an [x] returned by {!first_repeat}. *)
+
+val find_cycle : walk -> t array -> (int * int list) option
+(** The first successor-graph cycle over every destination's chains,
+    as [(destination, {!cycle})]; [None] when all are acyclic.  The
+    model checker's AODV violation detector. *)

@@ -3,9 +3,9 @@ open Packets
 
 (* A flat open-addressing table over parallel arrays: linear probing,
    keys packed into one immediate int, expiry instants stored as
-   immediate nanoseconds.  A lookup, an [add] on a present key, an
-   [update] and a [remove] allocate nothing (a hit in [find] allocates
-   only its [Some]).
+   immediate nanoseconds.  A lookup, an [add] on a present key and a
+   [remove] allocate nothing (a hit in [find] allocates only its
+   [Some]).
 
    Keys pack (origin, rreq_id) with the flood counter in the full 32
    bits it occupies on the wire and the node id in the 30 bits above
@@ -196,10 +196,6 @@ let add t ~origin ~rreq_id value =
     reserve t value;
     place t k ~expires value
   end
-
-let update t ~origin ~rreq_id f =
-  let i = live_slot t ~origin ~rreq_id in
-  if i >= 0 then t.values.(i) <- f t.values.(i)
 
 let remove t ~origin ~rreq_id =
   let i = slot t (key ~origin ~rreq_id) in

@@ -7,9 +7,9 @@
     storing its own value type.
 
     Every node checks every copy of every flood here, so the common
-    operations allocate nothing: {!mem}, {!add} on a present key,
-    {!update} and {!remove} (a hit in {!find} allocates only its
-    [Some]).  A cache holds no storage until its first {!add}. *)
+    operations allocate nothing: {!mem}, {!add} on a present key and
+    {!remove} (a hit in {!find} allocates only its [Some]).  A cache
+    holds no storage until its first {!add}. *)
 
 open Packets
 
@@ -24,10 +24,6 @@ val find : 'a t -> origin:Node_id.t -> rreq_id:int -> 'a option
 
 val add : 'a t -> origin:Node_id.t -> rreq_id:int -> 'a -> unit
 (** Inserts or refreshes; the expiry clock restarts. *)
-
-val update : 'a t -> origin:Node_id.t -> rreq_id:int -> ('a -> 'a) -> unit
-(** Applies [f] to a live entry; no-op if absent.  Does not refresh the
-    expiry. *)
 
 val remove : 'a t -> origin:Node_id.t -> rreq_id:int -> unit
 (** Deletes the entry, live or expired; no-op if absent.  Every other

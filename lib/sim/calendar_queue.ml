@@ -128,7 +128,6 @@ let near_count t = t.near
 let is_empty t = t.live = 0
 let capacity t = Array.length t.times
 let num_buckets t = t.mask + 1
-let bucket_width t = 1 lsl t.shift
 let entries_examined t = t.examined
 let pops t = t.pops
 let handle_of t i = (t.gens.(i) lsl idx_bits) lor i

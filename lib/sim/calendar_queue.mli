@@ -63,7 +63,6 @@ val capacity : t -> int
     observe that cancellation recycles slots immediately. *)
 
 val num_buckets : t -> int
-val bucket_width : t -> int
 
 val near_count : t -> int
 (** Events on the wheel; the rest of {!live_count} is in the far tier. *)

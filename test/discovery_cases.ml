@@ -1,14 +1,12 @@
 (* Origin-side discovery behaviour every on-demand protocol must share,
-   written once over Testnet and instantiated per protocol by
+   written once over Graph_net and instantiated per protocol by
    test_ldr, test_aodv and test_dsr ([ttl_guard] by test_olsr too). *)
 
 open Sim
-module TN = Experiment.Testnet
+module TN = Graph_net
 module M = Experiment.Metrics
 
-let make factory k =
-  let engine = Engine.create ~seed:3 () in
-  TN.create ~engine ~factory ~n:k ()
+let make factory k = TN.create ~seed:3 ~factory ~n:k ()
 
 let drops net reason =
   M.drops_by_reason (TN.metrics net)

@@ -15,38 +15,34 @@ let ldr_agg_factory ?(config = Routing.Aggregation.default) () =
 let aodv_agg_factory ?(config = Routing.Aggregation.default) () =
   Routing.Aggregation.wrap ~config (Aodv.factory ())
 
+module TN = Graph_net
+
 (* ---- Window merge / piggybacking -------------------------------------- *)
 
 (* Two discoveries started back-to-back at the same node must leave in
    one aggregate transmission instead of two floods. *)
 let window_merge () =
-  let engine = Engine.create () in
-  let net =
-    Experiment.Testnet.create ~engine ~factory:(ldr_agg_factory ()) ~n:5 ()
-  in
+  let net = TN.create ~factory:(ldr_agg_factory ()) ~n:5 () in
   (* 0 - 1 - 2 with leaves 3 and 4 on node 2. *)
-  Experiment.Testnet.connect_chain net [ 0; 1; 2; 3 ];
-  Experiment.Testnet.connect net 2 4;
-  Experiment.Testnet.origin net ~src:0 ~dst:3;
-  Experiment.Testnet.origin net ~src:0 ~dst:4;
-  Experiment.Testnet.run net ~for_:(Time.sec 5.);
-  let m = Experiment.Testnet.metrics net in
+  TN.connect_chain net [ 0; 1; 2; 3 ];
+  TN.connect net 2 4;
+  TN.origin net ~src:0 ~dst:3;
+  TN.origin net ~src:0 ~dst:4;
+  TN.run net ~for_:(Time.sec 5.);
+  let m = TN.metrics net in
   checki "both flows delivered" 2 (Experiment.Metrics.delivered m);
   checkb "floods were piggybacked" true
     (Experiment.Metrics.event_count m "rreq_aggregated" >= 1);
-  checkb "no loops" true (Experiment.Testnet.find_cycle net = None)
+  checkb "no loops" true (TN.find_cycle net = None)
 
 let window_merge_aodv () =
-  let engine = Engine.create () in
-  let net =
-    Experiment.Testnet.create ~engine ~factory:(aodv_agg_factory ()) ~n:5 ()
-  in
-  Experiment.Testnet.connect_chain net [ 0; 1; 2; 3 ];
-  Experiment.Testnet.connect net 2 4;
-  Experiment.Testnet.origin net ~src:0 ~dst:3;
-  Experiment.Testnet.origin net ~src:0 ~dst:4;
-  Experiment.Testnet.run net ~for_:(Time.sec 5.);
-  let m = Experiment.Testnet.metrics net in
+  let net = TN.create ~factory:(aodv_agg_factory ()) ~n:5 () in
+  TN.connect_chain net [ 0; 1; 2; 3 ];
+  TN.connect net 2 4;
+  TN.origin net ~src:0 ~dst:3;
+  TN.origin net ~src:0 ~dst:4;
+  TN.run net ~for_:(Time.sec 5.);
+  let m = TN.metrics net in
   checki "both flows delivered" 2 (Experiment.Metrics.delivered m);
   checkb "floods were piggybacked" true
     (Experiment.Metrics.event_count m "rreq_aggregated" >= 1)
@@ -58,65 +54,54 @@ let window_merge_aodv () =
    only one of the two floods, and the single returning RREP must be
    fanned out so both origins' data is delivered. *)
 let fanout_serves_suppressed_origin () =
-  let engine = Engine.create () in
-  let net =
-    Experiment.Testnet.create ~engine ~factory:(ldr_agg_factory ()) ~n:5 ()
-  in
-  Experiment.Testnet.connect_chain net [ 0; 1; 2; 3 ];
-  Experiment.Testnet.connect net 1 4;
-  Experiment.Testnet.origin net ~src:0 ~dst:3;
+  let net = TN.create ~factory:(ldr_agg_factory ()) ~n:5 () in
+  TN.connect_chain net [ 0; 1; 2; 3 ];
+  TN.connect net 1 4;
+  TN.origin net ~src:0 ~dst:3;
   ignore
-    (Engine.at engine (Time.ms 30.) (fun () ->
-         Experiment.Testnet.origin net ~src:4 ~dst:3));
-  Experiment.Testnet.run net ~for_:(Time.sec 5.);
-  let m = Experiment.Testnet.metrics net in
+    (Engine.at (TN.engine net) (Time.ms 30.) (fun () ->
+         TN.origin net ~src:4 ~dst:3));
+  TN.run net ~for_:(Time.sec 5.);
+  let m = TN.metrics net in
   checki "both flows delivered" 2 (Experiment.Metrics.delivered m);
   checkb "a flood was suppressed" true
     (Experiment.Metrics.event_count m "rreq_suppressed" >= 1);
   checkb "the reply was fanned out" true
     (Experiment.Metrics.event_count m "rrep_fanout" >= 1);
-  checkb "no loops" true (Experiment.Testnet.find_cycle net = None)
+  checkb "no loops" true (TN.find_cycle net = None)
 
 (* With fan-out disabled a relay may never absorb another origin's
    flood — only originations are deferred — and everything still
    delivers (via the inner ring retry). *)
 let no_fanout_still_delivers () =
   let config = { Routing.Aggregation.fanout = false } in
-  let engine = Engine.create () in
-  let net =
-    Experiment.Testnet.create ~engine ~factory:(ldr_agg_factory ~config ()) ~n:5 ()
-  in
-  Experiment.Testnet.connect_chain net [ 0; 1; 2; 3 ];
-  Experiment.Testnet.connect net 1 4;
-  Experiment.Testnet.origin net ~src:0 ~dst:3;
+  let net = TN.create ~factory:(ldr_agg_factory ~config ()) ~n:5 () in
+  TN.connect_chain net [ 0; 1; 2; 3 ];
+  TN.connect net 1 4;
+  TN.origin net ~src:0 ~dst:3;
   ignore
-    (Engine.at engine (Time.ms 30.) (fun () ->
-         Experiment.Testnet.origin net ~src:4 ~dst:3));
-  Experiment.Testnet.run net ~for_:(Time.sec 10.);
-  let m = Experiment.Testnet.metrics net in
+    (Engine.at (TN.engine net) (Time.ms 30.) (fun () ->
+         TN.origin net ~src:4 ~dst:3));
+  TN.run net ~for_:(Time.sec 10.);
+  let m = TN.metrics net in
   checki "both flows delivered" 2 (Experiment.Metrics.delivered m);
   checki "no fan-out happened" 0 (Experiment.Metrics.event_count m "rrep_fanout")
 
 (* A stock (unwrapped) agent must interoperate with aggregating
    neighbours: aggregates unpack inside the inner recv. *)
 let stock_node_understands_aggregates () =
-  let engine = Engine.create () in
-  let factories =
-    [|
-      ldr_agg_factory ();
-      Ldr.Protocol.factory ();
-      ldr_agg_factory ();
-      Ldr.Protocol.factory ();
-      Ldr.Protocol.factory ();
-    |]
+  let factory (ctx : Routing.Agent.ctx) =
+    match Node_id.to_int ctx.id with
+    | 0 | 2 -> ldr_agg_factory () ctx
+    | _ -> Ldr.Protocol.factory () ctx
   in
-  let net = Experiment.Testnet.create_custom ~engine ~factories () in
-  Experiment.Testnet.connect_chain net [ 0; 1; 2; 3 ];
-  Experiment.Testnet.connect net 2 4;
-  Experiment.Testnet.origin net ~src:0 ~dst:3;
-  Experiment.Testnet.origin net ~src:0 ~dst:4;
-  Experiment.Testnet.run net ~for_:(Time.sec 5.);
-  let m = Experiment.Testnet.metrics net in
+  let net = TN.create ~factory ~n:5 () in
+  TN.connect_chain net [ 0; 1; 2; 3 ];
+  TN.connect net 2 4;
+  TN.origin net ~src:0 ~dst:3;
+  TN.origin net ~src:0 ~dst:4;
+  TN.run net ~for_:(Time.sec 5.);
+  let m = TN.metrics net in
   checki "both flows delivered through a mixed net" 2
     (Experiment.Metrics.delivered m)
 
@@ -241,6 +226,7 @@ let scenario ?(seed = 7) ?(duration = 30.) () =
     shadowing = None;
     churn = None;
     partition = None;
+    medium = Experiment.Scenario.Radio;
   }
 
 (* A healthy LDR-AGG run must keep the monitor silent: the wrapper may

@@ -7,12 +7,11 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let n = Node_id.of_int
 
-module TN = Experiment.Testnet
+module TN = Graph_net
 
 let make_net ?(seed = 3) k =
-  let engine = Engine.create ~seed () in
-  let net = TN.create ~engine ~factory:(Aodv.factory ()) ~n:k () in
-  (engine, net)
+  let net = TN.create ~seed ~factory:(Aodv.factory ()) ~n:k () in
+  (TN.engine net, net)
 
 let discovery_on_chain () =
   let _, net = make_net 5 in
@@ -120,7 +119,6 @@ let intermediate_node_replies () =
 (* The test network keeps no transmission counts: each agent's
    [ctx.send] is wrapped to log the kind of every AODV message sent. *)
 let make_logging_net k =
-  let engine = Engine.create ~seed:3 () in
   let sent = ref [] in
   let logging (ctx : Routing.Agent.ctx) =
     let send ~dst p =
@@ -131,7 +129,7 @@ let make_logging_net k =
     in
     Aodv.factory () { ctx with send }
   in
-  (TN.create_custom ~engine ~factories:(Array.make k logging) (), sent)
+  (TN.create ~seed:3 ~factory:logging ~n:k (), sent)
 
 (* Breaks are found from link-layer feedback: the first packet over a
    dead link invalidates the route at the relay, and its RERR clears the
@@ -185,9 +183,8 @@ let loop_freedom_prop =
   QCheck.Test.make ~name:"AODV loop-free under random churn" ~count:20
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let engine = Engine.create ~seed () in
       let k = 7 in
-      let net = TN.create ~engine ~factory:(Aodv.factory ()) ~n:k () in
+      let net = TN.create ~seed ~factory:(Aodv.factory ()) ~n:k () in
       let rng = Rng.create (seed + 13) in
       for a = 0 to k - 1 do
         for b = a + 1 to k - 1 do

@@ -82,11 +82,11 @@ let cache_rejects_loopy_paths () =
 
 (* ---- Protocol ------------------------------------------------------------ *)
 
-module TN = Experiment.Testnet
+module TN = Graph_net
 
 let make_net ?(config = Dsr.default_config) k =
-  let engine = Engine.create ~seed:3 () in
-  (engine, TN.create ~engine ~factory:(Dsr.factory ~config ()) ~n:k ())
+  let net = TN.create ~seed:3 ~factory:(Dsr.factory ~config ()) ~n:k () in
+  (TN.engine net, net)
 
 let discovery_on_chain () =
   let _, net = make_net 5 in
@@ -204,9 +204,8 @@ let no_loops_in_source_routes_prop =
   QCheck.Test.make ~name:"DSR delivers on random connected chains" ~count:20
     QCheck.(int_bound 1000)
     (fun seed ->
-      let engine = Engine.create ~seed () in
       let k = 6 in
-      let net = TN.create ~engine ~factory:(Dsr.factory ()) ~n:k () in
+      let net = TN.create ~seed ~factory:(Dsr.factory ()) ~n:k () in
       TN.connect_chain net (List.init k Fun.id);
       let rng = Rng.create seed in
       (* A few random chords. *)

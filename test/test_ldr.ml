@@ -332,26 +332,21 @@ let rt_fd_monotone_prop =
 
 (* ---- Protocol behaviour over the test network ---------------------------- *)
 
+module TN = Graph_net
+
 let make_net k =
-  let engine = Engine.create ~seed:3 () in
-  let net =
-    Experiment.Testnet.create ~engine ~factory:(Protocol.factory ()) ~n:k ()
-  in
-  (engine, net)
+  let net = TN.create ~seed:3 ~factory:(Protocol.factory ()) ~n:k () in
+  (TN.engine net, net)
 
 let make_net_debug ?(config = Config.default) k =
-  let engine = Engine.create ~seed:3 () in
   let debugs = Array.make k None in
-  let factories =
-    Array.init k (fun i ctx ->
-        let agent, dbg = Protocol.factory_with_debug ~config () ctx in
-        debugs.(i) <- Some dbg;
-        agent)
+  let factory (ctx : Routing.Agent.ctx) =
+    let agent, dbg = Protocol.factory_with_debug ~config () ctx in
+    debugs.(Node_id.to_int ctx.id) <- Some dbg;
+    agent
   in
-  let net = Experiment.Testnet.create_custom ~engine ~factories () in
-  (engine, net, fun i -> Option.get debugs.(i))
-
-module TN = Experiment.Testnet
+  let net = TN.create ~seed:3 ~factory ~n:k () in
+  (TN.engine net, net, fun i -> Option.get debugs.(i))
 
 let discovery_on_chain () =
   let _, net = make_net 5 in
@@ -503,7 +498,6 @@ let request_as_error_invalidates () =
    floor(0.8 fd) = 8; without it the request carries fd itself.  Node 0's
    [ctx.send] is wrapped to capture its own RREQs. *)
 let rediscovery_bound ~config =
-  let engine = Engine.create ~seed:3 () in
   let sent = ref [] in
   let capture (ctx : Routing.Agent.ctx) =
     let send ~dst p =
@@ -515,10 +509,11 @@ let rediscovery_bound ~config =
     in
     Protocol.factory ~config () { ctx with send }
   in
-  let factories =
-    Array.init 11 (fun i -> if i = 0 then capture else Protocol.factory ~config ())
+  let factory (ctx : Routing.Agent.ctx) =
+    if Node_id.to_int ctx.id = 0 then capture ctx
+    else Protocol.factory ~config () ctx
   in
-  let net = TN.create_custom ~engine ~factories () in
+  let net = TN.create ~seed:3 ~factory ~n:11 () in
   TN.connect_chain net (List.init 11 Fun.id);
   TN.origin net ~src:0 ~dst:10;
   TN.run net ~for_:(Time.sec 5.);
@@ -574,7 +569,6 @@ let distances_count_hops () =
    exactly that long once the traffic stops.  Node 2's [ctx.send] is
    wrapped to capture its replies. *)
 let destination_reply_lifetime () =
-  let engine = Engine.create ~seed:3 () in
   let replies = ref [] in
   let capture (ctx : Routing.Agent.ctx) =
     let send ~dst p =
@@ -586,10 +580,10 @@ let destination_reply_lifetime () =
     in
     Protocol.factory () { ctx with send }
   in
-  let factories =
-    Array.init 3 (fun i -> if i = 2 then capture else Protocol.factory ())
+  let factory (ctx : Routing.Agent.ctx) =
+    if Node_id.to_int ctx.id = 2 then capture ctx else Protocol.factory () ctx
   in
-  let net = TN.create_custom ~engine ~factories () in
+  let net = TN.create ~seed:3 ~factory ~n:3 () in
   TN.connect_chain net [ 0; 1; 2 ];
   TN.origin net ~src:0 ~dst:2;
   TN.run net ~for_:(Time.sec 5.);
@@ -609,11 +603,9 @@ let loop_freedom_prop ~name ~config =
   QCheck.Test.make ~name ~count:25
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let engine = Engine.create ~seed () in
       let k = 8 in
       let net =
-        Experiment.Testnet.create ~engine ~factory:(Protocol.factory ~config ())
-          ~n:k ()
+        TN.create ~seed ~factory:(Protocol.factory ~config ()) ~n:k ()
       in
       let rng = Rng.create (seed * 7) in
       (* Random initial topology, reasonably dense. *)
@@ -649,16 +641,14 @@ let ordering_criteria_prop =
     ~count:20
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let engine = Engine.create ~seed () in
       let k = 8 in
       let debugs = Array.make k None in
-      let factories =
-        Array.init k (fun i ctx ->
-            let agent, dbg = Protocol.factory_with_debug () ctx in
-            debugs.(i) <- Some dbg;
-            agent)
+      let factory (ctx : Routing.Agent.ctx) =
+        let agent, dbg = Protocol.factory_with_debug () ctx in
+        debugs.(Node_id.to_int ctx.id) <- Some dbg;
+        agent
       in
-      let net = Experiment.Testnet.create_custom ~engine ~factories () in
+      let net = TN.create ~seed ~factory ~n:k () in
       let dbg i = Option.get debugs.(i) in
       let rng = Rng.create (seed + 99) in
       for a = 0 to k - 1 do

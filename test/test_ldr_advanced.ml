@@ -10,19 +10,17 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let n = Node_id.of_int
 
-module TN = Experiment.Testnet
+module TN = Graph_net
 
 let make_net_debug ?(config = Config.default) ?(seed = 3) k =
-  let engine = Engine.create ~seed () in
   let debugs = Array.make k None in
-  let factories =
-    Array.init k (fun i ctx ->
-        let agent, dbg = Protocol.factory_with_debug ~config () ctx in
-        debugs.(i) <- Some dbg;
-        agent)
+  let factory (ctx : Routing.Agent.ctx) =
+    let agent, dbg = Protocol.factory_with_debug ~config () ctx in
+    debugs.(Node_id.to_int ctx.id) <- Some dbg;
+    agent
   in
-  let net = Experiment.Testnet.create_custom ~engine ~factories () in
-  (engine, net, fun i -> Option.get debugs.(i))
+  let net = TN.create ~seed ~factory ~n:k () in
+  (TN.engine net, net, fun i -> Option.get debugs.(i))
 
 (* ---- N bit: reverse-path failure triggers an origin probe ------------- *)
 
@@ -142,7 +140,7 @@ let reengagement_forgets_relayed_reply () =
   let sent = ref [] in
   let ctx =
     {
-      (Routing.Agent.null_ctx ~id:5 engine) with
+      (Graph_net.null_ctx ~id:5 engine) with
       Routing.Agent.send = (fun ~dst p -> sent := (dst, p) :: !sent);
     }
   in

@@ -1,7 +1,7 @@
 (* Model checker: replay determinism, DPOR/state-matching soundness,
    the AODV loop counterexample vs LDR silence over the same bounded
-   space, the golden minimized trace, and Testnet link edge cases
-   under the controlled scheduler. *)
+   space, the golden minimized trace, the pinned line-4 space, and
+   explicit-link edge cases under the controlled scheduler. *)
 
 open Sim
 open Mcheck
@@ -151,7 +151,29 @@ let topo_parse_errors () =
         = [ { Fixture.h_class = "DATA"; h_src = 0; h_dst = 1; h_until = 2.0 } ]);
       checkb "explore_from parsed" true (fx.Fixture.explore_from = 1.5)
 
-(* ---- Testnet link edge cases under the controlled scheduler ---------- *)
+(* The exhaustive line-4 space at the CLI's settings
+   ([mcheck -p P -f line-4 --max-steps 14]): its size pins the
+   explorer's build, so a change to how the simulation is wired that
+   alters the schedule space shows here. *)
+let line4_space_pinned () =
+  List.iter
+    (fun (proto, (states, transitions, sleep, merged, cut)) ->
+      let r = Explorer.explore ~max_steps:14 Fixture.line_4 proto in
+      let st = r.Explorer.stats in
+      let name = Explorer.protocol_name proto in
+      checkb (name ^ " complete") true st.Explorer.complete;
+      checkb (name ^ " silent") true (r.Explorer.violation = None);
+      checki (name ^ " states") states st.Explorer.states;
+      checki (name ^ " transitions") transitions st.Explorer.transitions;
+      checki (name ^ " sleep pruned") sleep st.Explorer.sleep_skipped;
+      checki (name ^ " state merged") merged st.Explorer.state_merged;
+      checki (name ^ " depth cut") cut st.Explorer.depth_cut)
+    [
+      (Explorer.Aodv, (969, 968, 173, 191, 456));
+      (Explorer.Ldr, (1303, 1302, 237, 218, 691));
+    ]
+
+(* ---- Explicit-link edge cases under the controlled scheduler --------- *)
 
 let ready_with prefix engine =
   List.find_opt
@@ -164,12 +186,12 @@ let ready_with prefix engine =
    at fire time, the packet is lost, and the sender gets MAC-style
    link-failure feedback as its own floating event. *)
 let flap_during_inflight_rrep () =
-  let engine = Engine.create ~scheduler:`Controlled () in
   let net =
-    Experiment.Testnet.create ~engine ~factory:(Aodv.factory ()) ~n:3 ()
+    Graph_net.create ~scheduler:`Controlled ~factory:(Aodv.factory ()) ~n:3 ()
   in
-  Experiment.Testnet.connect_chain net [ 0; 1; 2 ];
-  Experiment.Testnet.origin net ~src:0 ~dst:2;
+  let engine = Graph_net.engine net in
+  Graph_net.connect_chain net [ 0; 1; 2 ];
+  Graph_net.origin net ~src:0 ~dst:2;
   (* FIFO-drive until the RREP hop 1->0 is in flight. *)
   let rec drive n =
     if n = 0 then Alcotest.fail "no RREP 1->0 appeared"
@@ -181,14 +203,14 @@ let flap_during_inflight_rrep () =
           drive (n - 1)
   in
   let rrep = drive 200 in
-  Experiment.Testnet.disconnect net 0 1;
+  Graph_net.disconnect net 0 1;
   ignore (Engine.fire_seq engine rrep.Controlled_queue.r_seq);
   checkb "sender sees link failure" true
     (ready_with "LINKFAIL 1->0" engine <> None);
   (* The feedback fires without tripping anything; the run quiesces. *)
   Engine.run ~until:(Time.sec 30.) engine;
   checki "data never delivered across the cut" 0
-    (Experiment.Testnet.delivered net)
+    (Graph_net.delivered net)
 
 (* Partition then heal on the 4-node line (the line-4 fixture script):
    random schedules across the flap must never form a loop, under
@@ -231,6 +253,7 @@ let () =
           Alcotest.test_case "topo file matches builtin" `Quick
             topo_file_matches_builtin;
           Alcotest.test_case "parse errors" `Quick topo_parse_errors;
+          Alcotest.test_case "line-4 space pinned" `Quick line4_space_pinned;
         ] );
       ( "links",
         [

@@ -29,6 +29,7 @@ let scenario ?(seed = 7) ?(speed_max = 0.) ?(duration = 20.) ?(flows = 2)
     shadowing = None;
     churn = None;
     partition = None;
+    medium = Scenario.Radio;
   }
 
 (* Sequence-number packing must preserve the lexicographic (stamp,

@@ -84,11 +84,11 @@ let mpr_coverage_prop =
 
 (* ---- Protocol over the test network ---------------------------------------- *)
 
-module TN = Experiment.Testnet
+module TN = Graph_net
 
 let make_net k =
-  let engine = Engine.create ~seed:3 () in
-  (engine, TN.create ~engine ~factory:Olsr.factory ~n:k ())
+  let net = TN.create ~seed:3 ~factory:Olsr.factory ~n:k () in
+  (TN.engine net, net)
 
 let proactive_routes_form () =
   let _, net = make_net 5 in

@@ -49,6 +49,7 @@ let small_scenario ?(seed = 7) ?(audit = false) ?(speed_max = 10.)
     shadowing = None;
     churn = None;
     partition = None;
+    medium = Scenario.Radio;
   }
 
 (* ---- executor ---------------------------------------------------------- *)

@@ -50,31 +50,6 @@ let cache_refresh_restarts_clock () =
            (Routing.Rreq_cache.find c ~origin:(n 1) ~rreq_id:1 = Some 2)));
   Engine.run engine
 
-let cache_update_in_place () =
-  let engine = Engine.create () in
-  let c = Routing.Rreq_cache.create ~engine ~ttl:(Time.sec 5.) in
-  Routing.Rreq_cache.add c ~origin:(n 1) ~rreq_id:1 10;
-  Routing.Rreq_cache.update c ~origin:(n 1) ~rreq_id:1 (fun x -> x + 5);
-  checkb "updated" true (Routing.Rreq_cache.find c ~origin:(n 1) ~rreq_id:1 = Some 15);
-  (* Updating a missing entry is a no-op. *)
-  Routing.Rreq_cache.update c ~origin:(n 9) ~rreq_id:9 (fun x -> x + 1);
-  checkb "no phantom" false (Routing.Rreq_cache.mem c ~origin:(n 9) ~rreq_id:9)
-
-let cache_update_ignores_expired () =
-  let engine = Engine.create () in
-  let c = Routing.Rreq_cache.create ~engine ~ttl:(Time.ms 10.) in
-  Routing.Rreq_cache.add c ~origin:(n 1) ~rreq_id:1 10;
-  ignore
-    (Engine.at engine (Time.sec 1.) (fun () ->
-         (* The entry is past its TTL: update must neither apply [f] nor
-            resurrect it. *)
-         Routing.Rreq_cache.update c ~origin:(n 1) ~rreq_id:1 (fun x -> x + 5);
-         checkb "expired entry not updated" true
-           (Routing.Rreq_cache.find c ~origin:(n 1) ~rreq_id:1 = None);
-         checkb "not resurrected" false
-           (Routing.Rreq_cache.mem c ~origin:(n 1) ~rreq_id:1)));
-  Engine.run engine
-
 let cache_key_injective_qcheck =
   (* Distinct (origin, rreq_id) pairs over the full wire domain — node
      ids to 2^30, flood counters to 2^32 — must never alias.  The old
@@ -143,9 +118,7 @@ let cache_allocation_free () =
   check_zero_words "mem miss" (fun () ->
       ignore (Routing.Rreq_cache.mem c ~origin:(n 4) ~rreq_id:7));
   check_zero_words "add on an existing key" (fun () ->
-      Routing.Rreq_cache.add c ~origin:(n 3) ~rreq_id:big "hop");
-  check_zero_words "update" (fun () ->
-      Routing.Rreq_cache.update c ~origin:(n 3) ~rreq_id:big Fun.id)
+      Routing.Rreq_cache.add c ~origin:(n 3) ~rreq_id:big "hop")
 
 let cache_remove () =
   let engine = Engine.create () in
@@ -184,15 +157,14 @@ let cache_remove () =
 
 (* Random operation sequences against an association-list model of the
    contract: an entry is live iff its expiry is after now, [add]
-   (re)arms the expiry, [update] applies to live entries only and keeps
-   the expiry, [remove] deletes live and dead entries alike.  The clock steps across the TTL, flood counters reach
+   (re)arms the expiry, [remove] deletes live and dead entries alike.
+   The clock steps across the TTL, flood counters reach
    2^31 and beyond, and the key space is small enough for hits,
    refreshes, growth and purges. *)
 type cache_op =
   | Add of int * int * int
   | Mem of int * int
   | Find of int * int
-  | Update of int * int
   | Remove of int * int
   | Clear
   | Length
@@ -213,7 +185,6 @@ let cache_op_gen =
       (6, map2 (fun (o, r) v -> Add (o, r, v)) key small_nat);
       (4, map (fun (o, r) -> Mem (o, r)) key);
       (3, map (fun (o, r) -> Find (o, r)) key);
-      (2, map (fun (o, r) -> Update (o, r)) key);
       (2, map (fun (o, r) -> Remove (o, r)) key);
       (1, return Clear);
       (1, return Length);
@@ -224,7 +195,6 @@ let cache_op_print = function
   | Add (o, r, v) -> Printf.sprintf "add(%d,%d)=%d" o r v
   | Mem (o, r) -> Printf.sprintf "mem(%d,%d)" o r
   | Find (o, r) -> Printf.sprintf "find(%d,%d)" o r
-  | Update (o, r) -> Printf.sprintf "update(%d,%d)" o r
   | Remove (o, r) -> Printf.sprintf "remove(%d,%d)" o r
   | Clear -> "clear"
   | Length -> "length"
@@ -261,16 +231,6 @@ let cache_model_qcheck =
             = (live (o, r) <> None)
         | Find (o, r) ->
             Routing.Rreq_cache.find c ~origin:(n o) ~rreq_id:r = live (o, r)
-        | Update (o, r) ->
-            Routing.Rreq_cache.update c ~origin:(n o) ~rreq_id:r (fun v ->
-                v + 1);
-            (match live (o, r) with
-            | Some v ->
-                let exp = snd (List.assoc (o, r) !model) in
-                model :=
-                  ((o, r), (v + 1, exp)) :: List.remove_assoc (o, r) !model
-            | None -> ());
-            true
         | Remove (o, r) ->
             Routing.Rreq_cache.remove c ~origin:(n o) ~rreq_id:r;
             model := List.remove_assoc (o, r) !model;
@@ -298,7 +258,7 @@ let cache_model_qcheck =
 let duplicate_rreq_allocation_free () =
   let case name (factory : Routing.Agent.factory) payload =
     let engine = Engine.create () in
-    let agent = factory (Routing.Agent.null_ctx ~id:5 engine) in
+    let agent = factory (Graph_net.null_ctx ~id:5 engine) in
     agent.recv payload ~from:(n 1);
     check_zero_words name (fun () -> agent.recv payload ~from:(n 2))
   in
@@ -349,7 +309,7 @@ let duplicate_rreq_allocation_free () =
 let data_relay_one_copy () =
   let engine = Engine.create () in
   let agent, dbg =
-    Ldr.Protocol.factory_with_debug () (Routing.Agent.null_ctx ~id:5 engine)
+    Ldr.Protocol.factory_with_debug () (Graph_net.null_ctx ~id:5 engine)
   in
   ignore
     (Ldr.Route_table.apply_advert dbg.Ldr.Protocol.table ~dst:(n 9)
@@ -589,7 +549,7 @@ let rig ?(capacity = 8) ?(max_age = Time.sec 30.) ?(schedule = three_attempts)
   let events = Queue.create () and drops = Queue.create () in
   let ctx =
     {
-      (Routing.Agent.null_ctx ~id:0 engine) with
+      (Graph_net.null_ctx ~id:0 engine) with
       Routing.Agent.event =
         (fun ?dst name -> Queue.push (name, Option.map Node_id.to_int dst) events);
       drop_data =
@@ -902,7 +862,7 @@ let walk_scratch_reuse () =
 
 let null_ctx_works () =
   let engine = Engine.create () in
-  let ctx = Routing.Agent.null_ctx ~id:3 engine in
+  let ctx = Graph_net.null_ctx ~id:3 engine in
   checki "id" 3 (Node_id.to_int ctx.Routing.Agent.id);
   (* All sinks are callable without effect. *)
   ctx.Routing.Agent.send ~dst:Net.Frame.Broadcast
@@ -919,9 +879,6 @@ let () =
           Alcotest.test_case "add/find" `Quick cache_add_find;
           Alcotest.test_case "expiry" `Quick cache_expiry;
           Alcotest.test_case "refresh" `Quick cache_refresh_restarts_clock;
-          Alcotest.test_case "update" `Quick cache_update_in_place;
-          Alcotest.test_case "update ignores expired" `Quick
-            cache_update_ignores_expired;
           Alcotest.test_case "old packing collision" `Quick
             cache_old_packing_collision;
           QCheck_alcotest.to_alcotest cache_key_injective_qcheck;

@@ -38,6 +38,7 @@ let two_clusters ?(seed = 11) () =
     shadowing = None;
     churn = None;
     partition = None;
+    medium = Scenario.Radio;
   }
 
 let with_tmp suffix f =

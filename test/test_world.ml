@@ -41,6 +41,7 @@ let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(mobility = Scenario.Waypoint)
     shadowing;
     churn;
     partition;
+    medium = Scenario.Radio;
   }
 
 let digest (o : Runner.outcome) =
