@@ -37,12 +37,25 @@ let audit_from walk agents metrics n num_nodes =
     then Metrics.loop_violation metrics
   done
 
-(* Every node's mobility process, drawn in one canonical order: RPGM
-   group centres first (one [Rng.split mobility_rng] each), then per
-   node [i] ascending one split per node that draws randomness at all.
-   Static nodes ([speed_max <= 0]) draw nothing — exactly the
-   pre-existing waypoint contract. *)
-let make_mobs (sc : Scenario.t) ~mobility_rng ~(starts : Geom.Vec2.t array) =
+(* Every random stream of a run, by a fixed index, so no stream depends
+   on the order in which [build] derives them.  The root [Rng.create
+   sc.seed] gives [placement], [mobility], [traffic] and each node's
+   [mac] and [agent] stream.  Inside the mobility stream, RPGM group
+   centre [j] draws from stream [j] and member [i] from [g + i] ([g]
+   groups); other families give node [i] stream [i].  Churn (node [i]:
+   stream [i]) and shadowing have roots of their own, so arming either
+   changes no other draw. *)
+module Stream = struct
+  let placement = 0
+  let mobility = 1
+  let traffic = 2
+  let mac i = 3 + (2 * i)
+  let agent i = 4 + (2 * i)
+  let churn_seed seed = seed lxor 0x6368_7572
+  let shadow_seed seed = seed lxor 0x5348_4144
+end
+
+let make_mobs (sc : Scenario.t) mobility_rng ~(starts : Geom.Vec2.t array) =
   let n = sc.num_nodes in
   let static = sc.speed_max <= 0. in
   let mobs = Array.make n (Mobility.static (Geom.Vec2.v 0. 0.)) in
@@ -56,12 +69,12 @@ let make_mobs (sc : Scenario.t) ~mobility_rng ~(starts : Geom.Vec2.t array) =
         centres.(j) <-
           Some
             (Mobility.rpgm_group ~terrain:sc.terrain
-               ~rng:(Rng.split mobility_rng) ~speed_min:sc.speed_min
+               ~rng:(Rng.stream mobility_rng j) ~speed_min:sc.speed_min
                ~speed_max:sc.speed_max ~pause:sc.pause
                ~start:starts.(j * n / g))
       done;
       for i = 0 to n - 1 do
-        let r = Rng.split mobility_rng in
+        let r = Rng.stream mobility_rng (g + i) in
         let ang = Rng.float r (2. *. Float.pi) in
         let rad = radius *. sqrt (Rng.float r 1.) in
         let centre =
@@ -76,7 +89,7 @@ let make_mobs (sc : Scenario.t) ~mobility_rng ~(starts : Geom.Vec2.t array) =
         mobs.(i) <-
           (if static then Mobility.static starts.(i)
            else
-             let rng = Rng.split mobility_rng in
+             let rng = Rng.stream mobility_rng i in
              match sc.mobility with
              | Scenario.Manhattan { spacing } ->
                  Mobility.manhattan ~terrain:sc.terrain ~rng ~spacing
@@ -96,7 +109,7 @@ let make_link (sc : Scenario.t) =
       let shadowing =
         Option.map
           (fun (s : Scenario.shadowing) ->
-            (sc.seed lxor 0x5348_4144, s.Scenario.sigma_db, s.Scenario.eta))
+            (Stream.shadow_seed sc.seed, s.Scenario.sigma_db, s.Scenario.eta))
           sh
       in
       let partition =
@@ -109,16 +122,14 @@ let make_link (sc : Scenario.t) =
       in
       Some (Net.Link_model.create ?shadowing ?partition ())
 
-(* One down/up cycle per selected node, precomputed from a stream
-   independent of every simulation stream (placement, mobility,
-   traffic, MAC, agents), so arming churn changes no other draw.  The
+(* One down/up cycle per selected node, from its churn stream; the
    toggles are events at exact virtual times. *)
 let plan_churn (sc : Scenario.t) ~engine
     ~(take_down : int -> crash:bool -> unit) ~(bring_up : int -> unit) =
   match sc.churn with
   | None -> ()
   | Some c ->
-      let churn_rng = Rng.create (sc.seed lxor 0x6368_7572) in
+      let churn_rng = Rng.create (Stream.churn_seed sc.seed) in
       let window =
         Float.max 0.
           (Time.to_sec c.Scenario.churn_stop
@@ -129,7 +140,7 @@ let plan_churn (sc : Scenario.t) ~engine
           (Time.to_sec c.Scenario.down_max -. Time.to_sec c.Scenario.down_min)
       in
       for i = 0 to sc.num_nodes - 1 do
-        let r = Rng.split churn_rng in
+        let r = Rng.stream churn_rng i in
         if Rng.float r 1. < c.Scenario.churn_frac then begin
           let t_down =
             Time.add c.Scenario.churn_start
@@ -146,20 +157,17 @@ let plan_churn (sc : Scenario.t) ~engine
         end
       done
 
-let build ?on_engine ?obs ?scheduler ?factory (sc : Scenario.t) =
-  let engine = Engine.create ~seed:sc.seed ?scheduler () in
+let build ?on_engine ?scheduler ?factory (sc : Scenario.t) =
+  let engine = Engine.create ?scheduler () in
   (* Instrumentation hook (e.g. [Engine.record_trace]), called before
      anything is scheduled so setup-time events are captured too. *)
   (match on_engine with Some f -> f engine | None -> ());
-  let bus = match obs with Some b -> b | None -> Obs.Bus.create () in
-  let root = Engine.rng engine in
-  let placement_rng = Rng.split root in
-  let mobility_rng = Rng.split root in
-  let traffic_rng = Rng.split root in
+  let bus = Obs.Bus.create () in
+  let root = Rng.create sc.seed in
   let metrics = Metrics.create () in
   let n = sc.num_nodes in
-  let starts = Scenario.positions sc placement_rng in
-  let mobs = make_mobs sc ~mobility_rng ~starts in
+  let starts = Scenario.positions sc (Rng.stream root Stream.placement) in
+  let mobs = make_mobs sc (Rng.stream root Stream.mobility) ~starts in
   let store = Mobility.Pos_store.of_array mobs ~at:Time.zero in
   let link = make_link sc in
   let channel =
@@ -205,8 +213,8 @@ let build ?on_engine ?obs ?scheduler ?factory (sc : Scenario.t) =
       }
     in
     let mac =
-      Net.Mac.create ~engine ~channel ~rng:(Rng.split root) ~id ~slot:i
-        callbacks
+      Net.Mac.create ~engine ~channel ~rng:(Rng.stream root (Stream.mac i)) ~id
+        ~slot:i callbacks
     in
     macs := mac :: !macs;
     (match links with
@@ -216,7 +224,7 @@ let build ?on_engine ?obs ?scheduler ?factory (sc : Scenario.t) =
       {
         Routing.Agent.id;
         engine;
-        rng = Rng.split root;
+        rng = Rng.stream root (Stream.agent i);
         send =
           (match links with
           | None -> fun ~dst payload -> Net.Mac.send mac ~dst payload
@@ -260,26 +268,25 @@ let build ?on_engine ?obs ?scheduler ?factory (sc : Scenario.t) =
   done;
   Array.iter (fun (a : Routing.Agent.t) -> a.start ()) agents;
   let mac_arr = Array.of_list (List.rev !macs) in
-  (* The span trail starts at the application boundary: one Originate
+  (* A down node originates nothing, from the workload or [inject]: the
+     gate is checked at emission time against its MAC's power state.
+     The span trail starts at the application boundary: one Originate
      record per data packet, before the agent sees it. *)
-  let span_originate ~src (msg : Data_msg.t) =
-    if Obs.Bus.on bus then
-      Obs.Bus.span bus ~time:(Engine.now engine) ~node:(Node_id.to_int src)
-        ~stage:Obs.Span.Stage.originate ~flow:msg.Data_msg.flow_id
-        ~seq:msg.Data_msg.seq
-        ~d:(Node_id.to_int msg.Data_msg.dst)
-        ~e:msg.Data_msg.payload_bytes ~f:(-1)
+  let originate ~src (msg : Data_msg.t) =
+    let i = Node_id.to_int src in
+    if not (Net.Mac.is_down mac_arr.(i)) then begin
+      if Obs.Bus.on bus then
+        Obs.Bus.span bus ~time:(Engine.now engine) ~node:i
+          ~stage:Obs.Span.Stage.originate ~flow:msg.Data_msg.flow_id
+          ~seq:msg.Data_msg.seq
+          ~d:(Node_id.to_int msg.Data_msg.dst)
+          ~e:msg.Data_msg.payload_bytes ~f:(-1);
+      Metrics.data_originated metrics msg;
+      agents.(i).Routing.Agent.origin_data msg
+    end
   in
-  (* A down node originates nothing: the gate is checked at emission
-     time against its MAC's power state. *)
-  Traffic.setup ~engine ~rng:traffic_rng ~num_nodes:n ~config:sc.traffic
-    ~until:sc.duration
-    ~emit:(fun ~src msg ->
-      if not (Net.Mac.is_down mac_arr.(Node_id.to_int src)) then begin
-        span_originate ~src msg;
-        Metrics.data_originated metrics msg;
-        agents.(Node_id.to_int src).Routing.Agent.origin_data msg
-      end);
+  Traffic.setup ~engine ~rng:(Rng.stream root Stream.traffic) ~num_nodes:n
+    ~config:sc.traffic ~until:sc.duration ~emit:originate;
   plan_churn sc ~engine
     ~take_down:(fun i ~crash ->
       Net.Mac.set_down mac_arr.(i) true;
@@ -288,16 +295,12 @@ let build ?on_engine ?obs ?scheduler ?factory (sc : Scenario.t) =
   let injected = ref 0 in
   let inject ~src ~dst =
     incr injected;
-    let msg =
-      Data_msg.fresh
-        ~flow_id:(1_000_000 + !injected)
-        ~seq:0 ~src:(Node_id.of_int src) ~dst:(Node_id.of_int dst)
-        ~payload_bytes:Traffic.payload_bytes
-        ~origin_time:(Engine.now engine)
-    in
-    span_originate ~src:(Node_id.of_int src) msg;
-    Metrics.data_originated metrics msg;
-    agents.(src).Routing.Agent.origin_data msg
+    originate ~src:(Node_id.of_int src)
+      (Data_msg.fresh
+         ~flow_id:(1_000_000 + !injected)
+         ~seq:0 ~src:(Node_id.of_int src) ~dst:(Node_id.of_int dst)
+         ~payload_bytes:Traffic.payload_bytes
+         ~origin_time:(Engine.now engine))
   in
   let finalize () =
     let total = ref 0. in
@@ -333,11 +336,11 @@ let attach_pcap sim path =
       Net.Pcap.write sink ~time:(Engine.now sim.engine) frame);
   sim.cleanup <- (fun () -> Net.Pcap.close sink) :: sim.cleanup
 
-let attach_monitor ?ring ?quiet sim =
+let attach_monitor ?quiet sim =
   let lookup ~node ~dst =
     sim.agents.(node).Routing.Agent.invariants (Node_id.of_int dst)
   in
-  let m = Obs.Monitor.create ?ring ?quiet ~lookup sim.bus in
+  let m = Obs.Monitor.create ?quiet ~lookup sim.bus in
   sim.monitor <- Some m;
   m
 
@@ -388,9 +391,9 @@ let finish sim =
   List.iter (fun f -> f ()) sim.cleanup;
   sim.cleanup <- []
 
-let run ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?telemetry_out
+let run ?on_engine ?monitor ?trace_out ?pcap_out ?telemetry_out
     ?telemetry_every ?prepare (sc : Scenario.t) =
-  let sim = build ?on_engine ?obs sc in
+  let sim = build ?on_engine sc in
   (* Let in-flight packets (and their latency) resolve briefly after the
      last origination. *)
   let drain = Time.sec 2. in

@@ -30,7 +30,8 @@ type sim = {
   links : Net.Links.t option;  (** a {!Scenario.Links} run's medium *)
   bus : Obs.Bus.t;  (** the run's observability bus *)
   inject : src:int -> dst:int -> unit;
-      (** originate one data packet now (unique uid per call) *)
+      (** originate one data packet now (unique uid per call); a node
+          whose MAC is down originates nothing *)
   sim_metrics : Metrics.t;
   finalize : unit -> unit;  (** collect end-of-run gauges *)
   mutable monitor : Obs.Monitor.t option;
@@ -40,7 +41,6 @@ type sim = {
 
 val run :
   ?on_engine:(Sim.Engine.t -> unit) ->
-  ?obs:Obs.Bus.t ->
   ?monitor:bool ->
   ?trace_out:string ->
   ?pcap_out:string ->
@@ -54,8 +54,6 @@ val run :
     across independent trials ({!Parallel}, docs/PARALLELISM.md).
 
     [on_engine]: passed to {!build}.
-    [obs]: supply the observability bus (default: a fresh one —
-    disabled unless something below attaches a sink).
     [monitor]: attach the continuous LDR invariant monitor.
     [trace_out]: stream every bus event as JSONL to this file — the
     one event log (["/dev/stderr"] for a live log; [manet_sim trace
@@ -68,7 +66,8 @@ val run :
     sampled from an engine cadence that does not perturb the
     simulation.
     [prepare]: runs on the built simulation just before the engine
-    starts — the hook for fault injection ({!Fault}) and custom sinks.
+    starts — the hook for fault injection ({!Fault}) and custom sinks
+    (on [sim.bus], which has none until something attaches one).
 
     Trace, pcap and telemetry files are flushed and closed before returning.
     The JSONL sink is attached {e before} the monitor, so a violation
@@ -77,7 +76,6 @@ val run :
 
 val build :
   ?on_engine:(Sim.Engine.t -> unit) ->
-  ?obs:Obs.Bus.t ->
   ?scheduler:Sim.Engine.scheduler ->
   ?factory:Routing.Agent.factory ->
   Scenario.t ->
@@ -91,16 +89,19 @@ val build :
     (its power state), context, metrics, bus events and churn; only
     [ctx.send] differs ({!Net.Mac.send} or {!Net.Links.send}).
 
+    Every random stream is derived from [sc.seed] by a fixed index
+    ({!Sim.Rng.stream}), one per subsystem and node, so every protocol
+    at one seed sees the same placement, mobility, churn and offered
+    load.
+
     Every piece of mutable state a run touches is created here, per
-    simulation: engine + RNG streams, metrics, the observability bus
+    simulation: engine, RNG streams, metrics, the observability bus
     (with its intern table), the loop-audit walk marks.  Nothing is
     shared across two [build]s and no trial touches process-global
     state, which is what makes trials safe to run on concurrent
-    domains (see [docs/PARALLELISM.md]).  The one exception is an
-    explicitly shared [?obs] bus: callers fanning trials in parallel
-    must not pass one. *)
+    domains (see [docs/PARALLELISM.md]). *)
 
-val attach_monitor : ?ring:int -> ?quiet:bool -> sim -> Obs.Monitor.t
+val attach_monitor : ?quiet:bool -> sim -> Obs.Monitor.t
 (** Attach the continuous invariant monitor, wired to the agents'
     {!Routing.Agent.invariants}.  Also stored in [sim.monitor]. *)
 

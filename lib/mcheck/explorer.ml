@@ -385,8 +385,7 @@ let random_walks ?(max_steps = 40) ~walks ~seed fx proto =
    with Abort -> ());
   { stats = st; violation = !first }
 
-let minimize ?max_steps fx proto viol =
-  ignore max_steps;
+let minimize fx proto viol =
   let best = ref viol in
   let continue_ = ref true in
   while !continue_ do

@@ -80,8 +80,7 @@ val random_walks :
     schedules (seeded, reproducible).  [stats.complete] is always
     false. *)
 
-val minimize :
-  ?max_steps:int -> Fixture.t -> protocol -> violation -> violation
+val minimize : Fixture.t -> protocol -> violation -> violation
 (** Shortest-depth violation via iterative tightening: repeatedly
     re-explore with the bound one below the best-known violation depth
     until the space is silent.  Sleep sets preserve schedule length

@@ -96,13 +96,12 @@ let sink t (ev : Event.t) =
   | Event.Table_write when ev.c >= 0 -> check t ev
   | _ -> ()
 
-let create ?(ring = default_ring) ?(quiet = false) ~lookup bus =
-  if ring <= 0 then invalid_arg "Monitor.create: ring must be positive";
+let create ?(quiet = false) ~lookup bus =
   let t =
     {
       bus;
       lookup;
-      ring = Array.init ring (fun _ -> Event.make ());
+      ring = Array.init default_ring (fun _ -> Event.make ());
       head = 0;
       filled = 0;
       violations = 0;

@@ -20,11 +20,10 @@
 type t
 
 val default_ring : int
-(** Ring capacity used when [?ring] is omitted (256) — the analyzer's
-    default window size must match. *)
+(** The event ring's capacity (256) — the analyzer's default window
+    size must match. *)
 
 val create :
-  ?ring:int ->
   ?quiet:bool ->
   lookup:(node:int -> dst:int -> Event.inv option) ->
   Bus.t ->

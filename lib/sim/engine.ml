@@ -88,7 +88,6 @@ end
 
 type t = {
   sched : sched;
-  rng : Rng.t;
   mutable clock : Time.t;
   mutable fired : int;
   mutable trace : Trace.t option;
@@ -103,13 +102,13 @@ type handle = int
 let none = 0
 let is_none h = h = 0
 
-let create ?(seed = 1) ?(scheduler = `Calendar) () =
+let create ?(scheduler = `Calendar) () =
   let sched =
     match scheduler with
     | `Calendar -> Cal (Calendar_queue.create ())
     | `Controlled -> Ctl (Controlled_queue.create ())
   in
-  { sched; rng = Rng.create seed; clock = Time.zero; fired = 0; trace = None }
+  { sched; clock = Time.zero; fired = 0; trace = None }
 
 (* Recording starts on a fresh engine, so every popped slot was
    scheduled under the recorder and maps back to its op. *)
@@ -125,7 +124,6 @@ let record_trace t =
 
 let controlled t = match t.sched with Ctl _ -> true | Cal _ -> false
 let now t = t.clock
-let rng t = t.rng
 
 let check_past t time =
   if Time.(time < t.clock) then

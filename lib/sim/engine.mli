@@ -3,7 +3,8 @@
     Owns the virtual clock and the pending-event set.  All simulated
     activity — packet transmissions, protocol timers, mobility
     waypoints, traffic sources — is expressed as events scheduled on
-    one engine.
+    one engine.  The engine draws no random numbers: whoever schedules
+    random events brings its own {!Rng} stream.
 
     Every run's event set is a {!Calendar_queue} (O(1) schedule and
     cancel, pooled zero-allocation slots).  The model checker's
@@ -30,7 +31,7 @@ val none : handle
 
 val is_none : handle -> bool
 
-val create : ?seed:int -> ?scheduler:scheduler -> unit -> t
+val create : ?scheduler:scheduler -> unit -> t
 (** [scheduler] defaults to [`Calendar]. *)
 
 val controlled : t -> bool
@@ -39,10 +40,6 @@ val controlled : t -> bool
 
 val now : t -> Time.t
 (** Current virtual time. *)
-
-val rng : t -> Rng.t
-(** The engine's root generator.  Subsystems should [Rng.split] it once at
-    setup so their streams stay independent. *)
 
 val at : t -> Time.t -> (unit -> unit) -> handle
 (** [at t time f] schedules [f] at absolute [time], which must not be in

@@ -10,7 +10,7 @@ external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* splitmix64 (Steele, Lea & Flood): tiny state, passes BigCrush, and
-   supports cheap stream splitting -- ideal for reproducible simulation. *)
+   derives independent streams cheaply -- ideal for simulation. *)
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -37,9 +37,11 @@ let bits64 t =
   advance t;
   get64 t.buf 8
 
-let split t =
-  advance t;
-  of_state (mix (get64 t.buf 8))
+(* Stream [k]: [t]'s state [k + 1] steps on, mixed twice -- what
+   reseeding from [t]'s [k + 1]-th draw gives, without touching [t]. *)
+let stream t k =
+  let s = Int64.(add (get64 t.buf 0) (mul (of_int (k + 1)) golden_gamma)) in
+  of_state (mix (mix s))
 
 (* Reject to avoid modulo bias. *)
 let rec int_draw t bound =

@@ -1,19 +1,20 @@
 (** Deterministic pseudo-random number generation.
 
     A self-contained splitmix64 generator: every random decision in a
-    simulation flows from one seeded generator, so a run is fully
-    determined by its seed.  [split] derives an independent stream, which
-    lets subsystems (mobility, MAC backoff, traffic, ...) consume
-    randomness without perturbing each other's sequences. *)
+    simulation flows from one seed, so a run is fully determined by it.
+    {!stream} names independent streams by index, so subsystems
+    (mobility, MAC backoff, traffic, ...) draw without perturbing each
+    other's sequences, whatever order the streams are derived in. *)
 
 type t
 
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
-val split : t -> t
-(** [split t] draws from [t] and returns a new generator whose stream is
-    statistically independent of [t]'s subsequent output. *)
+val stream : t -> int -> t
+(** [stream t k] is a new generator for [t]'s stream number [k >= 0]:
+    a pure function of [t]'s current state and [k], which does not
+    advance [t].  Distinct [k] give independent streams. *)
 
 val bits64 : t -> int64
 (** Next 64 raw bits. *)

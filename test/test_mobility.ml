@@ -16,10 +16,10 @@ let static_never_moves () =
 
 let waypoint_stays_in_terrain () =
   let rng = Rng.create 42 in
-  for _ = 1 to 10 do
+  for i = 1 to 10 do
     let start = Geom.Terrain.random_point terrain rng in
     let m =
-      Mobility.waypoint ~terrain ~rng:(Rng.split rng) ~speed_min:1.
+      Mobility.waypoint ~terrain ~rng:(Rng.stream rng i) ~speed_min:1.
         ~speed_max:20. ~pause:(Time.sec 5.) ~start
     in
     for t = 0 to 500 do
@@ -207,7 +207,7 @@ let rpgm_members_cohere () =
   let rng = Rng.create 31 in
   let radius = 40. in
   let g =
-    Mobility.rpgm_group ~terrain ~rng:(Rng.split rng) ~speed_min:2.
+    Mobility.rpgm_group ~terrain ~rng:(Rng.stream rng 0) ~speed_min:2.
       ~speed_max:10. ~pause:(Time.sec 1.) ~start:(Geom.Vec2.v 500. 250.)
   in
   let members =
@@ -352,7 +352,7 @@ let refresh_slots_prop =
       let k = 12 in
       let world () =
         let rng = Rng.create (seed + 1) in
-        Array.init k (fun i -> random_process (Rng.split rng) (i mod 5))
+        Array.init k (fun i -> random_process (Rng.stream rng i) (i mod 5))
       in
       let batch = Mobility.Pos_store.of_array (world ()) ~at:Time.zero in
       let single = Mobility.Pos_store.of_array (world ()) ~at:Time.zero in

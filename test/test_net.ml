@@ -32,7 +32,7 @@ type node_rig = {
 }
 
 let rig ?(params = Net.Params.default) positions =
-  let engine = Engine.create ~seed:5 () in
+  let engine = Engine.create () in
   let _, channel =
     store_channel ~params engine (List.map Mobility.static positions)
   in
@@ -256,7 +256,7 @@ let mobility_breaks_link () =
   (* A node walking out of range: early unicasts succeed, later ones
      fail — the store refreshes the walker's position live, and its
      scripted speed ages the neighbour lists as it crosses cells. *)
-  let engine = Engine.create ~seed:9 () in
+  let engine = Engine.create () in
   let walker =
     Mobility.scripted
       [ (Time.sec 0., v 100. 0.); (Time.sec 10., v 2000. 0.) ]
@@ -402,7 +402,7 @@ let grid_neighbors_match_naive () =
      queried directly and again (by the armed oracle) when it
      broadcasts. *)
   let layout = [ v 0. 0.; v 100. 0.; v 260. 0.; v 400. 50.; v 900. 0. ] in
-  let engine = Engine.create ~seed:5 () in
+  let engine = Engine.create () in
   let store, channel = store_channel engine (List.map Mobility.static layout) in
   let macs =
     Array.of_list
@@ -447,7 +447,7 @@ let fanout_matches_naive_prop =
       let layout =
         List.init 30 (fun _ -> v (coord 3000.) (coord 1000.))
       in
-      let engine = Engine.create ~seed:5 () in
+      let engine = Engine.create () in
       let store, channel =
         store_channel engine (List.map Mobility.static layout)
       in
@@ -500,7 +500,7 @@ let fanout_log channel engine =
   (fanout, Array.of_list radios, List.rev !log)
 
 let fanout_order_matches_naive () =
-  let engine = Engine.create ~seed:5 () in
+  let engine = Engine.create () in
   let store, channel =
     store_channel engine (List.map Mobility.static fanout_layout)
   in
@@ -530,7 +530,7 @@ let fanout_order_matches_naive () =
    exactly as the brute-force scan finds. *)
 let reattach_refreshes_lists () =
   let layout = [ v 100. 100.; v 300. 100.; v 500. 100. ] in
-  let engine = Engine.create ~seed:5 () in
+  let engine = Engine.create () in
   let store, channel = store_channel engine (List.map Mobility.static layout) in
   let radios =
     Array.of_list
@@ -572,12 +572,12 @@ let list_expiry_prop =
       let k = 24 in
       let terrain = Geom.Terrain.create ~width:1600. ~height:700. in
       let mobs =
-        Array.init k (fun _ ->
-            Mobility.waypoint ~terrain ~rng:(Rng.split rng)
+        Array.init k (fun i ->
+            Mobility.waypoint ~terrain ~rng:(Rng.stream rng i)
               ~speed_min:(vmax /. 2.) ~speed_max:vmax ~pause:Time.zero
               ~start:(Geom.Terrain.random_point terrain rng))
       in
-      let engine = Engine.create ~seed:5 () in
+      let engine = Engine.create () in
       let store = Mobility.Pos_store.of_array mobs ~at:Time.zero in
       let c =
         Net.Channel.create ~engine ~store ~terrain ~params:Net.Params.default
@@ -629,8 +629,8 @@ let classification_matches_exact () =
           let k = 40 in
           let point () = Geom.Terrain.random_point terrain rng in
           let groups =
-            Array.init (k / 4) (fun _ ->
-                Mobility.rpgm_group ~terrain ~rng:(Rng.split rng)
+            Array.init (k / 4) (fun j ->
+                Mobility.rpgm_group ~terrain ~rng:(Rng.stream rng j)
                   ~speed_min:1. ~speed_max:20. ~pause:Time.zero
                   ~start:(point ()))
           in
@@ -638,7 +638,7 @@ let classification_matches_exact () =
             Array.init k (fun i ->
                 match family with
                 | "manhattan" ->
-                    Mobility.manhattan ~terrain ~rng:(Rng.split rng)
+                    Mobility.manhattan ~terrain ~rng:(Rng.stream rng (k + i))
                       ~spacing:150. ~speed_min:1. ~speed_max:20.
                       ~pause:Time.zero ~start:(point ())
                 | "rpgm" ->
@@ -646,11 +646,11 @@ let classification_matches_exact () =
                       ~ox:(Rng.float rng 200. -. 100.)
                       ~oy:(Rng.float rng 200. -. 100.)
                 | _ ->
-                    Mobility.waypoint ~terrain ~rng:(Rng.split rng)
+                    Mobility.waypoint ~terrain ~rng:(Rng.stream rng (k + i))
                       ~speed_min:1. ~speed_max:20. ~pause:Time.zero
                       ~start:(point ()))
           in
-          let engine = Engine.create ~seed:5 () in
+          let engine = Engine.create () in
           let store = Mobility.Pos_store.of_array mobs ~at:Time.zero in
           let channel =
             Net.Channel.create ~engine ~store ~terrain
@@ -727,7 +727,7 @@ let bound_edges_resolve_exactly () =
     [ Mobility.static (at 0.); moving 200. 10.; Mobility.static (at 578.);
       moving 288. 10.; moving 38. (-10.); moving 1138. (-10.) ]
   in
-  let engine = Engine.create ~seed:5 () in
+  let engine = Engine.create () in
   let store, channel = store_channel engine mobs in
   let radios =
     Array.of_list
@@ -766,7 +766,7 @@ let bound_edges_resolve_exactly () =
    channel reads positions and per-radio state by slot unchecked. *)
 let late_attach_joins_lists () =
   let layout = [ v 100. 100.; v 300. 100.; v 200. 150. ] in
-  let engine = Engine.create ~seed:5 () in
+  let engine = Engine.create () in
   let store, channel = store_channel engine (List.map Mobility.static layout) in
   let attach i = Net.Channel.attach channel ~slot:i ~id:(n i) in
   let a = attach 0 and b = attach 1 in
@@ -793,7 +793,7 @@ let late_attach_joins_lists () =
    reports none, and switched back on mid-transmission it reports the
    next edge. *)
 let contending_gates_edges () =
-  let engine = Engine.create ~seed:5 () in
+  let engine = Engine.create () in
   let _, channel =
     store_channel engine (List.map Mobility.static [ v 0. 0.; v 100. 0. ])
   in
@@ -840,7 +840,7 @@ let overhearing_is_opt_in () =
       body = Net.Frame.Payload (data_payload ~src ~dst:3 ()) }
   in
   let run ~unicast =
-    let engine = Engine.create ~seed:5 () in
+    let engine = Engine.create () in
     let layout =
       [ v 100. 100.; v 200. 100.; v 300. 100.; v 400. 100.; v 350. 100. ]
     in
@@ -905,7 +905,7 @@ let overhearing_is_opt_in () =
    busy.  At the end each radio's idle edge comes right before its own
    frame, in delivery order, so B's edge follows the other frames. *)
 let listeners_in_delivery_order () =
-  let engine = Engine.create ~seed:5 () in
+  let engine = Engine.create () in
   let names = [| "B"; "C"; "D"; "S" |] in
   let _, channel =
     store_channel engine
@@ -951,7 +951,7 @@ let listeners_in_delivery_order () =
    loop of transmissions, less those of the same loop (clock advance
    included) without the [transmit]. *)
 let words_per_tx k =
-  let engine = Engine.create ~seed:5 () in
+  let engine = Engine.create () in
   let positions =
     List.init (k + 1) (fun i ->
         v (100. +. (3. *. float_of_int i)) (100. +. float_of_int (i mod 7)))
@@ -1002,7 +1002,7 @@ let mac_accounting_prop =
   QCheck.Test.make ~name:"unicast delivers or fails" ~count:30
     QCheck.(pair (int_bound 1000) (int_range 2 6))
     (fun (seed, k) ->
-      let engine = Engine.create ~seed () in
+      let engine = Engine.create () in
       let rng = Rng.create seed in
       (* Random positions: some pairs are in range, some not. *)
       let positions =

@@ -73,9 +73,11 @@ let null_sink_differential () =
       = 0)
   in
   let counted = ref 0 in
-  let bus = Obs.Bus.create () in
-  Obs.Bus.add_sink bus (fun _ -> incr counted);
-  same "null sink" (Runner.run ~obs:bus (scenario ()));
+  same "null sink"
+    (Runner.run
+       ~prepare:(fun sim ->
+         Obs.Bus.add_sink sim.Runner.bus (fun _ -> incr counted))
+       (scenario ()));
   checkb "bus saw events" true (!counted > 100);
   let file = Filename.temp_file "obs_test" ".out" in
   let lines () =
@@ -154,11 +156,14 @@ let monitor_catches_stale_seqno () =
 let jsonl_roundtrip () =
   let trace_file = Filename.temp_file "obs_rt" ".jsonl" in
   let counted = ref 0 in
-  let bus = Obs.Bus.create () in
   let oc = open_out trace_file in
-  Obs.Bus.add_sink bus (Obs.Jsonl.sink bus oc);
-  Obs.Bus.add_sink bus (fun _ -> incr counted);
-  ignore (Runner.run ~obs:bus (scenario ~duration:10. ()));
+  ignore
+    (Runner.run
+       ~prepare:(fun sim ->
+         let bus = sim.Runner.bus in
+         Obs.Bus.add_sink bus (Obs.Jsonl.sink bus oc);
+         Obs.Bus.add_sink bus (fun _ -> incr counted))
+       (scenario ~duration:10. ()));
   close_out oc;
   (match Obs.Reader.load trace_file with
   | Error e -> Alcotest.fail e

@@ -119,15 +119,53 @@ let rng_coin_probability () =
   done;
   checkb "p=0.3 within 3 sigma" true (!heads > 2850 && !heads < 3150)
 
-let rng_split_independence () =
+let rng_stream_independence () =
   let parent = Rng.create 5 in
-  let child = Rng.split parent in
+  let child = Rng.stream parent 0 in
   (* The child's stream must not simply mirror the parent's. *)
   let matches = ref 0 in
   for _ = 1 to 64 do
     if Int64.equal (Rng.bits64 parent) (Rng.bits64 child) then incr matches
   done;
-  checkb "split streams differ" true (!matches = 0)
+  checkb "streams differ from the parent" true (!matches = 0)
+
+(* Deriving a stream is pure: it does not advance the parent, the same
+   index gives the same draws, and distinct indices give different
+   ones. *)
+let rng_stream_pure () =
+  let draws r = List.init 16 (fun _ -> Rng.bits64 r) in
+  let parent = Rng.create 9 in
+  let a = draws (Rng.stream parent 3) in
+  check (Alcotest.list Alcotest.int64) "same index, same draws" a
+    (draws (Rng.stream parent 3));
+  check (Alcotest.list Alcotest.int64) "parent not advanced"
+    (draws (Rng.create 9)) (draws parent);
+  let firsts =
+    List.init 200 (fun k -> Rng.bits64 (Rng.stream (Rng.create 9) k))
+  in
+  checki "distinct indices differ" 200
+    (List.length (List.sort_uniq Int64.compare firsts))
+
+(* The first draw of streams 0..4 of seeds 1 and 2.  [Runner.build]
+   takes every stream of a run from these indices, so a change here
+   changes every simulated outcome. *)
+let rng_stream_pinned () =
+  let pinned =
+    [
+      (1, [ 0xF0E0E7BE2FCF87EDL; 0x4D3B8CB9ABE74B4DL; 0x4EA8E48788DD80F5L;
+            0x5644F247D1427975L; 0x34B7E0300FA7D8BEL ]);
+      (2, [ 0x92CBC8814700EE42L; 0x61A5F4D8798276C8L; 0xBBF49BA0FB05AAACL;
+            0x71758A2CD7F252B8L; 0x6812800EFE3BFA1DL ]);
+    ]
+  in
+  List.iter
+    (fun (seed, want) ->
+      let root = Rng.create seed in
+      check (Alcotest.list Alcotest.int64)
+        (Printf.sprintf "seed %d" seed)
+        want
+        (List.init 5 (fun k -> Rng.bits64 (Rng.stream root k))))
+    pinned
 
 let rng_shuffle_permutes () =
   let r = Rng.create 99 in
@@ -543,11 +581,11 @@ let engine_cancel () =
   checkb "cancelled" false !fired
 
 let engine_determinism () =
-  (* Two engines with the same seed driving the same random workload
-     produce identical event counts and final clocks. *)
+  (* Two engines driving the same seeded random workload produce
+     identical event counts and final clocks. *)
   let run () =
-    let e = Engine.create ~seed:77 () in
-    let r = Engine.rng e in
+    let e = Engine.create () in
+    let r = Rng.create 77 in
     let total = ref 0L in
     for _ = 1 to 100 do
       let d = Time.us (float_of_int (1 + Rng.int r 1000)) in
@@ -631,7 +669,10 @@ let () =
           Alcotest.test_case "uniformity" `Quick rng_uniformity;
           Alcotest.test_case "exponential mean" `Quick rng_exponential_mean;
           Alcotest.test_case "coin probability" `Quick rng_coin_probability;
-          Alcotest.test_case "split independence" `Quick rng_split_independence;
+          Alcotest.test_case "stream independence" `Quick
+            rng_stream_independence;
+          Alcotest.test_case "stream is pure" `Quick rng_stream_pure;
+          Alcotest.test_case "stream pinned" `Quick rng_stream_pinned;
           Alcotest.test_case "shuffle permutes" `Quick rng_shuffle_permutes;
           Alcotest.test_case "pick member" `Quick rng_pick_member;
           Alcotest.test_case "invalid args" `Quick rng_invalid;

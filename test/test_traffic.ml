@@ -7,7 +7,7 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
 let collect ?(seed = 1) ~config ~until () =
-  let engine = Engine.create ~seed () in
+  let engine = Engine.create () in
   let rng = Rng.create seed in
   let packets = ref [] in
   Traffic.setup ~engine ~rng ~num_nodes:20 ~config ~until
