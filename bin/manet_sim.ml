@@ -576,14 +576,6 @@ let trace_cmd =
           ~doc:"Reconstruct each invariant violation's last-events window \
                 from the trace (matches the monitor's live ring dump).")
   in
-  let k =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "k" ] ~docv:"K"
-          ~doc:"Window size for $(b,--violations) (default: the monitor's \
-                ring capacity).")
-  in
   let classes =
     Arg.(
       value & flag
@@ -609,9 +601,9 @@ let trace_cmd =
           ~doc:"With $(b,--spans): additionally print flow $(docv)'s \
                 per-packet stage table.")
   in
-  let print_class_counts counts =
-    List.iter
-      (fun (cls, (count, bytes)) -> Printf.printf "%s %d %d\n" cls count bytes)
+  let class_lines counts =
+    List.map
+      (fun (cls, (count, bytes)) -> Printf.sprintf "%s %d %d" cls count bytes)
       counts
   in
   let pcap_action file classes =
@@ -620,7 +612,8 @@ let trace_cmd =
         prerr_endline e;
         Stdlib.exit 1
     | Ok records ->
-        if classes then print_class_counts (Net.Pcap.class_counts records)
+        if classes then
+          List.iter print_endline (class_lines (Net.Pcap.class_counts records))
         else begin
           let n = List.length records in
           let undecodable =
@@ -652,55 +645,68 @@ let trace_cmd =
                 | Ok _ -> assert false)
         end
   in
-  let action file node dst drops violations k classes spans flow =
-    if Net.Pcap.is_pcap_file file then pcap_action file classes
-    else
-    match Obs.Reader.load file with
+  (* All queries ride one replay of the file; their output is printed
+     only once the whole file has parsed. *)
+  let jsonl_action file node dst drops violations classes spans flow =
+    let open Obs in
+    let bus = Bus.create () in
+    (* Attach [query] when asked for, rendering its answer with [f]. *)
+    let ask on query f =
+      if on then
+        let answer = query bus in
+        [ (fun () -> f (answer ())) ]
+      else []
+    in
+    let arg x query = match x with Some x -> [ query x bus ] | None -> [] in
+    let window i (line, window) =
+      Printf.sprintf "violation %d: %s" i line
+      :: List.map (fun l -> "  " ^ l) window
+    in
+    let sections =
+      ask classes Reader.tx_classes class_lines
+      @ arg node (fun node -> Reader.timeline ~node)
+      @ arg dst (fun dst -> Reader.flaps ~dst)
+      @ ask drops Reader.drop_report Fun.id
+      @ ask spans Span.reconstruct (Span.report ?flow ~name:(Bus.name bus))
+      @ ask violations Reader.violations (function
+          | [] -> [ "no violations" ]
+          | found -> List.concat (List.mapi window found))
+    in
+    let sections =
+      match sections with [] -> [ Reader.summary bus ] | sections -> sections
+    in
+    match Reader.replay file bus with
     | Error e ->
         prerr_endline e;
         Stdlib.exit 1
-    | Ok t ->
-        let printed = ref false in
-        let section lines =
-          printed := true;
-          List.iter print_endline lines
-        in
-        if classes then section
-          (List.map
-             (fun (cls, (count, bytes)) ->
-               Printf.sprintf "%s %d %d" cls count bytes)
-             (Obs.Reader.tx_class_counts t));
-        (match node with
-        | Some n -> section (Obs.Reader.timeline t ~node:n)
-        | None -> ());
-        (match dst with
-        | Some d -> section (Obs.Reader.flaps t ~dst:d)
-        | None -> ());
-        if drops then section (Obs.Reader.drop_report t);
-        if spans then
-          section
-            (Obs.Span.report ?flow
-               ~name:(Obs.Reader.name t)
-               (Obs.Reader.events t));
-        if violations then begin
-          printed := true;
-          let n = Obs.Reader.violations t in
-          if n = 0 then print_endline "no violations"
-          else
-            for i = 0 to n - 1 do
-              match Obs.Reader.violation_window ?k t i with
-              | None -> ()
-              | Some (line, window) ->
-                  Printf.printf "violation %d: %s\n" i line;
-                  List.iter (fun l -> print_endline ("  " ^ l)) window
-            done
-        end;
-        if not !printed then section (Obs.Reader.summary t)
+    | Ok () ->
+        List.iter (fun section -> List.iter print_endline (section ())) sections
+  in
+  (* Flags the file cannot answer are usage errors: every query but
+     --classes reads a JSONL trace, and --flow selects a --spans table. *)
+  let action file node dst drops violations classes spans flow =
+    let pcap = Net.Pcap.is_pcap_file file in
+    let jsonl_only =
+      [ ("--node", node <> None); ("--dst", dst <> None); ("--drops", drops);
+        ("--violations", violations); ("--spans", spans);
+        ("--flow", flow <> None) ]
+    in
+    match List.find_opt snd jsonl_only with
+    | Some (opt, _) when pcap ->
+        `Error
+          (false, Printf.sprintf "%s needs a JSONL trace; %s is a pcap capture"
+                    opt file)
+    | _ when flow <> None && not spans -> `Error (false, "--flow needs --spans")
+    | _ ->
+        if pcap then pcap_action file classes
+        else jsonl_action file node dst drops violations classes spans flow;
+        `Ok ()
   in
   let term =
     Term.(
-      const action $ file $ node $ dst $ drops $ violations $ k $ classes
-      $ spans $ flow)
+      ret
+        (const action $ file $ node $ dst $ drops $ violations $ classes $ spans
+       $ flow))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -742,7 +748,7 @@ let mcheck_cmd =
   let max_steps =
     Arg.(
       value
-      & opt (at_least 0) 40
+      & opt (at_least 0) 18
       & info [ "max-steps" ] ~docv:"N" ~doc:"Decision-depth bound.")
   in
   let max_states =

@@ -246,7 +246,7 @@ let rec subset sl cur =
 
 exception Abort
 
-let explore ?(max_steps = 40) ?(max_states = 2_000_000)
+let explore ~max_steps ?(max_states = 2_000_000)
     ?(stop_at_first = true) ?(dedup = true) fx proto =
   let st = fresh_stats () in
   let first = ref None in
@@ -341,7 +341,7 @@ let explore ?(max_steps = 40) ?(max_states = 2_000_000)
   (try go (build fx proto) [] 0 [] with Abort -> ());
   { stats = st; violation = !first }
 
-let random_walks ?(max_steps = 40) ~walks ~seed fx proto =
+let random_walks ~max_steps ~walks ~seed fx proto =
   let st = fresh_stats () in
   st.complete <- false;
   let first = ref None in

@@ -8,15 +8,18 @@
     re-firing the prefix (deterministic: same prefix, same state, same
     event ids).
 
-    Pruning, both sound for the safety properties checked here:
+    Pruning:
     - {e sleep sets} over the independence relation "two floating
       deliveries at distinct nodes commute" (timed events advance the
-      shared clock and are dependent with everything);
-    - {e state matching} on a digest of routing state + pending-event
-      multiset, re-exploring a revisited state unless the stored visit
-      had a subset sleep set at no greater depth.  The digest is a
-      hash, so an astronomically-unlikely collision could hide a
-      schedule; docs/MODEL_CHECKING.md spells the caveat out.
+      shared clock and are dependent with everything) — sound for the
+      safety properties checked here;
+    - {e state matching} on a hash of an abstraction of the state
+      ({!digest}), re-exploring a revisited state unless the stored
+      visit had a subset sleep set at no greater depth.  States that
+      differ only in what the abstraction leaves out (stored
+      destination sequence numbers, route lifetimes, RREQ caches), or
+      whose hashes collide, merge: [complete] assumes they behave
+      alike.  docs/MODEL_CHECKING.md spells the caveat out.
 
     Violations checked after every fired event: a successor-graph
     cycle ({!Routing.Agent.find_cycle} — the AODV detector) and
@@ -60,22 +63,22 @@ type stats = {
 type result = { stats : stats; violation : violation option }
 
 val explore :
-  ?max_steps:int ->
+  max_steps:int ->
   ?max_states:int ->
   ?stop_at_first:bool ->
   ?dedup:bool ->
   Fixture.t ->
   protocol ->
   result
-(** DFS over the bounded schedule space.  [max_steps] (default 40)
-    bounds the decision depth, [max_states] (default 2_000_000) the
+(** DFS over the bounded schedule space.  [max_steps] bounds the
+    decision depth, [max_states] (default 2_000_000) the
     explored prefixes — hitting it clears [stats.complete].
     [stop_at_first] (default true) aborts on the first violating
     state; the first violation found is returned either way.
     [dedup] (default true) enables state matching. *)
 
 val random_walks :
-  ?max_steps:int -> walks:int -> seed:int -> Fixture.t -> protocol -> result
+  max_steps:int -> walks:int -> seed:int -> Fixture.t -> protocol -> result
 (** Fallback for spaces too big to enumerate: [walks] uniformly random
     schedules (seeded, reproducible).  [stats.complete] is always
     false. *)
@@ -94,9 +97,11 @@ val replay : Fixture.t -> protocol -> choice list -> vkind option
     divergence, i.e. a trace from different code or fixture. *)
 
 val digest : Fixture.t -> protocol -> choice list -> int
-(** State digest after replaying the prefix: routing tables, clock,
-    monitor count, pending-event multiset.  The determinism regression
-    asserts equal prefixes give equal digests. *)
+(** State digest after replaying the prefix: a hash of each node's
+    successors, own sequence number and [route_stats] (for AODV just
+    the table size), the pending-event keys, the clock and the monitor
+    count.  The determinism regression asserts equal prefixes give
+    equal digests. *)
 
 (** Replayable violation trace files (JSONL, parsed with
     {!Obs.Jsonl.parse_line}): a header line naming fixture and

@@ -97,18 +97,6 @@ let span_stage_name = function
   | 10 -> "agg"
   | _ -> "?"
 
-(* Is this event part of the causal neighbourhood of destination [dst]?
-   The invariant monitor's ring-buffer dump and the trace analyzer's
-   violation-window query both use this predicate, so their outputs
-   coincide line for line. *)
-let relevant_to ~dst ev =
-  match ev.kind with
-  | Table_write | Violation -> ev.a = dst
-  | Proto -> ev.b = dst
-  | Data_drop -> ev.e = dst
-  | Link_failure -> true
-  | Tx | Rx | Collision | Ifq_drop | Deliver | Span -> false
-
 (* Packed sequence numbers ([Seqnum.pack]): stamp in the high bits,
    counter in the low 31. *)
 let pp_sn fmt sn =

@@ -74,10 +74,6 @@ val has_label : kind -> bool
 (** Whether field [a] is an interned-string id ({!Bus.name} resolves
     it). *)
 
-val relevant_to : dst:int -> t -> bool
-(** The destination-relevance predicate shared by the invariant
-    monitor's ring dump and the analyzer's violation-window query. *)
-
 val pp : name:(int -> string) -> Format.formatter -> t -> unit
 (** Render one event as a human-readable trace line; [name] resolves
     interned-string ids (use {!Bus.name}). *)

@@ -12,39 +12,55 @@
    a complete O(1)-per-write check.  The runner's O(N^2)
    successor-graph audit stays as the heavyweight cross-check. *)
 
+type ring = {
+  slots : Event.t array;
+  mutable head : int;  (* next slot to overwrite *)
+  mutable filled : int;
+}
+
+let ring () =
+  { slots = Array.init 256 (fun _ -> Event.make ()); head = 0; filled = 0 }
+
+(* Span records are pure lifecycle telemetry — never
+   destination-relevant — so they take no ring capacity. *)
+let push r (ev : Event.t) =
+  if ev.kind <> Event.Span then begin
+    Event.copy_into ~src:ev ~dst:r.slots.(r.head);
+    r.head <- (r.head + 1) mod Array.length r.slots;
+    if r.filled < Array.length r.slots then r.filled <- r.filled + 1
+  end
+
+(* Is this event part of the causal neighbourhood of destination [dst]? *)
+let relevant_to ~dst (ev : Event.t) =
+  match ev.kind with
+  | Table_write | Violation -> ev.a = dst
+  | Proto -> ev.b = dst
+  | Data_drop -> ev.e = dst
+  | Link_failure -> true
+  | Tx | Rx | Collision | Ifq_drop | Deliver | Span -> false
+
+(* Ring contents oldest-first, filtered to the destination's causal
+   neighbourhood, rendered with [name]. *)
+let window r ~name ~dst =
+  let k = Array.length r.slots in
+  let acc = ref [] in
+  for i = 1 to r.filled do
+    (* newest-first: head-1, head-2, ... *)
+    let ev = r.slots.((r.head - i + k) mod k) in
+    if relevant_to ~dst ev then
+      acc := Format.asprintf "%a" (Event.pp ~name) ev :: !acc
+  done;
+  !acc
+
 type t = {
   bus : Bus.t;
   lookup : node:int -> dst:int -> Event.inv option;
-  ring : Event.t array;
-  mutable head : int;  (* next slot to overwrite *)
-  mutable filled : int;
+  ring : ring;
   mutable violations : int;
   mutable last_window : string list;
   quiet : bool;
   viol_ev : Event.t;  (* preallocated: dispatch must not reuse bus scratch *)
 }
-
-let default_ring = 256
-
-let push t ev =
-  let slot = t.ring.(t.head) in
-  Event.copy_into ~src:ev ~dst:slot;
-  t.head <- (t.head + 1) mod Array.length t.ring;
-  if t.filled < Array.length t.ring then t.filled <- t.filled + 1
-
-(* Ring contents oldest-first, filtered to the destination's causal
-   neighbourhood, rendered with the bus's intern table. *)
-let window t ~dst =
-  let k = Array.length t.ring in
-  let acc = ref [] in
-  for i = 1 to t.filled do
-    (* newest-first: head-1, head-2, ... *)
-    let idx = (t.head - i + (2 * k)) mod k in
-    let ev = t.ring.(idx) in
-    if Event.relevant_to ~dst ev then
-      acc := Format.asprintf "%a" (Event.pp ~name:(Bus.name t.bus)) ev :: !acc
-  done;
-  !acc
 
 let violations t = t.violations
 let last_window t = t.last_window
@@ -62,8 +78,9 @@ let check t (ev : Event.t) =
       if not dominated then begin
         t.violations <- t.violations + 1;
         (* Window first: it must exclude the violation event itself,
-           matching what the analyzer reconstructs from the trace. *)
-        let w = window t ~dst:ev.a in
+           as the analyzer's window does. *)
+        let name = Bus.name t.bus in
+        let w = window t.ring ~name ~dst:ev.a in
         let v = t.viol_ev in
         v.Event.time <- ev.time;
         v.node <- ev.node;
@@ -77,21 +94,15 @@ let check t (ev : Event.t) =
         Bus.dispatch t.bus v;
         t.last_window <- w;
         if not t.quiet then begin
-          Format.eprintf "%a@."
-            (Event.pp ~name:(Bus.name t.bus))
-            v;
+          Format.eprintf "%a@." (Event.pp ~name) v;
           Format.eprintf "  last-%d event window for dst n%d:@."
-            (Array.length t.ring) ev.a;
+            (Array.length t.ring.slots) ev.a;
           List.iter (fun l -> Format.eprintf "    %s@." l) w
         end
       end
 
 let sink t (ev : Event.t) =
-  (* Span records are pure lifecycle telemetry — never
-     destination-relevant, so keeping them out of the ring preserves
-     the PR-3 window contents (and the analyzer's reconstruction,
-     which skips them symmetrically in [Reader.violation_window]). *)
-  if ev.kind <> Event.Span then push t ev;
+  push t.ring ev;
   match ev.kind with
   | Event.Table_write when ev.c >= 0 -> check t ev
   | _ -> ()
@@ -101,9 +112,7 @@ let create ?(quiet = false) ~lookup bus =
     {
       bus;
       lookup;
-      ring = Array.init default_ring (fun _ -> Event.make ());
-      head = 0;
-      filled = 0;
+      ring = ring ();
       violations = 0;
       last_window = [];
       quiet;

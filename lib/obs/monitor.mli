@@ -12,16 +12,26 @@
     invariant continuously — every transition, not sample points.
 
     On violation the monitor emits an [Event.Violation] on the same
-    bus (so JSONL traces record it) and snapshots the last-K event
-    ring filtered to that destination's causal neighbourhood
-    ({!Event.relevant_to}) — the same window [manet_sim trace
-    --violations] reconstructs from the trace file. *)
+    bus (so JSONL traces record it) and snapshots its {!ring} filtered
+    to that destination's causal neighbourhood: its table writes,
+    violations, route events and data drops, and every link failure.
+    [manet_sim trace --violations] pushes the trace's events through
+    a {!ring} of its own, so both print the same window. *)
+
+type ring
+(** The violation window: the last 256 non-[Span] events, copied. *)
+
+val ring : unit -> ring
+
+val push : ring -> Event.t -> unit
+(** Remember one event, evicting the oldest; [Span] records are
+    skipped (never destination-relevant). *)
+
+val window : ring -> name:(int -> string) -> dst:int -> string list
+(** The ring's events relevant to [dst], oldest first, rendered by
+    {!Event.pp} with [name]. *)
 
 type t
-
-val default_ring : int
-(** The event ring's capacity (256) — the analyzer's default window
-    size must match. *)
 
 val create :
   ?quiet:bool ->

@@ -1,43 +1,43 @@
-(** Post-hoc trace analysis: load a JSONL trace ({!Jsonl}) and answer
-    the [manet_sim trace] queries.  All queries return rendered lines
-    (via {!Event.pp}, the same renderer the live sinks use), ready to
-    print. *)
+(** Post-hoc trace analysis: stream a JSONL trace ({!Jsonl}) onto a
+    bus and answer the [manet_sim trace] queries.
 
-type t
+    A query attaches a sink to a bus and returns the function that
+    renders its answer once the file has been replayed into that bus.
+    Queries sharing a bus share one pass, and each keeps only its own
+    state, never the event stream.  Rendered lines go through
+    {!Event.pp}, the renderer the live sinks use. *)
 
-val load : string -> (t, string) result
-val length : t -> int
+val replay : string -> Bus.t -> (unit, string) result
+(** Stream every event of the file, in order, to the bus's sinks.  Each
+    line is parsed into one reused {!Event.t} — a sink copies what it
+    keeps, as on a live bus — with its label re-interned into the bus,
+    so {!Bus.name} resolves it.  An unreadable file is
+    [Error "PATH: reason"].  Malformed lines are counted over the whole
+    file and give [Error "N malformed line(s) in PATH"], after the
+    sinks have seen every well-formed line: discard their answers. *)
 
-val events : t -> Event.t array
-(** The raw loaded events in trace order (caller must not mutate) —
-    the span analyzer ({!Span}) reconstructs packet paths from these. *)
+type 'a query = Bus.t -> unit -> 'a
 
-val name : t -> int -> string
-(** Resolve an interned label id from the trace's private table. *)
-
-val tx_class_counts : t -> (string * (int * int)) list
+val tx_classes : (string * (int * int)) list query
 (** Per traffic class: [(transmissions, total on-air bytes)] from the
     trace's TX events, sorted by class name — directly comparable with
     {!Net.Pcap.class_counts} over the same run's capture. *)
 
-val timeline : t -> node:int -> string list
+val timeline : node:int -> string list query
 (** Every event at one node, in trace order. *)
 
-val flaps : t -> dst:int -> string list
+val flaps : dst:int -> string list query
 (** Successor changes toward one destination, plus a per-node count. *)
 
-val drop_report : ?bins:int -> t -> string list
+val drop_report : ?bins:int -> string list query
 (** Data drops, interface-queue overflows and collisions bucketed over
     [bins] equal time intervals (default 10). *)
 
-val violations : t -> int
+val violations : (string * string list) list query
+(** Each violation line with the window the monitor dumped for it: the
+    trace's events pass through a {!Monitor.ring}, read at each
+    violation before it enters. *)
 
-val violation_window : ?k:int -> t -> int -> (string * string list) option
-(** [violation_window t i] is the [i]th (0-based) violation line plus
-    the reconstruction of the monitor's ring dump: the last [k]
-    (default {!Monitor.default_ring}) raw events preceding it,
-    filtered by {!Event.relevant_to} for its destination. *)
-
-val summary : t -> string list
+val summary : string list query
 (** Event totals by kind, plus per-class transmission byte totals when
     the trace contains TX events. *)

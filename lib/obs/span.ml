@@ -60,7 +60,7 @@ let new_hop ~node ~next ~enq =
     h_failed = false;
   }
 
-let reconstruct events =
+let reconstruct bus =
   let paths = Hashtbl.create 256 in
   (* A node holds at most one in-flight frame per packet, so the open
      MAC hop is keyed by (flow, seq, node).  Hops from different path
@@ -95,8 +95,7 @@ let reconstruct events =
         Hashtbl.add paths key p;
         p
   in
-  Array.iter
-    (fun (ev : Event.t) ->
+  Bus.add_sink bus (fun (ev : Event.t) ->
       let now = (ev.time :> int) in
       match ev.kind with
       | Event.Span ->
@@ -169,18 +168,18 @@ let reconstruct events =
           p.p_drop_reason <- ev.a;
           if p.p_src < 0 then p.p_src <- ev.d;
           if p.p_dst < 0 then p.p_dst <- ev.e
-      | _ -> ())
-    events;
-  let ps = Hashtbl.fold (fun _ p acc -> p :: acc) paths [] in
-  let ps =
-    List.sort
-      (fun a b ->
-        if a.p_flow <> b.p_flow then compare a.p_flow b.p_flow
-        else compare a.p_seq b.p_seq)
-      ps
-  in
-  List.iter (fun p -> p.p_hops <- List.rev p.p_hops) ps;
-  { paths = ps; ring_attempts = !ring_attempts; agg_members = !agg_members }
+      | _ -> ());
+  fun () ->
+    let ps = Hashtbl.fold (fun _ p acc -> p :: acc) paths [] in
+    let ps =
+      List.sort
+        (fun a b ->
+          if a.p_flow <> b.p_flow then compare a.p_flow b.p_flow
+          else compare a.p_seq b.p_seq)
+        ps
+    in
+    List.iter (fun p -> p.p_hops <- List.rev p.p_hops) ps;
+    { paths = ps; ring_attempts = !ring_attempts; agg_members = !agg_members }
 
 let is_complete p =
   p.p_originated >= 0 && p.p_delivered >= 0
@@ -221,8 +220,7 @@ let ms ns = float_of_int ns /. 1e6
 
 let pct hdr q = ms (Stats.Hdr.quantile hdr q)
 
-let report ?flow ~name events =
-  let t = reconstruct events in
+let report ?flow ~name t =
   let total = List.length t.paths in
   let delivered = List.filter (fun p -> p.p_delivered >= 0) t.paths in
   let n_delivered = List.length delivered in

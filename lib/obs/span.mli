@@ -73,10 +73,12 @@ type t = {
   agg_members : int;  (** RREQs that rode in an aggregate *)
 }
 
-val reconstruct : Event.t array -> t
-(** Stitch span/deliver/drop events (in trace time order) into
-    per-packet paths.  Non-span events other than [Deliver] and
-    [Data_drop] are ignored. *)
+val reconstruct : Bus.t -> unit -> t
+(** Attach a sink that stitches the bus's span/deliver/drop events (in
+    time order) into per-packet paths, and return the function that
+    reads them once the events are over.  It keeps the paths, never
+    the events.  Non-span events other than [Deliver] and [Data_drop]
+    are ignored. *)
 
 val is_complete : path -> bool
 (** A delivered path is complete when its Originate span is present
@@ -85,9 +87,9 @@ val is_complete : path -> bool
     Deliver event — the ACK is still in the air — and may be clipped
     by the horizon, so it is deliberately not required.) *)
 
-val report : ?flow:int -> name:(int -> string) -> Event.t array -> string list
+val report : ?flow:int -> name:(int -> string) -> t -> string list
 (** Rendered analyzer output: reconstruction summary (with a
     [delivered paths complete: d/c] line), stage-latency breakdown
     (p50/p95/p99 over {!Stats.Hdr}), per-flow waterfall, and — when
     [flow] is given — a per-packet stage table for that flow.  [name]
-    resolves interned drop-reason ids ({!Reader.name}). *)
+    resolves interned drop-reason ids ({!Bus.name}). *)

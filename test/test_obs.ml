@@ -32,6 +32,18 @@ let scenario ?(seed = 7) ?(speed_max = 0.) ?(duration = 20.) ?(flows = 2)
     medium = Scenario.Radio;
   }
 
+(* [query] over its own replay of the trace at [path]. *)
+let replay_query path query =
+  let bus = Obs.Bus.create () in
+  let answer = query bus in
+  Result.map answer (Obs.Reader.replay path bus)
+
+(* A query answering the number of events replayed. *)
+let count_events bus =
+  let n = ref 0 in
+  Obs.Bus.add_sink bus (fun _ -> incr n);
+  fun () -> !n
+
 (* Sequence-number packing must preserve the lexicographic (stamp,
    counter) order — the monitor and the analyzer compare packed values
    only. *)
@@ -140,15 +152,13 @@ let monitor_catches_stale_seqno () =
   checki "outcome reports violations" !viols
     outcome.Runner.invariant_violations;
   checkb "window non-empty" true (!window <> []);
-  (match Obs.Reader.load trace_file with
+  (match replay_query trace_file Obs.Reader.violations with
   | Error e -> Alcotest.fail e
-  | Ok t ->
-      checki "trace records the violations" !viols (Obs.Reader.violations t);
-      (match Obs.Reader.violation_window t (!viols - 1) with
-      | None -> Alcotest.fail "violation window missing from trace"
-      | Some (_line, lines) ->
-          Alcotest.(check (list string))
-            "analyzer window matches live ring dump" !window lines));
+  | Ok found ->
+      checki "trace records the violations" !viols (List.length found);
+      let _line, lines = List.nth found (!viols - 1) in
+      Alcotest.(check (list string))
+        "analyzer window matches live ring dump" !window lines);
   Sys.remove trace_file
 
 (* JSONL round-trip: every event written must come back, with labels
@@ -165,9 +175,9 @@ let jsonl_roundtrip () =
          Obs.Bus.add_sink bus (fun _ -> incr counted))
        (scenario ~duration:10. ()));
   close_out oc;
-  (match Obs.Reader.load trace_file with
+  (match replay_query trace_file count_events with
   | Error e -> Alcotest.fail e
-  | Ok t -> checki "all events round-trip" !counted (Obs.Reader.length t));
+  | Ok n -> checki "all events round-trip" !counted n);
   Sys.remove trace_file
 
 (* JSON string escapes: any byte string, escaped as a key and as a
@@ -220,15 +230,22 @@ let trace_queries () =
          (scenario ~speed_max:20. ~duration:10. ~flows:8 ~nodes:30 ()) with
          terrain = Geom.Terrain.create ~width:1500. ~height:300.;
        });
-  let t =
-    match Obs.Reader.load trace_file with
-    | Ok t -> t
+  let query q =
+    match replay_query trace_file q with
+    | Ok answer -> answer
     | Error e -> Alcotest.fail e
   in
-  Sys.remove trace_file;
-  let events = Array.to_list (Obs.Reader.events t) in
+  (* The raw events, copied out of the replay's reused record. *)
+  let bus = Obs.Bus.create () in
+  let events = ref [] in
+  Obs.Bus.add_sink bus (fun ev ->
+      let copy = Obs.Event.make () in
+      Obs.Event.copy_into ~src:ev ~dst:copy;
+      events := copy :: !events);
+  checkb "replayed" true (Result.is_ok (Obs.Reader.replay trace_file bus));
+  let events = List.rev !events in
   let render ev =
-    Format.asprintf "%a" (Obs.Event.pp ~name:(Obs.Reader.name t)) ev
+    Format.asprintf "%a" (Obs.Event.pp ~name:(Obs.Bus.name bus)) ev
   in
   let node = 3 in
   let own = List.filter (fun (ev : Obs.Event.t) -> ev.node = node) events in
@@ -236,7 +253,7 @@ let trace_queries () =
     (own <> [] && List.length own < List.length events);
   Alcotest.(check (list string))
     "timeline = the node's events in trace order" (List.map render own)
-    (Obs.Reader.timeline t ~node);
+    (query (Obs.Reader.timeline ~node));
   (* Successor changes per (destination, node) from the raw events. *)
   let changes = Hashtbl.create 16 in
   List.iter
@@ -267,7 +284,7 @@ let trace_queries () =
         with
         | Some nc -> Left nc
         | None -> Right l)
-      (Obs.Reader.flaps t ~dst)
+      (query (Obs.Reader.flaps ~dst))
   in
   Alcotest.(check (list (pair int int)))
     "per-node flap counts" (per_dst dst) counted;
@@ -291,17 +308,73 @@ let trace_queries () =
             acc + int_of_string (String.sub l (i + 1) (String.length l - i - 1))
         | None -> Alcotest.failf "unparsable drop row %S" l)
       0
-      (Obs.Reader.drop_report ~bins t)
+      (query (Obs.Reader.drop_report ~bins))
   in
   checki "10 bins sum to the drops" drops (binned 10);
-  checki "3 bins sum to the drops" drops (binned 3)
+  checki "3 bins sum to the drops" drops (binned 3);
+  Sys.remove trace_file
 
 (* A path that opens but cannot be read as a trace, such as a
    directory, is an [Error], not an exception. *)
 let load_directory () =
-  match Obs.Reader.load (Filename.get_temp_dir_name ()) with
+  match replay_query (Filename.get_temp_dir_name ()) count_events with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a directory loaded as a trace"
+  | Ok _ -> Alcotest.fail "a directory replayed as a trace"
+
+(* A malformed line anywhere fails the whole file: every query answers
+   the one error, and [manet_sim trace] prints that line alone on
+   stderr, nothing on stdout, and exits 1.  A good line sits on each
+   side of the bad one, and a truncated last line is malformed too. *)
+let malformed_lines () =
+  let good =
+    {|{"t":1000,"n":3,"k":"tx","s":"DATA","a":0,"b":4,"c":512,"d":-1,"e":-1,"f":-1}|}
+  in
+  let viol =
+    {|{"t":2000,"n":3,"k":"viol","a":1,"b":4,"c":0,"d":0,"e":2,"f":3}|}
+  in
+  List.iter
+    (fun (name, lines) ->
+      let path = Filename.temp_file "obs_malformed" ".jsonl" in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.concat "\n" lines));
+      let want = Printf.sprintf "1 malformed line(s) in %s" path in
+      let check_query what q =
+        Alcotest.(check (option string))
+          (name ^ ": " ^ what ^ " answers the error") (Some want)
+          (Result.fold ~ok:(fun _ -> None) ~error:Option.some
+             (replay_query path q))
+      in
+      check_query "summary" Obs.Reader.summary;
+      check_query "classes" Obs.Reader.tx_classes;
+      check_query "timeline" (Obs.Reader.timeline ~node:3);
+      check_query "flaps" (Obs.Reader.flaps ~dst:1);
+      check_query "drops" Obs.Reader.drop_report;
+      check_query "violations" Obs.Reader.violations;
+      check_query "spans" Obs.Span.reconstruct;
+      let out = Filename.temp_file "obs_malformed" ".out" in
+      let err = Filename.temp_file "obs_malformed" ".err" in
+      List.iter
+        (fun args ->
+          let code =
+            Sys.command
+              (Printf.sprintf "../bin/manet_sim.exe trace %s %s > %s 2> %s"
+                 (Filename.quote path) args (Filename.quote out)
+                 (Filename.quote err))
+          in
+          let read f = In_channel.with_open_bin f In_channel.input_all in
+          let what = Printf.sprintf "%s: trace %s" name args in
+          checki (what ^ " exits 1") 1 code;
+          Alcotest.(check string) (what ^ " prints nothing") "" (read out);
+          Alcotest.(check string)
+            (what ^ " prints the error line") (want ^ "\n")
+            (read err))
+        [ ""; "--classes"; "--node 3"; "--dst 1"; "--drops"; "--violations";
+          "--spans --flow 0"; "--node 3 --spans --violations" ];
+      List.iter Sys.remove [ path; out; err ])
+    [
+      ("malformed middle line", [ good; {|{"t":1500,"n":3,"k":|}; viol; "" ]);
+      ("truncated last line", [ good; viol; {|{"t":2500,"n":3,"k":"tx","a"|} ]);
+    ]
 
 let () =
   Alcotest.run "obs"
@@ -315,6 +388,8 @@ let () =
           Alcotest.test_case "jsonl escapes" `Quick jsonl_escapes;
           Alcotest.test_case "trace queries" `Quick trace_queries;
           Alcotest.test_case "load rejects a directory" `Quick load_directory;
+          Alcotest.test_case "malformed lines fail every query" `Quick
+            malformed_lines;
           QCheck_alcotest.to_alcotest escape_roundtrip_prop;
         ] );
       ( "monitor",

@@ -46,18 +46,20 @@ let with_tmp suffix f =
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
-let load_trace path =
-  match Obs.Reader.load path with
-  | Ok t -> t
-  | Error e -> Alcotest.failf "trace load: %s" e
+(* [q] over its own replay of the trace at [path]. *)
+let query path q =
+  let bus = Obs.Bus.create () in
+  let answer = q bus in
+  match Obs.Reader.replay path bus with
+  | Ok () -> answer ()
+  | Error e -> Alcotest.failf "trace replay: %s" e
 
 (* ---- Reconstruction ---------------------------------------------------- *)
 
 let spans_complete_classic () =
   with_tmp ".jsonl" (fun path ->
       let o = Runner.run ~trace_out:path (two_clusters ()) in
-      let t = load_trace path in
-      let s = Obs.Span.reconstruct (Obs.Reader.events t) in
+      let s = query path Obs.Span.reconstruct in
       let delivered =
         List.filter (fun p -> p.Obs.Span.p_delivered >= 0) s.Obs.Span.paths
       in
@@ -72,8 +74,7 @@ let spans_complete_classic () =
 let summary_reports_bytes () =
   with_tmp ".jsonl" (fun path ->
       ignore (Runner.run ~trace_out:path (two_clusters ()));
-      let t = load_trace path in
-      let lines = Obs.Reader.summary t in
+      let lines = query path Obs.Reader.summary in
       checkb "byte totals present" true
         (List.exists (fun l -> l = "tx bytes by class:") lines);
       checkb "data class listed" true
