@@ -583,10 +583,10 @@ let families ~scale () =
 
 (* ---- Wire codec: encode/decode throughput over the Fig-5 mix ------------ *)
 
-(* The packet population is not synthetic: a short Fig-5 run captures
-   its own transmissions through the pcap sink, and the bench times
-   [Frame.encode]/[Frame.decode] over exactly those frames — the same
-   class mix (DATA/ACK/RREQ/...) the simulator meters airtime for.
+(* The packet population is not synthetic: a short Fig-5 run collects
+   its own transmissions through a channel transmit hook, and the bench
+   times [Frame.encode]/[Frame.decode] over exactly those frames — the
+   same class mix (DATA/ACK/RREQ/...) the simulator meters airtime for.
    Decode includes the FCS verification, as on the hot trace path. *)
 
 let codec_duration_s = 20.
@@ -599,20 +599,14 @@ let codec_bench ~scale:_ () =
     |> Scenario.with_pause (Time.sec 0.)
     |> Scenario.with_duration (Time.sec codec_duration_s)
   in
-  let pcap = Filename.temp_file "bench_codec" ".pcap" in
-  ignore (Runner.run ~pcap_out:pcap sc);
-  let records =
-    match Net.Pcap.load pcap with
-    | Ok r -> r
-    | Error msg -> failwith ("codec bench: cannot re-read capture: " ^ msg)
-  in
-  Sys.remove pcap;
-  let frames =
-    Array.of_list
-      (List.filter_map
-         (fun (r : Net.Pcap.record) -> Result.to_option r.Net.Pcap.r_frame)
-         records)
-  in
+  let captured = ref [] in
+  ignore
+    (Runner.run
+       ~prepare:(fun sim ->
+         Net.Channel.add_transmit_hook sim.Runner.channel (fun _src f ->
+             captured := f :: !captured))
+       sc);
+  let frames = Array.of_list (List.rev !captured) in
   let n = Array.length frames in
   if n = 0 then failwith "codec bench: empty capture";
   let total_bytes =
@@ -658,7 +652,16 @@ let codec_bench ~scale:_ () =
     Printf.printf "  !! %d decode errors on a clean capture\n%!" !decode_errors;
   let per_pkt_ns s = s /. float_of_int packets *. 1e9 in
   let mb_per_s s = float_of_int (total_bytes * reps) /. s /. 1e6 in
-  let mix = Net.Pcap.class_counts records in
+  let mix =
+    let tbl = Hashtbl.create 8 in
+    Array.iter
+      (fun f ->
+        let cls = Net.Frame.class_name f in
+        let c, b = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl cls) in
+        Hashtbl.replace tbl cls (c + 1, b + Net.Frame.encoded_length f))
+      frames;
+    List.sort compare (List.of_seq (Hashtbl.to_seq tbl))
+  in
   print_endline
     (Stats.Table.render
        ~header:[ "direction"; "ns/packet"; "MB/s"; "minor words/packet" ]

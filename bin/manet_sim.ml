@@ -606,48 +606,10 @@ let trace_cmd =
       (fun (cls, (count, bytes)) -> Printf.sprintf "%s %d %d" cls count bytes)
       counts
   in
-  let pcap_action file classes =
-    match Net.Pcap.load file with
-    | Error e ->
-        prerr_endline e;
-        Stdlib.exit 1
-    | Ok records ->
-        if classes then
-          List.iter print_endline (class_lines (Net.Pcap.class_counts records))
-        else begin
-          let n = List.length records in
-          let undecodable =
-            List.filter
-              (fun r -> Result.is_error r.Net.Pcap.r_frame)
-              records
-          in
-          let bytes =
-            List.fold_left (fun acc r -> acc + r.Net.Pcap.r_len) 0 records
-          in
-          Printf.printf "%d frames, %d bytes on air\n" n bytes;
-          (match (records, List.rev records) with
-          | first :: _, last :: _ ->
-              Printf.printf "span %.6f .. %.6f s\n"
-                (Time.to_sec first.Net.Pcap.r_time)
-                (Time.to_sec last.Net.Pcap.r_time)
-          | _ -> ());
-          List.iter
-            (fun (cls, (count, b)) ->
-              Printf.printf "  %-6s %d (%d B)\n" cls count b)
-            (Net.Pcap.class_counts records);
-          match undecodable with
-          | [] -> ()
-          | r :: _ ->
-              Printf.printf "%d undecodable frame(s), first: %s\n"
-                (List.length undecodable)
-                (match r.Net.Pcap.r_frame with
-                | Error e -> Wire.error_to_string e
-                | Ok _ -> assert false)
-        end
-  in
-  (* All queries ride one replay of the file; their output is printed
-     only once the whole file has parsed. *)
-  let jsonl_action file node dst drops violations classes spans flow =
+  (* All queries ride one replay of the file, a JSONL trace or a pcap
+     capture; their output is printed only once the whole file has
+     parsed. *)
+  let replay_action replay file node dst drops violations classes spans flow =
     let open Obs in
     let bus = Bus.create () in
     (* Attach [query] when asked for, rendering its answer with [f]. *)
@@ -675,15 +637,16 @@ let trace_cmd =
     let sections =
       match sections with [] -> [ Reader.summary bus ] | sections -> sections
     in
-    match Reader.replay file bus with
+    match replay file bus with
     | Error e ->
         prerr_endline e;
         Stdlib.exit 1
     | Ok () ->
         List.iter (fun section -> List.iter print_endline (section ())) sections
   in
-  (* Flags the file cannot answer are usage errors: every query but
-     --classes reads a JSONL trace, and --flow selects a --spans table. *)
+  (* Flags the file cannot answer are usage errors: a pcap capture holds
+     only transmissions, so every query but --classes reads a JSONL
+     trace, and --flow selects a --spans table. *)
   let action file node dst drops violations classes spans flow =
     let pcap = Net.Pcap.is_pcap_file file in
     let jsonl_only =
@@ -698,8 +661,8 @@ let trace_cmd =
                     opt file)
     | _ when flow <> None && not spans -> `Error (false, "--flow needs --spans")
     | _ ->
-        if pcap then pcap_action file classes
-        else jsonl_action file node dst drops violations classes spans flow;
+        let replay = if pcap then Net.Pcap.replay else Obs.Reader.replay in
+        replay_action replay file node dst drops violations classes spans flow;
         `Ok ()
   in
   let term =
@@ -713,8 +676,8 @@ let trace_cmd =
        ~doc:
          "Analyse a JSONL trace (per-node timelines, route flaps, drop \
           breakdowns, violation windows, per-packet causal spans) or a \
-          pcap capture (per-class transmission counts).  With no query \
-          flags, prints totals.")
+          pcap capture (its transmissions, read as the Tx events of the \
+          run's trace).  With no query flags, prints totals.")
     term
 
 let mcheck_cmd =

@@ -73,8 +73,6 @@ val byte_load : t -> float
     of {!network_load}). *)
 
 val rreq_load : t -> float
-val rrep_init_per_rreq : t -> float
-val rrep_recv_per_rreq : t -> float
 val event_count : t -> string -> int
 val drops_by_reason : t -> (string * int) list
 val loop_violations : t -> int

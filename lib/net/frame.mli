@@ -38,5 +38,4 @@ val dst_int : dst -> int
 (** -1 for [Broadcast], else the addressee's {!Node_id.to_int}. *)
 
 val dst_equal : dst -> dst -> bool
-val pp_dst : Format.formatter -> dst -> unit
 val pp : Format.formatter -> t -> unit

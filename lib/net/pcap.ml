@@ -47,15 +47,6 @@ let write s ~time frame =
 
 let close s = close_out s.oc
 
-type record = {
-  r_time : Sim.Time.t;
-  r_src : Packets.Node_id.t;
-  r_dst : Frame.dst;
-  r_family : int;
-  r_len : int;
-  r_frame : (Frame.t, Wire.error) result;
-}
-
 let is_pcap_file path =
   match open_in_bin path with
   | exception Sys_error _ -> false
@@ -73,110 +64,101 @@ let is_pcap_file path =
 
 let ( let* ) = Result.bind
 
-let str_error where = function
-  | Ok v -> Ok v
-  | Error (e : Wire.error) ->
-      Error (Printf.sprintf "%s: %s" where (Wire.error_to_string e))
+(* The big-endian unsigned 32-bit field at [i]. *)
+let u32 b i = Int32.to_int (Bytes.get_int32_be b i) land 0xffff_ffff
 
-let load path =
-  match In_channel.with_open_bin path In_channel.input_all with
+let remaining ic =
+  Int64.to_int (Int64.sub (In_channel.length ic) (In_channel.pos ic))
+
+(* [n] bytes of [ic] into [buf] at [pos], unless the file ends first. *)
+let read ic buf pos n what =
+  if remaining ic < n then Error (what ^ " past end of file")
+  else Ok (really_input ic buf pos n)
+
+let global_header ic hdr =
+  let* () = read ic hdr 0 24 "global header" in
+  if u32 hdr 0 <> magic then Error "global header: bad magic"
+  else if u32 hdr 20 <> linktype then Error "global header: wrong linktype"
+  else Ok ()
+
+(* One record's time, pseudo-header source, destination and family,
+   and frame bytes; [Ok None] at a clean end of file.  [hdr] takes the
+   record header at 0 and the pseudo-header at 16. *)
+let record ic hdr =
+  if remaining ic = 0 then Ok None
+  else
+    let* () = read ic hdr 0 16 "record header" in
+    let incl_len = u32 hdr 8 in
+    if incl_len <> u32 hdr 12 then Error "truncated capture"
+    else if incl_len < pseudo_header_bytes + Wire.Mac.ack_bytes then
+      Error "implausibly short packet"
+    else if remaining ic < incl_len then Error "packet data past end of file"
+    else begin
+      really_input ic hdr 16 pseudo_header_bytes;
+      let ns = Bytes.get_int64_be hdr 16 and family_pad = u32 hdr 32 in
+      if
+        Int64.compare ns 0L < 0
+        || Int64.div ns 1_000_000_000L <> Int64.of_int (u32 hdr 0)
+        || Int64.rem ns 1_000_000_000L <> Int64.of_int (u32 hdr 4)
+      then Error "pseudo-header: timestamp disagrees with record header"
+      else if family_pad land 0xffffff <> 0 then
+        Error "pseudo-header: nonzero padding"
+      else
+        let frame = Bytes.create (incl_len - pseudo_header_bytes) in
+        really_input ic frame 0 (Bytes.length frame);
+        let src = u32 hdr 24 and dst = u32 hdr 28 in
+        Ok (Some (Int64.to_int ns, src, dst, family_pad lsr 24, frame))
+    end
+
+(* The frame a record holds, when it decodes and its addresses agree
+   with the pseudo-header's. *)
+let decode ~src ~dst ~family frame =
+  let src = Packets.Node_id.of_int src in
+  let* f = Frame.decode ~family ~ack_src:src frame in
+  if Packets.Node_id.equal f.Frame.src src && dst_int f.Frame.dst = dst then
+    Ok f
+  else
+    Error
+      { Wire.offset = 0; reason = "frame addresses disagree with pseudo-header" }
+
+(* Each record's frame goes onto the bus as the Tx event
+   [Channel.transmit] emitted for it.  A structural fault stops the
+   pass; a frame that does not decode is counted, and the pass goes
+   on so the count covers the whole file. *)
+let replay path bus =
+  match open_in_bin path with
   | exception Sys_error msg -> Error msg
-  | contents ->
-      let buf = Bytes.unsafe_of_string contents in
-      let r = Wire.Reader.of_bytes buf in
-      let* m = str_error "global header" (Wire.Reader.u32 r) in
-      let* () = if m = magic then Ok () else Error "global header: bad magic" in
-      let* _vmaj = str_error "global header" (Wire.Reader.u16 r) in
-      let* _vmin = str_error "global header" (Wire.Reader.u16 r) in
-      let* _zone = str_error "global header" (Wire.Reader.u32 r) in
-      let* _sig = str_error "global header" (Wire.Reader.u32 r) in
-      let* _snap = str_error "global header" (Wire.Reader.u32 r) in
-      let* lt = str_error "global header" (Wire.Reader.u32 r) in
-      let* () =
-        if lt = linktype then Ok () else Error "global header: wrong linktype"
+  | ic -> (
+      let hdr = Bytes.create 36 in
+      let undecodable = ref 0 and first = ref "" in
+      let rec records k =
+        match record ic hdr with
+        | Error e -> Error (Printf.sprintf "%s: record %d: %s" path k e)
+        | Ok None -> Ok ()
+        | Ok (Some (ns, src, dst, family, frame)) ->
+            (match decode ~src ~dst ~family frame with
+            | Ok f ->
+                Obs.Bus.tx bus ~time:(Sim.Time.unsafe_of_ns ns) ~node:src
+                  ~cls:(Obs.Bus.intern bus (Frame.class_name f))
+                  ~dst:(Frame.dst_int f.Frame.dst) ~bytes:(Bytes.length frame)
+            | Error e ->
+                if !undecodable = 0 then
+                  first :=
+                    Printf.sprintf "record %d: %s" k (Wire.error_to_string e);
+                incr undecodable);
+            records (k + 1)
       in
-      let rec records acc =
-        if Wire.Reader.remaining r = 0 then Ok (List.rev acc)
-        else
-          let* ts_sec = str_error "record header" (Wire.Reader.u32 r) in
-          let* ts_nsec = str_error "record header" (Wire.Reader.u32 r) in
-          let* incl_len = str_error "record header" (Wire.Reader.u32 r) in
-          let* orig_len = str_error "record header" (Wire.Reader.u32 r) in
-          if incl_len <> orig_len then Error "record: truncated capture"
-          else if incl_len < pseudo_header_bytes + Wire.Mac.ack_bytes then
-            Error "record: implausibly short packet"
-          else if Wire.Reader.remaining r < incl_len then
-            Error "record: packet data past end of file"
-          else
-            let* ns64 = str_error "pseudo-header" (Wire.Reader.u64 r) in
-            let ns = Int64.to_int ns64 in
-            let* () =
-              if
-                ns >= 0
-                && Int64.div ns64 1_000_000_000L = Int64.of_int ts_sec
-                && Int64.rem ns64 1_000_000_000L = Int64.of_int ts_nsec
-              then Ok ()
-              else Error "pseudo-header: timestamp disagrees with record header"
-            in
-            let* src = str_error "pseudo-header" (Wire.Reader.u32 r) in
-            let* dst = str_error "pseudo-header" (Wire.Reader.u32 r) in
-            let* family = str_error "pseudo-header" (Wire.Reader.u8 r) in
-            let* pad1 = str_error "pseudo-header" (Wire.Reader.u8 r) in
-            let* pad2 = str_error "pseudo-header" (Wire.Reader.u16 r) in
-            let* () =
-              if pad1 = 0 && pad2 = 0 then Ok ()
-              else Error "pseudo-header: nonzero padding"
-            in
-            let flen = incl_len - pseudo_header_bytes in
-            let start = Wire.Reader.pos r in
-            let* () = str_error "packet data" (Wire.Reader.skip r flen) in
-            let frame_bytes = Bytes.sub buf start flen in
-            let r_src = Packets.Node_id.of_int src in
-            let r_dst =
-              if dst = 0xffffffff then Frame.Broadcast
-              else Frame.Unicast (Packets.Node_id.of_int dst)
-            in
-            let r_frame =
-              match Frame.decode ~family ~ack_src:r_src frame_bytes with
-              | Error _ as e -> e
-              | Ok f ->
-                  if
-                    Packets.Node_id.equal f.Frame.src r_src
-                    && Frame.dst_equal f.Frame.dst r_dst
-                  then Ok f
-                  else
-                    Error
-                      {
-                        Wire.offset = 0;
-                        reason = "frame addresses disagree with pseudo-header";
-                      }
-            in
-            records
-              ({
-                 r_time = Sim.Time.unsafe_of_ns ns;
-                 r_src;
-                 r_dst;
-                 r_family = family;
-                 r_len = flen;
-                 r_frame;
-               }
-              :: acc)
+      let pass () =
+        match global_header ic hdr with
+        | Error e -> Error (path ^ ": " ^ e)
+        | Ok () -> records 1
       in
-      records []
-
-let class_counts records =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun rec_ ->
-      let cls =
-        match rec_.r_frame with
-        | Ok f -> Frame.class_name f
-        | Error _ -> "UNDECODABLE"
-      in
-      let count, bytes =
-        match Hashtbl.find_opt tbl cls with Some c -> c | None -> (0, 0)
-      in
-      Hashtbl.replace tbl cls (count + 1, bytes + rec_.r_len))
-    records;
-  Hashtbl.fold (fun cls c acc -> (cls, c) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      match Fun.protect ~finally:(fun () -> close_in ic) pass with
+      | exception Sys_error msg -> Error (path ^ ": " ^ msg)
+      | exception End_of_file -> Error (path ^ ": unexpected end of file")
+      | Error _ as e -> e
+      | Ok () when !undecodable > 0 ->
+          Error
+            (Printf.sprintf "%d undecodable frame(s) in %s; first: %s"
+               !undecodable path !first)
+      | Ok () -> Ok ())

@@ -1,4 +1,4 @@
-(** Pcap export and offline reader for channel transmissions.
+(** Pcap export and streaming replay of channel transmissions.
 
     Files use the nanosecond-resolution pcap magic and linktype
     DLT_USER0 (147).  Each packet is a 20-byte pseudo-header —
@@ -9,9 +9,6 @@
 
 val magic : int
 (** 0xA1B23C4D — pcap with nanosecond timestamps, written big-endian. *)
-
-val linktype : int
-val pseudo_header_bytes : int
 
 (** {1 Writing} *)
 
@@ -25,26 +22,21 @@ val close : sink -> unit
 
 (** {1 Reading} *)
 
-type record = {
-  r_time : Sim.Time.t;
-  r_src : Packets.Node_id.t;
-  r_dst : Frame.dst;
-  r_family : int;
-  r_len : int;  (** on-air frame bytes (excluding the pseudo-header) *)
-  r_frame : (Frame.t, Wire.error) result;
-      (** decoded frame; [Error _] on corrupt captures *)
-}
-
 val is_pcap_file : string -> bool
 (** True when the file starts with {!magic} (our byte order). *)
 
-val load : string -> (record list, string) result
-(** Parses a capture written by {!write}; [Error _] describes the first
-    structural problem (bad magic, truncated record, pseudo-header
-    mismatch).  Frame-level decode failures are per-record, in
-    [r_frame]. *)
-
-val class_counts : record list -> (string * (int * int)) list
-(** Per traffic class (frame [class_name], or "UNDECODABLE"):
-    [(count, total on-air bytes)], sorted by class name — directly
-    comparable with the JSONL trace's transmission counts. *)
+val replay : string -> Obs.Bus.t -> (unit, string) result
+(** Stream a capture written by {!write} onto the bus, one record at a
+    time, under {!Obs.Reader.replay}'s contract: each frame is the [Tx]
+    event {!Channel.transmit} emitted for it — time, source node,
+    {!Frame.class_name} label, {!Frame.dst_int} and on-air length — so
+    every bus query reads a capture as the [Tx] part of the same run's
+    JSONL trace.  An unreadable file is [Error "PATH: reason"]; a
+    structural fault (bad magic or linktype, a truncated record, a
+    pseudo-header that disagrees with its record header) stops the pass
+    with [Error "PATH: record K: reason"], records numbered from 1 as
+    Wireshark numbers frames.  Frames that fail {!Frame.decode}, or
+    whose addresses disagree with the pseudo-header, are counted over
+    the whole file and give
+    [Error "N undecodable frame(s) in PATH; first: record K: reason"];
+    after any [Error], discard the sinks' answers. *)

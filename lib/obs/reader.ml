@@ -7,33 +7,43 @@
 
 type 'a query = Bus.t -> unit -> 'a
 
+exception Missing
+
 let field fields key =
   match List.assoc_opt key fields with
   | Some (Jsonl.Int n) -> n
-  | Some (Jsonl.Float _ | Jsonl.Str _) | None -> -1
+  | Some (Jsonl.Float _ | Jsonl.Str _) | None -> raise Missing
 
-(* Fill [ev] from one parsed line; false when the line is no event. *)
+(* Fill [ev] from one parsed line; false when the line is no event: a
+   kind it does not name, a missing or non-integer field of the ones
+   [Jsonl] always writes, or a negative time. *)
 let fill bus (ev : Event.t) fields =
   match List.assoc_opt "k" fields with
   | Some (Jsonl.Str k) -> (
       match Event.kind_of_name k with
       | None -> false
-      | Some kind ->
-          ev.time <- Sim.Time.unsafe_of_ns (Stdlib.max 0 (field fields "t"));
-          ev.node <- field fields "n";
-          ev.kind <- kind;
-          ev.a <- field fields "a";
-          ev.b <- field fields "b";
-          ev.c <- field fields "c";
-          ev.d <- field fields "d";
-          ev.e <- field fields "e";
-          ev.f <- field fields "f";
-          (* Re-intern the label so [a] resolves through the bus. *)
-          (if Event.has_label kind then
-             match List.assoc_opt "s" fields with
-             | Some (Jsonl.Str s) -> ev.a <- Bus.intern bus s
-             | Some (Jsonl.Int _ | Jsonl.Float _) | None -> ());
-          true)
+      | Some kind -> (
+          try
+            let t = field fields "t" in
+            t >= 0
+            && begin
+                 ev.time <- Sim.Time.unsafe_of_ns t;
+                 ev.node <- field fields "n";
+                 ev.kind <- kind;
+                 ev.a <- field fields "a";
+                 ev.b <- field fields "b";
+                 ev.c <- field fields "c";
+                 ev.d <- field fields "d";
+                 ev.e <- field fields "e";
+                 ev.f <- field fields "f";
+                 (* Re-intern the label so [a] resolves through the bus. *)
+                 (if Event.has_label kind then
+                    match List.assoc_opt "s" fields with
+                    | Some (Jsonl.Str s) -> ev.a <- Bus.intern bus s
+                    | Some (Jsonl.Int _ | Jsonl.Float _) | None -> ());
+                 true
+               end
+          with Missing -> false))
   | Some (Jsonl.Int _ | Jsonl.Float _) | None -> false
 
 let replay path bus =

@@ -1,5 +1,6 @@
 (** Post-hoc trace analysis: stream a JSONL trace ({!Jsonl}) onto a
-    bus and answer the [manet_sim trace] queries.
+    bus and answer the [manet_sim trace] queries.  They answer a pcap
+    capture the same way, streamed onto a bus by [Net.Pcap.replay].
 
     A query attaches a sink to a bus and returns the function that
     renders its answer once the file has been replayed into that bus.
@@ -12,16 +13,20 @@ val replay : string -> Bus.t -> (unit, string) result
     line is parsed into one reused {!Event.t} — a sink copies what it
     keeps, as on a live bus — with its label re-interned into the bus,
     so {!Bus.name} resolves it.  An unreadable file is
-    [Error "PATH: reason"].  Malformed lines are counted over the whole
-    file and give [Error "N malformed line(s) in PATH"], after the
-    sinks have seen every well-formed line: discard their answers. *)
+    [Error "PATH: reason"].  A line is malformed when it does not parse,
+    names no event kind, lacks one of the fields {!Jsonl} always writes
+    ([t], [n], [k], [a]..[f]; ints but [k]) or has a negative [t].
+    Malformed lines are counted over the whole file and give
+    [Error "N malformed line(s) in PATH"], after the sinks have seen
+    every well-formed line: discard their answers.
+    [Net.Pcap.replay] streams a pcap capture under the same contract. *)
 
 type 'a query = Bus.t -> unit -> 'a
 
 val tx_classes : (string * (int * int)) list query
 (** Per traffic class: [(transmissions, total on-air bytes)] from the
-    trace's TX events, sorted by class name — directly comparable with
-    {!Net.Pcap.class_counts} over the same run's capture. *)
+    trace's TX events, sorted by class name — the same table from the
+    run's JSONL trace and from its pcap capture. *)
 
 val timeline : node:int -> string list query
 (** Every event at one node, in trace order. *)

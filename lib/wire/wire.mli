@@ -13,7 +13,6 @@
 
 type error = { offset : int; reason : string }
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 (** Append-only big-endian byte emitter over a growable buffer. *)

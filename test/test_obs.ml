@@ -324,7 +324,9 @@ let load_directory () =
 (* A malformed line anywhere fails the whole file: every query answers
    the one error, and [manet_sim trace] prints that line alone on
    stderr, nothing on stdout, and exits 1.  A good line sits on each
-   side of the bad one, and a truncated last line is malformed too. *)
+   side of the bad one, and a truncated last line is malformed too, as
+   is a line lacking a field [Jsonl] always writes or one with a
+   negative time. *)
 let malformed_lines () =
   let good =
     {|{"t":1000,"n":3,"k":"tx","s":"DATA","a":0,"b":4,"c":512,"d":-1,"e":-1,"f":-1}|}
@@ -374,6 +376,11 @@ let malformed_lines () =
     [
       ("malformed middle line", [ good; {|{"t":1500,"n":3,"k":|}; viol; "" ]);
       ("truncated last line", [ good; viol; {|{"t":2500,"n":3,"k":"tx","a"|} ]);
+      ("line lacking fields", [ good; {|{"k":"tx"}|}; viol ]);
+      ( "line lacking one payload field",
+        [ good; {|{"t":1500,"n":3,"k":"tx","s":"DATA","a":0,"b":4,"c":512,"d":-1,"e":-1}|}; viol ] );
+      ( "negative time",
+        [ good; {|{"t":-1,"n":3,"k":"tx","s":"DATA","a":0,"b":4,"c":512,"d":-1,"e":-1,"f":-1}|}; viol ] );
     ]
 
 let () =

@@ -307,63 +307,150 @@ let sample_frames =
                   origin_sn = 2; hop_count = 0; ttl = 5 })) };
   ]
 
-let pcap_roundtrip () =
+(* [f] over a capture of [sample_frames], frame [i] sent at [i] ms. *)
+let with_capture f =
   let path = Filename.temp_file "manet" ".pcap" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let sink = Net.Pcap.open_sink path in
       List.iteri
-        (fun i f -> Net.Pcap.write sink ~time:(Sim.Time.ms (float_of_int i)) f)
+        (fun i fr -> Net.Pcap.write sink ~time:(Sim.Time.ms (float_of_int i)) fr)
         sample_frames;
       Net.Pcap.close sink;
-      checkb "magic recognized" true (Net.Pcap.is_pcap_file path);
-      match Net.Pcap.load path with
-      | Error msg -> Alcotest.failf "load: %s" msg
-      | Ok records ->
-          checki "record count" (List.length sample_frames) (List.length records);
-          List.iteri
-            (fun i (r : Net.Pcap.record) ->
-              let f = List.nth sample_frames i in
-              checkb "time" true (Sim.Time.equal r.r_time (Sim.Time.ms (float_of_int i)));
-              checki "on-air length" (Net.Frame.encoded_length f) r.r_len;
-              match r.r_frame with
-              | Ok decoded -> checkb "frame" true (decoded = f)
-              | Error e -> Alcotest.failf "record %d: %s" i (Wire.error_to_string e))
-            records;
-          let counts = Net.Pcap.class_counts records in
-          Alcotest.(check (list (pair string (pair int int))))
-            "class counts"
-            [ ("ACK", (1, 14)); ("DATA", (1, 574)); ("RREQ", (1, 58)) ]
-            counts)
+      f path)
 
+(* Every Tx event [replay] puts on a bus, rendered by [Event.pp], and
+   the replay's result. *)
+let replayed replay path =
+  let bus = Obs.Bus.create () in
+  let lines = ref [] in
+  Obs.Bus.add_sink bus (fun (ev : Obs.Event.t) ->
+      if ev.kind = Obs.Event.Tx then
+        lines :=
+          Format.asprintf "%a" (Obs.Event.pp ~name:(Obs.Bus.name bus)) ev
+          :: !lines);
+  let result = replay path bus in
+  (List.rev !lines, result)
+
+let pcap_roundtrip () =
+  with_capture (fun path ->
+      checkb "magic recognized" true (Net.Pcap.is_pcap_file path);
+      let bus = Obs.Bus.create () in
+      let events = ref [] in
+      Obs.Bus.add_sink bus (fun (ev : Obs.Event.t) ->
+          events :=
+            (ev.kind, ev.time, ev.node, Obs.Bus.name bus ev.a, ev.b, ev.c)
+            :: !events);
+      let classes = Obs.Reader.tx_classes bus in
+      (match Net.Pcap.replay path bus with
+      | Error msg -> Alcotest.failf "replay: %s" msg
+      | Ok () -> ());
+      checki "one event per record" (List.length sample_frames)
+        (List.length !events);
+      List.iteri
+        (fun i (kind, time, node, cls, dst, bytes) ->
+          let f = List.nth sample_frames i in
+          checkb "a Tx event" true (kind = Obs.Event.Tx);
+          checkb "time" true (Sim.Time.equal time (Sim.Time.ms (float_of_int i)));
+          checki "source" (Node_id.to_int f.Net.Frame.src) node;
+          Alcotest.(check string) "class" (Net.Frame.class_name f) cls;
+          checki "destination" (Net.Frame.dst_int f.Net.Frame.dst) dst;
+          checki "on-air length" (Net.Frame.encoded_length f) bytes)
+        (List.rev !events);
+      Alcotest.(check (list (pair string (pair int int))))
+        "class counts"
+        [ ("ACK", (1, 14)); ("DATA", (1, 574)); ("RREQ", (1, 58)) ]
+        (classes ()))
+
+(* [path]'s bytes, rewritten by [f]. *)
+let rewrite path f =
+  let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  Out_channel.with_open_bin path (fun oc -> output_bytes oc (f b))
+
+(* A frame that fails its FCS is bad input, as a malformed JSONL line
+   is: the pass still reaches the end of the file, then the replay
+   answers one error naming the count and the first such record, and
+   [manet_sim trace] prints that line alone and exits 1. *)
 let pcap_rejects_corruption () =
-  let path = Filename.temp_file "manet" ".pcap" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let sink = Net.Pcap.open_sink path in
-      List.iter (fun f -> Net.Pcap.write sink ~time:Sim.Time.zero f) sample_frames;
-      Net.Pcap.close sink;
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let buf = really_input_string ic len in
-      close_in ic;
+  with_capture (fun path ->
       (* Flip a byte inside the last frame's payload: the file still
          parses, but that record's FCS check fails. *)
-      let b = Bytes.of_string buf in
-      Bytes.set b (len - 3) (Char.chr (Char.code (Bytes.get b (len - 3)) lxor 0x40));
-      let oc = open_out_bin path in
-      output_bytes oc b;
-      close_out oc;
-      match Net.Pcap.load path with
-      | Error msg -> Alcotest.failf "structural parse should survive: %s" msg
-      | Ok records ->
-          checki "record count" 3 (List.length records);
-          let last = List.nth records 2 in
-          checkb "corrupt record rejected" true (Result.is_error last.Net.Pcap.r_frame);
-          checkb "UNDECODABLE bucket" true
-            (List.mem_assoc "UNDECODABLE" (Net.Pcap.class_counts records)))
+      rewrite path (fun b ->
+          let i = Bytes.length b - 3 in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+          b);
+      let lines, result = replayed Net.Pcap.replay path in
+      checki "the sound records still replayed" 2 (List.length lines);
+      let want =
+        Printf.sprintf
+          "1 undecodable frame(s) in %s; first: record 3: offset 58: frame: \
+           FCS mismatch"
+          path
+      in
+      Alcotest.(check (result unit string)) "replay error" (Error want) result;
+      let out = Filename.temp_file "manet" ".out" in
+      let err = Filename.temp_file "manet" ".err" in
+      List.iter
+        (fun args ->
+          let code =
+            Sys.command
+              (Printf.sprintf "../bin/manet_sim.exe trace %s %s > %s 2> %s"
+                 (Filename.quote path) args (Filename.quote out)
+                 (Filename.quote err))
+          in
+          let read f = In_channel.with_open_bin f In_channel.input_all in
+          checki ("trace " ^ args ^ " exits 1") 1 code;
+          Alcotest.(check string) ("trace " ^ args ^ " prints nothing") ""
+            (read out);
+          Alcotest.(check string)
+            ("trace " ^ args ^ " prints the error line") (want ^ "\n") (read err))
+        [ ""; "--classes" ];
+      List.iter Sys.remove [ out; err ])
+
+(* Structural faults stop the pass with the record they are in. *)
+let pcap_structural_faults () =
+  let check name f want =
+    with_capture (fun path ->
+        rewrite path f;
+        let _, result = replayed Net.Pcap.replay path in
+        Alcotest.(check (result unit string)) name
+          (Error (Printf.sprintf want path)) result)
+  in
+  check "truncated record"
+    (fun b -> Bytes.sub b 0 (Bytes.length b - 5))
+    "%s: record 3: packet data past end of file";
+  check "truncated record header"
+    (fun b -> Bytes.sub b 0 (24 + 16 + 20 + 574 + 16 + 20 + 14 + 10))
+    "%s: record 3: record header past end of file";
+  check "bad magic"
+    (fun b -> Bytes.set b 3 '\x4e'; b)
+    "%s: global header: bad magic"
+
+(* A capture replays as the Tx part of the same run's JSONL trace:
+   every event, rendered, line for line, for one LDR and one LDR-AGG
+   run. *)
+let pcap_matches_trace () =
+  List.iter
+    (fun protocol ->
+      let trace = Filename.temp_file "manet" ".jsonl" in
+      let pcap = Filename.temp_file "manet" ".pcap" in
+      let open Experiment in
+      ignore
+        (Runner.run ~trace_out:trace ~pcap_out:pcap
+           (Scenario.paper_50 protocol
+           |> Scenario.with_flows 10
+           |> Scenario.with_duration (Sim.Time.sec 5.)));
+      let name = Scenario.protocol_name protocol in
+      let from_trace, r1 = replayed Obs.Reader.replay trace in
+      let from_pcap, r2 = replayed Net.Pcap.replay pcap in
+      Alcotest.(check (result unit string)) (name ^ ": trace replays") (Ok ()) r1;
+      Alcotest.(check (result unit string)) (name ^ ": pcap replays") (Ok ()) r2;
+      checkb (name ^ ": frames captured") true (from_pcap <> []);
+      Alcotest.(check (list string))
+        (name ^ ": pcap = the trace's Tx events") from_trace from_pcap;
+      List.iter Sys.remove [ trace; pcap ])
+    [ Experiment.Scenario.ldr; Experiment.Scenario.ldr_agg ]
 
 (* Files shorter than the 4-byte magic (the prefix of a real magic
    included) are not pcap, and the trace reader takes over: an empty
@@ -423,8 +510,13 @@ let () =
         ] );
       ( "pcap",
         [
-          Alcotest.test_case "write/load roundtrip" `Quick pcap_roundtrip;
-          Alcotest.test_case "corrupt record isolated" `Quick pcap_rejects_corruption;
+          Alcotest.test_case "write/replay roundtrip" `Quick pcap_roundtrip;
+          Alcotest.test_case "corrupt frame fails the replay" `Quick
+            pcap_rejects_corruption;
+          Alcotest.test_case "structural faults stop the replay" `Quick
+            pcap_structural_faults;
+          Alcotest.test_case "replay equals the trace's Tx events" `Quick
+            pcap_matches_trace;
           Alcotest.test_case "short files are not pcap" `Quick short_files_not_pcap;
           Alcotest.test_case "unreadable paths are not pcap" `Quick
             unreadable_paths_not_pcap;
