@@ -44,7 +44,7 @@ let protocols =
     Scenario.olsr;
   ]
 
-let scenario_for ~scale ~nodes ~flows protocol =
+let scenario_for ~scale ~nodes ~flows ~pause protocol =
   let base =
     if nodes = 100 then Scenario.paper_100 protocol
     else Scenario.paper_50 protocol
@@ -52,16 +52,33 @@ let scenario_for ~scale ~nodes ~flows protocol =
   base
   |> Scenario.with_flows flows
   |> Scenario.with_duration (Time.sec scale.duration)
+  |> Scenario.with_pause (Time.sec pause)
 
-(* The trials of a point run on one domain per recommended core; the
-   aggregate is bit-identical at any job count. *)
-let point ~scale ~nodes ~flows ~pause protocol =
-  Sweep.trials ~jobs:0
-    (scenario_for ~scale ~nodes ~flows protocol
-    |> Scenario.with_pause (Time.sec pause))
-    ~n:scale.trials
+(* Every pair of [xs] and [ys], [xs]-major. *)
+let grid xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 
-let fmt_ci w = Stats.Table.mean_ci ~mean:(Stats.Welford.mean w) ~ci:(Stats.Welford.ci95 w)
+(* A table's trials as one [Sweep.run] batch: the whole key × seed
+   matrix runs on one domain per recommended core, and the result maps
+   each key to its per-seed summaries, bit-identical at any job count. *)
+let batch ~scale scenario keys =
+  let cells =
+    List.combine keys
+      (Sweep.run ~jobs:0 (List.map scenario keys) ~trials:scale.trials)
+  in
+  fun key -> List.assoc key cells
+
+(* One column of per-seed summaries, folded in seed order. *)
+let column f sums = Stats.Welford.of_array (Array.map f sums)
+
+let fmt_ci f sums =
+  let w = column f sums in
+  Stats.Table.mean_ci ~mean:(Stats.Welford.mean w) ~ci:(Stats.Welford.ci95 w)
+
+let delivery s = s.Metrics.s_delivery_ratio
+let latency s = s.Metrics.s_latency_ms
+let net_load s = s.Metrics.s_network_load
+let rreq_load s = s.Metrics.s_rreq_load
+let dest_seqno s = s.Metrics.s_mean_dest_seqno
 
 let heading title = Printf.printf "\n==== %s ====\n%!" title
 
@@ -80,14 +97,15 @@ let write_csv ~name ~header rows =
       close_out oc;
       Printf.printf "  (wrote %s)\n%!" path
 
-let csv_point p =
+let csv_point sums =
+  let mean f = Stats.Welford.mean (column f sums) in
   [
-    Printf.sprintf "%.6f" (Stats.Welford.mean p.Sweep.delivery_ratio);
-    Printf.sprintf "%.6f" (Stats.Welford.ci95 p.Sweep.delivery_ratio);
-    Printf.sprintf "%.3f" (Stats.Welford.mean p.Sweep.latency_ms);
-    Printf.sprintf "%.4f" (Stats.Welford.mean p.Sweep.network_load);
-    Printf.sprintf "%.4f" (Stats.Welford.mean p.Sweep.rreq_load);
-    Printf.sprintf "%.4f" (Stats.Welford.mean p.Sweep.mean_dest_seqno);
+    Printf.sprintf "%.6f" (mean delivery);
+    Printf.sprintf "%.6f" (Stats.Welford.ci95 (column delivery sums));
+    Printf.sprintf "%.3f" (mean latency);
+    Printf.sprintf "%.4f" (mean net_load);
+    Printf.sprintf "%.4f" (mean rreq_load);
+    Printf.sprintf "%.4f" (mean dest_seqno);
   ]
 
 let csv_point_header =
@@ -99,6 +117,12 @@ let csv_point_header =
 let table1 ~scale () =
   heading
     "Table 1: per-protocol summary (mean ± 95% CI over pause times, 50-node scenario)";
+  let sums =
+    batch ~scale
+      (fun (flows, (protocol, pause)) ->
+        scenario_for ~scale ~nodes:50 ~flows ~pause protocol)
+      (grid [ 10; 30 ] (grid protocols scale.pauses))
+  in
   List.iter
     (fun flows ->
       Printf.printf "\n-- %d flows (%g pps aggregate) --\n" flows
@@ -106,22 +130,17 @@ let table1 ~scale () =
       let rows =
         List.map
           (fun protocol ->
-            let agg =
-              List.fold_left
-                (fun acc pause ->
-                  Sweep.merge_points acc
-                    (point ~scale ~nodes:50 ~flows ~pause protocol))
-                (Sweep.empty_point ())
-                scale.pauses
-            in
+            (* Pooled over pause times, each pause's seeds in order. *)
+            let at pause = sums (flows, (protocol, pause)) in
+            let pooled = Array.concat (List.map at scale.pauses) in
             [
               Scenario.protocol_name protocol;
-              fmt_ci agg.Sweep.delivery_ratio;
-              fmt_ci agg.Sweep.latency_ms;
-              fmt_ci agg.Sweep.network_load;
-              fmt_ci agg.Sweep.rreq_load;
-              fmt_ci agg.Sweep.rrep_init;
-              fmt_ci agg.Sweep.rrep_recv;
+              fmt_ci delivery pooled;
+              fmt_ci latency pooled;
+              fmt_ci net_load pooled;
+              fmt_ci rreq_load pooled;
+              fmt_ci (fun s -> s.Metrics.s_rrep_init) pooled;
+              fmt_ci (fun s -> s.Metrics.s_rrep_recv) pooled;
             ])
           protocols
       in
@@ -139,38 +158,37 @@ let delivery_figure ~scale ~nodes ~flows title =
   heading
     (Printf.sprintf "%s: delivery ratio vs pause time (%d nodes, %d flows)"
        title nodes flows);
-  let series =
-    List.map
-      (fun protocol ->
-        ( Scenario.protocol_name protocol,
-          List.map (fun pause -> point ~scale ~nodes ~flows ~pause protocol)
-            scale.pauses ))
-      protocols
+  let sums =
+    batch ~scale
+      (fun (protocol, pause) ->
+        scenario_for ~scale ~nodes ~flows ~pause protocol)
+      (grid protocols scale.pauses)
   in
   let rows =
-    List.mapi
-      (fun i pause ->
+    List.map
+      (fun pause ->
         string_of_int (int_of_float pause)
-        :: List.map
-             (fun (_, pts) -> fmt_ci (List.nth pts i).Sweep.delivery_ratio)
-             series)
+        :: List.map (fun p -> fmt_ci delivery (sums (p, pause))) protocols)
       scale.pauses
   in
   print_endline
-    (Stats.Table.render ~header:("pause s" :: List.map fst series) rows);
+    (Stats.Table.render
+       ~header:("pause s" :: List.map Scenario.protocol_name protocols)
+       rows);
   List.iter
-    (fun (name, pts) ->
+    (fun protocol ->
       write_csv
         ~name:
           (Printf.sprintf "%s-%s"
              (String.map (fun c -> if c = ' ' then '_' else c)
                 (String.lowercase_ascii title))
-             name)
+             (Scenario.protocol_name protocol))
         ~header:("pause_s" :: csv_point_header)
-        (List.map2
-           (fun pause p -> Printf.sprintf "%g" pause :: csv_point p)
-           scale.pauses pts))
-    series
+        (List.map
+           (fun pause ->
+             Printf.sprintf "%g" pause :: csv_point (sums (protocol, pause)))
+           scale.pauses))
+    protocols
 
 let fig2 ~scale () = delivery_figure ~scale ~nodes:50 ~flows:10 "Fig 2"
 let fig3 ~scale () = delivery_figure ~scale ~nodes:50 ~flows:30 "Fig 3"
@@ -189,15 +207,16 @@ let fig6 ~scale () =
       ("LDR (reference)", Scenario.ldr);
     ]
   in
+  let sums =
+    batch ~scale
+      (fun (p, pause) -> scenario_for ~scale ~nodes:50 ~flows:30 ~pause p)
+      (grid (List.map snd variants) scale.pauses)
+  in
   let rows =
     List.map
       (fun pause ->
         string_of_int (int_of_float pause)
-        :: List.map
-             (fun (_, p) ->
-               fmt_ci
-                 (point ~scale ~nodes:50 ~flows:30 ~pause p).Sweep.delivery_ratio)
-             variants)
+        :: List.map (fun (_, p) -> fmt_ci delivery (sums (p, pause))) variants)
       scale.pauses
   in
   print_endline
@@ -207,6 +226,12 @@ let fig6 ~scale () =
 
 let fig7 ~scale () =
   heading "Fig 7: mean destination sequence number, LDR vs AODV (50 nodes)";
+  let protocols = [ Scenario.ldr; Scenario.aodv ] in
+  let sums =
+    batch ~scale
+      (fun (flows, (p, pause)) -> scenario_for ~scale ~nodes:50 ~flows ~pause p)
+      (grid [ 10; 30 ] (grid protocols scale.pauses))
+  in
   List.iter
     (fun flows ->
       Printf.printf "\n-- %d flows --\n" flows;
@@ -215,11 +240,8 @@ let fig7 ~scale () =
           (fun pause ->
             string_of_int (int_of_float pause)
             :: List.map
-                 (fun p ->
-                   fmt_ci
-                     (point ~scale ~nodes:50 ~flows ~pause p)
-                       .Sweep.mean_dest_seqno)
-                 [ Scenario.ldr; Scenario.aodv ])
+                 (fun p -> fmt_ci dest_seqno (sums (flows, (p, pause))))
+                 protocols)
           scale.pauses
       in
       print_endline (Stats.Table.render ~header:[ "pause s"; "LDR"; "AODV" ] rows))
@@ -240,16 +262,22 @@ let ablation ~scale () =
       ("all off (plain)", Ldr.Config.plain);
     ]
   in
+  let sums =
+    batch ~scale
+      (fun (_, config) ->
+        scenario_for ~scale ~nodes:50 ~flows:10 ~pause:0. (Scenario.Ldr config))
+      variants
+  in
   let rows =
     List.map
-      (fun (name, config) ->
-        let p = point ~scale ~nodes:50 ~flows:10 ~pause:0. (Scenario.Ldr config) in
+      (fun ((name, _) as v) ->
+        let p = sums v in
         [
           name;
-          fmt_ci p.Sweep.delivery_ratio;
-          fmt_ci p.Sweep.latency_ms;
-          fmt_ci p.Sweep.network_load;
-          fmt_ci p.Sweep.rreq_load;
+          fmt_ci delivery p;
+          fmt_ci latency p;
+          fmt_ci net_load p;
+          fmt_ci rreq_load p;
         ])
       variants
   in
@@ -263,43 +291,36 @@ let ablation ~scale () =
 (* Per-seed [Runner.run ~monitor:true] — {!Sweep} never arms the
    invariant monitor, and the whole point of this table is showing the
    loop-freedom monitor stays silent while the aggregation layer
-   rewrites and fans out RREPs.  Alongside the paper's metrics it
-   accumulates the layer's own event counters. *)
-
-type agg_row = {
-  ar_point : Sweep.point;
-  ar_suppressed : int;
-  ar_aggregated : int;
-  ar_fanout : int;
-  ar_violations : int;
-}
-
-let monitored_point ~scale ~nodes ~flows ~pause protocol =
-  let sc =
-    scenario_for ~scale ~nodes ~flows protocol
-    |> Scenario.with_pause (Time.sec pause)
-  in
-  let p = Sweep.empty_point () in
+   rewrites and fans out RREPs.  Alongside the paper's metrics each row
+   totals the layer's own event counters. *)
+let monitored_point ~scale ~flows protocol =
+  let sc = scenario_for ~scale ~nodes:50 ~flows ~pause:0. protocol in
   let suppressed = ref 0 and aggregated = ref 0 in
   let fanout = ref 0 and violations = ref 0 in
-  for i = 0 to scale.trials - 1 do
-    let o =
-      Runner.run ~monitor:true (Scenario.with_seed (sc.Scenario.seed + i) sc)
-    in
-    Sweep.add_summary p o.Runner.summary;
-    let count = Metrics.event_count o.Runner.metrics in
-    suppressed := !suppressed + count "rreq_suppressed";
-    aggregated := !aggregated + count "rreq_aggregated";
-    fanout := !fanout + count "rrep_fanout";
-    violations := !violations + o.Runner.invariant_violations
-  done;
-  {
-    ar_point = p;
-    ar_suppressed = !suppressed;
-    ar_aggregated = !aggregated;
-    ar_fanout = !fanout;
-    ar_violations = !violations;
-  }
+  let sums =
+    Array.init scale.trials (fun i ->
+        let o =
+          Runner.run ~monitor:true (Scenario.with_seed (sc.Scenario.seed + i) sc)
+        in
+        let count = Metrics.event_count o.Runner.metrics in
+        suppressed := !suppressed + count "rreq_suppressed";
+        aggregated := !aggregated + count "rreq_aggregated";
+        fanout := !fanout + count "rrep_fanout";
+        violations := !violations + o.Runner.invariant_violations;
+        o.Runner.summary)
+  in
+  let per_run c = Printf.sprintf "%.1f" (float_of_int !c /. float_of_int scale.trials) in
+  [
+    Scenario.protocol_name protocol;
+    fmt_ci delivery sums;
+    fmt_ci latency sums;
+    fmt_ci net_load sums;
+    fmt_ci rreq_load sums;
+    per_run suppressed;
+    per_run aggregated;
+    per_run fanout;
+    string_of_int !violations;
+  ]
 
 let aggregation ~scale () =
   heading
@@ -307,30 +328,13 @@ let aggregation ~scale () =
   List.iter
     (fun flows ->
       Printf.printf "\n-- %d flows --\n" flows;
-      let per_run c = Printf.sprintf "%.1f" (float_of_int c /. float_of_int scale.trials) in
-      let rows =
-        List.map
-          (fun protocol ->
-            let r = monitored_point ~scale ~nodes:50 ~flows ~pause:0. protocol in
-            [
-              Scenario.protocol_name protocol;
-              fmt_ci r.ar_point.Sweep.delivery_ratio;
-              fmt_ci r.ar_point.Sweep.latency_ms;
-              fmt_ci r.ar_point.Sweep.network_load;
-              fmt_ci r.ar_point.Sweep.rreq_load;
-              per_run r.ar_suppressed;
-              per_run r.ar_aggregated;
-              per_run r.ar_fanout;
-              string_of_int r.ar_violations;
-            ])
-          [ Scenario.ldr; Scenario.ldr_agg; Scenario.aodv; Scenario.aodv_agg ]
-      in
       print_endline
         (Stats.Table.render
            ~header:
              [ "protocol"; "delivery"; "latency ms"; "net load"; "rreq load";
                "suppr/run"; "piggyb/run"; "fanout/run"; "monitor viol" ]
-           rows))
+           (List.map (monitored_point ~scale ~flows)
+              [ Scenario.ldr; Scenario.ldr_agg; Scenario.aodv; Scenario.aodv_agg ])))
     [ 10; 30; 100 ]
 
 (* ---- Discovery: floods per delivered packet, before/after the fixes ----- *)
@@ -392,25 +396,21 @@ let discovery ~scale () =
   let results =
     List.map
       (fun (label, protocol) ->
-        let sc =
-          scenario_for ~scale ~nodes:50 ~flows:30 protocol
-          |> Scenario.with_pause (Time.sec 0.)
+        let sc = scenario_for ~scale ~nodes:50 ~flows:30 ~pause:0. protocol in
+        let outcomes = Sweep.trial_outcomes sc ~n:scale.trials in
+        let mean f =
+          Stats.Welford.mean (column (fun o -> f o.Runner.summary) outcomes)
         in
-        let delivery = Stats.Welford.create () in
-        let latency = Stats.Welford.create () in
         let floods, rreq_tx, delivered =
           Array.fold_left
             (fun (floods, rreq_tx, delivered) (o : Runner.outcome) ->
               let m = o.Runner.metrics in
-              Stats.Welford.add delivery o.Runner.summary.Metrics.s_delivery_ratio;
-              Stats.Welford.add latency o.Runner.summary.Metrics.s_latency_ms;
               ( floods + Metrics.event_count m "rreq_init",
                 rreq_tx
                 + Option.value ~default:0
                     (List.assoc_opt "RREQ" (Metrics.control_by_kind m)),
                 delivered + Metrics.delivered m ))
-            (0, 0, 0)
-            (Sweep.trial_outcomes sc ~n:scale.trials)
+            (0, 0, 0) outcomes
         in
         let per_delivered c =
           if delivered = 0 then 0. else float_of_int c /. float_of_int delivered
@@ -419,8 +419,8 @@ let discovery ~scale () =
           dr_label = label;
           dr_floods = per_delivered floods;
           dr_rreq_tx = per_delivered rreq_tx;
-          dr_delivery = Stats.Welford.mean delivery;
-          dr_latency_ms = Stats.Welford.mean latency;
+          dr_delivery = mean delivery;
+          dr_latency_ms = mean latency;
         })
       variants
   in

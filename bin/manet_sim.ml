@@ -487,36 +487,34 @@ let run_cmd =
 let sweep_cmd =
   let action protocol nodes width height flows pps speed_max duration seed
       trials pauses audit jobs world =
-    (* The whole (pause x seed) matrix is one parallel batch; results
-       merge in seed order, so any --jobs value prints the same table. *)
+    (* The whole (pause x seed) matrix is one parallel batch; each
+       column folds in seed order, so any --jobs value prints the same
+       table. *)
     let base =
       scenario ~world protocol nodes width height flows pps 0. speed_max
         duration seed audit
     in
-    let points =
-      List.map
-        (fun pause (sc : Experiment.Scenario.t) ->
-          { sc with Experiment.Scenario.pause = Time.sec pause })
-        pauses
+    let series =
+      Sweep.run ~jobs
+        (List.map
+           (fun pause ->
+             { base with Experiment.Scenario.pause = Time.sec pause })
+           pauses)
+        ~trials
     in
-    let series = Sweep.run ~jobs base ~points ~trials in
+    let mean_ci f sums =
+      let w = Stats.Welford.of_array (Array.map f sums) in
+      Stats.Table.mean_ci ~mean:(Stats.Welford.mean w) ~ci:(Stats.Welford.ci95 w)
+    in
     let rows =
       List.map2
-        (fun pause (p : Sweep.point) ->
+        (fun pause sums ->
           [
             Printf.sprintf "%g" pause;
-            Stats.Table.mean_ci
-              ~mean:(Stats.Welford.mean p.Sweep.delivery_ratio)
-              ~ci:(Stats.Welford.ci95 p.Sweep.delivery_ratio);
-            Stats.Table.mean_ci
-              ~mean:(Stats.Welford.mean p.Sweep.latency_ms)
-              ~ci:(Stats.Welford.ci95 p.Sweep.latency_ms);
-            Stats.Table.mean_ci
-              ~mean:(Stats.Welford.mean p.Sweep.network_load)
-              ~ci:(Stats.Welford.ci95 p.Sweep.network_load);
-            Stats.Table.mean_ci
-              ~mean:(Stats.Welford.mean p.Sweep.byte_load)
-              ~ci:(Stats.Welford.ci95 p.Sweep.byte_load);
+            mean_ci (fun s -> s.Metrics.s_delivery_ratio) sums;
+            mean_ci (fun s -> s.Metrics.s_latency_ms) sums;
+            mean_ci (fun s -> s.Metrics.s_network_load) sums;
+            mean_ci (fun s -> s.Metrics.s_byte_load) sums;
           ])
         pauses series
     in

@@ -3,7 +3,7 @@
     Worker domains claim indexed jobs one at a time from a shared
     atomic counter (stdlib only).  The executor is generic — it knows
     nothing about scenarios — and {!Sweep} uses it to spread a sweep's
-    (seed × parameter-point) trial matrix over cores.
+    (scenario × seed) trial matrix over cores.
 
     {b Determinism guarantee.}  [map ~jobs n f] calls [f i] exactly once
     for every [i] in [0 .. n-1] and stores the result at index [i], so

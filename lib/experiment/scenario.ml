@@ -5,8 +5,8 @@ type protocol =
   | Aodv of Aodv.config
   | Dsr of Dsr.config
   | Olsr
-  | Ldr_agg of Ldr.Config.t * Routing.Aggregation.config
-  | Aodv_agg of Aodv.config * Routing.Aggregation.config
+  | Ldr_agg of Ldr.Config.t
+  | Aodv_agg of Aodv.config
 
 let protocol_name = function
   | Ldr c when c = Ldr.Config.plain -> "LDR-PLAIN"
@@ -23,18 +23,16 @@ let aodv = Aodv Aodv.default_config
 let dsr = Dsr Dsr.default_config
 let dsr_draft7 = Dsr { Dsr.reply_from_cache = false }
 let olsr = Olsr
-let ldr_agg = Ldr_agg (Ldr.Config.default, Routing.Aggregation.default)
-let aodv_agg = Aodv_agg (Aodv.default_config, Routing.Aggregation.default)
+let ldr_agg = Ldr_agg Ldr.Config.default
+let aodv_agg = Aodv_agg Aodv.default_config
 
 let factory = function
   | Ldr config -> Ldr.Protocol.factory ~config ()
   | Aodv config -> Aodv.factory ~config ()
   | Dsr config -> Dsr.factory ~config ()
   | Olsr -> Olsr.factory
-  | Ldr_agg (config, agg) ->
-      Routing.Aggregation.wrap ~config:agg (Ldr.Protocol.factory ~config ())
-  | Aodv_agg (config, agg) ->
-      Routing.Aggregation.wrap ~config:agg (Aodv.factory ~config ())
+  | Ldr_agg config -> Routing.Aggregation.wrap (Ldr.Protocol.factory ~config ())
+  | Aodv_agg config -> Routing.Aggregation.wrap (Aodv.factory ~config ())
 
 type placement = Uniform | Grid | Fixed of Geom.Vec2.t list
 

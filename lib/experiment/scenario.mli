@@ -5,9 +5,9 @@ type protocol =
   | Aodv of Aodv.config
   | Dsr of Dsr.config
   | Olsr
-  | Ldr_agg of Ldr.Config.t * Routing.Aggregation.config
+  | Ldr_agg of Ldr.Config.t
       (** LDR with the route-request aggregation layer interposed *)
-  | Aodv_agg of Aodv.config * Routing.Aggregation.config
+  | Aodv_agg of Aodv.config
       (** AODV with the route-request aggregation layer interposed *)
 
 val protocol_name : protocol -> string
@@ -27,10 +27,10 @@ val dsr_draft7 : protocol
 val olsr : protocol
 
 val ldr_agg : protocol
-(** LDR-AGG: stock LDR under {!Routing.Aggregation.default}. *)
+(** LDR-AGG: stock LDR under {!Routing.Aggregation.wrap}. *)
 
 val aodv_agg : protocol
-(** AODV-AGG: stock AODV under {!Routing.Aggregation.default}. *)
+(** AODV-AGG: stock AODV under {!Routing.Aggregation.wrap}. *)
 
 val factory : protocol -> Routing.Agent.factory
 

@@ -75,9 +75,14 @@ let read ic buf pos n what =
   if remaining ic < n then Error (what ^ " past end of file")
   else Ok (really_input ic buf pos n)
 
+(* Every field as [open_sink] writes it. *)
 let global_header ic hdr =
   let* () = read ic hdr 0 24 "global header" in
   if u32 hdr 0 <> magic then Error "global header: bad magic"
+  else if u32 hdr 4 <> 0x0002_0004 then Error "global header: bad version"
+  else if u32 hdr 8 <> 0 then Error "global header: bad thiszone"
+  else if u32 hdr 12 <> 0 then Error "global header: bad sigfigs"
+  else if u32 hdr 16 <> snaplen then Error "global header: bad snaplen"
   else if u32 hdr 20 <> linktype then Error "global header: wrong linktype"
   else Ok ()
 

@@ -16,7 +16,9 @@ let field fields key =
 
 (* Fill [ev] from one parsed line; false when the line is no event: a
    kind it does not name, a missing or non-integer field of the ones
-   [Jsonl] always writes, or a negative time. *)
+   [Jsonl] always writes, a negative time, or a labelled kind with
+   [a >= 0] but no string ["s"] ([a] alone is an id of the writing
+   run's intern table). *)
 let fill bus (ev : Event.t) fields =
   match List.assoc_opt "k" fields with
   | Some (Jsonl.Str k) -> (
@@ -37,11 +39,11 @@ let fill bus (ev : Event.t) fields =
                  ev.e <- field fields "e";
                  ev.f <- field fields "f";
                  (* Re-intern the label so [a] resolves through the bus. *)
-                 (if Event.has_label kind then
-                    match List.assoc_opt "s" fields with
-                    | Some (Jsonl.Str s) -> ev.a <- Bus.intern bus s
-                    | Some (Jsonl.Int _ | Jsonl.Float _) | None -> ());
-                 true
+                 match List.assoc_opt "s" fields with
+                 | Some (Jsonl.Str s) when Event.has_label kind ->
+                     ev.a <- Bus.intern bus s;
+                     true
+                 | Some _ | None -> (not (Event.has_label kind)) || ev.a < 0
                end
           with Missing -> false))
   | Some (Jsonl.Int _ | Jsonl.Float _) | None -> false

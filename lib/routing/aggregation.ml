@@ -2,10 +2,6 @@ open Sim
 open Packets
 module RA = Agent
 
-type config = { fanout : bool }
-
-let default = { fanout = true }
-
 (* Batching window for multi-destination floods. *)
 let window = Time.ms 20.
 
@@ -38,7 +34,6 @@ type recent = {
    flood RREQs: one node runs one family, but keeping a batch for each
    lets the wrapper stay a single implementation. *)
 type t = {
-  cfg : config;
   ctx : RA.ctx;
   mutable batch_ldr : Ldr_msg.rreq list;  (* newest first *)
   mutable batch_aodv : Aodv_msg.rreq list;  (* newest first *)
@@ -123,7 +118,6 @@ let try_suppress t ~dst ~origin ~rreq_id at =
         || Node_id.equal r.r_origin origin
       then false
       else if Node_id.equal origin t.ctx.id then true
-      else if not t.cfg.fanout then false
       else begin
         match Rreq_cache.find t.rev ~origin ~rreq_id with
         | None -> false (* reverse hop unknown: forward rather than strand *)
@@ -223,10 +217,10 @@ let intercept_send t ~dst payload =
       end
   | _, Payload.Ldr (Ldr_msg.Rrep p) ->
       t.ctx.send ~dst payload;
-      if t.cfg.fanout then fanout_ldr t p ~consumed:false
+      fanout_ldr t p ~consumed:false
   | _, Payload.Aodv (Aodv_msg.Rrep p) ->
       t.ctx.send ~dst payload;
-      if t.cfg.fanout then fanout_aodv t p ~consumed:false
+      fanout_aodv t p ~consumed:false
   | _ -> t.ctx.send ~dst payload
 
 let note_rreq t ~origin ~rreq_id ~from =
@@ -256,19 +250,17 @@ let recv t (inner : RA.t) payload ~from =
   inner.RA.recv payload ~from;
   (* A reply that terminates here is not re-sent by the inner agent, so
      waiters must be served from the receive side. *)
-  if t.cfg.fanout then
-    match payload with
-    | Payload.Ldr (Ldr_msg.Rrep p) when Node_id.equal p.origin t.ctx.id ->
-        fanout_ldr t p ~consumed:true
-    | Payload.Aodv (Aodv_msg.Rrep p) when Node_id.equal p.origin t.ctx.id ->
-        fanout_aodv t p ~consumed:true
-    | _ -> ()
+  match payload with
+  | Payload.Ldr (Ldr_msg.Rrep p) when Node_id.equal p.origin t.ctx.id ->
+      fanout_ldr t p ~consumed:true
+  | Payload.Aodv (Aodv_msg.Rrep p) when Node_id.equal p.origin t.ctx.id ->
+      fanout_aodv t p ~consumed:true
+  | _ -> ()
 
-let wrap ?(config = default) (inner_factory : RA.factory) : RA.factory =
+let wrap (inner_factory : RA.factory) : RA.factory =
  fun ctx ->
   let t =
     {
-      cfg = config;
       ctx;
       batch_ldr = [];
       batch_aodv = [];

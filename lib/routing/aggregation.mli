@@ -23,17 +23,8 @@
     ["rreq_suppressed"] (floods absorbed), and ["rrep_fanout"] (replies
     replicated) through the wrapped context's event sink. *)
 
-type config = {
-  fanout : bool;
-      (** replicate returning RREPs to absorbed computations; with
-          [false], only same-origin floods are ever suppressed *)
-}
-
-val default : config
-(** Fan-out on.  The layer batches for 20 ms, up to 8 members, absorbs
+val wrap : Agent.factory -> Agent.factory
+(** [wrap factory] is [factory] with the aggregation layer interposed
+    per node.  The layer batches for 20 ms, up to 8 members, absorbs
     floods for 50 ms and lets an absorbed computation wait 2 s for a
     reply. *)
-
-val wrap : ?config:config -> Agent.factory -> Agent.factory
-(** [wrap factory] is [factory] with the aggregation layer interposed
-    per node. *)

@@ -8,6 +8,11 @@ let add t x =
   t.mean <- t.mean +. (delta /. float_of_int t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
+let of_array xs =
+  let t = create () in
+  Array.iter (add t) xs;
+  t
+
 let count t = t.n
 let mean t = t.mean
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
@@ -28,17 +33,3 @@ let t_critical ~df =
 let ci95 t =
   if t.n < 2 then 0.
   else t_critical ~df:(t.n - 1) *. stddev t /. sqrt (float_of_int t.n)
-
-let merge a b =
-  if a.n = 0 then { n = b.n; mean = b.mean; m2 = b.m2 }
-  else if b.n = 0 then { n = a.n; mean = a.mean; m2 = a.m2 }
-  else begin
-    let n = a.n + b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-    in
-    { n; mean; m2 }
-  end

@@ -5,6 +5,10 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
+
+val of_array : float array -> t
+(** The samples added in index order (a table column in seed order). *)
+
 val count : t -> int
 val mean : t -> float
 (** 0 when empty. *)
@@ -20,6 +24,3 @@ val ci95 : t -> float
 
 val t_critical : df:int -> float
 (** Two-sided 95 % Student-t critical value. *)
-
-val merge : t -> t -> t
-(** Distribution over the union of both sample sets. *)

@@ -9,11 +9,8 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let nid = Node_id.of_int
 
-let ldr_agg_factory ?(config = Routing.Aggregation.default) () =
-  Routing.Aggregation.wrap ~config (Ldr.Protocol.factory ())
-
-let aodv_agg_factory ?(config = Routing.Aggregation.default) () =
-  Routing.Aggregation.wrap ~config (Aodv.factory ())
+let ldr_agg_factory () = Routing.Aggregation.wrap (Ldr.Protocol.factory ())
+let aodv_agg_factory () = Routing.Aggregation.wrap (Aodv.factory ())
 
 module TN = Graph_net
 
@@ -69,23 +66,6 @@ let fanout_serves_suppressed_origin () =
   checkb "the reply was fanned out" true
     (Experiment.Metrics.event_count m "rrep_fanout" >= 1);
   checkb "no loops" true (TN.find_cycle net = None)
-
-(* With fan-out disabled a relay may never absorb another origin's
-   flood — only originations are deferred — and everything still
-   delivers (via the inner ring retry). *)
-let no_fanout_still_delivers () =
-  let config = { Routing.Aggregation.fanout = false } in
-  let net = TN.create ~factory:(ldr_agg_factory ~config ()) ~n:5 () in
-  TN.connect_chain net [ 0; 1; 2; 3 ];
-  TN.connect net 1 4;
-  TN.origin net ~src:0 ~dst:3;
-  ignore
-    (Engine.at (TN.engine net) (Time.ms 30.) (fun () ->
-         TN.origin net ~src:4 ~dst:3));
-  TN.run net ~for_:(Time.sec 10.);
-  let m = TN.metrics net in
-  checki "both flows delivered" 2 (Experiment.Metrics.delivered m);
-  checki "no fan-out happened" 0 (Experiment.Metrics.event_count m "rrep_fanout")
 
 (* A stock (unwrapped) agent must interoperate with aggregating
    neighbours: aggregates unpack inside the inner recv. *)
@@ -270,8 +250,6 @@ let () =
         [
           Alcotest.test_case "rrep fan-out" `Quick
             fanout_serves_suppressed_origin;
-          Alcotest.test_case "fanout off still delivers" `Quick
-            no_fanout_still_delivers;
           Alcotest.test_case "mixed stock/agg net" `Quick
             stock_node_understands_aggregates;
         ] );

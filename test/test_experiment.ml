@@ -199,57 +199,42 @@ let injection_api () =
 
 let sweep_trials () =
   let sc = small_scenario ~duration:10. () in
-  let p = Sweep.trials sc ~n:3 in
-  checki "3 trials" 3 (Stats.Welford.count p.Sweep.delivery_ratio);
-  checkb "mean sane" true (Stats.Welford.mean p.Sweep.delivery_ratio > 0.5)
+  match Sweep.run [ sc ] ~trials:3 with
+  | [ sums ] ->
+      checki "3 trials" 3 (Array.length sums);
+      let w =
+        Stats.Welford.of_array
+          (Array.map (fun s -> s.Metrics.s_delivery_ratio) sums)
+      in
+      checkb "mean sane" true (Stats.Welford.mean w > 0.5)
+  | l -> Alcotest.failf "one scenario, %d results" (List.length l)
 
 let sweep_pause_series () =
   let sc = small_scenario ~speed_max:10. ~duration:10. () in
-  let pause p (s : Scenario.t) = { s with pause = Time.sec p } in
-  let series = Sweep.run sc ~points:[ pause 0.; pause 5. ] ~trials:2 in
-  checki "two points" 2 (List.length series);
-  List.iter
-    (fun p -> checki "two trials each" 2 (Stats.Welford.count p.Sweep.delivery_ratio))
-    series
+  let pause p = { sc with pause = Time.sec p } in
+  let series = Sweep.run [ pause 0.; pause 5. ] ~trials:2 in
+  checki "two scenarios" 2 (List.length series);
+  List.iter (fun sums -> checki "two trials each" 2 (Array.length sums)) series
 
-(* merge_points against a single-pass baseline: feeding every summary
-   into one point must equal splitting them across two points and
-   merging — mean, variance, and count, per field. *)
-let sweep_merge_points () =
+(* Each scenario's array is in seed order: trial i ran under seed
+   [seed + i]. *)
+let sweep_seed_order () =
   let sc = small_scenario ~duration:10. () in
-  let summaries =
-    List.map
-      (fun seed -> (Runner.run { sc with Scenario.seed }).Runner.summary)
-      [ 1; 2; 3; 4; 5 ]
-  in
-  let single = Sweep.empty_point () in
-  List.iter (Sweep.add_summary single) summaries;
-  let a = Sweep.empty_point () and b = Sweep.empty_point () in
-  List.iteri
-    (fun i s -> Sweep.add_summary (if i < 2 then a else b) s)
-    summaries;
-  let merged = Sweep.merge_points a b in
-  let fields =
-    [
-      ("delivery", fun (p : Sweep.point) -> p.Sweep.delivery_ratio);
-      ("latency", fun p -> p.Sweep.latency_ms);
-      ("load", fun p -> p.Sweep.network_load);
-      ("rreq", fun p -> p.Sweep.rreq_load);
-      ("rrep_init", fun p -> p.Sweep.rrep_init);
-      ("rrep_recv", fun p -> p.Sweep.rrep_recv);
-      ("seqno", fun p -> p.Sweep.mean_dest_seqno);
-    ]
-  in
-  List.iter
-    (fun (name, f) ->
-      let w1 = f single and w2 = f merged in
-      checki (name ^ " count") (Stats.Welford.count w1)
-        (Stats.Welford.count w2);
-      Alcotest.check (Alcotest.float 1e-9) (name ^ " mean")
-        (Stats.Welford.mean w1) (Stats.Welford.mean w2);
-      Alcotest.check (Alcotest.float 1e-9) (name ^ " variance")
-        (Stats.Welford.variance w1) (Stats.Welford.variance w2))
-    fields
+  match
+    Sweep.run [ sc; { sc with seed = sc.seed + 1 } ] ~trials:2
+  with
+  | [ from_7; from_8 ] ->
+      checkb "seed 8 is trial 1 of the first and trial 0 of the second" true
+        (Stdlib.compare from_7.(1) from_8.(0) = 0);
+      checkb "seeds 7 and 8 differ" true
+        (Stdlib.compare from_7.(0) from_7.(1) <> 0)
+  | l -> Alcotest.failf "two scenarios, %d results" (List.length l)
+
+let sweep_edges () =
+  Alcotest.check_raises "zero trials"
+    (Invalid_argument "Sweep.run: trials must be >= 1") (fun () ->
+      ignore (Sweep.run [ small_scenario () ] ~trials:0));
+  checki "no scenarios, no results" 0 (List.length (Sweep.run [] ~trials:3))
 
 let scenario_builders () =
   let sc = Scenario.paper_50 Scenario.ldr in
@@ -433,8 +418,9 @@ let () =
       ( "sweep",
         [
           Alcotest.test_case "trials aggregate" `Slow sweep_trials;
-          Alcotest.test_case "merge points" `Slow sweep_merge_points;
+          Alcotest.test_case "seed order" `Slow sweep_seed_order;
           Alcotest.test_case "pause series" `Slow sweep_pause_series;
+          Alcotest.test_case "zero trials, no scenarios" `Quick sweep_edges;
         ] );
       ( "scenario",
         [

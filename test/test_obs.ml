@@ -381,7 +381,24 @@ let malformed_lines () =
         [ good; {|{"t":1500,"n":3,"k":"tx","s":"DATA","a":0,"b":4,"c":512,"d":-1,"e":-1}|}; viol ] );
       ( "negative time",
         [ good; {|{"t":-1,"n":3,"k":"tx","s":"DATA","a":0,"b":4,"c":512,"d":-1,"e":-1,"f":-1}|}; viol ] );
+      ( "labelled line without its label",
+        [ good; {|{"t":2000,"n":4,"k":"tx","a":0,"b":-1,"c":58,"d":-1,"e":-1,"f":-1}|}; viol ] );
     ]
+
+(* [Jsonl] writes no "s" for a labelled kind whose [a] is negative (no
+   label), so such a line is an event, not a malformed one. *)
+let unlabelled_line_kept () =
+  let path = Filename.temp_file "obs_unlabelled" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (String.concat "\n"
+           [
+             {|{"t":1000,"n":3,"k":"tx","s":"DATA","a":0,"b":4,"c":512,"d":-1,"e":-1,"f":-1}|};
+             {|{"t":2000,"n":4,"k":"tx","a":-1,"b":-1,"c":58,"d":-1,"e":-1,"f":-1}|};
+           ]));
+  let result = replay_query path count_events in
+  Sys.remove path;
+  Alcotest.(check (result int string)) "both lines replay" (Ok 2) result
 
 let () =
   Alcotest.run "obs"
@@ -398,6 +415,8 @@ let () =
           Alcotest.test_case "malformed lines fail every query" `Quick
             malformed_lines;
           QCheck_alcotest.to_alcotest escape_roundtrip_prop;
+          Alcotest.test_case "label-less line with a < 0 replays" `Quick
+            unlabelled_line_kept;
         ] );
       ( "monitor",
         [

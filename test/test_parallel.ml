@@ -5,11 +5,10 @@
 
    - executor unit tests (index order, exactly-once, job-count
      resolution, exception propagation);
-   - differential conformance: the same (point x seed) matrix at jobs=1
-     and jobs=N yields exactly equal per-seed outcomes, aggregate
-     Welford statistics, loop-audit results and fault-injection
-     violation sites — equality is [=] / [Stdlib.compare], never a
-     tolerance;
+   - differential conformance: the same (scenario x seed) matrix at
+     jobs=1 and jobs=N yields exactly equal per-seed outcomes and
+     summaries, loop-audit results and fault-injection violation sites
+     — equality is [=] / [Stdlib.compare], never a tolerance;
    - regression pins for the domain-safety audit: per-trial re-run
      determinism under QCheck-random scenarios (hidden global mutable
      state would break same-process re-runs before it ever raced across
@@ -107,24 +106,13 @@ let outcome_digest (o : Runner.outcome) =
       o.Runner.mac_queue_drops,
       o.Runner.mac_unicast_failures ) )
 
-let welford_digest w =
-  (Stats.Welford.count w, Stats.Welford.mean w, Stats.Welford.variance w)
-
-let point_digest (p : Sweep.point) =
-  List.map welford_digest
-    [
-      p.Sweep.delivery_ratio; p.Sweep.latency_ms; p.Sweep.network_load;
-      p.Sweep.rreq_load; p.Sweep.rrep_init; p.Sweep.rrep_recv;
-      p.Sweep.mean_dest_seqno;
-    ]
-
-(* The satellite spec: a 3-point, 5-seed sweep, audit-loops on, at
-   jobs=1 and jobs=N.  Per-seed outcomes and per-point aggregates must
-   be exactly equal — [=] on every digest. *)
+(* A 3-scenario, 5-seed sweep, audit-loops on, at jobs=1 and jobs=N.
+   Per-seed outcomes and per-seed summaries must be exactly equal, and
+   each scenario's summaries are those of its own trials. *)
 let differential_sweep () =
   let sc = small_scenario ~audit:true () in
   let n = 5 in
-  (* Per-seed outcomes, single point. *)
+  (* Per-seed outcomes, single scenario. *)
   let seq = Sweep.trial_outcomes ~jobs:1 sc ~n in
   let par = Sweep.trial_outcomes ~jobs:test_jobs sc ~n in
   checki "trial count" n (Array.length par);
@@ -134,31 +122,34 @@ let differential_sweep () =
       true
       (Stdlib.compare (outcome_digest seq.(i)) (outcome_digest par.(i)) = 0)
   done;
-  (* Full 3-point matrix through Sweep.run. *)
-  let points =
-    List.map
-      (fun pause (s : Scenario.t) -> { s with pause = Time.sec pause })
-      [ 0.; 3.; 10. ]
+  (* Full 3-scenario matrix through Sweep.run. *)
+  let scs =
+    List.map (fun pause -> { sc with pause = Time.sec pause }) [ 0.; 3.; 10. ]
   in
-  let seq_pts = Sweep.run ~jobs:1 sc ~points ~trials:n in
-  let par_pts = Sweep.run ~jobs:test_jobs sc ~points ~trials:n in
-  checki "three points" 3 (List.length par_pts);
+  let seq_sums = Sweep.run ~jobs:1 scs ~trials:n in
+  let par_sums = Sweep.run ~jobs:test_jobs scs ~trials:n in
+  checki "three scenarios" 3 (List.length par_sums);
   List.iteri
     (fun i (a, b) ->
+      checki (Printf.sprintf "scenario %d has every seed" i) n (Array.length b);
       checkb
-        (Printf.sprintf "point %d aggregates identical" i)
+        (Printf.sprintf "scenario %d summaries identical" i)
         true
-        (point_digest a = point_digest b))
-    (List.combine seq_pts par_pts);
-  (* And the sequential matrix path agrees with the historical
-     per-point trials loop. *)
-  let legacy =
-    List.map
-      (fun refine -> Sweep.trials ~jobs:1 (refine sc) ~n)
-      points
-  in
-  checkb "matrix path matches per-point path" true
-    (List.map point_digest seq_pts = List.map point_digest legacy)
+        (Stdlib.compare a b = 0))
+    (List.combine seq_sums par_sums);
+  (* And each scenario's summaries are those of its own trials. *)
+  List.iteri
+    (fun i (s, sums) ->
+      let own =
+        Array.map
+          (fun (o : Runner.outcome) -> o.Runner.summary)
+          (Sweep.trial_outcomes ~jobs:1 s ~n)
+      in
+      checkb
+        (Printf.sprintf "scenario %d matches its trial outcomes" i)
+        true
+        (Stdlib.compare sums own = 0))
+    (List.combine scs seq_sums)
 
 (* ---- fault-injection determinism --------------------------------------- *)
 

@@ -60,24 +60,23 @@ let welford_ci_beyond_table () =
   checkfa 1e-9 "past edge uses z" 1.96 (expect_ci 32);
   checkfa 1e-9 "far past edge" 1.96 (expect_ci 200)
 
-let welford_merge () =
-  let a = Welford.create () and b = Welford.create () and whole = Welford.create () in
-  let xs = [ 1.; 5.; 2.; 8.; 3. ] and ys = [ 9.; 4.; 7. ] in
-  List.iter (Welford.add a) xs;
-  List.iter (Welford.add b) ys;
-  List.iter (Welford.add whole) (xs @ ys);
-  let m = Welford.merge a b in
-  checkfa 1e-9 "merged mean" (Welford.mean whole) (Welford.mean m);
-  checkfa 1e-9 "merged var" (Welford.variance whole) (Welford.variance m);
-  Alcotest.check Alcotest.int "merged count" 8 (Welford.count m)
+(* A table column folds in index order: the same floats as adding one
+   sample at a time. *)
+let welford_of_array () =
+  let xs = [| 0.93; 0.871; 0.9; 0.4125; 0.77 |] in
+  let w = Welford.create () in
+  Array.iter (Welford.add w) xs;
+  let v = Welford.of_array xs in
+  Alcotest.check Alcotest.int "count" 5 (Welford.count v);
+  checkb "mean and ci bit-identical" true
+    (Welford.mean w = Welford.mean v && Welford.ci95 w = Welford.ci95 v)
 
-let welford_merge_empty () =
-  let a = Welford.create () and b = Welford.create () in
-  Welford.add b 3.;
-  let m = Welford.merge a b in
-  checkf "mean" 3. (Welford.mean m);
-  let m2 = Welford.merge b a in
-  checkf "mean sym" 3. (Welford.mean m2)
+let welford_of_array_empty () =
+  let v = Welford.of_array [||] in
+  Alcotest.check Alcotest.int "count" 0 (Welford.count v);
+  checkf "mean" 0. (Welford.mean v);
+  checkf "var" 0. (Welford.variance v);
+  checkf "ci" 0. (Welford.ci95 v)
 
 let welford_estimator_prop =
   QCheck.Test.make ~name:"welford matches naive mean" ~count:200
@@ -241,8 +240,8 @@ let () =
           Alcotest.test_case "t table" `Quick welford_t_table;
           Alcotest.test_case "ci beyond t-table" `Quick
             welford_ci_beyond_table;
-          Alcotest.test_case "merge" `Quick welford_merge;
-          Alcotest.test_case "merge empty" `Quick welford_merge_empty;
+          Alcotest.test_case "of_array" `Quick welford_of_array;
+          Alcotest.test_case "of_array empty" `Quick welford_of_array_empty;
           qt welford_estimator_prop;
         ] );
       ( "hdr",

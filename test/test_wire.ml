@@ -415,17 +415,27 @@ let pcap_structural_faults () =
         rewrite path f;
         let _, result = replayed Net.Pcap.replay path in
         Alcotest.(check (result unit string)) name
-          (Error (Printf.sprintf want path)) result)
+          (Error (path ^ ": " ^ want)) result)
   in
   check "truncated record"
     (fun b -> Bytes.sub b 0 (Bytes.length b - 5))
-    "%s: record 3: packet data past end of file";
+    "record 3: packet data past end of file";
   check "truncated record header"
     (fun b -> Bytes.sub b 0 (24 + 16 + 20 + 574 + 16 + 20 + 14 + 10))
-    "%s: record 3: record header past end of file";
+    "record 3: record header past end of file";
   check "bad magic"
     (fun b -> Bytes.set b 3 '\x4e'; b)
-    "%s: global header: bad magic"
+    "global header: bad magic";
+  (* One flipped byte in each field [open_sink] fixes. *)
+  List.iter
+    (fun (at, field) ->
+      check ("bad " ^ field)
+        (fun b ->
+          Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x01));
+          b)
+        ("global header: bad " ^ field))
+    [ (5, "version"); (7, "version"); (11, "thiszone"); (15, "sigfigs");
+      (18, "snaplen") ]
 
 (* A capture replays as the Tx part of the same run's JSONL trace:
    every event, rendered, line for line, for one LDR and one LDR-AGG
