@@ -599,10 +599,23 @@ let trace_cmd =
           ~doc:"With $(b,--spans): additionally print flow $(docv)'s \
                 per-packet stage table.")
   in
-  let class_lines counts =
-    List.map
-      (fun (cls, (count, bytes)) -> Printf.sprintf "%s %d %d" cls count bytes)
-      counts
+  (* Per-class transmissions, counted by the run's own metrics sink. *)
+  let tx_classes bus =
+    let m = Metrics.attach bus in
+    fun () -> Metrics.tx_classes m
+  in
+  let class_lines fmt =
+    List.map (fun (cls, (n, bytes)) -> Printf.sprintf fmt cls n bytes)
+  in
+  (* With no query flags: event totals, then the per-class table. *)
+  let totals bus =
+    let summary = Obs.Reader.summary bus and classes = tx_classes bus in
+    fun () ->
+      match classes () with
+      | [] -> summary ()
+      | cs ->
+          summary ()
+          @ "tx bytes by class:" :: class_lines "  %-6s %d tx, %d B" cs
   in
   (* All queries ride one replay of the file, a JSONL trace or a pcap
      capture; their output is printed only once the whole file has
@@ -623,7 +636,7 @@ let trace_cmd =
       :: List.map (fun l -> "  " ^ l) window
     in
     let sections =
-      ask classes Reader.tx_classes class_lines
+      ask classes tx_classes (class_lines "%s %d %d")
       @ arg node (fun node -> Reader.timeline ~node)
       @ arg dst (fun dst -> Reader.flaps ~dst)
       @ ask drops Reader.drop_report Fun.id
@@ -633,7 +646,7 @@ let trace_cmd =
           | found -> List.concat (List.mapi window found))
     in
     let sections =
-      match sections with [] -> [ Reader.summary bus ] | sections -> sections
+      match sections with [] -> [ totals bus ] | sections -> sections
     in
     match replay file bus with
     | Error e ->

@@ -28,7 +28,7 @@ let succ_int (e : entry) =
 (* One event per structural table write: the monitor checks the written
    edge, the analyzer counts successor flaps. *)
 let emit_write t ~dst ~old_succ (e : entry) =
-  if Obs.Bus.on t.obs then
+  if Obs.Bus.on t.obs Table_write then
     Obs.Bus.table_write t.obs ~time:(now t) ~node:t.owner
       ~dst:(Node_id.to_int dst) ~old_succ ~new_succ:(succ_int e) ~dist:e.dist
       ~fd:e.fd ~sn:(Seqnum.pack e.sn)

@@ -1,8 +1,5 @@
-open Packets
-
-type control = { mutable tx : int; mutable bytes : int }
-
 type t = {
+  bus : Obs.Bus.t;  (* resolves the interned ids the counts are keyed by *)
   mutable originated : int;
   mutable delivered : int;
   mutable duplicates : int;
@@ -13,95 +10,71 @@ type t = {
   latency_h : Stats.Hdr.t;
   hop_count : Stats.Welford.t;
   seen : (int, unit) Hashtbl.t;  (* delivered uids, packed *)
-  control : (string, control) Hashtbl.t;  (* by frame class *)
-  mutable data_tx : int;
-  mutable ack_tx : int;
-  mutable data_bytes : int;
-  mutable ack_bytes : int;
-  events : (string, int ref) Hashtbl.t;
-  drops : (string, int ref) Hashtbl.t;
+  mutable tx : int array;  (* class id [i]: count at [2i], bytes at [2i+1] *)
+  mutable events : int array;  (* by protocol-event name id *)
+  mutable drops : int array;  (* by drop-reason id *)
   mutable loop_violations : int;
   mutable mean_dest_seqno : float;
 }
 
-let create () =
-  {
-    originated = 0;
-    delivered = 0;
-    duplicates = 0;
-    latency = Stats.Welford.create ();
-    latency_h = Stats.Hdr.create ();
-    hop_count = Stats.Welford.create ();
-    seen = Hashtbl.create 4096;
-    control = Hashtbl.create 8;
-    data_tx = 0;
-    ack_tx = 0;
-    data_bytes = 0;
-    ack_bytes = 0;
-    events = Hashtbl.create 8;
-    drops = Hashtbl.create 8;
-    loop_violations = 0;
-    mean_dest_seqno = 0.;
-  }
+(* [a.(i) + x], growing [a] to fit [i]; negative ids (an unlabelled
+   replayed event) are not counted. *)
+let add a i x =
+  if i < 0 then a
+  else
+    let a =
+      if i < Array.length a then a else Array.append a (Array.make (i + 1) 0)
+    in
+    a.(i) <- a.(i) + x;
+    a
 
-(* [Hashtbl.find] rather than [find_opt]: a hit allocates nothing. *)
-let bump tbl key =
-  match Hashtbl.find tbl key with
-  | r -> incr r
-  | exception Not_found -> Hashtbl.replace tbl key (ref 1)
-
-let data_originated t _msg = t.originated <- t.originated + 1
-
-(* Pack a (flow_id, seq) uid into one immediate so the seen-set hashes
-   an int instead of a boxed pair.  Flow ids and per-flow sequence
-   numbers are both far below 2^31 in any feasible run. *)
-let packed_uid msg =
-  let flow, seq = Data_msg.uid msg in
-  (flow lsl 31) lxor seq
-
-let data_delivered t ~now msg =
-  let uid = packed_uid msg in
-  if Hashtbl.mem t.seen uid then t.duplicates <- t.duplicates + 1
-  else begin
-    Hashtbl.replace t.seen uid ();
-    t.delivered <- t.delivered + 1;
-    let latency_ns = (Sim.Time.diff now msg.Data_msg.origin_time :> int) in
-    let latency_ms = Sim.Time.to_ms (Sim.Time.diff now msg.Data_msg.origin_time) in
-    let hops = float_of_int msg.Data_msg.hops in
-    Stats.Welford.add t.latency latency_ms;
-    Stats.Hdr.add t.latency_h latency_ns;
-    Stats.Welford.add t.hop_count hops
-  end
-
-let data_dropped t _msg ~reason = bump t.drops reason
-
-let transmitted t (f : Net.Frame.t) =
-  let bytes = Net.Frame.encoded_length f in
-  match f.body with
-  | Net.Frame.Ack ->
-      t.ack_tx <- t.ack_tx + 1;
-      t.ack_bytes <- t.ack_bytes + bytes
-  | Net.Frame.Payload p ->
-      (* Runs per transmission: [is_data]/[class_name] allocate nothing. *)
-      if Payload.is_data p then begin
-        t.data_tx <- t.data_tx + 1;
-        t.data_bytes <- t.data_bytes + bytes
-      end
+(* Fold one event into the counters.  A (flow, seq) uid packs into one
+   immediate so the seen-set hashes an int, not a boxed pair: flow ids
+   and per-flow sequence numbers are both far below 2^31 in any
+   feasible run. *)
+let count t (ev : Obs.Event.t) =
+  match ev.kind with
+  | Tx ->
+      t.tx <- add t.tx (2 * ev.a) 1;
+      t.tx <- add t.tx ((2 * ev.a) + 1) ev.c
+  | Deliver ->
+      let uid = (ev.a lsl 31) lxor ev.b in
+      if Hashtbl.mem t.seen uid then t.duplicates <- t.duplicates + 1
       else begin
-        let kind = Payload.class_name p in
-        let c =
-          match Hashtbl.find t.control kind with
-          | c -> c
-          | exception Not_found ->
-              let c = { tx = 0; bytes = 0 } in
-              Hashtbl.replace t.control kind c;
-              c
-        in
-        c.tx <- c.tx + 1;
-        c.bytes <- c.bytes + bytes
+        Hashtbl.replace t.seen uid ();
+        t.delivered <- t.delivered + 1;
+        Stats.Welford.add t.latency
+          (Sim.Time.to_ms (Sim.Time.unsafe_of_ns ev.e));
+        Stats.Hdr.add t.latency_h ev.e;
+        Stats.Welford.add t.hop_count (float_of_int ev.d)
       end
+  | Data_drop -> t.drops <- add t.drops ev.a 1
+  | Proto -> t.events <- add t.events ev.a 1
+  | Span ->
+      if ev.a = Obs.Span.Stage.originate then t.originated <- t.originated + 1
+  | Rx | Collision | Ifq_drop | Link_failure | Table_write | Violation -> ()
 
-let protocol_event t name = bump t.events name
+let attach bus =
+  let t =
+    {
+      bus;
+      originated = 0;
+      delivered = 0;
+      duplicates = 0;
+      latency = Stats.Welford.create ();
+      latency_h = Stats.Hdr.create ();
+      hop_count = Stats.Welford.create ();
+      seen = Hashtbl.create 4096;
+      tx = [||];
+      events = [||];
+      drops = [||];
+      loop_violations = 0;
+      mean_dest_seqno = 0.;
+    }
+  in
+  Obs.Bus.subscribe bus [ Tx; Deliver; Data_drop; Proto; Span ] (count t);
+  t
+
 let loop_violation t = t.loop_violations <- t.loop_violations + 1
 let set_mean_dest_seqno t x = t.mean_dest_seqno <- x
 
@@ -123,38 +96,46 @@ let p99_latency_ms t = latency_quantile_ms t 0.99
 let latency_histogram t = t.latency_h
 let mean_hops t = Stats.Welford.mean t.hop_count
 
-let control_by_kind t =
-  Hashtbl.fold (fun k c acc -> (k, c.tx) :: acc) t.control []
+(* Counts keyed by interned id, resolved to names: each id's
+   [(name, v)] when [v] counts anything, sorted by name. *)
+let named t values counted =
+  List.mapi (fun id v -> (Obs.Bus.name t.bus id, v)) values
+  |> List.filter (fun (_, v) -> counted v)
   |> List.sort compare
 
-let control_transmissions t =
-  Hashtbl.fold (fun _ c acc -> acc + c.tx) t.control 0
+let by_name t a = named t (Array.to_list a) (fun n -> n > 0)
 
-let data_transmissions t = t.data_tx
-let ack_transmissions t = t.ack_tx
+let tx_classes t =
+  named t
+    (List.init (Array.length t.tx / 2) (fun i ->
+         (t.tx.(2 * i), t.tx.((2 * i) + 1))))
+    (fun (n, _) -> n > 0)
 
-let control_bytes_by_kind t =
-  Hashtbl.fold (fun k c acc -> (k, c.bytes) :: acc) t.control []
-  |> List.sort compare
+let class_tx t cls =
+  match List.assoc_opt cls (tx_classes t) with Some c -> c | None -> (0, 0)
 
-let control_bytes t =
-  Hashtbl.fold (fun _ c acc -> acc + c.bytes) t.control 0
+let control t =
+  List.filter (fun (cls, _) -> cls <> "DATA" && cls <> "ACK") (tx_classes t)
 
-let data_bytes t = t.data_bytes
-let ack_bytes t = t.ack_bytes
+let control_by_kind t = List.map (fun (k, (n, _)) -> (k, n)) (control t)
+let control_bytes_by_kind t = List.map (fun (k, (_, b)) -> (k, b)) (control t)
+let sum l = List.fold_left (fun acc (_, n) -> acc + n) 0 l
+let control_transmissions t = sum (control_by_kind t)
+let control_bytes t = sum (control_bytes_by_kind t)
+let data_transmissions t = fst (class_tx t "DATA")
+let data_bytes t = snd (class_tx t "DATA")
+let ack_transmissions t = fst (class_tx t "ACK")
+let ack_bytes t = snd (class_tx t "ACK")
 
 let per_delivered t count =
   if t.delivered = 0 then 0. else float_of_int count /. float_of_int t.delivered
 
 let network_load t = per_delivered t (control_transmissions t)
 let byte_load t = per_delivered t (control_bytes t)
-
-let rreq_load t =
-  per_delivered t
-    (match Hashtbl.find_opt t.control "RREQ" with Some c -> c.tx | None -> 0)
+let rreq_load t = per_delivered t (fst (class_tx t "RREQ"))
 
 let event_count t name =
-  match Hashtbl.find_opt t.events name with Some r -> !r | None -> 0
+  match List.assoc_opt name (by_name t t.events) with Some n -> n | None -> 0
 
 let per_rreq t count =
   let rreqs = event_count t "rreq_init" in
@@ -162,10 +143,7 @@ let per_rreq t count =
 
 let rrep_init_per_rreq t = per_rreq t (event_count t "rrep_init")
 let rrep_recv_per_rreq t = per_rreq t (event_count t "rrep_usable_recv")
-
-let drops_by_reason t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.drops [] |> List.sort compare
-
+let drops_by_reason t = by_name t t.drops
 let loop_violations t = t.loop_violations
 let mean_dest_seqno t = t.mean_dest_seqno
 

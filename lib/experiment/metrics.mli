@@ -1,21 +1,26 @@
 (** Run-level accounting for the paper's six metrics (Section 4) plus the
     Fig-7 mean destination sequence number.
 
+    The counts are a sink on a bus ({!attach}): a run's hooks only emit
+    events, and these counters fold them, so a trace replayed onto a
+    fresh bus counts with the same code as the run that wrote it.
+    Transmissions are one per-class [(count, bytes)] table keyed by the
+    bus's interned class ids, [DATA] and [ACK] among them, every other
+    class control; names are resolved only when a count is read.
+
     Terminology follows the paper: a "transmitted" count is hop-wise (a
     packet crossing three hops counts three), an "initiated" count is
     per-origination. *)
 
 type t
 
-val create : unit -> t
+val attach : Obs.Bus.t -> t
+(** Counters fed by the bus's [Tx], [Deliver], [Data_drop], [Proto] and
+    [Span] events ([originate] spans count originations).  A replayed
+    event with no label (id < 0) is left out of the per-label tables. *)
 
-(* Recording (called by the runner's hooks). *)
+(* Recorded by the runner: no event carries these. *)
 
-val data_originated : t -> Packets.Data_msg.t -> unit
-val data_delivered : t -> now:Sim.Time.t -> Packets.Data_msg.t -> unit
-val data_dropped : t -> Packets.Data_msg.t -> reason:string -> unit
-val transmitted : t -> Net.Frame.t -> unit
-val protocol_event : t -> string -> unit
 val loop_violation : t -> unit
 val set_mean_dest_seqno : t -> float -> unit
 
@@ -50,6 +55,10 @@ val mean_hops : t -> float
 
 val control_transmissions : t -> int
 (** All control packets, hop-wise (RREQ+RREP+RERR+HELLO+TC). *)
+
+val tx_classes : t -> (string * (int * int)) list
+(** Per traffic class, [(transmissions, total on-air bytes)], sorted by
+    class name: the table [manet_sim trace --classes] prints. *)
 
 val control_by_kind : t -> (string * int) list
 val data_transmissions : t -> int

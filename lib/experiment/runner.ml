@@ -163,8 +163,10 @@ let build ?on_engine ?scheduler ?factory (sc : Scenario.t) =
      anything is scheduled so setup-time events are captured too. *)
   (match on_engine with Some f -> f engine | None -> ());
   let bus = Obs.Bus.create () in
+  (* The run's counts are the bus's first sink: the hooks below only
+     emit, and [Metrics] folds what they emit. *)
+  let metrics = Metrics.attach bus in
   let root = Rng.create sc.seed in
-  let metrics = Metrics.create () in
   let n = sc.num_nodes in
   let starts = Scenario.positions sc (Rng.stream root Stream.placement) in
   let mobs = make_mobs sc (Rng.stream root Stream.mobility) ~starts in
@@ -174,8 +176,6 @@ let build ?on_engine ?scheduler ?factory (sc : Scenario.t) =
     Net.Channel.create ~engine ~store ~terrain:sc.terrain ?link ~obs:bus
       ~params:sc.net ()
   in
-  Net.Channel.add_transmit_hook channel (fun _src frame ->
-      Metrics.transmitted metrics frame);
   let agents = Array.make n Routing.Agent.null in
   let audit_walk = Routing.Agent.walk n in
   let factory =
@@ -206,7 +206,7 @@ let build ?on_engine ?scheduler ?factory (sc : Scenario.t) =
           | Ldr _ | Aodv _ | Olsr | Ldr_agg _ | Aodv_agg _ -> None);
         link_failure =
           (fun payload ~next_hop ->
-            if Obs.Bus.on bus then
+            if Obs.Bus.on bus Link_failure then
               Obs.Bus.link_failure bus ~time:(Engine.now engine) ~node:i
                 ~next_hop:(Node_id.to_int next_hop);
             agents.(i).Routing.Agent.link_failure payload ~next_hop);
@@ -232,31 +232,23 @@ let build ?on_engine ?scheduler ?factory (sc : Scenario.t) =
         deliver =
           (fun msg ->
             let now = Engine.now engine in
-            if Obs.Bus.on bus then
-              Obs.Bus.deliver bus ~time:now ~node:i
-                ~flow:msg.Data_msg.flow_id ~seq:msg.Data_msg.seq
-                ~src:(Node_id.to_int msg.Data_msg.src)
-                ~hops:msg.Data_msg.hops
-                ~latency_ns:
-                  ((Time.diff now msg.Data_msg.origin_time :> int));
-            Metrics.data_delivered metrics ~now msg);
+            Obs.Bus.deliver bus ~time:now ~node:i ~flow:msg.Data_msg.flow_id
+              ~seq:msg.Data_msg.seq
+              ~src:(Node_id.to_int msg.Data_msg.src)
+              ~hops:msg.Data_msg.hops
+              ~latency_ns:((Time.diff now msg.Data_msg.origin_time :> int)));
         drop_data =
           (fun msg ~reason ->
-            if Obs.Bus.on bus then
-              Obs.Bus.data_drop bus ~time:(Engine.now engine) ~node:i
-                ~reason:(Obs.Bus.intern bus reason)
-                ~flow:msg.Data_msg.flow_id ~seq:msg.Data_msg.seq
-                ~src:(Node_id.to_int msg.Data_msg.src)
-                ~dst:(Node_id.to_int msg.Data_msg.dst);
-            Metrics.data_dropped metrics msg ~reason);
+            Obs.Bus.data_drop bus ~time:(Engine.now engine) ~node:i
+              ~reason:(Obs.Bus.intern bus reason)
+              ~flow:msg.Data_msg.flow_id ~seq:msg.Data_msg.seq
+              ~src:(Node_id.to_int msg.Data_msg.src)
+              ~dst:(Node_id.to_int msg.Data_msg.dst));
         event =
           (fun ?dst name ->
-            if Obs.Bus.on bus then
-              Obs.Bus.proto bus ~time:(Engine.now engine) ~node:i
-                ~name:(Obs.Bus.intern bus name)
-                ~dst:
-                  (match dst with Some d -> Node_id.to_int d | None -> -1);
-            Metrics.protocol_event metrics name);
+            Obs.Bus.proto bus ~time:(Engine.now engine) ~node:i
+              ~name:(Obs.Bus.intern bus name)
+              ~dst:(match dst with Some d -> Node_id.to_int d | None -> -1));
         table_changed =
           (if sc.audit_loops then fun () ->
              audit_from audit_walk agents metrics i n
@@ -275,13 +267,11 @@ let build ?on_engine ?scheduler ?factory (sc : Scenario.t) =
   let originate ~src (msg : Data_msg.t) =
     let i = Node_id.to_int src in
     if not (Net.Mac.is_down mac_arr.(i)) then begin
-      if Obs.Bus.on bus then
-        Obs.Bus.span bus ~time:(Engine.now engine) ~node:i
-          ~stage:Obs.Span.Stage.originate ~flow:msg.Data_msg.flow_id
-          ~seq:msg.Data_msg.seq
-          ~d:(Node_id.to_int msg.Data_msg.dst)
-          ~e:msg.Data_msg.payload_bytes ~f:(-1);
-      Metrics.data_originated metrics msg;
+      Obs.Bus.span bus ~time:(Engine.now engine) ~node:i
+        ~stage:Obs.Span.Stage.originate ~flow:msg.Data_msg.flow_id
+        ~seq:msg.Data_msg.seq
+        ~d:(Node_id.to_int msg.Data_msg.dst)
+        ~e:msg.Data_msg.payload_bytes ~f:(-1);
       agents.(i).Routing.Agent.origin_data msg
     end
   in

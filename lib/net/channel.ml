@@ -346,7 +346,7 @@ let end_of_tx job =
              && match frame.body with Frame.Payload _ -> true | Ack -> false)
         then r.receive frame
       end
-      else if Obs.Bus.on t.obs then
+      else if Obs.Bus.on t.obs Collision then
         (* A locked frame the radio would have decoded, lost to an
            overlapping transmission (or its own). *)
         Obs.Bus.collision t.obs
@@ -681,7 +681,7 @@ let rec run_hooks hooks id frame =
    radios in one pass, and arm the end-of-transmission event. *)
 let transmit t src frame ~duration =
   run_hooks t.hooks src.id frame;
-  if Obs.Bus.on t.obs then
+  if Obs.Bus.on t.obs Tx then
     Obs.Bus.tx t.obs
       ~time:(Engine.now t.engine)
       ~node:(Node_id.to_int src.id)

@@ -65,17 +65,17 @@ let emit_rx t payload ~from ~dst =
 
 (* One span record per MAC lifecycle stage of a data frame, keyed by
    the packet's out-of-band (flow, seq) id.  Control frames are not
-   spanned.  Call sites guard with [Obs.Bus.on] first, so the disabled
-   path pays nothing beyond its existing branch. *)
+   spanned. *)
 let emit_span t ~stage payload ~d ~e =
-  let flow = Payload.data_flow payload in
-  if flow >= 0 then
-    Obs.Bus.span t.obs
-      ~time:(Engine.now t.engine)
-      ~node:(Node_id.to_int t.my_id)
-      ~stage ~flow
-      ~seq:(Payload.data_seq payload)
-      ~d ~e ~f:(-1)
+  if Obs.Bus.on t.obs Span then
+    let flow = Payload.data_flow payload in
+    if flow >= 0 then
+      Obs.Bus.span t.obs
+        ~time:(Engine.now t.engine)
+        ~node:(Node_id.to_int t.my_id)
+        ~stage ~flow
+        ~seq:(Payload.data_seq payload)
+        ~d ~e ~f:(-1)
 
 let id t = t.my_id
 let queue_length t = Ifq.length t.queue
@@ -107,8 +107,7 @@ let rec dequeue_next t =
     t.current <- f;
     t.attempts <- 1;
     t.cw <- cw_min;
-    if Obs.Bus.on t.obs then
-      emit_span t ~stage:Obs.Span.Stage.mac_deq (payload_of f) ~d:(-1) ~e:(-1);
+    emit_span t ~stage:Obs.Span.Stage.mac_deq (payload_of f) ~d:(-1) ~e:(-1);
     begin_access t
   end
 
@@ -140,9 +139,8 @@ and do_transmit t =
   let frame = t.current in
   assert (frame != no_frame);
   set_phase t Sending;
-  if Obs.Bus.on t.obs then
-    emit_span t ~stage:Obs.Span.Stage.mac_try (payload_of frame) ~d:(-1)
-      ~e:t.attempts;
+  emit_span t ~stage:Obs.Span.Stage.mac_try (payload_of frame) ~d:(-1)
+    ~e:t.attempts;
   let duration = Params.frame_airtime ~bytes:(Frame.encoded_length frame) in
   Channel.transmit t.channel t.radio frame ~duration;
   ignore (Engine.after_fn t.engine duration tx_done t)
@@ -174,7 +172,7 @@ and ack_timeout_expired t =
 
 and finish t =
   (* Read the frame before clearing it — the span needs its id. *)
-  if t.current != no_frame && Obs.Bus.on t.obs then
+  if t.current != no_frame then
     emit_span t ~stage:Obs.Span.Stage.mac_end (payload_of t.current) ~d:(-1)
       ~e:t.attempts;
   t.current <- no_frame;
@@ -184,9 +182,8 @@ and finish t =
 and retry t f next_hop =
   if t.attempts >= retry_limit then begin
     t.failures <- t.failures + 1;
-    if Obs.Bus.on t.obs then
-      emit_span t ~stage:Obs.Span.Stage.mac_fail (payload_of f)
-        ~d:(Node_id.to_int next_hop) ~e:t.attempts;
+    emit_span t ~stage:Obs.Span.Stage.mac_fail (payload_of f)
+      ~d:(Node_id.to_int next_hop) ~e:t.attempts;
     t.current <- no_frame;
     set_phase t Idle;
     t.cb.link_failure (payload_of f) ~next_hop;
@@ -233,10 +230,10 @@ let on_frame t (f : Frame.t) =
   | Frame.Payload payload -> (
       match f.dst with
       | Frame.Broadcast ->
-          if Obs.Bus.on t.obs then emit_rx t payload ~from:f.src ~dst:f.dst;
+          if Obs.Bus.on t.obs Rx then emit_rx t payload ~from:f.src ~dst:f.dst;
           t.cb.receive payload ~from:f.src
       | Frame.Unicast d when Node_id.equal d t.my_id ->
-          if Obs.Bus.on t.obs then emit_rx t payload ~from:f.src ~dst:f.dst;
+          if Obs.Bus.on t.obs Rx then emit_rx t payload ~from:f.src ~dst:f.dst;
           send_ack t ~to_:f.src;
           t.cb.receive payload ~from:f.src
       | Frame.Unicast _ -> (
@@ -302,19 +299,19 @@ let send t ~dst payload =
   else begin
     let frame = { Frame.src = t.my_id; dst; body = Frame.Payload payload } in
     let accepted = Ifq.push t.queue frame in
-    if Obs.Bus.on t.obs then
-      if accepted then
-        emit_span t ~stage:Obs.Span.Stage.mac_enq payload ~d:(Frame.dst_int dst)
-          ~e:(-1)
-      else begin
+    if accepted then
+      emit_span t ~stage:Obs.Span.Stage.mac_enq payload ~d:(Frame.dst_int dst)
+        ~e:(-1)
+    else begin
+      if Obs.Bus.on t.obs Ifq_drop then
         Obs.Bus.ifq_drop t.obs
           ~time:(Engine.now t.engine)
           ~node:(Node_id.to_int t.my_id)
           ~cls:(Obs.Bus.intern t.obs (Payload.class_name payload))
           ~dst:(Frame.dst_int dst);
-        emit_span t ~stage:Obs.Span.Stage.mac_drop payload
-          ~d:(Frame.dst_int dst) ~e:(-1)
-      end;
+      emit_span t ~stage:Obs.Span.Stage.mac_drop payload
+        ~d:(Frame.dst_int dst) ~e:(-1)
+    end;
     if accepted && t.phase = Idle && t.current == no_frame then dequeue_next t
   end
 

@@ -1,7 +1,7 @@
 type sink = Event.t -> unit
 
 type t = {
-  mutable sinks : sink array;
+  sinks : sink array array;  (* by [Event.index] *)
   intern_tbl : (string, int) Hashtbl.t;
   mutable names : string array;
   mutable n_names : int;
@@ -10,43 +10,61 @@ type t = {
 
 let create () =
   {
-    sinks = [||];
+    sinks = Array.make (Event.index Span + 1) [||];
     intern_tbl = Hashtbl.create 16;
     names = Array.make 16 "";
     n_names = 0;
     scratch = Event.make ();
   }
 
-(* The disabled-path cost at every emit site: one header load and a
-   branch. *)
-let on t = Array.length t.sinks > 0
+(* The cost of an emit site whose kind is off: the kind's sink array,
+   its length and a branch. *)
+let on t kind = Array.length (Array.unsafe_get t.sinks (Event.index kind)) > 0
 
-let add_sink t s = t.sinks <- Array.append t.sinks [| s |]
+let subscribe t kinds s =
+  List.iter
+    (fun k ->
+      let i = Event.index k in
+      t.sinks.(i) <- Array.append t.sinks.(i) [| s |])
+    kinds
 
+let add_sink t s =
+  Array.iteri (fun i sinks -> t.sinks.(i) <- Array.append sinks [| s |]) t.sinks
+
+(* Every run's metrics take [Tx], so every transmission interns its
+   class.  Labels are string literals, so a scan of the few known names
+   by physical equality finds them without hashing (hashing every
+   transmission's class cost fig5 about 2 % of its time per event);
+   [Hashtbl.find] rather than [find_opt] after it: a hit allocates
+   nothing. *)
 let intern t s =
-  match Hashtbl.find_opt t.intern_tbl s with
-  | Some i -> i
-  | None ->
-      let i = t.n_names in
-      if i = Array.length t.names then begin
-        let names' = Array.make (2 * i) "" in
-        Array.blit t.names 0 names' 0 i;
-        t.names <- names'
-      end;
-      t.names.(i) <- s;
-      t.n_names <- i + 1;
-      Hashtbl.replace t.intern_tbl s i;
-      i
+  let i = ref 0 in
+  while !i < t.n_names && t.names.(!i) != s do incr i done;
+  if !i < t.n_names then !i
+  else
+    match Hashtbl.find t.intern_tbl s with
+    | i -> i
+    | exception Not_found ->
+        let i = t.n_names in
+        if i = Array.length t.names then begin
+          let names' = Array.make (2 * i) "" in
+          Array.blit t.names 0 names' 0 i;
+          t.names <- names'
+        end;
+        t.names.(i) <- s;
+        t.n_names <- i + 1;
+        Hashtbl.replace t.intern_tbl s i;
+        i
 
 let name t i = if i >= 0 && i < t.n_names then t.names.(i) else "?"
 
-(* Deliver [ev] to every sink.  Sinks that retain the event must copy
-   it ({!Event.copy_into}); the record they are handed is reused.  A
-   sink may dispatch a further event of its own mid-delivery (the
-   invariant monitor does, for violations) provided it uses its own
-   event record, not this bus's scratch. *)
+(* Deliver [ev] to every sink of its kind.  Sinks that retain the event
+   must copy it ({!Event.copy_into}); the record they are handed is
+   reused.  A sink may dispatch a further event of its own
+   mid-delivery (the invariant monitor does, for violations) provided
+   it uses its own event record, not this bus's scratch. *)
 let dispatch t ev =
-  let sinks = t.sinks in
+  let sinks = Array.unsafe_get t.sinks (Event.index ev.Event.kind) in
   for i = 0 to Array.length sinks - 1 do
     sinks.(i) ev
   done

@@ -1,10 +1,14 @@
 (** The event bus: typed emit points fanned out to pluggable sinks.
 
-    A bus with no sinks is disabled; every emit site guards with
-    {!on} — a single array-header load — so a run without observers
-    pays one predictable branch per event and nothing else.  With
+    Each sink subscribes to a set of event kinds.  A kind with no sink
+    is off; every emit site guards with {!on} for its kind, so a run
+    pays for an event kind only when something listens to it.  A run's
+    own metrics ([Experiment.Metrics]) are such a sink: they take
+    [Tx], [Deliver], [Data_drop], [Proto] and [Span], so a run without
+    a trace emits no [Rx], [Collision] or [Table_write] events.  With
     sinks attached, emission fills the bus's single scratch record
-    (zero allocation) and hands it to each sink in attach order.
+    (zero allocation) and hands it to each sink of its kind in attach
+    order.
 
     Sinks receive a {b reused} record: copy it ({!Event.copy_into}) if
     you retain it past the callback.  String-valued payloads are
@@ -16,29 +20,37 @@ type sink = Event.t -> unit
 type t
 
 val create : unit -> t
-(** A bus with no sinks — disabled until {!add_sink}. *)
+(** A bus with no sinks: every kind is off until a sink takes it. *)
 
-val on : t -> bool
-(** True when at least one sink is attached.  Emit sites must guard
+val on : t -> Event.kind -> bool
+(** True when at least one sink takes this kind.  Emit sites must guard
     with this before doing any argument preparation. *)
 
+val subscribe : t -> Event.kind list -> sink -> unit
+(** Attach a sink for the listed kinds only.  Sinks of one kind are
+    called in attach order. *)
+
 val add_sink : t -> sink -> unit
-(** Sinks are called in attach order.  Order matters when one sink
-    reacts to another's events (attach file writers before the
-    invariant monitor so its violation events land after the
-    offending write in the trace). *)
+(** Attach a sink for every kind.  Order matters when one sink reacts
+    to another's events (attach file writers before the invariant
+    monitor so its violation events land after the offending write in
+    the trace). *)
 
 val intern : t -> string -> int
+(** The id of a label, allocating nothing when it is already known. *)
+
 val name : t -> int -> string
 (** Resolve an interned id; "?" for unknown ids. *)
 
 val dispatch : t -> Event.t -> unit
-(** Deliver a caller-owned event record to every sink.  Used by sinks
-    that generate events of their own (e.g. the monitor's violations) —
-    they must not reuse the bus's scratch record mid-dispatch. *)
+(** Deliver a caller-owned event record to every sink of its kind.
+    Used by sinks that generate events of their own (e.g. the monitor's
+    violations) — they must not reuse the bus's scratch record
+    mid-dispatch. *)
 
 (** Typed emit helpers.  All take plain labeled ints (no options — an
-    optional int argument would box).  Call only under [on t]. *)
+    optional int argument would box).  Call only under {!on} for the
+    kind, or on a bus whose sinks are known to take it. *)
 
 val tx : t -> time:Sim.Time.t -> node:int -> cls:int -> dst:int -> bytes:int -> unit
 val rx : t -> time:Sim.Time.t -> node:int -> cls:int -> from:int -> dst:int -> unit

@@ -11,6 +11,11 @@ type kind =
   | Violation
   | Span
 
+let index = function
+  | Tx -> 0 | Rx -> 1 | Collision -> 2 | Ifq_drop -> 3 | Deliver -> 4
+  | Data_drop -> 5 | Link_failure -> 6 | Proto -> 7 | Table_write -> 8
+  | Violation -> 9 | Span -> 10
+
 type t = {
   mutable time : Sim.Time.t;
   mutable node : int;

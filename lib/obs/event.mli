@@ -42,6 +42,10 @@ type kind =
   | Violation
   | Span
 
+val index : kind -> int
+(** The kind's place in the declaration, [Tx] 0 to [Span] 10: its slot
+    in a per-kind table. *)
+
 type t = {
   mutable time : Sim.Time.t;
   mutable node : int;

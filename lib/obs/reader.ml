@@ -81,20 +81,6 @@ let bump tbl key =
   | Some r -> incr r
   | None -> Hashtbl.replace tbl key (ref 1)
 
-let tx_classes bus =
-  let tbl = Hashtbl.create 8 in
-  Bus.add_sink bus (fun (ev : Event.t) ->
-      if ev.kind = Event.Tx then begin
-        let cls = Bus.name bus ev.a in
-        let count, bytes =
-          match Hashtbl.find_opt tbl cls with Some c -> c | None -> (0, 0)
-        in
-        Hashtbl.replace tbl cls (count + 1, bytes + ev.c)
-      end);
-  fun () ->
-    Hashtbl.fold (fun cls c acc -> (cls, c) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let timeline ~node bus =
   let lines = ref [] in
   Bus.add_sink bus (fun (ev : Event.t) ->
@@ -189,29 +175,15 @@ let summary bus =
   let counts = Hashtbl.create 16 in
   let nodes = Hashtbl.create 64 in
   let events = ref 0 and span = ref 0 in
-  let classes = tx_classes bus in
   Bus.add_sink bus (fun (ev : Event.t) ->
       incr events;
       span := Stdlib.max !span (ev.time :> int);
       Hashtbl.replace nodes ev.node ();
       bump counts (Event.kind_name ev.kind));
   fun () ->
-    let head =
-      Printf.sprintf "%d events, %d nodes, %.3f s span" !events
-        (Hashtbl.length nodes)
-        (float_of_int !span /. 1e9)
-      :: (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) counts []
-         |> List.sort compare
-         |> List.map (fun (k, c) -> Printf.sprintf "  %-6s %d" k c))
-    in
-    (* Per-class byte totals from the Tx events, so the airtime view is
-       available from a JSONL trace alone. *)
-    match classes () with
-    | [] -> head
-    | classes ->
-        head
-        @ "tx bytes by class:"
-          :: List.map
-               (fun (cls, (count, bytes)) ->
-                 Printf.sprintf "  %-6s %d tx, %d B" cls count bytes)
-               classes
+    Printf.sprintf "%d events, %d nodes, %.3f s span" !events
+      (Hashtbl.length nodes)
+      (float_of_int !span /. 1e9)
+    :: (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) counts []
+       |> List.sort compare
+       |> List.map (fun (k, c) -> Printf.sprintf "  %-6s %d" k c))

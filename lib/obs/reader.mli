@@ -23,11 +23,6 @@ val replay : string -> Bus.t -> (unit, string) result
 
 type 'a query = Bus.t -> unit -> 'a
 
-val tx_classes : (string * (int * int)) list query
-(** Per traffic class: [(transmissions, total on-air bytes)] from the
-    trace's TX events, sorted by class name — the same table from the
-    run's JSONL trace and from its pcap capture. *)
-
 val timeline : node:int -> string list query
 (** Every event at one node, in trace order. *)
 
@@ -44,5 +39,6 @@ val violations : (string * string list) list query
     violation before it enters. *)
 
 val summary : string list query
-(** Event totals by kind, plus per-class transmission byte totals when
-    the trace contains TX events. *)
+(** Event totals by kind.  Per-class transmission totals are the run's
+    own metrics sink's ([Experiment.Metrics.tx_classes]) on the same
+    bus. *)

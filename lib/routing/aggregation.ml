@@ -51,13 +51,27 @@ let prune_waiters at ws = List.filter (fun w -> Time.(w.w_expires > at)) ws
 
 let ldr_single q = Payload.Ldr (Ldr_msg.Rreq q)
 let ldr_wrap qs = Payload.Ldr (Ldr_msg.Rreq_agg qs)
-let ldr_info (q : Ldr_msg.rreq) = (q.dst, q.rreq_id)
+let ldr_dst (q : Ldr_msg.rreq) = q.dst
+let ldr_id (q : Ldr_msg.rreq) = q.rreq_id
 let aodv_single q = Payload.Aodv (Aodv_msg.Rreq q)
 let aodv_wrap qs = Payload.Aodv (Aodv_msg.Rreq_agg qs)
-let aodv_info (q : Aodv_msg.rreq) = (q.dst, q.rreq_id)
+let aodv_dst (q : Aodv_msg.rreq) = q.dst
+let aodv_id (q : Aodv_msg.rreq) = q.rreq_id
+
+(* One discovery span per member of a sent batch, tagged with the batch
+   size, so the analyzer can attribute aggregation membership per sought
+   destination.  Every run's metrics take spans, so this loop allocates
+   nothing: no closure, no (dst, id) pair. *)
+let rec agg_spans t ~dst ~id ~batch = function
+  | [] -> ()
+  | q :: rest ->
+      Obs.Bus.span t.ctx.obs ~time:(now t) ~node:(Node_id.to_int t.ctx.id)
+        ~stage:Obs.Span.Stage.agg ~flow:(-1) ~seq:(-1)
+        ~d:(Node_id.to_int (dst q)) ~e:batch ~f:(id q);
+      agg_spans t ~dst ~id ~batch rest
 
 (* One family's batch, newest first, leaves in one transmission. *)
-let send_group t ~single ~wrap ~info = function
+let send_group t ~single ~wrap ~dst ~id = function
   | [] -> ()
   | [ q ] -> t.ctx.send ~dst:Net.Frame.Broadcast (single q)
   | rev_qs ->
@@ -67,18 +81,7 @@ let send_group t ~single ~wrap ~info = function
       for _ = 2 to batch do
         t.ctx.event "rreq_aggregated"
       done;
-      (* One discovery span per member, tagged with the batch size, so
-         the analyzer can attribute aggregation membership per sought
-         destination. *)
-      if Obs.Bus.on t.ctx.obs then
-        List.iter
-          (fun q ->
-            let dst, rreq_id = info q in
-            Obs.Bus.span t.ctx.obs ~time:(now t)
-              ~node:(Node_id.to_int t.ctx.id)
-              ~stage:Obs.Span.Stage.agg ~flow:(-1) ~seq:(-1)
-              ~d:(Node_id.to_int dst) ~e:batch ~f:rreq_id)
-          qs;
+      if Obs.Bus.on t.ctx.obs Span then agg_spans t ~dst ~id ~batch qs;
       t.ctx.send ~dst:Net.Frame.Broadcast (wrap qs)
 
 let flush t =
@@ -86,8 +89,9 @@ let flush t =
   t.batch_ldr <- [];
   t.batch_aodv <- [];
   t.batched <- 0;
-  send_group t ~single:ldr_single ~wrap:ldr_wrap ~info:ldr_info ldr;
-  send_group t ~single:aodv_single ~wrap:aodv_wrap ~info:aodv_info aodv
+  send_group t ~single:ldr_single ~wrap:ldr_wrap ~dst:ldr_dst ~id:ldr_id ldr;
+  send_group t ~single:aodv_single ~wrap:aodv_wrap ~dst:aodv_dst ~id:aodv_id
+    aodv
 
 let flush_timer t =
   t.flush_armed <- false;

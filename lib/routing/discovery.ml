@@ -89,7 +89,7 @@ let fresh_rreq_id d ~dst ~ttl =
   d.next_rreq_id <- d.next_rreq_id + 1;
   let ctx = d.ctx in
   ctx.event ~dst "rreq_init";
-  if Obs.Bus.on ctx.obs then
+  if Obs.Bus.on ctx.obs Span then
     Obs.Bus.span ctx.obs ~time:(Engine.now ctx.engine)
       ~node:(Node_id.to_int ctx.id) ~stage:Obs.Span.Stage.ring ~flow:(-1)
       ~seq:(-1) ~d:(Node_id.to_int dst) ~e:ttl ~f:d.next_rreq_id;

@@ -32,11 +32,12 @@ let create ?obs ?(owner = -1) ~engine ~capacity ~max_age ~on_drop () =
    expire or are evicted get no exit span — their Data_drop event ends
    the path, and the analyzer treats the residency as unterminated. *)
 let emit_span t ~stage (msg : Data_msg.t) =
-  Obs.Bus.span t.obs
-    ~time:(Engine.now t.engine)
-    ~node:t.owner ~stage ~flow:msg.Data_msg.flow_id ~seq:msg.Data_msg.seq
-    ~d:(Node_id.to_int msg.Data_msg.dst)
-    ~e:(-1) ~f:(-1)
+  if Obs.Bus.on t.obs Span then
+    Obs.Bus.span t.obs
+      ~time:(Engine.now t.engine)
+      ~node:t.owner ~stage ~flow:msg.Data_msg.flow_id ~seq:msg.Data_msg.seq
+      ~d:(Node_id.to_int msg.Data_msg.dst)
+      ~e:(-1) ~f:(-1)
 
 let fresh t item =
   Time.(Time.add item.buffered_at t.max_age > Engine.now t.engine)
@@ -98,7 +99,7 @@ let push t msg =
   let q = queue_for t dst in
   Queue.push { msg; buffered_at = Engine.now t.engine } q;
   t.count <- t.count + 1;
-  if Obs.Bus.on t.obs then emit_span t ~stage:Obs.Span.Stage.buf_enter msg
+  emit_span t ~stage:Obs.Span.Stage.buf_enter msg
 
 let take t dst =
   match Node_id.Table.find_opt t.by_dst dst with
@@ -111,8 +112,7 @@ let take t dst =
       Node_id.Table.remove t.by_dst dst;
       List.map
         (fun i ->
-          if Obs.Bus.on t.obs then
-            emit_span t ~stage:Obs.Span.Stage.buf_exit i.msg;
+          emit_span t ~stage:Obs.Span.Stage.buf_exit i.msg;
           i.msg)
         items
 

@@ -89,7 +89,6 @@ let ttl_guard ?(converge = Time.zero) factory () =
       ~payload_bytes:512 ~origin_time:Time.zero
   in
   let msg = { fresh with Packets.Data_msg.ttl = 2 } in
-  M.data_originated (TN.metrics net) msg;
   (TN.agent net 0).Routing.Agent.origin_data msg;
   TN.run net ~for_:(Time.sec 10.);
   Alcotest.(check int) "too far for ttl 2" 0 (TN.delivered net);

@@ -274,18 +274,21 @@ let run_header_one_line () =
         first)
     [ ("ldr", "LDR"); ("ldr-plain", "LDR-PLAIN"); ("dsr-draft7", "DSR-DRAFT7") ]
 
+(* Metrics is a bus sink: an originate span and two Deliver events of
+   one packet count one origination, one delivery and one duplicate,
+   with latency and hops from the first copy. *)
 let metrics_dedup () =
-  let m = Metrics.create () in
-  let msg =
-    Packets.Data_msg.fresh ~flow_id:1 ~seq:1 ~src:(Packets.Node_id.of_int 0)
-      ~dst:(Packets.Node_id.of_int 1) ~payload_bytes:10 ~origin_time:Time.zero
+  let bus = Obs.Bus.create () in
+  let m = Metrics.attach bus in
+  Obs.Bus.span bus ~time:Time.zero ~node:0 ~stage:Obs.Span.Stage.originate
+    ~flow:1 ~seq:1 ~d:1 ~e:10 ~f:(-1);
+  let deliver at =
+    Obs.Bus.deliver bus ~time:at ~node:1 ~flow:1 ~seq:1 ~src:0 ~hops:3
+      ~latency_ns:(at :> int)
   in
-  Metrics.data_originated m msg;
-  let travelled =
-    Packets.Data_msg.hop (Packets.Data_msg.hop (Packets.Data_msg.hop msg))
-  in
-  Metrics.data_delivered m ~now:(Time.ms 5.) travelled;
-  Metrics.data_delivered m ~now:(Time.ms 9.) travelled;
+  deliver (Time.ms 5.);
+  deliver (Time.ms 9.);
+  checki "originated once" 1 (Metrics.originated m);
   checki "delivered once" 1 (Metrics.delivered m);
   checki "dup counted" 1 (Metrics.duplicates m);
   checkb "latency from first copy" true

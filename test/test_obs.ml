@@ -107,6 +107,123 @@ let null_sink_differential () =
   same ~own_events:samples "telemetry" telemetry;
   Sys.remove file
 
+(* Sinks take kinds.  A [Tx]-only sink on a run sees nothing else, and
+   with only it and the run's metrics attached [Rx] stays off, so no
+   emit site builds one.  A sink added with no kind list sees every
+   kind the run emits, the ones no metrics sink takes included. *)
+let per_kind_gating () =
+  let tx = ref 0 and other = ref 0 and rx_on = ref true in
+  ignore
+    (Runner.run
+       ~prepare:(fun sim ->
+         let bus = sim.Runner.bus in
+         Obs.Bus.subscribe bus [ Obs.Event.Tx ] (fun ev ->
+             if ev.Obs.Event.kind = Obs.Event.Tx then incr tx else incr other);
+         rx_on := Obs.Bus.on bus Obs.Event.Rx)
+       (scenario ~duration:5. ()));
+  checkb "Rx off under a Tx-only sink" false !rx_on;
+  checkb "the Tx sink saw transmissions" true (!tx > 0);
+  checki "the Tx sink saw no other kind" 0 !other;
+  let seen = Array.make (Obs.Event.index Span + 1) 0 in
+  ignore
+    (Runner.run
+       ~prepare:(fun sim ->
+         Obs.Bus.add_sink sim.Runner.bus (fun ev ->
+             let k = Obs.Event.index ev.Obs.Event.kind in
+             seen.(k) <- seen.(k) + 1);
+         rx_on := Obs.Bus.on sim.Runner.bus Obs.Event.Rx)
+       (scenario ~duration:5. ()));
+  checkb "Rx on under an all-kinds sink" true !rx_on;
+  List.iter
+    (fun k ->
+      checkb (Obs.Event.kind_name k ^ " seen") true
+        (seen.(Obs.Event.index k) > 0))
+    Obs.Event.[ Tx; Rx; Deliver; Proto; Table_write; Span ]
+
+(* Emitting a [Tx] whose class is already interned allocates nothing:
+   every run's metrics take [Tx], so this is paid per transmission.
+   The label is the interned string itself, or an equal copy (as a
+   replayed trace's labels are). *)
+let interned_tx_allocates_nothing () =
+  let bus = Obs.Bus.create () in
+  let m = Metrics.attach bus in
+  let emit cls n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      Obs.Bus.tx bus ~time:Time.zero ~node:0 ~cls:(Obs.Bus.intern bus cls)
+        ~dst:(-1) ~bytes:58
+    done;
+    Gc.minor_words () -. w0
+  in
+  ignore (emit "RREQ" 1);
+  let copy = String.concat "" [ "RR"; "EQ" ] in
+  List.iter
+    (fun (what, cls) ->
+      Alcotest.(check (float 0.))
+        ("0 words per Tx, " ^ what) 0.
+        (emit cls 1000 -. emit cls 0))
+    [ ("same string", "RREQ"); ("equal copy", copy) ];
+  checki "all counted" 2001 (Metrics.control_transmissions m)
+
+(* Replay equals run: the run's JSONL trace, replayed onto a fresh bus
+   with its own metrics sink, counts what the run counted, and its pcap
+   capture counts the same per-class transmissions.  A mobile strip
+   wider than carrier sense, with churn, so the runs drop packets and
+   deliver MAC duplicates. *)
+let replay_equals_run () =
+  List.iter
+    (fun (name, protocol) ->
+      let trace = Filename.temp_file "obs_replay" ".jsonl" in
+      let pcap = Filename.temp_file "obs_replay" ".pcap" in
+      let run =
+        (Runner.run ~trace_out:trace ~pcap_out:pcap
+           {
+             (scenario ~speed_max:20. ~duration:30. ~flows:8 ~nodes:30 ()) with
+             terrain = Geom.Terrain.create ~width:1500. ~height:300.;
+             protocol;
+             churn = Some Scenario.default_churn;
+           })
+          .Runner.metrics
+      in
+      let replayed replay path =
+        let bus = Obs.Bus.create () in
+        let m = Metrics.attach bus in
+        (match replay path bus with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: %s" name e);
+        m
+      in
+      let jsonl = replayed Obs.Reader.replay trace in
+      let on_air = replayed Net.Pcap.replay pcap in
+      List.iter Sys.remove [ trace; pcap ];
+      let same what ty f =
+        Alcotest.check ty (name ^ ": " ^ what) (f run) (f jsonl)
+      in
+      let int = Alcotest.int and float = Alcotest.float 0. in
+      let kinds = Alcotest.(list (pair string int)) in
+      checkb (name ^ ": delivered some") true (Metrics.delivered run > 0);
+      same "originated" int Metrics.originated;
+      same "delivered" int Metrics.delivered;
+      same "duplicates" int Metrics.duplicates;
+      same "mean latency" float Metrics.mean_latency_ms;
+      same "p50 latency" float Metrics.median_latency_ms;
+      same "p99 latency" float Metrics.p99_latency_ms;
+      same "mean hops" float Metrics.mean_hops;
+      same "control_by_kind" kinds Metrics.control_by_kind;
+      same "control_bytes_by_kind" kinds Metrics.control_bytes_by_kind;
+      same "data tx" int Metrics.data_transmissions;
+      same "data bytes" int Metrics.data_bytes;
+      same "ack tx" int Metrics.ack_transmissions;
+      same "ack bytes" int Metrics.ack_bytes;
+      same "drops_by_reason" kinds Metrics.drops_by_reason;
+      List.iter
+        (fun ev -> same ev int (fun m -> Metrics.event_count m ev))
+        [ "rreq_init"; "rrep_init"; "rrep_usable_recv" ];
+      Alcotest.(check (list (pair string (pair int int))))
+        (name ^ ": pcap classes") (Metrics.tx_classes run)
+        (Metrics.tx_classes on_air))
+    [ ("ldr", Scenario.ldr); ("dsr", Scenario.dsr); ("olsr", Scenario.olsr) ]
+
 (* A healthy LDR run must never trip the monitor (Theorem 1). *)
 let monitor_clean_run () =
   let outcome =
@@ -347,7 +464,9 @@ let malformed_lines () =
              (replay_query path q))
       in
       check_query "summary" Obs.Reader.summary;
-      check_query "classes" Obs.Reader.tx_classes;
+      check_query "classes" (fun bus ->
+          let m = Metrics.attach bus in
+          fun () -> Metrics.tx_classes m);
       check_query "timeline" (Obs.Reader.timeline ~node:3);
       check_query "flaps" (Obs.Reader.flaps ~dst:1);
       check_query "drops" Obs.Reader.drop_report;
@@ -417,6 +536,10 @@ let () =
           QCheck_alcotest.to_alcotest escape_roundtrip_prop;
           Alcotest.test_case "label-less line with a < 0 replays" `Quick
             unlabelled_line_kept;
+          Alcotest.test_case "per-kind gating" `Quick per_kind_gating;
+          Alcotest.test_case "interned tx allocates nothing" `Quick
+            interned_tx_allocates_nothing;
+          Alcotest.test_case "replay equals run" `Slow replay_equals_run;
         ] );
       ( "monitor",
         [

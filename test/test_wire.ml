@@ -342,7 +342,7 @@ let pcap_roundtrip () =
           events :=
             (ev.kind, ev.time, ev.node, Obs.Bus.name bus ev.a, ev.b, ev.c)
             :: !events);
-      let classes = Obs.Reader.tx_classes bus in
+      let metrics = Experiment.Metrics.attach bus in
       (match Net.Pcap.replay path bus with
       | Error msg -> Alcotest.failf "replay: %s" msg
       | Ok () -> ());
@@ -361,7 +361,7 @@ let pcap_roundtrip () =
       Alcotest.(check (list (pair string (pair int int))))
         "class counts"
         [ ("ACK", (1, 14)); ("DATA", (1, 574)); ("RREQ", (1, 58)) ]
-        (classes ()))
+        (Experiment.Metrics.tx_classes metrics))
 
 (* [path]'s bytes, rewritten by [f]. *)
 let rewrite path f =
