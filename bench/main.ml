@@ -614,7 +614,7 @@ let codec_bench ~scale:_ () =
   in
   let encoded =
     Array.map
-      (fun f -> (Net.Frame.family f, f.Net.Frame.src, Net.Frame.encode f))
+      (fun f -> (Net.Frame.family f, Net.Frame.src f, Net.Frame.encode f))
       frames
   in
   (* Enough passes over the population for O(100 ms) timings. *)

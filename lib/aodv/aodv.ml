@@ -32,7 +32,8 @@ let discovery t = Lazy.force t.discovery
 
 let now t = Engine.now t.ctx.engine
 
-let entry t dst = Node_id.Table.find_opt t.table dst
+(* Raises [Not_found]: a lookup allocates no option. *)
+let get t dst = Node_id.Table.find t.table dst
 
 let next_is (r : route) n =
   match r.next_hop with Some h -> Node_id.equal h n | None -> false
@@ -40,7 +41,11 @@ let next_is (r : route) n =
 let is_valid t (r : route) = r.next_hop <> None && Time.(r.expires > now t)
 
 let valid_entry t dst =
-  match entry t dst with Some r when is_valid t r -> Some r | _ -> None
+  match get t dst with
+  | r when is_valid t r -> Some r
+  | _ | (exception Not_found) -> None
+
+let known_sn t dst = match get t dst with r -> r.sn | exception Not_found -> None
 
 let refresh t (r : route) =
   let candidate = Time.add (now t) active_route_timeout in
@@ -64,12 +69,12 @@ let update_route t ~dst ~sn ~hops ~via ~lifetime =
       t.ctx.table_changed ();
       true
     in
-    match entry t dst with
-    | None ->
+    match get t dst with
+    | exception Not_found ->
         let r = { sn = Some sn; hops; next_hop = None; expires = Time.zero } in
         Node_id.Table.replace t.table dst r;
         install r
-    | Some r -> (
+    | r -> (
         match r.sn with
         | Some stored when sn < stored -> false
         | Some stored when sn = stored ->
@@ -93,7 +98,7 @@ let send_aodv t ~dst msg = t.ctx.send ~dst (Payload.Aodv msg)
 
 let broadcast_rerr t unreachable =
   if unreachable <> [] then
-    send_aodv t ~dst:Net.Frame.Broadcast (Aodv_msg.Rerr { unreachable })
+    send_aodv t ~dst:Net.Frame.broadcast (Aodv_msg.Rerr { unreachable })
 
 (* Send [msg], already accounted for this hop, along the valid route
    [r]. *)
@@ -102,7 +107,7 @@ let send_data t (r : route) msg =
   | None -> assert false
   | Some nh ->
       refresh t r;
-      t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data msg)
+      t.ctx.send ~dst:(Net.Frame.unicast nh) (Payload.Data msg)
 
 let forward_data t r msg = send_data t r (Data_msg.hop msg)
 
@@ -112,8 +117,8 @@ let send_rreq t ~dst ~ttl ~rreq_id =
   (* RFC 6.1: originator increments its own sequence number before every
      route discovery. *)
   t.own_sn <- t.own_sn + 1;
-  let dst_sn = match entry t dst with Some r -> r.sn | None -> None in
-  send_aodv t ~dst:Net.Frame.Broadcast
+  let dst_sn = known_sn t dst in
+  send_aodv t ~dst:Net.Frame.broadcast
     (Aodv_msg.Rreq
        {
          Aodv_msg.dst;
@@ -131,14 +136,12 @@ let handle_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
   else if msg.Data_msg.ttl <= 1 then t.ctx.drop_data msg ~reason:"ttl-expired"
   else
-    match valid_entry t msg.Data_msg.dst with
-    | Some r -> send_data t r (Data_msg.relay msg)
-    | None ->
+    match get t msg.Data_msg.dst with
+    | r when is_valid t r -> send_data t r (Data_msg.relay msg)
+    | _ | (exception Not_found) ->
         t.ctx.drop_data msg ~reason:"no-route";
         let sn =
-          match entry t msg.Data_msg.dst with
-          | Some { sn = Some s; _ } -> s + 1
-          | Some { sn = None; _ } | None -> 1
+          match known_sn t msg.Data_msg.dst with Some s -> s + 1 | None -> 1
         in
         broadcast_rerr t [ (msg.Data_msg.dst, sn) ]
 
@@ -146,7 +149,7 @@ let handle_data t msg =
 
 let send_rrep t ~to_ rrep =
   t.ctx.event "rrep_init";
-  send_aodv t ~dst:(Net.Frame.Unicast to_) (Aodv_msg.Rrep rrep)
+  send_aodv t ~dst:(Net.Frame.unicast to_) (Aodv_msg.Rrep rrep)
 
 let handle_rreq t (r : Aodv_msg.rreq) ~from =
   if Node_id.equal r.origin t.ctx.id then ()
@@ -172,11 +175,12 @@ let handle_rreq t (r : Aodv_msg.rreq) ~from =
         }
     end
     else begin
-      match valid_entry t r.dst with
-      | Some route
-        when (match route.sn with
-             | Some stored -> sn_ge stored r.dst_sn
-             | None -> false) ->
+      match get t r.dst with
+      | route
+        when is_valid t route
+             && (match route.sn with
+                | Some stored -> sn_ge stored r.dst_sn
+                | None -> false) ->
           (* Intermediate reply: stored number is fresh enough. *)
           let stored_sn = Option.get route.sn in
           send_rrep t ~to_:from
@@ -187,16 +191,15 @@ let handle_rreq t (r : Aodv_msg.rreq) ~from =
               hop_count = route.hops;
               lifetime = remaining t route;
             }
-      | Some _ | None ->
+      | _ | (exception Not_found) ->
           if r.ttl > 1 then begin
             (* RFC 6.5: a forwarding node advertises the freshest number
                it knows for the destination. *)
             let dst_sn =
-              match (entry t r.dst, r.dst_sn) with
-              | Some { sn = Some stored; _ }, Some want ->
-                  Some (Int.max stored want)
-              | Some { sn = Some stored; _ }, None -> Some stored
-              | _, want -> want
+              match (known_sn t r.dst, r.dst_sn) with
+              | Some stored, Some want -> Some (Int.max stored want)
+              | Some stored, None -> Some stored
+              | None, want -> want
             in
             let relayed =
               {
@@ -209,7 +212,7 @@ let handle_rreq t (r : Aodv_msg.rreq) ~from =
             let delay = Rng.uniform_time t.ctx.rng t.cfg.flood_jitter in
             ignore
               (Engine.after t.ctx.engine delay (fun () ->
-                   send_aodv t ~dst:Net.Frame.Broadcast (Aodv_msg.Rreq relayed)))
+                   send_aodv t ~dst:Net.Frame.broadcast (Aodv_msg.Rreq relayed)))
           end
     end
   end
@@ -221,20 +224,18 @@ let handle_rrep t (r : Aodv_msg.rrep) ~from =
   in
   if accepted then t.ctx.event "rrep_usable_recv";
   if
-    Routing.Discovery.pending (discovery t) r.dst
+    Lazy.is_val t.discovery
+    && Routing.Discovery.pending (discovery t) r.dst
     && valid_entry t r.dst <> None
   then Routing.Discovery.settle (discovery t) r.dst;
   if not (Node_id.equal r.origin t.ctx.id) then begin
     (* Forward along the reverse route built by the RREQ. *)
-    match valid_entry t r.origin with
-    | None -> ()
-    | Some rev -> (
-        match rev.next_hop with
-        | None -> ()
-        | Some nh ->
-            refresh t rev;
-            send_aodv t ~dst:(Net.Frame.Unicast nh)
-              (Aodv_msg.Rrep { r with hop_count = r.hop_count + 1 }))
+    match get t r.origin with
+    | { next_hop = Some nh; _ } as rev when is_valid t rev ->
+        refresh t rev;
+        send_aodv t ~dst:(Net.Frame.unicast nh)
+          (Aodv_msg.Rrep { r with hop_count = r.hop_count + 1 })
+    | _ | (exception Not_found) -> ()
   end
 
 (* ---- Route maintenance ------------------------------------------------- *)
@@ -252,18 +253,21 @@ let invalidate_via t neighbor =
       else acc)
     t.table []
 
+(* The entries of a RERR from [from] whose routes ran through it, each
+   invalidated here with its number raised to the reported one. *)
+let rec cascade t ~from = function
+  | [] -> []
+  | (dst, sn) :: rest -> (
+      match get t dst with
+      | r when next_is r from ->
+          let sn = Int.max sn (match r.sn with Some s -> s | None -> 0) in
+          r.next_hop <- None;
+          r.sn <- Some sn;
+          (dst, sn) :: cascade t ~from rest
+      | _ | (exception Not_found) -> cascade t ~from rest)
+
 let handle_rerr t unreachable ~from =
-  let cascaded =
-    List.filter_map
-      (fun (dst, sn) ->
-        match entry t dst with
-        | Some r when next_is r from ->
-            r.next_hop <- None;
-            r.sn <- Some (Int.max sn (match r.sn with Some s -> s | None -> 0));
-            Some (dst, Option.get r.sn)
-        | Some _ | None -> None)
-      unreachable
-  in
+  let cascaded = cascade t ~from unreachable in
   if cascaded <> [] then begin
     t.ctx.table_changed ();
     broadcast_rerr t cascaded
@@ -302,7 +306,7 @@ let recv t payload ~from =
    volatile memory, so a crash reboots it at 0 — the classic stale-seqno
    loop stressor (van Glabbeek et al.). *)
 let reset t ~crash =
-  Routing.Discovery.reset (discovery t) ~crash;
+  if Lazy.is_val t.discovery then Routing.Discovery.reset (discovery t) ~crash;
   Node_id.Table.reset t.table;
   Routing.Rreq_cache.clear t.cache;
   t.ctx.table_changed ();
@@ -337,9 +341,7 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
       (fun dst ->
         if Node_id.equal dst ctx.id then None
         else
-          match valid_entry t dst with
-          | Some r -> r.next_hop
-          | None -> None);
+          match valid_entry t dst with Some r -> r.next_hop | None -> None);
     own_seqno = (fun () -> float_of_int t.own_sn);
     route_stats = (fun () -> (Node_id.Table.length t.table, 0, 0));
     reset = (fun ~crash -> reset t ~crash);

@@ -73,11 +73,17 @@ let has_active_route t dst =
   | e -> Route_table.is_active t.table e
   | exception Not_found -> false
 
+(* The number a RERR reports for [dst]: the entry's, if there is one. *)
+let sn_of t dst =
+  match Route_table.get t.table dst with
+  | e -> Some e.Route_table.sn
+  | exception Not_found -> None
+
 let send_ldr t ~dst msg = t.ctx.send ~dst (Payload.Ldr msg)
 
 let broadcast_rerr t unreachable =
   if unreachable <> [] then
-    send_ldr t ~dst:Net.Frame.Broadcast (Ldr_msg.Rerr { unreachable })
+    send_ldr t ~dst:Net.Frame.broadcast (Ldr_msg.Rerr { unreachable })
 
 (* Learn from the advertisement part of a message; returns whether the
    route is now active. *)
@@ -100,7 +106,7 @@ let send_data t (e : Route_table.entry) msg =
   | None -> assert false
   | Some nh ->
       Route_table.refresh t.table e ~lifetime:active_route_timeout;
-      t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data msg)
+      t.ctx.send ~dst:(Net.Frame.unicast nh) (Payload.Data msg)
 
 (* Origination and rescue: the hop budget is not spent here. *)
 let forward_data t e msg = send_data t e (Data_msg.hop msg)
@@ -126,7 +132,7 @@ let send_rreq t ~dst ~ttl ~rreq_id =
     | None -> (None, Conditions.infinity)
     | Some e -> (Some e.sn, e.fd)
   in
-  send_ldr t ~dst:Net.Frame.Broadcast
+  send_ldr t ~dst:Net.Frame.broadcast
     (Ldr_msg.Rreq
        {
          Ldr_msg.dst;
@@ -149,16 +155,13 @@ let handle_data t msg ~from:_ =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
   else if msg.Data_msg.ttl <= 1 then t.ctx.drop_data msg ~reason:"ttl-expired"
   else
-    match Route_table.active t.table msg.Data_msg.dst with
-    | Some e -> send_data t e (Data_msg.relay msg)
-    | None ->
+    match Route_table.get t.table msg.Data_msg.dst with
+    | e when Route_table.is_active t.table e ->
+        send_data t e (Data_msg.relay msg)
+    | _ | (exception Not_found) ->
         (* Mid-path with no route: shed the packet and warn upstream. *)
         t.ctx.drop_data msg ~reason:"no-route";
-        let sn =
-          Option.map (fun (e : Route_table.entry) -> e.sn)
-            (Route_table.find t.table msg.Data_msg.dst)
-        in
-        broadcast_rerr t [ (msg.Data_msg.dst, sn) ]
+        broadcast_rerr t [ (msg.Data_msg.dst, sn_of t msg.Data_msg.dst) ]
 
 (* ---- Procedure 2: relay solicitation (Eqs. 5-8) ----------------------- *)
 
@@ -216,7 +219,7 @@ let destination_reply t (r : Ldr_msg.rreq) ~last_hop =
     }
   in
   t.ctx.event ~dst:t.ctx.id "rrep_init";
-  send_ldr t ~dst:(Net.Frame.Unicast last_hop) (Ldr_msg.Rrep rrep)
+  send_ldr t ~dst:(Net.Frame.unicast last_hop) (Ldr_msg.Rrep rrep)
 
 let intermediate_reply t (e : Route_table.entry) (r : Ldr_msg.rreq) ~last_hop =
   let rrep =
@@ -233,7 +236,7 @@ let intermediate_reply t (e : Route_table.entry) (r : Ldr_msg.rreq) ~last_hop =
   t.ctx.event ~dst:r.dst "rrep_init";
   Routing.Rreq_cache.add (forwarded t) ~origin:r.origin ~rreq_id:r.rreq_id
     (e.sn, e.dist);
-  send_ldr t ~dst:(Net.Frame.Unicast last_hop) (Ldr_msg.Rrep rrep)
+  send_ldr t ~dst:(Net.Frame.unicast last_hop) (Ldr_msg.Rrep rrep)
 
 (* Convert the flood into a unicast RREQ that must reach the destination
    (the T-bit reset path), or continue an existing unicast probe. *)
@@ -246,7 +249,7 @@ let forward_unicast_probe t (e : Route_table.entry) (r : Ldr_msg.rreq) =
            would have died out (Section 2.2). *)
         Int.max (r.ttl - 1) (e.dist + local_add_ttl)
       in
-      send_ldr t ~dst:(Net.Frame.Unicast nh)
+      send_ldr t ~dst:(Net.Frame.unicast nh)
         (Ldr_msg.Rreq
            (relayed t r ~ttl ~no_reverse:r.no_reverse ~unicast_probe:true))
 
@@ -349,7 +352,7 @@ let n_bit_probe t dst =
           let rreq_id =
             Routing.Discovery.fresh_rreq_id (discovery t) ~dst ~ttl
           in
-          send_ldr t ~dst:(Net.Frame.Unicast nh)
+          send_ldr t ~dst:(Net.Frame.unicast nh)
             (Ldr_msg.Rreq
                {
                  Ldr_msg.dst;
@@ -377,8 +380,9 @@ let handle_rrep t (r : Ldr_msg.rrep) ~from =
      terminates it — relays can be active for a destination while engaged
      in other computations for it. *)
   if
-    Routing.Discovery.pending (discovery t) r.dst
-    && Route_table.active t.table r.dst <> None
+    Lazy.is_val t.discovery
+    && Routing.Discovery.pending (discovery t) r.dst
+    && has_active_route t r.dst
   then Routing.Discovery.settle (discovery t) r.dst;
   if Node_id.equal r.origin t.ctx.id then begin
     if feasible && r.rrep_no_reverse then n_bit_probe t r.dst
@@ -391,9 +395,8 @@ let handle_rrep t (r : Ldr_msg.rrep) ~from =
     with
     | None -> () (* never engaged, or engagement expired *)
     | Some last_hop -> (
-        match Route_table.active t.table r.dst with
-        | None -> () (* stronger invariants but no valid route: discard *)
-        | Some e ->
+        match Route_table.get t.table r.dst with
+        | e when Route_table.is_active t.table e ->
             let forwarded = forwarded t in
             let stronger =
               match
@@ -417,28 +420,32 @@ let handle_rrep t (r : Ldr_msg.rrep) ~from =
                   lifetime = Route_table.remaining_lifetime t.table e;
                 }
               in
-              send_ldr t ~dst:(Net.Frame.Unicast last_hop)
+              send_ldr t ~dst:(Net.Frame.unicast last_hop)
                 (Ldr_msg.Rrep r')
-            end)
+            end
+        | _ | (exception Not_found) ->
+            () (* stronger invariants but no valid route: discard *))
   end
 
 (* ---- Route maintenance ------------------------------------------------ *)
 
+(* The entries of a RERR from [from] whose routes ran through it, each
+   invalidated here and re-reported with this node's number. *)
+let rec failed_via t ~from = function
+  | [] -> []
+  | (dst, _sn) :: rest -> (
+      match Route_table.fail_route t.table dst ~via:from with
+      | `Invalidated -> (dst, sn_of t dst) :: failed_via t ~from rest
+      | `Untouched -> failed_via t ~from rest)
+
 let handle_rerr t unreachable ~from =
-  let invalidated =
-    List.filter_map
-      (fun (dst, _sn) ->
-        match Route_table.fail_route t.table dst ~via:from with
-        | `Invalidated ->
-            Some
-              ( dst,
-                Option.map (fun (e : Route_table.entry) -> e.sn)
-                  (Route_table.find t.table dst) )
-        | `Untouched -> None)
-      unreachable
-  in
+  let invalidated = failed_via t ~from unreachable in
   if invalidated <> [] then t.ctx.table_changed ();
   broadcast_rerr t invalidated
+
+let rec with_sns t = function
+  | [] -> []
+  | dst :: rest -> (dst, sn_of t dst) :: with_sns t rest
 
 let link_failure t payload ~next_hop =
   let invalidated = Route_table.invalidate_via t.table next_hop in
@@ -447,19 +454,11 @@ let link_failure t payload ~next_hop =
   | Payload.Data msg -> (
       (* Another active route carries the packet on; failing that, the
          origin holds it and rediscovers, relays shed it. *)
-      match Route_table.active t.table msg.Data_msg.dst with
-      | Some e -> forward_data t e msg
-      | None -> Routing.Discovery.rescue (discovery t) msg)
+      match Route_table.get t.table msg.Data_msg.dst with
+      | e when Route_table.is_active t.table e -> forward_data t e msg
+      | _ | (exception Not_found) -> Routing.Discovery.rescue (discovery t) msg)
   | Payload.Ldr _ | Payload.Aodv _ | Payload.Dsr _ | Payload.Olsr _ -> ());
-  let with_sns =
-    List.map
-      (fun dst ->
-        ( dst,
-          Option.map (fun (e : Route_table.entry) -> e.sn)
-            (Route_table.find t.table dst) ))
-      invalidated
-  in
-  broadcast_rerr t with_sns
+  broadcast_rerr t (with_sns t invalidated)
 
 (* ---- Wiring ----------------------------------------------------------- *)
 
@@ -488,7 +487,8 @@ let recv t payload ~from =
    clock-stamped numbers recover because the next increment jumps to the
    wall clock (see [increment_own]). *)
 let reset t ~crash =
-  Routing.Discovery.reset (discovery t) ~crash;
+  (* An unbuilt machine holds nothing and has issued no id. *)
+  if Lazy.is_val t.discovery then Routing.Discovery.reset (discovery t) ~crash;
   Route_table.clear t.table;
   Routing.Rreq_cache.clear t.engaged;
   t.forwarded <- None;
@@ -503,7 +503,7 @@ let make ?(config = Config.default) (ctx : RA.ctx) =
     {
       ctx;
       cfg = config;
-      broadcast = (fun p -> ctx.send ~dst:Net.Frame.Broadcast p);
+      broadcast = (fun p -> ctx.send ~dst:Net.Frame.broadcast p);
       table =
         Route_table.create ~obs:ctx.obs
           ~owner:(Node_id.to_int ctx.id) ~engine:ctx.engine ();
@@ -570,6 +570,7 @@ type debug = {
   table : Route_table.t;
   own_sn : unit -> Seqnum.t;
   pending_discoveries : unit -> Node_id.t list;
+  discovery_built : unit -> bool;
 }
 
 let factory_with_debug ?config () ctx =
@@ -579,5 +580,9 @@ let factory_with_debug ?config () ctx =
       table = t.table;
       own_sn = (fun () -> t.own_sn);
       pending_discoveries =
-        (fun () -> Routing.Discovery.destinations (discovery t));
+        (fun () ->
+          if Lazy.is_val t.discovery then
+            Routing.Discovery.destinations (discovery t)
+          else []);
+      discovery_built = (fun () -> Lazy.is_val t.discovery);
     } )

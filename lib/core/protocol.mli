@@ -22,6 +22,9 @@ type debug = {
   table : Route_table.t;
   own_sn : unit -> Packets.Seqnum.t;
   pending_discoveries : unit -> Packets.Node_id.t list;
+  discovery_built : unit -> bool;
+      (** whether Procedure 1's machine exists: a node builds it at its
+          first discovery *)
 }
 
 val factory_with_debug :

@@ -37,7 +37,7 @@ let send_data_via t hops (data : Data_msg.t) ~salvage =
   | next :: rest ->
       let full_route = t.ctx.id :: hops in
       send_dsr t
-        ~dst:(Net.Frame.Unicast next)
+        ~dst:(Net.Frame.unicast next)
         (Dsr_msg.Data
            { sr_remaining = rest; full_route; data = Data_msg.hop data; salvage })
 
@@ -57,7 +57,7 @@ let schedule =
     (Seq.init max_flood_attempts flood)
 
 let send_rreq t ~dst ~ttl ~rreq_id =
-  send_dsr t ~dst:Net.Frame.Broadcast
+  send_dsr t ~dst:Net.Frame.broadcast
     (Dsr_msg.Rreq { Dsr_msg.origin = t.ctx.id; dst; rreq_id; route = []; ttl })
 
 (* ---- Data plane -------------------------------------------------------- *)
@@ -72,7 +72,7 @@ let handle_data t ~sr_remaining ~full_route ~data ~salvage =
       else t.ctx.drop_data data ~reason:"misrouted"
   | next :: rest ->
       send_dsr t
-        ~dst:(Net.Frame.Unicast next)
+        ~dst:(Net.Frame.unicast next)
         (Dsr_msg.Data
            { sr_remaining = rest; full_route; data = Data_msg.hop data; salvage })
 
@@ -88,7 +88,7 @@ let send_rrep t (r : Dsr_msg.rreq) full_route =
   | [] -> assert false (* the path always ends at the origin *)
   | next :: rest ->
       t.ctx.event "rrep_init";
-      send_dsr t ~dst:(Net.Frame.Unicast next)
+      send_dsr t ~dst:(Net.Frame.unicast next)
         (Dsr_msg.Rrep
            {
              sr_remaining = rest;
@@ -132,7 +132,7 @@ let handle_rreq t (r : Dsr_msg.rreq) =
             let delay = Rng.uniform_time t.ctx.rng flood_jitter in
             ignore
               (Engine.after t.ctx.engine delay (fun () ->
-                   send_dsr t ~dst:Net.Frame.Broadcast (Dsr_msg.Rreq relayed)))
+                   send_dsr t ~dst:Net.Frame.broadcast (Dsr_msg.Rreq relayed)))
           end
     end
   end
@@ -148,7 +148,7 @@ let handle_rrep t ~sr_remaining ~(rrep : Dsr_msg.rrep) =
     | [] -> () (* misdelivered *)
     | next :: rest ->
         t.ctx.event "rrep_usable_recv";
-        send_dsr t ~dst:(Net.Frame.Unicast next)
+        send_dsr t ~dst:(Net.Frame.unicast next)
           (Dsr_msg.Rrep { sr_remaining = rest; rrep })
 
 (* ---- Route errors and salvaging ---------------------------------------- *)
@@ -159,7 +159,7 @@ let handle_rerr t ~sr_remaining ~(rerr : Dsr_msg.rerr) =
     match sr_remaining with
     | [] -> ()
     | next :: rest ->
-        send_dsr t ~dst:(Net.Frame.Unicast next)
+        send_dsr t ~dst:(Net.Frame.unicast next)
           (Dsr_msg.Rerr { sr_remaining = rest; rerr })
 
 let send_rerr t ~(data : Data_msg.t) ~full_route ~broken_to =
@@ -180,7 +180,7 @@ let send_rerr t ~(data : Data_msg.t) ~full_route ~broken_to =
           err_dst = data.Data_msg.src;
         }
       in
-      send_dsr t ~dst:(Net.Frame.Unicast next)
+      send_dsr t ~dst:(Net.Frame.unicast next)
         (Dsr_msg.Rerr { sr_remaining = rest; rerr })
 
 let link_failure t payload ~next_hop =
@@ -248,7 +248,7 @@ let maybe_shorten t ~from ~full_route ~sr_remaining (data : Data_msg.t) =
               | _ ->
                   t.ctx.event "rrep_init";
                   send_dsr t
-                    ~dst:(Net.Frame.Unicast (List.hd sr))
+                    ~dst:(Net.Frame.unicast (List.hd sr))
                     (Dsr_msg.Rrep
                        {
                          sr_remaining = List.tl sr;

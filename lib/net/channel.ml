@@ -14,8 +14,7 @@ type radio = {
   mutable cell : int;  (** the cell the last rebuild binned it in *)
 }
 
-let dummy_frame =
-  { Frame.src = Node_id.of_int 0; dst = Frame.Broadcast; body = Frame.Ack }
+let dummy_frame = Frame.Ack { src = Node_id.of_int 0; dst = Frame.broadcast }
 
 (* Filler for the by-slot radio table. *)
 let dummy_radio =
@@ -308,7 +307,7 @@ let end_of_tx job =
     radios.(src).medium false;
   let frame = job.job_frame in
   job.job_frame <- dummy_frame;
-  let dst = Frame.dst_int frame.dst in
+  let dst = (Frame.dst frame :> int) in
   let slots = job.job_slots and flags = job.job_flags in
   let acting = ref 0 in
   for j = 0 to job.job_n - 1 do
@@ -343,7 +342,7 @@ let end_of_tx job =
           dst < 0
           || dst = Node_id.to_int r.id
           || (r.overhear
-             && match frame.body with Frame.Payload _ -> true | Ack -> false)
+             && match frame with Frame.Data _ -> true | Ack _ -> false)
         then r.receive frame
       end
       else if Obs.Bus.on t.obs Collision then
@@ -353,7 +352,7 @@ let end_of_tx job =
           ~time:(Engine.now t.engine)
           ~node:(Node_id.to_int radios.(s).id)
           ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
-          ~from:(Node_id.to_int frame.Frame.src)
+          ~from:(Node_id.to_int (Frame.src frame))
     end
   done;
   free_job t job
@@ -686,7 +685,7 @@ let transmit t src frame ~duration =
       ~time:(Engine.now t.engine)
       ~node:(Node_id.to_int src.id)
       ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
-      ~dst:(Frame.dst_int frame.dst) ~bytes:(Frame.encoded_length frame);
+      ~dst:(Frame.dst frame :> int) ~bytes:(Frame.encoded_length frame);
   let job = alloc_job t in
   job.job_src <- src.slot;
   job.job_frame <- frame;

@@ -1,38 +1,35 @@
 open Packets
 
-type dst = Unicast of Node_id.t | Broadcast
+type dst = int
 
-type body = Payload of Payload.t | Ack
+let broadcast = -1
+let unicast = Node_id.to_int
+let is_broadcast d = d < 0
+let addressee = Node_id.of_int
 
-type t = { src : Node_id.t; dst : dst; body : body }
+type t =
+  | Data of { src : Node_id.t; dst : dst; payload : Payload.t }
+  | Ack of { src : Node_id.t; dst : dst }
 
+let src = function Data f -> f.src | Ack f -> f.src
+let dst = function Data f -> f.dst | Ack f -> f.dst
 let addressed_to t id =
-  match t.dst with Broadcast -> true | Unicast d -> Node_id.equal d id
+  let d = dst t in
+  is_broadcast d || d = Node_id.to_int id
 
-let class_name t =
-  match t.body with Ack -> "ACK" | Payload p -> Payload.class_name p
+let class_name = function
+  | Ack _ -> "ACK"
+  | Data f -> Payload.class_name f.payload
 
-let family t =
-  match t.body with
-  | Ack -> Wire.Payload.family_ack
-  | Payload p -> Wire.Payload.family p
+let family = function
+  | Ack _ -> Wire.Payload.family_ack
+  | Data f -> Wire.Payload.family f.payload
 
-let encoded_length t =
-  match t.body with
-  | Ack -> Wire.Mac.ack_bytes
-  | Payload p -> Wire.Mac.data_overhead + Wire.encoded_length p
+let encoded_length = function
+  | Ack _ -> Wire.Mac.ack_bytes
+  | Data f -> Wire.Mac.data_overhead + Wire.encoded_length f.payload
 
-let dst_int = function Broadcast -> -1 | Unicast d -> Node_id.to_int d
-
-let dst_equal a b =
-  match (a, b) with
-  | Broadcast, Broadcast -> true
-  | Unicast x, Unicast y -> Node_id.equal x y
-  | Broadcast, Unicast _ | Unicast _, Broadcast -> false
-
-let dst_addr = function
-  | Broadcast -> None
-  | Unicast d -> Some (Node_id.to_int d)
+let dst_addr d = if is_broadcast d then None else Some d
 
 (* Frame-control octet pairs: 802.11 control/ACK, and data with both
    ToDS and FromDS set (the 4-address format behind the 30-byte header
@@ -41,23 +38,22 @@ let fc_ack = 0xd4
 let fc_data0 = 0x08
 let fc_data1 = 0x03
 
-let write_unprotected w t =
-  match t.body with
-  | Ack ->
+let write_unprotected w = function
+  | Ack f ->
       Wire.Writer.u8 w fc_ack;
       Wire.Writer.u8 w 0;
       Wire.Writer.u16 w 0 (* duration *);
-      Wire.Mac.write_addr w (dst_addr t.dst)
-  | Payload p ->
+      Wire.Mac.write_addr w (dst_addr f.dst)
+  | Data f ->
       Wire.Writer.u8 w fc_data0;
       Wire.Writer.u8 w fc_data1;
       Wire.Writer.u16 w 0 (* duration *);
-      Wire.Mac.write_addr w (dst_addr t.dst) (* A1: receiver *);
-      Wire.Mac.write_addr w (Some (Node_id.to_int t.src)) (* A2: transmitter *);
-      Wire.Mac.write_addr w (dst_addr t.dst) (* A3: destination *);
+      Wire.Mac.write_addr w (dst_addr f.dst) (* A1: receiver *);
+      Wire.Mac.write_addr w (Some (Node_id.to_int f.src)) (* A2: transmitter *);
+      Wire.Mac.write_addr w (dst_addr f.dst) (* A3: destination *);
       Wire.Writer.u16 w 0 (* sequence control *);
-      Wire.Mac.write_addr w (Some (Node_id.to_int t.src)) (* A4: source *);
-      Wire.Payload.write w p
+      Wire.Mac.write_addr w (Some (Node_id.to_int f.src)) (* A4: source *);
+      Wire.Payload.write w f.payload
 
 let encode t =
   let w = Wire.Writer.create ~capacity:(encoded_length t) () in
@@ -73,7 +69,7 @@ let check (r : Wire.Reader.t) cond reason =
 
 let read_dst r =
   let* a = Wire.Mac.read_addr r in
-  match a with None -> Ok Broadcast | Some d -> Ok (Unicast (Node_id.of_int d))
+  Ok (Option.value a ~default:broadcast)
 
 let decode ~family:fam ~ack_src b =
   let len = Bytes.length b in
@@ -95,7 +91,7 @@ let decode ~family:fam ~ack_src b =
     let* dur = Wire.Reader.u16 r in
     let* () = check r (dur = 0) "frame: nonzero duration" in
     let* dst = read_dst r in
-    Ok { src = ack_src; dst; body = Ack }
+    Ok (Ack { src = ack_src; dst })
   else if fc0 = fc_data0 then
     let* fc1 = Wire.Reader.u8 r in
     let* () = check r (fc1 = fc_data1) "frame: unsupported frame control" in
@@ -112,7 +108,7 @@ let decode ~family:fam ~ack_src b =
       | None -> Wire.Reader.fail r "frame: broadcast transmitter"
     in
     let* a3 = read_dst r in
-    let* () = check r (dst_equal a3 dst) "frame: A3 differs from receiver" in
+    let* () = check r (a3 = dst) "frame: A3 differs from receiver" in
     let* seq_ctl = Wire.Reader.u16 r in
     let* () = check r (seq_ctl = 0) "frame: nonzero sequence control" in
     let* a4 = Wire.Mac.read_addr r in
@@ -123,16 +119,15 @@ let decode ~family:fam ~ack_src b =
     in
     let* p = Wire.Payload.read ~family:fam r in
     let* () = Wire.Reader.expect_end r in
-    Ok { src; dst; body = Payload p }
+    Ok (Data { src; dst; payload = p })
   else Wire.Reader.fail r "frame: unknown frame control"
 
-let pp_dst fmt = function
-  | Broadcast -> Format.pp_print_string fmt "*"
-  | Unicast d -> Node_id.pp fmt d
+let pp_dst fmt d =
+  if is_broadcast d then Format.pp_print_string fmt "*"
+  else Node_id.pp fmt (addressee d)
 
-let pp fmt t =
-  match t.body with
-  | Ack -> Format.fprintf fmt "ack[%a->%a]" Node_id.pp t.src pp_dst t.dst
-  | Payload p ->
-      Format.fprintf fmt "frame[%a->%a %a]" Node_id.pp t.src pp_dst t.dst
-        Payload.pp p
+let pp fmt = function
+  | Ack f -> Format.fprintf fmt "ack[%a->%a]" Node_id.pp f.src pp_dst f.dst
+  | Data f ->
+      Format.fprintf fmt "frame[%a->%a %a]" Node_id.pp f.src pp_dst f.dst
+        Payload.pp f.payload

@@ -1,14 +1,30 @@
-(** MAC-layer frames. *)
+(** MAC-layer frames: one heap block each, addresses and payload inline
+    and the destination immediate, so a data frame around an existing
+    payload allocates 4 words and an ACK 3. *)
 
 open Packets
 
-type dst = Unicast of Node_id.t | Broadcast
+type dst = private int
+(** The addressee's {!Node_id.to_int}, or -1 for broadcast: passing or
+    storing one allocates nothing. *)
 
-type body = Payload of Payload.t | Ack
+val broadcast : dst
+val unicast : Node_id.t -> dst
+val is_broadcast : dst -> bool
 
-type t = { src : Node_id.t; dst : dst; body : body }
+val addressee : dst -> Node_id.t
+(** A unicast's node; [Invalid_argument] on {!broadcast}. *)
+
+type t =
+  | Data of { src : Node_id.t; dst : dst; payload : Payload.t }
+  | Ack of { src : Node_id.t; dst : dst }
+
+val src : t -> Node_id.t
+
+val dst : t -> dst
 
 val addressed_to : t -> Node_id.t -> bool
+(** Broadcast, or unicast to this node. *)
 
 val class_name : t -> string
 (** "ACK", "DATA" or the control kind — the trace label. *)
@@ -34,8 +50,4 @@ val decode :
     ACKs — carry only the receiver address.  Any truncation or bit flip
     fails the FCS and returns [Error _]; decoding never raises. *)
 
-val dst_int : dst -> int
-(** -1 for [Broadcast], else the addressee's {!Node_id.to_int}. *)
-
-val dst_equal : dst -> dst -> bool
 val pp : Format.formatter -> t -> unit

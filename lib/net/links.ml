@@ -77,21 +77,22 @@ let send t i ~dst payload =
   let hop j () = if reachable t i j then deliver t ~to_:j payload ~from:i in
   let label j () = msg_label payload i j in
   if up t i then
-    match dst with
-    | Frame.Broadcast ->
-        let k = ref 0 in
-        for j = 0 to Array.length t.adj - 1 do
-          if t.adj.(i).(j) then begin
-            let delay = Time.add hop_delay (Time.mul stagger !k) in
-            incr k;
-            post t ~delay ~tag:j (label j) (hop j)
-          end
-        done
-    | Frame.Unicast next ->
-        let j = Node_id.to_int next in
-        post t ~delay:hop_delay ~tag:j (label j) (fun () ->
-            if reachable t i j then deliver t ~to_:j payload ~from:i
-            else
-              post t ~delay:link_failure_delay ~tag:i
-                (fun () -> Printf.sprintf "LINKFAIL %d->%d" i j)
-                (fun () -> fail t i payload ~next_hop:next))
+    if Frame.is_broadcast dst then begin
+      let k = ref 0 in
+      for j = 0 to Array.length t.adj - 1 do
+        if t.adj.(i).(j) then begin
+          let delay = Time.add hop_delay (Time.mul stagger !k) in
+          incr k;
+          post t ~delay ~tag:j (label j) (hop j)
+        end
+      done
+    end
+    else
+      let next = Frame.addressee dst in
+      let j = Node_id.to_int next in
+      post t ~delay:hop_delay ~tag:j (label j) (fun () ->
+          if reachable t i j then deliver t ~to_:j payload ~from:i
+          else
+            post t ~delay:link_failure_delay ~tag:i
+              (fun () -> Printf.sprintf "LINKFAIL %d->%d" i j)
+              (fun () -> fail t i payload ~next_hop:next))

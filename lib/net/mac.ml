@@ -61,7 +61,7 @@ let emit_rx t payload ~from ~dst =
     ~node:(Node_id.to_int t.my_id)
     ~cls:(Obs.Bus.intern t.obs (Payload.class_name payload))
     ~from:(Node_id.to_int from)
-    ~dst:(Frame.dst_int dst)
+    ~dst:(dst : Frame.dst :> int)
 
 (* One span record per MAC lifecycle stage of a data frame, keyed by
    the packet's out-of-band (flow, seq) id.  Control frames are not
@@ -84,13 +84,12 @@ let unicast_failures t = t.failures
 let radio t = t.radio
 let is_down t = t.down
 
-(* Compared physically: "no frame in service".  A broadcast, so it never
-   matches a [Unicast] arm. *)
-let no_frame =
-  { Frame.src = Node_id.of_int 0; dst = Frame.Broadcast; body = Frame.Ack }
+(* Compared physically: "no frame in service". *)
+let no_frame = Frame.Ack { src = Node_id.of_int 0; dst = Frame.broadcast }
 
-let payload_of (f : Frame.t) =
-  match f.body with Frame.Payload p -> p | Frame.Ack -> assert false
+let payload_of = function
+  | Frame.Data f -> f.payload
+  | Frame.Ack _ -> assert false
 
 (* [on_medium] acts only in [Access], counting down the backoff, so the
    radio reports carrier-sense edges only in that phase. *)
@@ -153,22 +152,19 @@ and do_transmit t =
 and tx_done t =
   let f = t.current in
   if f == no_frame || t.down then ()
-  else
-    match f.dst with
-    | Frame.Broadcast -> finish t
-    | Frame.Unicast _ ->
-        set_phase t Await_ack;
-        t.ack_timer <-
-          Engine.after_fn t.engine Params.ack_timeout ack_timeout_expired t
+  else if Frame.is_broadcast (Frame.dst f) then finish t
+  else begin
+    set_phase t Await_ack;
+    t.ack_timer <-
+      Engine.after_fn t.engine Params.ack_timeout ack_timeout_expired t
+  end
 
 and ack_timeout_expired t =
   t.ack_timer <- Engine.none;
   if t.down then ()
   else
     let f = t.current in
-    match f.dst with
-    | Frame.Unicast next_hop -> retry t f next_hop
-    | Frame.Broadcast -> assert false
+    retry t f (Frame.addressee (Frame.dst f))
 
 and finish t =
   (* Read the frame before clearing it — the span needs its id. *)
@@ -199,8 +195,8 @@ and retry t f next_hop =
   end
 
 let ack_received t from =
-  match (t.phase, t.current.dst) with
-  | Await_ack, Frame.Unicast nh when Node_id.equal nh from ->
+  match t.phase with
+  | Await_ack when (Frame.dst t.current :> int) = Node_id.to_int from ->
       if not (Engine.is_none t.ack_timer) then begin
         Engine.cancel t.engine t.ack_timer;
         t.ack_timer <- Engine.none
@@ -218,28 +214,25 @@ let send_ack t ~to_ =
      radio cannot transmit two frames at once. *)
   if not (Node_id.equal to_ t.ack_to) then begin
     t.ack_to <- to_;
-    t.ack_frame <- { Frame.src = t.my_id; dst = Frame.Unicast to_; body = Frame.Ack }
+    t.ack_frame <- Frame.Ack { src = t.my_id; dst = Frame.unicast to_ }
   end;
   ignore (Engine.after_fn t.engine Params.sifs send_ack_fire t)
 
 let on_frame t (f : Frame.t) =
   if t.down then ()
   else
-  match f.body with
-  | Frame.Ack -> if Frame.addressed_to f t.my_id then ack_received t f.src
-  | Frame.Payload payload -> (
-      match f.dst with
-      | Frame.Broadcast ->
-          if Obs.Bus.on t.obs Rx then emit_rx t payload ~from:f.src ~dst:f.dst;
-          t.cb.receive payload ~from:f.src
-      | Frame.Unicast d when Node_id.equal d t.my_id ->
-          if Obs.Bus.on t.obs Rx then emit_rx t payload ~from:f.src ~dst:f.dst;
-          send_ack t ~to_:f.src;
-          t.cb.receive payload ~from:f.src
-      | Frame.Unicast _ -> (
-          match t.cb.promiscuous with
-          | Some overheard -> overheard payload ~from:f.src ~dst:f.dst
-          | None -> ()))
+  match f with
+  | Ack a -> if Frame.addressed_to f t.my_id then ack_received t a.src
+  | Data { src; dst; payload } ->
+      if Frame.addressed_to f t.my_id then begin
+        if Obs.Bus.on t.obs Rx then emit_rx t payload ~from:src ~dst;
+        if not (Frame.is_broadcast dst) then send_ack t ~to_:src;
+        t.cb.receive payload ~from:src
+      end
+      else (
+        match t.cb.promiscuous with
+        | Some overheard -> overheard payload ~from:src ~dst
+        | None -> ())
 
 let on_medium t busy =
   if t.down then ()
@@ -282,7 +275,7 @@ let create ~engine ~channel ~rng ~id ~slot callbacks =
       access_started = Time.zero;
       ack_timer = Engine.none;
       ack_to = id;
-      ack_frame = { Frame.src = id; dst = Frame.Unicast id; body = Frame.Ack };
+      ack_frame = Frame.Ack { src = id; dst = Frame.unicast id };
       failures = 0;
       down = false;
       obs = Channel.obs channel;
@@ -297,20 +290,19 @@ let create ~engine ~channel ~rng ~id ~slot callbacks =
 let send t ~dst payload =
   if t.down then ()
   else begin
-    let frame = { Frame.src = t.my_id; dst; body = Frame.Payload payload } in
+    let frame = Frame.Data { src = t.my_id; dst; payload } in
     let accepted = Ifq.push t.queue frame in
     if accepted then
-      emit_span t ~stage:Obs.Span.Stage.mac_enq payload ~d:(Frame.dst_int dst)
-        ~e:(-1)
+      emit_span t ~stage:Obs.Span.Stage.mac_enq payload ~d:(dst :> int) ~e:(-1)
     else begin
       if Obs.Bus.on t.obs Ifq_drop then
         Obs.Bus.ifq_drop t.obs
           ~time:(Engine.now t.engine)
           ~node:(Node_id.to_int t.my_id)
           ~cls:(Obs.Bus.intern t.obs (Payload.class_name payload))
-          ~dst:(Frame.dst_int dst);
-      emit_span t ~stage:Obs.Span.Stage.mac_drop payload
-        ~d:(Frame.dst_int dst) ~e:(-1)
+          ~dst:(dst :> int);
+      emit_span t ~stage:Obs.Span.Stage.mac_drop payload ~d:(dst :> int)
+        ~e:(-1)
     end;
     if accepted && t.phase = Idle && t.current == no_frame then dequeue_next t
   end

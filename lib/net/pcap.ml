@@ -23,9 +23,7 @@ let open_sink path =
   flush_scratch s;
   s
 
-let dst_int = function
-  | Frame.Broadcast -> 0xffffffff
-  | Frame.Unicast d -> Packets.Node_id.to_int d
+let dst_int d = if Frame.is_broadcast d then 0xffffffff else (d :> int)
 
 let write s ~time frame =
   let encoded = Frame.encode frame in
@@ -37,8 +35,8 @@ let write s ~time frame =
   Wire.Writer.u32 w len (* incl_len *);
   Wire.Writer.u32 w len (* orig_len *);
   Wire.Writer.u64 w ns;
-  Wire.Writer.u32 w (Packets.Node_id.to_int frame.Frame.src);
-  Wire.Writer.u32 w (dst_int frame.Frame.dst);
+  Wire.Writer.u32 w (Packets.Node_id.to_int (Frame.src frame));
+  Wire.Writer.u32 w (dst_int (Frame.dst frame));
   Wire.Writer.u8 w (Frame.family frame);
   Wire.Writer.u8 w 0;
   Wire.Writer.u16 w 0;
@@ -120,7 +118,7 @@ let record ic hdr =
 let decode ~src ~dst ~family frame =
   let src = Packets.Node_id.of_int src in
   let* f = Frame.decode ~family ~ack_src:src frame in
-  if Packets.Node_id.equal f.Frame.src src && dst_int f.Frame.dst = dst then
+  if Packets.Node_id.equal (Frame.src f) src && dst_int (Frame.dst f) = dst then
     Ok f
   else
     Error
@@ -145,7 +143,7 @@ let replay path bus =
             | Ok f ->
                 Obs.Bus.tx bus ~time:(Sim.Time.unsafe_of_ns ns) ~node:src
                   ~cls:(Obs.Bus.intern bus (Frame.class_name f))
-                  ~dst:(Frame.dst_int f.Frame.dst) ~bytes:(Bytes.length frame)
+                  ~dst:(Frame.dst f :> int) ~bytes:(Bytes.length frame)
             | Error e ->
                 if !undecodable = 0 then
                   first :=

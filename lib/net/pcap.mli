@@ -29,7 +29,7 @@ val replay : string -> Obs.Bus.t -> (unit, string) result
 (** Stream a capture written by {!write} onto the bus, one record at a
     time, under {!Obs.Reader.replay}'s contract: each frame is the [Tx]
     event {!Channel.transmit} emitted for it — time, source node,
-    {!Frame.class_name} label, {!Frame.dst_int} and on-air length — so
+    {!Frame.class_name} label, {!Frame.dst} and on-air length — so
     every bus query reads a capture as the [Tx] part of the same run's
     JSONL trace.  An unreadable file is [Error "PATH: reason"]; a
     structural fault (bad magic or linktype, a truncated record, a

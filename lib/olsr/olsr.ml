@@ -136,7 +136,7 @@ let rec drain t =
 
 let send_control t msg =
   Queue.push
-    (fun () -> t.ctx.send ~dst:Net.Frame.Broadcast (Payload.Olsr msg))
+    (fun () -> t.ctx.send ~dst:Net.Frame.broadcast (Payload.Olsr msg))
     t.queue.jq;
   if not t.queue.draining then begin
     t.queue.draining <- true;
@@ -328,7 +328,7 @@ let handle_tc t ~origin ~msg_seq ~ttl ~(tc : Olsr_msg.tc) ~from =
 let forward_data t msg ~account =
   match route_lookup t msg.Data_msg.dst with
   | Some (nh, _) ->
-      t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (account msg))
+      t.ctx.send ~dst:(Net.Frame.unicast nh) (Payload.Data (account msg))
   | None -> t.ctx.drop_data msg ~reason:"no-route"
 
 let origin_data t msg =
@@ -354,7 +354,7 @@ let link_failure t payload ~next_hop =
       (* One immediate re-route attempt over the updated table. *)
       match route_lookup t msg.Data_msg.dst with
       | Some (nh, _) when not (Node_id.equal nh next_hop) ->
-          t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (Data_msg.hop msg))
+          t.ctx.send ~dst:(Net.Frame.unicast nh) (Payload.Data (Data_msg.hop msg))
       | Some _ | None -> t.ctx.drop_data msg ~reason:"link-failure")
   | Payload.Ldr _ | Payload.Aodv _ | Payload.Dsr _ | Payload.Olsr _ -> ()
 

@@ -37,6 +37,8 @@ type t = {
   ctx : RA.ctx;
   mutable batch_ldr : Ldr_msg.rreq list;  (* newest first *)
   mutable batch_aodv : Aodv_msg.rreq list;  (* newest first *)
+  mutable lone_ldr : Payload.t;  (* the oldest member, as handed over *)
+  mutable lone_aodv : Payload.t;
   mutable batched : int;  (* members of both batches *)
   mutable flush_armed : bool;
   recent : recent Node_id.Table.t;
@@ -49,11 +51,13 @@ let prune_waiters at ws = List.filter (fun w -> Time.(w.w_expires > at)) ws
 
 (* ---- Multi-destination piggybacking ----------------------------------- *)
 
-let ldr_single q = Payload.Ldr (Ldr_msg.Rreq q)
 let ldr_wrap qs = Payload.Ldr (Ldr_msg.Rreq_agg qs)
+
+(* What a [lone_*] field holds while its batch is empty: a static value,
+   so a flushed member is not kept alive (and promoted) by the field. *)
+let no_lone = Payload.Ldr (Ldr_msg.Rreq_agg [])
 let ldr_dst (q : Ldr_msg.rreq) = q.dst
 let ldr_id (q : Ldr_msg.rreq) = q.rreq_id
-let aodv_single q = Payload.Aodv (Aodv_msg.Rreq q)
 let aodv_wrap qs = Payload.Aodv (Aodv_msg.Rreq_agg qs)
 let aodv_dst (q : Aodv_msg.rreq) = q.dst
 let aodv_id (q : Aodv_msg.rreq) = q.rreq_id
@@ -70,10 +74,11 @@ let rec agg_spans t ~dst ~id ~batch = function
         ~d:(Node_id.to_int (dst q)) ~e:batch ~f:(id q);
       agg_spans t ~dst ~id ~batch rest
 
-(* One family's batch, newest first, leaves in one transmission. *)
-let send_group t ~single ~wrap ~dst ~id = function
+(* One family's batch, newest first, leaves in one transmission: a lone
+   member as the very payload the agent handed over. *)
+let send_group t ~lone ~wrap ~dst ~id = function
   | [] -> ()
-  | [ q ] -> t.ctx.send ~dst:Net.Frame.Broadcast (single q)
+  | [ _ ] -> t.ctx.send ~dst:Net.Frame.broadcast lone
   | rev_qs ->
       let qs = List.rev rev_qs in
       (* n requests leave in 1 transmission: n-1 floods saved. *)
@@ -82,15 +87,18 @@ let send_group t ~single ~wrap ~dst ~id = function
         t.ctx.event "rreq_aggregated"
       done;
       if Obs.Bus.on t.ctx.obs Span then agg_spans t ~dst ~id ~batch qs;
-      t.ctx.send ~dst:Net.Frame.Broadcast (wrap qs)
+      t.ctx.send ~dst:Net.Frame.broadcast (wrap qs)
 
 let flush t =
   let ldr = t.batch_ldr and aodv = t.batch_aodv in
   t.batch_ldr <- [];
   t.batch_aodv <- [];
   t.batched <- 0;
-  send_group t ~single:ldr_single ~wrap:ldr_wrap ~dst:ldr_dst ~id:ldr_id ldr;
-  send_group t ~single:aodv_single ~wrap:aodv_wrap ~dst:aodv_dst ~id:aodv_id
+  let lone_ldr = t.lone_ldr and lone_aodv = t.lone_aodv in
+  t.lone_ldr <- no_lone;
+  t.lone_aodv <- no_lone;
+  send_group t ~lone:lone_ldr ~wrap:ldr_wrap ~dst:ldr_dst ~id:ldr_id ldr;
+  send_group t ~lone:lone_aodv ~wrap:aodv_wrap ~dst:aodv_dst ~id:aodv_id
     aodv
 
 let flush_timer t =
@@ -179,7 +187,7 @@ let fanout_ldr t (p : Ldr_msg.rrep) ~consumed =
       List.iter
         (fun w ->
           t.ctx.event ~dst:p.dst "rrep_fanout";
-          t.ctx.send ~dst:(Net.Frame.Unicast w.w_hop)
+          t.ctx.send ~dst:(Net.Frame.unicast w.w_hop)
             (Payload.Ldr
                (Ldr_msg.Rrep
                   { p with origin = w.w_origin; rreq_id = w.w_rreq_id; dist })))
@@ -200,29 +208,31 @@ let fanout_aodv t (p : Aodv_msg.rrep) ~consumed =
       List.iter
         (fun w ->
           t.ctx.event ~dst:p.dst "rrep_fanout";
-          t.ctx.send ~dst:(Net.Frame.Unicast w.w_hop)
+          t.ctx.send ~dst:(Net.Frame.unicast w.w_hop)
             (Payload.Aodv (Aodv_msg.Rrep { p with origin = w.w_origin; hop_count })))
         ws
 
 (* ---- Interposition ----------------------------------------------------- *)
 
 let intercept_send t ~dst payload =
-  match (dst, payload) with
-  | Net.Frame.Broadcast, Payload.Ldr (Ldr_msg.Rreq q)
-    when not q.unicast_probe ->
+  match payload with
+  | Payload.Ldr (Ldr_msg.Rreq q)
+    when Net.Frame.is_broadcast dst && not q.unicast_probe ->
       if admit t ~dst:q.dst ~origin:q.origin ~rreq_id:q.rreq_id then begin
+        if t.batch_ldr = [] then t.lone_ldr <- payload;
         t.batch_ldr <- q :: t.batch_ldr;
         enqueued t
       end
-  | Net.Frame.Broadcast, Payload.Aodv (Aodv_msg.Rreq q) ->
+  | Payload.Aodv (Aodv_msg.Rreq q) when Net.Frame.is_broadcast dst ->
       if admit t ~dst:q.dst ~origin:q.origin ~rreq_id:q.rreq_id then begin
+        if t.batch_aodv = [] then t.lone_aodv <- payload;
         t.batch_aodv <- q :: t.batch_aodv;
         enqueued t
       end
-  | _, Payload.Ldr (Ldr_msg.Rrep p) ->
+  | Payload.Ldr (Ldr_msg.Rrep p) ->
       t.ctx.send ~dst payload;
       fanout_ldr t p ~consumed:false
-  | _, Payload.Aodv (Aodv_msg.Rrep p) ->
+  | Payload.Aodv (Aodv_msg.Rrep p) ->
       t.ctx.send ~dst payload;
       fanout_aodv t p ~consumed:false
   | _ -> t.ctx.send ~dst payload
@@ -268,6 +278,8 @@ let wrap (inner_factory : RA.factory) : RA.factory =
       ctx;
       batch_ldr = [];
       batch_aodv = [];
+      lone_ldr = no_lone;
+      lone_aodv = no_lone;
       batched = 0;
       flush_armed = false;
       recent = Node_id.Table.create 16;

@@ -89,9 +89,9 @@ let fanout t src =
 type on_air = { src : int; touched : int list; ends : Time.t }
 
 let airtime (frame : Net.Frame.t) =
-  match frame.body with
-  | Net.Frame.Ack -> Net.Params.ack_airtime
-  | Net.Frame.Payload _ ->
+  match frame with
+  | Ack _ -> Net.Params.ack_airtime
+  | Data _ ->
       Net.Params.frame_airtime ~bytes:(Net.Frame.encoded_length frame)
 
 (* Check, at the start of every transmission on [channel], that

@@ -188,7 +188,7 @@ let route_shortening_gratuitous_rrep () =
            salvage = 0 })
   in
   (TN.agent net 2).Routing.Agent.overheard payload ~from:(n 0)
-    ~dst:(Net.Frame.Unicast (n 1));
+    ~dst:(Net.Frame.unicast (n 1));
   TN.run net ~for_:(Time.ms 100.);
   (* The gratuitous RREP reached 0: the next packet goes direct. *)
   TN.origin net ~src:0 ~dst:2;

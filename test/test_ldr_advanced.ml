@@ -181,8 +181,7 @@ let reengagement_forgets_relayed_reply () =
     List.length
       (List.filter
          (function
-           | Net.Frame.Unicast h, Payload.Ldr (Ldr_msg.Rrep _) ->
-               Node_id.equal h (n hop)
+           | dst, Payload.Ldr (Ldr_msg.Rrep _) -> dst = Net.Frame.unicast (n hop)
            | _ -> false)
          !sent)
   in

@@ -126,7 +126,7 @@ let unicast_delivery_and_ack () =
   let engine, channel, nodes = rig [ v 0. 0.; v 100. 0. ] in
   let sent = on_air ~src:0 channel in
   let p = data_payload ~src:0 ~dst:1 () in
-  Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.Unicast (n 1)) p;
+  Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.unicast (n 1)) p;
   Engine.run ~until:(Time.ms 100.) engine;
   checki "delivered once" 1 (List.length !(nodes.(1).received));
   checki "no failures" 0 (List.length !(nodes.(0).failures));
@@ -136,7 +136,7 @@ let unicast_out_of_range_fails () =
   let engine, channel, nodes = rig [ v 0. 0.; v 1000. 0. ] in
   let sent = on_air ~src:0 channel in
   let p = data_payload ~src:0 ~dst:1 () in
-  Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.Unicast (n 1)) p;
+  Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.unicast (n 1)) p;
   Engine.run ~until:(Time.sec 2.) engine;
   checki "nothing delivered" 0 (List.length !(nodes.(1).received));
   (match !(nodes.(0).failures) with
@@ -149,7 +149,7 @@ let unicast_out_of_range_fails () =
 let broadcast_reaches_neighbors_only () =
   let engine, _, nodes = rig [ v 0. 0.; v 200. 0.; v 260. 0.; v 900. 0. ] in
   let p = data_payload ~src:0 ~dst:3 () in
-  Net.Mac.send nodes.(0).mac ~dst:Net.Frame.Broadcast p;
+  Net.Mac.send nodes.(0).mac ~dst:Net.Frame.broadcast p;
   Engine.run ~until:(Time.ms 100.) engine;
   checki "node1 in range" 1 (List.length !(nodes.(1).received));
   checki "node2 in range" 1 (List.length !(nodes.(2).received));
@@ -158,7 +158,7 @@ let broadcast_reaches_neighbors_only () =
 let promiscuous_overhears () =
   (* Node 2 is within range of node 0's unicast to node 1. *)
   let engine, _, nodes = rig [ v 0. 0.; v 100. 0.; v 150. 0. ] in
-  Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.Unicast (n 1))
+  Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.unicast (n 1))
     (data_payload ~src:0 ~dst:1 ());
   Engine.run ~until:(Time.ms 100.) engine;
   checki "node1 received" 1 (List.length !(nodes.(1).received));
@@ -168,7 +168,7 @@ let promiscuous_overhears () =
 let queue_serializes () =
   let engine, _, nodes = rig [ v 0. 0.; v 100. 0. ] in
   for _ = 1 to 5 do
-    Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.Unicast (n 1))
+    Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.unicast (n 1))
       (data_payload ~src:0 ~dst:1 ())
   done;
   Engine.run ~until:(Time.sec 1.) engine;
@@ -178,7 +178,7 @@ let ifq_overflow_drops () =
   let params = { Net.Params.default with ifq_capacity = 3 } in
   let engine, _, nodes = rig ~params [ v 0. 0.; v 100. 0. ] in
   for _ = 1 to 10 do
-    Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.Unicast (n 1))
+    Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.unicast (n 1))
       (data_payload ~src:0 ~dst:1 ())
   done;
   Engine.run ~until:(Time.sec 1.) engine;
@@ -191,8 +191,8 @@ let hidden_terminal_collision () =
      equidistant transmitters). *)
   let params = { Net.Params.default with cs_range_m = 275. } in
   let engine, _, nodes = rig ~params [ v 0. 0.; v 250. 0.; v 500. 0. ] in
-  Net.Mac.send nodes.(0).mac ~dst:Net.Frame.Broadcast (data_payload ~src:0 ~dst:1 ());
-  Net.Mac.send nodes.(2).mac ~dst:Net.Frame.Broadcast (data_payload ~src:2 ~dst:1 ());
+  Net.Mac.send nodes.(0).mac ~dst:Net.Frame.broadcast (data_payload ~src:0 ~dst:1 ());
+  Net.Mac.send nodes.(2).mac ~dst:Net.Frame.broadcast (data_payload ~src:2 ~dst:1 ());
   (* Run only briefly: broadcasts have no retry, overlapping frames are
      both lost at node 1. *)
   Engine.run ~until:(Time.ms 50.) engine;
@@ -203,8 +203,8 @@ let capture_effect_saves_near_frame () =
      than the interferer: the near frame survives. *)
   let params = { Net.Params.default with cs_range_m = 275. } in
   let engine, _, nodes = rig ~params [ v 0. 0.; v 50. 0.; v 500. 0. ] in
-  Net.Mac.send nodes.(0).mac ~dst:Net.Frame.Broadcast (data_payload ~src:0 ~dst:1 ());
-  Net.Mac.send nodes.(2).mac ~dst:Net.Frame.Broadcast (data_payload ~src:2 ~dst:1 ());
+  Net.Mac.send nodes.(0).mac ~dst:Net.Frame.broadcast (data_payload ~src:0 ~dst:1 ());
+  Net.Mac.send nodes.(2).mac ~dst:Net.Frame.broadcast (data_payload ~src:2 ~dst:1 ());
   Engine.run ~until:(Time.ms 50.) engine;
   checki "near frame captured" 1 (List.length !(nodes.(1).received))
 
@@ -212,8 +212,8 @@ let carrier_sense_defers () =
   (* Nodes 0 and 2 both in CS range of each other; both flood: the second
      defers and both frames get through to node 1 (no collision). *)
   let engine, _, nodes = rig [ v 0. 0.; v 100. 0.; v 200. 0. ] in
-  Net.Mac.send nodes.(0).mac ~dst:Net.Frame.Broadcast (data_payload ~src:0 ~dst:1 ());
-  Net.Mac.send nodes.(2).mac ~dst:Net.Frame.Broadcast (data_payload ~src:2 ~dst:1 ());
+  Net.Mac.send nodes.(0).mac ~dst:Net.Frame.broadcast (data_payload ~src:0 ~dst:1 ());
+  Net.Mac.send nodes.(2).mac ~dst:Net.Frame.broadcast (data_payload ~src:2 ~dst:1 ());
   Engine.run ~until:(Time.ms 100.) engine;
   checki "both delivered" 2 (List.length !(nodes.(1).received))
 
@@ -221,7 +221,7 @@ let transmit_hook_counts () =
   let engine, channel, nodes = rig [ v 0. 0.; v 100. 0. ] in
   let count = ref 0 in
   Net.Channel.add_transmit_hook channel (fun _ _ -> incr count);
-  Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.Unicast (n 1))
+  Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.unicast (n 1))
     (data_payload ~src:0 ~dst:1 ());
   Engine.run ~until:(Time.ms 100.) engine;
   (* Data frame + ACK. *)
@@ -239,7 +239,7 @@ let duplicate_on_lost_ack () =
      repeated data transmissions from the sender. *)
   let engine, channel, nodes = rig [ v 0. 0.; v 1000. 0. ] in
   let sent = on_air ~src:0 channel in
-  Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.Unicast (n 1))
+  Net.Mac.send nodes.(0).mac ~dst:(Net.Frame.unicast (n 1))
     (data_payload ~src:0 ~dst:1 ());
   Engine.run ~until:(Time.sec 2.) engine;
   checkb "retransmissions happened" true (!sent > 1)
@@ -247,7 +247,7 @@ let duplicate_on_lost_ack () =
 let broadcast_no_retry () =
   let engine, channel, nodes = rig [ v 0. 0.; v 1000. 0. ] in
   let sent = on_air ~src:0 channel in
-  Net.Mac.send nodes.(0).mac ~dst:Net.Frame.Broadcast (data_payload ~src:0 ~dst:1 ());
+  Net.Mac.send nodes.(0).mac ~dst:Net.Frame.broadcast (data_payload ~src:0 ~dst:1 ());
   Engine.run ~until:(Time.sec 2.) engine;
   checki "single attempt" 1 !sent;
   checki "no failure callback" 0 (List.length !(nodes.(0).failures))
@@ -287,7 +287,7 @@ let mobility_breaks_link () =
   for i = 0 to 9 do
     ignore
       (Engine.at engine (Time.sec (float_of_int i)) (fun () ->
-           Net.Mac.send sender ~dst:(Net.Frame.Unicast (n 1))
+           Net.Mac.send sender ~dst:(Net.Frame.unicast (n 1))
              (data_payload ~src:0 ~dst:1 ())))
   done;
   Engine.run ~until:(Time.sec 15.) engine;
@@ -310,7 +310,7 @@ let mac_power_toggle () =
   in
   (* Node 2 is out of range: a unicast to it is never acknowledged. *)
   let send dst =
-    Net.Mac.send mac0 ~dst:(Net.Frame.Unicast (n dst))
+    Net.Mac.send mac0 ~dst:(Net.Frame.unicast (n dst))
       (data_payload ~src:0 ~dst ())
   in
   Alcotest.(check (list int)) "up: a neighbour" [ 0 ] (neighbours_of_1 ());
@@ -425,7 +425,7 @@ let grid_neighbors_match_naive () =
         (List.map Node_id.to_int
            (Net.Channel.fanout channel (Net.Mac.radio mac))
         = Naive_medium.fanout oracle i);
-      Net.Mac.send mac ~dst:Net.Frame.Broadcast (data_payload ~src:i ~dst:0 ()))
+      Net.Mac.send mac ~dst:Net.Frame.broadcast (data_payload ~src:i ~dst:0 ()))
     macs;
   Engine.run ~until:(Time.ms 100.) engine;
   checki "every broadcast checked" (Array.length macs) !checked
@@ -475,8 +475,7 @@ let fanout_layout =
     (fun x -> v x 100.)
     [ 120.; 200.; 260.; 400.; 480.; 560.; 340. ]
 
-let ack_frame src =
-  { Net.Frame.src = n src; dst = Net.Frame.Broadcast; body = Net.Frame.Ack }
+let ack_frame src = Net.Frame.Ack { src = n src; dst = Net.Frame.broadcast }
 
 (* Transmit once from the last radio and log every callback as
    (radio, event) in firing order. *)
@@ -836,8 +835,7 @@ let contending_gates_edges () =
    broadcast. *)
 let overhearing_is_opt_in () =
   let data_frame ~src ~dst =
-    { Net.Frame.src = n src; dst;
-      body = Net.Frame.Payload (data_payload ~src ~dst:3 ()) }
+    Net.Frame.Data { src = n src; dst; payload = data_payload ~src ~dst:3 () }
   in
   let run ~unicast =
     let engine = Engine.create () in
@@ -873,19 +871,18 @@ let overhearing_is_opt_in () =
              Net.Channel.transmit channel radios.(src) frame
                ~duration:(Time.ms 1.)))
     in
-    tx 0. 0 (data_frame ~src:0 ~dst:Net.Frame.Broadcast);
+    tx 0. 0 (data_frame ~src:0 ~dst:Net.Frame.broadcast);
     if unicast then begin
-      tx 200. 2 (data_frame ~src:2 ~dst:(Net.Frame.Unicast (n 3)));
+      tx 200. 2 (data_frame ~src:2 ~dst:(Net.Frame.unicast (n 3)));
       tx 2000. 3
-        { Net.Frame.src = n 3; dst = Net.Frame.Unicast (n 2);
-          body = Net.Frame.Ack }
+        (Net.Frame.Ack { src = n 3; dst = Net.Frame.unicast (n 2) })
     end;
     Engine.run ~until:(Time.ms 10.) engine;
     (Array.map List.rev heard, collisions)
   in
   let frames = Alcotest.(list string) in
   let heard, collisions = run ~unicast:true in
-  let data = Net.Frame.class_name (data_frame ~src:2 ~dst:Net.Frame.Broadcast)
+  let data = Net.Frame.class_name (data_frame ~src:2 ~dst:Net.Frame.broadcast)
   and ack = Net.Frame.class_name (ack_frame 3) in
   Alcotest.check frames "B: the unicast to it" [ data ] heard.(3);
   Alcotest.check frames "A: the ACK to it" [ ack ] heard.(2);
@@ -994,6 +991,33 @@ let allocation_free_fanout () =
     true
     (w10 = 0. && w60 = 0.)
 
+(* [Mac.send] of an existing payload allocates the frame's one block —
+   header, source, destination, payload — and nothing else: the
+   destination is an immediate, built inside the measured call.  The
+   first send starts the service loop and creates the queue's array;
+   the measured ones only queue. *)
+let send_allocates_one_frame () =
+  let words name dst =
+    let _, _, nodes = rig [ v 0. 0.; v 100. 0. ] in
+    let mac = nodes.(0).mac and p = data_payload ~src:0 ~dst:1 () in
+    Net.Mac.send mac ~dst:(dst ()) p;
+    let sends = 20 in
+    let loop f =
+      let w0 = Gc.minor_words () in
+      for _ = 1 to sends do
+        f ()
+      done;
+      Gc.minor_words () -. w0
+    in
+    let with_send = loop (fun () -> Net.Mac.send mac ~dst:(dst ()) p) in
+    let without = loop ignore in
+    checki (name ^ ": all queued") sends (Net.Mac.queue_length mac);
+    let w = (with_send -. without) /. float_of_int sends in
+    checkb (Printf.sprintf "%s: 4 words (%.2f)" name w) true (w = 4.)
+  in
+  words "broadcast" (fun () -> Net.Frame.broadcast);
+  words "unicast" (fun () -> Net.Frame.unicast (n 1))
+
 (* Randomized end-to-end MAC property: every unicast is either received
    at its destination or reported as a link failure to its sender —
    possibly both (a delivered frame whose ACK was lost), but never
@@ -1024,7 +1048,7 @@ let mac_accounting_prop =
               })
       in
       for i = 0 to k - 2 do
-        Net.Mac.send macs.(i) ~dst:(Net.Frame.Unicast (n (i + 1)))
+        Net.Mac.send macs.(i) ~dst:(Net.Frame.unicast (n (i + 1)))
           (data_payload ~src:i ~dst:(i + 1) ())
       done;
       Engine.run ~until:(Time.sec 5.) engine;
@@ -1075,6 +1099,8 @@ let () =
           qt fanout_matches_naive_prop;
           Alcotest.test_case "allocation flat in fan-out" `Quick
             allocation_free_fanout;
+          Alcotest.test_case "send allocates one frame block" `Quick
+            send_allocates_one_frame;
           Alcotest.test_case "re-attach refreshes neighbour lists" `Quick
             reattach_refreshes_lists;
           qt list_expiry_prop;

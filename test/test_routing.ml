@@ -317,9 +317,136 @@ let data_relay_one_copy () =
        ~lifetime:(Time.sec 100.));
   let payload = Payload.Data (msg ~src:0 ~dst:9 ()) in
   let w = words_per_call (fun () -> agent.recv payload ~from:(n 4)) in
-  (* The copy (8 fields + header), its [Payload.Data], the [Unicast]
-     destination and the route lookup's [Some]. *)
-  checkb (Printf.sprintf "relay: 15 words (%.2f)" w) true (w = 15.)
+  (* The copy (8 fields + header) and its [Payload.Data]: the route
+     lookup builds no option and the frame destination is an
+     immediate. *)
+  checkb (Printf.sprintf "relay: 11 words (%.2f)" w) true (w = 11.)
+
+(* ---- Route errors, replies, aggregation ------------------------------- *)
+
+let ldr_rreq_payload ~origin ~rreq_id ~dst =
+  Payload.Ldr
+    (Ldr_msg.Rreq
+       {
+         Ldr_msg.dst = n dst;
+         dst_sn = None;
+         rreq_id;
+         origin = n origin;
+         origin_sn = Seqnum.initial ~stamp:0;
+         fd = Ldr.Conditions.infinity;
+         answer_dist = Ldr.Conditions.infinity;
+         dist = 1;
+         ttl = 5;
+         reset = false;
+         no_reverse = false;
+         unicast_probe = false;
+       })
+
+(* A RERR naming no route through its sender (one through another
+   neighbour, one unknown) changes nothing and allocates nothing: no
+   closure, no option, no list. *)
+let rerr_untouched_allocation_free () =
+  let engine = Engine.create () in
+  let ldr, dbg =
+    Ldr.Protocol.factory_with_debug () (Graph_net.null_ctx ~id:5 engine)
+  in
+  ignore
+    (Ldr.Route_table.apply_advert dbg.Ldr.Protocol.table ~dst:(n 9)
+       ~adv_sn:(Seqnum.initial ~stamp:0) ~adv_dist:0 ~via:(n 6)
+       ~lifetime:(Time.sec 100.));
+  let rerr =
+    Payload.Ldr (Ldr_msg.Rerr { unreachable = [ (n 9, None); (n 8, None) ] })
+  in
+  check_zero_words "LDR" (fun () -> ldr.recv rerr ~from:(n 4));
+  checkb "LDR route kept" true (ldr.successor (n 9) = Some (n 6));
+  let aodv = Aodv.factory () (Graph_net.null_ctx ~id:5 engine) in
+  aodv.recv
+    (Payload.Aodv
+       (Aodv_msg.Rrep
+          {
+            Aodv_msg.dst = n 9;
+            dst_sn = 1;
+            origin = n 0;
+            hop_count = 0;
+            lifetime = Time.sec 100.;
+          }))
+    ~from:(n 6);
+  let rerr =
+    Payload.Aodv (Aodv_msg.Rerr { unreachable = [ (n 9, 3); (n 8, 1) ] })
+  in
+  check_zero_words "AODV" (fun () -> aodv.recv rerr ~from:(n 4));
+  checkb "AODV route kept" true (aodv.successor (n 9) = Some (n 6))
+
+(* A relay that never originated answers a reply from its route table
+   and its engagement: its discovery machine is never built. *)
+let rrep_relay_builds_no_discovery () =
+  let engine = Engine.create () in
+  let sent = ref [] in
+  let ctx =
+    {
+      (Graph_net.null_ctx ~id:5 engine) with
+      Routing.Agent.send = (fun ~dst p -> sent := (dst, p) :: !sent);
+    }
+  in
+  let agent, dbg = Ldr.Protocol.factory_with_debug () ctx in
+  agent.recv (ldr_rreq_payload ~origin:0 ~rreq_id:1 ~dst:9) ~from:(n 4);
+  agent.recv
+    (Payload.Ldr
+       (Ldr_msg.Rrep
+          {
+            Ldr_msg.dst = n 9;
+            dst_sn = Seqnum.initial ~stamp:0;
+            origin = n 0;
+            rreq_id = 1;
+            dist = 0;
+            lifetime = Time.sec 10.;
+            rrep_no_reverse = false;
+          }))
+    ~from:(n 6);
+  checkb "reply relayed to the reverse hop" true
+    (match !sent with
+    | [ (dst, Payload.Ldr (Ldr_msg.Rrep _)) ] -> dst = Net.Frame.unicast (n 4)
+    | _ -> false);
+  checkb "discovery machine unbuilt" false
+    (dbg.Ldr.Protocol.discovery_built ())
+
+(* A flush of a one-member batch hands the MAC the very payload the
+   agent handed the wrapper, for either flooding family. *)
+let agg_single_member_passthrough () =
+  let case name rreq =
+    let engine = Engine.create () in
+    let sent = ref [] in
+    let ctx =
+      {
+        (Graph_net.null_ctx ~id:5 engine) with
+        Routing.Agent.send = (fun ~dst:_ p -> sent := p :: !sent);
+      }
+    in
+    let inner (c : Routing.Agent.ctx) =
+      {
+        Routing.Agent.null with
+        origin_data = (fun _ -> c.send ~dst:Net.Frame.broadcast rreq);
+      }
+    in
+    let agent = Routing.Aggregation.wrap inner ctx in
+    agent.origin_data (msg ~src:5 ~dst:9 ());
+    Engine.run engine;
+    checkb (name ^ ": the same payload") true
+      (match !sent with [ p ] -> p == rreq | _ -> false)
+  in
+  case "LDR" (ldr_rreq_payload ~origin:5 ~rreq_id:1 ~dst:9);
+  case "AODV"
+    (Payload.Aodv
+       (Aodv_msg.Rreq
+          {
+            Aodv_msg.dst = n 9;
+            dst_sn = None;
+            rreq_id = 1;
+            origin = n 5;
+            origin_sn = 1;
+            hop_count = 0;
+            ttl = 5;
+          }))
 
 (* ---- Packet_buffer ------------------------------------------------------ *)
 
@@ -865,7 +992,7 @@ let null_ctx_works () =
   let ctx = Graph_net.null_ctx ~id:3 engine in
   checki "id" 3 (Node_id.to_int ctx.Routing.Agent.id);
   (* All sinks are callable without effect. *)
-  ctx.Routing.Agent.send ~dst:Net.Frame.Broadcast
+  ctx.Routing.Agent.send ~dst:Net.Frame.broadcast
     (Payload.Data (msg ~src:0 ~dst:1 ()));
   ctx.Routing.Agent.deliver (msg ~src:0 ~dst:1 ());
   ctx.Routing.Agent.event "x";
@@ -897,6 +1024,15 @@ let () =
         [
           Alcotest.test_case "relayed data is one copy" `Quick
             data_relay_one_copy;
+        ] );
+      ( "forwarding",
+        [
+          Alcotest.test_case "untouched rerr allocates nothing" `Quick
+            rerr_untouched_allocation_free;
+          Alcotest.test_case "rrep relay builds no discovery" `Quick
+            rrep_relay_builds_no_discovery;
+          Alcotest.test_case "one-member batch passes through" `Quick
+            agg_single_member_passthrough;
         ] );
       ( "packet_buffer",
         [

@@ -161,18 +161,14 @@ let gen_payload =
 
 let gen_frame =
   G.map
-    (fun ((src, dst), body) ->
+    (fun ((src, dst), payload) ->
       let dst =
-        match dst with None -> Net.Frame.Broadcast | Some d -> Net.Frame.Unicast d
+        match dst with None -> Net.Frame.broadcast | Some d -> Net.Frame.unicast d
       in
-      { Net.Frame.src; dst; body })
-    (G.pair
-       (G.pair gen_node (G.option gen_node))
-       (G.oneof
-          [
-            G.return Net.Frame.Ack;
-            G.map (fun p -> Net.Frame.Payload p) gen_payload;
-          ]))
+      match payload with
+      | None -> Net.Frame.Ack { src; dst }
+      | Some payload -> Net.Frame.Data { src; dst; payload })
+    (G.pair (G.pair gen_node (G.option gen_node)) (G.option gen_payload))
 
 let arb ?print gen = QCheck.make ?print gen
 
@@ -241,7 +237,7 @@ let roundtrip_frame =
     (arb ~print:pp_frame gen_frame) (fun f ->
       let b = Net.Frame.encode f in
       Bytes.length b = Net.Frame.encoded_length f
-      && Net.Frame.decode ~family:(Net.Frame.family f) ~ack_src:f.Net.Frame.src b
+      && Net.Frame.decode ~family:(Net.Frame.family f) ~ack_src:(Net.Frame.src f) b
          = Ok f)
 
 (* ---- Fuzzing: decoders are total and the FCS rejects corruption ------- *)
@@ -264,7 +260,7 @@ let fuzz_truncated =
       let b = Net.Frame.encode f in
       let cut = cut mod Bytes.length b in
       let fam = Net.Frame.family f in
-      Net.Frame.decode ~family:fam ~ack_src:f.Net.Frame.src (Bytes.sub b 0 cut)
+      Net.Frame.decode ~family:fam ~ack_src:(Net.Frame.src f) (Bytes.sub b 0 cut)
       |> Result.is_error)
 
 let fuzz_bitflip =
@@ -275,7 +271,7 @@ let fuzz_bitflip =
       let bit = r mod (8 * Bytes.length b) in
       let i = bit / 8 in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
-      Net.Frame.decode ~family:(Net.Frame.family f) ~ack_src:f.Net.Frame.src b
+      Net.Frame.decode ~family:(Net.Frame.family f) ~ack_src:(Net.Frame.src f) b
       |> Result.is_error)
 
 let fuzz_payload_truncated =
@@ -295,16 +291,16 @@ let sample_frames =
       ~origin_time:(Sim.Time.ms 5.)
   in
   [
-    { Net.Frame.src = n 2; dst = Net.Frame.Unicast (n 3);
-      body = Net.Frame.Payload (Payload.Data data) };
-    { Net.Frame.src = n 3; dst = Net.Frame.Unicast (n 2); body = Net.Frame.Ack };
-    { Net.Frame.src = n 4; dst = Net.Frame.Broadcast;
-      body =
-        Net.Frame.Payload
-          (Payload.Aodv
-             (Aodv_msg.Rreq
-                { dst = n 9; dst_sn = None; rreq_id = 1; origin = n 4;
-                  origin_sn = 2; hop_count = 0; ttl = 5 })) };
+    Net.Frame.Data
+      { src = n 2; dst = Net.Frame.unicast (n 3); payload = Payload.Data data };
+    Net.Frame.Ack { src = n 3; dst = Net.Frame.unicast (n 2) };
+    Net.Frame.Data
+      { src = n 4; dst = Net.Frame.broadcast;
+        payload =
+          Payload.Aodv
+            (Aodv_msg.Rreq
+               { dst = n 9; dst_sn = None; rreq_id = 1; origin = n 4;
+                 origin_sn = 2; hop_count = 0; ttl = 5 }) };
   ]
 
 (* [f] over a capture of [sample_frames], frame [i] sent at [i] ms. *)
@@ -353,9 +349,9 @@ let pcap_roundtrip () =
           let f = List.nth sample_frames i in
           checkb "a Tx event" true (kind = Obs.Event.Tx);
           checkb "time" true (Sim.Time.equal time (Sim.Time.ms (float_of_int i)));
-          checki "source" (Node_id.to_int f.Net.Frame.src) node;
+          checki "source" (Node_id.to_int (Net.Frame.src f)) node;
           Alcotest.(check string) "class" (Net.Frame.class_name f) cls;
-          checki "destination" (Net.Frame.dst_int f.Net.Frame.dst) dst;
+          checki "destination" (Net.Frame.dst f :> int) dst;
           checki "on-air length" (Net.Frame.encoded_length f) bytes)
         (List.rev !events);
       Alcotest.(check (list (pair string (pair int int))))
