@@ -1,10 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 4), plus an ablation study over LDR's
-   optimizations, the request-aggregation comparison, and four reports
+   optimizations, the request-aggregation comparison, and three reports
    that also write a BENCH_*.json file: request floods per delivered
    packet (discovery), delivery under each scenario family with the
-   invariant monitor armed (families), wire-codec throughput (codec)
-   and model-checker exhaustiveness (mcheck).
+   invariant monitor armed (families) and model-checker exhaustiveness
+   (mcheck).
 
      dune exec bench/main.exe                 -- reduced scale, everything
      dune exec bench/main.exe -- table1 fig7  -- selected experiments
@@ -17,7 +17,9 @@
 
    Simulator cost (wall time and words per event, trace overhead,
    parallel efficiency) is measured by the repository benchmark,
-   perfbench/, layer by layer; this harness reports outcomes. *)
+   perfbench/, layer by layer; this harness reports outcomes only.  Its
+   stdout and the BENCH_*.json files it writes are the same on every
+   run; the one wall-time line goes to stderr. *)
 
 open Experiment
 module Time = Sim.Time
@@ -581,144 +583,6 @@ let families ~scale () =
   close_out oc;
   Printf.printf "  (wrote BENCH_families.json)\n%!"
 
-(* ---- Wire codec: encode/decode throughput over the Fig-5 mix ------------ *)
-
-(* The packet population is not synthetic: a short Fig-5 run collects
-   its own transmissions through a channel transmit hook, and the bench
-   times [Frame.encode]/[Frame.decode] over exactly those frames — the
-   same class mix (DATA/ACK/RREQ/...) the simulator meters airtime for.
-   Decode includes the FCS verification, as on the hot trace path. *)
-
-let codec_duration_s = 20.
-
-let codec_bench ~scale:_ () =
-  heading "Wire codec: encode/decode throughput over a captured Fig-5 packet mix";
-  let sc =
-    Scenario.paper_100 Scenario.ldr
-    |> Scenario.with_flows 30
-    |> Scenario.with_pause (Time.sec 0.)
-    |> Scenario.with_duration (Time.sec codec_duration_s)
-  in
-  let captured = ref [] in
-  ignore
-    (Runner.run
-       ~prepare:(fun sim ->
-         Net.Channel.add_transmit_hook sim.Runner.channel (fun _src f ->
-             captured := f :: !captured))
-       sc);
-  let frames = Array.of_list (List.rev !captured) in
-  let n = Array.length frames in
-  if n = 0 then failwith "codec bench: empty capture";
-  let total_bytes =
-    Array.fold_left (fun acc f -> acc + Net.Frame.encoded_length f) 0 frames
-  in
-  let encoded =
-    Array.map
-      (fun f -> (Net.Frame.family f, Net.Frame.src f, Net.Frame.encode f))
-      frames
-  in
-  (* Enough passes over the population for O(100 ms) timings. *)
-  let reps = Stdlib.max 1 (2_000_000 / n) in
-  let packets = reps * n in
-  let decode_errors = ref 0 in
-  (* The least-disturbed wall time of three timed rounds; the
-     allocation count is per round, as deterministic as the codec. *)
-  let rounds = 3 in
-  let measure pass =
-    let m0 = Gc.minor_words () in
-    let wall = ref infinity in
-    for _ = 1 to rounds do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do pass () done;
-      wall := Float.min !wall (Unix.gettimeofday () -. t0)
-    done;
-    let minor = (Gc.minor_words () -. m0) /. float_of_int rounds in
-    (!wall, minor /. float_of_int packets)
-  in
-  let enc_s, enc_minor =
-    measure (fun () ->
-        Array.iter (fun f -> ignore (Sys.opaque_identity (Net.Frame.encode f))) frames)
-  in
-  let dec_s, dec_minor =
-    measure (fun () ->
-        Array.iter
-          (fun (family, src, b) ->
-            match Net.Frame.decode ~family ~ack_src:src b with
-            | Ok _ -> ()
-            | Error _ -> incr decode_errors)
-          encoded)
-  in
-  if !decode_errors > 0 then
-    Printf.printf "  !! %d decode errors on a clean capture\n%!" !decode_errors;
-  let per_pkt_ns s = s /. float_of_int packets *. 1e9 in
-  let mb_per_s s = float_of_int (total_bytes * reps) /. s /. 1e6 in
-  let mix =
-    let tbl = Hashtbl.create 8 in
-    Array.iter
-      (fun f ->
-        let cls = Net.Frame.class_name f in
-        let c, b = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl cls) in
-        Hashtbl.replace tbl cls (c + 1, b + Net.Frame.encoded_length f))
-      frames;
-    List.sort compare (List.of_seq (Hashtbl.to_seq tbl))
-  in
-  print_endline
-    (Stats.Table.render
-       ~header:[ "direction"; "ns/packet"; "MB/s"; "minor words/packet" ]
-       [
-         [
-           "encode";
-           Printf.sprintf "%.1f" (per_pkt_ns enc_s);
-           Printf.sprintf "%.1f" (mb_per_s enc_s);
-           Printf.sprintf "%.1f" enc_minor;
-         ];
-         [
-           "decode";
-           Printf.sprintf "%.1f" (per_pkt_ns dec_s);
-           Printf.sprintf "%.1f" (mb_per_s dec_s);
-           Printf.sprintf "%.1f" dec_minor;
-         ];
-       ]);
-  Printf.printf "  mix: %s\n%!"
-    (String.concat ", "
-       (List.map (fun (cls, (c, _)) -> Printf.sprintf "%s %d" cls c) mix));
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"benchmark\": \"wire-codec\",";
-        Printf.sprintf
-          "  \"scenario\": \"fig5-100n-30f-p0 capture, %g s simulated, seed 1\","
-          codec_duration_s;
-        Printf.sprintf "  \"packets\": %d," n;
-        Printf.sprintf "  \"on_air_bytes\": %d," total_bytes;
-        Printf.sprintf "  \"bench_passes\": %d," reps;
-        "  \"mix\": [";
-        String.concat ",\n"
-          (List.map
-             (fun (cls, (c, b)) ->
-               Printf.sprintf "    { \"class\": %S, \"count\": %d, \"bytes\": %d }"
-                 cls c b)
-             mix);
-        "  ],";
-        Printf.sprintf
-          "  \"encode\": { \"ns_per_packet\": %.1f, \"mb_per_s\": %.1f, \
-           \"minor_words_per_packet\": %.1f },"
-          (per_pkt_ns enc_s) (mb_per_s enc_s) enc_minor;
-        Printf.sprintf
-          "  \"decode\": { \"ns_per_packet\": %.1f, \"mb_per_s\": %.1f, \
-           \"minor_words_per_packet\": %.1f },"
-          (per_pkt_ns dec_s) (mb_per_s dec_s) dec_minor;
-        Printf.sprintf "  \"decode_errors\": %d" !decode_errors;
-        "}";
-      ]
-  in
-  let oc = open_out "BENCH_wire.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "  (wrote BENCH_wire.json)\n%!"
-
 (* ---- Model-checker exhaustiveness report --------------------------------- *)
 
 (* One row per (fixture, protocol): the bounded schedule space explored
@@ -728,15 +592,14 @@ let codec_bench ~scale:_ () =
 let mcheck_bound = 18
 
 let mcheck_json rows =
-  let row (fixture, proto, secs, (r : Mcheck.Explorer.result)) =
+  let row (fixture, proto, (r : Mcheck.Explorer.result)) =
     let s = r.Mcheck.Explorer.stats in
     Printf.sprintf
       "    {\"fixture\": \"%s\", \"protocol\": \"%s\", \"max_steps\": %d, \
        \"states\": %d, \"transitions\": %d, \"sleep_pruned\": %d, \
        \"state_merged\": %d, \"depth_cut\": %d, \"terminals\": %d, \
        \"replays\": %d, \"replayed_events\": %d, \"max_depth\": %d, \
-       \"complete\": %b, \"violation\": %s, \"violation_depth\": %d, \
-       \"wall_s\": %.3f}"
+       \"complete\": %b, \"violation\": %s, \"violation_depth\": %d}"
       fixture
       (Mcheck.Explorer.protocol_name proto)
       mcheck_bound s.Mcheck.Explorer.states s.transitions s.sleep_skipped
@@ -749,7 +612,6 @@ let mcheck_json rows =
       (match r.Mcheck.Explorer.violation with
       | Some v -> List.length v.v_trace
       | None -> -1)
-      secs
   in
   String.concat "\n"
     [
@@ -776,24 +638,20 @@ let mcheck_bench ~scale:_ () =
   let rows =
     List.map
       (fun (fx, proto) ->
-        let t0 = Unix.gettimeofday () in
         let r =
           Mcheck.Explorer.explore ~max_steps:mcheck_bound
             ~stop_at_first:false fx proto
         in
-        let secs = Unix.gettimeofday () -. t0 in
         let s = r.Mcheck.Explorer.stats in
         Printf.printf
-          "  %-12s %-5s states=%-8d merged=%-8d sleep=%-6d complete=%b %s \
-           (%.2f s)\n%!"
+          "  %-12s %-5s states=%-8d merged=%-8d sleep=%-6d complete=%b %s\n%!"
           fx.Mcheck.Fixture.name
           (Mcheck.Explorer.protocol_name proto)
           s.Mcheck.Explorer.states s.state_merged s.sleep_skipped s.complete
           (match r.Mcheck.Explorer.violation with
           | Some v -> Mcheck.Explorer.render_vkind v.v_kind
-          | None -> "silent")
-          secs;
-        (fx.Mcheck.Fixture.name, proto, secs, r))
+          | None -> "silent");
+        (fx.Mcheck.Fixture.name, proto, r))
       cases
   in
   let oc = open_out "BENCH_mcheck.json" in
@@ -817,15 +675,10 @@ let all_experiments =
     ("aggregation", aggregation);
     ("discovery", discovery);
     ("families", families);
-    ("codec", codec_bench);
     ("mcheck", mcheck_bench);
   ]
 
 let () =
-  (* A benchmarking-sized minor heap (32 MB): the simulator's steady
-     allocation rate otherwise makes minor-collection pauses a visible
-     fraction of every measurement. *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   let args = List.tl (Array.to_list Sys.argv) in
   let scale = ref default_scale in
   let selected = ref [] in
@@ -841,8 +694,9 @@ let () =
           selected := !selected @ [ name ]
       | other ->
           Printf.eprintf
-            "unknown argument %S (expected: table1 fig2..fig7 ablation aggregation discovery families codec mcheck all --full --quick --csv=DIR)\n"
-            other;
+            "unknown argument %S (expected: %s all --full --quick --csv=DIR)\n"
+            other
+            (String.concat " " (List.map fst all_experiments));
           exit 2)
     args;
   let selected =
@@ -856,4 +710,7 @@ let () =
   Printf.printf "(paper scale: 900 s, 10 trials, 7 pause times -- pass --full)\n%!";
   let t0 = Unix.gettimeofday () in
   List.iter (fun name -> (List.assoc name all_experiments) ~scale ()) selected;
-  Printf.printf "\nTotal wall time: %.1f s\n" (Unix.gettimeofday () -. t0)
+  (* The blank line stays on stdout; the time, which differs on every
+     run, goes to stderr. *)
+  print_newline ();
+  Printf.eprintf "Total wall time: %.1f s\n" (Unix.gettimeofday () -. t0)

@@ -229,6 +229,41 @@ let partition_heal_line4 () =
         (r.Explorer.violation = None))
     [ Explorer.Aodv; Explorer.Ldr ]
 
+(* [manet_sim mcheck --expect silent] passes only a complete search:
+   one cut by the state budget or made of random walks proves nothing
+   about the space, exits 1, and without [--expect] its closing line
+   says it is incomplete.  A complete silent search still exits 0. *)
+let expect_silent_needs_complete () =
+  let out = Filename.temp_file "mcheck_cli" ".out" in
+  List.iter
+    (fun (args, want_code, want_last) ->
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/manet_sim.exe mcheck %s > %s" args
+             (Filename.quote out))
+      in
+      let lines =
+        In_channel.with_open_bin out In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      checki (args ^ ": exit code") want_code code;
+      Alcotest.(check string)
+        (args ^ ": closing line") want_last
+        (List.nth lines (List.length lines - 1)))
+    (let incomplete =
+       "no violation found, but the search is incomplete: the space is not \
+        proven silent"
+     in
+     [
+       ("-p ldr -f aodv-loop-3 --max-states 100 --expect silent", 1, incomplete);
+       ("-p ldr -f aodv-loop-3 --random-walks 5 --expect silent", 1, incomplete);
+       ("-p ldr -f aodv-loop-3 --max-states 100", 0, incomplete);
+       ("-p ldr -f line-4 --max-steps 8 --expect silent", 0,
+        "no violation in the explored space");
+     ]);
+  Sys.remove out
+
 let () =
   Alcotest.run "mcheck"
     [
@@ -260,5 +295,10 @@ let () =
           Alcotest.test_case "flap during in-flight rrep" `Quick
             flap_during_inflight_rrep;
           Alcotest.test_case "partition then heal" `Quick partition_heal_line4;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "expect silent needs a complete search" `Quick
+            expect_silent_needs_complete;
         ] );
     ]
